@@ -194,16 +194,15 @@ def _maximal3():
 
 @pytest.mark.paper_artifact("ablation")
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-@pytest.mark.parametrize("engine", ["accel", "reference"])
+@pytest.mark.parametrize("engine", ["accel-batch", "reference"])
 def test_engine_dispatch(benchmark, patents_labeled, workload, engine):
-    """Vectorized vs interpreted engine on every pattern-feature class.
+    """Batched vs interpreted engine on every pattern-feature class.
 
-    Before the accelerated engine covered the full matrix, everything
-    except ``unlabeled-clique`` was outside its supported subset; this
-    bench documents that the vectorized path now engages on labeled,
-    vertex-induced and anti-constraint workloads too, and measures the
-    density crossover that ``engine="auto"`` encodes
-    (``repro.core.api.ACCEL_MIN_AVG_DEGREE``).
+    Documents that the vectorized path engages on labeled,
+    vertex-induced and anti-constraint workloads too; the density
+    crossover ``engine="auto"`` encodes
+    (``repro.core.api.ACCEL_BATCH_MIN_AVG_DEGREE``) is swept by
+    ``bench_engine_frontier.py``.
     """
     pattern, kwargs = WORKLOADS[workload]()
     plan = generate_plan(pattern, **{**kwargs, "symmetry_breaking": True})
@@ -223,7 +222,9 @@ def test_print_engine_dispatch_parity(patents_labeled, capsys):
     for name in sorted(WORKLOADS):
         pattern, kwargs = WORKLOADS[name]()
         t_acc, n_acc = timed(
-            lambda: count(patents_labeled, pattern, engine="accel", **kwargs)
+            lambda: count(
+                patents_labeled, pattern, engine="accel-batch", **kwargs
+            )
         )
         t_ref, n_ref = timed(
             lambda: count(patents_labeled, pattern, engine="reference", **kwargs)
@@ -231,11 +232,11 @@ def test_print_engine_dispatch_parity(patents_labeled, capsys):
         assert n_acc == n_ref
         rows.append((name, n_acc, t_acc, t_ref))
     with capsys.disabled():
-        print("\n=== engine dispatch: accel vs reference ===")
+        print("\n=== engine dispatch: accel-batch vs reference ===")
         for name, n, t_acc, t_ref in rows:
             ratio = t_ref / t_acc if t_acc else float("inf")
             print(
-                f"{name:<22} matches={n:>10,}  accel={t_acc:.4f}s"
+                f"{name:<22} matches={n:>10,}  accel-batch={t_acc:.4f}s"
                 f"  reference={t_ref:.4f}s  speedup={ratio:.1f}x"
             )
 

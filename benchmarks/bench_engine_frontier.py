@@ -1,14 +1,13 @@
 """Frontier-batched engine benchmark: avg-degree sweep + perf baseline.
 
-Compares the three engines — reference interpreter, per-match vectorized
-(``accel``), frontier-batched (``accel-batch``) — across an average-degree
-sweep, and writes the machine-readable timings to ``BENCH_engine.json`` at
-the repo root so future PRs have a baseline to regress against.  The sweep
-is what measured ``repro.core.api.ACCEL_BATCH_MIN_AVG_DEGREE``: frontier
-batching amortizes numpy dispatch across whole match levels, so the batched
-engine wins from avg degree ~2 upward — far below the per-match engine's
-old crossover of 128 — including on single-vertex-core patterns, whose
-tail count it vectorizes per frontier row.
+Compares the two engines — reference interpreter and frontier-batched
+(``accel-batch``) — across an average-degree sweep, and writes the
+machine-readable timings to ``BENCH_engine.json`` at the repo root so
+future PRs have a baseline to regress against.  The sweep is what
+measured ``repro.core.api.ACCEL_BATCH_MIN_AVG_DEGREE``: frontier batching
+amortizes numpy dispatch across whole match levels, so the batched engine
+wins from avg degree ~2 upward, including on single-vertex-core patterns,
+whose tail count it vectorizes per frontier row.
 
 Run the full sweep (writes ``BENCH_engine.json``, prints the table)::
 
@@ -34,7 +33,7 @@ from repro.pattern import Pattern, generate_chain, generate_clique
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_engine.json"
 
-ENGINES = ("reference", "accel", "accel-batch")
+ENGINES = ("reference", "accel-batch")
 SWEEP_N = 600
 SWEEP_DEGREES = (2, 4, 8, 16, 32, 64, 128)
 
@@ -83,14 +82,13 @@ def test_frontier_smoke():
     for name, pattern_fn in PATTERNS.items():
         p = pattern_fn()
         expected = count(g, p, engine="reference")
-        assert count(g, p, engine="accel") == expected, name
         assert count(g, p, engine="accel-batch") == expected, name
         assert count(g, p, engine="accel-batch", frontier_chunk=64) == expected
 
 
 @pytest.mark.paper_artifact("engine-frontier")
 def test_frontier_sweep_emits_json(capsys):
-    """Full sweep: beat the interpreter below the old crossover, log it."""
+    """Full sweep: beat the interpreter from the crossover up, log it."""
     results = []
     for name, pattern_fn in PATTERNS.items():
         pattern = pattern_fn()
@@ -137,8 +135,7 @@ def test_frontier_sweep_emits_json(capsys):
         print(f"wrote {OUTPUT_PATH}")
 
     # Acceptance: the batched engine beats the reference interpreter at
-    # avg degree <= 32 on a multi-vertex-core pattern (the old per-match
-    # crossover sat at 128 with a core-size exclusion).
+    # avg degree <= 32 on a multi-vertex-core pattern.
     low_degree_wins = [
         row
         for row in results

@@ -11,13 +11,14 @@ measures what our storage tiers buy on the same axes:
   materialization), so its open time must be bounded away from both
   parsers — acceptance pins ``.rgx`` at >= 5x over text parse.
 * **fanout_rss** — per-worker and parent-side memory when a process pool
-  shares one CSR graph.  ``shm`` copies the arrays into
-  ``multiprocessing.shared_memory`` (tmpfs: RAM-pinned, unevictable)
-  while ``mmap`` workers re-open the ``.rgx`` file and share clean
-  page-cache pages.  Workers touch every page, then report
-  ``VmRSS``/``Pss`` from procfs; the parent reports the bytes each mode
-  allocates up front.  Both modes *share* pages across workers — the
-  measured story is the parent-side copy the shm tier cannot avoid.
+  shares one CSR graph, under the runtime's two share modes.  ``fork``
+  workers inherit the parent's heap-resident CSR arrays copy-on-write
+  (anonymous, unevictable pages the parent must hold) while ``mmap``
+  workers re-open the ``.rgx`` file and share clean page-cache pages.
+  Workers touch every page, then report ``VmRSS``/``Pss`` from procfs;
+  the parent reports the bytes each mode keeps resident.  Both modes
+  *share* pages across workers — the measured story is the parent-side
+  heap copy mmap does without.
 * **membership** — the roaring hub kernels vs the searchsorted adjacency
   keys on power-law hub queries: the
   :class:`~repro.core.accel.HubMembershipIndex` compiles each hub row
@@ -82,15 +83,8 @@ def _read_proc_kb(path: str, key: str):
     return None
 
 
-def _shm_probe_init(meta):
-    from multiprocessing import shared_memory
-
-    segments, arrays = [], []
-    for name, size in meta:
-        seg = shared_memory.SharedMemory(name=name)
-        segments.append(seg)
-        arrays.append(np.ndarray((size,), dtype=np.int64, buffer=seg.buf))
-    _PROBE_STATE["segments"] = segments  # keep attachments alive
+def _fork_probe_init(arrays):
+    # Under the fork start method initargs are inherited, not pickled.
     _PROBE_STATE["arrays"] = arrays
 
 
@@ -113,30 +107,25 @@ def _touch_and_measure(_worker_id):
 
 
 def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
-    """Worker residency under shm fan-out vs mmap fan-out of one CSR."""
+    """Worker residency under fork fan-out vs mmap fan-out of one CSR."""
     from repro.core import accel
-    from repro.runtime import parallel as parallel_module
 
     ctx = multiprocessing.get_context("fork")
     ordered, _ = graph.degree_ordered()
     view = accel.shared_view(ordered)
 
-    segments, meta = parallel_module._shm_segments(view)
-    shm_meta = [
-        (name, size) for name, size in meta.values() if name
-    ]
-    shm_bytes = sum(seg.size for seg in segments)
-    try:
-        with ctx.Pool(
-            processes=workers,
-            initializer=_shm_probe_init,
-            initargs=(shm_meta,),
-        ) as pool:
-            shm_reports = pool.map(_touch_and_measure, range(workers))
-    finally:
-        for seg in segments:
-            seg.close()
-            seg.unlink()
+    # The fork tier shares heap arrays: copy the (possibly mapped) CSR
+    # sections into anonymous memory, as a generated graph's view holds
+    # them.
+    flat, offsets, _ = view.csr()
+    heap = [np.array(offsets), np.array(flat)]
+    heap_bytes = sum(arr.nbytes for arr in heap)
+    with ctx.Pool(
+        processes=workers,
+        initializer=_fork_probe_init,
+        initargs=(heap,),
+    ) as pool:
+        fork_reports = pool.map(_touch_and_measure, range(workers))
 
     with ctx.Pool(
         processes=workers,
@@ -146,9 +135,8 @@ def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
         mmap_reports = pool.map(_touch_and_measure, range(workers))
 
     # The same pages must have been faulted in under both modes.
-    shm_sum = {r["checksum"] for r in shm_reports}
-    mmap_sum = {r["checksum"] for r in mmap_reports}
-    assert len(shm_sum) == 1 and len(mmap_sum) == 1
+    sums = {r["checksum"] for r in fork_reports + mmap_reports}
+    assert len(sums) == 1
 
     def summarize(reports):
         rss = [r["rss_kb"] for r in reports if r["rss_kb"] is not None]
@@ -158,20 +146,20 @@ def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
             "max_worker_pss_kb": max(pss) if pss else None,
         }
 
-    shm_summary = summarize(shm_reports)
+    fork_summary = summarize(fork_reports)
     mmap_summary = summarize(mmap_reports)
     delta = {}
     for key in ("max_worker_rss_kb", "max_worker_pss_kb"):
-        if shm_summary[key] is not None and mmap_summary[key] is not None:
-            delta[key.replace("max_worker_", "shm_minus_mmap_")] = (
-                shm_summary[key] - mmap_summary[key]
+        if fork_summary[key] is not None and mmap_summary[key] is not None:
+            delta[key.replace("max_worker_", "fork_minus_mmap_")] = (
+                fork_summary[key] - mmap_summary[key]
             )
     return {
         "workers": workers,
         "csr_payload_bytes": int(view.memory_bytes()),
-        "shm": {
-            **shm_summary,
-            "parent_tmpfs_copy_bytes": int(shm_bytes),
+        "fork": {
+            **fork_summary,
+            "parent_heap_bytes": int(heap_bytes),
         },
         "mmap": {
             **mmap_summary,
@@ -244,7 +232,7 @@ def test_storage_smoke(tmp_path):
     expected = count(g, generate_clique(3))
     assert count(h, generate_clique(3)) == expected
     probe = _fanout_probe(h, str(rgx), workers=2)
-    assert probe["shm"]["parent_tmpfs_copy_bytes"] > 0
+    assert probe["fork"]["parent_heap_bytes"] > 0
     assert probe["mmap"]["store_file_bytes"] == os.path.getsize(rgx)
     row = _membership_round(power_law(800, gamma=1.5, seed=3), 2_000, seed=1)
     assert row["num_hubs"] > 0
@@ -304,10 +292,11 @@ def test_storage_emits_json(tmp_path, capsys):
             f"{ROUNDS} rounds; the .rgx open is O(header) Python work, "
             "no adjacency materialization).  fanout_rss forks "
             f"{FANOUT_WORKERS} workers that fault in every CSR page and "
-            "report procfs VmRSS/Pss: shm attaches tmpfs segment copies "
-            "(parent_tmpfs_copy_bytes of RAM-pinned, unevictable pages), "
-            "mmap workers re-open the store file and share clean, "
-            "evictable page-cache pages (zero parent-side copy).  "
+            "report procfs VmRSS/Pss: fork workers inherit the parent's "
+            "heap CSR copy-on-write (parent_heap_bytes of anonymous, "
+            "unevictable pages), mmap workers re-open the store file and "
+            "share clean, evictable page-cache pages (zero parent-side "
+            "copy).  "
             "membership compares the searchsorted adjacency-key kernel "
             "against the roaring-compiled HubMembershipIndex bit rows on "
             "hub-owner query batches (the anti-edge / injectivity probe "
@@ -329,8 +318,8 @@ def test_storage_emits_json(tmp_path, capsys):
         )
         print("=== storage: fan-out residency ===")
         print(
-            f"shm  worker rss {fanout['shm']['max_worker_rss_kb']} KiB, "
-            f"parent copy {fanout['shm']['parent_tmpfs_copy_bytes']} B"
+            f"fork worker rss {fanout['fork']['max_worker_rss_kb']} KiB, "
+            f"parent heap {fanout['fork']['parent_heap_bytes']} B"
         )
         print(
             f"mmap worker rss {fanout['mmap']['max_worker_rss_kb']} KiB, "
@@ -351,6 +340,6 @@ def test_storage_emits_json(tmp_path, capsys):
         "mmap cold start regressed to within 5x of text parsing "
         f"({cold_start['mmap_speedup_vs_text']:.1f}x)"
     )
-    # The shm tier's parent-side copy is the cost mmap exists to remove.
-    assert fanout["shm"]["parent_tmpfs_copy_bytes"] > 0
+    # The fork tier's parent-side heap copy is what mmap does without.
+    assert fanout["fork"]["parent_heap_bytes"] > 0
     assert fanout["mmap"]["parent_extra_bytes"] == 0

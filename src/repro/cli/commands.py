@@ -220,9 +220,6 @@ def cmd_count(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
         if getattr(args, "deadline", None) is not None:
             from ..runtime.termination import DeadlineControl
 
-            if getattr(args, "schedule", None) == "static":
-                raise SystemExit("error: --deadline needs the dynamic "
-                                 "schedule under --processes")
             cancel = DeadlineControl(args.deadline)
         try:
             n = process_count(

@@ -11,6 +11,7 @@ import sys
 from typing import Sequence
 
 from .. import __version__
+from ..core.session import _ENGINE_CHOICES, _MULTI_ENGINE_CHOICES
 from . import commands
 from .parsing import add_dataset_arguments
 
@@ -39,8 +40,8 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="work placement across workers: 'dynamic' pulls "
         "degree-weighted frontier chunks from a shared queue (absorbs "
-        "stragglers on skewed graphs), 'static' pre-assigns stride "
-        "slices (the ablation baseline)",
+        "stragglers on skewed graphs), 'static' cuts one stride chunk "
+        "per worker (the ablation baseline)",
     )
     parser.add_argument(
         "--chunk-hint",
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["auto", "fused", "accel", "accel-batch", "reference"],
+        choices=_MULTI_ENGINE_CHOICES,
         default="auto",
         help="pin an engine ('auto' lets the planner choose)",
     )
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["auto", "accel", "accel-batch", "reference"],
+        choices=_ENGINE_CHOICES,
         default="auto",
         help="engine selection (auto dispatches by graph density; "
         "--profile forces the reference engine)",
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=3, help="motif size (vertices)")
     p.add_argument(
         "--engine",
-        choices=["auto", "fused", "accel", "accel-batch", "reference"],
+        choices=_MULTI_ENGINE_CHOICES,
         default=None,
         help="engine selection; 'fused' forces the multi-pattern runner, "
         "'accel-batch' ablates it with sequential per-pattern execution",
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=["auto", "fused", "accel", "accel-batch", "reference"],
+        choices=_MULTI_ENGINE_CHOICES,
         default=None,
         help="engine selection for each round's structural matches; "
         "'fused' forces the round onto one shared frontier walk",

@@ -9,7 +9,6 @@ from .api import (
     match_batches,
     match_batches_many,
     aggregate,
-    accel_preferred,
     batch_preferred,
 )
 from .session import (
@@ -55,7 +54,6 @@ __all__ = [
     "match_batches",
     "match_batches_many",
     "aggregate",
-    "accel_preferred",
     "batch_preferred",
     "ExecOptions",
     "MiningSession",

@@ -17,30 +17,23 @@ hold a :class:`~repro.core.session.MiningSession` directly.
 The data graph is degree-ordered internally (§5.2) and matches are
 translated back to the caller's vertex ids before callbacks see them.
 
-**Engine dispatch.**  Three engines implement identical semantics: the
-reference interpreter (:mod:`repro.core.engine`), the per-match
-vectorized :class:`~repro.core.accel.AcceleratedEngine`, and the
-frontier-batched :class:`~repro.core.accel.FrontierBatchedEngine`
-(whole matching-order levels per numpy dispatch).  With
-``engine="auto"`` (the default) a run is served by a vectorized engine
-when it *qualifies* — numpy importable, and no ``stats`` / ``timer``
-attached (those instruments are only wired in the reference engine) —
-**and** it is in a vectorized winning regime.  An early-termination
-``control`` is polled by the batched engine between frontier blocks and
-per emitted match, so ``exists`` and capped enumerations batch too; only
-the per-match ``accel`` engine still lacks the hook.  The batched engine
-amortizes numpy call overhead across the whole frontier, so its
-crossover sits at average degree >= :data:`ACCEL_BATCH_MIN_AVG_DEGREE`
-(measured ~2: near-forest graphs are the only place the interpreter
-still ties) with **no** core-size exclusion — its tail count is per-row
-arithmetic, so single-vertex-core patterns win too.  The per-match
-engine's old crossover (:data:`ACCEL_MIN_AVG_DEGREE`, 128, with a
-multi-vertex-core requirement) is kept for the ``engine="accel"``
-ablation and as the middle dispatch tier.  Benchmarks:
-``bench_engine_frontier.py`` (sweep + ``BENCH_engine.json``) and
-``bench_ablations.py::test_engine_dispatch``.  ``engine="reference"`` /
-``engine="accel"`` / ``engine="accel-batch"`` force one engine
-unconditionally (ablations, debugging); forcing a vectorized engine
+**Engine dispatch.**  Two engines implement identical semantics: the
+reference interpreter (:mod:`repro.core.engine`, the oracle and the
+owner of the profiling hooks) and the frontier-batched
+:class:`~repro.core.accel.FrontierBatchedEngine` (whole matching-order
+levels per numpy dispatch).  With ``engine="auto"`` (the default) a run
+is served by the batched engine when it *qualifies* — no ``stats`` /
+``timer`` attached (those instruments are only wired in the reference
+engine) — **and** the graph's average degree is at least
+:data:`ACCEL_BATCH_MIN_AVG_DEGREE` (measured ~2: near-forest graphs are
+the only place the interpreter still ties), with **no** core-size
+exclusion — the batched tail count is per-row arithmetic, so
+single-vertex-core patterns win too.  An early-termination ``control``
+is polled by the batched engine between frontier blocks and per emitted
+match, so ``exists`` and capped enumerations batch too.  Benchmark:
+``bench_engine_frontier.py`` (sweep + ``BENCH_engine.json``).
+``engine="reference"`` / ``engine="accel-batch"`` force one engine
+unconditionally (ablations, debugging); forcing the batched engine
 raises when the run does not qualify.
 
 **Multi-pattern fusion.**  The multi-pattern verbs (``count_many``,
@@ -62,7 +55,8 @@ signatures are frozen).  To scale across cores, hold a session and pass
 runtimes directly — :func:`repro.runtime.parallel.process_count` /
 :func:`~repro.runtime.parallel.process_count_many` — which place work
 through the shared chunk scheduler (``schedule="dynamic"`` work
-stealing by default, ``"static"`` stride slices as the ablation;
+stealing by default, ``"static"`` one stride chunk per worker as the
+ablation;
 ``chunk_hint`` tunes granularity; measured in
 ``benchmarks/bench_parallel.py`` → ``BENCH_parallel.json``).
 """
@@ -78,10 +72,8 @@ from .engine import EngineStats
 from .plan import ExplorationPlan
 from .session import (
     ACCEL_BATCH_MIN_AVG_DEGREE,
-    ACCEL_MIN_AVG_DEGREE,
     FUSED_MIN_GROUP,
     MiningSession,
-    accel_preferred,
     batch_preferred,
 )
 
@@ -94,7 +86,6 @@ __all__ = [
     "match_batches",
     "match_batches_many",
     "aggregate",
-    "accel_preferred",
     "batch_preferred",
 ]
 
@@ -133,7 +124,7 @@ def match(
     ``frontier_chunk`` caps how many partial matches the frontier-batched
     engine expands per numpy dispatch (memory/locality trade-off;
     default :data:`repro.core.accel.ACCEL_FRONTIER_CHUNK`).  Ignored by
-    the other engines.
+    the reference engine.
     """
     return MiningSession.for_graph(graph).match(
         pattern,
@@ -266,8 +257,7 @@ def exists(
     ``stopExploration()`` on the first match.  The frontier-batched engine
     polls the control between frontier blocks and per emitted match, so
     ``engine="auto"`` dispatches this to the batched engine in its winning
-    regime; only the per-match ``accel`` engine lacks the termination
-    hook (forcing it raises).  The trade: the expensive no-match case
+    regime.  The trade: the expensive no-match case
     (full exploration) runs vectorized, while a quick-hit positive may
     explore up to one start vertex's task before its stop lands —
     ``engine="reference"`` remains the finest-grained stopper.

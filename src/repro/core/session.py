@@ -43,32 +43,27 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from ..errors import BudgetExceededError, MatchingError, PartialResult
+from ..graph.binary_io import GraphStore, open_graph
 from ..graph.graph import DataGraph
 from ..pattern.pattern import Pattern
+from . import accel as _accel
 from .callbacks import Aggregator, Budget, ExplorationControl, Match
 from .engine import EngineStats, run_tasks
 from .multipattern import CensusTransform, census_eligible, census_transform
 from .plan import ExplorationPlan, generate_plan
-
-try:  # numpy is an optional accelerator, not a hard dependency
-    from . import accel as _accel
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _accel = None
 
 __all__ = [
     "ExecOptions",
     "MiningSession",
     "MultiPatternPlan",
     "as_session",
-    "accel_preferred",
     "batch_preferred",
     "group_start_vertices",
-    "ACCEL_MIN_AVG_DEGREE",
     "ACCEL_BATCH_MIN_AVG_DEGREE",
     "FUSED_MIN_GROUP",
 ]
 
-_ENGINE_CHOICES = ("auto", "accel", "accel-batch", "reference")
+_ENGINE_CHOICES = ("auto", "accel-batch", "reference")
 
 # Guardrail knob values (see ExecOptions.on_budget / ExecOptions.guard).
 _ON_BUDGET_CHOICES = ("raise", "partial")
@@ -80,7 +75,7 @@ _PLANNER_CHOICES = ("fixed", "auto")
 
 # What a session accepts as its graph: the graph itself, an opened .rgx
 # GraphStore, or a filesystem path routed through open_graph.
-GraphSource = Union[DataGraph, str, os.PathLike, "GraphStore"]
+GraphSource = Union[DataGraph, str, os.PathLike, GraphStore]
 
 
 def _coerce_graph(source) -> DataGraph:
@@ -89,17 +84,12 @@ def _coerce_graph(source) -> DataGraph:
     Accepts a graph directly, a filesystem path (``str``/``os.PathLike``
     — ``.rgx`` stores open zero-copy via
     :func:`~repro.graph.binary_io.open_graph`), or an already-opened
-    :class:`~repro.graph.binary_io.GraphStore`.  Imports lazily so the
-    numpy-free reference tier keeps working with in-memory graphs.
+    :class:`~repro.graph.binary_io.GraphStore`.
     """
     if isinstance(source, DataGraph):
         return source
     if isinstance(source, (str, os.PathLike)):
-        from ..graph.binary_io import open_graph
-
         return open_graph(source)
-    from ..graph.binary_io import GraphStore
-
     if isinstance(source, GraphStore):
         return source.graph()
     raise TypeError(
@@ -117,12 +107,6 @@ _MULTI_ENGINE_CHOICES = ("fused",) + _ENGINE_CHOICES
 # the ordinary per-pattern dispatch.  engine="fused" ignores the floor.
 FUSED_MIN_GROUP = 2
 
-# Measured crossover of the *per-match* vectorized engine
-# (bench_ablations.py::test_engine_dispatch): below this average degree
-# the reference interpreter's bisect/slice loops beat numpy's per-call
-# overhead; above it the per-candidate vectorized kernels win.
-ACCEL_MIN_AVG_DEGREE = 128.0
-
 # Measured crossover of the *frontier-batched* engine
 # (bench_engine_frontier.py, BENCH_engine.json): batching whole match
 # levels amortizes numpy dispatch across thousands of partials, so the
@@ -132,29 +116,14 @@ ACCEL_MIN_AVG_DEGREE = 128.0
 ACCEL_BATCH_MIN_AVG_DEGREE = 2.0
 
 
-def accel_preferred(ordered: DataGraph, plan: ExplorationPlan) -> bool:
-    """Whether the *per-match* vectorized engine is expected to win.
-
-    The historic ``engine="auto"`` heuristic, kept for the
-    ``engine="accel"`` ablation tier: dense adjacency arrays amortize
-    numpy call overhead, and a multi-vertex core means real intersection
-    work; sparse graphs and single-vertex-core (tail-count dominated)
-    patterns lose to the reference interpreter here.
-    """
-    return (
-        ordered.avg_degree() >= ACCEL_MIN_AVG_DEGREE and len(plan.core) >= 2
-    )
-
-
 def batch_preferred(ordered: DataGraph, plan: ExplorationPlan) -> bool:
     """Whether the frontier-batched engine is expected to win this run.
 
     Frontier batching amortizes per-dispatch overhead across every live
     partial match of a level, and its tail count is per-row arithmetic,
-    so neither the density floor nor the core-size exclusion of
-    :func:`accel_preferred` applies — only near-forest graphs (average
-    degree below :data:`ACCEL_BATCH_MIN_AVG_DEGREE`) stay on the
-    interpreter.
+    so neither a density floor nor a core-size exclusion applies — only
+    near-forest graphs (average degree below
+    :data:`ACCEL_BATCH_MIN_AVG_DEGREE`) stay on the interpreter.
     """
     return ordered.avg_degree() >= ACCEL_BATCH_MIN_AVG_DEGREE
 
@@ -167,41 +136,28 @@ def _dispatch_engine(
     ordered: DataGraph,
     plan: ExplorationPlan,
 ) -> str:
-    """Resolve the engine choice to ``reference``/``accel``/``accel-batch``.
+    """Resolve the engine choice to ``reference`` or ``accel-batch``.
 
     ``stats`` and ``timer`` are reference-engine instruments, so they pin
-    the interpreter.  An :class:`ExplorationControl` no longer excludes
-    anything: the frontier-batched engine polls it between frontier
-    blocks and per emitted match, and the per-match ``accel`` engine
-    polls it per start task and per core match, so early-terminating
-    runs (``exists``, capped enumerations, deadlines) dispatch exactly
-    like uncontrolled ones.
+    the interpreter.  An :class:`ExplorationControl` excludes nothing:
+    the frontier-batched engine polls it between frontier blocks and per
+    emitted match, so early-terminating runs (``exists``, capped
+    enumerations, deadlines) dispatch exactly like uncontrolled ones.
     """
     if engine not in _ENGINE_CHOICES:
         raise ValueError(f"engine must be one of {_ENGINE_CHOICES}, got {engine!r}")
     if engine == "reference":
         return "reference"
-    hooks_free = _accel is not None and stats is None and timer is None
+    hooks_free = stats is None and timer is None
     if engine == "accel-batch":
         if not hooks_free:
             raise MatchingError(
-                "engine='accel-batch' requires numpy and no stats/timer "
-                "hooks; use engine='auto' to fall back to the reference engine"
+                "engine='accel-batch' does not support stats/timer hooks; "
+                "use engine='auto' to fall back to the reference engine"
             )
         return "accel-batch"
-    if engine == "accel":
-        if not hooks_free:
-            raise MatchingError(
-                "engine='accel' requires numpy and no stats/timer "
-                "hooks; use engine='auto' to fall back to the reference engine"
-            )
-        return "accel"
-    if not hooks_free:
-        return "reference"
-    if batch_preferred(ordered, plan):
+    if hooks_free and batch_preferred(ordered, plan):
         return "accel-batch"
-    if accel_preferred(ordered, plan):
-        return "accel"
     return "reference"
 
 
@@ -327,8 +283,8 @@ class ExecOptions:
     ``label_index``
         label-filtered start pruning (§6.4); disable for ablations.
     ``flush_size``
-        row-buffer size when ``match_batches`` falls back to a
-        per-match engine.
+        row-buffer size when ``match_batches`` falls back to the
+        reference engine.
     ``start_vertices``
         explicit task seeds (runtime partitioning); per-call only.
     ``control`` / ``stats`` / ``timer``
@@ -605,8 +561,6 @@ class MiningSession:
     @property
     def view(self):
         """The CSR :class:`AcceleratedGraphView` of the ordered graph."""
-        if _accel is None:
-            raise MatchingError("the CSR view requires numpy")
         return _accel.shared_view(self.ordered)
 
     def options(self, **overrides) -> ExecOptions:
@@ -812,8 +766,7 @@ class MiningSession:
         apply), each chunk served by the same fused runner — true
         parallel speedup for motif censuses.  The process path counts
         only (``engine`` must be ``"auto"`` or ``"fused"``; hook options
-        raise), and falls back to the sequential path when numpy is
-        unavailable.
+        raise).
 
         With ``approx=rel_err`` every pattern is *estimated* instead
         (:class:`~repro.mining.sampling.ApproxCount` values): patterns
@@ -834,7 +787,7 @@ class MiningSession:
             from ..mining.sampling import approx_count_many_session
 
             return approx_count_many_session(self, patterns, opts)
-        if num_processes > 1 and _accel is not None:
+        if num_processes > 1:
             from ..runtime.parallel import process_count_many
 
             unsupported = [
@@ -884,7 +837,7 @@ class MiningSession:
         reorders a member's own matches, only interleaves work *between*
         members.
 
-        **Fused dispatch.**  With ``engine="auto"`` (and numpy, no
+        **Fused dispatch.**  With ``engine="auto"`` (no
         ``stats``/``timer``/``control``/``plan``/``start_vertices``
         overrides, graph above the batched crossover), patterns sharing a
         level-0 frontier signature are grouped by
@@ -914,8 +867,6 @@ class MiningSession:
         :meth:`match_many` dispatch rules — FSM rounds stream every
         structural pattern of a round off one shared frontier walk.
         """
-        if _accel is None:
-            raise MatchingError("match_batches_many requires numpy")
         patterns = list(patterns)
         opts = self.defaults.merged(options)
         return self._run_many(patterns, None, list(on_batches), opts)
@@ -959,8 +910,6 @@ class MiningSession:
         boundaries and inter-batch order are unspecified; the row
         multiset equals :meth:`match`'s match multiset.
         """
-        if _accel is None:
-            raise MatchingError("match_batches requires numpy")
         opts = self.defaults.merged(options)
         return self._run_batches(pattern, on_batch, opts)
 
@@ -1027,26 +976,16 @@ class MiningSession:
             if len(buffer) >= opts.flush_size:
                 flush()
 
-        if selected == "accel":
-            engine_obj = _accel.AcceleratedEngine(self.view)
-            total = engine_obj.run(
-                plan,
-                start_vertices=starts,
-                on_match=collect,
-                control=opts.control,
-                budget=meter,
-            )
-        else:
-            total = run_tasks(
-                self.ordered,
-                plan,
-                start_vertices=starts,
-                on_match=collect,
-                control=opts.control,
-                stats=opts.stats,
-                timer=opts.timer,
-                budget=meter,
-            )
+        total = run_tasks(
+            self.ordered,
+            plan,
+            start_vertices=starts,
+            on_match=collect,
+            control=opts.control,
+            stats=opts.stats,
+            timer=opts.timer,
+            budget=meter,
+        )
         flush()
         return total
 
@@ -1111,10 +1050,10 @@ class MiningSession:
                     f"the {sorted(unsupported)} option(s); drop them or use "
                     "num_threads=1"
                 )
-            if opts.engine not in ("auto", "accel-batch", "reference"):
+            if opts.engine not in _ENGINE_CHOICES:
                 raise MatchingError(
                     f"engine={opts.engine!r} is not available under threads; "
-                    "use 'auto', 'accel-batch' or 'reference'"
+                    f"use one of {_ENGINE_CHOICES}"
                 )
 
             def thread_cb(m: Match, local_agg: Aggregator) -> None:
@@ -1352,16 +1291,6 @@ class MiningSession:
                 control=opts.control,
                 budget=meter,
             )
-        if selected == "accel":
-            accelerated = _accel.AcceleratedEngine(self.view)
-            return accelerated.run(
-                plan,
-                start_vertices=starts,
-                on_match=wrapped,
-                count_only=callback is None,
-                control=opts.control,
-                budget=meter,
-            )
         return run_tasks(
             self.ordered,
             plan,
@@ -1502,15 +1431,14 @@ class MiningSession:
         # it between frontier slices and threads it into every member
         # engine, so deadline/stop tokens ride the fused walk too.
         hooks_free = (
-            _accel is not None
-            and opts.stats is None
+            opts.stats is None
             and opts.timer is None
             and opts.plan is None
             and opts.start_vertices is None
         )
         if engine == "fused" and not hooks_free:
             raise MatchingError(
-                "engine='fused' requires numpy and no stats/timer/"
+                "engine='fused' does not support stats/timer/"
                 "plan/start_vertices overrides; use engine='auto' to fall "
                 "back to per-pattern dispatch"
             )
@@ -1606,7 +1534,7 @@ class MiningSession:
         else:
             remaining = range(n)
 
-        # Per-pattern engines ("accel", "reference", ...) and non-fusable
+        # Per-pattern engines ("accel-batch", "reference") and non-fusable
         # members keep the exact single-pattern semantics, hooks included.
         for idx in remaining:
             if on_batches[idx] is not None:

@@ -21,10 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-try:  # numpy powers the batched domain group-by; per-match is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as _np
 
 from ..core.callbacks import Match
 from ..core.session import MiningSession, as_session
@@ -99,7 +96,7 @@ def _batch_discoverer(
     symmetry_breaking: bool,
     bitset_factory=None,
 ):
-    """``(tables, on_batch)`` for one structural pattern (numpy path).
+    """``(tables, on_batch)`` for one structural pattern.
 
     Each batch is group-reduced with a vectorized row-``unique`` over the
     matched label tuples, then folded into the domains column-wise — one
@@ -179,29 +176,46 @@ def _discover_round(
 ) -> list[dict[tuple, tuple[Pattern, Domain]]]:
     """Discover labelings for every structural pattern of one FSM round.
 
-    With numpy available, the round issues a single
+    The round issues a single
     :meth:`~repro.core.session.MiningSession.match_batches_many`: the
     structural patterns share one level-0 frontier walk (they are
     unlabeled, so they always group) and every pattern's matches arrive
-    as arrays for the vectorized domain group-by.  The per-match callback
-    path remains as the numpy-free fallback and computes identical
-    tables.
+    as arrays for the vectorized domain group-by.  Unlabeled graphs have
+    no label array to group by and take
+    :func:`_discover_round_per_match`, which computes the same tables.
     """
     graph = session.graph
-    if _np is not None and graph.labels() is not None:
-        pairs = [
-            _batch_discoverer(graph, s, symmetry_breaking, bitset_factory)
-            for s in structurals
-        ]
-        session.match_batches_many(
-            structurals,
-            [on_batch for _, on_batch in pairs],
-            edge_induced=True,
-            symmetry_breaking=symmetry_breaking,
-            engine=engine,
+    if graph.labels() is None:
+        return _discover_round_per_match(
+            session, structurals, symmetry_breaking, bitset_factory, engine
         )
-        return [tables for tables, _ in pairs]
+    pairs = [
+        _batch_discoverer(graph, s, symmetry_breaking, bitset_factory)
+        for s in structurals
+    ]
+    session.match_batches_many(
+        structurals,
+        [on_batch for _, on_batch in pairs],
+        edge_induced=True,
+        symmetry_breaking=symmetry_breaking,
+        engine=engine,
+    )
+    return [tables for tables, _ in pairs]
 
+
+def _discover_round_per_match(
+    session: MiningSession,
+    structurals: list[Pattern],
+    symmetry_breaking: bool,
+    bitset_factory=None,
+    engine: str | None = None,
+) -> list[dict[tuple, tuple[Pattern, Domain]]]:
+    """:func:`_discover_round` with one domain update per match.
+
+    The path for unlabeled graphs, and the oracle ``tests/test_fsm.py``
+    pins the vectorized group-by against.
+    """
+    graph = session.graph
     results: list[dict[tuple, tuple[Pattern, Domain]]] = []
     for structural in structurals:
         tables, table_key = _table_collector(

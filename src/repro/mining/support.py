@@ -12,7 +12,7 @@ set bit, or-merge, popcount.  Domains are engine-agnostic sinks: FSM
 feeds them whole match arrays from
 :meth:`repro.core.session.MiningSession.match_batches` (vectorized
 :meth:`Domain.update_batch`) with the per-match :meth:`Domain.update`
-path as the numpy-free fallback.
+path for unlabeled graphs.
 
 Symmetry breaking interaction (§6.6): with symmetry breaking, each
 automorphism class of matches is seen once, so the raw per-vertex domains

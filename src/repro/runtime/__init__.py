@@ -5,7 +5,6 @@ from .scheduler import (
     LeaseBoard,
     ProcessCursor,
     TaskScheduler,
-    static_slices,
     weighted_boundaries,
 )
 from .aggregation import AggregatorThread
@@ -37,7 +36,6 @@ __all__ = [
     "LeaseBoard",
     "ProcessCursor",
     "TaskScheduler",
-    "static_slices",
     "weighted_boundaries",
     "AggregatorThread",
     "CostEstimate",

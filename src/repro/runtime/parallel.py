@@ -3,21 +3,20 @@
 ``parallel_match`` reproduces Peregrine's architecture faithfully: worker
 threads pull degree-weighted frontier chunks from a shared atomic-counter
 scheduler, run the engine with thread-local aggregators, and honor a
-shared early-termination control.  When a run qualifies (numpy present)
-the workers drive the frontier-batched engine over chunks of the level-0
+shared early-termination control.  Above the batched crossover the
+workers drive the frontier-batched engine over chunks of the level-0
 frontier — numpy kernels release the GIL, so the thread pool gets real
 parallelism on the hot loop, and each worker's engine polls the shared
-control between frontier blocks and per emitted match; runs that need
-stats or stage timers stay on the reference interpreter, where CPython's
-GIL serializes the list operations.
+control between frontier blocks and per emitted match; near-forest
+graphs and forced ``engine="reference"`` runs stay on the interpreter,
+where CPython's GIL serializes the list operations.
 
-Process-level scaling is ``process_count`` — a process pool that shares
-the CSR adjacency arrays of the accelerated view with every worker
-(fork-inherited copy-on-write pages or ``multiprocessing.shared_memory``
-segments — never per-worker graph pickling) and sums counts — which the
-Figure 12 scalability benchmark uses.  ``process_count_many`` is its
-multi-pattern overload: whole fused groups (motif censuses, FSM rounds)
-run their shared frontier walk chunk-by-chunk across processes.
+Process-level scaling is ``process_count_many`` — worker processes that
+share the graph with the parent (fork-inherited copy-on-write pages or
+a re-mapped ``.rgx`` store — never per-worker graph pickling) and run
+whole fused groups (motif censuses, FSM rounds) chunk-by-chunk over
+their shared frontier walk.  ``process_count`` is its one-pattern case,
+which the Figure 12 scalability benchmark uses.
 
 **Work placement** is one layer, :mod:`repro.runtime.scheduler`, shared
 by threads and processes: the frontier is cut into degree-weighted
@@ -28,9 +27,11 @@ as the engines' :func:`~repro.core.accel.bounded_slices`) and workers
 processes.  This dynamic schedule (``schedule="dynamic"``, the default)
 absorbs stragglers on skewed graphs: whoever finishes early keeps
 pulling, so one mega-hub task never holds the whole run the way a fixed
-partition does.  ``schedule="static"`` keeps the historical up-front
-stride slicing as the ablation baseline (``benchmarks/bench_parallel.py``
-measures the gap; ``chunk_hint`` tunes chunk granularity).
+partition does.  ``schedule="static"`` is a second *ledger shape*, not a
+second machinery: one stride chunk per worker
+(:meth:`~repro.runtime.scheduler.ChunkLedger.strided`) drained by the
+same cursor — the ablation baseline (``benchmarks/bench_parallel.py``
+measures the gap; ``chunk_hint`` tunes dynamic chunk granularity).
 
 Both entry points accept a :class:`~repro.core.session.MiningSession` in
 place of the graph: the runtime then reuses the session's degree
@@ -42,11 +43,14 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from ..errors import (
     MatchingError,
@@ -54,27 +58,22 @@ from ..errors import (
     QueryCancelledError,
     WorkerCrashError,
 )
+from ..core import accel
 from ..core.callbacks import Aggregator, ExplorationControl, Match
 from ..core.engine import EngineStats, run_tasks
-from ..core.plan import generate_plan
 from ..core.session import (
+    _ENGINE_CHOICES,
     MiningSession,
     MultiPatternPlan,
-    accel_preferred,
     as_session,
     batch_preferred,
     group_start_vertices,
 )
+from ..graph.binary_io import GraphStore, save_mmap
 from ..graph.graph import DataGraph
 from ..pattern.pattern import Pattern
 from .aggregation import AggregatorThread
-from .scheduler import (
-    ChunkLedger,
-    LeaseBoard,
-    ProcessCursor,
-    TaskScheduler,
-    static_slices,
-)
+from .scheduler import ChunkLedger, LeaseBoard, ProcessCursor, TaskScheduler
 
 __all__ = [
     "ParallelResult",
@@ -165,7 +164,7 @@ class ParallelResult:
     (``"reference"`` or ``"accel-batch"``); engine stats are a
     reference-engine feature, so ``stats`` counters are zero for
     vectorized runs.  ``schedule`` records the work placement used
-    (``"dynamic"`` chunk pulling vs. ``"static"`` stride slices).
+    (``"dynamic"`` weighted chunks vs. ``"static"`` stride chunks).
     """
 
     matches: int
@@ -204,36 +203,48 @@ class ParallelResult:
         return 0.0 if hi == 0 else (hi - lo) / hi
 
 
-def _thread_engine_mode(
-    engine: str,
-    accel,
-    ordered: DataGraph,
-    plan,
-) -> str:
+def _thread_engine_mode(engine: str, ordered: DataGraph, plan) -> str:
     """Resolve the thread-pool engine: ``reference`` or ``accel-batch``.
 
-    Mirrors the :mod:`repro.core.session` auto-dispatch, restricted to
-    the two engines that make sense under threads: the reference
-    interpreter (owns stats) and the frontier-batched engine (numpy
+    Mirrors the :mod:`repro.core.session` auto-dispatch: the reference
+    interpreter (owns stats) or the frontier-batched engine (numpy
     kernels drop the GIL, so workers overlap).  Both honor a shared
     early-termination control — the batched engine polls it between
     frontier blocks and per emitted match.
     """
-    choices = ("auto", "accel-batch", "reference")
-    if engine not in choices:
-        raise ValueError(f"engine must be one of {choices}, got {engine!r}")
-    if engine == "reference":
-        return "reference"
-    if engine == "accel-batch":
-        if accel is None:
-            raise MatchingError(
-                "engine='accel-batch' under threads requires numpy; "
-                "use engine='auto' to fall back"
-            )
-        return "accel-batch"
-    if accel is not None and batch_preferred(ordered, plan):
-        return "accel-batch"
-    return "reference"
+    if engine not in _ENGINE_CHOICES:
+        raise ValueError(
+            f"engine must be one of {_ENGINE_CHOICES}, got {engine!r}"
+        )
+    if engine == "auto":
+        return "accel-batch" if batch_preferred(ordered, plan) else "reference"
+    return engine
+
+
+def _count_frontier(session, plan, mode, need_weights=True):
+    """The level-0 frontier (and per-start weights) for one thread run.
+
+    The batched engine slices the hub-first, label-filtered frontier of
+    the shared CSR view; the reference engine does its own per-start
+    label checks, so its frontier is the plain hub-first id order.
+    Weights are ``degree + 1`` — the same rule the fused runner uses to
+    bound slice work — so chunk extents track expected per-start cost.
+    Static schedules never read the weights, so callers skip the
+    (reference mode: O(n) Python) derivation with ``need_weights=False``.
+    """
+    if mode == "accel-batch":
+        view = session.view
+        frontier = accel.frontier_start_order(
+            view.labels, view.num_vertices, plan
+        )
+        weights = view.degrees()[frontier] + 1 if need_weights else None
+        return frontier, weights
+    ordered = session.ordered
+    frontier = range(ordered.num_vertices - 1, -1, -1)
+    weights = (
+        [ordered.degree(v) + 1 for v in frontier] if need_weights else None
+    )
+    return frontier, weights
 
 
 def parallel_match(
@@ -276,8 +287,8 @@ def parallel_match(
     totals rather than each run's private map.
 
     With ``engine="auto"`` the workers drive the frontier-batched engine
-    over chunks of the level-0 frontier whenever the run qualifies
-    (numpy importable, graph above the batched crossover): each chunk's
+    over chunks of the level-0 frontier whenever the graph sits above
+    the batched crossover: each chunk's
     numpy kernels run with the GIL released, so worker threads overlap on
     the hot loop instead of serializing, and a user ``control`` is polled
     between frontier blocks and per emitted match.  Reference-engine runs
@@ -286,8 +297,8 @@ def parallel_match(
 
     ``schedule``/``chunk_hint`` pick the work placement (see the module
     docstring): ``"dynamic"`` (default) pulls degree-weighted chunks
-    from the shared scheduler, ``"static"`` hands each thread one stride
-    slice up front.  With no hint, chunks are sized automatically for
+    from the shared scheduler, ``"static"`` cuts one stride chunk per
+    thread.  With no hint, chunks are sized automatically for
     ``num_threads`` (:data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER`
     per thread); ``chunk_size`` is the legacy spelling of the same hint
     (an explicit ``chunk_hint`` beats it, and either explicit value
@@ -326,27 +337,17 @@ def parallel_match(
             schedule = query_plan.schedule
         if chunk_hint is None:
             chunk_hint = query_plan.chunk_hint
-        if engine == "auto":
-            engine = (
-                "accel-batch"
-                if query_plan.engine == "accel-batch"
-                else "reference"
-            )
+        engine = query_plan.engine
     schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
     plan = session.plan_for(
         pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
     )
     ordered = session.ordered
     old_of_new = session.translation
-    accel = _accel()
-    mode = _thread_engine_mode(engine, accel, ordered, plan)
+    mode = _thread_engine_mode(engine, ordered, plan)
     view = session.view if mode == "accel-batch" else None
     frontier, weights = _count_frontier(
-        session,
-        plan,
-        "batch" if mode == "accel-batch" else "reference",
-        accel,
-        need_weights=schedule == "dynamic",
+        session, plan, mode, need_weights=schedule == "dynamic"
     )
     if schedule == "dynamic":
         scheduler = TaskScheduler(
@@ -355,10 +356,10 @@ def parallel_match(
             weights=weights,
             num_workers=num_threads,
         )
-        slices = None
     else:
-        scheduler = None
-        slices = static_slices(frontier, num_threads)
+        scheduler = TaskScheduler.from_ledger(
+            ChunkLedger.strided(frontier, num_threads)
+        )
     shared_control = control if control is not None else ExplorationControl()
     global_agg = (
         global_aggregator
@@ -369,17 +370,6 @@ def parallel_match(
     local_stats = [EngineStats() for _ in range(num_threads)]
     thread_matches = [0] * num_threads
     thread_cpu = [0.0] * num_threads
-
-    def chunks_for(tid: int):
-        """This worker's chunk stream under the selected schedule."""
-        if slices is not None:
-            yield slices[tid]
-            return
-        while True:
-            chunk = scheduler.next_chunk()
-            if len(chunk) == 0:
-                return
-            yield chunk
 
     def worker(tid: int) -> None:
         local = local_aggs[tid]
@@ -396,8 +386,9 @@ def parallel_match(
         )
         total = 0
         cpu_begin = time.thread_time()
-        for chunk in chunks_for(tid):
-            if shared_control.stopped:
+        while not shared_control.stopped:
+            chunk = scheduler.next_chunk()
+            if len(chunk) == 0:
                 break
             if batched is not None:
                 total += batched.run(
@@ -451,177 +442,111 @@ def parallel_match(
 
 # ----------------------------------------------------------------------
 # Process-based scaling (Figure 12): real parallelism for the speedup
-# curve.  The CSR adjacency arrays of the accelerated view are shared
-# with workers instead of pickling per-worker graph copies:
+# curve.  Workers never receive a pickled graph; they get a *graph
+# handle*:
 #
-# * ``share_mode="fork"`` (default where fork exists) publishes the view
-#   and plan in a module global before the pool forks — children inherit
+# * ``share_mode="fork"`` (default where fork exists) hands children the
+#   parent's CSR view as a plain reference — they inherit
 #   the numpy buffers copy-on-write, so worker startup moves zero graph
 #   bytes no matter how many processes run;
-# * ``share_mode="shm"`` copies the CSR buffers into
-#   ``multiprocessing.shared_memory`` segments once and has each worker
-#   re-wrap them as arrays — one graph copy total, works under any start
-#   method;
-# * ``share_mode="mmap"`` points every worker at an on-disk ``.rgx``
-#   store (the graph's own backing file when it is already
-#   degree-sorted on disk, otherwise a temporary spill): workers re-open
-#   and map the file, so all processes share one set of physical pages
-#   through the OS page cache — zero copies, zero shm segments, works
-#   under any start method.  shm stays as the ablation and the fallback
-#   for graphs that only exist in memory;
-# * ``share_mode="pickle"`` is the legacy per-worker adjacency pickling
-#   (kept as the numpy-free fallback; it drives the reference engine).
+# * ``share_mode="mmap"`` (default elsewhere) hands them the path of an
+#   on-disk ``.rgx`` store (the graph's own backing file when it is
+#   already degree-sorted on disk, otherwise a temporary spill): workers
+#   re-open and map the file, so all processes share one set of physical
+#   pages through the OS page cache — zero copies, works under any start
+#   method.
 #
-# Work placement is orthogonal: ``schedule="dynamic"`` (default) has
-# workers pull degree-weighted frontier chunks from a shared
-# ``ProcessCursor`` until drained; ``schedule="static"`` keeps the
-# legacy up-front stride slices.
-# ----------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
-
-
-def _accel():
-    """The accel module, or ``None`` when numpy is unavailable."""
-    try:
-        from ..core import accel
-    except ImportError:  # pragma: no cover - exercised only without numpy
-        return None
-    return accel
-
-
-def _pattern_from_signature(signature) -> Pattern:
-    num_vertices, edges, anti_edges, label_items = signature
-    return Pattern(
-        num_vertices=num_vertices,
-        edges=edges,
-        anti_edges=anti_edges,
-        labels=dict(label_items),
-    )
-
-
-def _init_worker(
-    adjacency,
-    labels,
-    signature,
-    edge_induced,
-    symmetry_breaking,
-    ledger=None,
-    cursor=None,
-):
-    """Legacy pickling initializer (numpy-free fallback)."""
-    _WORKER_STATE["graph"] = DataGraph(adjacency, labels, validate=False)
-    _WORKER_STATE["plan"] = generate_plan(
-        _pattern_from_signature(signature),
-        edge_induced=edge_induced,
-        symmetry_breaking=symmetry_breaking,
-    )
-    _WORKER_STATE["mode"] = "reference"
-    _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
-
-
-def _count_slice(args: tuple[int, int]) -> int:
-    offset, stride = args
-    graph = _WORKER_STATE["graph"]
-    plan = _WORKER_STATE["plan"]
-    starts = range(graph.num_vertices - 1 - offset, -1, -stride)
-    return run_tasks(graph, plan, start_vertices=starts, count_only=True)
-
-
-def _fork_init(view, graph, plan, mode="batch", ledger=None, cursor=None):
-    """Fork-pool initializer: state arrives fork-inherited, not pickled.
-
-    Under the fork start method ``initargs`` are plain references the
-    child inherits copy-on-write — nothing is serialized — and binding
-    them in the *child's* ``_WORKER_STATE`` keeps concurrent
-    ``process_count`` calls in the parent from clobbering each other
-    through a shared module global.
-    """
-    _WORKER_STATE["view"] = view
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["plan"] = plan
-    _WORKER_STATE["mode"] = mode
-    _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
-
-
-def _accel_count_slice(args: tuple[int, int]) -> int:
-    """Strided accelerated count over the shared CSR view."""
-    offset, stride = args
-    view = _WORKER_STATE["view"]
-    plan = _WORKER_STATE["plan"]
-    engine = _accel().AcceleratedEngine(view)
-    starts = range(view.num_vertices - 1 - offset, -1, -stride)
-    return engine.run(plan, start_vertices=starts, count_only=True)
-
-
-def _batch_count_slice(args: tuple[int, int]) -> int:
-    """Frontier-batched count over a strided slice of the level-0 frontier.
-
-    Workers slice the *frontier* (hub-first, label-filtered live tasks)
-    rather than raw vertex-id ranges: every worker gets an interleaved
-    mix of hub and leaf tasks, and label-pruned vertices never skew the
-    partition — better load balance than start-vertex ranges when labels
-    (or degree skew) concentrate the work.
-    """
-    offset, stride = args
-    view = _WORKER_STATE["view"]
-    plan = _WORKER_STATE["plan"]
-    accel = _accel()
-    frontier = accel.frontier_start_order(view.labels, view.num_vertices, plan)
-    return accel.FrontierBatchedEngine(view).run(
-        plan, start_vertices=frontier[offset::stride], count_only=True
-    )
-
-
-def _chunk_runner(control=None):
-    """One engine instance + chunk-count closure for this worker's mode.
-
-    ``control`` (when given) reaches the engine of every chunk run, so a
-    shared cancellation token stops workers *inside* a chunk — between
-    frontier blocks or start tasks — not just between chunks.
-    """
-    mode = _WORKER_STATE["mode"]
-    plan = _WORKER_STATE["plan"]
-    if mode == "batch":
-        engine = _accel().FrontierBatchedEngine(_WORKER_STATE["view"])
-        return lambda chunk: engine.run(
-            plan, start_vertices=chunk, count_only=True, control=control
-        )
-    if mode == "accel":
-        engine = _accel().AcceleratedEngine(_WORKER_STATE["view"])
-        return lambda chunk: engine.run(
-            plan, start_vertices=chunk, count_only=True, control=control
-        )
-    graph = _WORKER_STATE["graph"]
-    return lambda chunk: run_tasks(
-        graph, plan, start_vertices=chunk, count_only=True, control=control
-    )
-
-
-# ----------------------------------------------------------------------
-# Crash-tolerant dynamic draining: chunk leases + requeue rounds.
+# Work placement is orthogonal and is only a ledger shape:
+# ``schedule="dynamic"`` (default) cuts degree-weighted frontier chunks,
+# ``schedule="static"`` one stride chunk per worker; either way workers
+# claim chunk indices from a shared ``ProcessCursor`` until drained.
 #
 # ``multiprocessing.Pool`` is the wrong substrate for fault tolerance —
-# a worker that dies abruptly mid-task leaves ``pool.map`` hung (or, on
-# newer CPythons, kills the whole map with no record of which inputs
-# finished).  The dynamic schedules therefore run raw ``ctx.Process``
-# workers over a :class:`~repro.runtime.scheduler.LeaseBoard`: a worker
-# *leases* a chunk before running it and lands the chunk's counts
-# atomically with its done-mark, so after every worker exits the parent
-# knows exactly which chunks never completed.  Those are requeued into a
-# fresh round of workers (bounded by :data:`MAX_CHUNK_RETRIES` per
-# chunk); when even respawning fails (fork/spawn returning ``OSError``
-# under resource exhaustion) the parent degrades to running the
-# remaining chunks in-process.  Exact counts survive any single- or
-# multi-worker crash because a chunk's count lands exactly once.
+# a worker that dies abruptly mid-task leaves the pool's ``map`` hung
+# (or, on newer CPythons, kills the whole map with no record of which
+# inputs finished).  Both schedules therefore run raw ``ctx.Process`` workers
+# over a :class:`~repro.runtime.scheduler.LeaseBoard`: a worker *leases*
+# a chunk before running it and lands the chunk's counts atomically with
+# its done-mark, so after every worker exits the parent knows exactly
+# which chunks never completed.  Those are requeued into a fresh round
+# of workers (bounded by :data:`MAX_CHUNK_RETRIES` per chunk); when even
+# respawning fails (fork/spawn returning ``OSError`` under resource
+# exhaustion) the parent degrades to running the remaining chunks
+# in-process.  Exact counts survive any single- or multi-worker crash
+# because a chunk's count lands exactly once.
 #
 # Cancellation rides the same machinery: a shared one-way flag that
 # workers poll between chunks and engines poll inside a chunk (via
 # :class:`_SharedCancel`), bridged from the caller's
 # ``ExplorationControl`` by a parent-side thread.
 # ----------------------------------------------------------------------
+
+_SHARE_MODES = ("fork", "mmap")
+
+
+@dataclass(frozen=True)
+class _Job:
+    """What every worker of one process run computes.
+
+    ``plans`` (caller order) are partitioned into fused ``groups``
+    sharing a level-0 frontier; ``ledgers[g]`` chunks group ``g``'s
+    frontier and ``offsets`` (prefix sums of the ledger lengths) makes
+    chunk indices *global* across groups, so one cursor and one lease
+    board serve the whole workload.  Nothing here is mutated, so the job
+    reaches workers fork-inherited or pickled into spawn args alike.
+    """
+
+    plans: tuple
+    groups: tuple
+    ledgers: tuple
+    offsets: tuple
+    frontier_chunk: int | None
+
+    @property
+    def num_chunks(self) -> int:
+        return self.offsets[-1]
+
+    def group_of(self, index: int) -> int:
+        """The group a global chunk index belongs to."""
+        return bisect_right(self.offsets, index) - 1
+
+    def locate(self, index: int):
+        """``(group index, start vertices)`` of a global chunk index."""
+        gi = self.group_of(index)
+        return gi, self.ledgers[gi].chunk(index - self.offsets[gi])
+
+
+def _chunk_runner(handle, job: _Job, control):
+    """The one worker initializer: open the graph handle, bind the job.
+
+    ``handle`` is the fork-inherited CSR view or the path of an ``.rgx``
+    store to re-open (the view holds the mapped graph, which keeps its
+    store alive).  Returns ``run_chunk(index) -> counts``, one count per
+    member of the chunk's group.  ``control`` reaches the engine of
+    every chunk run, so a shared cancellation token stops workers
+    *inside* a chunk — between frontier blocks or start tasks — not just
+    between chunks.
+    """
+    if isinstance(handle, accel.AcceleratedGraphView):
+        view = handle
+    else:
+        view = accel.shared_view(GraphStore(handle).graph())
+    members_of = [
+        [(job.plans[idx], None, None) for idx in group]
+        for group in job.groups
+    ]
+
+    def run_chunk(index: int):
+        gi, chunk = job.locate(index)
+        return accel.fused_run(
+            view,
+            members_of[gi],
+            start_vertices=chunk,
+            chunk=job.frontier_chunk,
+            control=control,
+        )
+
+    return run_chunk
 
 
 def _parse_fault(spec: str | None):
@@ -675,8 +600,29 @@ class _SharedCancel:
         self._flag.value = 1
 
 
+class _CancelLatch:
+    """ExplorationControl facade recording whether a stop was *observed*.
+
+    The in-process path must raise only when an engine actually read
+    ``stopped`` as true and wound down — a deadline that elapses after a
+    fully completed run leaves an exact result, not a partial.
+    """
+
+    __slots__ = ("_control", "seen")
+
+    def __init__(self, control):
+        self._control = control
+        self.seen = False
+
+    @property
+    def stopped(self) -> bool:
+        if self._control.stopped:
+            self.seen = True
+        return self.seen
+
+
 def _tolerant_worker(
-    worker_id, board, cursor, active, cancel_flag, fault_spec, init, init_args
+    worker_id, board, cursor, active, cancel_flag, fault_spec, handle, job
 ):
     """One crash-tolerant worker: claim, lease, run, land — repeat.
 
@@ -686,9 +632,7 @@ def _tolerant_worker(
     is deliberately *not* completed — its count is partial — so the
     parent's partial total only ever sums fully-counted chunks.
     """
-    init(*init_args)
-    ledger: ChunkLedger = _WORKER_STATE["ledger"]
-    run_chunk = _chunk_runner(control=_SharedCancel(cancel_flag))
+    run_chunk = _chunk_runner(handle, job, _SharedCancel(cancel_flag))
     while True:
         if cancel_flag.value:
             return
@@ -698,70 +642,68 @@ def _tolerant_worker(
         index = active[pos]
         board.lease(index, worker_id)
         _fault(worker_id, index, fault_spec)
-        count = run_chunk(ledger.chunk(index))
-        if cancel_flag.value:
-            return
-        board.complete(index, (count,))
-
-
-def _tolerant_worker_many(
-    worker_id, board, cursor, active, cancel_flag, fault_spec, init, init_args
-):
-    """Multi-pattern tolerant worker: each chunk runs its whole fused group."""
-    init(*init_args)
-    accel = _accel()
-    view = _WORKER_STATE["view"]
-    plans = _WORKER_STATE["many_plans"]
-    groups = _WORKER_STATE["many_groups"]
-    ledgers = _WORKER_STATE["many_ledgers"]
-    offsets = _WORKER_STATE["many_offsets"]
-    frontier_chunk = _WORKER_STATE["many_frontier_chunk"]
-    members_of = [
-        [(plans[idx], None, None) for idx in group] for group in groups
-    ]
-    control = _SharedCancel(cancel_flag)
-    while True:
-        if cancel_flag.value:
-            return
-        pos = cursor.claim()
-        if pos >= len(active):
-            return
-        index = active[pos]
-        board.lease(index, worker_id)
-        _fault(worker_id, index, fault_spec)
-        gi = bisect_right(offsets, index) - 1
-        chunk = ledgers[gi].chunk(index - offsets[gi])
-        counts = accel.fused_run(
-            view,
-            members_of[gi],
-            start_vertices=chunk,
-            chunk=frontier_chunk,
-            control=control,
-        )
+        counts = run_chunk(index)
         if cancel_flag.value:
             return
         board.complete(index, counts)
 
 
-def _tolerant_rounds(
-    ctx,
-    num_workers,
-    worker_fn,
-    board,
-    num_chunks,
-    cancel,
-    fault_spec,
-    partial_fn,
-    init,
-    init_args,
-):
-    """Drive lease/requeue rounds until every chunk's count has landed.
+def _partial(totals, reason: str, chunks_done: int, **detail):
+    """The structured partial of a stopped run: exact per-plan totals of
+    the fully-counted chunks (summed as the value, listed in
+    ``detail["totals"]``)."""
+    return PartialResult(
+        sum(totals),
+        levels_completed=chunks_done,
+        truncated=True,
+        reason=reason,
+        detail={**detail, "totals": list(totals)},
+    )
 
-    Raises :class:`~repro.errors.WorkerCrashError` when a chunk exhausts
-    its retries and :class:`~repro.errors.QueryCancelledError` when
-    ``cancel`` fires with chunks outstanding — both carrying
-    ``partial_fn(reason, detail)`` as the structured partial.
+
+def _cancelled(totals, pending_chunks: int, num_chunks: int):
+    """The :class:`QueryCancelledError` both process paths raise."""
+    return QueryCancelledError(
+        f"query cancelled with {pending_chunks} of {num_chunks} "
+        f"chunk(s) incomplete",
+        _partial(
+            totals,
+            "cancelled",
+            num_chunks - pending_chunks,
+            pending_chunks=pending_chunks,
+            num_chunks=num_chunks,
+        ),
+    )
+
+
+def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
+    """The one lease drain: exact per-plan totals over ``job``'s chunks.
+
+    Drives lease/requeue rounds of :func:`_tolerant_worker` processes
+    until every chunk's counts have landed.  Raises
+    :class:`~repro.errors.WorkerCrashError` when a chunk exhausts its
+    retries and :class:`~repro.errors.QueryCancelledError` when
+    ``cancel`` fires with chunks outstanding — both carrying the exact
+    totals of the fully-counted chunks as the structured partial
+    (per-plan in ``partial.detail["totals"]``).
     """
+    num_chunks = job.num_chunks
+    # Each chunk's count slots hold one value per member of its group.
+    slot_offsets = [0]
+    for group, ledger in zip(job.groups, job.ledgers):
+        for _ in range(len(ledger)):
+            slot_offsets.append(slot_offsets[-1] + len(group))
+    board = LeaseBoard(ctx, num_chunks, slot_offsets)
+    fault_spec = _parse_fault(os.environ.get(FAULT_ENV))
+
+    def totals_of(indices):
+        totals = [0] * len(job.plans)
+        for index in indices:
+            values = board.values(index)
+            for pos, idx in enumerate(job.groups[job.group_of(index)]):
+                totals[idx] += values[pos]
+        return totals
+
     cancel_flag = ctx.Value("b", 0)
     pending = list(range(num_chunks))
     retries = [0] * num_chunks
@@ -793,95 +735,64 @@ def _tolerant_rounds(
             cursor = ProcessCursor(ctx)
             procs = []
             for _ in range(min(num_workers, len(active))):
-                worker_id = next_worker
-                next_worker += 1
                 proc = ctx.Process(
-                    target=worker_fn,
+                    target=_tolerant_worker,
                     args=(
-                        worker_id, board, cursor, active, cancel_flag,
-                        fault_spec, init, init_args,
+                        next_worker, board, cursor, active, cancel_flag,
+                        fault_spec, handle, job,
                     ),
-                    name=f"tolerant-{worker_id}",
+                    name=f"tolerant-{next_worker}",
                 )
                 try:
                     proc.start()
                 except OSError:
                     break
+                next_worker += 1
                 procs.append(proc)
             if not procs:
                 # Respawn failed outright (fd/pid exhaustion): degrade to
                 # in-process draining.  Fault injection is disabled here —
                 # os._exit in the caller's process is not a recovery.
-                worker_fn(
+                _tolerant_worker(
                     next_worker, board, cursor, active, cancel_flag,
-                    None, init, init_args,
+                    None, handle, job,
                 )
                 next_worker += 1
             else:
                 for proc in procs:
                     proc.join()
-            remaining = board.pending(active)
+            pending = board.pending(active)
             if cancel_flag.value:
-                pending = remaining
                 break
             failed = []
-            for index in remaining:
+            for index in pending:
                 retries[index] += 1
                 if retries[index] > MAX_CHUNK_RETRIES:
                     failed.append(index)
             if failed:
+                done = board.done_indices(num_chunks)
                 raise WorkerCrashError(
                     f"{len(failed)} chunk(s) still incomplete after "
                     f"{MAX_CHUNK_RETRIES} requeue(s): workers keep dying "
                     f"on chunk(s) {failed[:8]}",
-                    partial_fn(
+                    _partial(
+                        totals_of(done),
                         "worker crash",
-                        {
-                            "failed_chunks": failed,
-                            "retries": MAX_CHUNK_RETRIES,
-                            "num_chunks": num_chunks,
-                        },
+                        len(done),
+                        failed_chunks=failed,
+                        retries=MAX_CHUNK_RETRIES,
+                        num_chunks=num_chunks,
                     ),
                 )
-            pending = remaining
     finally:
         bridge_stop.set()
         if bridge is not None:
             bridge.join()
     if pending:
-        raise QueryCancelledError(
-            f"query cancelled with {len(pending)} of {num_chunks} "
-            f"chunk(s) incomplete",
-            partial_fn(
-                "cancelled",
-                {"pending_chunks": len(pending), "num_chunks": num_chunks},
-            ),
+        raise _cancelled(
+            totals_of(board.done_indices(num_chunks)), len(pending), num_chunks
         )
-
-
-def _tolerant_count(ctx, num_workers, init, init_args, ledger, cancel):
-    """Crash-tolerant dynamic drain for ``process_count``; exact total."""
-    num_chunks = len(ledger)
-    if num_chunks == 0:
-        return 0
-    board = LeaseBoard(ctx, num_chunks)
-    fault_spec = _parse_fault(os.environ.get(FAULT_ENV))
-
-    def partial_fn(reason, detail):
-        done = board.done_indices(num_chunks)
-        return PartialResult(
-            sum(board.values(i)[0] for i in done),
-            levels_completed=len(done),
-            truncated=True,
-            reason=reason,
-            detail=detail,
-        )
-
-    _tolerant_rounds(
-        ctx, num_workers, _tolerant_worker, board, num_chunks, cancel,
-        fault_spec, partial_fn, init, init_args,
-    )
-    return sum(board.values(i)[0] for i in range(num_chunks))
+    return totals_of(range(num_chunks))
 
 
 def _apply_guard_mode(
@@ -936,127 +847,6 @@ def _apply_guard_mode(
     return num_processes, frontier_chunk
 
 
-def _tolerant_count_many(
-    ctx, num_workers, init, init_args, groups, ledgers, offsets, cancel,
-    num_patterns,
-):
-    """Crash-tolerant dynamic drain for ``process_count_many``.
-
-    Returns exact per-pattern totals; chunk indices are global across
-    groups (``offsets`` maps an index to its group) and each chunk's
-    count slots hold one value per fused-group member.
-    """
-    num_chunks = offsets[-1]
-    if num_chunks == 0:
-        return [0] * num_patterns
-    slot_offsets = [0]
-    for gi, ledger in enumerate(ledgers):
-        width = len(groups[gi])
-        for _ in range(len(ledger)):
-            slot_offsets.append(slot_offsets[-1] + width)
-    board = LeaseBoard(ctx, num_chunks, slot_offsets)
-    fault_spec = _parse_fault(os.environ.get(FAULT_ENV))
-
-    def totals_of(indices):
-        totals = [0] * num_patterns
-        for index in indices:
-            gi = bisect_right(offsets, index) - 1
-            values = board.values(index)
-            for pos, pattern_index in enumerate(groups[gi]):
-                totals[pattern_index] += values[pos]
-        return totals
-
-    def partial_fn(reason, detail):
-        done = board.done_indices(num_chunks)
-        totals = totals_of(done)
-        merged = dict(detail)
-        merged["totals"] = totals
-        return PartialResult(
-            sum(totals),
-            levels_completed=len(done),
-            truncated=True,
-            reason=reason,
-            detail=merged,
-        )
-
-    _tolerant_rounds(
-        ctx, num_workers, _tolerant_worker_many, board, num_chunks, cancel,
-        fault_spec, partial_fn, init, init_args,
-    )
-    return totals_of(range(num_chunks))
-
-
-def _shm_init(
-    segment_meta,
-    signature,
-    edge_induced,
-    symmetry_breaking,
-    vectorized,
-    mode="batch",
-    ledger=None,
-    cursor=None,
-):
-    """Re-wrap shared-memory CSR segments as a view (no graph pickling)."""
-    import numpy as np
-    from multiprocessing import shared_memory
-
-    arrays = {}
-    segments = []
-    for key, (name, length) in segment_meta.items():
-        if name is None:
-            arrays[key] = None
-            continue
-        # Pool children share the parent's resource-tracker process, so
-        # attaching re-registers the same name as a no-op; the parent
-        # owns the segment lifetime and unlinks it once.
-        seg = shared_memory.SharedMemory(name=name)
-        segments.append(seg)
-        arrays[key] = np.ndarray((length,), dtype=np.int64, buffer=seg.buf)
-    view = _accel().AcceleratedGraphView.from_csr(
-        arrays["flat"], arrays["offsets"], arrays["labels"]
-    )
-    _WORKER_STATE["view"] = view
-    _WORKER_STATE["segments"] = segments  # keep buffers alive
-    _WORKER_STATE["plan"] = generate_plan(
-        _pattern_from_signature(signature),
-        edge_induced=edge_induced,
-        symmetry_breaking=symmetry_breaking,
-    )
-    _WORKER_STATE["mode"] = mode
-    _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
-    if not vectorized:
-        # Reference engine in this worker: materialize adjacency lists
-        # from the shared CSR buffers (still no pickling).
-        flat, offsets = arrays["flat"], arrays["offsets"]
-        adjacency = [
-            flat[offsets[v]: offsets[v + 1]].tolist()
-            for v in range(view.num_vertices)
-        ]
-        labels = None if arrays["labels"] is None else arrays["labels"].tolist()
-        _WORKER_STATE["graph"] = DataGraph(adjacency, labels, validate=False)
-
-
-def _shm_segments(view):
-    """Copy a view's CSR buffers into named shared-memory segments."""
-    import numpy as np
-    from multiprocessing import shared_memory
-
-    flat, offsets, labels = view.csr()
-    segments = []
-    meta = {}
-    for key, arr in (("flat", flat), ("offsets", offsets), ("labels", labels)):
-        if arr is None:
-            meta[key] = (None, 0)
-            continue
-        seg = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        seg_arr = np.ndarray((arr.size,), dtype=arr.dtype, buffer=seg.buf)
-        seg_arr[:] = arr
-        segments.append(seg)
-        meta[key] = (seg.name, int(arr.size))
-    return segments, meta
-
-
 def _mmap_store(session):
     """An on-disk degree-ordered ``.rgx`` path for the session's graph.
 
@@ -1068,10 +858,6 @@ def _mmap_store(session):
     unlink it (workers keep their mappings alive across the unlink, so
     cleanup in a ``finally`` is safe even mid-run).
     """
-    import tempfile
-
-    from ..graph.binary_io import save_mmap
-
     ordered = session.ordered
     store = ordered.backing_store
     if store is not None and ordered.is_degree_ordered():
@@ -1080,65 +866,6 @@ def _mmap_store(session):
     os.close(fd)
     save_mmap(ordered, path)
     return path, True
-
-
-def _mmap_init(
-    path,
-    signature,
-    edge_induced,
-    symmetry_breaking,
-    mode="batch",
-    ledger=None,
-    cursor=None,
-):
-    """Re-open the on-disk ``.rgx`` store in this worker.
-
-    Nothing is copied or pickled: the worker maps the same file the
-    parent resolved, so every process shares one set of physical pages
-    through the OS page cache.  The view and the (array-backed) graph
-    both alias the mapped sections, so this works for every engine mode.
-    """
-    from ..graph.binary_io import GraphStore
-
-    store = GraphStore(path)
-    graph = store.graph()
-    _WORKER_STATE["store"] = store  # keep the mappings alive
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["view"] = _accel().shared_view(graph)
-    _WORKER_STATE["plan"] = generate_plan(
-        _pattern_from_signature(signature),
-        edge_induced=edge_induced,
-        symmetry_breaking=symmetry_breaking,
-    )
-    _WORKER_STATE["mode"] = mode
-    _WORKER_STATE["ledger"] = ledger
-    _WORKER_STATE["cursor"] = cursor
-
-
-def _count_frontier(session, plan, mode, accel, need_weights=True):
-    """The level-0 frontier (and per-start weights) for one engine mode.
-
-    Vectorized modes slice the hub-first, label-filtered frontier of the
-    shared CSR view; the reference engine does its own per-start label
-    checks, so its frontier is the plain hub-first id order.  Weights are
-    ``degree + 1`` — the same rule the fused runner uses to bound slice
-    work — so chunk extents track expected per-start cost.  Static
-    schedules never read the weights, so callers skip the (reference
-    mode: O(n) Python) derivation with ``need_weights=False``.
-    """
-    if mode in ("batch", "accel"):
-        view = session.view
-        frontier = accel.frontier_start_order(
-            view.labels, view.num_vertices, plan
-        )
-        weights = view.degrees()[frontier] + 1 if need_weights else None
-        return frontier, weights
-    ordered = session.ordered
-    frontier = range(ordered.num_vertices - 1, -1, -1)
-    weights = (
-        [ordered.degree(v) + 1 for v in frontier] if need_weights else None
-    )
-    return frontier, weights
 
 
 def process_count(
@@ -1154,395 +881,25 @@ def process_count(
     guard: str | None = None,
     plan: str | None = None,
 ) -> int:
-    """Count matches with a process pool (true parallel speedup).
+    """Count matches with worker processes (true parallel speedup).
 
-    ``num_processes=None`` defers pool sizing: under ``plan="auto"`` the
-    planner sizes the pool from measured work volume (budgeted at the
-    machine's core count); under ``plan="fixed"`` the legacy default of
-    :data:`DEFAULT_NUM_PROCESSES` applies.
-
-    Workers consume the level-0 *frontier* (hub-first, label-filtered
-    start tasks).  Under ``schedule="dynamic"`` (default) the frontier
-    is cut into degree-weighted chunks that workers pull from a shared
-    cursor until drained — the work-stealing schedule that absorbs
-    stragglers on skewed (power-law) graphs, where a fixed partition
-    leaves one process holding the heaviest hub *and* its full share of
-    everything else.  ``schedule="static"`` keeps the legacy up-front
-    stride slices (the §5.2 interleaving without stealing), and
-    ``chunk_hint`` tunes dynamic chunk granularity (target starts per
-    chunk on a uniform frontier; default sizes chunks automatically).
-    ``None`` values inherit the session's
-    :class:`~repro.core.session.ExecOptions` defaults.
-
-    The graph reaches workers via shared CSR arrays (see the
-    ``share_mode`` modes above), so scaling ``num_processes`` does not
-    multiply graph copies or pickling time.  A
-    :class:`~repro.core.session.MiningSession` may be passed in place of
-    the graph to reuse its cached ordering and plans.
-
-    Dynamic schedules are **crash-tolerant**: chunk leases over a shared
-    :class:`~repro.runtime.scheduler.LeaseBoard` let the parent requeue
-    any chunk whose worker died before its count landed (bounded
-    retries, then :class:`~repro.errors.WorkerCrashError` carrying the
-    partial), so a mid-run worker death still yields the exact count.
-    ``cancel`` (any :class:`~repro.core.callbacks.ExplorationControl`,
-    e.g. a :class:`~repro.runtime.termination.DeadlineControl`) is
-    bridged into a shared flag workers honor *mid-chunk*; firing it with
-    chunks outstanding raises
-    :class:`~repro.errors.QueryCancelledError` with the partial count.
-    ``guard`` ("refuse" or "downgrade") runs the
-    :mod:`~repro.runtime.guards` admission probe first — refusing
-    predicted-explosive queries or capping the worker count.
+    The one-pattern case of :func:`process_count_many` — same graph
+    sharing, schedules, crash tolerance, cancellation, guard and
+    planning; see there for every knob.
     """
-    session = as_session(graph)
-    plan_mode = _resolve_plan_mode(session, plan)
-    num_processes = _resolve_pool_size(
-        num_processes, plan_mode, DEFAULT_NUM_PROCESSES
-    )
-    num_processes, _ = _apply_guard_mode(
-        session, [pattern], guard, num_processes, None, edge_induced,
-        symmetry_breaking,
-    )
-    query_plan = None
-    if plan_mode == "auto":
-        # Probe → (admit above) → plan, sharing the session-cached
-        # estimate with the guard.  The plan caps the pool at the work
-        # volume and picks schedule/chunk for knobs the caller left
-        # unset; cancellation requires the dynamic schedule, so a
-        # cancel token keeps it.
-        from . import planner as _planner
-
-        query_plan = _planner.plan_query(
-            session,
-            pattern,
-            session.options(
-                edge_induced=edge_induced,
-                symmetry_breaking=symmetry_breaking,
-            ),
-            num_workers=num_processes,
-        )
-        num_processes = query_plan.num_workers
-        if schedule is None and cancel is None:
-            schedule = query_plan.schedule
-        if chunk_hint is None:
-            chunk_hint = query_plan.chunk_hint
-    schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
-    if cancel is not None and schedule != "dynamic":
-        raise ValueError("cancel requires schedule='dynamic'")
-    ordered = session.ordered
-    accel = _accel()
-    has_fork = "fork" in multiprocessing.get_all_start_methods()
-    if share_mode is None:
-        if accel is None:
-            share_mode = "pickle"
-        elif has_fork:
-            share_mode = "fork"
-        else:  # pragma: no cover - non-posix platforms
-            share_mode = "shm"
-    if share_mode not in ("fork", "shm", "mmap", "pickle"):
-        raise ValueError(f"unknown share_mode {share_mode!r}")
-    if share_mode in ("fork", "shm", "mmap") and accel is None:
-        raise RuntimeError(f"share_mode={share_mode!r} requires numpy")
-
-    plan = session.plan_for(
-        pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
-    )
-    # Per-worker engine choice mirrors the session auto-dispatch tiers:
-    # frontier-batched in its (wide) winning regime, per-match vectorized
-    # in the dense multi-core regime, reference interpreter otherwise.
-    # The pickle share mode has no CSR view to hand workers, so it always
-    # drives the reference engine.
-    use_batch = (
-        accel is not None
-        and share_mode != "pickle"
-        and batch_preferred(ordered, plan)
-    )
-    use_accel = (
-        not use_batch
-        and accel is not None
-        and share_mode != "pickle"
-        and accel_preferred(ordered, plan)
-    )
-    if query_plan is not None and accel is not None and share_mode != "pickle":
-        # The planned engine replaces the fixed global-degree crossover;
-        # the pickle share mode still has no CSR view to hand workers.
-        use_batch = query_plan.engine == "accel-batch"
-        use_accel = query_plan.engine == "accel"
-    if num_processes <= 1:
-        if use_batch:
-            return accel.FrontierBatchedEngine(session.view).run(
-                plan, count_only=True
-            )
-        if use_accel:
-            return accel.AcceleratedEngine(session.view).run(
-                plan, count_only=True
-            )
-        return run_tasks(ordered, plan, count_only=True)
-
-    mode = "batch" if use_batch else ("accel" if use_accel else "reference")
-
-    if schedule == "dynamic":
-        frontier, weights = _count_frontier(session, plan, mode, accel)
-        ledger = ChunkLedger.build(
-            frontier,
-            weights=weights,
-            chunk_hint=chunk_hint,
-            num_workers=num_processes,
-        )
-    else:
-        ledger = None
-        slices = [(i, num_processes) for i in range(num_processes)]
-        if use_batch:
-            slice_fn = _batch_count_slice
-        elif use_accel:
-            slice_fn = _accel_count_slice
-        else:
-            slice_fn = _count_slice
-
-    if share_mode == "fork":
-        ctx = multiprocessing.get_context("fork")
-        # The CSR view is only worth building (and caching on the graph)
-        # when the workers will actually run a vectorized engine.
-        view = session.view if (use_batch or use_accel) else None
-        if schedule == "dynamic":
-            return _tolerant_count(
-                ctx, num_processes, _fork_init,
-                (view, ordered, plan, mode, ledger, None), ledger, cancel,
-            )
-        with ctx.Pool(
-            processes=num_processes,
-            initializer=_fork_init,
-            initargs=(view, ordered, plan, mode, None, None),
-        ) as pool:
-            counts = pool.map(slice_fn, slices)
-        return sum(counts)
-
-    ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
-
-    if share_mode == "mmap":
-        path, is_temp = _mmap_store(session)
-        try:
-            init_args = (
-                path,
-                pattern.signature(),
-                edge_induced,
-                symmetry_breaking,
-                mode,
-                ledger,
-                None,
-            )
-            if schedule == "dynamic":
-                return _tolerant_count(
-                    ctx, num_processes, _mmap_init, init_args, ledger, cancel,
-                )
-            with ctx.Pool(
-                processes=num_processes,
-                initializer=_mmap_init,
-                initargs=init_args,
-            ) as pool:
-                counts = pool.map(slice_fn, slices)
-            return sum(counts)
-        finally:
-            # The spill file is parent-owned: unlink it no matter how the
-            # pool exits — including crash/cancel errors propagating out
-            # of the tolerant drain.  Workers that already mapped it keep
-            # their pages (POSIX unlink-while-mapped), so a mid-run
-            # failure cannot leak the file.
-            if is_temp:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-
-    if share_mode == "shm":
-        view = session.view
-        segments, meta = _shm_segments(view)
-        try:
-            init_args = (
-                meta,
-                pattern.signature(),
-                edge_induced,
-                symmetry_breaking,
-                use_batch or use_accel,
-                mode,
-                ledger,
-                None,
-            )
-            if schedule == "dynamic":
-                return _tolerant_count(
-                    ctx, num_processes, _shm_init, init_args, ledger, cancel,
-                )
-            with ctx.Pool(
-                processes=num_processes, initializer=_shm_init, initargs=init_args
-            ) as pool:
-                counts = pool.map(slice_fn, slices)
-            return sum(counts)
-        finally:
-            # Worker failures surface as errors raised above; the
-            # segments are parent-owned, so unlink here no matter what —
-            # a leaked segment outlives the run (and, on tmpfs, holds its
-            # bytes).
-            for seg in segments:
-                seg.close()
-                seg.unlink()
-
-    if ordered.backing == "array":
-        # Pickling memmap slices would serialize (and copy) numpy arrays
-        # per vertex; plain lists keep the fallback numpy-agnostic.
-        adjacency = [ordered.neighbors(v).tolist() for v in ordered.vertices()]
-        labels = ordered.labels()
-        labels = labels.tolist() if labels is not None else None
-    else:
-        adjacency = [ordered.neighbors(v) for v in ordered.vertices()]
-        labels = ordered.labels()
-    init_args = (
-        adjacency,
-        labels,
-        pattern.signature(),
-        edge_induced,
-        symmetry_breaking,
-        ledger,
-        None,
-    )
-    if schedule == "dynamic":
-        return _tolerant_count(
-            ctx, num_processes, _init_worker, init_args, ledger, cancel,
-        )
-    with ctx.Pool(
-        processes=num_processes, initializer=_init_worker, initargs=init_args
-    ) as pool:
-        counts = pool.map(_count_slice, slices)
-    return sum(counts)
-
-
-# ----------------------------------------------------------------------
-# Multi-pattern process scaling: fused groups over shared frontier chunks
-# ----------------------------------------------------------------------
-
-
-def _many_fork_init(
-    view, plans, groups, ledgers, offsets, cursor, workers, frontier_chunk
-):
-    """Fork initializer for the multi-pattern drain (references only)."""
-    _WORKER_STATE["view"] = view
-    _WORKER_STATE["many_plans"] = plans
-    _WORKER_STATE["many_groups"] = groups
-    _WORKER_STATE["many_ledgers"] = ledgers
-    _WORKER_STATE["many_offsets"] = offsets
-    _WORKER_STATE["cursor"] = cursor
-    _WORKER_STATE["many_workers"] = workers
-    _WORKER_STATE["many_frontier_chunk"] = frontier_chunk
-
-
-def _bind_many_state(
-    signatures, flags, groups, ledgers, offsets, cursor, workers, frontier_chunk
-):
-    """Regenerate the per-pattern plans and bind the fused-drain state."""
-    edge_induced, symmetry_breaking = flags
-    _WORKER_STATE["many_plans"] = [
-        generate_plan(
-            _pattern_from_signature(sig),
-            edge_induced=edge_induced,
-            symmetry_breaking=symmetry_breaking,
-        )
-        for sig in signatures
-    ]
-    _WORKER_STATE["many_groups"] = groups
-    _WORKER_STATE["many_ledgers"] = ledgers
-    _WORKER_STATE["many_offsets"] = offsets
-    _WORKER_STATE["cursor"] = cursor
-    _WORKER_STATE["many_workers"] = workers
-    _WORKER_STATE["many_frontier_chunk"] = frontier_chunk
-
-
-def _many_shm_init(
-    segment_meta,
-    signatures,
-    flags,
-    groups,
-    ledgers,
-    offsets,
-    cursor,
-    workers,
-    frontier_chunk,
-):
-    """Shared-memory initializer: rebuild the view, regenerate the plans."""
-    _shm_init(segment_meta, signatures[0], flags[0], flags[1], True)
-    _bind_many_state(
-        signatures, flags, groups, ledgers, offsets, cursor, workers,
-        frontier_chunk,
-    )
-
-
-def _many_mmap_init(
-    path,
-    signatures,
-    flags,
-    groups,
-    ledgers,
-    offsets,
-    cursor,
-    workers,
-    frontier_chunk,
-):
-    """Mmap initializer: re-open the store, regenerate the plans."""
-    _mmap_init(path, signatures[0], flags[0], flags[1])
-    _bind_many_state(
-        signatures, flags, groups, ledgers, offsets, cursor, workers,
-        frontier_chunk,
-    )
-
-
-def _drain_many(worker_id: int) -> list[int]:
-    """Drain fused-group frontier chunks; return per-pattern totals.
-
-    Chunk indices are global across groups (``many_offsets`` maps an
-    index to its group); each claimed chunk runs *every* member of its
-    group through one :func:`repro.core.accel.fused_run` call, so the
-    shared first-level gathers keep amortizing inside a chunk exactly as
-    they do in the sequential fused walk.  Under ``schedule="static"``
-    (``cursor is None``) the worker instead takes its stride slice of
-    every group's frontier up front.
-    """
-    accel = _accel()
-    view = _WORKER_STATE["view"]
-    plans = _WORKER_STATE["many_plans"]
-    groups = _WORKER_STATE["many_groups"]
-    ledgers = _WORKER_STATE["many_ledgers"]
-    offsets = _WORKER_STATE["many_offsets"]
-    cursor = _WORKER_STATE["cursor"]
-    num_workers = _WORKER_STATE["many_workers"]
-    frontier_chunk = _WORKER_STATE["many_frontier_chunk"]
-    totals = [0] * len(plans)
-    members_of = [
-        [(plans[idx], None, None) for idx in group] for group in groups
-    ]
-
-    def add(group_index: int, counts: Sequence[int]) -> None:
-        for pos, idx in enumerate(groups[group_index]):
-            totals[idx] += counts[pos]
-
-    if cursor is None:
-        for gi, ledger in enumerate(ledgers):
-            starts = ledger.order[worker_id::num_workers]
-            if len(starts) == 0:
-                continue
-            add(gi, accel.fused_run(
-                view, members_of[gi], start_vertices=starts,
-                chunk=frontier_chunk,
-            ))
-        return totals
-
-    num_chunks = offsets[-1]
-    while True:
-        index = cursor.claim()
-        if index >= num_chunks:
-            return totals
-        gi = bisect_right(offsets, index) - 1
-        chunk = ledgers[gi].chunk(index - offsets[gi])
-        add(gi, accel.fused_run(
-            view, members_of[gi], start_vertices=chunk, chunk=frontier_chunk,
-        ))
+    return process_count_many(
+        graph,
+        [pattern],
+        num_processes=num_processes,
+        edge_induced=edge_induced,
+        symmetry_breaking=symmetry_breaking,
+        share_mode=share_mode,
+        schedule=schedule,
+        chunk_hint=chunk_hint,
+        cancel=cancel,
+        guard=guard,
+        plan=plan,
+    )[pattern]
 
 
 def process_count_many(
@@ -1560,38 +917,68 @@ def process_count_many(
     guard: str | None = None,
     plan: str | None = None,
 ) -> dict[Pattern, int]:
-    """Count every pattern with a process pool over fused frontier chunks.
+    """Count every pattern with worker processes over fused frontier chunks.
 
-    The multi-pattern overload of :func:`process_count` — and the
-    process-level face of the fused runner: patterns are grouped by
+    The process-level face of the fused runner: patterns are grouped by
     shared level-0 frontier signature
     (:class:`~repro.core.session.MultiPatternPlan`, group floor 1), each
-    group's frontier is cut into degree-weighted chunks, and worker
-    processes pull chunks from one shared queue spanning *all* groups —
-    every chunk runs the whole group through
+    group's hub-first, label-filtered frontier is cut into chunks, and
+    worker processes pull chunks from one shared queue spanning *all*
+    groups — every chunk runs its whole group through
     :func:`repro.core.accel.fused_run`, so motif censuses and FSM-style
     pattern sets scale across cores without giving up the shared
-    first-level gathers.  ``schedule="static"`` pre-assigns stride
-    slices instead (the ablation baseline).
+    first-level gathers.  Counts are pinned to the sequential
+    ``count_many`` (the census/Möbius rewrite is a sequential-only
+    optimization; the process path counts every requested plan
+    directly).
 
-    Counts are pinned to the sequential ``count_many`` (the census/Möbius
-    rewrite is a sequential-only optimization; the process path counts
-    every requested plan directly).  ``frontier_chunk`` bounds each
+    ``num_processes=None`` defers pool sizing: under ``plan="auto"`` the
+    planner sizes the pool from measured work volume (budgeted at the
+    machine's core count); under ``plan="fixed"`` the legacy default of
+    :data:`DEFAULT_NUM_PROCESSES` applies.  A pool of one (asked for, or
+    capped by the guard or the plan) runs the sequential session path
+    in-process.
+
+    ``schedule="dynamic"`` (default) cuts degree-weighted chunks — the
+    work-stealing schedule that absorbs stragglers on skewed (power-law)
+    graphs, where a fixed partition leaves one process holding the
+    heaviest hub *and* its full share of everything else;
+    ``chunk_hint`` tunes their granularity (target starts per chunk on a
+    uniform frontier; default sizes chunks automatically).
+    ``schedule="static"`` cuts one stride chunk per worker (the §5.2
+    interleaving without stealing).  ``frontier_chunk`` bounds each
     worker engine's per-dispatch frontier exactly as in sequential runs.
-    Requires numpy; without it (or with ``num_processes <= 1``) the
-    call falls back to the sequential session path.  ``share_mode``
-    supports ``"fork"``, ``"shm"`` and ``"mmap"`` (workers re-open the
-    on-disk ``.rgx`` store and share pages through the OS page cache).
+    ``None`` values inherit the session's
+    :class:`~repro.core.session.ExecOptions` defaults.
 
-    ``cancel`` and ``guard`` behave exactly as in :func:`process_count`
-    — dynamic schedules get crash-tolerant chunk leases (mid-run worker
-    deaths are requeued for exact counts, poison chunks raise
-    :class:`~repro.errors.WorkerCrashError`), shared-flag cancellation
-    raises :class:`~repro.errors.QueryCancelledError` with per-pattern
-    partial totals in ``partial.detail["totals"]``, and the admission
-    guard refuses or downgrades predicted-explosive pattern sets.
+    ``share_mode`` picks the graph handle workers receive (see above):
+    ``"fork"`` (default where fork exists) or ``"mmap"``.  A
+    :class:`~repro.core.session.MiningSession` may be passed in place of
+    the graph to reuse its cached ordering and plans.
+
+    Both schedules are **crash-tolerant**: chunk leases over a shared
+    :class:`~repro.runtime.scheduler.LeaseBoard` let the parent requeue
+    any chunk whose worker died before its counts landed (bounded
+    retries, then :class:`~repro.errors.WorkerCrashError` carrying the
+    partial), so a mid-run worker death still yields the exact counts.
+    ``cancel`` (any :class:`~repro.core.callbacks.ExplorationControl`,
+    e.g. a :class:`~repro.runtime.termination.DeadlineControl`) is
+    bridged into a shared flag workers honor *mid-chunk*; firing it with
+    work outstanding raises :class:`~repro.errors.QueryCancelledError`
+    with per-pattern partial totals in ``partial.detail["totals"]`` —
+    from the in-process path too.  ``guard`` ("refuse" or "downgrade")
+    runs the :mod:`~repro.runtime.guards` admission probe first —
+    refusing predicted-explosive pattern sets or capping the worker
+    count.
     """
     session = as_session(graph)
+    has_fork = "fork" in multiprocessing.get_all_start_methods()
+    if share_mode is None:
+        share_mode = "fork" if has_fork else "mmap"
+    if share_mode not in _SHARE_MODES:
+        raise ValueError(
+            f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
+        )
     plan_mode = _resolve_plan_mode(session, plan)
     num_processes = _resolve_pool_size(
         num_processes, plan_mode, DEFAULT_NUM_PROCESSES
@@ -1601,7 +988,6 @@ def process_count_many(
         session, patterns, guard, num_processes, frontier_chunk,
         edge_induced, symmetry_breaking,
     )
-    workload_plan = None
     if plan_mode == "auto" and patterns:
         # One probe per distinct member (shared with the guard above)
         # plans the whole drain: pool size from summed level-1 volume,
@@ -1619,35 +1005,29 @@ def process_count_many(
             num_workers=num_processes,
         )
         num_processes = workload_plan.num_workers
-        if schedule is None and cancel is None:
+        if schedule is None:
             schedule = workload_plan.schedule
         if chunk_hint is None:
             chunk_hint = workload_plan.chunk_hint
         frontier_chunk = workload_plan.frontier_chunk
     schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
-    if cancel is not None and schedule != "dynamic":
-        raise ValueError("cancel requires schedule='dynamic'")
-    accel = _accel()
-    not_worth_forking = (
-        workload_plan is not None and workload_plan.engine == "reference"
-    )
-    if accel is None or num_processes <= 1 or not patterns or not_worth_forking:
-        return session.count_many(
+    if num_processes <= 1 or not patterns:
+        latch = None if cancel is None else _CancelLatch(cancel)
+        counts = session.count_many(
             patterns,
             edge_induced=edge_induced,
             symmetry_breaking=symmetry_breaking,
             label_index=label_index,
             frontier_chunk=frontier_chunk,
             plan=plan_mode,
+            control=latch,
         )
-    has_fork = "fork" in multiprocessing.get_all_start_methods()
-    if share_mode is None:
-        share_mode = "fork" if has_fork else "shm"
-    if share_mode not in ("fork", "shm", "mmap"):
-        raise ValueError(
-            f"process_count_many supports share_mode 'fork', 'shm' or "
-            f"'mmap', got {share_mode!r}"
-        )
+        if latch is not None and latch.seen:
+            # Same contract as the pooled drain, with the whole run as
+            # its one chunk: an engine saw the stop and wound down, so
+            # what it returned is a partial.
+            raise _cancelled([counts[p] for p in patterns], 1, 1)
+        return counts
 
     ordered = session.ordered
     labels = ordered.labels()
@@ -1666,114 +1046,50 @@ def process_count_many(
     )
     view = session.view
     degrees = view.degrees()
-    np = accel.np
-
-    groups: list[tuple[int, ...]] = []
     ledgers: list[ChunkLedger] = []
     offsets = [0]
-    for group, key in zip(multi.groups, multi.group_keys):
+    for key in multi.group_keys:
         starts = group_start_vertices(ordered, key)
         if starts is None:
             frontier = np.arange(view.num_vertices - 1, -1, -1, dtype=np.int64)
         else:
             frontier = np.asarray(starts, dtype=np.int64)
-        ledger = ChunkLedger.build(
-            frontier,
-            weights=degrees[frontier] + 1,
-            chunk_hint=chunk_hint,
-            num_workers=num_processes,
-        )
-        groups.append(tuple(group))
+        if schedule == "static":
+            ledger = ChunkLedger.strided(frontier, num_processes)
+        else:
+            ledger = ChunkLedger.build(
+                frontier,
+                weights=degrees[frontier] + 1,
+                chunk_hint=chunk_hint,
+                num_workers=num_processes,
+            )
         ledgers.append(ledger)
         offsets.append(offsets[-1] + len(ledger))
+    job = _Job(
+        plans=tuple(plans),
+        groups=multi.groups,
+        ledgers=tuple(ledgers),
+        offsets=tuple(offsets),
+        frontier_chunk=frontier_chunk,
+    )
 
-    worker_ids = list(range(num_processes))
-    dynamic = schedule == "dynamic"
     if share_mode == "fork":
         ctx = multiprocessing.get_context("fork")
-        init_args = (
-            view, plans, groups, ledgers, offsets, None,
-            num_processes, frontier_chunk,
-        )
-        if dynamic:
-            totals = _tolerant_count_many(
-                ctx, num_processes, _many_fork_init, init_args, groups,
-                ledgers, offsets, cancel, len(patterns),
-            )
-            return dict(zip(patterns, totals))
-        with ctx.Pool(
-            processes=num_processes,
-            initializer=_many_fork_init,
-            initargs=init_args,
-        ) as pool:
-            per_worker = pool.map(_drain_many, worker_ids, chunksize=1)
-    elif share_mode == "shm":
+        handle, spill = view, None
+    else:
         ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
-        segments, meta = _shm_segments(view)
-        try:
-            init_args = (
-                meta,
-                [p.signature() for p in patterns],
-                (edge_induced, symmetry_breaking),
-                groups,
-                ledgers,
-                offsets,
-                None,
-                num_processes,
-                frontier_chunk,
-            )
-            if dynamic:
-                totals = _tolerant_count_many(
-                    ctx, num_processes, _many_shm_init, init_args, groups,
-                    ledgers, offsets, cancel, len(patterns),
-                )
-                return dict(zip(patterns, totals))
-            with ctx.Pool(
-                processes=num_processes,
-                initializer=_many_shm_init,
-                initargs=init_args,
-            ) as pool:
-                per_worker = pool.map(_drain_many, worker_ids, chunksize=1)
-        finally:
-            for seg in segments:
-                seg.close()
-                seg.unlink()
-    else:  # share_mode == "mmap"
-        ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
-        path, is_temp = _mmap_store(session)
-        try:
-            init_args = (
-                path,
-                [p.signature() for p in patterns],
-                (edge_induced, symmetry_breaking),
-                groups,
-                ledgers,
-                offsets,
-                None,
-                num_processes,
-                frontier_chunk,
-            )
-            if dynamic:
-                totals = _tolerant_count_many(
-                    ctx, num_processes, _many_mmap_init, init_args, groups,
-                    ledgers, offsets, cancel, len(patterns),
-                )
-                return dict(zip(patterns, totals))
-            with ctx.Pool(
-                processes=num_processes,
-                initializer=_many_mmap_init,
-                initargs=init_args,
-            ) as pool:
-                per_worker = pool.map(_drain_many, worker_ids, chunksize=1)
-        finally:
-            if is_temp:
-                try:
-                    os.unlink(path)
-                except OSError:  # pragma: no cover - already gone
-                    pass
-
-    totals = [0] * len(patterns)
-    for worker_totals in per_worker:
-        for idx, value in enumerate(worker_totals):
-            totals[idx] += value
+        handle, is_temp = _mmap_store(session)
+        spill = handle if is_temp else None
+    try:
+        totals = _tolerant_count(ctx, num_processes, handle, job, cancel)
+    finally:
+        # The spill file is parent-owned: unlink it no matter how the
+        # drain exits — including crash/cancel errors propagating out.
+        # Workers that already mapped it keep their pages (POSIX
+        # unlink-while-mapped), so a mid-run failure cannot leak it.
+        if spill is not None:
+            try:
+                os.unlink(spill)
+            except OSError:  # pragma: no cover - already gone
+                pass
     return dict(zip(patterns, totals))

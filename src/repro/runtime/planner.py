@@ -8,7 +8,6 @@ probe on *planning*: the measurements the probe already takes (predicted
 level-1 volume, second-level growth trend, hub skew, frontier size) are
 exactly the signals the fixed dispatch thresholds
 (:data:`~repro.core.session.ACCEL_BATCH_MIN_AVG_DEGREE`,
-:data:`~repro.core.session.ACCEL_MIN_AVG_DEGREE`,
 :data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER`) approximate with
 *graph-global* statistics — so a per-query :class:`QueryPlan` can beat
 them precisely where the pattern and the graph disagree:
@@ -19,8 +18,8 @@ them precisely where the pattern and the graph disagree:
 * a labeled pattern whose frontier is a sparse sliver of a dense graph
   (global degree says "numpy", the measured level-1 volume says the
   interpreter finishes before numpy dispatch warms up);
-* a uniform frontier that does not need work-stealing (static slices
-  skip the shared-cursor protocol) vs. a hub-skewed one that does;
+* a uniform frontier that does not need work-stealing (one static
+  stride chunk per worker) vs. a hub-skewed one that does;
 * a worker budget larger than the work (the plan caps the pool instead
   of paying fork start-up for idle processes).
 
@@ -111,9 +110,8 @@ AUTO_APPROX_REL_ERR = 0.05
 class QueryPlan:
     """One query's frozen execution choices, derived from one probe.
 
-    ``engine`` is a concrete engine (``"reference"``/``"accel"``/
-    ``"accel-batch"``, or ``"fused"`` for multi-pattern workloads) —
-    never ``"auto"``.  ``num_workers`` never exceeds the caller's worker
+    ``engine`` is a concrete engine (``"reference"``/``"accel-batch"``,
+    or ``"fused"`` for multi-pattern workloads) — never ``"auto"``.  ``num_workers`` never exceeds the caller's worker
     budget (the planner caps, it does not conscript).  ``reasons``
     records one line per choice for ``explain`` and the service echo.
     """
@@ -161,15 +159,6 @@ class QueryPlan:
         return line
 
 
-def _accel_module():
-    """The accel module, or ``None`` when numpy is unavailable."""
-    try:
-        from ..core import accel
-    except ImportError:  # pragma: no cover - exercised only without numpy
-        return None
-    return accel
-
-
 def _batch_worthy(estimate: guards.CostEstimate) -> bool:
     """Whether the frontier-batched engine wins on *this* frontier."""
     return (
@@ -193,7 +182,7 @@ def _choose_engine(estimate, opts, hooks_free: bool, reasons: list) -> str:
         reasons.append(f"engine {opts.engine!r} pinned by caller")
         return opts.engine
     if not hooks_free:
-        reasons.append("reference: stats/timer hooks or numpy unavailable")
+        reasons.append("reference: stats/timer hooks pin the interpreter")
         return "reference"
     if estimate.level1_volume < TINY_LEVEL1_VOLUME:
         reasons.append(
@@ -245,7 +234,7 @@ def _choose_schedule(
         or estimate.hub_skew >= SKEW_DYNAMIC_THRESHOLD
     )
     if not skewed:
-        reasons.append("static: uniform frontier, stealing cursor not needed")
+        reasons.append("static: uniform frontier, one stride chunk per worker")
         return "static", None
     chunk_hint = None
     if workers > 1 and estimate.frontier_size > workers:
@@ -333,10 +322,7 @@ def plan_query(
         raise TypeError("pass opts= or keyword options, not both")
     if estimate is None:
         estimate = session._guard_estimate(pattern, opts)
-    accel = _accel_module()
-    hooks_free = (
-        accel is not None and opts.stats is None and opts.timer is None
-    )
+    hooks_free = opts.stats is None and opts.timer is None
     reasons: list[str] = []
     engine = _choose_engine(estimate, opts, hooks_free, reasons)
     workers = _choose_workers(estimate, num_workers, reasons)
@@ -400,10 +386,7 @@ def plan_workload(
             num_workers=max(1, num_workers),
             reasons=("empty workload",),
         )
-    accel = _accel_module()
-    hooks_free = (
-        accel is not None and opts.stats is None and opts.timer is None
-    )
+    hooks_free = opts.stats is None and opts.timer is None
     reasons: list[str] = []
     if opts.engine != "auto":
         engine = opts.engine
@@ -419,7 +402,7 @@ def plan_workload(
         reasons.append(
             "reference: no member frontier justifies the batched engine"
             if hooks_free
-            else "reference: stats/timer hooks or numpy unavailable"
+            else "reference: stats/timer hooks pin the interpreter"
         )
     combined = dataclasses.replace(
         max(estimates, key=lambda e: e.level1_volume),

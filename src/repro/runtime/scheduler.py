@@ -21,10 +21,12 @@ Both concurrent runtimes consume this layer:
   reaches workers fork-inherited or pickled once, so only the cursor is
   ever contended.
 
-``schedule="static"`` bypasses the cursor entirely:
-:func:`static_slices` hands each worker a stride slice of the frontier
-up front (the pre-work-stealing behaviour, kept as the ablation
-baseline the scalability benchmark measures against).
+``schedule="static"`` is the same machinery over a second *ledger
+shape*: :meth:`ChunkLedger.strided` cuts the frontier into one stride
+chunk per worker (chunk ``i`` = ``order[i::P]`` — the pre-work-stealing
+decomposition, kept as the ablation baseline the scalability benchmark
+measures against), drained through the same cursor and lease board, so
+static runs cancel and survive worker death exactly like dynamic ones.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ __all__ = [
     "ProcessCursor",
     "TaskScheduler",
     "CHUNKS_PER_WORKER",
-    "static_slices",
     "weighted_boundaries",
 ]
 
@@ -97,11 +98,14 @@ class ChunkLedger:
     workers, or referenced from any number of threads.
     """
 
-    __slots__ = ("order", "boundaries")
+    __slots__ = ("order", "boundaries", "stride")
 
-    def __init__(self, order: Sequence[int], boundaries: Sequence[int]):
+    def __init__(
+        self, order: Sequence[int], boundaries: Sequence[int], stride: int = 0
+    ):
         self.order = order
         self.boundaries = boundaries
+        self.stride = stride
 
     @classmethod
     def build(
@@ -155,6 +159,25 @@ class ChunkLedger:
             )
         return cls(order, weighted_boundaries(weights, cap))
 
+    @classmethod
+    def strided(cls, order: Sequence[int], num_workers: int) -> "ChunkLedger":
+        """One stride chunk per worker: chunk ``i`` is ``order[i::P]``.
+
+        The ``schedule="static"`` ledger shape.  On a hub-first frontier
+        striding interleaves hubs and leaves, but per-task cost skew
+        still lands unevenly — whichever worker draws the heaviest hub
+        keeps its full 1/P share of everything else too, which is
+        exactly the straggler the weighted chunks of :meth:`build`
+        absorb.  Chunks are stride slices of ``order`` itself (views of
+        a ``range`` or array — nothing is copied); ``boundaries`` are
+        still the running task counts.
+        """
+        n = len(order)
+        boundaries = [0]
+        for i in range(min(num_workers, n)):
+            boundaries.append(boundaries[-1] + len(range(i, n, num_workers)))
+        return cls(order, boundaries, stride=num_workers)
+
     def __len__(self) -> int:
         return len(self.boundaries) - 1
 
@@ -164,6 +187,8 @@ class ChunkLedger:
 
     def chunk(self, index: int) -> Sequence[int]:
         """The ``index``-th chunk of the task order."""
+        if self.stride:
+            return self.order[index:: self.stride]
         return self.order[self.boundaries[index]: self.boundaries[index + 1]]
 
 
@@ -286,12 +311,18 @@ class TaskScheduler:
     ):
         if chunk_size is not None and chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._ledger = ChunkLedger.build(
-            order,
-            weights=weights,
-            chunk_hint=chunk_size,
-            num_workers=num_workers,
+        self._bind(
+            ChunkLedger.build(
+                order,
+                weights=weights,
+                chunk_hint=chunk_size,
+                num_workers=num_workers,
+            ),
+            chunk_size,
         )
+
+    def _bind(self, ledger: ChunkLedger, chunk_size: int | None) -> None:
+        self._ledger = ledger
         self._next = 0
         self._lock = threading.Lock()
         self.chunk_size = chunk_size
@@ -300,6 +331,13 @@ class TaskScheduler:
     def degree_descending(cls, num_vertices: int, chunk_size: int = 64) -> "TaskScheduler":
         """Scheduler over a degree-ordered graph: ids n-1 .. 0 (§5.2)."""
         return cls(range(num_vertices - 1, -1, -1), chunk_size=chunk_size)
+
+    @classmethod
+    def from_ledger(cls, ledger: ChunkLedger) -> "TaskScheduler":
+        """Scheduler over a prebuilt ledger (e.g. the strided shape)."""
+        scheduler = cls.__new__(cls)
+        scheduler._bind(ledger, None)
+        return scheduler
 
     @property
     def ledger(self) -> ChunkLedger:
@@ -323,16 +361,3 @@ class TaskScheduler:
     def reset(self) -> None:
         with self._lock:
             self._next = 0
-
-
-def static_slices(order: Sequence[int], num_workers: int) -> list[Sequence[int]]:
-    """Stride-partition ``order`` into one up-front slice per worker.
-
-    The pre-work-stealing decomposition (and the benchmark baseline):
-    worker ``i`` gets ``order[i::num_workers]``, fixed before any work
-    runs.  On a hub-first frontier this interleaves hubs and leaves, but
-    per-task cost skew still lands unevenly — whichever worker draws the
-    heaviest hub keeps its full 1/P share of everything else too, which
-    is exactly the straggler dynamic chunks absorb.
-    """
-    return [order[i::num_workers] for i in range(num_workers)]

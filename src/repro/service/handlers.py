@@ -32,6 +32,7 @@ import time
 from typing import TYPE_CHECKING
 
 from ..core.callbacks import Budget
+from ..core.session import _ENGINE_CHOICES, _MULTI_ENGINE_CHOICES
 from ..errors import (
     BudgetExceededError,
     GraphError,
@@ -111,7 +112,13 @@ def _require_dict(payload) -> dict:
     return payload
 
 
-def _parse_options(payload: dict) -> dict:
+def _parse_options(payload: dict, engines: tuple = _ENGINE_CHOICES) -> dict:
+    """The request's validated option overrides.
+
+    ``engines`` is what the verb's session call accepts: single-pattern
+    verbs take the session's engine choices, the multi-pattern ``motifs``
+    verb additionally takes ``"fused"``.
+    """
     raw = payload.get("options", {})
     if not isinstance(raw, dict):
         raise InvalidRequestError("'options' must be an object")
@@ -133,6 +140,11 @@ def _parse_options(payload: dict) -> dict:
                 f"got {value!r}"
             )
         options[name] = value
+    engine = options.get("engine")
+    if engine is not None and engine not in engines:
+        raise InvalidRequestError(
+            f"option 'engine' must be one of {engines}, got {engine!r}"
+        )
     return options
 
 
@@ -389,7 +401,7 @@ async def _handle_motifs(service: "MiningService", payload: dict) -> dict:
         raise InvalidRequestError(
             f"'size' must be one of {MOTIF_SIZES}, got {size!r}"
         )
-    options = _parse_options(payload)
+    options = _parse_options(payload, _MULTI_ENGINE_CHOICES)
     for name in options:
         if name not in (
             "symmetry_breaking", "engine", "schedule", "chunk_hint", "plan"

@@ -1,15 +1,14 @@
-"""Tests for the numpy-accelerated kernels and the vectorized engine.
+"""Tests for the CSR graph view and the frontier-batched engine.
 
 Every feature of the pattern matrix — labels, vertex-induced matching,
 anti-edges, anti-vertices, callbacks — is parity-fuzzed against the
 reference engine (``engine="reference"`` forces it; a bare ``count``
-would auto-dispatch right back to the accelerated engine) and, where
-cheap enough, against the networkx oracles.
+would auto-dispatch right back to the batched engine) and, where cheap
+enough, against the networkx oracles.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,16 +16,10 @@ from hypothesis import strategies as st
 from repro.core import count, generate_plan, match, match_batches
 from repro.core.callbacks import ExplorationControl
 from repro.core.accel import (
-    AcceleratedEngine,
     AcceleratedGraphView,
     FrontierBatchedEngine,
-    accelerated_count,
     frontier_count,
     frontier_start_order,
-    np_bounded,
-    np_difference,
-    np_intersect,
-    np_intersect_many,
     shared_view,
 )
 from repro.core.engine import EngineStats
@@ -36,59 +29,8 @@ from repro.mining.cliques import maximal_clique_pattern
 from repro.pattern import Pattern, generate_chain, generate_clique, generate_star
 from repro.testing.oracles import nx_count_edge_induced, nx_count_vertex_induced
 
-sorted_arrays = st.lists(
-    st.integers(min_value=0, max_value=200), max_size=60
-).map(lambda xs: np.array(sorted(set(xs)), dtype=np.int64))
-
-
 def reference_count(graph, pattern, **kwargs):
     return count(graph, pattern, engine="reference", **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Kernels vs set semantics
-# ----------------------------------------------------------------------
-
-
-class TestKernels:
-    @given(sorted_arrays, sorted_arrays)
-    def test_intersect_matches_set(self, a, b):
-        got = np_intersect(a, b)
-        assert got.tolist() == sorted(set(a.tolist()) & set(b.tolist()))
-
-    @given(sorted_arrays, sorted_arrays)
-    def test_difference_matches_set(self, a, b):
-        got = np_difference(a, b)
-        assert got.tolist() == sorted(set(a.tolist()) - set(b.tolist()))
-
-    @given(st.lists(sorted_arrays, max_size=4))
-    @settings(max_examples=40)
-    def test_intersect_many_matches_set(self, lists):
-        got = np_intersect_many(lists)
-        if not lists:
-            assert got.size == 0
-        else:
-            expected = set(lists[0].tolist())
-            for other in lists[1:]:
-                expected &= set(other.tolist())
-            assert got.tolist() == sorted(expected)
-
-    @given(
-        sorted_arrays,
-        st.integers(min_value=-1, max_value=201),
-        st.integers(min_value=-1, max_value=201),
-    )
-    def test_bounded_matches_comprehension(self, a, lo, hi):
-        got = np_bounded(a, lo, hi)
-        assert got.tolist() == [v for v in a.tolist() if lo < v < hi]
-
-    def test_empty_edges(self):
-        empty = np.empty(0, dtype=np.int64)
-        one = np.array([3], dtype=np.int64)
-        assert np_intersect(empty, one).size == 0
-        assert np_difference(empty, one).size == 0
-        assert np_difference(one, empty).tolist() == [3]
-        assert np_intersect_many([]).size == 0
 
 
 # ----------------------------------------------------------------------
@@ -143,11 +85,11 @@ class TestAcceleratedGraphView:
 
 
 # ----------------------------------------------------------------------
-# Accelerated counting == reference engine (unlabeled, edge-induced)
+# Batched counting == reference engine (unlabeled, edge-induced)
 # ----------------------------------------------------------------------
 
 
-class TestAcceleratedCount:
+class TestFrontierCount:
     @pytest.mark.parametrize(
         "pattern_fn",
         [
@@ -162,40 +104,40 @@ class TestAcceleratedCount:
     def test_agrees_with_reference(self, pattern_fn):
         g = barabasi_albert(300, 5, seed=9)
         p = pattern_fn()
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_random_graph_triangles(self, seed):
         g = erdos_renyi(40, 0.25, seed=seed)
-        assert accelerated_count(g, generate_clique(3)) == reference_count(
+        assert frontier_count(g, generate_clique(3)) == reference_count(
             g, generate_clique(3)
         )
 
     def test_single_edge_pattern(self):
         g = erdos_renyi(30, 0.2, seed=2)
-        assert accelerated_count(g, Pattern.from_edges([(0, 1)])) == g.num_edges
+        assert frontier_count(g, Pattern.from_edges([(0, 1)])) == g.num_edges
 
     def test_reusable_view(self):
         g = barabasi_albert(200, 4, seed=3)
         ordered, _ = g.degree_ordered()
         view = AcceleratedGraphView(ordered)
         for p in (generate_clique(3), generate_chain(3)):
-            assert accelerated_count(g, p, view=view) == reference_count(g, p)
+            assert frontier_count(g, p, view=view) == reference_count(g, p)
 
     def test_foreign_view_is_rebuilt_not_trusted(self):
         g = erdos_renyi(40, 0.3, seed=2)
         other = erdos_renyi(25, 0.2, seed=99)
         foreign = AcceleratedGraphView(other.degree_ordered()[0])
         p = generate_clique(3)
-        assert accelerated_count(g, p, view=foreign) == reference_count(g, p)
+        assert frontier_count(g, p, view=foreign) == reference_count(g, p)
 
     def test_rejects_labeled_pattern_on_unlabeled_graph(self):
         g = erdos_renyi(20, 0.3, seed=1)
         p = Pattern.from_edges([(0, 1)])
         p.set_label(0, 1)
         with pytest.raises(MatchingError):
-            accelerated_count(g, p)
+            frontier_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -208,14 +150,14 @@ class TestAntiConstraintParity:
         g = erdos_renyi(40, 0.25, seed=1)
         p = generate_chain(3)
         p.add_anti_edge(0, 2)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     def test_square_with_anti_diagonals(self):
         g = erdos_renyi(35, 0.3, seed=13)
         p = Pattern.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         p.add_anti_edge(0, 2)
         p.add_anti_edge(1, 3)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -223,20 +165,20 @@ class TestAntiConstraintParity:
         g = erdos_renyi(30, 0.25, seed=seed)
         p = generate_chain(4)
         p.add_anti_edge(0, 3)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_fuzz_maximal_cliques(self, seed):
         g = erdos_renyi(30, 0.3, seed=seed)
         p = maximal_clique_pattern(3)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     def test_anti_vertex_star(self):
         g = erdos_renyi(40, 0.2, seed=21)
         p = generate_star(3)
         p.add_anti_vertex([0, 1])
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -258,7 +200,7 @@ class TestVertexInducedParity:
     def test_agrees_with_reference_and_oracle(self, pattern_fn):
         g = erdos_renyi(30, 0.25, seed=17)
         p = pattern_fn()
-        got = accelerated_count(g, p, edge_induced=False)
+        got = frontier_count(g, p, edge_induced=False)
         assert got == reference_count(g, p, edge_induced=False)
         assert got == nx_count_vertex_induced(g, p)
 
@@ -267,7 +209,7 @@ class TestVertexInducedParity:
     def test_fuzz_vertex_induced_wedges(self, seed):
         g = erdos_renyi(30, 0.3, seed=seed)
         p = generate_star(3)
-        assert accelerated_count(g, p, edge_induced=False) == reference_count(
+        assert frontier_count(g, p, edge_induced=False) == reference_count(
             g, p, edge_induced=False
         )
 
@@ -297,7 +239,7 @@ class TestLabeledParity:
     def test_labeled_triangle(self, labels):
         g = with_random_labels(erdos_renyi(40, 0.25, seed=7), 3, seed=1)
         p = _labeled_pattern(generate_clique(3), labels)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @pytest.mark.parametrize(
         "labels",
@@ -306,25 +248,25 @@ class TestLabeledParity:
     def test_labeled_chain(self, labels):
         g = with_random_labels(erdos_renyi(40, 0.2, seed=11), 4, seed=2)
         p = _labeled_pattern(generate_chain(3), labels)
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
     def test_fuzz_labeled_stars(self, seed):
         g = with_random_labels(erdos_renyi(35, 0.2, seed=seed), 3, seed=seed)
         p = _labeled_pattern(generate_star(3), {0: seed % 3, 2: (seed + 1) % 3})
-        assert accelerated_count(g, p) == reference_count(g, p)
+        assert frontier_count(g, p) == reference_count(g, p)
 
     def test_labeled_vertex_induced_combination(self):
         g = with_random_labels(erdos_renyi(30, 0.25, seed=19), 3, seed=4)
         p = _labeled_pattern(generate_star(3), {0: 1, 1: 0, 2: 2})
-        got = accelerated_count(g, p, edge_induced=False)
+        got = frontier_count(g, p, edge_induced=False)
         assert got == reference_count(g, p, edge_induced=False)
 
     def test_label_absent_from_graph(self):
         g = with_random_labels(erdos_renyi(20, 0.3, seed=3), 2, seed=5)
         p = _labeled_pattern(generate_clique(3), {0: 7})
-        assert accelerated_count(g, p) == 0 == reference_count(g, p)
+        assert frontier_count(g, p) == 0 == reference_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -352,21 +294,21 @@ class TestCallbackParity:
     def test_same_matches_same_order(self, pattern_fn, kwargs):
         g = erdos_renyi(30, 0.25, seed=23)
         p = pattern_fn()
-        accel = _collect_matches(g, p, "accel", **kwargs)
+        batched = _collect_matches(g, p, "accel-batch", **kwargs)
         ref = _collect_matches(g, p, "reference", **kwargs)
-        assert accel == ref
+        assert batched == ref
 
     def test_labeled_callback_matches(self):
         g = with_random_labels(erdos_renyi(30, 0.25, seed=29), 3, seed=6)
         p = _labeled_pattern(generate_chain(3), {0: 0, 2: 1})
-        assert _collect_matches(g, p, "accel") == _collect_matches(
+        assert _collect_matches(g, p, "accel-batch") == _collect_matches(
             g, p, "reference"
         )
 
     def test_callback_count_equals_count(self):
         g = erdos_renyi(40, 0.2, seed=31)
         p = generate_clique(3)
-        assert len(_collect_matches(g, p, "accel")) == count(g, p)
+        assert len(_collect_matches(g, p, "accel-batch")) == count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -589,37 +531,15 @@ class TestDispatch:
         assert n == count(g, generate_clique(3))
         assert stats.partial_matches > 0  # reference engine ran
 
-    def test_force_accel_with_stats_raises(self):
-        g = erdos_renyi(20, 0.3, seed=1)
-        with pytest.raises(MatchingError):
-            count(g, generate_clique(3), stats=EngineStats(), engine="accel")
-
     def test_unknown_engine_rejected(self):
         g = erdos_renyi(10, 0.3, seed=1)
         with pytest.raises(ValueError):
             count(g, generate_clique(3), engine="warp-drive")
 
-    def test_forced_engines_agree(self):
-        g = with_random_labels(erdos_renyi(30, 0.25, seed=41), 3, seed=7)
-        p = _labeled_pattern(generate_star(3), {0: 1})
-        assert count(g, p, engine="accel") == count(g, p, engine="reference")
-
-    def test_engine_runs_against_oracle(self):
-        g = erdos_renyi(25, 0.3, seed=43)
-        p = generate_chain(3)
-        assert count(g, p, engine="accel") == nx_count_edge_induced(g, p)
-
-    def test_accel_preferred_heuristic(self):
-        from repro.core import accel_preferred
-
-        dense, _ = erdos_renyi(300, 0.6, seed=51).degree_ordered()
-        sparse, _ = erdos_renyi(300, 0.05, seed=51).degree_ordered()
-        clique_plan = generate_plan(generate_clique(3))
-        chain_plan = generate_plan(generate_chain(3))
-        assert accel_preferred(dense, clique_plan)  # dense + real core
-        assert not accel_preferred(sparse, clique_plan)  # sparse graph
-        # single-vertex core (tail-count dominated) stays on the interpreter
-        assert not accel_preferred(dense, chain_plan)
+    def test_removed_per_match_engine_rejected(self):
+        g = erdos_renyi(10, 0.3, seed=1)
+        with pytest.raises(ValueError, match="accel-batch"):
+            count(g, generate_clique(3), engine="accel")
 
     def test_batch_preferred_heuristic(self):
         from repro.core import batch_preferred
@@ -653,16 +573,15 @@ class TestDispatch:
 
 
 # ----------------------------------------------------------------------
-# Controls on the vectorized engines (guardrail dispatch parity)
+# Controls on the batched engine (guardrail dispatch parity)
 # ----------------------------------------------------------------------
 
 
 class TestControlDispatch:
-    """Control-bearing calls qualify for the vectorized engines.
+    """Control-bearing calls qualify for the batched engine.
 
-    The engines poll the control cooperatively (per start / per core
-    match in ``accel``, per frontier block and emitted match in
-    ``accel-batch``), so a control must change neither dispatch nor —
+    The engine polls the control cooperatively (per frontier block and
+    emitted match), so a control must change neither dispatch nor —
     while it stays un-stopped — the matches or their order.
     """
 
@@ -678,26 +597,25 @@ class TestControlDispatch:
             )
             assert controlled == bare
 
-    @pytest.mark.parametrize("engine", ["accel", "accel-batch"])
-    def test_forced_engine_accepts_control(self, engine):
+    def test_forced_engine_accepts_control(self):
         from repro.core.session import MiningSession
 
         g = erdos_renyi(30, 0.25, seed=23)
         p = generate_clique(3)
         session = MiningSession(g)
-        n = session.count(p, engine=engine, control=ExplorationControl())
+        n = session.count(p, engine="accel-batch", control=ExplorationControl())
         assert n == session.count(p, engine="reference")
 
     def test_callback_order_parity_with_control(self):
         g = erdos_renyi(30, 0.25, seed=23)
         p = generate_clique(3)
         ref = _collect_matches(g, p, "reference")
-        accel = _collect_matches(
-            g, p, "accel", control=ExplorationControl()
+        batched = _collect_matches(
+            g, p, "accel-batch", control=ExplorationControl()
         )
-        assert accel == ref
+        assert batched == ref
 
-    def test_stopped_control_terminates_accel_early(self):
+    def test_stopped_control_terminates_batched_run_early(self):
         g = erdos_renyi(30, 0.25, seed=23)
         p = generate_clique(3)
         full = count(g, p, engine="reference")
@@ -709,28 +627,5 @@ class TestControlDispatch:
             seen.append(m.mapping)
             control.stop()
 
-        match(g, p, stop_now, control=control, engine="accel")
+        match(g, p, stop_now, control=control, engine="accel-batch")
         assert 1 <= len(seen) < full
-
-
-# ----------------------------------------------------------------------
-# Direct AcceleratedEngine API (start-vertex slicing for the runtime)
-# ----------------------------------------------------------------------
-
-
-class TestEngineSlicing:
-    def test_strided_starts_partition_the_count(self):
-        g = erdos_renyi(50, 0.2, seed=47)
-        ordered, _ = g.degree_ordered()
-        plan = generate_plan(generate_clique(3))
-        view = shared_view(ordered)
-        total = AcceleratedEngine(view).run(plan, count_only=True)
-        strided = sum(
-            AcceleratedEngine(view).run(
-                plan,
-                start_vertices=range(ordered.num_vertices - 1 - off, -1, -3),
-                count_only=True,
-            )
-            for off in range(3)
-        )
-        assert strided == total == reference_count(g, generate_clique(3))

@@ -336,12 +336,23 @@ class TestGuardFlags:
                  "--processes", "2", "--max-matches", "5"]
             )
 
-    def test_deadline_with_static_schedule_rejected(self):
-        with pytest.raises(SystemExit, match="dynamic"):
-            run_cli(
-                ["count", *MICO, "--pattern", "clique:3", "--processes",
-                 "2", "--schedule", "static", "--deadline", "1"]
-            )
+    def test_elapsed_deadline_stops_a_static_process_run(self):
+        # Static stride chunks drain through the same lease board, so a
+        # deadline cancels them and reports the truncation.
+        code, out = run_cli(
+            ["count", *MICO, "--pattern", "clique:3", "--processes",
+             "2", "--schedule", "static", "--deadline", "0.000001"]
+        )
+        assert code == 0
+        assert "matches: 0" in out
+        assert "truncated: cancelled" in out
+
+    @pytest.mark.parametrize("verb", ["count", "explain", "motifs", "fsm"])
+    def test_removed_accel_engine_is_not_a_choice(self, verb, capsys):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args([verb, *MICO, "--engine", "accel"])
+        assert info.value.code == 2
+        assert "accel-batch" in capsys.readouterr().err
 
     def test_motifs_refused_exits_nonzero(self, monkeypatch):
         from repro.runtime import guards

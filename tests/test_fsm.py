@@ -102,19 +102,17 @@ class TestSymmetryBreakingAblation:
 
 
 class TestEngineParity:
-    def test_batched_domains_match_per_match_fallback(self):
+    def test_batched_domains_match_per_match_oracle(self, monkeypatch):
         """The vectorized group-by computes the per-match path's tables."""
         import sys
 
         fsm_mod = sys.modules["repro.mining.fsm"]
         g = with_random_labels(erdos_renyi(40, 0.2, seed=31), 2, seed=9)
         batched = fsm(g, 2, 2)
-        saved = fsm_mod._np
-        fsm_mod._np = None  # force the per-match callback fallback
-        try:
-            per_match = fsm(g, 2, 2)
-        finally:
-            fsm_mod._np = saved
+        monkeypatch.setattr(
+            fsm_mod, "_discover_round", fsm_mod._discover_round_per_match
+        )
+        per_match = fsm(g, 2, 2)
         batched_set = {
             (canonical_code(p), s) for p, s in batched.frequent.items()
         }

@@ -439,7 +439,7 @@ class TestParallelAggregate:
             )
         with pytest.raises(MatchingError, match="not available under threads"):
             session.aggregate(
-                generate_clique(3), map_fn, num_threads=2, engine="accel"
+                generate_clique(3), map_fn, num_threads=2, engine="fused"
             )
 
     def test_threaded_on_update_sees_cumulative_totals(self):

@@ -28,11 +28,6 @@ from repro.runtime import (
 )
 
 
-def _boom(_args):
-    """A picklable stand-in worker that fails mid-run."""
-    raise RuntimeError("worker exploded")
-
-
 def _boom_worker(*_args):
     """Tolerant-worker stand-in: dies in every spawned child.
 
@@ -222,6 +217,31 @@ class TestParallelMatchEngines:
         assert result.matches == expected
 
 
+SHARE_MODES = ("fork", "mmap")
+SCHEDULES = ("dynamic", "static")
+
+
+def _skip_unless_fork_available(share_mode):
+    if share_mode == "fork":
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+
+
+def _near_forest():
+    """A graph below the batched crossover (avg degree < 2)."""
+    from repro.core import batch_preferred, generate_plan
+    from repro.pattern import generate_chain
+
+    g = erdos_renyi(300, 0.005, seed=3)
+    ordered, _ = g.degree_ordered()
+    p = generate_chain(3)
+    assert not batch_preferred(ordered, generate_plan(p))
+    assert count(g, p, engine="reference") > 0
+    return g, p
+
+
 class TestProcessCount:
     def test_matches_sequential(self):
         g = erdos_renyi(60, 0.15, seed=6)
@@ -239,19 +259,36 @@ class TestProcessCount:
         )
         assert got == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap", "pickle"])
-    def test_share_modes_agree(self, share_mode):
-        if share_mode == "fork":
-            import multiprocessing
-
-            if "fork" not in multiprocessing.get_all_start_methods():
-                pytest.skip("fork start method unavailable")
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
+    def test_share_modes_agree(self, share_mode, schedule):
+        _skip_unless_fork_available(share_mode)
         g = erdos_renyi(60, 0.15, seed=6)
         expected = count(g, generate_clique(3))
         got = process_count(
-            g, generate_clique(3), num_processes=3, share_mode=share_mode
+            g,
+            generate_clique(3),
+            num_processes=3,
+            share_mode=share_mode,
+            schedule=schedule,
         )
         assert got == expected
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
+    def test_is_the_one_pattern_case_of_count_many(self, share_mode, schedule):
+        """``process_count(g, p)`` is ``process_count_many(g, [p])[p]`` —
+        on a batched-regime graph and on a near-forest one (avg degree
+        < 2, below the sequential crossover: workers still run the fused
+        engine, which beat the interpreter there), pinned to the
+        interpreter oracle."""
+        _skip_unless_fork_available(share_mode)
+        kw = dict(num_processes=2, share_mode=share_mode, schedule=schedule)
+        dense = (erdos_renyi(60, 0.15, seed=6), generate_clique(3))
+        for g, p in (dense, _near_forest()):
+            expected = count(g, p, engine="reference")
+            assert process_count(g, p, **kw) == expected
+            assert process_count_many(g, [p], **kw) == {p: expected}
 
     def test_shared_labeled_graph(self):
         from repro.graph import with_random_labels
@@ -264,39 +301,25 @@ class TestProcessCount:
         expected = count(g, p)
         assert process_count(g, p, num_processes=2) == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
-    def test_dense_graph_uses_accelerated_workers(self, share_mode):
-        """Dense regime: workers must run the vectorized engine path."""
-        import multiprocessing
-
-        from repro.core import accel_preferred, generate_plan
-
-        if share_mode == "fork" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            pytest.skip("fork start method unavailable")
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
+    def test_dense_graph_workers_agree(self, share_mode):
+        """Dense regime: hub vertices clear the roaring threshold, so
+        workers probe membership through the packed bit rows."""
+        _skip_unless_fork_available(share_mode)
         g = erdos_renyi(200, 0.7, seed=13)
-        ordered, _ = g.degree_ordered()
-        plan = generate_plan(generate_clique(3))
-        assert accel_preferred(ordered, plan)  # guard: accel path engaged
         expected = count(g, generate_clique(3))
         got = process_count(
             g, generate_clique(3), num_processes=2, share_mode=share_mode
         )
         assert got == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_dense_labeled_graph_shares_label_arrays(self, share_mode):
-        """Labels must survive CSR sharing into accelerated workers."""
-        import multiprocessing
-
+        """Labels must survive graph sharing into the workers."""
         from repro.graph import with_random_labels
         from repro.pattern import generate_clique as clique
 
-        if share_mode == "fork" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            pytest.skip("fork start method unavailable")
+        _skip_unless_fork_available(share_mode)
         g = with_random_labels(erdos_renyi(200, 0.7, seed=17), 3, seed=3)
         p = clique(3)
         p.set_label(0, 1)
@@ -305,17 +328,12 @@ class TestProcessCount:
         got = process_count(g, p, num_processes=2, share_mode=share_mode)
         assert got == expected
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_moderate_density_uses_batched_workers(self, share_mode):
-        """The batched tier engages far below the old 128 crossover."""
-        import multiprocessing
-
+        """The batched tier engages at single-digit average degree."""
         from repro.core import batch_preferred, generate_plan
 
-        if share_mode == "fork" and (
-            "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            pytest.skip("fork start method unavailable")
+        _skip_unless_fork_available(share_mode)
         g = erdos_renyi(80, 0.1, seed=21)  # avg degree ~8
         ordered, _ = g.degree_ordered()
         plan = generate_plan(generate_clique(3))
@@ -339,115 +357,68 @@ class TestProcessCount:
         for procs in (2, 3):
             assert process_count(g, p, num_processes=procs) == expected
 
-    def test_unknown_share_mode_rejected(self):
+    @pytest.mark.parametrize(
+        "share_mode", ["shm", "pickle", "carrier-pigeon"]
+    )
+    @pytest.mark.parametrize("num_processes", [1, 2])
+    def test_unknown_share_mode_rejected(self, share_mode, num_processes):
+        """Exactly ``None``/``"fork"``/``"mmap"`` are accepted — the
+        removed modes fail loudly even when the pool degenerates."""
         g = erdos_renyi(20, 0.3, seed=2)
-        with pytest.raises(ValueError):
-            process_count(
-                g, generate_clique(3), num_processes=2, share_mode="carrier-pigeon"
-            )
+        kw = dict(num_processes=num_processes, share_mode=share_mode)
+        with pytest.raises(ValueError, match="fork"):
+            process_count(g, generate_clique(3), **kw)
+        with pytest.raises(ValueError, match="fork"):
+            process_count_many(g, [generate_clique(3)], **kw)
 
-    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
-    def test_pickle_fallback_counts_identical(self, schedule):
-        """The numpy-free pickle mode must agree with the CSR modes.
-
-        Regression guard for the share-mode matrix: a labeled pattern
-        with an anti-edge exercises label filtering, the anti-edge
-        kernels and the reference-engine worker path all at once.
-        """
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_labeled_anti_edge_pattern_agrees_across_modes(self, schedule):
+        """A labeled pattern with an anti-edge exercises label filtering
+        and the anti-edge membership kernels in the workers at once."""
         g = with_random_labels(erdos_renyi(50, 0.18, seed=12), 3, seed=7)
         p = Pattern.from_edges([(0, 1), (1, 2)], anti_edges=[(0, 2)])
         p.set_label(1, 1)
         expected = count(g, p, engine="reference")
-        for mode in ("pickle", "fork", "shm", "mmap"):
+        for mode in SHARE_MODES:
             got = process_count(
                 g, p, num_processes=3, share_mode=mode, schedule=schedule
             )
             assert got == expected, (mode, schedule)
 
+    def test_non_fork_platform_defaults_to_mmap_under_spawn(
+        self, monkeypatch
+    ):
+        """Where fork is missing the default handle is the ``.rgx`` path
+        and workers are spawned: everything they receive must pickle."""
+        import multiprocessing
+
+        recorded = []
+        original = parallel._mmap_store
+
+        def recording(session):
+            recorded.append(original(session))
+            return recorded[-1]
+
+        monkeypatch.setattr(parallel, "_mmap_store", recording)
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn"]
+        )
+        g = erdos_renyi(40, 0.2, seed=6)
+        expected = count(g, generate_clique(3))
+        assert process_count(g, generate_clique(3), num_processes=2) == expected
+        assert recorded and not os.path.exists(recorded[0][0])
+
 
 class TestProcessCountFailurePaths:
-    """Workers dying mid-run must not leak shared-memory segments."""
+    """Workers dying mid-run must not leak the mmap spill file."""
 
-    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
-    def test_shm_segments_unlinked_when_worker_raises(
-        self, monkeypatch, schedule
-    ):
-        from multiprocessing import shared_memory
-
-        from repro.runtime import parallel as parallel_module
-
-        g = erdos_renyi(40, 0.2, seed=3)
-        recorded: list[str] = []
-        original = parallel_module._shm_segments
-
-        def recording(view):
-            segments, meta = original(view)
-            recorded.extend(name for name, _ in meta.values() if name)
-            return segments, meta
-
-        monkeypatch.setattr(parallel_module, "_shm_segments", recording)
-        # Under the fork start method the children inherit the patched
-        # module.  Dynamic workers dying surfaces as WorkerCrashError
-        # after the requeue retries run dry; static pool workers raising
-        # propagates the exception itself.
-        if schedule == "dynamic":
-            from repro.errors import WorkerCrashError
-
-            monkeypatch.setattr(
-                parallel_module, "_tolerant_worker", _boom_worker
-            )
-            expectation = pytest.raises(WorkerCrashError)
-        else:
-            monkeypatch.setattr(parallel_module, "_batch_count_slice", _boom)
-            expectation = pytest.raises(RuntimeError, match="worker exploded")
-        with expectation:
-            process_count(
-                g,
-                generate_clique(3),
-                num_processes=2,
-                share_mode="shm",
-                schedule=schedule,
-            )
-        assert recorded, "shm mode allocated no segments"
-        for name in recorded:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_shm_segments_unlinked_on_success_too(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.runtime import parallel as parallel_module
-
-        g = erdos_renyi(40, 0.2, seed=4)
-        recorded: list[str] = []
-        original = parallel_module._shm_segments
-
-        def recording(view):
-            segments, meta = original(view)
-            recorded.extend(name for name, _ in meta.values() if name)
-            return segments, meta
-
-        monkeypatch.setattr(parallel_module, "_shm_segments", recording)
-        expected = count(g, generate_clique(3))
-        assert process_count(
-            g, generate_clique(3), num_processes=2, share_mode="shm"
-        ) == expected
-        assert recorded
-        for name in recorded:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_mmap_spill_unlinked_when_worker_raises(
         self, monkeypatch, schedule
     ):
-        import os
-
-        from repro.runtime import parallel as parallel_module
-
         g = erdos_renyi(40, 0.2, seed=3)
         recorded: list[str] = []
-        original = parallel_module._mmap_store
+        original = parallel._mmap_store
 
         def recording(session):
             path, is_temp = original(session)
@@ -455,18 +426,12 @@ class TestProcessCountFailurePaths:
             recorded.append(path)
             return path, is_temp
 
-        monkeypatch.setattr(parallel_module, "_mmap_store", recording)
-        if schedule == "dynamic":
-            from repro.errors import WorkerCrashError
-
-            monkeypatch.setattr(
-                parallel_module, "_tolerant_worker", _boom_worker
-            )
-            expectation = pytest.raises(WorkerCrashError)
-        else:
-            monkeypatch.setattr(parallel_module, "_batch_count_slice", _boom)
-            expectation = pytest.raises(RuntimeError, match="worker exploded")
-        with expectation:
+        monkeypatch.setattr(parallel, "_mmap_store", recording)
+        # Under the fork start method the children inherit the patched
+        # module; workers dying surfaces as WorkerCrashError after the
+        # requeue retries run dry — under either schedule.
+        monkeypatch.setattr(parallel, "_tolerant_worker", _boom_worker)
+        with pytest.raises(WorkerCrashError):
             process_count(
                 g,
                 generate_clique(3),
@@ -478,24 +443,25 @@ class TestProcessCountFailurePaths:
         for path in recorded:
             assert not os.path.exists(path)
 
-    def test_mmap_spill_unlinked_on_success_too(self, monkeypatch):
-        import os
-
-        from repro.runtime import parallel as parallel_module
-
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_mmap_spill_unlinked_on_success_too(self, monkeypatch, schedule):
         g = erdos_renyi(40, 0.2, seed=4)
         recorded: list[str] = []
-        original = parallel_module._mmap_store
+        original = parallel._mmap_store
 
         def recording(session):
             path, is_temp = original(session)
             recorded.append(path)
             return path, is_temp
 
-        monkeypatch.setattr(parallel_module, "_mmap_store", recording)
+        monkeypatch.setattr(parallel, "_mmap_store", recording)
         expected = count(g, generate_clique(3))
         assert process_count(
-            g, generate_clique(3), num_processes=2, share_mode="mmap"
+            g,
+            generate_clique(3),
+            num_processes=2,
+            share_mode="mmap",
+            schedule=schedule,
         ) == expected
         assert recorded
         for path in recorded:
@@ -523,44 +489,55 @@ class TestProcessCountFailurePaths:
         ) == expected
         assert path.exists()  # reused files are never unlinked
 
-    def test_many_shm_segments_unlinked_when_worker_raises(self, monkeypatch):
-        from multiprocessing import shared_memory
-
-        from repro.runtime import parallel as parallel_module
-
+    def test_many_mmap_spill_unlinked_when_worker_raises(self, monkeypatch):
         g = erdos_renyi(40, 0.2, seed=5)
         recorded: list[str] = []
-        original = parallel_module._shm_segments
+        original = parallel._mmap_store
 
-        def recording(view):
-            segments, meta = original(view)
-            recorded.extend(name for name, _ in meta.values() if name)
-            return segments, meta
+        def recording(session):
+            path, is_temp = original(session)
+            recorded.append(path)
+            return path, is_temp
 
-        monkeypatch.setattr(parallel_module, "_shm_segments", recording)
-        from repro.errors import WorkerCrashError
-
-        monkeypatch.setattr(
-            parallel_module, "_tolerant_worker_many", _boom_worker
-        )
+        monkeypatch.setattr(parallel, "_mmap_store", recording)
+        monkeypatch.setattr(parallel, "_tolerant_worker", _boom_worker)
         with pytest.raises(WorkerCrashError):
             process_count_many(
                 g,
                 generate_all_vertex_induced(3),
                 num_processes=2,
                 edge_induced=False,
-                share_mode="shm",
+                share_mode="mmap",
             )
         assert recorded
-        for name in recorded:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        for path in recorded:
+            assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
+    def test_no_shared_memory_segment_is_left_behind(
+        self, share_mode, monkeypatch
+    ):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        _skip_unless_fork_available(share_mode)
+        before = set(os.listdir("/dev/shm"))
+        g = erdos_renyi(40, 0.2, seed=4)
+        process_count(
+            g, generate_clique(3), num_processes=2, share_mode=share_mode
+        )
+        monkeypatch.setattr(parallel, "_tolerant_worker", _boom_worker)
+        with pytest.raises(WorkerCrashError):
+            process_count(
+                g, generate_clique(3), num_processes=2, share_mode=share_mode
+            )
+        assert set(os.listdir("/dev/shm")) <= before
 
 
 class TestProcessCountMany:
-    @pytest.mark.parametrize("schedule", ["dynamic", "static"])
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_census_pins_sequential(self, schedule, share_mode):
+        _skip_unless_fork_available(share_mode)
         g = erdos_renyi(70, 0.12, seed=8)
         motifs = generate_all_vertex_induced(3)
         expected = MiningSession(g).count_many(motifs, edge_induced=False)
@@ -591,7 +568,7 @@ class TestProcessCountMany:
         patterns.append(generate_clique(3))  # unlabeled group
         session = MiningSession(g)
         expected = session.count_many(patterns)
-        for schedule in ("dynamic", "static"):
+        for schedule in SCHEDULES:
             got = process_count_many(
                 g, patterns, num_processes=2, schedule=schedule, chunk_hint=2
             )
@@ -641,21 +618,6 @@ class TestProcessCountMany:
             g, motifs, num_processes=1, edge_induced=False
         ) == MiningSession(g).count_many(motifs, edge_induced=False)
 
-    def test_unsupported_share_mode_rejected(self):
-        g = erdos_renyi(20, 0.3, seed=14)
-        with pytest.raises(ValueError):
-            process_count_many(
-                g, [generate_clique(3)], num_processes=2, share_mode="pickle"
-            )
-
-
-def _skip_unless_fork_available(share_mode):
-    if share_mode == "fork":
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-
 
 class TestFaultInjection:
     """Deterministic crash tolerance via the REPRO_FAULT_WORKER_DIE knob.
@@ -666,52 +628,64 @@ class TestFaultInjection:
     pinned-worker spec ("0:0") fires once and the requeued chunk lands
     on a fresh id — the recovery path — while a pinned-chunk spec
     ("*:1") kills every worker that ever leases chunk 1 and exhausts
-    the retry budget — the poison path.
+    the retry budget — the poison path.  Static schedules drain their
+    stride chunks through the same lease board, so they share the whole
+    failure contract.
     """
 
-    PATTERN_KW = dict(num_processes=2, schedule="dynamic", chunk_hint=4)
+    PATTERN_KW = dict(num_processes=2, chunk_hint=4)
 
     def _graph_and_expected(self):
         g = erdos_renyi(60, 0.15, seed=6)
         return g, count(g, generate_clique(3))
 
-    @pytest.mark.parametrize("share_mode", ["fork", "shm", "mmap", "pickle"])
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_worker_death_recovers_to_exact_count(
-        self, share_mode, monkeypatch
+        self, share_mode, schedule, monkeypatch
     ):
         _skip_unless_fork_available(share_mode)
         g, expected = self._graph_and_expected()
         monkeypatch.setenv(parallel.FAULT_ENV, "0:0")
         got = process_count(
-            g, generate_clique(3), share_mode=share_mode, **self.PATTERN_KW
+            g,
+            generate_clique(3),
+            share_mode=share_mode,
+            schedule=schedule,
+            **self.PATTERN_KW,
         )
         assert got == expected
 
-    def test_always_dying_worker_id_still_recovers(self, monkeypatch):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_always_dying_worker_id_still_recovers(self, schedule, monkeypatch):
         # "0:*" kills worker id 0 on its first lease; every later spawn
         # gets a fresh id, so the whole frontier still completes exactly.
         g, expected = self._graph_and_expected()
         monkeypatch.setenv(parallel.FAULT_ENV, "0:*")
-        got = process_count(g, generate_clique(3), **self.PATTERN_KW)
+        got = process_count(
+            g, generate_clique(3), schedule=schedule, **self.PATTERN_KW
+        )
         assert got == expected
 
-    def test_poison_chunk_exhausts_retries(self, monkeypatch):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_poison_chunk_exhausts_retries(self, schedule, monkeypatch):
         g, expected = self._graph_and_expected()
         monkeypatch.setenv(parallel.FAULT_ENV, "*:1")
         with pytest.raises(WorkerCrashError) as info:
-            process_count(g, generate_clique(3), **self.PATTERN_KW)
+            process_count(
+                g, generate_clique(3), schedule=schedule, **self.PATTERN_KW
+            )
         partial = info.value.partial
         assert partial.truncated
         assert partial.detail["failed_chunks"] == [1]
         # Every chunk except the poisoned one was still counted exactly.
         assert 0 < partial < expected
 
-    def test_mmap_spill_cleaned_up_after_recovery(self, monkeypatch, tmp_path):
-        from repro.runtime import parallel as parallel_module
-
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_mmap_spill_cleaned_up_after_recovery(self, schedule, monkeypatch):
         g, expected = self._graph_and_expected()
         recorded: list[str] = []
-        original = parallel_module._mmap_store
+        original = parallel._mmap_store
 
         def recording(session):
             path, is_temp = original(session)
@@ -719,17 +693,22 @@ class TestFaultInjection:
                 recorded.append(path)
             return path, is_temp
 
-        monkeypatch.setattr(parallel_module, "_mmap_store", recording)
+        monkeypatch.setattr(parallel, "_mmap_store", recording)
         monkeypatch.setenv(parallel.FAULT_ENV, "0:0")
         got = process_count(
-            g, generate_clique(3), share_mode="mmap", **self.PATTERN_KW
+            g,
+            generate_clique(3),
+            share_mode="mmap",
+            schedule=schedule,
+            **self.PATTERN_KW,
         )
         assert got == expected
         assert recorded  # a temp spill happened...
         for path in recorded:
             assert not os.path.exists(path)  # ...and was unlinked
 
-    def test_count_many_recovers_to_exact_totals(self, monkeypatch):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_count_many_recovers_to_exact_totals(self, schedule, monkeypatch):
         g = erdos_renyi(40, 0.2, seed=5)
         patterns = generate_all_vertex_induced(3)
         expected = {
@@ -741,7 +720,7 @@ class TestFaultInjection:
             patterns,
             num_processes=2,
             edge_induced=False,
-            schedule="dynamic",
+            schedule=schedule,
             chunk_hint=4,
         )
         assert got == expected
@@ -753,15 +732,33 @@ class TestFaultInjection:
             process_count(g, generate_clique(3), **self.PATTERN_KW)
 
 
+class _StopsAfterPolls(ExplorationControl):
+    """A cancel token that fires on its ``polls``-th ``stopped`` read."""
+
+    def __init__(self, polls):
+        super().__init__()
+        self._polls_left = polls
+
+    @property
+    def stopped(self):
+        self._polls_left -= 1
+        if self._polls_left <= 0:
+            self.stop()
+        return super().stopped
+
+
 class TestCancellation:
-    def test_pre_stopped_cancel_raises_with_all_chunks_pending(self):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_pre_stopped_cancel_raises_with_all_chunks_pending(self, schedule):
+        """Static gets leases too: cancel stops it and reports what is
+        pending, exactly like the dynamic schedule."""
         g = erdos_renyi(60, 0.15, seed=6)
         with pytest.raises(QueryCancelledError) as info:
             process_count(
                 g,
                 generate_clique(3),
                 num_processes=2,
-                schedule="dynamic",
+                schedule=schedule,
                 chunk_hint=4,
                 cancel=DeadlineControl(0.0),
             )
@@ -771,28 +768,93 @@ class TestCancellation:
         assert partial.detail["pending_chunks"] > 0
         assert partial.detail["pending_chunks"] == partial.detail["num_chunks"]
 
-    def test_unstopped_cancel_changes_nothing(self):
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_mid_run_cancel_stops_workers_inside_their_chunks(self, schedule):
+        # Many seconds of exact work, cancelled ~100 ms into the drain
+        # (50 bridge polls at 2 ms): the token lands while every worker
+        # is inside a chunk, so only the engines' own polling stops them.
+        g = erdos_renyi(500, 0.4, seed=6)
+        p = generate_clique(5)
+        with pytest.raises(QueryCancelledError) as info:
+            process_count(
+                g,
+                p,
+                num_processes=2,
+                schedule=schedule,
+                cancel=_StopsAfterPolls(50),
+            )
+        partial = info.value.partial
+        assert partial.truncated and partial.reason == "cancelled"
+        assert 1 <= partial.detail["pending_chunks"]
+        assert partial.detail["pending_chunks"] <= partial.detail["num_chunks"]
+        # Only fully-counted chunks are summed, so the partial can never
+        # exceed the exact answer.
+        assert partial == sum(partial.detail["totals"])
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_unstopped_cancel_changes_nothing(self, schedule):
         g = erdos_renyi(60, 0.15, seed=6)
         expected = count(g, generate_clique(3))
         got = process_count(
             g,
             generate_clique(3),
             num_processes=2,
-            schedule="dynamic",
+            schedule=schedule,
             cancel=ExplorationControl(),
         )
         assert got == expected
 
-    def test_cancel_requires_dynamic_schedule(self):
-        g = erdos_renyi(30, 0.2, seed=6)
-        with pytest.raises(ValueError, match="dynamic"):
-            process_count(
-                g,
-                generate_clique(3),
-                num_processes=2,
-                schedule="static",
-                cancel=ExplorationControl(),
-            )
+    def test_cancel_honored_when_the_pool_degenerates_to_one_process(self):
+        """Regression: ``num_processes=1`` (asked for, or capped by the
+        guard/plan) used to drop the token and return the full count."""
+        g = erdos_renyi(80, 0.2, seed=1)
+        p = generate_clique(3)
+        assert count(g, p) == 668
+        stopped = ExplorationControl()
+        stopped.stop()
+        with pytest.raises(QueryCancelledError) as info:
+            process_count(g, p, num_processes=1, cancel=stopped)
+        partial = info.value.partial
+        assert partial.truncated and partial < 668
+        assert partial.detail["pending_chunks"] == 1
+        with pytest.raises(QueryCancelledError) as info:
+            process_count_many(g, [p], num_processes=1, cancel=stopped)
+        assert info.value.partial.detail["totals"] == [int(info.value.partial)]
+        # An un-stopped token still changes nothing.
+        assert process_count(
+            g, p, num_processes=1, cancel=ExplorationControl()
+        ) == 668
+
+    def test_in_process_cancel_raises_only_when_an_engine_saw_the_stop(
+        self, monkeypatch
+    ):
+        """A token that fires *after* a fully completed in-process run
+        (a deadline elapsing on the way out) leaves the exact result —
+        the pooled path likewise raises only with chunks pending."""
+        g = erdos_renyi(80, 0.2, seed=1)
+        cancel = ExplorationControl()
+        real = MiningSession.count_many
+
+        def then_fire(self, *args, **kwargs):
+            counts = real(self, *args, **kwargs)
+            cancel.stop()
+            return counts
+
+        monkeypatch.setattr(MiningSession, "count_many", then_fire)
+        assert process_count(
+            g, generate_clique(3), num_processes=1, cancel=cancel
+        ) == 668
+        assert cancel.stopped
+
+    def test_in_process_cancel_totals_are_per_plan_with_duplicates(self):
+        g = erdos_renyi(80, 0.2, seed=1)
+        p, q = generate_clique(3), pattern_p1()
+        stopped = ExplorationControl()
+        stopped.stop()
+        with pytest.raises(QueryCancelledError) as info:
+            process_count_many(g, [p, q, p], num_processes=1, cancel=stopped)
+        totals = info.value.partial.detail["totals"]
+        assert len(totals) == 3 and totals[0] == totals[2]
 
 
 class TestAggregatorThread:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,6 @@ from repro.runtime import (
     ChunkLedger,
     parallel_match,
     process_count,
-    static_slices,
     weighted_boundaries,
 )
 
@@ -115,10 +115,33 @@ class TestChunkLedger:
         assert ledger.num_tasks == 0
 
 
-def test_static_slices_cover_everything_once():
-    slices = static_slices(list(range(103)), 4)
-    assert len(slices) == 4
-    assert sorted(v for s in slices for v in s) == list(range(103))
+class TestStridedLedger:
+    """``schedule="static"`` is a ledger shape: chunk i == order[i::P]."""
+
+    @pytest.mark.parametrize("num_workers", [1, 3, 4, 7])
+    @pytest.mark.parametrize(
+        "make_order",
+        [
+            lambda n: list(range(n)),
+            lambda n: range(n - 1, -1, -1),
+            lambda n: np.arange(n - 1, -1, -1, dtype=np.int64),
+        ],
+        ids=["list", "range", "numpy"],
+    )
+    @pytest.mark.parametrize("n", [0, 2, 5, 103])
+    def test_chunks_are_stride_slices(self, n, make_order, num_workers):
+        order = make_order(n)
+        ledger = ChunkLedger.strided(order, num_workers)
+        assert len(ledger) == min(num_workers, n)
+        assert ledger.num_tasks == n
+        for i in range(len(ledger)):
+            assert list(ledger.chunk(i)) == list(order[i::num_workers])
+        covered = [v for i in range(len(ledger)) for v in ledger.chunk(i)]
+        assert sorted(covered) == sorted(order)
+
+    def test_numpy_order_stays_an_array(self):
+        ledger = ChunkLedger.strided(np.arange(10, dtype=np.int64), 3)
+        assert isinstance(ledger.chunk(0), np.ndarray)
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +241,9 @@ class TestThreadScheduleParity:
             assert result.matches == fired[0]
             assert result.matches < total
 
-    def test_static_schedule_skips_the_shared_queue(self):
-        # Static pre-assignment must still produce per-thread accounting
-        # that sums to the total.
+    def test_static_schedule_accounts_per_thread(self):
+        # Stride chunks drained through the shared cursor must still
+        # produce per-thread accounting that sums to the total.
         g = erdos_renyi(60, 0.15, seed=5)
         result = parallel_match(
             g, generate_clique(3), num_threads=3, schedule="static"

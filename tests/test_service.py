@@ -491,6 +491,44 @@ class TestDispatch:
         )
         assert response["error"]["code"] == "invalid_request"
 
+    @pytest.mark.parametrize("verb", ["count", "match", "exists"])
+    def test_removed_accel_engine_is_a_bad_option(self, service, verb):
+        response = run(
+            service.handle(
+                {"verb": verb, "graph": "g", "pattern": "clique:3",
+                 "options": {"engine": "accel"}}
+            )
+        )
+        assert not response["ok"]
+        assert response["error"]["code"] == "invalid_request"
+        assert response["error"]["status"] == 400
+        assert "accel-batch" in response["error"]["message"]
+
+    @pytest.mark.parametrize("verb", ["count", "match", "exists"])
+    def test_fused_engine_is_a_bad_option_on_single_pattern_verbs(
+        self, service, verb
+    ):
+        """``fused`` is only a multi-pattern engine: single-pattern verbs
+        answer 400, not the session's ValueError as a 500."""
+        response = run(
+            service.handle(
+                {"verb": verb, "graph": "g", "pattern": "clique:3",
+                 "options": {"engine": "fused"}}
+            )
+        )
+        assert response["error"]["code"] == "invalid_request"
+        assert response["error"]["status"] == 400
+        assert "fused" not in response["error"]["message"].split("got")[0]
+
+    def test_fused_engine_accepted_by_motifs(self, service):
+        response = run(
+            service.handle(
+                {"verb": "motifs", "graph": "g", "size": 3,
+                 "options": {"engine": "fused"}}
+            )
+        )
+        assert response["ok"], response
+
     def test_bad_budget_field(self, service):
         response = run(
             service.handle(
@@ -736,7 +774,7 @@ class TestPlanEcho:
         assert auto["result"]["count"] == truth.count(generate_clique(3))
         assert "plan" not in fixed["result"]
         echoed = auto["result"]["plan"]
-        assert echoed["engine"] in ("reference", "accel", "accel-batch")
+        assert echoed["engine"] in ("reference", "accel-batch")
         assert echoed["schedule"] in ("static", "dynamic")
         assert echoed["estimate"]["frontier_size"] > 0
         assert echoed["reasons"]

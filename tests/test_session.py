@@ -391,36 +391,21 @@ class TestSessionEarlyTermination:
         # The batched engine's count equals the callbacks actually fired.
         assert total == 4
 
-    def test_forced_per_match_engine_honors_control(self):
-        # Control-bearing calls now qualify for the vectorized engines:
-        # the per-match engine polls the control per start vertex and per
-        # core match, so a stop from the callback lands promptly.
-        g = erdos_renyi(30, 0.3, seed=12)
-        session = MiningSession(g)
-        expected = session.count(generate_clique(3), engine="reference")
-        assert expected > 1
-        seen: list = []
-        session.match(
-            generate_clique(3),
-            seen.append,
-            control=ExplorationControl(),
-            engine="accel",
-        )
-        assert len(seen) == expected  # un-stopped control changes nothing
-        control = ExplorationControl()
-        stopped: list = []
+    def test_removed_per_match_engine_rejected_naming_choices(self):
+        # "accel" was the per-match numpy tier; the two survivors (and
+        # "auto") are the whole single-pattern engine surface.
+        from repro.core.session import _ENGINE_CHOICES, _MULTI_ENGINE_CHOICES
 
-        def stop_immediately(m):
-            stopped.append(m)
-            control.stop()
-
-        session.match(
-            generate_clique(3),
-            stop_immediately,
-            control=control,
-            engine="accel",
-        )
-        assert 1 <= len(stopped) < expected
+        assert _ENGINE_CHOICES == ("auto", "accel-batch", "reference")
+        session = MiningSession(erdos_renyi(20, 0.3, seed=12))
+        with pytest.raises(ValueError) as info:
+            session.count(generate_clique(3), engine="accel")
+        for choice in _ENGINE_CHOICES:
+            assert repr(choice) in str(info.value)
+        with pytest.raises(ValueError) as info:
+            session.count_many([generate_clique(3)], engine="accel")
+        for choice in _MULTI_ENGINE_CHOICES:
+            assert repr(choice) in str(info.value)
 
     def test_multi_core_control_stops_at_limit(self):
         # Vertex-induced 4-chains have 3 ordered cores, the order-merged
@@ -536,12 +521,9 @@ class TestLegacyShims:
         # Documented entry points that rode on the api module.
         from repro.core.api import (  # noqa: F401
             ACCEL_BATCH_MIN_AVG_DEGREE,
-            ACCEL_MIN_AVG_DEGREE,
-            accel_preferred,
             batch_preferred,
         )
 
-        assert ACCEL_MIN_AVG_DEGREE == 128.0
         assert ACCEL_BATCH_MIN_AVG_DEGREE == 2.0
 
     def test_precomputed_plan_still_honored(self):

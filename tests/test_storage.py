@@ -238,7 +238,7 @@ class TestColdStartIsLazy:
             )
 
 
-ENGINES = ("reference", "accel", "accel-batch")
+ENGINES = ("reference", "accel-batch")
 
 
 class TestMmapEngineParity:
