@@ -200,8 +200,8 @@ def test_engine_dispatch(benchmark, patents_labeled, workload, engine):
 
     Documents that the vectorized path engages on labeled,
     vertex-induced and anti-constraint workloads too; the density
-    crossover ``engine="auto"`` encodes
-    (``repro.core.api.ACCEL_BATCH_MIN_AVG_DEGREE``) is swept by
+    crossover ``engine="auto"`` plans by
+    (``repro.runtime.planner.MIN_BATCH_EXPANSION``) is swept by
     ``bench_engine_frontier.py``.
     """
     pattern, kwargs = WORKLOADS[workload]()

@@ -4,10 +4,12 @@ Compares the two engines — reference interpreter and frontier-batched
 (``accel-batch``) — across an average-degree sweep, and writes the
 machine-readable timings to ``BENCH_engine.json`` at the repo root so
 future PRs have a baseline to regress against.  The sweep is what
-measured ``repro.core.api.ACCEL_BATCH_MIN_AVG_DEGREE``: frontier batching
-amortizes numpy dispatch across whole match levels, so the batched engine
-wins from avg degree ~2 upward, including on single-vertex-core patterns,
-whose tail count it vectorizes per frontier row.
+measured the planner's ``repro.runtime.planner.MIN_BATCH_EXPANSION``
+(one level-1 candidate per start, i.e. average degree ~2): frontier
+batching amortizes numpy dispatch across whole match levels, so the
+batched engine wins from avg degree ~2 upward, including on
+single-vertex-core patterns, whose tail count it vectorizes per frontier
+row.
 
 Run the full sweep (writes ``BENCH_engine.json``, prints the table)::
 
@@ -111,7 +113,7 @@ def test_frontier_sweep_emits_json(capsys):
         "note": (
             "Wall-clock seconds per engine for count() across an "
             "erdos_renyi avg-degree sweep; measured basis for "
-            "ACCEL_BATCH_MIN_AVG_DEGREE in repro.core.api."
+            "MIN_BATCH_EXPANSION in repro.runtime.planner."
         ),
         "results": results,
     }

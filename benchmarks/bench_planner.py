@@ -1,24 +1,26 @@
-"""Adaptive-planner benchmark: one probe beats the fixed thresholds.
+"""Planned vs. fixed-threshold dispatch: the ablation behind the default.
 
-ROADMAP item 2's second half replaces the fixed engine/schedule
-heuristics (global ``avg_degree >= 2.0`` picks the batched engine, a
-hard-coded chunks-per-worker sizes dynamic chunks) with a per-query
-plan derived from the admission probe's measurements.  The fixed
-thresholds look at the *graph*; the probe looks at the *query* — and
-the two disagree exactly when a pattern's label-filtered frontier has a
-different density than the graph around it.
+Product dispatch has one policy: every query is probed once and
+:mod:`repro.runtime.planner` picks the engine (and schedule, chunking,
+pool size) from the *query's own* measured frontier.  The policy it
+replaced looked at the *graph*: a global ``avg_degree >= 2.0`` picked
+the batched engine.  That fixed threshold lives on only here, as the
+ablation arm — the engine is pinned from it per cell — so the claim
+"planning never loses to the threshold and wins where pattern and graph
+disagree" stays measured.
 
-The sweep crosses frontier density (sparse / dense), pattern size
-(small / large) and degree distribution (uniform / power-law), then
-adds the cell the planner was built for: a near-forest graph whose
-global average degree keeps the fixed heuristic on the pure-Python
-reference engine, hiding a dense fully-labeled core where the probe
-measures high per-start expansion and routes the query to the batched
-engine instead.  Timings are warm (probe cached on the session,
-best-of-rounds) and every cell asserts count parity, so the ratios are
-engine choice, not noise or wrong answers.
+The cells are the end-to-end benchmark's ``bench``-scale inputs
+(``benchmarks/e2e/inputs.py``: the power-law ``G_pl``/``G_small``, the
+labeled ``G_ba`` and ``G_fsm``) crossed with small and large patterns,
+plus the cell the planner exists for: a near-forest graph whose global
+average degree keeps the fixed rule on the pure-Python interpreter,
+hiding a dense fully-labeled core where the probe measures high
+per-start expansion and routes the query to the batched engine.
+Timings are warm (probe cached on the session, best-of-rounds) and
+every cell asserts count parity, so the ratios are engine choice, not
+noise or wrong answers.
 
-Acceptance (pinned in ``tests/test_bench_schema.py``): adaptive never
+Acceptance (pinned in ``tests/test_bench_schema.py``): planning never
 loses a cell by more than 5% (``speedup >= 0.95``) and wins the
 labeled-core cell by at least 1.3x.
 
@@ -38,17 +40,31 @@ from pathlib import Path
 import pytest
 
 from benchmarks.common import timed
+from benchmarks.e2e import inputs
 
-from repro.core.session import MiningSession, batch_preferred
+from repro.core.session import MiningSession
 from repro.graph.builder import from_edges
-from repro.graph.generators import erdos_renyi, power_law
+from repro.graph.generators import erdos_renyi
 from repro.pattern.generators import generate_chain, generate_clique
 from repro.runtime import planner
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_planner.json"
 
-ROUNDS = 5
+ROUNDS = 15
+SEED = 1
+
+# The dispatch rule this repo shipped before the planner became the
+# only policy (core.session.ACCEL_BATCH_MIN_AVG_DEGREE, measured by
+# bench_engine_frontier.py): batch at or above this *global* degree.
+FIXED_MIN_AVG_DEGREE = 2.0
+
+
+def fixed_engine(session: MiningSession) -> str:
+    """The engine the fixed global threshold picks for this graph."""
+    if session.ordered.avg_degree() >= FIXED_MIN_AVG_DEGREE:
+        return "accel-batch"
+    return "reference"
 
 
 def hub_core_graph(core: int = 300, tail: int = 8000, p: float = 0.15,
@@ -72,47 +88,45 @@ def hub_core_graph(core: int = 300, tail: int = 8000, p: float = 0.15,
                       name="hub-core")
 
 
-def labeled_clique(k: int):
-    pattern = generate_clique(k)
-    for u in range(k):
-        pattern.set_label(u, 1)
+def labeled(pattern, label: int):
+    for u in pattern:
+        pattern.set_label(u, label)
     return pattern
 
 
 def sweep_cells():
-    """name -> (graph, pattern): density x pattern size x distribution."""
-    sparse = erdos_renyi(12_000, 1.6 / 11_999, seed=3, name="sparse-uniform")
-    dense = erdos_renyi(2_500, 0.012, seed=5, name="dense-uniform")
-    skewed = power_law(8_000, gamma=2.1, d_min=4, seed=7, name="power-law")
+    """name -> (graph, pattern): e2e inputs x pattern size, + the core."""
+    scale = inputs.SCALES["bench"]
+    pl = inputs.g_pl(scale, SEED)
+    small = inputs.g_small(scale, SEED)
+    ba = inputs.g_ba(scale, SEED)
+    fsm = inputs.g_fsm(scale, SEED)
     return {
-        "sparse-uniform-small": (sparse, generate_clique(3)),
-        "sparse-uniform-large": (sparse, generate_chain(4)),
-        "dense-uniform-small": (dense, generate_clique(3)),
-        "dense-uniform-large": (dense, generate_clique(4)),
-        "powerlaw-small": (skewed, generate_clique(3)),
-        "powerlaw-large": (skewed, generate_clique(4)),
-        "skewed-labeled-core": (hub_core_graph(), labeled_clique(3)),
+        "pl-small": (pl, generate_clique(3)),
+        "pl-large": (pl, generate_chain(4)),
+        "small-small": (small, generate_clique(3)),
+        "small-large": (small, generate_clique(4)),
+        "ba-labeled-small": (ba, labeled(generate_clique(3), 0)),
+        "ba-labeled-large": (ba, labeled(generate_chain(4), 0)),
+        "fsm-labeled": (fsm, labeled(generate_chain(3), 0)),
+        "skewed-labeled-core": (hub_core_graph(), labeled(generate_clique(3), 1)),
     }
 
 
 def _measure_cell(graph, pattern) -> dict:
-    """Warm fixed-vs-auto timings for one cell, with count parity."""
+    """Warm fixed-vs-planned timings for one cell, with count parity."""
     session = MiningSession(graph)
-    fixed_count = session.count(pattern, plan="fixed")  # warm plan + CSR
-    auto_count = session.count(pattern, plan="auto")  # warm probe cache
+    pinned = fixed_engine(session)
+    fixed_count = session.count(pattern, engine=pinned)  # warm plan + CSR
+    auto_count = session.count(pattern)  # warm probe cache
     assert auto_count == fixed_count
     chosen = session.last_query_plan
-    fixed_engine = (
-        "accel-batch"
-        if batch_preferred(session.ordered, session.plan_for(pattern))
-        else "reference"
-    )
     fixed_rounds, auto_rounds = [], []
     for _ in range(ROUNDS):
-        elapsed, got = timed(lambda: session.count(pattern, plan="fixed"))
+        elapsed, got = timed(lambda: session.count(pattern, engine=pinned))
         assert got == fixed_count
         fixed_rounds.append(elapsed)
-        elapsed, got = timed(lambda: session.count(pattern, plan="auto"))
+        elapsed, got = timed(lambda: session.count(pattern))
         assert got == fixed_count
         auto_rounds.append(elapsed)
     fixed_best = min(fixed_rounds)
@@ -124,7 +138,7 @@ def _measure_cell(graph, pattern) -> dict:
         "pattern_vertices": pattern.num_vertices,
         "matches": int(fixed_count),
         "rounds": ROUNDS,
-        "fixed_engine": fixed_engine,
+        "fixed_engine": pinned,
         "auto_engine": chosen.engine,
         "auto_schedule": chosen.schedule,
         "probe": {
@@ -142,30 +156,27 @@ def _measure_cell(graph, pattern) -> dict:
 @pytest.mark.fast
 @pytest.mark.paper_artifact("planner")
 def test_planner_smoke():
-    """CI smoke: adaptive plans keep exact counts on both regimes."""
+    """CI smoke: planned runs keep exact counts on both regimes."""
     dense = MiningSession(erdos_renyi(200, 0.1, seed=2))
     pattern = generate_clique(3)
-    assert dense.count(pattern, plan="auto") == dense.count(
-        pattern, plan="fixed"
-    )
-    assert dense.last_query_plan.engine == "accel-batch"
+    assert dense.count(pattern) == dense.count(pattern, engine="reference")
+    assert dense.last_query_plan.engine == "reference"  # the pinned rerun
+    assert planner.explain(dense, pattern).engine == "accel-batch"
 
     core = MiningSession(hub_core_graph(core=60, tail=600))
-    labeled = labeled_clique(3)
-    assert core.count(labeled, plan="auto") == core.count(
-        labeled, plan="fixed"
-    )
-    # The fixed heuristic reads the near-forest global degree; the probe
+    pattern = labeled(generate_clique(3), 1)
+    assert core.count(pattern) == core.count(pattern, engine="reference")
+    # The fixed rule reads the near-forest global degree; the probe
     # reads the dense labeled frontier.  They must disagree here.
-    assert not batch_preferred(core.ordered, core.plan_for(labeled))
-    assert core.last_query_plan.engine == "accel-batch"
-    plan = planner.plan_query(core, labeled)
+    assert fixed_engine(core) == "reference"
+    plan = planner.explain(core, pattern)
+    assert plan.engine == "accel-batch"
     assert plan.estimate.avg_expansion >= planner.MIN_BATCH_EXPANSION
 
 
 @pytest.mark.paper_artifact("planner")
 def test_planner_emits_json(capsys):
-    """Full sweep: adaptive >= fixed per cell, big win on the skewed cell."""
+    """Full sweep: planned >= fixed per cell, big win on the skewed cell."""
     cells = {}
     for name, (graph, pattern) in sweep_cells().items():
         cells[name] = _measure_cell(graph, pattern)
@@ -175,17 +186,18 @@ def test_planner_emits_json(capsys):
         "bench": "planner",
         "rounds_per_cell": ROUNDS,
         "note": (
-            "Adaptive planner (plan='auto': one bounded probe chooses "
-            "engine, schedule, chunking and workers per query) against "
-            "the fixed-threshold baseline (plan='fixed': global "
-            "avg_degree >= 2.0 picks the batched engine).  Warm "
-            "best-of-rounds session.count timings, count parity "
-            "asserted per round; speedup = fixed_seconds / "
-            "auto_seconds.  The sweep crosses frontier density, "
-            "pattern size and degree distribution; "
+            "Planned dispatch (the only product policy: one bounded "
+            "probe chooses engine, schedule, chunking and workers per "
+            "query) against the fixed-threshold ablation (engine "
+            "pinned per cell from the global avg_degree >= 2.0 rule "
+            "product dispatch used before).  Cells are the e2e "
+            "benchmark's bench-scale inputs (G_pl, G_small, G_ba, "
+            "G_fsm; seed 1) x pattern size.  Warm best-of-rounds "
+            "session.count timings, count parity asserted per round; "
+            "speedup = fixed_seconds / auto_seconds.  "
             "'skewed-labeled-core' is the acceptance cell — a "
             "near-forest graph (global avg degree < 2 keeps the fixed "
-            "heuristic on the reference engine) hiding a dense "
+            "rule on the reference engine) hiding a dense "
             "fully-labeled core that the probe routes to the batched "
             "engine.  Acceptance: every cell >= 0.95, the labeled-core "
             "cell >= 1.3."
@@ -201,12 +213,12 @@ def test_planner_emits_json(capsys):
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     with capsys.disabled():
-        print("\n=== adaptive planner vs fixed thresholds ===")
+        print("\n=== planned dispatch vs fixed threshold ===")
         for name, cell in cells.items():
             print(
                 f"{name:24s} {cell['fixed_engine']:11s}->"
                 f"{cell['auto_engine']:11s} fixed "
-                f"{cell['fixed_seconds'] * 1e3:8.2f}ms auto "
+                f"{cell['fixed_seconds'] * 1e3:8.2f}ms planned "
                 f"{cell['auto_seconds'] * 1e3:8.2f}ms "
                 f"x{cell['speedup']:.3f}"
             )

@@ -52,11 +52,9 @@ def main() -> None:
     )
     print(f"budget >= frontier: {full.estimate:,.0f} (exact={full.exact})\n")
 
-    # Planner auto-routing: plan="auto" plus a latency budget answers
-    # predicted-slow queries from the sampling tier automatically.
-    routed = session.count(
-        generate_clique(4), plan="auto", latency_budget=1e-6, seed=3
-    )
+    # Planner auto-routing: a latency budget answers predicted-slow
+    # queries from the sampling tier automatically.
+    routed = session.count(generate_clique(4), latency_budget=1e-6, seed=3)
     kind = type(routed).__name__
     print(f"latency-budgeted 4-clique census came back as {kind}: "
           f"{float(routed):,.0f}")

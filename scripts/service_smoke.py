@@ -4,9 +4,11 @@
 Launches the real entry point (``python -m repro.service --port 0``) as
 a subprocess, waits for its "listening" line to learn the OS-assigned
 port, issues one count query against a freshly written ``.rgx`` graph
-(exercising path-based registry resolution) and one ``/stats`` request,
-then interrupts the server and asserts it exits cleanly.  Exit code 0
-means the whole boot -> serve -> shutdown loop works outside pytest.
+(exercising path-based registry resolution), one request with a bad
+option value (which must answer HTTP 400, not run unguarded) and one
+``/stats`` request, then interrupts the server and asserts it exits
+cleanly.  Exit code 0 means the whole boot -> serve -> shutdown loop
+works outside pytest.
 
 Run:  PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -20,6 +22,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -75,10 +78,25 @@ def main() -> int:
             assert count["ok"], count
             assert count["result"]["count"] == expected, count
 
+            try:
+                _post(
+                    f"{base}/query",
+                    {"verb": "count", "graph": graph_path,
+                     "pattern": "clique:3", "options": {"guard": "bogus"}},
+                )
+            except urllib.error.HTTPError as err:
+                assert err.code == 400, err.code
+                assert json.load(err)["error"]["code"] == "invalid_request"
+            else:
+                raise AssertionError("a bad option value was accepted")
+
             with urllib.request.urlopen(f"{base}/stats", timeout=60.0) as r:
                 stats = json.load(r)
             assert stats["ok"], stats
-            assert stats["result"]["requests"]["count"] == 1, stats
+            assert stats["result"]["requests"]["count"] == 2, stats
+            assert stats["result"]["errors"]["count"] == {
+                "invalid_request": 1
+            }, stats
             assert stats["result"]["registry"]["sessions"] == 1, stats
         finally:
             server.send_signal(signal.SIGINT)
@@ -89,7 +107,7 @@ def main() -> int:
         )
         assert "repro service stopped" in output, output
 
-    print("service smoke OK: count + stats served, clean shutdown")
+    print("service smoke OK: count + 400 + stats served, clean shutdown")
     return 0
 
 

@@ -132,9 +132,9 @@ def cmd_plan(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
 def cmd_explain(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
     """Probe a query and print its cost estimate and chosen plan.
 
-    Runs nothing but the bounded probe walk — the same walk ``--guard``
-    and ``--plan auto`` share — so the output is exactly what an
-    adaptive run of the same query would decide.
+    Runs nothing but the bounded probe walk every query's dispatch
+    stage takes, so the output is exactly what a run of the same query
+    would decide.
     """
     from ..runtime import planner
 
@@ -143,7 +143,7 @@ def cmd_explain(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
     query_plan = planner.explain(
         session,
         pattern,
-        num_workers=getattr(args, "processes", 1),
+        num_workers=getattr(args, "processes", None),
         edge_induced=not args.vertex_induced,
         symmetry_breaking=not args.no_symmetry_breaking,
         engine=getattr(args, "engine", "auto"),
@@ -191,7 +191,6 @@ def cmd_count(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
         raise SystemExit("error: --processes picks engines per worker; "
                          "drop --engine")
     guard = getattr(args, "guard", "off")
-    plan_mode = getattr(args, "plan", None) or "fixed"
     approx = getattr(args, "approx", None)
     latency_budget = getattr(args, "latency_budget", None)
     budget = _build_budget(args)
@@ -232,7 +231,6 @@ def cmd_count(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
                 chunk_hint=getattr(args, "chunk_hint", None),
                 cancel=cancel,
                 guard=guard,
-                plan=plan_mode,
             )
         except QueryRefusedError as err:
             return _report_refused(err, out)
@@ -249,7 +247,6 @@ def cmd_count(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
                 budget=budget,
                 on_budget="partial",
                 guard=guard,
-                plan=plan_mode,
                 approx=approx,
                 confidence=getattr(args, "confidence", 0.95),
                 max_samples=getattr(args, "max_samples", None),

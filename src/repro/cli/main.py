@@ -38,10 +38,10 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         "--schedule",
         choices=["dynamic", "static"],
         default=None,
-        help="work placement across workers: 'dynamic' pulls "
+        help="pin the work placement across workers: 'dynamic' pulls "
         "degree-weighted frontier chunks from a shared queue (absorbs "
         "stragglers on skewed graphs), 'static' cuts one stride chunk "
-        "per worker (the ablation baseline)",
+        "per worker; by default the plan picks from the probed skew",
     )
     parser.add_argument(
         "--chunk-hint",
@@ -118,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "explain",
-        help="probe a query and print its cost estimate and adaptive "
-        "plan without running it",
+        help="probe a query and print its cost estimate and plan "
+        "without running it",
     )
     add_dataset_arguments(p)
     _add_pattern_argument(p)
@@ -127,12 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--processes",
         type=int,
-        default=1,
-        help="worker budget the plan may cap (never exceed)",
+        default=None,
+        help="pin the worker count (default: the plan sizes the pool "
+        "from the probed work, up to the machine's cores)",
     )
     p.add_argument(
         "--engine",
-        choices=_MULTI_ENGINE_CHOICES,
+        choices=_ENGINE_CHOICES,
         default="auto",
         help="pin an engine ('auto' lets the planner choose)",
     )
@@ -151,16 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=_ENGINE_CHOICES,
         default="auto",
-        help="engine selection (auto dispatches by graph density; "
-        "--profile forces the reference engine)",
-    )
-    p.add_argument(
-        "--plan",
-        choices=["fixed", "auto"],
-        default="fixed",
-        help="'auto' replaces the fixed engine/schedule thresholds with "
-        "the probe-driven adaptive planner ('fixed' is the ablation "
-        "baseline)",
+        help="pin an engine ('auto' plans it from the probed "
+        "frontier; --profile forces the reference engine)",
     )
     p.add_argument(
         "--approx",
@@ -196,8 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="with --plan auto: auto-route to the approximate tier when "
-        "the probe predicts the exact run would blow this budget",
+        help="auto-route to the approximate tier when the probe "
+        "predicts the exact run would blow this budget",
     )
     _add_parallel_flags(p)
     _add_guard_flags(p)

@@ -9,7 +9,6 @@ from .api import (
     match_batches,
     match_batches_many,
     aggregate,
-    batch_preferred,
 )
 from .session import (
     ExecOptions,
@@ -54,7 +53,6 @@ __all__ = [
     "match_batches",
     "match_batches_many",
     "aggregate",
-    "batch_preferred",
     "ExecOptions",
     "MiningSession",
     "MultiPatternPlan",

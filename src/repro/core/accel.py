@@ -25,9 +25,9 @@ Counts must agree **exactly** with the reference engine on every
 feature combination — ``tests/test_accel.py`` fuzzes that equivalence
 against both the reference engine and the networkx oracles.
 :mod:`repro.core.session` auto-dispatches here when a run qualifies (no
-stats / timer attached) and the graph sits above the batched crossover
-(:func:`repro.core.session.batch_preferred`), measured in
-``benchmarks/bench_engine_frontier.py``.
+stats / timer attached) and its probed frontier clears the batched
+crossover (:data:`repro.runtime.planner.MIN_BATCH_EXPANSION`), measured
+in ``benchmarks/bench_engine_frontier.py``.
 """
 
 from __future__ import annotations

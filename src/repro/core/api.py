@@ -21,19 +21,19 @@ translated back to the caller's vertex ids before callbacks see them.
 reference interpreter (:mod:`repro.core.engine`, the oracle and the
 owner of the profiling hooks) and the frontier-batched
 :class:`~repro.core.accel.FrontierBatchedEngine` (whole matching-order
-levels per numpy dispatch).  With ``engine="auto"`` (the default) a run
-is served by the batched engine when it *qualifies* — no ``stats`` /
-``timer`` attached (those instruments are only wired in the reference
-engine) — **and** the graph's average degree is at least
-:data:`ACCEL_BATCH_MIN_AVG_DEGREE` (measured ~2: near-forest graphs are
-the only place the interpreter still ties), with **no** core-size
-exclusion — the batched tail count is per-row arithmetic, so
-single-vertex-core patterns win too.  An early-termination ``control``
-is polled by the batched engine between frontier blocks and per emitted
-match, so ``exists`` and capped enumerations batch too.  Benchmark:
-``bench_engine_frontier.py`` (sweep + ``BENCH_engine.json``).
-``engine="reference"`` / ``engine="accel-batch"`` force one engine
-unconditionally (ablations, debugging); forcing the batched engine
+levels per numpy dispatch).  With ``engine="auto"`` (the default) the
+session's dispatch stage plans the engine per query from one bounded
+probe of the pattern's own frontier
+(:mod:`repro.runtime.planner`): the batched engine when the measured
+level-1 expansion clears its crossover and no ``stats`` / ``timer`` is
+attached (those instruments are only wired in the reference engine),
+the interpreter otherwise.  An early-termination ``control`` is polled
+by the batched engine between frontier blocks and per emitted match, so
+``exists`` and capped enumerations batch too.  Benchmarks:
+``bench_engine_frontier.py`` (``BENCH_engine.json``) and
+``bench_planner.py`` (planned vs. the old fixed threshold).
+``engine="reference"`` / ``engine="accel-batch"`` pin one engine
+unconditionally (ablations, debugging); pinning the batched engine
 raises when the run does not qualify.
 
 **Multi-pattern fusion.**  The multi-pattern verbs (``count_many``,
@@ -70,12 +70,7 @@ from ..pattern.pattern import Pattern
 from .callbacks import ExplorationControl, Match
 from .engine import EngineStats
 from .plan import ExplorationPlan
-from .session import (
-    ACCEL_BATCH_MIN_AVG_DEGREE,
-    FUSED_MIN_GROUP,
-    MiningSession,
-    batch_preferred,
-)
+from .session import FUSED_MIN_GROUP, MiningSession
 
 __all__ = [
     "match",
@@ -86,7 +81,6 @@ __all__ = [
     "match_batches",
     "match_batches_many",
     "aggregate",
-    "batch_preferred",
 ]
 
 

@@ -57,21 +57,27 @@ __all__ = [
     "MiningSession",
     "MultiPatternPlan",
     "as_session",
-    "batch_preferred",
     "group_start_vertices",
-    "ACCEL_BATCH_MIN_AVG_DEGREE",
     "FUSED_MIN_GROUP",
 ]
 
+# Enumerated option values; ``ExecOptions.merged`` is the one place they
+# (and the numeric ranges) are checked.  The multi-pattern verbs take
+# everything a single-pattern run accepts plus "fused", which forces the
+# fused multi-pattern runner (ablations; "auto" fuses whenever the plan
+# says the shared gathers pay).
 _ENGINE_CHOICES = ("auto", "accel-batch", "reference")
-
-# Guardrail knob values (see ExecOptions.on_budget / ExecOptions.guard).
+_MULTI_ENGINE_CHOICES = ("fused",) + _ENGINE_CHOICES
 _ON_BUDGET_CHOICES = ("raise", "partial")
 _GUARD_CHOICES = ("off", "refuse", "downgrade")
+_SCHEDULE_CHOICES = (None, "dynamic", "static")
 
-# Dispatch-policy knob values (see ExecOptions.planner): "fixed" keeps
-# the global thresholds, "auto" plans per query from the probe walk.
-_PLANNER_CHOICES = ("fixed", "auto")
+# Option groups for ``ExecOptions.hooks``: the reference-engine
+# instruments (they pin the interpreter), and everything that observes
+# individual matches or partial progress (such runs can neither be
+# answered by the sampling tier nor own their frontier).
+INSTRUMENTS = ("stats", "timer")
+OBSERVERS = INSTRUMENTS + ("control", "budget", "start_vertices")
 
 # What a session accepts as its graph: the graph itself, an opened .rgx
 # GraphStore, or a filesystem path routed through open_graph.
@@ -97,68 +103,11 @@ def _coerce_graph(source) -> DataGraph:
         f"{type(source).__name__}"
     )
 
-# Engine choices for the multi-pattern verbs: everything a single-pattern
-# run accepts, plus "fused" to force the fused multi-pattern runner
-# (ablations; "auto" fuses whenever the run qualifies).
-_MULTI_ENGINE_CHOICES = ("fused",) + _ENGINE_CHOICES
 
 # Smallest fusable group worth routing through the fused runner under
 # engine="auto": a single-member group shares nothing, so it runs through
 # the ordinary per-pattern dispatch.  engine="fused" ignores the floor.
 FUSED_MIN_GROUP = 2
-
-# Measured crossover of the *frontier-batched* engine
-# (bench_engine_frontier.py, BENCH_engine.json): batching whole match
-# levels amortizes numpy dispatch across thousands of partials, so the
-# batched engine already wins at avg degree ~2 on graphs of a few
-# hundred vertices (6-12x over the interpreter at degree 2-8, measured).
-# Only near-forest graphs below this line stay on the interpreter.
-ACCEL_BATCH_MIN_AVG_DEGREE = 2.0
-
-
-def batch_preferred(ordered: DataGraph, plan: ExplorationPlan) -> bool:
-    """Whether the frontier-batched engine is expected to win this run.
-
-    Frontier batching amortizes per-dispatch overhead across every live
-    partial match of a level, and its tail count is per-row arithmetic,
-    so neither a density floor nor a core-size exclusion applies — only
-    near-forest graphs (average degree below
-    :data:`ACCEL_BATCH_MIN_AVG_DEGREE`) stay on the interpreter.
-    """
-    return ordered.avg_degree() >= ACCEL_BATCH_MIN_AVG_DEGREE
-
-
-def _dispatch_engine(
-    engine: str,
-    control: ExplorationControl | None,
-    stats: EngineStats | None,
-    timer,
-    ordered: DataGraph,
-    plan: ExplorationPlan,
-) -> str:
-    """Resolve the engine choice to ``reference`` or ``accel-batch``.
-
-    ``stats`` and ``timer`` are reference-engine instruments, so they pin
-    the interpreter.  An :class:`ExplorationControl` excludes nothing:
-    the frontier-batched engine polls it between frontier blocks and per
-    emitted match, so early-terminating runs (``exists``, capped
-    enumerations, deadlines) dispatch exactly like uncontrolled ones.
-    """
-    if engine not in _ENGINE_CHOICES:
-        raise ValueError(f"engine must be one of {_ENGINE_CHOICES}, got {engine!r}")
-    if engine == "reference":
-        return "reference"
-    hooks_free = stats is None and timer is None
-    if engine == "accel-batch":
-        if not hooks_free:
-            raise MatchingError(
-                "engine='accel-batch' does not support stats/timer hooks; "
-                "use engine='auto' to fall back to the reference engine"
-            )
-        return "accel-batch"
-    if hooks_free and batch_preferred(ordered, plan):
-        return "accel-batch"
-    return "reference"
 
 
 def _starts_with_labels(ordered: DataGraph, labels) -> list[int]:
@@ -271,89 +220,57 @@ class ExecOptions:
 
     A session holds one ``ExecOptions`` as its defaults; every verb
     accepts the same field names as keyword overrides and resolves them
-    through :meth:`merged` — the single resolution path.  The fields are
-    exactly the knobs the legacy per-function surface scattered across
-    ``match``/``count``/``match_batches``/the runtimes:
+    through :meth:`merged` — the single resolution *and validation*
+    path.  How a query runs is decided by one stage
+    (:meth:`MiningSession._stage`: probe → admit → plan); the knobs
+    below either describe the query or *pin* one of the stage's choices
+    — a pinned value always wins over the plan.
 
-    ``edge_induced`` / ``symmetry_breaking``
-        matching semantics (Theorem 3.1; PRG-U ablation).
-    ``engine`` / ``frontier_chunk``
-        engine dispatch (see :func:`_dispatch_engine`) and the batched
-        engine's per-dispatch frontier cap.
-    ``label_index``
-        label-filtered start pruning (§6.4); disable for ablations.
+    ``edge_induced`` / ``symmetry_breaking`` / ``label_index``
+        matching semantics (Theorem 3.1; PRG-U ablation) and the
+        label-filtered start pruning (§6.4).
+    ``engine`` / ``schedule`` / ``frontier_chunk`` / ``chunk_hint``
+        pins.  ``engine="auto"`` and ``None`` elsewhere let the plan
+        choose: the engine from the probe's measured frontier expansion,
+        the concurrent schedule (``"dynamic"`` work stealing vs.
+        ``"static"`` stride chunks) from its hub skew, the batched
+        engine's per-dispatch frontier cap from the predicted partial
+        volume; ``chunk_hint`` (target tasks per scheduling chunk)
+        defaults to the ledger's own rule.
     ``flush_size``
-        row-buffer size when ``match_batches`` falls back to the
-        reference engine.
-    ``start_vertices``
-        explicit task seeds (runtime partitioning); per-call only.
+        row-buffer size when ``match_batches`` runs on the interpreter.
+    ``start_vertices`` / ``plan``
+        explicit task seeds and a precomputed
+        :class:`~repro.core.plan.ExplorationPlan` (bypassing the session
+        plan cache); per-call only.
     ``control`` / ``stats`` / ``timer``
-        early termination (§5.3) and profiling hooks (Fig 1 / Fig 11).
-    ``plan``
-        a precomputed :class:`~repro.core.plan.ExplorationPlan`,
-        bypassing the session plan cache; per-call only.  The strings
-        ``"auto"``/``"fixed"`` are accepted as a spelling of
-        ``planner`` (below) and resolve to it in :meth:`merged`.
-    ``planner``
-        dispatch policy: ``"fixed"`` (default) keeps the historical
-        global thresholds; ``"auto"`` runs the bounded probe walk once
-        per (pattern, flags) and lets
-        :func:`repro.runtime.planner.plan_query` choose engine,
-        schedule, frontier chunk and worker count from the measured
-        per-pattern signals.  The probe is shared with the admission
-        guard, so ``guard != "off"`` plus ``planner="auto"`` still
-        probes exactly once.
-    ``schedule`` / ``chunk_hint``
-        concurrent-runtime work placement (§5.2, §5.5):
-        ``schedule="dynamic"`` (default) has workers pull
-        degree-weighted frontier chunks from a shared cursor until the
-        queue drains (work stealing — stragglers on skewed graphs are
-        absorbed by whoever is free), ``"static"`` pre-assigns each
-        worker a stride slice of the frontier (the ablation baseline).
-        ``chunk_hint`` sets the target tasks-per-chunk on a uniform
-        frontier (weight-normalized on skewed ones); ``None`` sizes
-        chunks automatically.  Single-worker runs ignore both.
+        early termination (§5.3) and profiling hooks (Fig 1 / Fig 11);
+        ``stats``/``timer`` are interpreter instruments and pin it.
     ``budget`` / ``on_budget``
-        execution guardrails: ``budget`` is a frozen
-        :class:`~repro.core.callbacks.Budget` (wall-clock deadline,
-        match / frontier-row / expanded-partial caps), armed per run and
-        polled cooperatively between frontier chunks by every engine.
-        Exhaustion raises :class:`~repro.errors.BudgetExceededError`
-        carrying the partial count so far, or — with
-        ``on_budget="partial"`` — returns that
-        :class:`~repro.errors.PartialResult` (an ``int`` subclass with
-        ``truncated=True``) instead of raising.
+        a frozen :class:`~repro.core.callbacks.Budget` (deadline, match /
+        frontier-row / expanded-partial caps) polled cooperatively by
+        every engine; exhaustion raises
+        :class:`~repro.errors.BudgetExceededError` carrying the partial,
+        or returns it as a :class:`~repro.errors.PartialResult` under
+        ``on_budget="partial"``.
     ``guard``
-        admission control: ``"refuse"`` probes the query's level-0
-        frontier up front (:func:`repro.runtime.guards.estimate_cost`)
-        and raises :class:`~repro.errors.QueryRefusedError` when the
-        predicted expansion is explosive; ``"downgrade"`` instead
-        tightens ``frontier_chunk`` (and the process runtimes cap
-        workers); ``"off"`` (default) skips the probe entirely.  Under
-        ``"downgrade"``, count-only queries predicted *far* past the
-        explosive threshold additionally escalate to the approximate
-        tier (see :data:`repro.runtime.guards.DOWNGRADE_APPROX_FACTOR`).
-    ``approx`` / ``confidence`` / ``max_samples``
-        the approximate-counting tier (ROADMAP item 4):
-        ``approx=rel_err`` makes :meth:`~MiningSession.count` /
-        :meth:`~MiningSession.count_many` return
-        :class:`~repro.mining.sampling.ApproxCount` estimates instead of
-        exact counts — sampled level-0 frontiers through the real
-        engines with Horvitz–Thompson reweighting, growing the sample
-        adaptively until the two-sided ``confidence`` interval is within
-        ``rel_err`` of the estimate or ``max_samples`` starts were
-        drawn (``None`` = up to the frontier size, at which point the
-        run degenerates to an exact count).  Count-only: the other verbs
-        reject it.
+        admission on the shared probe: ``"refuse"`` raises
+        :class:`~repro.errors.QueryRefusedError` for predicted-explosive
+        queries, ``"downgrade"`` tightens ``frontier_chunk``, caps
+        workers and escalates hopeless count-only queries to the
+        sampling tier (:func:`repro.runtime.guards.admit`); ``"off"``
+        (default) admits everything.
+    ``approx`` / ``confidence`` / ``max_samples`` / ``seed``
+        the sampling tier (:mod:`repro.mining.sampling`):
+        ``approx=rel_err`` makes the count-only verbs return
+        :class:`~repro.mining.sampling.ApproxCount` estimates whose
+        ``confidence`` interval is grown to within ``rel_err`` or until
+        ``max_samples`` starts were drawn.
     ``latency_budget``
-        seconds of predicted exact work the caller is willing to pay;
-        under ``planner="auto"`` a query whose probe predicts more
-        routes to the approximate tier automatically (``approx`` stays
-        ``None`` → the planner engages
-        :data:`repro.runtime.planner.AUTO_APPROX_REL_ERR`).
-    ``seed``
-        RNG seed for the sampling tier (deterministic estimates for
-        tests and benchmarks); ``None`` seeds from entropy.
+        seconds of predicted exact work the caller will pay; a
+        count-only query whose probe predicts more routes to the
+        sampling tier at
+        :data:`repro.runtime.planner.AUTO_APPROX_REL_ERR`.
     """
 
     edge_induced: bool = True
@@ -367,8 +284,7 @@ class ExecOptions:
     stats: EngineStats | None = None
     timer: Any = None
     plan: ExplorationPlan | None = None
-    planner: str = "fixed"
-    schedule: str = "dynamic"
+    schedule: str | None = None
     chunk_hint: int | None = None
     budget: Budget | None = None
     on_budget: str = "raise"
@@ -379,34 +295,69 @@ class ExecOptions:
     latency_budget: float | None = None
     seed: int | None = None
 
-    def merged(self, overrides: Mapping[str, Any]) -> "ExecOptions":
+    def merged(
+        self, overrides: Mapping[str, Any], multi: bool = False
+    ) -> "ExecOptions":
         """Resolve per-call ``overrides`` against these defaults.
 
         Unknown names raise ``TypeError`` with the valid field list, so a
-        typo'd knob fails loudly instead of being silently dropped.
-        ``engine=None`` means "inherit the default" — session-consumer
-        wrappers (mining entry points) forward their ``engine`` parameter
-        unconditionally and ``None`` is its not-specified value.
+        typo'd knob fails loudly instead of being silently dropped; bad
+        *values* raise ``ValueError`` here and nowhere else (``multi``
+        admits the multi-pattern verbs' ``engine="fused"``).  A ``None``
+        override means "inherit the default" — session-consumer wrappers
+        (mining entry points, the runtimes) forward their parameters
+        unconditionally and ``None`` is their not-specified value.
         """
-        if not overrides:
-            return self
-        unknown = [k for k in overrides if k not in _OPTION_FIELDS]
-        if unknown:
-            raise TypeError(
-                f"unknown execution option(s) {sorted(unknown)}; "
-                f"valid options: {sorted(_OPTION_FIELDS)}"
+        resolved = self
+        if overrides:
+            unknown = [k for k in overrides if k not in _OPTION_FIELDS]
+            if unknown:
+                raise TypeError(
+                    f"unknown execution option(s) {sorted(unknown)}; "
+                    f"valid options: {sorted(_OPTION_FIELDS)}"
+                )
+            changes = {k: v for k, v in overrides.items() if v is not None}
+            if changes:
+                resolved = dataclasses.replace(self, **changes)
+        resolved._validate(_MULTI_ENGINE_CHOICES if multi else _ENGINE_CHOICES)
+        return resolved
+
+    def _validate(self, engines: tuple) -> None:
+        for name, choices in (
+            ("engine", engines),
+            ("guard", _GUARD_CHOICES),
+            ("schedule", _SCHEDULE_CHOICES),
+            ("on_budget", _ON_BUDGET_CHOICES),
+        ):
+            if getattr(self, name) not in choices:
+                raise ValueError(
+                    f"{name} must be one of {choices}, "
+                    f"got {getattr(self, name)!r}"
+                )
+        for name in ("approx", "confidence"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {value!r}")
+        for name in (
+            "max_samples", "latency_budget", "chunk_hint", "frontier_chunk"
+        ):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+        if self.plan is not None and not isinstance(self.plan, ExplorationPlan):
+            raise ValueError(
+                f"plan must be an ExplorationPlan, got {self.plan!r}"
             )
-        resolved = dict(overrides)
-        if resolved.get("engine", "") is None:
-            del resolved["engine"]
-        # ``plan="auto"``/``plan="fixed"`` select the dispatch policy,
-        # not a precomputed ExplorationPlan — translate the string
-        # spelling to the ``planner`` field.
-        if isinstance(resolved.get("plan"), str):
-            resolved["planner"] = resolved.pop("plan")
-        if not resolved:
-            return self
-        return dataclasses.replace(self, **resolved)
+
+    def hooks(self, *names: str) -> list[str]:
+        """Which of the ``names``d options are set (not ``None``).
+
+        The one "is this run free of X?" test: the planner asks it of
+        :data:`INSTRUMENTS`, the sampling tier of :data:`OBSERVERS`,
+        the fused, thread and process paths of the knobs they cannot
+        honour.
+        """
+        return [name for name in names if getattr(self, name) is not None]
 
 
 _OPTION_FIELDS = frozenset(f.name for f in dataclasses.fields(ExecOptions))
@@ -493,7 +444,11 @@ class MiningSession:
     ):
         if defaults is not None and options:
             raise TypeError("pass defaults= or keyword options, not both")
-        base = defaults if defaults is not None else ExecOptions().merged(options)
+        base = (
+            defaults
+            if defaults is not None
+            else ExecOptions().merged(options, multi=True)
+        )
         for name in _PER_CALL_ONLY:
             if getattr(base, name) is not None:
                 raise ValueError(
@@ -508,8 +463,8 @@ class MiningSession:
         self._starts: dict[tuple, list[int] | None] = {}
         self._census: dict[tuple, CensusTransform] = {}
         self._guard_cache: dict[tuple, Any] = {}
-        # The most recent QueryPlan chosen under planner="auto"
-        # (introspection: CLI explain, service echo, tests).
+        # The most recent QueryPlan the stage chose (introspection only:
+        # concurrent queries on one session overwrite each other).
         self.last_query_plan = None
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -565,7 +520,7 @@ class MiningSession:
 
     def options(self, **overrides) -> ExecOptions:
         """Session defaults merged with ``overrides`` — the one knob path."""
-        return self.defaults.merged(overrides)
+        return self.defaults.merged(overrides, multi=True)
 
     def plan_for(
         self,
@@ -665,26 +620,23 @@ class MiningSession:
             self.plan_cache_hits += 1
         return plan, key
 
-    def _prepare(self, pattern: Pattern, opts: ExecOptions):
-        """Shared verb prelude: resolve (plan, start vertices, engine).
+    def _lookup(self, pattern: Pattern, opts: ExecOptions):
+        """The query's ``(plan, cache key)``: one plan-cache lookup.
 
-        An explicit ``opts.plan`` bypasses the plan cache (and therefore
-        the start-list cache keyed on it).
+        An explicit ``opts.plan`` bypasses the plan cache (key ``None``,
+        and therefore the start-list cache keyed on it).
         """
         if opts.plan is not None:
-            plan, key = opts.plan, None
-        else:
-            plan, key = self._cached_plan(
-                pattern, opts.edge_induced, opts.symmetry_breaking
-            )
-        starts = opts.start_vertices
-        if starts is None and opts.label_index:
-            starts = self._starts_for(plan, key)
-        selected = _dispatch_engine(
-            opts.engine, opts.control, opts.stats, opts.timer,
-            self.ordered, plan,
+            return opts.plan, None
+        return self._cached_plan(
+            pattern, opts.edge_induced, opts.symmetry_breaking
         )
-        return plan, starts, selected
+
+    def _seeds(self, plan: ExplorationPlan, key, opts: ExecOptions):
+        """The level-0 frontier a run of ``plan`` seeds from."""
+        if opts.start_vertices is not None or not opts.label_index:
+            return opts.start_vertices
+        return self._starts_for(plan, key)
 
     def _starts_for(self, plan: ExplorationPlan, key: tuple | None):
         """Label-filtered start vertices for ``plan`` (cached per plan)."""
@@ -741,8 +693,8 @@ class MiningSession:
         is within ``rel_err`` of the estimate — see
         :mod:`repro.mining.sampling`.  ``confidence``, ``max_samples``
         and ``seed`` tune the estimator; a query may also *auto-route*
-        to this tier under ``plan="auto"`` with a ``latency_budget``, or
-        via the ``guard="downgrade"`` escalation step.
+        to this tier under a ``latency_budget``, or via the
+        ``guard="downgrade"`` escalation step.
         """
         opts = self.defaults.merged(options)
         return self._run_match(pattern, None, opts)
@@ -765,10 +717,12 @@ class MiningSession:
         processes pull from a shared queue (``schedule``/``chunk_hint``
         apply), each chunk served by the same fused runner — true
         parallel speedup for motif censuses.  The process path counts
-        only (``engine`` must be ``"auto"`` or ``"fused"``; hook options
-        raise).
+        exactly and only (``engine`` must be ``"auto"`` or ``"fused"``;
+        hook and sampling options raise).
 
-        With ``approx=rel_err`` every pattern is *estimated* instead
+        With ``approx=rel_err`` — or when a ``latency_budget`` or the
+        ``guard="downgrade"`` escalation routes the workload there —
+        every pattern is *estimated* instead
         (:class:`~repro.mining.sampling.ApproxCount` values): patterns
         group exactly like the exact fused path and each group's
         sampled rounds ride one shared
@@ -776,26 +730,14 @@ class MiningSession:
         estimation pays one frontier sample per group, not per pattern.
         """
         patterns = list(patterns)
-        opts = self.defaults.merged(options)
-        if opts.approx is not None:
-            if num_processes > 1:
-                raise MatchingError(
-                    "count_many(approx=...) runs the sampling estimator "
-                    "in-process; drop approx or use num_processes=1"
-                )
-            self._check_guardrail_opts(opts)
-            from ..mining.sampling import approx_count_many_session
-
-            return approx_count_many_session(self, patterns, opts)
+        opts = self.defaults.merged(options, multi=True)
         if num_processes > 1:
             from ..runtime.parallel import process_count_many
 
-            unsupported = [
-                name
-                for name in ("stats", "timer", "control", "plan",
-                             "start_vertices", "budget", "latency_budget")
-                if getattr(opts, name) is not None
-            ]
+            unsupported = opts.hooks(
+                "stats", "timer", "control", "plan", "start_vertices",
+                "budget", "approx", "latency_budget",
+            )
             if unsupported:
                 raise MatchingError(
                     f"count_many(num_processes={num_processes}) does not "
@@ -818,9 +760,8 @@ class MiningSession:
                 chunk_hint=opts.chunk_hint,
                 frontier_chunk=opts.frontier_chunk,
                 guard=opts.guard,
-                plan=opts.planner,
             )
-        totals = self._run_many(patterns, None, None, opts)
+        totals = self._run_many(patterns, None, None, opts, count_only=True)
         return dict(zip(patterns, totals))
 
     def match_many(
@@ -838,9 +779,9 @@ class MiningSession:
         members.
 
         **Fused dispatch.**  With ``engine="auto"`` (no
-        ``stats``/``timer``/``control``/``plan``/``start_vertices``
-        overrides, graph above the batched crossover), patterns sharing a
-        level-0 frontier signature are grouped by
+        ``stats``/``timer``/``plan``/``start_vertices`` overrides, some
+        member's probed frontier above the batched crossover), patterns
+        sharing a level-0 frontier signature are grouped by
         :class:`MultiPatternPlan` and groups of at least
         :data:`FUSED_MIN_GROUP` members run through
         :func:`repro.core.accel.fused_run`: one frontier walk, shared
@@ -850,7 +791,7 @@ class MiningSession:
         engine.
         """
         patterns = list(patterns)
-        opts = self.defaults.merged(options)
+        opts = self.defaults.merged(options, multi=True)
         return self._run_many(patterns, callbacks, None, opts)
 
     def match_batches_many(
@@ -868,7 +809,7 @@ class MiningSession:
         structural pattern of a round off one shared frontier walk.
         """
         patterns = list(patterns)
-        opts = self.defaults.merged(options)
+        opts = self.defaults.merged(options, multi=True)
         return self._run_many(patterns, None, list(on_batches), opts)
 
     def exists(self, pattern: Pattern, **options) -> bool:
@@ -931,29 +872,28 @@ class MiningSession:
         self, pattern: Pattern, on_batch, opts: ExecOptions, meter=None
     ) -> int:
         """Single-pattern batch streaming (shared by the *_many paths)."""
-        self._check_guardrail_opts(opts)
         if opts.approx is not None:
             raise MatchingError(
                 "approx=... is count-only; match_batches streams exact "
                 "match rows"
             )
-        opts = self._apply_guard(pattern, opts)
+        opts, _, [(plan, key)] = self._stage([pattern], opts)
         if meter is None and opts.budget is not None:
             meter = opts.budget.meter()
         try:
-            return self._run_batches_engines(pattern, on_batch, opts, meter)
+            return self._run_batches_engines(plan, key, on_batch, opts, meter)
         except BudgetExceededError as err:
             if opts.on_budget == "partial":
                 return err.partial
             raise
 
     def _run_batches_engines(
-        self, pattern: Pattern, on_batch, opts: ExecOptions, meter
+        self, plan: ExplorationPlan, key, on_batch, opts: ExecOptions, meter
     ) -> int:
         np = _accel.np
-        plan, starts, selected = self._prepare(pattern, opts)
+        starts = self._seeds(plan, key, opts)
         emit = self._batch_emitter(on_batch)
-        if selected == "accel-batch":
+        if opts.engine == "accel-batch":
             batched = _accel.FrontierBatchedEngine(self.view)
             return batched.run(
                 plan,
@@ -1030,7 +970,7 @@ class MiningSession:
         if isinstance(patterns, Pattern):
             patterns = [patterns]
         patterns = list(patterns)
-        opts = self.defaults.merged(options)
+        opts = self.defaults.merged(options, multi=True)
 
         if num_threads > 1:
             from ..runtime.parallel import parallel_match
@@ -1038,12 +978,9 @@ class MiningSession:
             # The thread pool has no hooks for these knobs; dropping them
             # silently would return different results than the
             # single-threaded path, so reject loudly instead.
-            unsupported = [
-                name
-                for name in ("stats", "timer", "plan", "start_vertices",
-                             "frontier_chunk")
-                if getattr(opts, name) is not None
-            ]
+            unsupported = opts.hooks(
+                "stats", "timer", "plan", "start_vertices", "frontier_chunk"
+            )
             if unsupported:
                 raise MatchingError(
                     f"aggregate(num_threads={num_threads}) does not support "
@@ -1077,7 +1014,6 @@ class MiningSession:
                     aggregate_interval=interval,
                     on_update=on_update,
                     engine=opts.engine,
-                    plan=opts.planner,
                     combine=reduce,
                     global_aggregator=total,
                 )
@@ -1113,122 +1049,94 @@ class MiningSession:
     # Execution core (shared by every verb)
     # ------------------------------------------------------------------
 
-    def _check_guardrail_opts(self, opts: ExecOptions) -> None:
-        """Validate the guardrail knob values before any work happens."""
-        if opts.on_budget not in _ON_BUDGET_CHOICES:
-            raise ValueError(
-                f"on_budget must be one of {_ON_BUDGET_CHOICES}, "
-                f"got {opts.on_budget!r}"
-            )
-        if opts.guard not in _GUARD_CHOICES:
-            raise ValueError(
-                f"guard must be one of {_GUARD_CHOICES}, got {opts.guard!r}"
-            )
-        if opts.planner not in _PLANNER_CHOICES:
-            raise ValueError(
-                f"planner must be one of {_PLANNER_CHOICES}, "
-                f"got {opts.planner!r}"
-            )
-        if opts.approx is not None and not 0.0 < opts.approx < 1.0:
-            raise ValueError(
-                f"approx must be a relative error in (0, 1), "
-                f"got {opts.approx!r}"
-            )
-        if not 0.0 < opts.confidence < 1.0:
-            raise ValueError(
-                f"confidence must be in (0, 1), got {opts.confidence!r}"
-            )
-        if opts.max_samples is not None and opts.max_samples <= 0:
-            raise ValueError(
-                f"max_samples must be positive, got {opts.max_samples!r}"
-            )
-        if opts.latency_budget is not None and opts.latency_budget <= 0:
-            raise ValueError(
-                f"latency_budget must be positive seconds, "
-                f"got {opts.latency_budget!r}"
-            )
+    def _stage(
+        self,
+        patterns: Sequence[Pattern],
+        opts: ExecOptions,
+        workers: int | None = 1,
+        count_only: bool = False,
+    ):
+        """Probe → admit → plan: the one dispatch stage of every query.
 
-    def _apply_guard(
-        self, pattern: Pattern, opts: ExecOptions, count_only: bool = False
-    ) -> ExecOptions:
-        """One probe → admit → plan, for one pattern.
+        Every entry point — the session verbs, both concurrent runtimes
+        and the service batcher (per member) — resolves how its
+        workload runs here.  Each pattern's exploration plan is looked
+        up once and each *distinct* pattern's probe estimate fetched
+        from the session cache (one bounded frontier walk per
+        ``(pattern, flags)``, ever);
+        :func:`repro.runtime.guards.admit` refuses or downgrades
+        predicted-explosive members (``guard="downgrade"`` also caps
+        ``workers``); :func:`repro.runtime.planner.plan_workload` then
+        fills whatever the caller did not pin — engine, schedule,
+        frontier chunk, and the pool size when ``workers`` is ``None``.
 
-        Probes the level-0 frontier via
-        :func:`repro.runtime.guards.estimate_cost` (cached per plan key)
-        and either raises :class:`~repro.errors.QueryRefusedError`
-        (``guard="refuse"``) or returns options with a tightened
-        ``frontier_chunk`` (``guard="downgrade"``) when the estimate
-        predicts explosive expansion; benign queries pass unchanged.
-        Under ``planner="auto"`` the *same* cached estimate then drives
-        :func:`repro.runtime.planner.plan_query`, so a guarded planned
-        query probes exactly once; the chosen plan is recorded on
-        :attr:`last_query_plan` for introspection.
+        ``count_only`` marks runs that may legally be answered by the
+        sampling tier (nothing observes individual matches): only those
+        are escalated to it, by the guard or by a ``latency_budget``.
 
-        ``count_only`` marks runs that could legally return an
-        approximate estimate (no callback, no hooks): only those may be
-        escalated to the sampling tier — by ``guard="downgrade"`` when
-        the prediction is *far* past the explosive threshold, or by the
-        planner when the prediction exceeds ``opts.latency_budget``.
+        Returns ``(options, query plan, lookups)``: the options with the
+        plan's choices folded in (``engine`` is concrete afterwards),
+        the :class:`~repro.runtime.planner.QueryPlan` used, and the
+        ``(exploration plan, cache key)`` pair of every pattern.
         """
-        wants_plan = opts.planner == "auto"
-        if opts.guard == "off" and not wants_plan:
-            return opts
         # Deferred import: repro.runtime imports repro.core at module
-        # load; by the time a session applies a guard, both exist.
-        from ..runtime import guards
+        # load; by the time a session runs a query, both exist.
+        from ..runtime import guards, planner
 
-        estimate = self._guard_estimate(pattern, opts)
-        opts = guards.admit(estimate, opts)
-        if (
-            count_only
-            and opts.approx is None
-            and opts.guard == "downgrade"
-            and estimate.predicted_partials
-            > estimate.threshold * guards.DOWNGRADE_APPROX_FACTOR
-        ):
-            # The "approximate" escalation step: chunk tightening paces
-            # an explosive query, but far enough past the threshold the
-            # exact run is hopeless at any pacing — answer with a
-            # bounded-error estimate instead of grinding.
-            opts = dataclasses.replace(
-                opts, approx=guards.DOWNGRADE_APPROX_REL_ERR
-            )
-        if wants_plan:
-            from ..runtime import planner as _planner
+        lookups, estimates = self._estimates(patterns, opts)
+        for estimate in estimates:
+            opts = guards.admit(estimate, opts, count_only)
+            if (
+                workers is not None
+                and opts.guard == "downgrade"
+                and estimate.explosive
+            ):
+                workers = min(workers, guards.DOWNGRADE_MAX_WORKERS)
+        query_plan = planner.plan_workload(
+            self, patterns, opts, estimates=estimates, num_workers=workers
+        )
+        self.last_query_plan = query_plan
+        opts = planner.apply_plan(query_plan, opts, allow_approx=count_only)
+        return opts, query_plan, lookups
 
-            query_plan = _planner.plan_query(
-                self, pattern, opts, estimate=estimate
-            )
-            opts = _planner.apply_plan(
-                query_plan, opts, allow_approx=count_only
-            )
-            self.last_query_plan = query_plan
-        return opts
+    def _estimates(self, patterns: Sequence[Pattern], opts: ExecOptions):
+        """Each pattern's plan lookup and each distinct pattern's probe.
 
-    def _guard_estimate(self, pattern: Pattern, opts: ExecOptions):
-        """The (cached) probe-walk cost estimate for one pattern.
-
-        Only the probe *measurements* are cached; the explosive
-        threshold is a deployment knob documented as resolved at call
-        time, so every hit re-resolves it against the current
+        Returns ``(lookups, estimates)``: the ``(exploration plan, cache
+        key)`` pair per pattern (one plan-cache lookup each) and the
+        :class:`~repro.runtime.guards.CostEstimate` of each distinct
+        ``(pattern signature, flags)``.  Only the probe *measurements*
+        are cached; the explosive threshold is a deployment knob
+        documented as resolved at call time, so every hit re-resolves it
+        against the current
         :data:`repro.runtime.guards.EXPLOSIVE_PARTIALS` — retuning the
         module threshold flips admission on warm sessions too.
         """
         from ..runtime import guards
 
-        key = (pattern.signature(), opts.edge_induced, opts.symmetry_breaking)
-        estimate = self._guard_cache.get(key)
-        if estimate is None:
-            estimate = guards.estimate_cost(
-                self,
-                pattern,
-                edge_induced=opts.edge_induced,
-                symmetry_breaking=opts.symmetry_breaking,
+        lookups = []
+        estimates: dict[tuple, Any] = {}
+        for pattern in patterns:
+            plan, key = self._lookup(pattern, opts)
+            lookups.append((plan, key))
+            probe_key = key or (
+                pattern.signature(), opts.edge_induced, opts.symmetry_breaking
             )
-            self._guard_cache[key] = estimate
-            if len(self._guard_cache) > PLAN_CACHE_LIMIT:
-                self._guard_cache.pop(next(iter(self._guard_cache)))
-        return guards.resolve_threshold(estimate)
+            if probe_key in estimates:
+                continue
+            estimate = self._guard_cache.get(probe_key)
+            if estimate is None:
+                estimate = guards.probe(
+                    self.ordered,
+                    pattern.num_vertices,
+                    self._starts_for(plan, key),
+                    symmetry_breaking=opts.symmetry_breaking,
+                )
+                self._guard_cache[probe_key] = estimate
+                if len(self._guard_cache) > PLAN_CACHE_LIMIT:
+                    self._guard_cache.pop(next(iter(self._guard_cache)))
+            estimates[probe_key] = guards.resolve_threshold(estimate)
+        return lookups, list(estimates.values())
 
     def _run_match(
         self,
@@ -1237,23 +1145,16 @@ class MiningSession:
         opts: ExecOptions,
         meter=None,
     ) -> int:
-        self._check_guardrail_opts(opts)
-        # A run is eligible for the approximate tier only when nothing
-        # observes individual matches or partial progress: counting with
-        # no callback, no budget/control, no stats/timer hooks and no
-        # explicit frontier.
-        approx_eligible = (
-            callback is None
-            and meter is None
-            and opts.budget is None
-            and opts.control is None
-            and opts.stats is None
-            and opts.timer is None
-            and opts.start_vertices is None
+        # A run may be answered by the sampling tier only when nothing
+        # observes individual matches or partial progress.
+        count_only = (
+            callback is None and meter is None and not opts.hooks(*OBSERVERS)
         )
-        opts = self._apply_guard(pattern, opts, count_only=approx_eligible)
+        opts, _, [(plan, key)] = self._stage(
+            [pattern], opts, count_only=count_only
+        )
         if opts.approx is not None:
-            if not approx_eligible:
+            if not count_only:
                 raise MatchingError(
                     "approx=... is count-only: it does not support "
                     "callbacks, budgets, controls, stats/timer hooks or "
@@ -1261,11 +1162,11 @@ class MiningSession:
                 )
             from ..mining.sampling import approx_count_session
 
-            return approx_count_session(self, pattern, opts)
+            return approx_count_session(self, plan, key, opts)
         if meter is None and opts.budget is not None:
             meter = opts.budget.meter()
         try:
-            return self._run_match_engines(pattern, callback, opts, meter)
+            return self._run_match_engines(plan, key, callback, opts, meter)
         except BudgetExceededError as err:
             if opts.on_budget == "partial":
                 return err.partial
@@ -1273,14 +1174,16 @@ class MiningSession:
 
     def _run_match_engines(
         self,
-        pattern: Pattern,
+        plan: ExplorationPlan,
+        key,
         callback: Callable[[Match], None] | None,
         opts: ExecOptions,
         meter,
     ) -> int:
-        plan, starts, selected = self._prepare(pattern, opts)
+        """Run one staged query (``opts.engine`` is concrete)."""
+        starts = self._seeds(plan, key, opts)
         wrapped = self._translated(callback) if callback is not None else None
-        if selected == "accel-batch":
+        if opts.engine == "accel-batch":
             batched = _accel.FrontierBatchedEngine(self.view)
             return batched.run(
                 plan,
@@ -1364,23 +1267,13 @@ class MiningSession:
             self._census[cache_key] = transform
         return transform, codes
 
-    def _group_starts(self, key: frozenset | None):
-        """The fused level-0 frontier for one :class:`MultiPatternPlan` group.
-
-        ``None`` (unrestricted) lets the runner seed from every vertex,
-        hub-first; a label set restricts to its vertices in the same
-        hub-first order — exactly what each member's own
-        :func:`_label_filtered_starts` would produce, since members of a
-        group share the pinned-label signature.
-        """
-        return group_start_vertices(self.ordered, key)
-
     def _run_many(
         self,
         patterns: Sequence[Pattern],
         callbacks: Sequence[Callable[[Match], None] | None] | None,
         on_batches: Sequence[Callable] | None,
         opts: ExecOptions,
+        count_only: bool = False,
     ) -> list[int]:
         """Run a multi-pattern workload; per-pattern totals in input order.
 
@@ -1388,6 +1281,8 @@ class MiningSession:
         :func:`repro.core.accel.fused_run`, everything else through the
         ordinary single-pattern dispatch — the two partitions cover every
         index exactly once, so results always demultiplex completely.
+        ``count_only`` (``count_many``) lets the stage route the whole
+        workload to the sampling tier.
         """
         n = len(patterns)
         callbacks = list(callbacks) if callbacks is not None else [None] * n
@@ -1396,87 +1291,49 @@ class MiningSession:
             raise ValueError(
                 "callbacks/on_batches must align one-to-one with patterns"
             )
-        engine = opts.engine
-        if engine not in _MULTI_ENGINE_CHOICES:
-            raise ValueError(
-                f"engine must be one of {_MULTI_ENGINE_CHOICES}, got {engine!r}"
-            )
-        self._check_guardrail_opts(opts)
-        if opts.approx is not None or opts.latency_budget is not None:
-            raise MatchingError(
-                "approx/latency_budget are count-only knobs; use "
-                "count(...) or count_many(...) for approximate estimates"
-            )
-        workload_estimates: list = []
-        if opts.guard != "off" or opts.planner == "auto":
-            # One probe per distinct pattern, shared by admission and
-            # planning; "downgrade" tightens the shared frontier_chunk
-            # to the smallest any member needs.  Per-member engine
-            # planning happens in _run_match (non-fused members); the
-            # workload-level fused decision consumes these estimates
-            # below.
-            from ..runtime import guards as _guards
-
-            seen_signatures: set = set()
-            for p in patterns:
-                signature = p.signature()
-                if signature in seen_signatures:
-                    continue
-                seen_signatures.add(signature)
-                estimate = self._guard_estimate(p, opts)
-                workload_estimates.append(estimate)
-                opts = _guards.admit(estimate, opts)
-        meter = opts.budget.meter() if opts.budget is not None else None
-        # A control no longer pins per-pattern dispatch: fused_run polls
-        # it between frontier slices and threads it into every member
+        # A control never pins per-pattern dispatch: fused_run polls it
+        # between frontier slices and threads it into every member
         # engine, so deadline/stop tokens ride the fused walk too.
-        hooks_free = (
-            opts.stats is None
-            and opts.timer is None
-            and opts.plan is None
-            and opts.start_vertices is None
-        )
-        if engine == "fused" and not hooks_free:
+        fusable = not opts.hooks(*INSTRUMENTS, "plan", "start_vertices")
+        if opts.engine == "fused" and not fusable:
             raise MatchingError(
                 "engine='fused' does not support stats/timer/"
                 "plan/start_vertices overrides; use engine='auto' to fall "
                 "back to per-pattern dispatch"
             )
+        samplable = count_only and not opts.hooks(*OBSERVERS, "plan")
+        if not samplable and opts.hooks("approx", "latency_budget"):
+            raise MatchingError(
+                "approx/latency_budget are count-only knobs: use count(...) "
+                "or count_many(...) without callbacks, budgets, controls, "
+                "stats/timer hooks, plan or start_vertices overrides"
+            )
+        pinned_engine = opts.engine
+        opts, query_plan, lookups = self._stage(
+            patterns, opts, count_only=samplable
+        )
+        if opts.approx is not None:
+            from ..mining.sampling import approx_count_many_session
+
+            return approx_count_many_session(self, patterns, lookups, opts)
+        meter = opts.budget.meter() if opts.budget is not None else None
 
         multi = None
-        plans: list[ExplorationPlan] = []
-        if hooks_free and engine in ("auto", "fused"):
-            plans = [
-                self._cached_plan(p, opts.edge_induced, opts.symmetry_breaking)[0]
-                for p in patterns
-            ]
-            # batch_preferred depends only on the ordered graph, so one
-            # member answers for the whole workload; under
-            # planner="auto" the members' measured frontiers answer
-            # instead (any member clearing the batched crossover makes
-            # the shared gathers worthwhile for its whole group).
-            fuse = engine == "fused"
-            if not fuse and plans:
-                if opts.planner == "auto" and workload_estimates:
-                    from ..runtime import planner as _qplanner
-
-                    fuse = _qplanner.batch_worthwhile(workload_estimates)
-                else:
-                    fuse = batch_preferred(self.ordered, plans[0])
-            if fuse:
-                labels = self.ordered.labels()
-                if any(pl.matched_pattern.is_labeled for pl in plans) and (
-                    labels is None
-                ):
-                    raise MatchingError(
-                        "pattern has label constraints but the data graph "
-                        "is unlabeled"
-                    )
-                multi = MultiPatternPlan.build(
-                    plans,
-                    label_index=opts.label_index and labels is not None,
-                    min_group=1 if engine == "fused" else FUSED_MIN_GROUP,
+        plans = [plan for plan, _ in lookups]
+        if fusable and query_plan.engine == "fused":
+            labels = self.ordered.labels()
+            if any(pl.matched_pattern.is_labeled for pl in plans) and (
+                labels is None
+            ):
+                raise MatchingError(
+                    "pattern has label constraints but the data graph "
+                    "is unlabeled"
                 )
+            multi = MultiPatternPlan.build(
+                plans,
+                label_index=opts.label_index and labels is not None,
+                min_group=1 if pinned_engine == "fused" else FUSED_MIN_GROUP,
+            )
 
         totals = [0] * n
         if multi is not None:
@@ -1506,7 +1363,7 @@ class MiningSession:
                     counts = _accel.fused_run(
                         self.view,
                         members,
-                        start_vertices=self._group_starts(key),
+                        start_vertices=group_start_vertices(self.ordered, key),
                         chunk=opts.frontier_chunk,
                         control=opts.control,
                         budget=meter,
@@ -1535,15 +1392,20 @@ class MiningSession:
             remaining = range(n)
 
         # Per-pattern engines ("accel-batch", "reference") and non-fusable
-        # members keep the exact single-pattern semantics, hooks included.
+        # members keep the exact single-pattern semantics, hooks included:
+        # each plans its own engine from the caller's pin.  Admission and
+        # latency routing were workload decisions, taken above.
+        member_opts = dataclasses.replace(
+            opts, engine=pinned_engine, guard="off", latency_budget=None
+        )
         for idx in remaining:
             if on_batches[idx] is not None:
                 totals[idx] = self._run_batches(
-                    patterns[idx], on_batches[idx], opts, meter=meter
+                    patterns[idx], on_batches[idx], member_opts, meter=meter
                 )
             else:
                 totals[idx] = self._run_match(
-                    patterns[idx], callbacks[idx], opts, meter=meter
+                    patterns[idx], callbacks[idx], member_opts, meter=meter
                 )
         return totals
 

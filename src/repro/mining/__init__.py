@@ -16,13 +16,6 @@ from .existence import (
     gcc_exceeds_bound,
     global_clustering_coefficient,
 )
-from .approximate import (
-    ApproxResult,
-    approximate_count,
-    approximate_motif_counts,
-    approximate_triangle_count,
-    trials_for_error,
-)
 from .sampling import (
     ApproxCount,
     approx_count,
@@ -41,11 +34,6 @@ __all__ = [
     "approx_count",
     "approx_count_many",
     "color_coding_count",
-    "ApproxResult",
-    "approximate_count",
-    "approximate_motif_counts",
-    "approximate_triangle_count",
-    "trials_for_error",
     "Bitset",
     "Domain",
     "motif_counts",

@@ -3,14 +3,11 @@
 ASAP [Iyer et al., OSDI '18] showed that pattern *counts* — the quantity
 motif censuses, FSM support checks and service dashboards actually
 consume — tolerate sampling: an unbiased estimator with an error bound
-answers in a fraction of the exact run's time.  The legacy
-:mod:`repro.mining.approximate` module reproduced ASAP's per-embedding
-path sampler on the baseline AutoMine schedules; it ignored
-``ExecOptions``, the label index and every engine this repo built.  This
-module is its redesign: the estimators run *on the session's own
-execution core*, so everything the exact tier amortizes (degree
-ordering, CSR view, plan cache, label-filtered frontiers, fused
-multi-pattern walks) accelerates the approximate tier too.
+answers in a fraction of the exact run's time.  The estimators here run
+*on the session's own execution core*, so everything the exact tier
+amortizes (degree ordering, CSR view, plan cache, label-filtered
+frontiers, fused multi-pattern walks) accelerates the approximate tier
+too.
 
 Two estimators:
 
@@ -71,6 +68,7 @@ from typing import Callable, Sequence
 from ..errors import MatchingError
 from ..core import accel as _accel
 from ..core.session import (
+    OBSERVERS,
     ExecOptions,
     MiningSession,
     MultiPatternPlan,
@@ -206,10 +204,6 @@ class ApproxCount:
 
 def _z(confidence: float) -> float:
     """Two-sided normal quantile for ``confidence``."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(
-            f"confidence must be in (0, 1), got {confidence!r}"
-        )
     return statistics.NormalDist().inv_cdf(0.5 + confidence / 2.0)
 
 
@@ -254,11 +248,8 @@ def _target_met(rounds: list[float], rel_err: float, confidence: float) -> bool:
 # Option plumbing shared with the session verbs
 # ----------------------------------------------------------------------
 
-_UNSUPPORTED = ("control", "stats", "timer", "budget", "start_vertices")
-
-
 def _reject_unsupported(opts: ExecOptions) -> None:
-    bad = [n for n in _UNSUPPORTED if getattr(opts, n) is not None]
+    bad = opts.hooks(*OBSERVERS)
     if bad:
         raise MatchingError(
             f"approximate counting does not support the {sorted(bad)} "
@@ -267,23 +258,12 @@ def _reject_unsupported(opts: ExecOptions) -> None:
         )
 
 
-def _validate(rel_err, confidence, max_samples) -> None:
-    if rel_err is not None and not 0.0 < rel_err < 1.0:
-        raise ValueError(
-            f"rel_err must be a relative error in (0, 1), got {rel_err!r}"
-        )
-    _z(confidence)
-    if max_samples is not None and max_samples <= 0:
-        raise ValueError(f"max_samples must be positive, got {max_samples!r}")
-
-
 def _inner_opts(opts: ExecOptions) -> ExecOptions:
     """The options the per-round exact sub-runs execute under.
 
-    Strips everything the sampling loop owns (approx knobs, the
-    frontier) and everything that must not re-trigger (guard probes,
-    auto planning) — the inner runs are plain exact counts over explicit
-    ``start_vertices``.
+    ``opts`` went through the session's dispatch stage once, so its
+    engine is concrete: the rounds run it directly over explicit
+    ``start_vertices`` and never probe, admit or plan again.
     """
     return dataclasses.replace(
         opts,
@@ -292,24 +272,15 @@ def _inner_opts(opts: ExecOptions) -> ExecOptions:
         latency_budget=None,
         seed=None,
         guard="off",
-        planner="fixed",
         start_vertices=None,
     )
 
 
-def _frontier_for(session: MiningSession, pattern: Pattern, opts: ExecOptions):
-    """The level-0 frontier the exact run would walk, indexable.
-
-    Mirrors :meth:`MiningSession._prepare`: the label-filtered start
-    list when the label index applies, otherwise every vertex hub-first.
-    """
-    if opts.plan is not None:
-        plan, key = opts.plan, None
-    else:
-        plan, key = session._cached_plan(
-            pattern, opts.edge_induced, opts.symmetry_breaking
-        )
-    starts = session._starts_for(plan, key) if opts.label_index else None
+def _frontier_for(session: MiningSession, plan, key, opts: ExecOptions):
+    """The level-0 frontier the exact run would walk, indexable: the
+    label-filtered start list when the label index applies, otherwise
+    every vertex hub-first."""
+    starts = session._seeds(plan, key, opts)
     if starts is None:
         n = session.ordered.num_vertices
         return range(n - 1, -1, -1)
@@ -489,13 +460,13 @@ def _estimate_group(
 
 
 def _single_runner(
-    session: MiningSession, pattern: Pattern, opts: ExecOptions
+    session: MiningSession, plan, key, opts: ExecOptions
 ) -> Callable[[list[int]], list[int]]:
     inner = _inner_opts(opts)
 
     def run(starts: list[int]) -> list[int]:
         o = dataclasses.replace(inner, start_vertices=starts)
-        return [int(session._run_match(pattern, None, o))]
+        return [int(session._run_match_engines(plan, key, None, o, None))]
 
     return run
 
@@ -504,7 +475,7 @@ def _group_runner(
     session: MiningSession,
     group: Sequence[int],
     patterns: Sequence[Pattern],
-    plans,
+    lookups,
     key,
     opts: ExecOptions,
 ) -> Callable[[list[int]], list[int]]:
@@ -515,18 +486,16 @@ def _group_runner(
     count-only vertex-induced members demultiplex off the shared
     non-induced basis (the census tier; Möbius inversion is linear, so
     per-call restricted counts invert soundly *in expectation* once the
-    caller applies its Horvitz–Thompson scaling).  A pinned plan or
-    per-pattern engine runs each member through the ordinary
-    single-pattern dispatch over the same starts.
+    caller applies its Horvitz–Thompson scaling).  Any other staged
+    engine runs each member on it over the same starts.
     """
     inner = _inner_opts(opts)
-    use_fused = opts.plan is None and opts.engine in ("auto", "fused")
-    if not use_fused:
+    if opts.engine != "fused":
 
         def run_sequential(starts: list[int]) -> list[int]:
             o = dataclasses.replace(inner, start_vertices=starts)
             return [
-                int(session._run_match(patterns[idx], None, o))
+                int(session._run_match_engines(*lookups[idx], None, o, None))
                 for idx in group
             ]
 
@@ -545,7 +514,7 @@ def _group_runner(
     if len(census_pos) < 2:
         direct_pos = list(range(len(group)))
         census_pos = []
-    members = [(plans[group[gpos]], None, None) for gpos in direct_pos]
+    members = [(lookups[group[gpos]][0], None, None) for gpos in direct_pos]
     transform = None
     census_codes: list = []
     if census_pos:
@@ -584,34 +553,44 @@ def _group_runner(
 
 
 def approx_count_session(
-    session: MiningSession, pattern: Pattern, opts: ExecOptions
+    session: MiningSession,
+    plan,
+    key,
+    opts: ExecOptions,
+    hub_exhaust: int = HUB_EXHAUST,
+    round_starts: int = ROUND_STARTS,
 ) -> ApproxCount:
-    """Estimate one pattern's count under resolved ``opts``.
+    """Estimate one staged query's count.
 
-    The internal target of ``MiningSession.count(pattern, approx=...)``;
-    ``opts.approx``/``confidence``/``max_samples``/``seed`` drive the
-    loop.  ``opts.approx`` may be ``None`` (spend the whole
-    ``max_samples`` budget — the legacy-shim mode).
+    The internal target of ``MiningSession.count(pattern, approx=...)``:
+    ``(plan, key)`` and ``opts`` come out of the session's dispatch
+    stage; ``opts.approx``/``confidence``/``max_samples``/``seed`` drive
+    the loop.  ``opts.approx`` may be ``None`` (spend the whole
+    ``max_samples`` budget).
     """
-    _reject_unsupported(opts)
-    _validate(opts.approx, opts.confidence, opts.max_samples)
-    frontier = _frontier_for(session, pattern, opts)
     [result] = _estimate_group(
-        _single_runner(session, pattern, opts),
+        _single_runner(session, plan, key, opts),
         1,
-        frontier,
+        _frontier_for(session, plan, key, opts),
         rel_err=opts.approx,
         confidence=opts.confidence,
         max_samples=opts.max_samples,
         rng=random.Random(opts.seed),
+        hub_exhaust=hub_exhaust,
+        round_starts=round_starts,
     )
     return result
 
 
 def approx_count_many_session(
-    session: MiningSession, patterns: Sequence[Pattern], opts: ExecOptions
-) -> dict[Pattern, ApproxCount]:
-    """Estimate every pattern, sharing sampled fused walks per group.
+    session: MiningSession,
+    patterns: Sequence[Pattern],
+    lookups,
+    opts: ExecOptions,
+    hub_exhaust: int = HUB_EXHAUST,
+    round_starts: int = ROUND_STARTS,
+) -> list[ApproxCount]:
+    """Estimate every pattern of a staged workload, in input order.
 
     The internal target of ``count_many(patterns, approx=...)``.
     Patterns group by pinned-start-label signature exactly like the
@@ -620,18 +599,7 @@ def approx_count_many_session(
     member meets the target, so shared rounds are never wasted).  The
     ``max_samples`` budget applies per group.
     """
-    _reject_unsupported(opts)
-    _validate(opts.approx, opts.confidence, opts.max_samples)
-    if opts.plan is not None:
-        raise MatchingError(
-            "plan= is a single-pattern override; count_many(approx=...) "
-            "plans each pattern from the session cache"
-        )
-    patterns = list(patterns)
-    plans = [
-        session._cached_plan(p, opts.edge_induced, opts.symmetry_breaking)[0]
-        for p in patterns
-    ]
+    plans = [plan for plan, _ in lookups]
     labels = session.ordered.labels()
     if labels is None and any(
         plan.matched_pattern.is_labeled for plan in plans
@@ -650,22 +618,38 @@ def approx_count_many_session(
         starts = group_start_vertices(session.ordered, key)
         frontier = starts if starts is not None else range(n - 1, -1, -1)
         group_results = _estimate_group(
-            _group_runner(session, group, patterns, plans, key, opts),
+            _group_runner(session, group, patterns, lookups, key, opts),
             len(group),
             frontier,
             rel_err=opts.approx,
             confidence=opts.confidence,
             max_samples=opts.max_samples,
             rng=rng,
+            hub_exhaust=hub_exhaust,
+            round_starts=round_starts,
         )
         for gpos, idx in enumerate(group):
             results[idx] = group_results[gpos]
-    return dict(zip(patterns, results))
+    return results
 
 
 # ----------------------------------------------------------------------
-# Functional surface (what the CLI/bench and the legacy shims call)
+# Functional surface (what the CLI and the benches call)
 # ----------------------------------------------------------------------
+
+
+def _staged(session: MiningSession, patterns, multi: bool, options, **knobs):
+    """Resolve, check and stage a functional-surface call's options
+    (``knobs``: the estimator parameters, under their option names)."""
+    opts = session.defaults.merged({**options, **knobs}, multi=multi)
+    _reject_unsupported(opts)
+    if multi and opts.plan is not None:
+        raise MatchingError(
+            "plan= is a single-pattern override; approx_count_many plans "
+            "each pattern from the session cache"
+        )
+    opts, _, lookups = session._stage(patterns, opts)
+    return opts, lookups
 
 
 def approx_count(
@@ -692,7 +676,6 @@ def approx_count(
     :class:`~repro.core.session.ExecOptions` overrides.
     """
     session = as_session(graph_or_session)
-    opts = session.options(**options)
     if method == "color-coding":
         return color_coding_count(
             session,
@@ -710,21 +693,13 @@ def approx_count(
         raise ValueError(
             f"method must be 'ns' or 'color-coding', got {method!r}"
         )
-    _reject_unsupported(opts)
-    _validate(rel_err, confidence, max_samples)
-    frontier = _frontier_for(session, pattern, opts)
-    [result] = _estimate_group(
-        _single_runner(session, pattern, opts),
-        1,
-        frontier,
-        rel_err=rel_err,
-        confidence=confidence,
-        max_samples=max_samples,
-        rng=random.Random(seed),
-        hub_exhaust=hub_exhaust,
-        round_starts=round_starts,
+    opts, [(plan, key)] = _staged(
+        session, [pattern], False, options, approx=rel_err,
+        confidence=confidence, max_samples=max_samples, seed=seed,
     )
-    return result
+    return approx_count_session(
+        session, plan, key, opts, hub_exhaust, round_starts
+    )
 
 
 def approx_count_many(
@@ -744,45 +719,14 @@ def approx_count_many(
     the sampling-geometry knobs exposed (see :func:`approx_count`).
     """
     session = as_session(graph_or_session)
-    opts = session.options(**options)
-    _reject_unsupported(opts)
-    _validate(rel_err, confidence, max_samples)
     patterns = list(patterns)
-    plans = [
-        session._cached_plan(p, opts.edge_induced, opts.symmetry_breaking)[0]
-        for p in patterns
-    ]
-    labels = session.ordered.labels()
-    if labels is None and any(
-        plan.matched_pattern.is_labeled for plan in plans
-    ):
-        raise MatchingError(
-            "pattern has label constraints but the data graph is unlabeled"
-        )
-    multi = MultiPatternPlan.build(
-        plans, label_index=opts.label_index and labels is not None,
-        min_group=1,
+    opts, lookups = _staged(
+        session, patterns, True, options, approx=rel_err,
+        confidence=confidence, max_samples=max_samples, seed=seed,
     )
-    n = session.ordered.num_vertices
-    rng = random.Random(seed)
-    results: list[ApproxCount | None] = [None] * len(patterns)
-    for group, key in zip(multi.groups, multi.group_keys):
-        starts = group_start_vertices(session.ordered, key)
-        frontier = starts if starts is not None else range(n - 1, -1, -1)
-        group_results = _estimate_group(
-            _group_runner(session, group, patterns, plans, key, opts),
-            len(group),
-            frontier,
-            rel_err=rel_err,
-            confidence=confidence,
-            max_samples=max_samples,
-            rng=rng,
-            hub_exhaust=hub_exhaust,
-            round_starts=round_starts,
-        )
-        for gpos, idx in enumerate(group):
-            results[idx] = group_results[gpos]
-    return dict(zip(patterns, results))
+    return dict(zip(patterns, approx_count_many_session(
+        session, patterns, lookups, opts, hub_exhaust, round_starts
+    )))
 
 
 def color_coding_count(
@@ -811,9 +755,11 @@ def color_coding_count(
     from ..graph.builder import from_edges
 
     session = as_session(graph_or_session)
-    opts = session.options(**options)
+    opts = session.defaults.merged(
+        dict(options, approx=rel_err, confidence=confidence,
+             max_samples=max_colorings)
+    )
     _reject_unsupported(opts)
-    _validate(rel_err, confidence, max_colorings)
     if not pattern.is_connected():
         raise MatchingError(
             "color coding requires a connected pattern; use "

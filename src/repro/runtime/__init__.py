@@ -11,7 +11,6 @@ from .aggregation import AggregatorThread
 from .guards import (
     CostEstimate,
     admit,
-    cap_workers,
     estimate_cost,
     resolve_threshold,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "AggregatorThread",
     "CostEstimate",
     "admit",
-    "cap_workers",
     "estimate_cost",
     "resolve_threshold",
     "QueryPlan",

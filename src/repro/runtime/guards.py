@@ -18,21 +18,22 @@ for ``ExecOptions.guard``:
     for the future service front-end.
 ``"downgrade"``
     run anyway, but tighten ``frontier_chunk`` to
-    :data:`DOWNGRADE_FRONTIER_CHUNK` (bounding peak frontier memory) —
-    and the process runtimes additionally cap workers at
-    :data:`DOWNGRADE_MAX_WORKERS` via :func:`cap_workers`.
+    :data:`DOWNGRADE_FRONTIER_CHUNK` (bounding peak frontier memory),
+    cap concurrent workers at :data:`DOWNGRADE_MAX_WORKERS`, and answer
+    hopeless count-only queries from the sampling tier.
 ``"off"``
-    never probe (the default; the unguarded hot path stays unchanged).
+    admit everything (the default).
 
 The estimator is deliberately simple and deterministic — evenly-spaced
-sampling over the hub-first frontier, pure-Python adjacency probes (no
-numpy requirement), geometric extrapolation.  Its measurements serve two
-consumers: :func:`admit` (triage, conservative by design) and
-:mod:`repro.runtime.planner` (cost-model-driven engine/schedule/chunk
-selection from the same probe — the second half of ROADMAP item 2).
-The planner consumes the *unclamped* extrapolation
-(``predicted_partials_raw``) while admission keeps the conservative
-growth floor in ``predicted_partials``.
+sampling over the hub-first frontier, pure-Python adjacency probes,
+geometric extrapolation.  Every query is probed once per ``(pattern,
+flags)`` by the session's dispatch stage
+(:meth:`repro.core.session.MiningSession._stage`), and the measurements
+serve two consumers: :func:`admit` (triage, conservative by design) and
+:mod:`repro.runtime.planner` (engine/schedule/chunk/worker selection
+from the same probe).  The planner consumes the *unclamped*
+extrapolation (``predicted_partials_raw``) while admission keeps the
+conservative growth floor in ``predicted_partials``.
 """
 
 from __future__ import annotations
@@ -46,11 +47,10 @@ from ..pattern.pattern import Pattern
 __all__ = [
     "CostEstimate",
     "estimate_cost",
+    "probe",
     "resolve_threshold",
     "admit",
     "refusal",
-    "cap_workers",
-    "GUARD_CHOICES",
     "EXPLOSIVE_PARTIALS",
     "DOWNGRADE_FRONTIER_CHUNK",
     "DOWNGRADE_MAX_WORKERS",
@@ -58,8 +58,6 @@ __all__ = [
     "DOWNGRADE_APPROX_REL_ERR",
     "PROBE_SAMPLE",
 ]
-
-GUARD_CHOICES = ("off", "refuse", "downgrade")
 
 # Starts sampled from the level-0 frontier per probe, and how many
 # first-level candidates per start feed the second-level growth trend.
@@ -147,28 +145,52 @@ def estimate_cost(
 ) -> CostEstimate:
     """Probe one query's frontier; return a :class:`CostEstimate`.
 
-    The probe is a bounded level-0 walk: up to ``sample`` starts,
-    evenly spaced over the hub-first (label-filtered) frontier so the
-    hubs at the front are always represented, each charged its
-    first-level candidate count (neighbors below the start under
+    The standalone spelling of :func:`probe`: resolves the session's
+    (cached) exploration plan and label-filtered frontier for
+    ``pattern`` first.  The session's own dispatch stage already holds
+    both and calls :func:`probe` directly.
+    """
+    # Deferred import: repro.runtime is imported by repro/__init__ after
+    # repro.core, and guards must not force the cycle at module load.
+    from ..core.session import as_session
+
+    session = as_session(graph_or_session)
+    plan, key = session._cached_plan(pattern, edge_induced, symmetry_breaking)
+    return probe(
+        session.ordered,
+        pattern.num_vertices,
+        session._starts_for(plan, key),
+        symmetry_breaking=symmetry_breaking,
+        sample=sample,
+        threshold=threshold,
+    )
+
+
+def probe(
+    ordered,
+    width: int,
+    starts,
+    symmetry_breaking: bool = True,
+    sample: int = PROBE_SAMPLE,
+    threshold: float | None = None,
+) -> CostEstimate:
+    """The bounded level-0 walk behind every :class:`CostEstimate`.
+
+    ``starts`` is the hub-first (label-filtered) frontier of a
+    ``width``-vertex pattern on the degree-ordered graph ``ordered``
+    (``None`` = every vertex).  Up to ``sample`` starts, evenly spaced
+    so the hubs at the front are always represented, are each charged
+    their first-level candidate count (neighbors below the start under
     symmetry breaking — the engines' level-1 expansion); the
     second-level growth trend averages the same measure over a few
     candidates of each sampled start.  Hubs are counted by scanning the
     frontier's hub prefix.  Work is ``O(sample * fanout-sample)``
     adjacency probes regardless of graph size.
     """
-    # Deferred import: repro.runtime is imported by repro/__init__ after
-    # repro.core, and guards must not force the cycle at module load.
-    from ..core.session import as_session
-
     if threshold is None:
         # Resolved at call time so tests (and deployments) can retune the
         # module-level threshold.
         threshold = EXPLOSIVE_PARTIALS
-    session = as_session(graph_or_session)
-    plan, key = session._cached_plan(pattern, edge_induced, symmetry_breaking)
-    starts = session._starts_for(plan, key)
-    ordered = session.ordered
     n = ordered.num_vertices
     if starts is None:
         frontier = range(n - 1, -1, -1)
@@ -176,7 +198,6 @@ def estimate_cost(
     else:
         frontier = starts
         frontier_size = len(starts)
-    width = pattern.num_vertices
     if frontier_size == 0 or width <= 1:
         return CostEstimate(
             frontier_size=frontier_size,
@@ -290,30 +311,38 @@ def refusal(estimate: CostEstimate) -> QueryRefusedError:
     )
 
 
-def admit(estimate: CostEstimate, opts):
+def admit(estimate: CostEstimate, opts, count_only: bool = False):
     """Apply one guard decision to a run's options.
 
     Benign estimates pass ``opts`` through unchanged.  Explosive ones
     raise :class:`~repro.errors.QueryRefusedError` under
     ``guard="refuse"`` or return options with ``frontier_chunk``
     tightened to :data:`DOWNGRADE_FRONTIER_CHUNK` under
-    ``guard="downgrade"``.
+    ``guard="downgrade"``.  Chunk tightening paces an explosive query,
+    but :data:`DOWNGRADE_APPROX_FACTOR` past the threshold the exact run
+    is hopeless at any pacing: a ``count_only`` run (one that may
+    legally return an estimate) is then answered from the sampling tier
+    at :data:`DOWNGRADE_APPROX_REL_ERR` instead.
     """
     if opts.guard == "off" or not estimate.explosive:
         return opts
     if opts.guard == "refuse":
         raise refusal(estimate)
     chunk = opts.frontier_chunk
-    tightened = (
-        DOWNGRADE_FRONTIER_CHUNK
-        if chunk is None
-        else min(chunk, DOWNGRADE_FRONTIER_CHUNK)
+    approx = opts.approx
+    if (
+        count_only
+        and approx is None
+        and estimate.predicted_partials
+        > estimate.threshold * DOWNGRADE_APPROX_FACTOR
+    ):
+        approx = DOWNGRADE_APPROX_REL_ERR
+    return dataclasses.replace(
+        opts,
+        frontier_chunk=(
+            DOWNGRADE_FRONTIER_CHUNK
+            if chunk is None
+            else min(chunk, DOWNGRADE_FRONTIER_CHUNK)
+        ),
+        approx=approx,
     )
-    return dataclasses.replace(opts, frontier_chunk=tightened)
-
-
-def cap_workers(estimate: CostEstimate | None, num_processes: int) -> int:
-    """The downgraded worker count for an explosive estimate."""
-    if estimate is None or not estimate.explosive:
-        return num_processes
-    return min(num_processes, DOWNGRADE_MAX_WORKERS)

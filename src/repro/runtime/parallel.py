@@ -3,13 +3,13 @@
 ``parallel_match`` reproduces Peregrine's architecture faithfully: worker
 threads pull degree-weighted frontier chunks from a shared atomic-counter
 scheduler, run the engine with thread-local aggregators, and honor a
-shared early-termination control.  Above the batched crossover the
-workers drive the frontier-batched engine over chunks of the level-0
-frontier — numpy kernels release the GIL, so the thread pool gets real
-parallelism on the hot loop, and each worker's engine polls the shared
-control between frontier blocks and per emitted match; near-forest
-graphs and forced ``engine="reference"`` runs stay on the interpreter,
-where CPython's GIL serializes the list operations.
+shared early-termination control.  When the plan picks the batched
+engine the workers drive it over chunks of the level-0 frontier — numpy
+kernels release the GIL, so the thread pool gets real parallelism on the
+hot loop, and each worker's engine polls the shared control between
+frontier blocks and per emitted match; frontiers below the batched
+crossover and forced ``engine="reference"`` runs stay on the
+interpreter, where CPython's GIL serializes the list operations.
 
 Process-level scaling is ``process_count_many`` — worker processes that
 share the graph with the parent (fork-inherited copy-on-write pages or
@@ -37,6 +37,10 @@ Both entry points accept a :class:`~repro.core.session.MiningSession` in
 place of the graph: the runtime then reuses the session's degree
 ordering, id translation, CSR view and plan cache instead of re-deriving
 them per call (plain graphs resolve to their shared default session).
+Both resolve engine, schedule, frontier chunk and pool size through the
+session's one dispatch stage
+(:meth:`~repro.core.session.MiningSession._stage`): what the caller
+passes explicitly is kept, ``None`` is planned from the probe.
 """
 
 from __future__ import annotations
@@ -62,11 +66,9 @@ from ..core import accel
 from ..core.callbacks import Aggregator, ExplorationControl, Match
 from ..core.engine import EngineStats, run_tasks
 from ..core.session import (
-    _ENGINE_CHOICES,
     MiningSession,
     MultiPatternPlan,
     as_session,
-    batch_preferred,
     group_start_vertices,
 )
 from ..graph.binary_io import GraphStore, save_mmap
@@ -82,11 +84,7 @@ __all__ = [
     "process_count_many",
     "FAULT_ENV",
     "MAX_CHUNK_RETRIES",
-    "DEFAULT_NUM_THREADS",
-    "DEFAULT_NUM_PROCESSES",
 ]
-
-_SCHEDULE_CHOICES = ("dynamic", "static")
 
 # Crash-tolerance knobs.  A chunk whose worker dies is requeued up to
 # MAX_CHUNK_RETRIES times before the run gives up with WorkerCrashError
@@ -97,63 +95,6 @@ _SCHEDULE_CHOICES = ("dynamic", "static")
 # immediately after leasing the matching chunk.
 FAULT_ENV = "REPRO_FAULT_WORKER_DIE"
 MAX_CHUNK_RETRIES = 2
-
-# Legacy fixed pool sizes, used when the caller passes ``None`` without
-# auto planning.  Under ``plan="auto"`` a ``None`` pool size instead
-# hands sizing to the planner: the probe's work-volume estimate picks
-# the worker count out of a machine-sized budget (``os.cpu_count()``).
-DEFAULT_NUM_THREADS = 4
-DEFAULT_NUM_PROCESSES = 2
-
-
-def _resolve_pool_size(requested, plan_mode, default):
-    """Planner-sized pools: ``None`` defers to the plan (PR 10).
-
-    An explicit integer always wins.  ``None`` under ``plan="auto"``
-    offers the machine's core count as the budget — the planner then
-    *sizes* the pool from measured work volume instead of merely capping
-    the caller's guess.  ``None`` under ``plan="fixed"`` keeps the
-    legacy default.
-    """
-    if requested is not None:
-        return requested
-    if plan_mode == "auto":
-        return os.cpu_count() or default
-    return default
-
-
-def _resolve_plan_mode(session, plan):
-    """Fill the dispatch-policy knob from session defaults; validate.
-
-    ``None`` inherits the session's ``ExecOptions.planner`` default;
-    ``"fixed"`` keeps the global thresholds, ``"auto"`` plans the run
-    from the probe walk (:mod:`repro.runtime.planner`).
-    """
-    from .planner import PLANNER_CHOICES
-
-    if plan is None:
-        plan = session.defaults.planner
-    if plan not in PLANNER_CHOICES:
-        raise ValueError(
-            f"plan must be one of {PLANNER_CHOICES}, got {plan!r}"
-        )
-    return plan
-
-
-def _resolve_scheduling(session, schedule, chunk_hint):
-    """Fill ``schedule``/``chunk_hint`` from session defaults; validate."""
-    defaults = session.defaults
-    if schedule is None:
-        schedule = defaults.schedule
-    if chunk_hint is None:
-        chunk_hint = defaults.chunk_hint
-    if schedule not in _SCHEDULE_CHOICES:
-        raise ValueError(
-            f"schedule must be one of {_SCHEDULE_CHOICES}, got {schedule!r}"
-        )
-    if chunk_hint is not None and chunk_hint < 1:
-        raise ValueError(f"chunk_hint must be >= 1, got {chunk_hint}")
-    return schedule, chunk_hint
 
 
 @dataclass
@@ -203,24 +144,6 @@ class ParallelResult:
         return 0.0 if hi == 0 else (hi - lo) / hi
 
 
-def _thread_engine_mode(engine: str, ordered: DataGraph, plan) -> str:
-    """Resolve the thread-pool engine: ``reference`` or ``accel-batch``.
-
-    Mirrors the :mod:`repro.core.session` auto-dispatch: the reference
-    interpreter (owns stats) or the frontier-batched engine (numpy
-    kernels drop the GIL, so workers overlap).  Both honor a shared
-    early-termination control — the batched engine polls it between
-    frontier blocks and per emitted match.
-    """
-    if engine not in _ENGINE_CHOICES:
-        raise ValueError(
-            f"engine must be one of {_ENGINE_CHOICES}, got {engine!r}"
-        )
-    if engine == "auto":
-        return "accel-batch" if batch_preferred(ordered, plan) else "reference"
-    return engine
-
-
 def _count_frontier(session, plan, mode, need_weights=True):
     """The level-0 frontier (and per-start weights) for one thread run.
 
@@ -250,27 +173,25 @@ def _count_frontier(session, plan, mode, need_weights=True):
 def parallel_match(
     graph: DataGraph | MiningSession,
     pattern: Pattern,
-    num_threads: int | None = 4,
+    num_threads: int | None = None,
     callback: Callable[[Match, Aggregator], None] | None = None,
     edge_induced: bool = True,
     symmetry_breaking: bool = True,
     control: ExplorationControl | None = None,
-    chunk_size: int | None = None,
     aggregate_interval: float = 0.005,
     on_update: Callable[[Aggregator], None] | None = None,
-    engine: str = "auto",
+    engine: str | None = None,
     combine: Callable | None = None,
     global_aggregator: Aggregator | None = None,
     schedule: str | None = None,
     chunk_hint: int | None = None,
-    plan: str | None = None,
 ) -> ParallelResult:
     """Match a pattern with ``num_threads`` worker threads.
 
-    ``num_threads=None`` defers pool sizing: under ``plan="auto"`` the
-    planner sizes the pool from the probe's measured work volume (with
-    the machine's core count as the budget); under ``plan="fixed"`` the
-    legacy default of :data:`DEFAULT_NUM_THREADS` applies.
+    An integer ``num_threads`` runs exactly that many workers (only a
+    session-level ``guard="downgrade"`` may cap them); ``None`` lets the
+    plan size the pool from the probe's measured work volume, up to the
+    machine's core count.
 
     ``callback(match, local_aggregator)`` runs on the worker thread that
     found the match; values it maps into the local aggregator surface in
@@ -286,65 +207,42 @@ def parallel_match(
     aggregates — pass one so ``on_update`` observes the *cumulative*
     totals rather than each run's private map.
 
-    With ``engine="auto"`` the workers drive the frontier-batched engine
-    over chunks of the level-0 frontier whenever the graph sits above
-    the batched crossover: each chunk's
-    numpy kernels run with the GIL released, so worker threads overlap on
-    the hot loop instead of serializing, and a user ``control`` is polled
-    between frontier blocks and per emitted match.  Reference-engine runs
-    keep per-thread :class:`EngineStats`; vectorized runs report zero
-    stats (see :class:`ParallelResult`).
-
-    ``schedule``/``chunk_hint`` pick the work placement (see the module
-    docstring): ``"dynamic"`` (default) pulls degree-weighted chunks
-    from the shared scheduler, ``"static"`` cuts one stride chunk per
-    thread.  With no hint, chunks are sized automatically for
-    ``num_threads`` (:data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER`
-    per thread); ``chunk_size`` is the legacy spelling of the same hint
-    (an explicit ``chunk_hint`` beats it, and either explicit value
-    beats the session default).  ``None`` values inherit the session's
-    :class:`~repro.core.session.ExecOptions` defaults.
+    ``engine``/``schedule``/``chunk_hint`` pin the run; ``None`` values
+    inherit the session's :class:`~repro.core.session.ExecOptions`
+    defaults and whatever is still open is planned from the probe (see
+    the module docstring): the batched engine whenever the pattern's
+    frontier clears the crossover — each chunk's numpy kernels run with
+    the GIL released, so worker threads overlap on the hot loop instead
+    of serializing, and a user ``control`` is polled between frontier
+    blocks and per emitted match — ``"dynamic"`` degree-weighted chunks
+    pulled from the shared scheduler on hub-skewed frontiers, one
+    ``"static"`` stride chunk per thread on uniform ones.  With no hint,
+    chunks are sized automatically for the pool
+    (:data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER` per thread).
+    Reference-engine runs keep per-thread :class:`EngineStats`;
+    vectorized runs report zero stats (see :class:`ParallelResult`).
 
     ``graph`` may be a :class:`~repro.core.session.MiningSession`, in
     which case its cached ordering, translation and plans are reused.
     """
     session = as_session(graph)
-    # Per-call knobs win over session defaults: an explicit chunk_hint
-    # beats the legacy chunk_size spelling, which in turn beats the
-    # session's ExecOptions default; only then does auto sizing apply.
-    if chunk_hint is None and chunk_size is not None:
-        chunk_hint = chunk_size
-    plan_mode = _resolve_plan_mode(session, plan)
-    num_threads = _resolve_pool_size(num_threads, plan_mode, DEFAULT_NUM_THREADS)
-    if plan_mode == "auto":
-        # One probe plans the thread run: engine by measured expansion,
-        # schedule/chunk by skew, thread count by work volume.  Knobs
-        # the caller pinned explicitly stay pinned.
-        from . import planner as _planner
-
-        query_plan = _planner.plan_query(
-            session,
-            pattern,
-            session.options(
+    opts, query_plan, [(plan, _)] = session._stage(
+        [pattern],
+        session.defaults.merged(
+            dict(
                 edge_induced=edge_induced,
                 symmetry_breaking=symmetry_breaking,
                 engine=engine,
-            ),
-            num_workers=num_threads,
-        )
-        num_threads = query_plan.num_workers
-        if schedule is None:
-            schedule = query_plan.schedule
-        if chunk_hint is None:
-            chunk_hint = query_plan.chunk_hint
-        engine = query_plan.engine
-    schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
-    plan = session.plan_for(
-        pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
+                schedule=schedule,
+                chunk_hint=chunk_hint,
+            )
+        ),
+        workers=num_threads,
     )
+    num_threads = query_plan.num_workers
+    schedule, mode = opts.schedule, opts.engine
     ordered = session.ordered
     old_of_new = session.translation
-    mode = _thread_engine_mode(engine, ordered, plan)
     view = session.view if mode == "accel-batch" else None
     frontier, weights = _count_frontier(
         session, plan, mode, need_weights=schedule == "dynamic"
@@ -352,7 +250,7 @@ def parallel_match(
     if schedule == "dynamic":
         scheduler = TaskScheduler(
             frontier,
-            chunk_size=chunk_hint,
+            chunk_size=opts.chunk_hint,
             weights=weights,
             num_workers=num_threads,
         )
@@ -396,6 +294,7 @@ def parallel_match(
                     start_vertices=chunk,
                     on_match=on_match,
                     count_only=callback is None,
+                    chunk=opts.frontier_chunk,
                     control=shared_control,
                 )
             else:
@@ -795,58 +694,6 @@ def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
     return totals_of(range(num_chunks))
 
 
-def _apply_guard_mode(
-    session,
-    patterns,
-    guard,
-    num_processes,
-    frontier_chunk,
-    edge_induced,
-    symmetry_breaking,
-):
-    """Process-runtime admission guard: probe, then refuse or downgrade.
-
-    Returns the (possibly downgraded) ``(num_processes, frontier_chunk)``
-    pair — an explosive estimate under ``guard="downgrade"`` caps the
-    worker count (bounding fork-side memory multiplication) and tightens
-    the per-engine frontier chunk.  ``guard="refuse"`` raises
-    :class:`~repro.errors.QueryRefusedError` on the first pattern
-    predicted explosive.
-    """
-    if guard in (None, "off"):
-        return num_processes, frontier_chunk
-    from . import guards
-
-    if guard not in guards.GUARD_CHOICES:
-        raise ValueError(
-            f"guard must be one of {guards.GUARD_CHOICES}, got {guard!r}"
-        )
-    # Probe through the session cache so admission and planning share
-    # one walk per (pattern, flags) — a guarded planned query probes
-    # exactly once.
-    exec_opts = session.options(
-        edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
-    )
-    seen_signatures: set = set()
-    for pattern in patterns:
-        signature = pattern.signature()
-        if signature in seen_signatures:
-            continue
-        seen_signatures.add(signature)
-        estimate = session._guard_estimate(pattern, exec_opts)
-        if not estimate.explosive:
-            continue
-        if guard == "refuse":
-            raise guards.refusal(estimate)
-        num_processes = guards.cap_workers(estimate, num_processes)
-        frontier_chunk = (
-            guards.DOWNGRADE_FRONTIER_CHUNK
-            if frontier_chunk is None
-            else min(frontier_chunk, guards.DOWNGRADE_FRONTIER_CHUNK)
-        )
-    return num_processes, frontier_chunk
-
-
 def _mmap_store(session):
     """An on-disk degree-ordered ``.rgx`` path for the session's graph.
 
@@ -871,7 +718,7 @@ def _mmap_store(session):
 def process_count(
     graph: DataGraph | MiningSession,
     pattern: Pattern,
-    num_processes: int | None = 2,
+    num_processes: int | None = None,
     edge_induced: bool = True,
     symmetry_breaking: bool = True,
     share_mode: str | None = None,
@@ -879,7 +726,6 @@ def process_count(
     chunk_hint: int | None = None,
     cancel: ExplorationControl | None = None,
     guard: str | None = None,
-    plan: str | None = None,
 ) -> int:
     """Count matches with worker processes (true parallel speedup).
 
@@ -898,14 +744,13 @@ def process_count(
         chunk_hint=chunk_hint,
         cancel=cancel,
         guard=guard,
-        plan=plan,
     )[pattern]
 
 
 def process_count_many(
     graph: DataGraph | MiningSession,
     patterns: Sequence[Pattern],
-    num_processes: int | None = 2,
+    num_processes: int | None = None,
     edge_induced: bool = True,
     symmetry_breaking: bool = True,
     label_index: bool = True,
@@ -915,7 +760,6 @@ def process_count_many(
     frontier_chunk: int | None = None,
     cancel: ExplorationControl | None = None,
     guard: str | None = None,
-    plan: str | None = None,
 ) -> dict[Pattern, int]:
     """Count every pattern with worker processes over fused frontier chunks.
 
@@ -932,14 +776,17 @@ def process_count_many(
     optimization; the process path counts every requested plan
     directly).
 
-    ``num_processes=None`` defers pool sizing: under ``plan="auto"`` the
-    planner sizes the pool from measured work volume (budgeted at the
-    machine's core count); under ``plan="fixed"`` the legacy default of
-    :data:`DEFAULT_NUM_PROCESSES` applies.  A pool of one (asked for, or
-    capped by the guard or the plan) runs the sequential session path
-    in-process.
+    An integer ``num_processes`` runs exactly that many workers;
+    ``None`` lets the plan size the pool from the measured work volume,
+    up to the machine's core count.  A pool of one (asked for, planned,
+    or capped by ``guard="downgrade"``) runs the sequential session
+    path in-process.
 
-    ``schedule="dynamic"`` (default) cuts degree-weighted chunks — the
+    ``schedule``/``chunk_hint``/``frontier_chunk`` pin the run; ``None``
+    values inherit the session's
+    :class:`~repro.core.session.ExecOptions` defaults and whatever is
+    still open is planned from the members' probes.
+    ``schedule="dynamic"`` cuts degree-weighted chunks — the
     work-stealing schedule that absorbs stragglers on skewed (power-law)
     graphs, where a fixed partition leaves one process holding the
     heaviest hub *and* its full share of everything else;
@@ -948,8 +795,6 @@ def process_count_many(
     ``schedule="static"`` cuts one stride chunk per worker (the §5.2
     interleaving without stealing).  ``frontier_chunk`` bounds each
     worker engine's per-dispatch frontier exactly as in sequential runs.
-    ``None`` values inherit the session's
-    :class:`~repro.core.session.ExecOptions` defaults.
 
     ``share_mode`` picks the graph handle workers receive (see above):
     ``"fork"`` (default where fork exists) or ``"mmap"``.  A
@@ -967,7 +812,7 @@ def process_count_many(
     work outstanding raises :class:`~repro.errors.QueryCancelledError`
     with per-pattern partial totals in ``partial.detail["totals"]`` —
     from the in-process path too.  ``guard`` ("refuse" or "downgrade")
-    runs the :mod:`~repro.runtime.guards` admission probe first —
+    applies the :mod:`~repro.runtime.guards` admission decision first —
     refusing predicted-explosive pattern sets or capping the worker
     count.
     """
@@ -979,47 +824,32 @@ def process_count_many(
         raise ValueError(
             f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
         )
-    plan_mode = _resolve_plan_mode(session, plan)
-    num_processes = _resolve_pool_size(
-        num_processes, plan_mode, DEFAULT_NUM_PROCESSES
-    )
     patterns = list(patterns)
-    num_processes, frontier_chunk = _apply_guard_mode(
-        session, patterns, guard, num_processes, frontier_chunk,
-        edge_induced, symmetry_breaking,
+    opts, query_plan, lookups = session._stage(
+        patterns,
+        session.options(
+            edge_induced=edge_induced,
+            symmetry_breaking=symmetry_breaking,
+            label_index=label_index,
+            schedule=schedule,
+            chunk_hint=chunk_hint,
+            frontier_chunk=frontier_chunk,
+            guard=guard,
+        ),
+        workers=num_processes,
     )
-    if plan_mode == "auto" and patterns:
-        # One probe per distinct member (shared with the guard above)
-        # plans the whole drain: pool size from summed level-1 volume,
-        # schedule from skew, frontier chunk from predicted partials.
-        from . import planner as _planner
-
-        workload_plan = _planner.plan_workload(
-            session,
-            patterns,
-            session.options(
-                edge_induced=edge_induced,
-                symmetry_breaking=symmetry_breaking,
-                frontier_chunk=frontier_chunk,
-            ),
-            num_workers=num_processes,
-        )
-        num_processes = workload_plan.num_workers
-        if schedule is None:
-            schedule = workload_plan.schedule
-        if chunk_hint is None:
-            chunk_hint = workload_plan.chunk_hint
-        frontier_chunk = workload_plan.frontier_chunk
-    schedule, chunk_hint = _resolve_scheduling(session, schedule, chunk_hint)
+    num_processes = query_plan.num_workers
     if num_processes <= 1 or not patterns:
         latch = None if cancel is None else _CancelLatch(cancel)
+        # Already admitted and planned: the in-process run keeps the
+        # staged frontier chunk and skips a second admission.
         counts = session.count_many(
             patterns,
             edge_induced=edge_induced,
             symmetry_breaking=symmetry_breaking,
             label_index=label_index,
-            frontier_chunk=frontier_chunk,
-            plan=plan_mode,
+            frontier_chunk=opts.frontier_chunk,
+            guard="off",
             control=latch,
         )
         if latch is not None and latch.seen:
@@ -1031,12 +861,7 @@ def process_count_many(
 
     ordered = session.ordered
     labels = ordered.labels()
-    plans = [
-        session.plan_for(
-            p, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
-        )
-        for p in patterns
-    ]
+    plans = [plan for plan, _ in lookups]
     if labels is None and any(pl.matched_pattern.is_labeled for pl in plans):
         raise MatchingError(
             "pattern has label constraints but the data graph is unlabeled"
@@ -1054,13 +879,13 @@ def process_count_many(
             frontier = np.arange(view.num_vertices - 1, -1, -1, dtype=np.int64)
         else:
             frontier = np.asarray(starts, dtype=np.int64)
-        if schedule == "static":
+        if opts.schedule == "static":
             ledger = ChunkLedger.strided(frontier, num_processes)
         else:
             ledger = ChunkLedger.build(
                 frontier,
                 weights=degrees[frontier] + 1,
-                chunk_hint=chunk_hint,
+                chunk_hint=opts.chunk_hint,
                 num_workers=num_processes,
             )
         ledgers.append(ledger)
@@ -1070,7 +895,7 @@ def process_count_many(
         groups=multi.groups,
         ledgers=tuple(ledgers),
         offsets=tuple(offsets),
-        frontier_chunk=frontier_chunk,
+        frontier_chunk=opts.frontier_chunk,
     )
 
     if share_mode == "fork":

@@ -22,9 +22,11 @@ into that workload:
 
 **Error isolation.**  A batch member must never poison its siblings:
 
-* admission guards run *per member* before the fused call — a refused
-  request gets its :class:`~repro.errors.QueryRefusedError` while the
-  rest proceed;
+* every member goes through the session's dispatch stage (probe →
+  admit → plan) *on its own* before the fused call — a refused request
+  gets its :class:`~repro.errors.QueryRefusedError` while the rest
+  proceed, and a member the stage routes to the sampling tier is
+  answered alone;
 * budgeted / deadline-bearing requests are never coalesced (a budget is
   a per-request contract; one meter cannot span strangers' work) — they
   take the solo path;
@@ -45,7 +47,7 @@ from ..core.session import MiningSession
 from ..errors import ReproError
 from ..mining.sampling import ApproxCount
 from ..pattern.pattern import Pattern
-from ..runtime import guards
+from ..runtime.planner import QueryPlan
 from ..runtime.pool import QueryPool
 from .metrics import ServiceMetrics
 
@@ -87,11 +89,14 @@ class JobResult:
     ``approx`` carries the :class:`~repro.mining.sampling.ApproxCount`
     envelope (estimate, stderr, ``ci_low``/``ci_high``,
     ``rel_err_achieved``) when the count was answered by the sampling
-    tier — whether the caller asked (``approx`` option) or the planner
-    auto-routed under a ``latency_budget``.
+    tier — whether the caller asked (``approx`` option) or the stage
+    auto-routed it (``latency_budget``, ``guard="downgrade"``).
+    ``plan`` is the :class:`~repro.runtime.planner.QueryPlan` the job's
+    own dispatch stage chose.
     """
 
     count: int
+    plan: QueryPlan
     rows: list | None = None
     approx: dict | None = None
 
@@ -231,16 +236,34 @@ def _options_signature(options: dict) -> tuple:
 # ----------------------------------------------------------------------
 
 
+def _stage_job(session: MiningSession, job: QueryJob, options: dict):
+    """One job's own probe → admit → plan: ``(options, query plan)``.
+
+    Count jobs without a budget may be answered by the sampling tier,
+    so only they are staged as count-only.
+    """
+    opts, query_plan, _ = session._stage(
+        [job.pattern],
+        session.defaults.merged(options),
+        count_only=job.kind == "count" and job.budget is None,
+    )
+    return opts, query_plan
+
+
 def _run_job(session: MiningSession, job: QueryJob, run_options: dict):
     """One job on its own: the solo path and the isolation fallback."""
     overrides = dict(run_options)
     if job.budget is not None:
         overrides["budget"] = job.budget
+    # Staged here only for the echo: the verb below stages again off the
+    # session's cached probe, and reading ``session.last_query_plan``
+    # back instead would race with the pool's other threads.
+    _, query_plan = _stage_job(session, job, overrides)
     if job.kind == "count":
         value = session.count(job.pattern, **overrides)
         if isinstance(value, ApproxCount):
-            return JobResult(count=int(value), approx=value.as_dict())
-        return JobResult(count=int(value))
+            return JobResult(int(value), query_plan, approx=value.as_dict())
+        return JobResult(int(value), query_plan)
     rows: list[list[int]] = []
     limit = job.limit
 
@@ -249,7 +272,7 @@ def _run_job(session: MiningSession, job: QueryJob, run_options: dict):
             rows.append(list(match.mapping))
 
     total = session.match(job.pattern, collect, **overrides)
-    return JobResult(count=int(total), rows=rows)
+    return JobResult(int(total), query_plan, rows=rows)
 
 
 def _run_batch(session: MiningSession, jobs: list[QueryJob]):
@@ -262,30 +285,33 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
     outcomes: list[Any] = [None] * len(jobs)
     shared = jobs[0].options  # all bucket members share one signature
     run_options = dict(shared)
-    guard = run_options.pop("guard", "off")
+    # The fused walk below runs the members the stage admitted here, so
+    # it does not admit again.
+    run_options["guard"] = "off"
 
-    # Per-member admission: refusals surface on their own member only,
-    # and a downgrade tightens the shared walk's frontier chunk.
+    # Per-member stage: refusals surface on their own member only, a
+    # member escalated to the sampling tier is answered alone, and a
+    # downgrade tightens the shared walk's frontier chunk.
     admitted: list[int] = []
-    if guard != "off":
-        exec_opts = session.options(**shared)
-        for i, job in enumerate(jobs):
+    plans: dict[int, QueryPlan] = {}
+    for i, job in enumerate(jobs):
+        try:
+            opts, plans[i] = _stage_job(session, job, shared)
+        except ReproError as exc:
+            outcomes[i] = exc
+            continue
+        if opts.approx is not None:
             try:
-                estimate = session._guard_estimate(job.pattern, exec_opts)
-                decided = guards.admit(estimate, exec_opts)
-            except ReproError as exc:
+                outcomes[i] = _run_job(session, job, shared)
+            except Exception as exc:
                 outcomes[i] = exc
-                continue
-            admitted.append(i)
-            if decided.frontier_chunk is not None:
-                current = run_options.get("frontier_chunk")
-                run_options["frontier_chunk"] = (
-                    decided.frontier_chunk
-                    if current is None
-                    else min(current, decided.frontier_chunk)
-                )
-    else:
-        admitted = list(range(len(jobs)))
+            continue
+        admitted.append(i)
+        if opts.guard == "downgrade" and opts.frontier_chunk is not None:
+            run_options["frontier_chunk"] = min(
+                opts.frontier_chunk,
+                run_options.get("frontier_chunk", opts.frontier_chunk),
+            )
 
     # Build the fused workload: count members dedup by exact pattern
     # signature (concurrent identical queries pay one walk), match
@@ -340,6 +366,6 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
     for member, owners in enumerate(member_jobs):
         for i in owners:
             outcomes[i] = JobResult(
-                count=int(totals[member]), rows=collected_rows.get(i)
+                int(totals[member]), plans[i], rows=collected_rows.get(i)
             )
     return outcomes, deduped

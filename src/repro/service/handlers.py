@@ -32,7 +32,7 @@ import time
 from typing import TYPE_CHECKING
 
 from ..core.callbacks import Budget
-from ..core.session import _ENGINE_CHOICES, _MULTI_ENGINE_CHOICES
+from ..core.session import ExecOptions
 from ..errors import (
     BudgetExceededError,
     GraphError,
@@ -77,7 +77,6 @@ ALLOWED_OPTIONS: dict[str, tuple] = {
     "guard": (str,),
     "schedule": (str,),
     "chunk_hint": (int,),
-    "plan": (str,),
     "approx": (int, float),
     "confidence": (int, float),
     "max_samples": (int,),
@@ -112,12 +111,14 @@ def _require_dict(payload) -> dict:
     return payload
 
 
-def _parse_options(payload: dict, engines: tuple = _ENGINE_CHOICES) -> dict:
+def _parse_options(payload: dict, multi: bool = False) -> dict:
     """The request's validated option overrides.
 
-    ``engines`` is what the verb's session call accepts: single-pattern
-    verbs take the session's engine choices, the multi-pattern ``motifs``
-    verb additionally takes ``"fused"``.
+    Names and types are checked against :data:`ALLOWED_OPTIONS`; values
+    by the one option-resolution path
+    (:meth:`~repro.core.session.ExecOptions.merged` — ``multi`` admits
+    the multi-pattern ``motifs`` verb's ``"fused"`` engine), so a bad
+    value is ``invalid_request`` on every verb, before any mining.
     """
     raw = payload.get("options", {})
     if not isinstance(raw, dict):
@@ -140,12 +141,15 @@ def _parse_options(payload: dict, engines: tuple = _ENGINE_CHOICES) -> dict:
                 f"got {value!r}"
             )
         options[name] = value
-    engine = options.get("engine")
-    if engine is not None and engine not in engines:
-        raise InvalidRequestError(
-            f"option 'engine' must be one of {engines}, got {engine!r}"
-        )
+    _check_values(options, multi)
     return options
+
+
+def _check_values(options: dict, multi: bool = False) -> None:
+    try:
+        ExecOptions().merged(options, multi=multi)
+    except ValueError as exc:
+        raise InvalidRequestError(f"bad option value: {exc}") from exc
 
 
 def _parse_budget(payload: dict) -> Budget | None:
@@ -221,22 +225,16 @@ def _edge_spec(pattern: Pattern) -> str:
     return "edges:" + ",".join(f"{u}-{v}" for u, v in pattern.edges())
 
 
-def _plan_echo(service: "MiningService", session, pattern, options) -> dict | None:
-    """The adaptive plan to echo in a response (``plan="auto"`` only).
+def _plan_echo(service: "MiningService", result) -> dict:
+    """The plan the job's dispatch stage chose, for the response.
 
-    Computed *after* the query ran, so the probe is already cached on the
-    session and this costs one dataclass walk, not a second probe.  The
-    chosen engine/schedule are also folded into
+    The chosen engine/schedule are also folded into
     :class:`~repro.service.metrics.ServiceMetrics` so the ``stats`` verb
     shows what the planner has been deciding fleet-wide.
     """
-    if options.get("plan") != "auto":
-        return None
-    from ..runtime import planner
-
-    query_plan = planner.plan_query(session, pattern, session.options(**options))
-    service.metrics.record_plan(query_plan.engine, query_plan.schedule)
-    return query_plan.as_dict()
+    plan = result.plan.as_dict()
+    service.metrics.record_plan(plan["engine"], plan["schedule"])
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +263,7 @@ async def _handle_count(service: "MiningService", payload: dict) -> dict:
         # gauge).
         response["approx"] = result.approx
         service.metrics.record_approx(auto="approx" not in options)
-    plan_echo = _plan_echo(service, session, pattern, options)
-    if plan_echo is not None:
-        response["plan"] = plan_echo
+    response["plan"] = _plan_echo(service, result)
     return response
 
 
@@ -291,10 +287,8 @@ async def _handle_match(service: "MiningService", payload: dict) -> dict:
         "matches": rows,
         "returned": len(rows),
         "limit": limit,
+        "plan": _plan_echo(service, result),
     }
-    plan_echo = _plan_echo(service, session, pattern, options)
-    if plan_echo is not None:
-        response["plan"] = plan_echo
     return response
 
 
@@ -340,20 +334,18 @@ async def _handle_approx_count(service: "MiningService", payload: dict) -> dict:
     confidence = _parse_approx_field(payload, "confidence")
     if confidence is None:
         confidence = sampling.DEFAULT_CONFIDENCE
-    max_samples = _parse_approx_field(payload, "max_samples", integral=True)
-    seed = _parse_approx_field(payload, "seed", integral=True)
+    options.update(
+        approx=rel_err,
+        confidence=confidence,
+        max_samples=_parse_approx_field(payload, "max_samples", integral=True),
+        seed=_parse_approx_field(payload, "seed", integral=True),
+    )
+    _check_values(options)
     resolved = service.registry.resolve_key(key)
     session = service.registry.get(resolved)
 
     def estimate() -> dict:
-        result = session.count(
-            pattern,
-            approx=rel_err,
-            confidence=confidence,
-            max_samples=max_samples,
-            seed=seed,
-            **options,
-        )
+        result = session.count(pattern, **options)
         service.metrics.record_approx(auto=False)
         response = {
             "graph": key,
@@ -401,10 +393,10 @@ async def _handle_motifs(service: "MiningService", payload: dict) -> dict:
         raise InvalidRequestError(
             f"'size' must be one of {MOTIF_SIZES}, got {size!r}"
         )
-    options = _parse_options(payload, _MULTI_ENGINE_CHOICES)
+    options = _parse_options(payload, multi=True)
     for name in options:
         if name not in (
-            "symmetry_breaking", "engine", "schedule", "chunk_hint", "plan"
+            "symmetry_breaking", "engine", "schedule", "chunk_hint"
         ):
             raise InvalidRequestError(
                 f"option {name!r} is not supported by the motifs verb"

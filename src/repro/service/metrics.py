@@ -13,8 +13,8 @@ directly from one snapshot:
   patterns were deduplicated away (a fused batch of one is just a slow
   solo run, so the *fusion batch rate* is the fraction of batched
   requests that actually shared a walk with a sibling);
-* **planner gauges** — how many requests ran with ``plan="auto"`` and
-  which engines/schedules the adaptive planner chose for them;
+* **planner gauges** — how many count/match requests were planned and
+  which engines/schedules their dispatch stage chose;
 * **registry stats** — folded in at snapshot time from
   :meth:`~repro.service.registry.SessionRegistry.stats`.
 
@@ -112,7 +112,7 @@ class ServiceMetrics:
         self._deduped_requests = 0
         self._batch_sizes: dict[int, int] = {}
         self._max_batch_size = 0
-        # Adaptive-planner gauges (requests that ran with plan="auto").
+        # Planner gauges (every count/match request is planned).
         self._planned_queries = 0
         self._plan_engines: dict[str, int] = {}
         self._plan_schedules: dict[str, int] = {}
@@ -164,7 +164,7 @@ class ServiceMetrics:
             self._solo_requests += 1
 
     def record_plan(self, engine: str, schedule: str) -> None:
-        """One adaptively-planned request and what the planner chose."""
+        """One planned request and what its dispatch stage chose."""
         with self._lock:
             self._planned_queries += 1
             self._plan_engines[engine] = self._plan_engines.get(engine, 0) + 1

@@ -541,17 +541,15 @@ class TestDispatch:
         with pytest.raises(ValueError, match="accel-batch"):
             count(g, generate_clique(3), engine="accel")
 
-    def test_batch_preferred_heuristic(self):
-        from repro.core import batch_preferred
+    def test_planned_engine_follows_the_probed_frontier(self):
+        from repro.runtime.planner import explain
 
-        moderate, _ = erdos_renyi(300, 0.05, seed=51).degree_ordered()
-        forest, _ = erdos_renyi(300, 0.002, seed=51).degree_ordered()
-        clique_plan = generate_plan(generate_clique(3))
-        chain_plan = generate_plan(generate_chain(3))
+        moderate = erdos_renyi(300, 0.05, seed=51)
+        forest = erdos_renyi(300, 0.002, seed=51)
         # no density floor beyond near-forests, no core-size exclusion
-        assert batch_preferred(moderate, clique_plan)
-        assert batch_preferred(moderate, chain_plan)
-        assert not batch_preferred(forest, clique_plan)
+        assert explain(moderate, generate_clique(3)).engine == "accel-batch"
+        assert explain(moderate, generate_chain(3)).engine == "accel-batch"
+        assert explain(forest, generate_clique(3)).engine == "reference"
 
     def test_force_accel_batch_with_stats_raises(self):
         g = erdos_renyi(20, 0.3, seed=1)
@@ -586,16 +584,15 @@ class TestControlDispatch:
     """
 
     def test_control_does_not_change_dispatch(self):
-        from repro.core.session import _dispatch_engine
+        from repro.runtime.planner import explain
 
-        g, _ = erdos_renyi(300, 0.05, seed=51).degree_ordered()
-        for plan in (generate_plan(generate_clique(3)),
-                     generate_plan(generate_chain(3))):
-            bare = _dispatch_engine("auto", None, None, None, g, plan)
-            controlled = _dispatch_engine(
-                "auto", ExplorationControl(), None, None, g, plan
-            )
-            assert controlled == bare
+        g = erdos_renyi(300, 0.05, seed=51)
+        for pattern in (generate_clique(3), generate_chain(3)):
+            bare = explain(g, pattern).engine
+            controlled = explain(
+                g, pattern, control=ExplorationControl()
+            ).engine
+            assert controlled == bare == "accel-batch"
 
     def test_forced_engine_accepts_control(self):
         from repro.core.session import MiningSession

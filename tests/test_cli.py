@@ -381,8 +381,8 @@ class TestGuardFlags:
         assert "refused:" in out
 
 
-class TestExplainAndPlanFlags:
-    """The explain verb and the --plan knob on count."""
+class TestExplain:
+    """The explain verb; the dispatch policy is not a flag."""
 
     def test_explain_prints_estimate_and_plan(self):
         code, out = run_cli(["explain", *MICO, "--pattern", "clique:3"])
@@ -420,12 +420,13 @@ class TestExplainAndPlanFlags:
         assert code == 0  # explain never refuses; it reports
         assert "explosive: yes" in out
 
-    def test_count_plan_auto_matches_fixed(self):
-        _, fixed = run_cli(
-            ["count", *MICO, "--pattern", "clique:3", "--plan", "fixed"]
-        )
-        code, auto = run_cli(
-            ["count", *MICO, "--pattern", "clique:3", "--plan", "auto"]
+    def test_explain_pins_the_worker_count(self):
+        code, out = run_cli(
+            ["explain", *MICO, "--pattern", "clique:3", "--processes", "3"]
         )
         assert code == 0
-        assert fixed.splitlines()[0] == auto.splitlines()[0]
+        assert "workers=3" in out
+
+    def test_count_has_no_plan_flag(self):
+        with pytest.raises(SystemExit):
+            run_cli(["count", *MICO, "--pattern", "clique:3", "--plan", "auto"])

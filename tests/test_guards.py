@@ -2,12 +2,14 @@
 
 Covers the :class:`repro.core.callbacks.Budget` spec and its armed
 :class:`~repro.core.callbacks.BudgetMeter`, the bounded probe walk in
-:mod:`repro.runtime.guards`, the session-level ``guard=`` admission
-modes, and the acceptance scenario — a short deadline on a power-law
-census returning a truncated partial through the frontier-batched
-engine (asserted structurally via engine dispatch, never via timing).
+:mod:`repro.runtime.guards`, the ``guard=`` / ``latency_budget`` routing
+of the one dispatch stage through every surface that reaches it, and
+the acceptance scenario — a short deadline on a power-law census
+returning a truncated partial through the frontier-batched engine
+(asserted structurally via engine dispatch, never via timing).
 """
 
+import asyncio
 import time
 
 import pytest
@@ -20,9 +22,12 @@ from repro.errors import (
     QueryRefusedError,
 )
 from repro.graph.generators import erdos_renyi, power_law, star_graph
-from repro.pattern.generators import generate_clique
+from repro.mining.sampling import ApproxCount
+from repro.pattern.generators import generate_chain, generate_clique
 from repro.pattern.pattern import Pattern
-from repro.runtime import guards
+from repro.runtime import guards, planner
+from repro.runtime.parallel import parallel_match, process_count_many
+from repro.service import MiningService, ServiceConfig
 
 
 class TestBudgetSpec:
@@ -148,42 +153,6 @@ class TestAdmissionModes:
         expected = session.count(generate_clique(3))
         assert session.count(generate_clique(3), guard="off") == expected
 
-    def test_refuse_raises_up_front(self, session, monkeypatch):
-        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
-        with pytest.raises(QueryRefusedError) as info:
-            session.count(generate_clique(3), guard="refuse")
-        err = info.value
-        assert err.estimate is not None and err.estimate.explosive
-        assert err.partial == 0
-        assert "refused" in str(err)
-
-    def test_downgrade_match_still_returns_exact_count(
-        self, session, monkeypatch
-    ):
-        # Enumeration (a callback) can only be downgraded, never estimated.
-        expected = session.count(generate_clique(3))
-        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
-        seen = []
-        got = session.match(
-            generate_clique(3), seen.append, guard="downgrade"
-        )
-        assert got == expected == len(seen)
-
-    def test_downgrade_escalates_deep_explosions_to_approx(
-        self, session, monkeypatch
-    ):
-        # Count-only queries predicted far past the threshold answer from
-        # the sampling tier (PR 10); on this tiny frontier the estimator
-        # degenerates to the exact census, so the value is still exact.
-        from repro.mining.sampling import ApproxCount
-
-        expected = session.count(generate_clique(3))
-        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
-        got = session.count(generate_clique(3), guard="downgrade")
-        assert isinstance(got, ApproxCount)
-        assert got.requested_rel_err == guards.DOWNGRADE_APPROX_REL_ERR
-        assert int(got) == expected
-
     def test_downgrade_tightens_frontier_chunk(self, monkeypatch):
         monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
         est = guards.estimate_cost(erdos_renyi(80, 0.2, seed=9),
@@ -195,14 +164,177 @@ class TestAdmissionModes:
         )
         assert kept.frontier_chunk == 64  # never loosened
 
-    def test_cap_workers_only_when_explosive(self, monkeypatch):
-        g = erdos_renyi(80, 0.2, seed=9)
-        benign = guards.estimate_cost(g, generate_clique(3))
-        assert guards.cap_workers(benign, 8) == 8
+
+# ----------------------------------------------------------------------
+# One stage, many surfaces: the routing table
+# ----------------------------------------------------------------------
+
+PATTERN = generate_clique(3)
+WORKERS = 4  # asked of the two runtimes; guard="downgrade" caps it
+
+
+def _via_count(graph, options):
+    session = MiningSession(graph, **options)
+    return session.count(PATTERN), session.last_query_plan
+
+
+def _via_count_many(graph, options):
+    session = MiningSession(graph, **options)
+    counts = session.count_many([PATTERN, generate_chain(3)])
+    return counts[PATTERN], session.last_query_plan
+
+
+def _via_match_batches(graph, options):
+    session = MiningSession(graph, **options)
+    rows = []
+    total = session.match_batches(PATTERN, rows.append)
+    assert sum(len(batch) for batch in rows) == total
+    return total, session.last_query_plan
+
+
+def _via_process_count_many(graph, options):
+    session = MiningSession(graph, **options)
+    counts = process_count_many(session, [PATTERN], num_processes=WORKERS)
+    return counts[PATTERN], session.last_query_plan
+
+
+def _via_parallel_match(graph, options):
+    session = MiningSession(graph, **options)
+    result = parallel_match(session, PATTERN, num_threads=WORKERS)
+    assert result.num_threads == session.last_query_plan.num_workers
+    return result.matches, session.last_query_plan
+
+
+class _Echo:
+    """The service's plan echo, shaped like the QueryPlan it came from."""
+
+    def __init__(self, payload):
+        self.frontier_chunk = payload["frontier_chunk"]
+        self.num_workers = payload["num_workers"]
+
+
+class _Estimate:
+    def __init__(self, payload):
+        self.requested_rel_err = payload["requested_rel_err"]
+        self.count = payload["count"]
+
+
+def _via_service_batch(graph, options):
+    """Two concurrent count requests coalescing into one batch."""
+    service = MiningService(ServiceConfig(workers=2, max_wait_ms=20.0))
+    service.register_graph("g", graph)
+    request = {"verb": "count", "graph": "g", "pattern": "clique:3",
+               "options": options}
+
+    async def go():
+        try:
+            return await asyncio.gather(
+                service.handle(request), service.handle(dict(request))
+            )
+        finally:
+            await service.close()
+
+    first, second = asyncio.run(go())
+    assert first == second
+    if not first["ok"]:
+        assert first["error"]["code"] == "query_refused"
+        assert first["error"]["estimate"]["explosive"]
+        raise QueryRefusedError(first["error"]["message"])
+    result = first["result"]
+    value = result["count"]
+    if "approx" in result:
+        value = _Estimate({**result["approx"], "count": value})
+    return value, _Echo(result["plan"])
+
+
+# surface -> may it answer from the sampling tier, does it run a pool
+SURFACES = {
+    "count": (_via_count, True, False),
+    "count_many": (_via_count_many, True, False),
+    "match_batches": (_via_match_batches, False, False),
+    "process_count_many": (_via_process_count_many, False, True),
+    "parallel_match": (_via_parallel_match, False, True),
+    "service_batch": (_via_service_batch, True, False),
+}
+
+
+def _requested_rel_err(value):
+    if isinstance(value, (ApproxCount, _Estimate)):
+        return value.requested_rel_err
+    assert type(value) is int
+    return None
+
+
+def _as_int(value):
+    return value.count if isinstance(value, _Estimate) else int(value)
+
+
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+class TestRoutingAcrossSurfaces:
+    """refuse / downgrade / downgrade→approx / latency-budget routing is
+    decided once, in ``MiningSession._stage``, so every surface that
+    reaches the stage must show the same behaviour: refusals raise
+    everywhere, downgrades pace (chunk, workers) everywhere, and the two
+    escalations to the sampling tier engage exactly on the count-only
+    surfaces while enumeration and the runtimes stay exact."""
+
+    @pytest.fixture()
+    def graph(self):
+        return erdos_renyi(80, 0.2, seed=9)
+
+    @pytest.fixture()
+    def truth(self, graph):
+        return MiningSession(graph).count(PATTERN, engine="reference")
+
+    def test_refuse_raises_before_any_work(self, surface, graph, monkeypatch):
+        run, _, _ = SURFACES[surface]
         monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
-        explosive = guards.estimate_cost(g, generate_clique(3))
-        assert guards.cap_workers(explosive, 8) == guards.DOWNGRADE_MAX_WORKERS
-        assert guards.cap_workers(None, 8) == 8
+        with pytest.raises(QueryRefusedError, match="refused") as info:
+            run(graph, {"guard": "refuse"})
+        if surface != "service_batch":
+            assert info.value.estimate.explosive
+            assert info.value.partial == 0
+
+    def test_mild_explosion_only_paces(
+        self, surface, graph, truth, monkeypatch
+    ):
+        # Past the threshold but inside DOWNGRADE_APPROX_FACTOR: pacing
+        # (chunk tightening, worker cap), not estimation.
+        run, _, pooled = SURFACES[surface]
+        predicted = max(
+            guards.estimate_cost(graph, p).predicted_partials
+            for p in (PATTERN, generate_chain(3))
+        )
+        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", predicted / 2.0)
+        value, plan = run(graph, {"guard": "downgrade"})
+        assert type(value) is int and value == truth
+        assert plan.frontier_chunk == guards.DOWNGRADE_FRONTIER_CHUNK
+        if pooled:
+            assert plan.num_workers == guards.DOWNGRADE_MAX_WORKERS < WORKERS
+
+    def test_deep_explosion_escalates_count_only_surfaces(
+        self, surface, graph, truth, monkeypatch
+    ):
+        # On this tiny frontier the estimator degenerates to the exact
+        # census, so the value is still exact either way.
+        run, samplable, _ = SURFACES[surface]
+        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
+        value, plan = run(graph, {"guard": "downgrade"})
+        assert _as_int(value) == truth
+        assert plan.frontier_chunk == guards.DOWNGRADE_FRONTIER_CHUNK
+        expected = guards.DOWNGRADE_APPROX_REL_ERR if samplable else None
+        assert _requested_rel_err(value) == expected
+
+    def test_latency_budget_routes_count_only_surfaces(
+        self, surface, graph, truth
+    ):
+        run, samplable, _ = SURFACES[surface]
+        value, _ = run(graph, {"latency_budget": 1e-9, "seed": 2})
+        assert _as_int(value) == truth
+        expected = planner.AUTO_APPROX_REL_ERR if samplable else None
+        assert _requested_rel_err(value) == expected
+        roomy, _ = run(graph, {"latency_budget": 1e9})
+        assert type(roomy) is int and roomy == truth
 
 
 class TestBudgetedVerbs:
@@ -250,7 +382,7 @@ class TestBudgetedVerbs:
         """Acceptance: a 50ms deadline on a power-law census returns a
         truncated partial through the BATCHED engine.
 
-        The engine claim is structural — ``_prepare`` must dispatch this
+        The engine claim is structural — the plan must dispatch this
         exact call shape to ``accel-batch`` — and the truncation is
         forced by an already-elapsed meter, never by racing wall-clock.
         """
@@ -261,8 +393,8 @@ class TestBudgetedVerbs:
         opts = session.defaults.merged(
             {"engine": "auto", "budget": budget, "on_budget": "partial"}
         )
-        _, _, selected = session._prepare(pattern, opts)
-        assert selected == "accel-batch"  # budgets do not demote dispatch
+        # budgets do not demote dispatch
+        assert planner.plan_query(session, pattern, opts).engine == "accel-batch"
 
         meter = budget.meter()
         meter.deadline_at = time.perf_counter() - 1.0  # deadline elapsed

@@ -1,10 +1,10 @@
-"""Tests for the cost-model-driven adaptive query planner.
+"""Tests for the cost-model-driven query planner.
 
 Covers the :mod:`repro.runtime.planner` selection logic (engine,
-schedule, chunking, worker budget), the probe-once contract shared by
-admission and planning, fuzzed result parity between ``plan="auto"``
-and the fixed-threshold baseline, and regression tests for the three
-estimator bugfixes that shipped with the planner:
+schedule, frontier chunk, pool size), the rule that caller pins always
+win, the probe-once contract shared by admission and planning, result
+parity between planned runs and the interpreter oracle, and regression
+tests for the three estimator bugfixes that shipped with the planner:
 
 * evenly-spaced probe sampling must use a rounded stride (an integer
   step degrades to consecutive hub-prefix entries on small frontiers);
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.session import ExecOptions, MiningSession
+from repro.core.session import MiningSession
 from repro.errors import QueryRefusedError
 from repro.graph.builder import from_edges
 from repro.graph.generators import (
@@ -198,7 +198,6 @@ class TestPlanSelection:
             session, generate_clique(3), num_workers=4
         )
         assert plan.schedule == "dynamic"
-        assert plan.chunk_hint is not None and plan.chunk_hint >= 1
 
     def test_uniform_frontier_chooses_static_schedule(self):
         session = MiningSession(erdos_renyi(300, 0.05, seed=5))
@@ -209,16 +208,23 @@ class TestPlanSelection:
             )
             assert plan.schedule == "static"
 
-    def test_worker_budget_capped_by_measured_work(self):
-        session = MiningSession(star_graph(20))
-        plan = planner.plan_query(session, generate_chain(3), num_workers=8)
+    def test_unpinned_pool_is_sized_by_measured_work(self, monkeypatch):
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 8)
+        tiny = MiningSession(star_graph(20))
+        plan = planner.plan_query(tiny, generate_chain(3), num_workers=None)
         assert plan.num_workers == 1
+        busy = MiningSession(erdos_renyi(300, 0.1, seed=3))
+        plan = planner.plan_query(busy, generate_clique(3), num_workers=None)
+        assert 1 < plan.num_workers <= 8
 
-    def test_explosive_estimate_caps_workers(self, monkeypatch):
+    def test_explosive_estimate_caps_an_unpinned_pool(self, monkeypatch):
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 8)
         monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
-        plan = planner.plan_query(session, generate_clique(4), num_workers=8)
-        assert plan.num_workers <= guards.DOWNGRADE_MAX_WORKERS
+        plan = planner.plan_query(
+            session, generate_clique(4), num_workers=None
+        )
+        assert plan.num_workers == guards.DOWNGRADE_MAX_WORKERS
 
     def test_explosive_raw_prediction_tightens_frontier_chunk(
         self, monkeypatch
@@ -231,15 +237,7 @@ class TestPlanSelection:
             session, generate_clique(3),
             session.options(frontier_chunk=512),
         )
-        assert pinned.frontier_chunk == 512  # never loosened
-
-    def test_explicit_chunk_hint_wins(self):
-        session = MiningSession(power_law(1500, gamma=2.1, d_min=4, seed=7))
-        plan = planner.plan_query(
-            session, generate_clique(3),
-            session.options(chunk_hint=17), num_workers=4,
-        )
-        assert plan.chunk_hint == 17
+        assert pinned.frontier_chunk == 512  # pins are kept exactly
 
     def test_apply_plan_rewrites_exec_options(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -248,14 +246,13 @@ class TestPlanSelection:
         assert opts.engine == plan.engine
         assert opts.schedule == plan.schedule
         assert opts.frontier_chunk == plan.frontier_chunk
-        assert opts.chunk_hint == plan.chunk_hint
 
     def test_plan_dict_and_describe_are_stable(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
         plan = planner.plan_query(session, generate_clique(3))
         payload = plan.as_dict()
         assert set(payload) >= {
-            "engine", "schedule", "frontier_chunk", "chunk_hint",
+            "engine", "schedule", "frontier_chunk",
             "num_workers", "reasons", "estimate",
         }
         assert payload["estimate"]["explosive"] is False
@@ -278,10 +275,96 @@ class TestPlanSelection:
         )
         assert plan.engine == "reference"
 
-    def test_invalid_planner_value_rejected(self):
+    def test_plan_query_is_the_one_pattern_workload(self):
+        session = MiningSession(erdos_renyi(300, 0.1, seed=3))
+        pattern = generate_clique(3)
+        assert planner.plan_query(session, pattern) == planner.plan_workload(
+            session, [pattern]
+        )
+
+    def test_policy_strings_are_no_longer_a_plan(self):
         session = MiningSession(erdos_renyi(40, 0.2, seed=1))
-        with pytest.raises(ValueError, match="planner must be one of"):
-            session.count(generate_clique(3), plan="always")
+        with pytest.raises(ValueError, match="plan must be an ExplorationPlan"):
+            session.count(generate_clique(3), plan="auto")
+        with pytest.raises(TypeError, match="unknown execution option"):
+            session.count(generate_clique(3), planner="auto")
+
+    def test_exploration_plan_object_still_accepted(self):
+        session = MiningSession(erdos_renyi(60, 0.15, seed=4))
+        pattern = generate_clique(3)
+        plan = session.plan_for(pattern)
+        assert session.options(plan=plan).plan is plan
+        assert session.count(pattern, plan=plan) == session.count(pattern)
+
+
+# ----------------------------------------------------------------------
+# Pins always win
+# ----------------------------------------------------------------------
+
+
+class TestPinsWin:
+    """What the caller passes explicitly is never overridden by the plan."""
+
+    def test_stage_keeps_every_pinned_choice(self, monkeypatch):
+        # A skewed, batch-worthy frontier with a prediction the planner
+        # would tighten: every unpinned choice would come out different.
+        monkeypatch.setattr(planner, "TIGHTEN_PARTIALS", 1.0)
+        session = MiningSession(power_law(1500, gamma=2.1, d_min=4, seed=7))
+        pattern = generate_clique(3)
+        free, free_plan, _ = session._stage(
+            [pattern], session.options(), workers=None
+        )
+        assert (free.engine, free.schedule, free.frontier_chunk) == (
+            "accel-batch", "dynamic", planner.PLANNED_FRONTIER_CHUNK
+        )
+        pins = dict(
+            engine="reference", schedule="static", chunk_hint=3,
+            frontier_chunk=99_999,
+        )
+        opts, plan, _ = session._stage(
+            [pattern], session.options(**pins), workers=5
+        )
+        for name, value in pins.items():
+            assert getattr(opts, name) == value, name
+        assert plan.num_workers == 5
+        assert (plan.engine, plan.schedule, plan.frontier_chunk) == (
+            "reference", "static", 99_999
+        )
+
+    def test_explicit_thread_count_runs_exactly_that_many(self, monkeypatch):
+        from repro.runtime.parallel import parallel_match
+
+        toy = MiningSession(star_graph(20))
+        pattern = generate_chain(3)
+        expected = toy.count(pattern, engine="reference")
+        result = parallel_match(toy, pattern, num_threads=3)
+        assert (result.num_threads, result.matches) == (3, expected)
+        assert len(result.per_thread_matches) == 3
+        # None lets the plan size the pool: nothing to share on a toy.
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 8)
+        sized = parallel_match(toy, pattern, num_threads=None)
+        assert (sized.num_threads, sized.matches) == (1, expected)
+
+    def test_explicit_process_count_reaches_a_real_pool(self, monkeypatch):
+        from repro.runtime import parallel
+
+        pools = []
+        drain = parallel._tolerant_count
+
+        def recording(ctx, num_workers, *rest):
+            pools.append(num_workers)
+            return drain(ctx, num_workers, *rest)
+
+        monkeypatch.setattr(parallel, "_tolerant_count", recording)
+        toy = MiningSession(star_graph(20))
+        pattern = generate_chain(3)
+        expected = toy.count(pattern, engine="reference")
+        assert parallel.process_count(toy, pattern, num_processes=2) == expected
+        assert pools == [2]
+        # None lets the plan size the pool: a toy runs in-process.
+        monkeypatch.setattr(planner.os, "cpu_count", lambda: 8)
+        assert parallel.process_count(toy, pattern, num_processes=None) == expected
+        assert pools == [2]
 
 
 # ----------------------------------------------------------------------
@@ -293,39 +376,46 @@ class TestProbeOnce:
     @pytest.fixture()
     def counting(self, monkeypatch):
         calls = []
-        real = guards.estimate_cost
+        real = guards.probe
 
         def wrapper(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(guards, "estimate_cost", wrapper)
+        monkeypatch.setattr(guards, "probe", wrapper)
         return calls
 
     def test_guarded_planned_query_probes_exactly_once(self, counting):
         """Admission and planning share one probe walk per query."""
         session = MiningSession(erdos_renyi(120, 0.1, seed=2))
-        session.count(generate_clique(3), guard="downgrade", plan="auto")
+        session.count(generate_clique(3), guard="downgrade")
         assert len(counting) == 1
 
     def test_warm_session_never_reprobes(self, counting):
         session = MiningSession(erdos_renyi(120, 0.1, seed=2))
         pattern = generate_clique(3)
-        session.count(pattern, guard="downgrade", plan="auto")
-        session.count(pattern, plan="auto")
-        session.count(pattern, guard="refuse")
+        session.count(pattern, guard="downgrade")
+        session.count(pattern)
+        session.match(pattern, lambda m: None, guard="refuse")
+        session.count_many([pattern, pattern])
+        assert len(counting) == 1
+
+    def test_sampling_rounds_never_reprobe(self, counting):
+        session = MiningSession(power_law(3000, gamma=2.3, d_min=3, seed=1))
+        estimate = session.count(generate_clique(3), approx=0.2, seed=1)
+        assert estimate.rounds >= 4
         assert len(counting) == 1
 
     def test_distinct_flags_probe_separately(self, counting):
         session = MiningSession(erdos_renyi(120, 0.1, seed=2))
         pattern = generate_clique(3)
-        session.count(pattern, plan="auto")
-        session.count(pattern, plan="auto", symmetry_breaking=False)
+        session.count(pattern)
+        session.count(pattern, symmetry_breaking=False)
         assert len(counting) == 2
 
 
 # ----------------------------------------------------------------------
-# Auto-vs-fixed result parity
+# Planned runs pin the interpreter oracle
 # ----------------------------------------------------------------------
 
 
@@ -344,83 +434,44 @@ PARITY_PATTERNS = {
 }
 
 
-class TestAutoFixedParity:
+class TestPlannedParity:
     @pytest.mark.parametrize("graph_name", sorted(PARITY_GRAPHS))
     @pytest.mark.parametrize("pattern_name", sorted(PARITY_PATTERNS))
     @pytest.mark.parametrize("edge_induced", [True, False])
     def test_counts_identical(self, graph_name, pattern_name, edge_induced):
         session = MiningSession(PARITY_GRAPHS[graph_name]())
         pattern = PARITY_PATTERNS[pattern_name]
-        fixed = session.count(
-            pattern, edge_induced=edge_induced, plan="fixed"
+        oracle = session.count(
+            pattern, edge_induced=edge_induced, engine="reference"
         )
-        auto = session.count(pattern, edge_induced=edge_induced, plan="auto")
-        assert auto == fixed
+        assert session.count(pattern, edge_induced=edge_induced) == oracle
 
     @pytest.mark.parametrize("pattern_name", ["clique:3", "chain:3"])
     def test_match_multisets_identical(self, pattern_name):
         session = MiningSession(erdos_renyi(100, 0.08, seed=11))
         pattern = PARITY_PATTERNS[pattern_name]
 
-        def collect(plan_mode):
+        def collect(engine):
             rows = []
             session.match(
                 pattern,
                 lambda m: rows.append(tuple(m.mapping)),
-                plan=plan_mode,
+                engine=engine,
             )
             return sorted(rows)
 
-        assert collect("auto") == collect("fixed")
+        assert collect("auto") == collect("reference")
 
     def test_count_many_identical(self):
         session = MiningSession(erdos_renyi(150, 0.08, seed=7))
         patterns = list(PARITY_PATTERNS.values())
-        fixed = session.count_many(patterns, plan="fixed")
-        auto = session.count_many(patterns, plan="auto")
-        assert list(auto) == list(fixed)
+        oracle = session.count_many(patterns, engine="reference")
+        assert session.count_many(patterns) == oracle
 
-    def test_guarded_downgrade_parity(self, monkeypatch):
-        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
+    def test_last_query_plan_recorded(self):
         session = MiningSession(erdos_renyi(120, 0.1, seed=2))
-        pattern = generate_clique(3)
-        fixed = session.count(pattern, guard="downgrade", plan="fixed")
-        auto = session.count(pattern, guard="downgrade", plan="auto")
-        assert auto == fixed
-
-    def test_last_query_plan_recorded_only_for_auto(self):
-        session = MiningSession(erdos_renyi(120, 0.1, seed=2))
-        pattern = generate_clique(3)
-        session.count(pattern, plan="fixed")
         assert session.last_query_plan is None
-        session.count(pattern, plan="auto")
+        session.count(generate_clique(3))
         recorded = session.last_query_plan
         assert isinstance(recorded, planner.QueryPlan)
-        assert recorded.engine in ("reference", "accel", "accel-batch")
-
-
-# ----------------------------------------------------------------------
-# ExecOptions spelling
-# ----------------------------------------------------------------------
-
-
-class TestPlanOptionSpelling:
-    def test_plan_string_translates_to_planner_field(self):
-        opts = ExecOptions().merged({"plan": "auto"})
-        assert opts.planner == "auto"
-        assert opts.plan is None  # the ExplorationPlan slot stays free
-
-    def test_exploration_plan_object_still_accepted(self):
-        session = MiningSession(erdos_renyi(60, 0.15, seed=4))
-        pattern = generate_clique(3)
-        plan = session.plan_for(pattern)
-        opts = session.options(plan=plan)
-        assert opts.plan is plan
-        assert opts.planner == "fixed"
-
-    def test_planner_session_default_via_constructor(self):
-        session = MiningSession(erdos_renyi(60, 0.15, seed=4), plan="auto")
-        assert session.defaults.planner == "auto"
-        pattern = generate_clique(3)
-        assert session.count(pattern) == session.count(pattern, plan="fixed")
-        assert session.last_query_plan is not None
+        assert recorded.engine == "accel-batch"

@@ -127,7 +127,7 @@ class TestParallelMatch:
 
     def test_per_thread_accounting(self):
         g = erdos_renyi(60, 0.2, seed=5)
-        result = parallel_match(g, generate_clique(3), num_threads=3, chunk_size=4)
+        result = parallel_match(g, generate_clique(3), num_threads=3, chunk_hint=4)
         assert sum(result.per_thread_matches) == result.matches
         assert 0.0 <= result.load_imbalance() <= 1.0
 
@@ -231,13 +231,12 @@ def _skip_unless_fork_available(share_mode):
 
 def _near_forest():
     """A graph below the batched crossover (avg degree < 2)."""
-    from repro.core import batch_preferred, generate_plan
     from repro.pattern import generate_chain
+    from repro.runtime.planner import explain
 
     g = erdos_renyi(300, 0.005, seed=3)
-    ordered, _ = g.degree_ordered()
     p = generate_chain(3)
-    assert not batch_preferred(ordered, generate_plan(p))
+    assert explain(g, p).engine == "reference"
     assert count(g, p, engine="reference") > 0
     return g, p
 
@@ -331,13 +330,12 @@ class TestProcessCount:
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_moderate_density_uses_batched_workers(self, share_mode):
         """The batched tier engages at single-digit average degree."""
-        from repro.core import batch_preferred, generate_plan
+        from repro.runtime.planner import explain
 
         _skip_unless_fork_available(share_mode)
         g = erdos_renyi(80, 0.1, seed=21)  # avg degree ~8
-        ordered, _ = g.degree_ordered()
-        plan = generate_plan(generate_clique(3))
-        assert batch_preferred(ordered, plan)  # guard: batch path engaged
+        # guard: batch path engaged
+        assert explain(g, generate_clique(3)).engine == "accel-batch"
         expected = count(g, generate_clique(3), engine="reference")
         got = process_count(
             g, generate_clique(3), num_processes=3, share_mode=share_mode

@@ -3,9 +3,10 @@
 Covers the :mod:`repro.mining.sampling` estimators (accuracy, exact
 degeneration, determinism, the statistical CI-coverage contract), the
 vertical wiring — ``count(approx=...)`` / ``count_many`` fused sharing,
-planner auto-routing under ``latency_budget``, the ``guard="downgrade"``
-approximate escalation — plus the planner-sized pools satellite and the
-service ``approx_count`` verb / metrics gauges.
+planner auto-routing under ``latency_budget`` (the ``guard="downgrade"``
+escalation is pinned per surface in ``test_guards.py``) — plus the
+planner-sized pools satellite and the service ``approx_count`` verb /
+metrics gauges.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.pattern import (
     generate_star,
 )
 from repro.pattern.generators import generate_all_vertex_induced
-from repro.runtime import guards, planner
+from repro.runtime import planner
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +229,7 @@ class TestColorCoding:
 class TestPlannerRouting:
     def test_latency_budget_routes_to_approx(self, ba_session):
         r = ba_session.count(
-            generate_clique(4), plan="auto", latency_budget=1e-9, seed=2
+            generate_clique(4), latency_budget=1e-9, seed=2
         )
         assert isinstance(r, ApproxCount)
         qp = ba_session.last_query_plan
@@ -238,60 +239,36 @@ class TestPlannerRouting:
 
     def test_generous_budget_stays_exact(self, ba_session):
         plain = ba_session.count(generate_clique(4))
-        r = ba_session.count(
-            generate_clique(4), plan="auto", latency_budget=1e9
-        )
+        r = ba_session.count(generate_clique(4), latency_budget=1e9)
         assert isinstance(r, int) and not isinstance(r, ApproxCount)
         assert r == plain
         assert not ba_session.last_query_plan.use_approx
 
     def test_exact_results_bit_identical_without_approx(self, ba_session):
         # The acceptance pin: adding the tier must not perturb exact
-        # counting — fixed and auto plans agree exactly with each other
-        # and with a fresh pre-tier-style session.
+        # counting — planned and interpreter runs agree exactly with
+        # each other and with a fresh session.
         p = generate_clique(3)
-        fixed = ba_session.count(p, plan="fixed")
-        auto = ba_session.count(p, plan="auto")
+        oracle = ba_session.count(p, engine="reference")
+        planned = ba_session.count(p)
         fresh = MiningSession(ba_session.graph).count(p)
-        assert fixed == auto == fresh
-        assert type(fixed) is int
+        assert oracle == planned == fresh
+        assert type(planned) is int
 
     def test_caller_pinned_approx_survives_planning(self, ba_session):
-        r = ba_session.count(generate_clique(3), plan="auto", approx=0.1,
-                             seed=1)
+        r = ba_session.count(generate_clique(3), approx=0.1, seed=1)
         assert isinstance(r, ApproxCount)
         assert r.requested_rel_err == 0.1
 
     def test_match_rejects_latency_budget_routing(self, ba_session):
         # Only count-only runs may be auto-routed; match with a callback
-        # under the same plan/budget must stay exact, not estimate.
+        # under the same budget must stay exact, not estimate.
         seen = []
         total = ba_session.match(
-            generate_clique(3), seen.append, plan="auto", latency_budget=1e-9
+            generate_clique(3), seen.append, latency_budget=1e-9
         )
         assert type(total) is int
         assert len(seen) == total
-
-
-class TestGuardEscalation:
-    def test_downgrade_escalates_to_approx(self, ba_session, monkeypatch):
-        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
-        r = ba_session.count(generate_clique(3), guard="downgrade", seed=4)
-        assert isinstance(r, ApproxCount)
-        assert r.requested_rel_err == guards.DOWNGRADE_APPROX_REL_ERR
-
-    def test_mild_explosion_only_downgrades(self, ba_session, monkeypatch):
-        # Past the threshold but inside DOWNGRADE_APPROX_FACTOR: pacing
-        # (chunk tightening), not estimation.
-        estimate = ba_session._guard_estimate(
-            generate_clique(3), ba_session.options()
-        )
-        monkeypatch.setattr(
-            guards, "EXPLOSIVE_PARTIALS",
-            estimate.predicted_partials / 2.0,
-        )
-        r = ba_session.count(generate_clique(3), guard="downgrade")
-        assert type(r) is int
 
 
 # ----------------------------------------------------------------------
@@ -300,39 +277,16 @@ class TestGuardEscalation:
 
 
 class TestPoolSizing:
-    def test_resolver_contract(self):
-        import os
-
-        from repro.runtime.parallel import (
-            DEFAULT_NUM_PROCESSES,
-            DEFAULT_NUM_THREADS,
-            _resolve_pool_size,
-        )
-
-        assert _resolve_pool_size(3, "auto", DEFAULT_NUM_THREADS) == 3
-        assert (
-            _resolve_pool_size(None, "fixed", DEFAULT_NUM_THREADS)
-            == DEFAULT_NUM_THREADS
-        )
-        assert (
-            _resolve_pool_size(None, "fixed", DEFAULT_NUM_PROCESSES)
-            == DEFAULT_NUM_PROCESSES
-        )
-        assert _resolve_pool_size(None, "auto", 4) == (os.cpu_count() or 4)
-
     def test_parallel_match_plans_pool_size(self, ba_session):
         from repro.runtime.parallel import parallel_match
 
         exact = ba_session.count(generate_clique(3))
         result = parallel_match(
-            ba_session, generate_clique(3), num_threads=None, plan="auto"
+            ba_session, generate_clique(3), num_threads=None
         )
         assert result.matches == exact
         qp = planner.plan_query(
-            ba_session,
-            generate_clique(3),
-            ba_session.options(),
-            num_workers=__import__("os").cpu_count() or 1,
+            ba_session, generate_clique(3), num_workers=None
         )
         assert result.num_threads == qp.num_workers
 
@@ -345,7 +299,7 @@ class TestPoolSizing:
         # Tiny workload: the planner sizes the pool down to 1, which
         # takes the fast in-process path.
         assert process_count(
-            session, generate_clique(3), num_processes=None, plan="auto"
+            session, generate_clique(3), num_processes=None
         ) == exact
 
 
@@ -413,9 +367,7 @@ class TestServiceApprox:
             "verb": "count",
             "graph": "g",
             "pattern": "clique:4",
-            "options": {
-                "plan": "auto", "latency_budget": 1e-9, "seed": 1,
-            },
+            "options": {"latency_budget": 1e-9, "seed": 1},
         }))
         assert response["ok"], response
         assert "approx" in response["result"]
@@ -487,14 +439,14 @@ class TestOptionPlumbing:
 
         opts = ExecOptions(
             approx=0.05, max_samples=10, latency_budget=1.0, seed=3,
-            guard="downgrade", planner="auto",
+            guard="downgrade", engine="accel-batch",
         )
         inner = _inner_opts(opts)
         assert inner.approx is None
         assert inner.max_samples is None
         assert inner.latency_budget is None
         assert inner.guard == "off"
-        assert inner.planner == "fixed"
+        assert inner.engine == "accel-batch"  # the engine staged once
 
     def test_plan_query_approx_fields_serialize(self, ba_session):
         opts = dataclasses.replace(

@@ -346,12 +346,8 @@ class TestBatchFailureIsolation:
         # between a 3-vertex and a 5-vertex pattern deterministically.
         dense = erdos_renyi(200, 0.1, seed=1)
         session = MiningSession(dense)
-        small = session._guard_estimate(
-            generate_chain(3), session.options(guard="refuse")
-        )
-        big = session._guard_estimate(
-            generate_star(5), session.options(guard="refuse")
-        )
+        small = guards.estimate_cost(session, generate_chain(3))
+        big = guards.estimate_cost(session, generate_star(5))
         assert big.predicted_partials > small.predicted_partials
         threshold = (small.predicted_partials + big.predicted_partials) / 2
         monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", threshold)
@@ -491,20 +487,67 @@ class TestDispatch:
         )
         assert response["error"]["code"] == "invalid_request"
 
-    @pytest.mark.parametrize("verb", ["count", "match", "exists"])
-    def test_removed_accel_engine_is_a_bad_option(self, service, verb):
+    BAD_OPTIONS = [
+        {"guard": "bogus"},
+        {"schedule": "bogus"},
+        {"on_budget": "bogus"},
+        {"engine": "accel"},
+        {"approx": 7},
+        {"confidence": 2},
+        {"max_samples": -1},
+        {"latency_budget": -1.0},
+        {"chunk_hint": 0},
+        {"frontier_chunk": 0},
+    ]
+
+    @pytest.mark.parametrize(
+        "verb", ["count", "match", "exists", "approx_count", "motifs"]
+    )
+    @pytest.mark.parametrize("options", BAD_OPTIONS, ids=str)
+    def test_bad_option_value_is_400_on_every_verb(
+        self, service, verb, options
+    ):
+        """Option values are checked once, where options are resolved,
+        so a typo can neither run unguarded (``guard``/``schedule`` used
+        to be silently accepted on the batched path) nor surface as a
+        500 from the worker pool."""
         response = run(
             service.handle(
                 {"verb": verb, "graph": "g", "pattern": "clique:3",
-                 "options": {"engine": "accel"}}
+                 "size": 3, "options": options}
             )
         )
         assert not response["ok"]
         assert response["error"]["code"] == "invalid_request"
         assert response["error"]["status"] == 400
+        (name,) = options
+        assert name in response["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "field", [{"rel_err": 7}, {"confidence": 2}, {"max_samples": -1}]
+    )
+    def test_bad_estimator_field_is_400(self, service, field):
+        response = run(
+            service.handle(
+                {"verb": "approx_count", "graph": "g",
+                 "pattern": "clique:3", **field}
+            )
+        )
+        assert response["error"]["code"] == "invalid_request"
+        assert response["error"]["status"] == 400
+
+    def test_removed_accel_engine_names_the_choices(self, service):
+        response = run(
+            service.handle(
+                {"verb": "count", "graph": "g", "pattern": "clique:3",
+                 "options": {"engine": "accel"}}
+            )
+        )
         assert "accel-batch" in response["error"]["message"]
 
-    @pytest.mark.parametrize("verb", ["count", "match", "exists"])
+    @pytest.mark.parametrize(
+        "verb", ["count", "match", "exists", "approx_count"]
+    )
     def test_fused_engine_is_a_bad_option_on_single_pattern_verbs(
         self, service, verb
     ):
@@ -747,7 +790,7 @@ class TestLabeledService:
 
 
 class TestPlanEcho:
-    """plan="auto" requests echo the chosen plan and feed the gauges."""
+    """count/match responses echo the plan their dispatch stage chose."""
 
     @pytest.fixture
     def service(self, graph):
@@ -758,42 +801,38 @@ class TestPlanEcho:
 
     def test_count_echoes_plan_and_counts_agree(self, service, graph):
         truth = MiningSession(graph)
-        fixed = run(
+        response = run(
             service.handle(
                 {"verb": "count", "graph": "g", "pattern": "clique:3"}
             )
         )
-        auto = run(
-            service.handle(
-                {"verb": "count", "graph": "g", "pattern": "clique:3",
-                 "options": {"plan": "auto"}}
-            )
-        )
-        assert fixed["ok"] and auto["ok"]
-        assert auto["result"]["count"] == fixed["result"]["count"]
-        assert auto["result"]["count"] == truth.count(generate_clique(3))
-        assert "plan" not in fixed["result"]
-        echoed = auto["result"]["plan"]
+        assert response["ok"]
+        assert response["result"]["count"] == truth.count(generate_clique(3))
+        echoed = response["result"]["plan"]
         assert echoed["engine"] in ("reference", "accel-batch")
         assert echoed["schedule"] in ("static", "dynamic")
         assert echoed["estimate"]["frontier_size"] > 0
         assert echoed["reasons"]
 
-    def test_match_echoes_plan(self, service):
+    def test_echo_reflects_the_requests_pins(self, service):
         response = run(
             service.handle(
                 {"verb": "match", "graph": "g", "pattern": "chain:3",
-                 "limit": 5, "options": {"plan": "auto"}}
+                 "limit": 5,
+                 "options": {"engine": "reference", "schedule": "static",
+                             "frontier_chunk": 77}}
             )
         )
         assert response["ok"], response
-        assert response["result"]["plan"]["engine"]
+        echoed = response["result"]["plan"]
+        assert (
+            echoed["engine"], echoed["schedule"], echoed["frontier_chunk"]
+        ) == ("reference", "static", 77)
 
     def test_plan_gauges_in_stats(self, service):
         run(
             service.handle(
-                {"verb": "count", "graph": "g", "pattern": "clique:3",
-                 "options": {"plan": "auto"}}
+                {"verb": "count", "graph": "g", "pattern": "clique:3"}
             )
         )
         stats = run(service.handle({"verb": "stats"}))
@@ -802,14 +841,12 @@ class TestPlanEcho:
         assert sum(gauges["engines"].values()) == 1
         assert sum(gauges["schedules"].values()) == 1
 
-    def test_bogus_plan_value_is_invalid_request(self, service):
+    def test_plan_is_not_a_request_option(self, service):
         response = run(
             service.handle(
                 {"verb": "count", "graph": "g", "pattern": "clique:3",
-                 "options": {"plan": "always"}}
+                 "options": {"plan": "auto"}}
             )
         )
         assert not response["ok"]
-        assert response["error"]["code"] in (
-            "invalid_request", "invalid_query", "internal_error"
-        )
+        assert response["error"]["code"] == "invalid_request"

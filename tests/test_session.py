@@ -249,7 +249,7 @@ class TestExecOptions:
     _OVERRIDE_SAMPLES = {
         "edge_induced": st.just(False),
         "symmetry_breaking": st.just(False),
-        "engine": st.sampled_from(["reference", "accel", "accel-batch"]),
+        "engine": st.sampled_from(["reference", "accel-batch"]),
         "frontier_chunk": st.integers(min_value=1, max_value=64),
         "label_index": st.just(False),
         "flush_size": st.integers(min_value=1, max_value=512),
@@ -516,15 +516,6 @@ class TestLegacyShims:
         assert inspect.signature(api_module.match_batches).parameters[
             "flush_size"
         ].default == 4096
-
-    def test_dispatch_helpers_still_importable(self):
-        # Documented entry points that rode on the api module.
-        from repro.core.api import (  # noqa: F401
-            ACCEL_BATCH_MIN_AVG_DEGREE,
-            batch_preferred,
-        )
-
-        assert ACCEL_BATCH_MIN_AVG_DEGREE == 2.0
 
     def test_precomputed_plan_still_honored(self):
         from repro.core import generate_plan
