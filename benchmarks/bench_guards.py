@@ -101,11 +101,7 @@ def test_guards_emits_json(capsys):
     pattern = generate_clique(3)
     session = MiningSession(graph)
     plan = session.plan_for(pattern)
-
-    from repro.core import accel
-
-    view = session.view
-    starts = accel.frontier_start_order(view.labels, view.num_vertices, plan)
+    starts = session._frontier(session._frontier_key(plan))
     expected = session.count(pattern)  # warm: CSR view, plan, dispatch
 
     # --- guard-off overhead: disarmed verb path vs raw engine runs ---
@@ -159,9 +155,7 @@ def test_guards_emits_json(capsys):
         rec_session = MiningSession(recovery_graph)
         rec_plan = rec_session.plan_for(pattern)
         rec_view = rec_session.view
-        rec_starts = accel.frontier_start_order(
-            rec_view.labels, rec_view.num_vertices, rec_plan
-        )
+        rec_starts = rec_session._frontier(rec_session._frontier_key(rec_plan))
         ledger = ChunkLedger.build(
             list(rec_starts),
             weights=rec_view.degrees()[rec_starts] + 1,

@@ -117,9 +117,7 @@ def _schedule_round(session, plan, num_workers: int) -> dict:
     from repro.core import accel
 
     view = session.view
-    frontier = accel.frontier_start_order(
-        view.labels, view.num_vertices, plan
-    )
+    frontier = session._frontier(session._frontier_key(plan))
     weights = view.degrees()[frontier] + 1
     engine = accel.FrontierBatchedEngine(view)
 

@@ -82,24 +82,24 @@ def hub_degree_threshold(num_vertices: int) -> int:
 def bounded_slices(weights: np.ndarray, cap: int):
     """Consecutive slices of ``weights`` whose sums stay near ``cap``.
 
-    The chunking rule shared by :meth:`FrontierBatchedEngine._row_groups`
-    (candidate totals per gather), :func:`_frontier_slices` (fused
-    frontier walks) and — in its pure-Python mirror
-    :func:`repro.runtime.scheduler.weighted_boundaries` — the concurrent
-    runtimes' degree-weighted work chunks: a slice closes as soon as its
-    cumulative weight reaches ``cap``, and a lone over-cap element still
-    forms a slice of its own, so progress is guaranteed and the worst
-    case is one element's weight, not ``rows * max_weight``.
+    The one chunking rule: :meth:`FrontierBatchedEngine._row_groups`
+    (candidate totals per gather), :func:`fused_run` (frontier walks)
+    and — through :func:`repro.runtime.scheduler.weighted_boundaries` —
+    the concurrent runtimes' degree-weighted work chunks all cut here.
+    A slice closes as soon as its cumulative weight reaches ``cap``, and
+    a lone over-cap element still forms a slice of its own, so progress
+    is guaranteed and the worst case is one element's weight, not
+    ``rows * max_weight``.
     """
     if weights.size == 0:
         return
     cum = np.cumsum(weights)
-    if int(cum[-1]) <= cap:
+    if cum[-1] < cap:
         yield slice(0, weights.size)
         return
     start = 0
     while start < weights.size:
-        base = int(cum[start - 1]) if start else 0
+        base = cum[start - 1] if start else 0
         end = int(np.searchsorted(cum, base + cap, side="left")) + 1
         end = min(max(end, start + 1), weights.size)
         yield slice(start, end)
@@ -355,25 +355,26 @@ def shared_view(ordered: DataGraph) -> AcceleratedGraphView:
 
 
 def frontier_start_order(
-    labels: np.ndarray | None, num_vertices: int, plan: ExplorationPlan
+    ordered: DataGraph, labels: Iterable[int] | None = None
 ) -> np.ndarray:
     """The level-0 frontier: hub-first start vertices, label-filtered.
 
-    The array form of the pruning rule
-    :meth:`~repro.core.plan.ExplorationPlan.pinned_start_labels`
-    defines (and :func:`repro.core.session._label_filtered_starts` applies
-    to list-based runs), so the concurrent runtimes can partition one
-    shared frontier instead of raw vertex-id ranges — workers then
-    split *live* tasks, not vertices a label constraint would discard.
+    ``ordered`` is the degree-ordered graph, so descending ids walk the
+    hubs first (§5.2); ``labels`` restricts the frontier to the vertices
+    carrying one of them — a plan's
+    :meth:`~repro.core.plan.ExplorationPlan.pinned_start_labels`, the
+    G-Miner label-index pruning (§6.4) — and ``None`` keeps every
+    vertex.  Every driver (whole-frontier runs, sampled rounds, thread
+    and process chunks) slices this one array, cached per label set by
+    :meth:`repro.core.session.MiningSession._frontier`.
     """
-    starts = np.arange(num_vertices - 1, -1, -1, dtype=np.int64)
     if labels is None:
-        return starts
-    top_labels = plan.pinned_start_labels()
-    if top_labels is None:
-        return starts
-    wanted = np.fromiter(sorted(top_labels), dtype=np.int64)
-    return starts[np.isin(labels[starts], wanted)]
+        return np.arange(ordered.num_vertices - 1, -1, -1, dtype=np.int64)
+    starts = np.fromiter(
+        (v for label in labels for v in ordered.vertices_with_label(label)),
+        dtype=np.int64,
+    )
+    return np.sort(starts)[::-1].copy()
 
 
 class FrontierBatchedEngine:
@@ -1162,18 +1163,6 @@ class SharedFrontierGathers:
         return cached
 
 
-def _frontier_slices(weights: np.ndarray, cap: int):
-    """Slice the fused frontier so per-slice candidate totals stay near ``cap``.
-
-    The per-start weights are ``degree + 1``, so a slice never exceeds
-    ``cap`` rows and its shared gather never materializes much more than
-    ``cap`` candidates (one start's full adjacency list is the
-    irreducible worst case) — the same :func:`bounded_slices` rule the
-    engine's own row grouping uses.
-    """
-    return bounded_slices(weights, cap)
-
-
 def fused_run(
     view: AcceleratedGraphView,
     members: list[tuple[ExplorationPlan, Callable | None, Callable | None]],
@@ -1222,7 +1211,7 @@ def fused_run(
     totals = [0] * len(members)
     # degree + 1 keeps zero-degree starts advancing and bounds slice rows.
     weights = view.degrees()[starts] + 1
-    for sl in _frontier_slices(weights, cap):
+    for sl in bounded_slices(weights, cap):
         if control is not None and control.stopped:
             break
         sl_starts = starts[sl]

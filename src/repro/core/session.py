@@ -13,8 +13,8 @@ everything derivable from it across queries —
 * exploration plans (§4), cached per ``(pattern, edge_induced,
   symmetry_breaking)`` — motif censuses, FSM rounds and repeated service
   queries re-plan nothing;
-* label-filtered start-vertex lists (the G-Miner §6.4 pruning), cached
-  per plan.
+* hub-first, label-filtered level-0 frontiers (the G-Miner §6.4
+  pruning), cached per pinned-label set.
 
 Execution knobs live in one frozen :class:`ExecOptions` value with a
 single resolution path: session defaults, overridden per call.  The
@@ -24,15 +24,13 @@ session exposes the full verb set — :meth:`MiningSession.match`,
 :meth:`~MiningSession.match_batches_many`,
 :meth:`~MiningSession.exists`, :meth:`~MiningSession.match_batches` and
 :meth:`~MiningSession.aggregate` (the paper's map/reduce aggregator
-idiom, §5.4).  Multi-pattern verbs fuse compatible patterns
-(:class:`MultiPatternPlan` grouping) onto one shared frontier walk
-through :func:`repro.core.accel.fused_run`, with count-only
-vertex-induced censuses demultiplexed off the shared non-induced basis
-(:mod:`repro.core.multipattern`).  The module-level functions in
-:mod:`repro.core.api` are
-one-shot shims over the per-graph shared session
-(:meth:`MiningSession.for_graph`), so legacy programs transparently get
-the same caches.
+idiom, §5.4).  Multi-pattern verbs compile into a
+:class:`MultiPatternPlan`: compatible patterns fuse onto one shared
+frontier walk, with count-only vertex-induced censuses demultiplexed off
+the shared non-induced basis (:mod:`repro.core.multipattern`).  The
+module-level functions in :mod:`repro.core.api` are one-shot shims over
+the per-graph shared session (:meth:`MiningSession.for_graph`), so
+legacy programs transparently get the same caches.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ __all__ = [
     "MiningSession",
     "MultiPatternPlan",
     "as_session",
-    "group_start_vertices",
     "FUSED_MIN_GROUP",
 ]
 
@@ -78,6 +75,13 @@ _SCHEDULE_CHOICES = (None, "dynamic", "static")
 # answered by the sampling tier nor own their frontier).
 INSTRUMENTS = ("stats", "timer")
 OBSERVERS = INSTRUMENTS + ("control", "budget", "start_vertices")
+
+
+def _samplable(opts: "ExecOptions", *consumers) -> bool:
+    """Whether the sampling tier may answer a run: nothing consumes
+    individual matches or observes partial progress."""
+    return all(c is None for c in consumers) and not opts.hooks(*OBSERVERS)
+
 
 # What a session accepts as its graph: the graph itself, an opened .rgx
 # GraphStore, or a filesystem path routed through open_graph.
@@ -110,108 +114,156 @@ def _coerce_graph(source) -> DataGraph:
 FUSED_MIN_GROUP = 2
 
 
-def _starts_with_labels(ordered: DataGraph, labels) -> list[int]:
-    """Union of the labels' vertices, descending (hub-first issue order).
-
-    The one start-ordering rule shared by per-plan label filtering and
-    the fused runner's group frontiers — both must walk the same
-    hub-first order for fused and standalone runs to stay identical.
-    """
-    starts: set[int] = set()
-    for label in labels:
-        starts.update(ordered.vertices_with_label(label))
-    return sorted(starts, reverse=True)
-
-
-def _label_filtered_starts(ordered: DataGraph, plan: ExplorationPlan):
-    """Start vertices restricted by the matching orders' top-position labels.
-
-    The G-Miner observation (§6.4): indexing vertices by label prunes
-    whole tasks when the pattern is labeled.  Every task's start vertex
-    must match some ordered core's *top* position; when all cores pin
-    that position to a label, only the union of those labels' vertices
-    can seed a match.  Returns ``None`` (no restriction) when any core's
-    top position is a wildcard or the graph is unlabeled.
-    """
-    if ordered.labels() is None:
-        return None
-    top_labels = plan.pinned_start_labels()
-    if top_labels is None:
-        return None
-    return _starts_with_labels(ordered, top_labels)
-
-
-def group_start_vertices(ordered: DataGraph, key: frozenset | None):
-    """The fused level-0 frontier for one :class:`MultiPatternPlan` group.
-
-    ``None`` (unrestricted) means "seed from every vertex, hub-first" —
-    callers pass ``None`` through to the runner; a label-set key
-    restricts to its vertices in the same hub-first order, exactly what
-    each member's own :func:`_label_filtered_starts` would produce.
-    Shared with the process runtime
-    (:func:`repro.runtime.parallel.process_count_many`), which chunks
-    this frontier across workers.
-    """
-    if key is None:
-        return None
-    return _starts_with_labels(ordered, key)
-
-
 @dataclass(frozen=True)
 class MultiPatternPlan:
-    """A multi-pattern workload grouped for fused frontier execution.
+    """A staged multi-pattern workload *compiled* for fused execution.
+
+    The one compile step between the dispatch stage and the executor:
+    the in-process verbs loop over it, the sampling tier wraps it in its
+    Horvitz–Thompson rounds, and the process runtime ships it
+    (immutable, picklable) to its workers.
 
     ``plans`` holds every member's exploration plan in reference order
-    (the order the patterns were supplied in — results always demultiplex
-    back to it).  Members are *compatible* when they share a level-0
-    frontier: the grouping key is the plan's pinned-start-label set
-    (:meth:`~repro.core.plan.ExplorationPlan.pinned_start_labels`), or
-    ``None`` when starts are unrestricted — so unlabeled censuses and FSM
-    structural rounds collapse into one group, while label-pinned
+    (results always demultiplex back to it).  Members are *compatible*
+    when they share a level-0 frontier: ``group_keys[g]`` is group
+    ``g``'s :meth:`MiningSession._frontier_key` — so unlabeled censuses
+    and FSM structural rounds collapse into one group while label-pinned
     patterns group per distinct label set.  ``groups`` lists the fusable
-    groups (member indices, each at least ``min_group`` strong) and
-    ``singles`` the left-over indices that run through the ordinary
-    per-pattern dispatch.
+    groups (member indices, each at least ``min_group`` strong),
+    ``singles`` the left-over indices for the single-pattern executor.
+
+    ``members[g]`` are the plans group ``g`` actually counts: those of
+    its ``direct[g]`` indices, then the anti-edge-free basis plans of
+    its **census tier** — ``census[g]`` pairs each member index served
+    off the basis with its canonical code, and :meth:`demux` inverts
+    the basis counts through ``transforms[g]``
+    (:mod:`repro.core.multipattern`).
     """
 
     plans: tuple[ExplorationPlan, ...]
     groups: tuple[tuple[int, ...], ...]
     group_keys: tuple[frozenset | None, ...]
     singles: tuple[int, ...]
+    members: tuple[tuple[ExplorationPlan, ...], ...]
+    direct: tuple[tuple[int, ...], ...]
+    census: tuple[tuple[tuple[int, tuple], ...], ...]
+    transforms: tuple[CensusTransform | None, ...]
 
     @classmethod
     def build(
         cls,
+        session: "MiningSession",
+        patterns: Sequence[Pattern],
         plans: Sequence[ExplorationPlan],
-        label_index: bool = True,
+        opts: "ExecOptions",
+        consumers: Mapping[int, tuple] | None = None,
         min_group: int = FUSED_MIN_GROUP,
     ) -> "MultiPatternPlan":
-        """Group ``plans`` by shared frontier signature.
+        """Compile a staged ``(patterns, plans, opts)`` workload.
 
-        With ``label_index`` disabled every member seeds from the full
-        vertex set, so all plans share the unrestricted frontier and
-        collapse into one group regardless of label pins.
+        ``consumers`` maps the members that stream their matches to
+        their ``(on_match, on_batch)`` pair (see :meth:`run_group`).
+        The census tier has one rule: a group's count-only,
+        census-eligible members ride the shared non-induced basis when
+        the run is vertex-induced and symmetry-broken, the frontier is
+        unpinned, at least two members qualify (below that the basis
+        cannot amortize) and nothing can stop the run early — a
+        ``control``-stopped, ``budget``-tripped or cancelled run's basis
+        counts would invert into garbage, so such runs count every
+        member directly (still one shared frontier walk).
         """
+        from ..pattern.canonical import canonical_permutation
+
+        consumers = consumers or {}
         by_key: dict[frozenset | None, list[int]] = {}
         for idx, plan in enumerate(plans):
-            pinned = plan.pinned_start_labels() if label_index else None
-            key = frozenset(pinned) if pinned is not None else None
+            key = session._frontier_key(plan, opts.label_index)
             by_key.setdefault(key, []).append(idx)
-        groups: list[tuple[int, ...]] = []
-        group_keys: list[frozenset | None] = []
-        singles: list[int] = []
-        for key, indices in by_key.items():
-            if len(indices) >= max(1, min_group):
-                groups.append(tuple(indices))
-                group_keys.append(key)
-            else:
-                singles.extend(indices)
-        return cls(
-            plans=tuple(plans),
-            groups=tuple(groups),
-            group_keys=tuple(group_keys),
-            singles=tuple(sorted(singles)),
+        census_run = (
+            not opts.edge_induced
+            and opts.symmetry_breaking
+            and not opts.hooks("control", "budget")
         )
+        singles: list[int] = []
+        groups, keys, members, direct, census, transforms = ([] for _ in range(6))
+        for key, group in by_key.items():
+            if len(group) < max(1, min_group):
+                singles.extend(group)
+                continue
+            eligible = [
+                idx for idx in group
+                if idx not in consumers and census_eligible(patterns[idx])
+            ] if census_run and key is None else []
+            if len(eligible) < 2:
+                eligible = []
+            own = [idx for idx in group if idx not in eligible]
+            counted = [plans[idx] for idx in own]
+            codes = [canonical_permutation(patterns[idx])[0] for idx in eligible]
+            transform = None
+            if eligible:
+                # The transform depends only on the *set* of canonical
+                # codes, so the session caches it under that key.
+                cache_key = tuple(sorted(set(codes)))
+                transform = session._census.get(cache_key)
+                if transform is None:
+                    transform = session._census[cache_key] = census_transform(
+                        [patterns[idx] for idx in eligible]
+                    )
+                counted += [
+                    session._cached_plan(basis_pattern, True, True)[0]
+                    for basis_pattern in transform.basis
+                ]
+            groups.append(tuple(group))
+            keys.append(key)
+            members.append(tuple(counted))
+            direct.append(tuple(own))
+            census.append(tuple(zip(eligible, codes)))
+            transforms.append(transform)
+        return cls(
+            tuple(plans), tuple(groups), tuple(keys), tuple(sorted(singles)),
+            tuple(members), tuple(direct), tuple(census), tuple(transforms),
+        )
+
+    def run_group(
+        self, g: int, view, starts, consumers: Mapping[int, tuple] | None = None,
+        chunk: int | None = None, control=None, budget=None,
+    ) -> list[int]:
+        """The fused-group executor: group ``g`` over ``starts``.
+
+        Whoever drives — the whole frontier in process, a sampled round,
+        a worker's leased chunk — hands over start vertices and gets raw
+        per-member counts back, aligned with ``members[g]``; they, or
+        their sums over every chunk of a frontier, go to :meth:`demux`.
+        ``consumers[i]`` is member ``i``'s ``(on_match, on_batch)`` pair
+        (engine ids); members without one are counted, not enumerated.
+        """
+        direct, consumers = self.direct[g], consumers or {}
+        fused = [
+            (plan, *consumers.get(idx, (None, None)))
+            for plan, idx in zip(self.members[g], direct)
+        ] + [(plan, None, None) for plan in self.members[g][len(direct):]]
+        return _accel.fused_run(
+            view, fused, start_vertices=starts,
+            chunk=chunk, control=control, budget=budget,
+        )
+
+    def demux(self, g: int, counts: Sequence[int]) -> dict[int, int]:
+        """Group ``g``'s raw member counts as ``{member index: total}``.
+
+        Census-tier members are solved from the basis counts, which must
+        be *complete* over the starts they describe (inversion is linear:
+        a sampled round's counts and sums over all chunks qualify, a
+        stopped run's do not).
+        """
+        direct = self.direct[g]
+        totals = dict(zip(direct, counts))
+        if self.transforms[g] is not None:
+            induced = self.transforms[g].induced_counts({
+                code: counts[len(direct) + pos]
+                for pos, (code, _) in enumerate(self.transforms[g].order)
+            })
+            totals.update((idx, induced[code]) for idx, code in self.census[g])
+        return totals
 
 
 @dataclass(frozen=True)
@@ -368,7 +420,7 @@ _PER_CALL_ONLY = ("plan", "start_vertices")
 # Cached plans are small but a long-lived service graph can see an
 # unbounded stream of ad-hoc patterns; cap the cache and evict FIFO
 # (insertion order) so memory stays bounded without an eviction policy
-# knob.  Start lists are keyed per plan and evicted in lockstep.
+# knob.  Frontiers (keyed per pinned-label set) share the cap.
 PLAN_CACHE_LIMIT = 1024
 
 
@@ -460,7 +512,7 @@ class MiningSession:
         self._old_of_new: list[int] | None = None
         self._translation = None  # numpy mirror of _old_of_new (lazy)
         self._plans: dict[tuple, ExplorationPlan] = {}
-        self._starts: dict[tuple, list[int] | None] = {}
+        self._starts: dict[frozenset | None, Any] = {}
         self._census: dict[tuple, CensusTransform] = {}
         self._guard_cache: dict[tuple, Any] = {}
         # The most recent QueryPlan the stage chose (introspection only:
@@ -613,38 +665,43 @@ class MiningSession:
             )
             self._plans[key] = plan
             if len(self._plans) > PLAN_CACHE_LIMIT:
-                oldest = next(iter(self._plans))
-                del self._plans[oldest]
-                self._starts.pop(oldest, None)
+                del self._plans[next(iter(self._plans))]
         else:
             self.plan_cache_hits += 1
         return plan, key
 
-    def _lookup(self, pattern: Pattern, opts: ExecOptions):
-        """The query's ``(plan, cache key)``: one plan-cache lookup.
+    def _frontier_key(
+        self, plan: ExplorationPlan, label_index: bool = True
+    ) -> frozenset | None:
+        """The pinned-label set ``plan``'s level-0 frontier filters by.
 
-        An explicit ``opts.plan`` bypasses the plan cache (key ``None``,
-        and therefore the start-list cache keyed on it).
+        The G-Miner observation (§6.4): every task's start vertex must
+        match some ordered core's *top* position, so when all cores pin
+        that position to a label only those labels' vertices can seed a
+        match.  ``None`` means unrestricted — a wildcard top position,
+        or ``label_index`` off.  A labeled pattern cannot run on an
+        unlabeled graph at all; every driver asks here first, so this is
+        the one place that says so.
         """
-        if opts.plan is not None:
-            return opts.plan, None
-        return self._cached_plan(
-            pattern, opts.edge_induced, opts.symmetry_breaking
-        )
+        if plan.matched_pattern.is_labeled and self.ordered.labels() is None:
+            raise MatchingError(
+                "pattern has label constraints but the data graph is unlabeled"
+            )
+        pinned = plan.pinned_start_labels() if label_index else None
+        return None if pinned is None else frozenset(pinned)
 
-    def _seeds(self, plan: ExplorationPlan, key, opts: ExecOptions):
-        """The level-0 frontier a run of ``plan`` seeds from."""
-        if opts.start_vertices is not None or not opts.label_index:
-            return opts.start_vertices
-        return self._starts_for(plan, key)
-
-    def _starts_for(self, plan: ExplorationPlan, key: tuple | None):
-        """Label-filtered start vertices for ``plan`` (cached per plan)."""
-        if key is None:
-            return _label_filtered_starts(self.ordered, plan)
-        if key not in self._starts:
-            self._starts[key] = _label_filtered_starts(self.ordered, plan)
-        return self._starts[key]
+    def _frontier(self, key: frozenset | None):
+        """The level-0 frontier for a :meth:`_frontier_key`: hub-first,
+        label-filtered start vertices as one int64 array, cached per key
+        (:func:`repro.core.accel.frontier_start_order`).  Drivers differ
+        only in which slices of it they hand the executors."""
+        starts = self._starts.get(key)
+        if starts is None:
+            starts = _accel.frontier_start_order(self.ordered, key)
+            self._starts[key] = starts
+            if len(self._starts) > PLAN_CACHE_LIMIT:
+                del self._starts[next(iter(self._starts))]
+        return starts
 
     def _translated(
         self, callback: Callable[[Match], None]
@@ -711,23 +768,18 @@ class MiningSession:
         frontier walk with shared numpy gathers serves the whole group
         (see :meth:`match_many` for the dispatch rules).
 
-        With ``num_processes > 1`` the workload runs through
-        :func:`repro.runtime.parallel.process_count_many`: the fused
-        frontier is cut into degree-weighted chunks that worker
+        The workload is compiled once (:class:`MultiPatternPlan`) and
+        only the *driver* differs.  ``num_processes > 1``
+        (:func:`repro.runtime.parallel.process_count_many`) cuts each
+        group's frontier into degree-weighted chunks that worker
         processes pull from a shared queue (``schedule``/``chunk_hint``
-        apply), each chunk served by the same fused runner — true
-        parallel speedup for motif censuses.  The process path counts
-        exactly and only (``engine`` must be ``"auto"`` or ``"fused"``;
-        hook and sampling options raise).
-
-        With ``approx=rel_err`` — or when a ``latency_budget`` or the
-        ``guard="downgrade"`` escalation routes the workload there —
-        every pattern is *estimated* instead
-        (:class:`~repro.mining.sampling.ApproxCount` values): patterns
-        group exactly like the exact fused path and each group's
-        sampled rounds ride one shared
-        :func:`~repro.core.accel.fused_run` walk, so multi-pattern
-        estimation pays one frontier sample per group, not per pattern.
+        apply), census tier included — true parallel speedup for motif
+        censuses; it counts exactly and only (``engine`` must be
+        ``"auto"`` or ``"fused"``; hook and sampling options raise).
+        ``approx=rel_err`` — or a ``latency_budget`` /
+        ``guard="downgrade"`` escalation — *estimates* every pattern
+        instead (:class:`~repro.mining.sampling.ApproxCount` values)
+        from sampled rounds of each group's one shared walk.
         """
         patterns = list(patterns)
         opts = self.defaults.merged(options, multi=True)
@@ -852,7 +904,7 @@ class MiningSession:
         multiset equals :meth:`match`'s match multiset.
         """
         opts = self.defaults.merged(options)
-        return self._run_batches(pattern, on_batch, opts)
+        return self._run_match(pattern, None, opts, on_batch=on_batch)
 
     def _batch_emitter(self, on_batch) -> Callable:
         """Wrap ``on_batch`` to receive rows in the caller's vertex ids."""
@@ -867,67 +919,6 @@ class MiningSession:
             on_batch(translated)
 
         return emit
-
-    def _run_batches(
-        self, pattern: Pattern, on_batch, opts: ExecOptions, meter=None
-    ) -> int:
-        """Single-pattern batch streaming (shared by the *_many paths)."""
-        if opts.approx is not None:
-            raise MatchingError(
-                "approx=... is count-only; match_batches streams exact "
-                "match rows"
-            )
-        opts, _, [(plan, key)] = self._stage([pattern], opts)
-        if meter is None and opts.budget is not None:
-            meter = opts.budget.meter()
-        try:
-            return self._run_batches_engines(plan, key, on_batch, opts, meter)
-        except BudgetExceededError as err:
-            if opts.on_budget == "partial":
-                return err.partial
-            raise
-
-    def _run_batches_engines(
-        self, plan: ExplorationPlan, key, on_batch, opts: ExecOptions, meter
-    ) -> int:
-        np = _accel.np
-        starts = self._seeds(plan, key, opts)
-        emit = self._batch_emitter(on_batch)
-        if opts.engine == "accel-batch":
-            batched = _accel.FrontierBatchedEngine(self.view)
-            return batched.run(
-                plan,
-                start_vertices=starts,
-                on_batch=emit,
-                chunk=opts.frontier_chunk,
-                control=opts.control,
-                budget=meter,
-            )
-
-        buffer: list[tuple[int, ...]] = []
-
-        def flush() -> None:
-            if buffer:
-                emit(np.asarray(buffer, dtype=np.int64))
-                buffer.clear()
-
-        def collect(m: Match) -> None:
-            buffer.append(m.mapping)
-            if len(buffer) >= opts.flush_size:
-                flush()
-
-        total = run_tasks(
-            self.ordered,
-            plan,
-            start_vertices=starts,
-            on_match=collect,
-            control=opts.control,
-            stats=opts.stats,
-            timer=opts.timer,
-            budget=meter,
-        )
-        flush()
-        return total
 
     def aggregate(
         self,
@@ -972,64 +963,39 @@ class MiningSession:
         patterns = list(patterns)
         opts = self.defaults.merged(options, multi=True)
 
+        def fold(m: Match, into: Aggregator) -> None:
+            kv = map_fn(m)
+            if kv is not None:
+                into.map_pattern(kv[0], kv[1])
+
+        total = Aggregator(combine=reduce)
         if num_threads > 1:
-            from ..runtime.parallel import parallel_match
+            from ..runtime.parallel import _thread_match
 
-            # The thread pool has no hooks for these knobs; dropping them
-            # silently would return different results than the
-            # single-threaded path, so reject loudly instead.
-            unsupported = opts.hooks(
-                "stats", "timer", "plan", "start_vertices", "frontier_chunk"
-            )
-            if unsupported:
+            if opts.latency_budget is not None:
                 raise MatchingError(
-                    f"aggregate(num_threads={num_threads}) does not support "
-                    f"the {sorted(unsupported)} option(s); drop them or use "
-                    "num_threads=1"
+                    "latency_budget routes count-only queries to the sampling "
+                    f"tier; aggregate(num_threads={num_threads}) enumerates "
+                    "every match — drop it or use num_threads=1"
                 )
-            if opts.engine not in _ENGINE_CHOICES:
-                raise MatchingError(
-                    f"engine={opts.engine!r} is not available under threads; "
-                    f"use one of {_ENGINE_CHOICES}"
-                )
-
-            def thread_cb(m: Match, local_agg: Aggregator) -> None:
-                kv = map_fn(m)
-                if kv is not None:
-                    local_agg.map_pattern(kv[0], kv[1])
-
             # One shared destination across every pattern's run, so
             # on_update observes cumulative totals (the Fig 4b
-            # threshold-stop idiom keeps working across patterns).
-            total = Aggregator(combine=reduce)
+            # threshold-stop idiom keeps working across patterns).  The
+            # options go over whole: the thread runtime honours or
+            # rejects each knob, it never drops one.
             for pattern in patterns:
-                parallel_match(
-                    self,
-                    pattern,
-                    num_threads=num_threads,
-                    callback=thread_cb,
-                    edge_induced=opts.edge_induced,
-                    symmetry_breaking=opts.symmetry_breaking,
-                    control=opts.control,
-                    aggregate_interval=interval,
-                    on_update=on_update,
-                    engine=opts.engine,
-                    combine=reduce,
-                    global_aggregator=total,
+                _thread_match(
+                    self, pattern, opts, num_threads, fold, interval,
+                    on_update, reduce, total,
                 )
                 if opts.control is not None and opts.control.stopped:
                     break
             return total.result()
 
-        total = Aggregator(combine=reduce)
         local = Aggregator(combine=reduce)
 
         def on_match(m: Match) -> None:
-            kv = map_fn(m)
-            if kv is None:
-                return
-            key, value = kv
-            local.map_pattern(key, value)
+            fold(m, local)
 
         with AggregatorThread(
             total, [local], interval=interval, on_update=on_update
@@ -1074,16 +1040,17 @@ class MiningSession:
         sampling tier (nothing observes individual matches): only those
         are escalated to it, by the guard or by a ``latency_budget``.
 
-        Returns ``(options, query plan, lookups)``: the options with the
-        plan's choices folded in (``engine`` is concrete afterwards),
-        the :class:`~repro.runtime.planner.QueryPlan` used, and the
-        ``(exploration plan, cache key)`` pair of every pattern.
+        Returns ``(options, query plan, plans)`` — the staged query
+        value the executors take: the options with the plan's choices
+        folded in (``engine`` is concrete afterwards), the
+        :class:`~repro.runtime.planner.QueryPlan` used, and every
+        pattern's exploration plan.
         """
         # Deferred import: repro.runtime imports repro.core at module
         # load; by the time a session runs a query, both exist.
         from ..runtime import guards, planner
 
-        lookups, estimates = self._estimates(patterns, opts)
+        plans, estimates = self._estimates(patterns, opts)
         for estimate in estimates:
             opts = guards.admit(estimate, opts, count_only)
             if (
@@ -1097,13 +1064,14 @@ class MiningSession:
         )
         self.last_query_plan = query_plan
         opts = planner.apply_plan(query_plan, opts, allow_approx=count_only)
-        return opts, query_plan, lookups
+        return opts, query_plan, plans
 
     def _estimates(self, patterns: Sequence[Pattern], opts: ExecOptions):
         """Each pattern's plan lookup and each distinct pattern's probe.
 
-        Returns ``(lookups, estimates)``: the ``(exploration plan, cache
-        key)`` pair per pattern (one plan-cache lookup each) and the
+        Returns ``(plans, estimates)``: the exploration plan per pattern
+        (one plan-cache lookup each; an explicit ``opts.plan`` bypasses
+        the cache) and the
         :class:`~repro.runtime.guards.CostEstimate` of each distinct
         ``(pattern signature, flags)``.  Only the probe *measurements*
         are cached; the explosive threshold is a deployment knob
@@ -1114,14 +1082,15 @@ class MiningSession:
         """
         from ..runtime import guards
 
-        lookups = []
+        plans = []
         estimates: dict[tuple, Any] = {}
+        flags = (opts.edge_induced, opts.symmetry_breaking)
         for pattern in patterns:
-            plan, key = self._lookup(pattern, opts)
-            lookups.append((plan, key))
-            probe_key = key or (
-                pattern.signature(), opts.edge_induced, opts.symmetry_breaking
-            )
+            if opts.plan is not None:
+                plan, probe_key = opts.plan, (pattern.signature(), *flags)
+            else:
+                plan, probe_key = self._cached_plan(pattern, *flags)
+            plans.append(plan)
             if probe_key in estimates:
                 continue
             estimate = self._guard_cache.get(probe_key)
@@ -1129,14 +1098,14 @@ class MiningSession:
                 estimate = guards.probe(
                     self.ordered,
                     pattern.num_vertices,
-                    self._starts_for(plan, key),
+                    self._frontier(self._frontier_key(plan)),
                     symmetry_breaking=opts.symmetry_breaking,
                 )
                 self._guard_cache[probe_key] = estimate
                 if len(self._guard_cache) > PLAN_CACHE_LIMIT:
                     self._guard_cache.pop(next(iter(self._guard_cache)))
             estimates[probe_key] = guards.resolve_threshold(estimate)
-        return lookups, list(estimates.values())
+        return plans, list(estimates.values())
 
     def _run_match(
         self,
@@ -1144,29 +1113,34 @@ class MiningSession:
         callback: Callable[[Match], None] | None,
         opts: ExecOptions,
         meter=None,
+        on_batch=None,
     ) -> int:
-        # A run may be answered by the sampling tier only when nothing
-        # observes individual matches or partial progress.
-        count_only = (
-            callback is None and meter is None and not opts.hooks(*OBSERVERS)
+        """Stage, then execute, one single-pattern query."""
+        consumers = (callback, on_batch, meter)
+        staged = self._stage(
+            [pattern], opts, count_only=_samplable(opts, *consumers)
         )
-        opts, _, [(plan, key)] = self._stage(
-            [pattern], opts, count_only=count_only
-        )
+        return self._execute(staged, *consumers)
+
+    def _execute(self, staged, callback=None, on_batch=None, meter=None) -> int:
+        """Execute one staged single-pattern query (:meth:`_stage`'s
+        3-tuple is the query value) into its consumers: routing to the
+        sampling tier, arming the budget, ``on_budget`` handling."""
+        opts, _, [plan] = staged
         if opts.approx is not None:
-            if not count_only:
+            if not _samplable(opts, callback, on_batch, meter):
                 raise MatchingError(
                     "approx=... is count-only: it does not support "
-                    "callbacks, budgets, controls, stats/timer hooks or "
-                    "explicit start_vertices"
+                    "callbacks, batch consumers, budgets, controls, "
+                    "stats/timer hooks or explicit start_vertices"
                 )
             from ..mining.sampling import approx_count_session
 
-            return approx_count_session(self, plan, key, opts)
+            return approx_count_session(self, plan, opts)
         if meter is None and opts.budget is not None:
             meter = opts.budget.meter()
         try:
-            return self._run_match_engines(plan, key, callback, opts, meter)
+            return self._run_match_engines(plan, callback, opts, meter, on_batch)
         except BudgetExceededError as err:
             if opts.on_budget == "partial":
                 return err.partial
@@ -1175,97 +1149,65 @@ class MiningSession:
     def _run_match_engines(
         self,
         plan: ExplorationPlan,
-        key,
         callback: Callable[[Match], None] | None,
         opts: ExecOptions,
         meter,
+        on_batch=None,
     ) -> int:
-        """Run one staged query (``opts.engine`` is concrete)."""
-        starts = self._seeds(plan, key, opts)
-        wrapped = self._translated(callback) if callback is not None else None
+        """The single-pattern executor (``opts.engine`` is concrete).
+
+        Runs ``plan`` over ``opts.start_vertices`` — a thread chunk, a
+        sampled round — or, without them, its whole frontier; matches go
+        to ``callback`` one by one or to ``on_batch`` as row arrays (the
+        interpreter's through a ``flush_size`` buffer), both in caller
+        ids.
+        """
+        np = _accel.np
+        starts = opts.start_vertices
+        if starts is None:
+            starts = self._frontier(self._frontier_key(plan, opts.label_index))
+        on_match = self._translated(callback) if callback is not None else None
+        emit = self._batch_emitter(on_batch) if on_batch is not None else None
         if opts.engine == "accel-batch":
-            batched = _accel.FrontierBatchedEngine(self.view)
-            return batched.run(
+            return _accel.FrontierBatchedEngine(self.view).run(
                 plan,
                 start_vertices=starts,
-                on_match=wrapped,
-                count_only=callback is None,
+                on_match=on_match,
+                on_batch=emit,
+                count_only=on_match is None and emit is None,
                 chunk=opts.frontier_chunk,
                 control=opts.control,
                 budget=meter,
             )
-        return run_tasks(
+        buffer: list[tuple[int, ...]] = []
+
+        def flush() -> None:
+            if buffer:
+                emit(np.asarray(buffer, dtype=np.int64))
+                buffer.clear()
+
+        if emit is not None:
+            def on_match(m: Match) -> None:
+                buffer.append(m.mapping)
+                if len(buffer) >= opts.flush_size:
+                    flush()
+
+        total = run_tasks(
             self.ordered,
             plan,
-            start_vertices=starts,
-            on_match=wrapped,
+            # the interpreter walks Python ints, not numpy scalars
+            start_vertices=(
+                starts.tolist() if isinstance(starts, np.ndarray) else starts
+            ),
+            on_match=on_match,
             control=opts.control,
             stats=opts.stats,
             timer=opts.timer,
-            count_only=callback is None,
+            count_only=on_match is None,
             budget=meter,
         )
-
-    def _split_census_tier(
-        self,
-        group: Sequence[int],
-        patterns: Sequence[Pattern],
-        callbacks: Sequence,
-        on_batches: Sequence,
-        key: frozenset | None,
-        opts: ExecOptions,
-    ) -> tuple[list[int], list[int]]:
-        """Partition one fused group into (direct, census-tier) members.
-
-        The census tier serves count-only vertex-induced members without
-        explicit anti-constraints (see
-        :func:`repro.core.multipattern.census_eligible`) by counting the
-        shared non-induced basis instead; it needs at least two such
-        members before the basis rewrite can amortize.  Everything else
-        — callback/batch consumers, labeled or anti-constrained patterns,
-        edge-induced runs — stays on the direct fused path.
-        """
-        if opts.edge_induced or not opts.symmetry_breaking or key is not None:
-            return list(group), []
-        if opts.control is not None or opts.budget is not None:
-            # The census tier demultiplexes by Möbius inversion over
-            # *complete* basis counts; early-terminated partials would
-            # invert into garbage, so controlled/budgeted runs stay on
-            # the direct fused path (still one shared frontier walk).
-            return list(group), []
-        direct: list[int] = []
-        census: list[int] = []
-        for idx in group:
-            if (
-                callbacks[idx] is None
-                and on_batches[idx] is None
-                and census_eligible(patterns[idx])
-            ):
-                census.append(idx)
-            else:
-                direct.append(idx)
-        if len(census) < 2:
-            return list(group), []
-        return direct, census
-
-    def _census_transform_for(
-        self, census_patterns: Sequence[Pattern]
-    ) -> tuple[CensusTransform, list[tuple]]:
-        """The (cached) census transform plus per-call target codes.
-
-        The transform depends only on the *set* of canonical codes, so it
-        is cached under that key; the returned code list is aligned with
-        ``census_patterns`` for positional demultiplexing.
-        """
-        from ..pattern.canonical import canonical_permutation
-
-        codes = [canonical_permutation(p)[0] for p in census_patterns]
-        cache_key = tuple(sorted(set(codes)))
-        transform = self._census.get(cache_key)
-        if transform is None:
-            transform = census_transform(census_patterns)
-            self._census[cache_key] = transform
-        return transform, codes
+        flush()
+        return total
 
     def _run_many(
         self,
@@ -1277,10 +1219,9 @@ class MiningSession:
     ) -> list[int]:
         """Run a multi-pattern workload; per-pattern totals in input order.
 
-        Fusable members (see :meth:`match_many`) run through
-        :func:`repro.core.accel.fused_run`, everything else through the
-        ordinary single-pattern dispatch — the two partitions cover every
-        index exactly once, so results always demultiplex completely.
+        Stage, compile (:class:`MultiPatternPlan`), execute: fused
+        groups through the group executor, everything else through the
+        single-pattern one — the two cover every index exactly once.
         ``count_only`` (``count_many``) lets the stage route the whole
         workload to the sampling tier.
         """
@@ -1309,104 +1250,72 @@ class MiningSession:
                 "stats/timer hooks, plan or start_vertices overrides"
             )
         pinned_engine = opts.engine
-        opts, query_plan, lookups = self._stage(
+        opts, query_plan, plans = self._stage(
             patterns, opts, count_only=samplable
         )
         if opts.approx is not None:
             from ..mining.sampling import approx_count_many_session
 
-            return approx_count_many_session(self, patterns, lookups, opts)
+            return approx_count_many_session(self, patterns, plans, opts)
         meter = opts.budget.meter() if opts.budget is not None else None
 
         multi = None
-        plans = [plan for plan, _ in lookups]
+        remaining: Sequence[int] = range(n)
         if fusable and query_plan.engine == "fused":
-            labels = self.ordered.labels()
-            if any(pl.matched_pattern.is_labeled for pl in plans) and (
-                labels is None
-            ):
-                raise MatchingError(
-                    "pattern has label constraints but the data graph "
-                    "is unlabeled"
+            consumers = {
+                idx: (
+                    self._translated(cb) if cb is not None else None,
+                    self._batch_emitter(ob) if ob is not None else None,
                 )
+                for idx, (cb, ob) in enumerate(zip(callbacks, on_batches))
+                if cb is not None or ob is not None
+            }
             multi = MultiPatternPlan.build(
-                plans,
-                label_index=opts.label_index and labels is not None,
+                self, patterns, plans, opts, consumers,
                 min_group=1 if pinned_engine == "fused" else FUSED_MIN_GROUP,
             )
-
-        totals = [0] * n
-        if multi is not None:
-            for group, key in zip(multi.groups, multi.group_keys):
-                direct, census = self._split_census_tier(
-                    group, patterns, callbacks, on_batches, key, opts
-                )
-                members = []
-                for idx in direct:
-                    cb = callbacks[idx]
-                    ob = on_batches[idx]
-                    members.append((
-                        plans[idx],
-                        self._translated(cb) if cb is not None else None,
-                        self._batch_emitter(ob) if ob is not None else None,
-                    ))
-                transform = None
-                if census:
-                    transform, census_codes = self._census_transform_for(
-                        [patterns[idx] for idx in census]
-                    )
-                    members.extend(
-                        (self._cached_plan(basis_pattern, True, True)[0], None, None)
-                        for basis_pattern in transform.basis
-                    )
-                try:
-                    counts = _accel.fused_run(
-                        self.view,
-                        members,
-                        start_vertices=group_start_vertices(self.ordered, key),
-                        chunk=opts.frontier_chunk,
-                        control=opts.control,
-                        budget=meter,
-                    )
-                except BudgetExceededError as err:
-                    if opts.on_budget != "partial":
-                        raise
-                    partial_totals = err.partial.detail.get("totals")
-                    counts = (
-                        list(partial_totals)
-                        if partial_totals is not None
-                        else [0] * len(members)
-                    )
-                for pos, idx in enumerate(direct):
-                    totals[idx] = counts[pos]
-                if transform is not None:
-                    noninduced = {
-                        code: counts[len(direct) + pos]
-                        for pos, (code, _) in enumerate(transform.order)
-                    }
-                    induced = transform.induced_counts(noninduced)
-                    for pos, idx in enumerate(census):
-                        totals[idx] = induced[census_codes[pos]]
-            remaining: Sequence[int] = multi.singles
-        else:
-            remaining = range(n)
-
+            remaining = multi.singles
         # Per-pattern engines ("accel-batch", "reference") and non-fusable
         # members keep the exact single-pattern semantics, hooks included:
-        # each plans its own engine from the caller's pin.  Admission and
-        # latency routing were workload decisions, taken above.
+        # each plans its own engine from the caller's pin.  Admission,
+        # latency routing and budget trips are workload decisions.
         member_opts = dataclasses.replace(
-            opts, engine=pinned_engine, guard="off", latency_budget=None
+            opts, engine=pinned_engine, guard="off", latency_budget=None,
+            on_budget="raise",
         )
-        for idx in remaining:
-            if on_batches[idx] is not None:
-                totals[idx] = self._run_batches(
-                    patterns[idx], on_batches[idx], member_opts, meter=meter
+        totals: list = [None] * n
+        running: Sequence[int] = ()
+        try:
+            for g, running in enumerate(multi.groups if multi else ()):
+                counts = multi.run_group(
+                    g, self.view, self._frontier(multi.group_keys[g]),
+                    consumers, opts.frontier_chunk, opts.control, meter,
                 )
-            else:
+                for idx, total in multi.demux(g, counts).items():
+                    totals[idx] = total
+            for idx in remaining:
+                running = (idx,)
                 totals[idx] = self._run_match(
-                    patterns[idx], callbacks[idx], member_opts, meter=meter
+                    patterns[idx], callbacks[idx], member_opts,
+                    meter=meter, on_batch=on_batches[idx],
                 )
+        except BudgetExceededError as err:
+            if opts.on_budget != "partial":
+                raise
+            # The one place a multi-pattern budget trip lands.  Members
+            # that finished before it keep their exact ints; the running
+            # ones (a budgeted group counts every member directly, so the
+            # error's per-member totals align with it) and the ones never
+            # started come back flagged, with no run issued to re-trip it.
+            cut = dict(zip(
+                running, err.partial.detail.get("totals", [int(err.partial)])
+            ))
+            totals = [
+                PartialResult(
+                    cut.get(idx, 0), truncated=True, reason=err.partial.reason
+                ) if total is None else total
+                for idx, total in enumerate(totals)
+            ]
         return totals
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

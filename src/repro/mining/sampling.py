@@ -47,13 +47,14 @@ non-induced (``edge_induced=True``) counting: anti-edge checks on the
 sparsified subgraph would misread removed edges as absent.
 
 Multi-pattern estimation (:func:`approx_count_many`, reached via
-``count_many(patterns, approx=rel_err)``) groups patterns exactly like
-:class:`~repro.core.session.MultiPatternPlan` and serves each group's
-hub pass and sampled rounds through one
-:func:`repro.core.accel.fused_run` walk — the sampled frontier is shared
-by every member, and count-only vertex-induced censuses ride the shared
-non-induced basis (Möbius inversion is linear, so inverting per-round
-basis estimates yields unbiased per-round induced estimates).
+``count_many(patterns, approx=rel_err)``) compiles the workload with the
+exact path's :class:`~repro.core.session.MultiPatternPlan` and serves
+each group's hub pass and sampled rounds through its one fused executor
+— this tier is a *driver*: it only picks the start vertices.  The
+sampled frontier is shared by every member, and count-only
+vertex-induced censuses ride the shared non-induced basis (Möbius
+inversion is linear, so inverting per-round basis estimates yields
+unbiased per-round induced estimates).
 """
 
 from __future__ import annotations
@@ -66,16 +67,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..errors import MatchingError
-from ..core import accel as _accel
 from ..core.session import (
     OBSERVERS,
     ExecOptions,
     MiningSession,
     MultiPatternPlan,
     as_session,
-    group_start_vertices,
 )
-from ..core.multipattern import census_eligible
 from ..pattern.pattern import Pattern
 
 __all__ = [
@@ -276,17 +274,6 @@ def _inner_opts(opts: ExecOptions) -> ExecOptions:
     )
 
 
-def _frontier_for(session: MiningSession, plan, key, opts: ExecOptions):
-    """The level-0 frontier the exact run would walk, indexable: the
-    label-filtered start list when the label index applies, otherwise
-    every vertex hub-first."""
-    starts = session._seeds(plan, key, opts)
-    if starts is None:
-        n = session.ordered.num_vertices
-        return range(n - 1, -1, -1)
-    return starts
-
-
 # ----------------------------------------------------------------------
 # The stratified round estimator (shared by single- and multi-pattern)
 # ----------------------------------------------------------------------
@@ -375,10 +362,12 @@ def _estimate_group(
 ) -> list[ApproxCount]:
     """Run the stratified round loop for one shared-frontier group.
 
-    ``run_members(starts)`` performs one exact engine pass over the
-    given level-0 starts and returns per-member totals.  Duplicates in
-    ``starts`` are counted multiply — exactly what with-replacement
-    Horvitz–Thompson reweighting requires.
+    ``frontier`` is the group's level-0 frontier array
+    (:meth:`~repro.core.session.MiningSession._frontier`);
+    ``run_members(starts)`` performs one exact executor pass over the
+    given slice or draw of it and returns per-member totals.
+    Duplicates in ``starts`` are counted multiply — exactly what
+    with-replacement Horvitz–Thompson reweighting requires.
     """
     N = len(frontier)
     if N == 0:
@@ -398,13 +387,11 @@ def _estimate_group(
     ):
         # An explicit budget covering the whole frontier, or too little
         # tail to sample meaningfully — exact is cheaper than estimating.
-        totals = run_members(list(frontier))
+        totals = run_members(frontier)
         return _exact_results(
             totals, N, 0, N, confidence, rel_err, method, STOP_EXHAUSTED
         )
-    hub_totals = (
-        run_members(list(frontier[:h])) if h > 0 else [0] * num_members
-    )
+    hub_totals = run_members(frontier[:h]) if h > 0 else [0] * num_members
     samples = h
     scale = tail / m
     per_round: list[list[float]] = [[] for _ in range(num_members)]
@@ -415,7 +402,7 @@ def _estimate_group(
             if allow_exact:
                 # The draws would cover the frontier: finish the tail
                 # exactly instead — same answer as the exact verb.
-                tail_totals = run_members(list(frontier[h:]))
+                tail_totals = run_members(frontier[h:])
                 totals = [
                     hub_totals[j] + tail_totals[j]
                     for j in range(num_members)
@@ -431,7 +418,7 @@ def _estimate_group(
                     STOP_EXHAUSTED,
                 )
             break
-        starts = [frontier[h + rng.randrange(tail)] for _ in range(m)]
+        starts = frontier[[h + rng.randrange(tail) for _ in range(m)]]
         totals = run_members(starts)
         samples += m
         for j in range(num_members):
@@ -455,96 +442,23 @@ def _estimate_group(
 
 
 # ----------------------------------------------------------------------
-# Runners: one engine pass over explicit starts
+# Runner: one single-pattern executor pass per plan over explicit starts
 # ----------------------------------------------------------------------
 
 
-def _single_runner(
-    session: MiningSession, plan, key, opts: ExecOptions
-) -> Callable[[list[int]], list[int]]:
+def _sequential_runner(
+    session: MiningSession, plans, opts: ExecOptions
+) -> Callable[[Sequence[int]], list[int]]:
     inner = _inner_opts(opts)
 
-    def run(starts: list[int]) -> list[int]:
+    def run(starts) -> list[int]:
         o = dataclasses.replace(inner, start_vertices=starts)
-        return [int(session._run_match_engines(plan, key, None, o, None))]
+        return [
+            int(session._run_match_engines(plan, None, o, None))
+            for plan in plans
+        ]
 
     return run
-
-
-def _group_runner(
-    session: MiningSession,
-    group: Sequence[int],
-    patterns: Sequence[Pattern],
-    lookups,
-    key,
-    opts: ExecOptions,
-) -> Callable[[list[int]], list[int]]:
-    """One engine pass for a shared-frontier group of patterns.
-
-    The whole group rides one :func:`fused_run` per call — the sampled
-    frontier walk is shared exactly like an exact fused run — and
-    count-only vertex-induced members demultiplex off the shared
-    non-induced basis (the census tier; Möbius inversion is linear, so
-    per-call restricted counts invert soundly *in expectation* once the
-    caller applies its Horvitz–Thompson scaling).  Any other staged
-    engine runs each member on it over the same starts.
-    """
-    inner = _inner_opts(opts)
-    if opts.engine != "fused":
-
-        def run_sequential(starts: list[int]) -> list[int]:
-            o = dataclasses.replace(inner, start_vertices=starts)
-            return [
-                int(session._run_match_engines(*lookups[idx], None, o, None))
-                for idx in group
-            ]
-
-        return run_sequential
-
-    census_ok = (
-        not opts.edge_induced and opts.symmetry_breaking and key is None
-    )
-    direct_pos: list[int] = []
-    census_pos: list[int] = []
-    for gpos, idx in enumerate(group):
-        if census_ok and census_eligible(patterns[idx]):
-            census_pos.append(gpos)
-        else:
-            direct_pos.append(gpos)
-    if len(census_pos) < 2:
-        direct_pos = list(range(len(group)))
-        census_pos = []
-    members = [(lookups[group[gpos]][0], None, None) for gpos in direct_pos]
-    transform = None
-    census_codes: list = []
-    if census_pos:
-        transform, census_codes = session._census_transform_for(
-            [patterns[group[gpos]] for gpos in census_pos]
-        )
-        members.extend(
-            (session._cached_plan(basis_pattern, True, True)[0], None, None)
-            for basis_pattern in transform.basis
-        )
-    view = session.view
-
-    def run_fused(starts: list[int]) -> list[int]:
-        counts = _accel.fused_run(
-            view, members, start_vertices=starts, chunk=inner.frontier_chunk
-        )
-        out = [0] * len(group)
-        for pos, gpos in enumerate(direct_pos):
-            out[gpos] = int(counts[pos])
-        if transform is not None:
-            noninduced = {
-                code: int(counts[len(direct_pos) + pos])
-                for pos, (code, _) in enumerate(transform.order)
-            }
-            induced = transform.induced_counts(noninduced)
-            for pos, gpos in enumerate(census_pos):
-                out[gpos] = int(induced[census_codes[pos]])
-        return out
-
-    return run_fused
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +469,6 @@ def _group_runner(
 def approx_count_session(
     session: MiningSession,
     plan,
-    key,
     opts: ExecOptions,
     hub_exhaust: int = HUB_EXHAUST,
     round_starts: int = ROUND_STARTS,
@@ -563,15 +476,15 @@ def approx_count_session(
     """Estimate one staged query's count.
 
     The internal target of ``MiningSession.count(pattern, approx=...)``:
-    ``(plan, key)`` and ``opts`` come out of the session's dispatch
-    stage; ``opts.approx``/``confidence``/``max_samples``/``seed`` drive
-    the loop.  ``opts.approx`` may be ``None`` (spend the whole
+    ``plan`` and ``opts`` come out of the session's dispatch stage;
+    ``opts.approx``/``confidence``/``max_samples``/``seed`` drive the
+    loop.  ``opts.approx`` may be ``None`` (spend the whole
     ``max_samples`` budget).
     """
     [result] = _estimate_group(
-        _single_runner(session, plan, key, opts),
+        _sequential_runner(session, [plan], opts),
         1,
-        _frontier_for(session, plan, key, opts),
+        session._frontier(session._frontier_key(plan, opts.label_index)),
         rel_err=opts.approx,
         confidence=opts.confidence,
         max_samples=opts.max_samples,
@@ -585,42 +498,47 @@ def approx_count_session(
 def approx_count_many_session(
     session: MiningSession,
     patterns: Sequence[Pattern],
-    lookups,
+    plans,
     opts: ExecOptions,
     hub_exhaust: int = HUB_EXHAUST,
     round_starts: int = ROUND_STARTS,
 ) -> list[ApproxCount]:
     """Estimate every pattern of a staged workload, in input order.
 
-    The internal target of ``count_many(patterns, approx=...)``.
-    Patterns group by pinned-start-label signature exactly like the
-    exact fused path; every group samples *one* shared frontier and all
-    of the group's members stop together (the loop runs until every
-    member meets the target, so shared rounds are never wasted).  The
-    ``max_samples`` budget applies per group.
+    The internal target of ``count_many(patterns, approx=...)``.  The
+    workload compiles exactly like the exact fused path
+    (:meth:`~repro.core.session.MultiPatternPlan.build`: groups by
+    pinned-start-label signature, census tier included — Möbius
+    inversion is linear, so per-round restricted basis counts invert
+    soundly *in expectation* once the Horvitz–Thompson scaling applies);
+    this tier only chooses the start vertices.  Every group samples
+    *one* shared frontier and all of its members stop together (the
+    loop runs until every member meets the target, so shared rounds are
+    never wasted).  The ``max_samples`` budget applies per group.  A
+    staged engine other than ``"fused"`` runs each member on it over the
+    same starts.
     """
-    plans = [plan for plan, _ in lookups]
-    labels = session.ordered.labels()
-    if labels is None and any(
-        plan.matched_pattern.is_labeled for plan in plans
-    ):
-        raise MatchingError(
-            "pattern has label constraints but the data graph is unlabeled"
-        )
-    multi = MultiPatternPlan.build(
-        plans, label_index=opts.label_index and labels is not None,
-        min_group=1,
-    )
-    n = session.ordered.num_vertices
+    inner = _inner_opts(opts)
+    multi = MultiPatternPlan.build(session, patterns, plans, inner, min_group=1)
     rng = random.Random(opts.seed)
     results: list[ApproxCount | None] = [None] * len(patterns)
-    for group, key in zip(multi.groups, multi.group_keys):
-        starts = group_start_vertices(session.ordered, key)
-        frontier = starts if starts is not None else range(n - 1, -1, -1)
+    for g, group in enumerate(multi.groups):
+        if opts.engine == "fused":
+
+            def run(starts, g=g, group=group) -> list[int]:
+                totals = multi.demux(g, multi.run_group(
+                    g, session.view, starts, chunk=inner.frontier_chunk
+                ))
+                return [int(totals[idx]) for idx in group]
+
+        else:
+            run = _sequential_runner(
+                session, [multi.plans[idx] for idx in group], opts
+            )
         group_results = _estimate_group(
-            _group_runner(session, group, patterns, lookups, key, opts),
+            run,
             len(group),
-            frontier,
+            session._frontier(multi.group_keys[g]),
             rel_err=opts.approx,
             confidence=opts.confidence,
             max_samples=opts.max_samples,
@@ -628,8 +546,8 @@ def approx_count_many_session(
             hub_exhaust=hub_exhaust,
             round_starts=round_starts,
         )
-        for gpos, idx in enumerate(group):
-            results[idx] = group_results[gpos]
+        for idx, result in zip(group, group_results):
+            results[idx] = result
     return results
 
 
@@ -648,8 +566,8 @@ def _staged(session: MiningSession, patterns, multi: bool, options, **knobs):
             "plan= is a single-pattern override; approx_count_many plans "
             "each pattern from the session cache"
         )
-    opts, _, lookups = session._stage(patterns, opts)
-    return opts, lookups
+    opts, _, plans = session._stage(patterns, opts)
+    return opts, plans
 
 
 def approx_count(
@@ -693,13 +611,11 @@ def approx_count(
         raise ValueError(
             f"method must be 'ns' or 'color-coding', got {method!r}"
         )
-    opts, [(plan, key)] = _staged(
+    opts, [plan] = _staged(
         session, [pattern], False, options, approx=rel_err,
         confidence=confidence, max_samples=max_samples, seed=seed,
     )
-    return approx_count_session(
-        session, plan, key, opts, hub_exhaust, round_starts
-    )
+    return approx_count_session(session, plan, opts, hub_exhaust, round_starts)
 
 
 def approx_count_many(
@@ -720,12 +636,12 @@ def approx_count_many(
     """
     session = as_session(graph_or_session)
     patterns = list(patterns)
-    opts, lookups = _staged(
+    opts, plans = _staged(
         session, patterns, True, options, approx=rel_err,
         confidence=confidence, max_samples=max_samples, seed=seed,
     )
     return dict(zip(patterns, approx_count_many_session(
-        session, patterns, lookups, opts, hub_exhaust, round_starts
+        session, patterns, plans, opts, hub_exhaust, round_starts
     )))
 
 

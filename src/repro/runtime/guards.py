@@ -155,11 +155,11 @@ def estimate_cost(
     from ..core.session import as_session
 
     session = as_session(graph_or_session)
-    plan, key = session._cached_plan(pattern, edge_induced, symmetry_breaking)
+    plan, _ = session._cached_plan(pattern, edge_induced, symmetry_breaking)
     return probe(
         session.ordered,
         pattern.num_vertices,
-        session._starts_for(plan, key),
+        session._frontier(session._frontier_key(plan)),
         symmetry_breaking=symmetry_breaking,
         sample=sample,
         threshold=threshold,
@@ -228,7 +228,7 @@ def probe(
     # whole frontier.  (An integer step of size//k degrades to 1 when
     # size < 2k, turning the "even sample" into the first k consecutive
     # hub-prefix entries and inflating avg_expansion.)
-    probe = [frontier[(i * frontier_size) // k] for i in range(k)]
+    probe = [int(frontier[(i * frontier_size) // k]) for i in range(k)]
 
     expansions = [fanout(v) for v in probe]
     avg_expansion = sum(expansions) / len(probe)

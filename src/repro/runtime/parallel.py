@@ -51,10 +51,8 @@ import tempfile
 import threading
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
-
-import numpy as np
 
 from ..errors import (
     MatchingError,
@@ -64,13 +62,8 @@ from ..errors import (
 )
 from ..core import accel
 from ..core.callbacks import Aggregator, ExplorationControl, Match
-from ..core.engine import EngineStats, run_tasks
-from ..core.session import (
-    MiningSession,
-    MultiPatternPlan,
-    as_session,
-    group_start_vertices,
-)
+from ..core.engine import EngineStats
+from ..core.session import MiningSession, MultiPatternPlan, as_session
 from ..graph.binary_io import GraphStore, save_mmap
 from ..graph.graph import DataGraph
 from ..pattern.pattern import Pattern
@@ -144,30 +137,24 @@ class ParallelResult:
         return 0.0 if hi == 0 else (hi - lo) / hi
 
 
-def _count_frontier(session, plan, mode, need_weights=True):
-    """The level-0 frontier (and per-start weights) for one thread run.
+def _ledger(session, key, opts, num_workers: int) -> ChunkLedger:
+    """The chunk table both runtimes cut from one frontier.
 
-    The batched engine slices the hub-first, label-filtered frontier of
-    the shared CSR view; the reference engine does its own per-start
-    label checks, so its frontier is the plain hub-first id order.
-    Weights are ``degree + 1`` — the same rule the fused runner uses to
-    bound slice work — so chunk extents track expected per-start cost.
-    Static schedules never read the weights, so callers skip the
-    (reference mode: O(n) Python) derivation with ``need_weights=False``.
+    ``key`` names the session's hub-first, label-filtered frontier
+    (:meth:`~repro.core.session.MiningSession._frontier`).  The dynamic
+    schedule weighs each start ``degree + 1`` — the rule the fused
+    runner bounds its slices by — so chunk extents track expected
+    per-start cost; the static one deals a stride chunk per worker.
     """
-    if mode == "accel-batch":
-        view = session.view
-        frontier = accel.frontier_start_order(
-            view.labels, view.num_vertices, plan
-        )
-        weights = view.degrees()[frontier] + 1 if need_weights else None
-        return frontier, weights
-    ordered = session.ordered
-    frontier = range(ordered.num_vertices - 1, -1, -1)
-    weights = (
-        [ordered.degree(v) + 1 for v in frontier] if need_weights else None
+    frontier = session._frontier(key)
+    if opts.schedule == "static":
+        return ChunkLedger.strided(frontier, num_workers)
+    return ChunkLedger.build(
+        frontier,
+        weights=session.view.degrees()[frontier] + 1,
+        chunk_hint=opts.chunk_hint,
+        num_workers=num_workers,
     )
-    return frontier, weights
 
 
 def parallel_match(
@@ -226,39 +213,58 @@ def parallel_match(
     which case its cached ordering, translation and plans are reused.
     """
     session = as_session(graph)
-    opts, query_plan, [(plan, _)] = session._stage(
-        [pattern],
-        session.defaults.merged(
-            dict(
-                edge_induced=edge_induced,
-                symmetry_breaking=symmetry_breaking,
-                engine=engine,
-                schedule=schedule,
-                chunk_hint=chunk_hint,
-            )
-        ),
-        workers=num_threads,
+    opts = session.defaults.merged(
+        dict(
+            edge_induced=edge_induced,
+            symmetry_breaking=symmetry_breaking,
+            control=control,
+            engine=engine,
+            schedule=schedule,
+            chunk_hint=chunk_hint,
+        )
+    )
+    return _thread_match(
+        session, pattern, opts, num_threads, callback, aggregate_interval,
+        on_update, combine, global_aggregator,
+    )
+
+
+def _thread_match(
+    session, pattern, opts, num_threads, callback, aggregate_interval,
+    on_update, combine, global_aggregator,
+) -> ParallelResult:
+    """:func:`parallel_match` over resolved options — what a threaded
+    :meth:`~repro.core.session.MiningSession.aggregate` hands over
+    whole, so no knob is silently dropped on the way: the stage honours
+    ``guard``, the frontier ``label_index``, the engines
+    ``frontier_chunk`` and ``control``; what a thread pool cannot honour
+    (it owns the frontier, the stats and the stopping rule) is rejected.
+    """
+    unsupported = opts.hooks(
+        "stats", "timer", "plan", "start_vertices", "budget", "approx"
+    )
+    if opts.engine == "fused":
+        unsupported.append("engine='fused'")
+    if unsupported:
+        raise MatchingError(
+            f"{sorted(unsupported)} not available under threads: drop the "
+            "option(s) or run single-threaded"
+        )
+    opts, query_plan, [plan] = session._stage(
+        [pattern], opts, workers=num_threads
     )
     num_threads = query_plan.num_workers
-    schedule, mode = opts.schedule, opts.engine
-    ordered = session.ordered
-    old_of_new = session.translation
-    view = session.view if mode == "accel-batch" else None
-    frontier, weights = _count_frontier(
-        session, plan, mode, need_weights=schedule == "dynamic"
+    scheduler = TaskScheduler(
+        _ledger(
+            session,
+            session._frontier_key(plan, opts.label_index),
+            opts,
+            num_threads,
+        )
     )
-    if schedule == "dynamic":
-        scheduler = TaskScheduler(
-            frontier,
-            chunk_size=opts.chunk_hint,
-            weights=weights,
-            num_workers=num_threads,
-        )
-    else:
-        scheduler = TaskScheduler.from_ledger(
-            ChunkLedger.strided(frontier, num_threads)
-        )
-    shared_control = control if control is not None else ExplorationControl()
+    shared_control = (
+        opts.control if opts.control is not None else ExplorationControl()
+    )
     global_agg = (
         global_aggregator
         if global_aggregator is not None
@@ -274,39 +280,26 @@ def parallel_match(
         on_match = None
         if callback is not None:
             def on_match(m: Match) -> None:
-                translated = tuple(
-                    old_of_new[v] if v >= 0 else -1 for v in m.mapping
-                )
-                callback(Match(m.pattern, translated), local)
+                callback(m, local)
 
-        batched = (
-            accel.FrontierBatchedEngine(view) if mode == "accel-batch" else None
-        )
         total = 0
         cpu_begin = time.thread_time()
         while not shared_control.stopped:
             chunk = scheduler.next_chunk()
             if len(chunk) == 0:
                 break
-            if batched is not None:
-                total += batched.run(
-                    plan,
+            # The session's one single-pattern executor, over this chunk.
+            total += session._run_match_engines(
+                plan,
+                on_match,
+                replace(
+                    opts,
                     start_vertices=chunk,
-                    on_match=on_match,
-                    count_only=callback is None,
-                    chunk=opts.frontier_chunk,
-                    control=shared_control,
-                )
-            else:
-                total += run_tasks(
-                    ordered,
-                    plan,
-                    start_vertices=chunk,
-                    on_match=on_match,
                     control=shared_control,
                     stats=local_stats[tid],
-                    count_only=callback is None,
-                )
+                ),
+                None,
+            )
         thread_matches[tid] = total
         thread_cpu[tid] = time.thread_time() - cpu_begin
 
@@ -334,8 +327,8 @@ def parallel_match(
         aggregates=global_agg.result(),
         per_thread_matches=thread_matches,
         per_thread_cpu=thread_cpu,
-        engine=mode,
-        schedule=schedule,
+        engine=opts.engine,
+        schedule=opts.schedule,
     )
 
 
@@ -387,16 +380,16 @@ _SHARE_MODES = ("fork", "mmap")
 class _Job:
     """What every worker of one process run computes.
 
-    ``plans`` (caller order) are partitioned into fused ``groups``
-    sharing a level-0 frontier; ``ledgers[g]`` chunks group ``g``'s
-    frontier and ``offsets`` (prefix sums of the ledger lengths) makes
-    chunk indices *global* across groups, so one cursor and one lease
-    board serve the whole workload.  Nothing here is mutated, so the job
-    reaches workers fork-inherited or pickled into spawn args alike.
+    ``multi`` is the compiled workload
+    (:class:`~repro.core.session.MultiPatternPlan`): its groups share a
+    level-0 frontier, ``ledgers[g]`` chunks group ``g``'s and
+    ``offsets`` (prefix sums of the ledger lengths) makes chunk indices
+    *global* across groups, so one cursor and one lease board serve the
+    whole workload.  Nothing here is mutated, so the job reaches workers
+    fork-inherited or pickled into spawn args alike.
     """
 
-    plans: tuple
-    groups: tuple
+    multi: MultiPatternPlan
     ledgers: tuple
     offsets: tuple
     frontier_chunk: int | None
@@ -409,19 +402,16 @@ class _Job:
         """The group a global chunk index belongs to."""
         return bisect_right(self.offsets, index) - 1
 
-    def locate(self, index: int):
-        """``(group index, start vertices)`` of a global chunk index."""
-        gi = self.group_of(index)
-        return gi, self.ledgers[gi].chunk(index - self.offsets[gi])
-
 
 def _chunk_runner(handle, job: _Job, control):
     """The one worker initializer: open the graph handle, bind the job.
 
     ``handle`` is the fork-inherited CSR view or the path of an ``.rgx``
     store to re-open (the view holds the mapped graph, which keeps its
-    store alive).  Returns ``run_chunk(index) -> counts``, one count per
-    member of the chunk's group.  ``control`` reaches the engine of
+    store alive).  Returns ``run_chunk(index) -> counts``: the chunk's
+    group executed over the chunk's starts, one raw count per group
+    member (census-tier basis plans included — the parent inverts, once,
+    over the sums of every chunk).  ``control`` reaches the engine of
     every chunk run, so a shared cancellation token stops workers
     *inside* a chunk — between frontier blocks or start tasks — not just
     between chunks.
@@ -430,17 +420,13 @@ def _chunk_runner(handle, job: _Job, control):
         view = handle
     else:
         view = accel.shared_view(GraphStore(handle).graph())
-    members_of = [
-        [(job.plans[idx], None, None) for idx in group]
-        for group in job.groups
-    ]
 
     def run_chunk(index: int):
-        gi, chunk = job.locate(index)
-        return accel.fused_run(
+        gi = job.group_of(index)
+        return job.multi.run_group(
+            gi,
             view,
-            members_of[gi],
-            start_vertices=chunk,
+            job.ledgers[gi].chunk(index - job.offsets[gi]),
             chunk=job.frontier_chunk,
             control=control,
         )
@@ -550,9 +536,10 @@ def _tolerant_worker(
 def _partial(totals, reason: str, chunks_done: int, **detail):
     """The structured partial of a stopped run: exact per-plan totals of
     the fully-counted chunks (summed as the value, listed in
-    ``detail["totals"]``)."""
+    ``detail["totals"]`` — ``None`` for a census-tier member, whose
+    count only exists once *every* chunk's basis counts are in)."""
     return PartialResult(
-        sum(totals),
+        sum(total for total in totals if total is not None),
         levels_completed=chunks_done,
         truncated=True,
         reason=reason,
@@ -586,21 +573,31 @@ def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
     totals of the fully-counted chunks as the structured partial
     (per-plan in ``partial.detail["totals"]``).
     """
-    num_chunks = job.num_chunks
+    multi, num_chunks = job.multi, job.num_chunks
     # Each chunk's count slots hold one value per member of its group.
     slot_offsets = [0]
-    for group, ledger in zip(job.groups, job.ledgers):
+    for members, ledger in zip(multi.members, job.ledgers):
         for _ in range(len(ledger)):
-            slot_offsets.append(slot_offsets[-1] + len(group))
+            slot_offsets.append(slot_offsets[-1] + len(members))
     board = LeaseBoard(ctx, num_chunks, slot_offsets)
     fault_spec = _parse_fault(os.environ.get(FAULT_ENV))
 
-    def totals_of(indices):
-        totals = [0] * len(job.plans)
+    def totals_of(indices, complete=False):
+        raw = [[0] * len(members) for members in multi.members]
         for index in indices:
-            values = board.values(index)
-            for pos, idx in enumerate(job.groups[job.group_of(index)]):
-                totals[idx] += values[pos]
+            sums = raw[job.group_of(index)]
+            for pos, value in enumerate(board.values(index)):
+                sums[pos] += value
+        totals: list = [None] * len(multi.plans)
+        for gi, sums in enumerate(raw):
+            # An incomplete basis never inverts: a partial reports the
+            # direct members' exact-so-far sums only.
+            solved = (
+                multi.demux(gi, sums) if complete
+                else dict(zip(multi.direct[gi], sums))
+            )
+            for idx, total in solved.items():
+                totals[idx] = total
         return totals
 
     cancel_flag = ctx.Value("b", 0)
@@ -691,7 +688,7 @@ def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
         raise _cancelled(
             totals_of(board.done_indices(num_chunks)), len(pending), num_chunks
         )
-    return totals_of(range(num_chunks))
+    return totals_of(range(num_chunks), complete=True)
 
 
 def _mmap_store(session):
@@ -763,18 +760,19 @@ def process_count_many(
 ) -> dict[Pattern, int]:
     """Count every pattern with worker processes over fused frontier chunks.
 
-    The process-level face of the fused runner: patterns are grouped by
-    shared level-0 frontier signature
+    The process-level driver of the fused executor: patterns are grouped
+    by shared level-0 frontier signature
     (:class:`~repro.core.session.MultiPatternPlan`, group floor 1), each
     group's hub-first, label-filtered frontier is cut into chunks, and
     worker processes pull chunks from one shared queue spanning *all*
-    groups — every chunk runs its whole group through
-    :func:`repro.core.accel.fused_run`, so motif censuses and FSM-style
-    pattern sets scale across cores without giving up the shared
-    first-level gathers.  Counts are pinned to the sequential
-    ``count_many`` (the census/Möbius rewrite is a sequential-only
-    optimization; the process path counts every requested plan
-    directly).
+    groups — every chunk runs its whole group through the one fused
+    executor (:meth:`~repro.core.session.MultiPatternPlan.run_group`),
+    so motif censuses and FSM-style pattern sets scale across cores
+    without giving up the shared first-level gathers.  The workload is
+    compiled exactly as the sequential ``count_many`` compiles it, census
+    tier included: workers count the anti-edge-free basis per chunk and
+    the parent inverts once, over the sums of *all* chunks (with
+    ``cancel`` set the tier is off — a stopped basis must never invert).
 
     An integer ``num_processes`` runs exactly that many workers;
     ``None`` lets the plan size the pool from the measured work volume,
@@ -825,7 +823,7 @@ def process_count_many(
             f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
         )
     patterns = list(patterns)
-    opts, query_plan, lookups = session._stage(
+    opts, query_plan, plans = session._stage(
         patterns,
         session.options(
             edge_induced=edge_induced,
@@ -859,44 +857,19 @@ def process_count_many(
             raise _cancelled([counts[p] for p in patterns], 1, 1)
         return counts
 
-    ordered = session.ordered
-    labels = ordered.labels()
-    plans = [plan for plan, _ in lookups]
-    if labels is None and any(pl.matched_pattern.is_labeled for pl in plans):
-        raise MatchingError(
-            "pattern has label constraints but the data graph is unlabeled"
-        )
+    # ``cancel`` can stop the run early, so it is compiled as what it is
+    # — a control: the census tier stays off under it.
     multi = MultiPatternPlan.build(
-        plans, label_index=label_index and labels is not None, min_group=1
+        session, patterns, plans, replace(opts, control=cancel), min_group=1
     )
-    view = session.view
-    degrees = view.degrees()
-    ledgers: list[ChunkLedger] = []
+    ledgers = tuple(
+        _ledger(session, key, opts, num_processes) for key in multi.group_keys
+    )
     offsets = [0]
-    for key in multi.group_keys:
-        starts = group_start_vertices(ordered, key)
-        if starts is None:
-            frontier = np.arange(view.num_vertices - 1, -1, -1, dtype=np.int64)
-        else:
-            frontier = np.asarray(starts, dtype=np.int64)
-        if opts.schedule == "static":
-            ledger = ChunkLedger.strided(frontier, num_processes)
-        else:
-            ledger = ChunkLedger.build(
-                frontier,
-                weights=degrees[frontier] + 1,
-                chunk_hint=opts.chunk_hint,
-                num_workers=num_processes,
-            )
-        ledgers.append(ledger)
+    for ledger in ledgers:
         offsets.append(offsets[-1] + len(ledger))
-    job = _Job(
-        plans=tuple(plans),
-        groups=multi.groups,
-        ledgers=tuple(ledgers),
-        offsets=tuple(offsets),
-        frontier_chunk=opts.frontier_chunk,
-    )
+    job = _Job(multi, ledgers, tuple(offsets), opts.frontier_chunk)
+    view = session.view
 
     if share_mode == "fork":
         ctx = multiprocessing.get_context("fork")

@@ -12,8 +12,8 @@ memory — keeps per-chunk work roughly even regardless of degree skew.
 Both concurrent runtimes consume this layer:
 
 * :func:`repro.runtime.parallel.parallel_match` worker *threads* pull
-  chunks from a :class:`TaskScheduler` (an atomic-counter cursor guarded
-  by a ``threading.Lock``);
+  chunks from a :class:`TaskScheduler` (a cursor over a
+  :class:`ChunkLedger` guarded by a ``threading.Lock``);
 * :func:`repro.runtime.parallel.process_count` /
   :func:`~repro.runtime.parallel.process_count_many` worker *processes*
   share a :class:`ProcessCursor` (a ``multiprocessing.Value`` counter)
@@ -33,6 +33,10 @@ from __future__ import annotations
 
 import threading
 from typing import Sequence
+
+import numpy as np
+
+from ..core.accel import bounded_slices
 
 __all__ = [
     "ChunkLedger",
@@ -54,38 +58,13 @@ def weighted_boundaries(weights: Sequence[float], cap: float) -> list[int]:
     """Chunk boundaries over ``weights`` whose sums stay near ``cap``.
 
     Returns ``[0, b1, ..., len(weights)]``: chunk ``i`` spans
-    ``weights[b_i:b_{i+1}]``.  A chunk closes as soon as its cumulative
-    weight reaches ``cap``; a lone over-cap element still forms a chunk
-    of its own, so progress is guaranteed and the heaviest chunk is one
-    element's weight, not ``cap + max_weight``.  This is the pure-Python
-    mirror of :func:`repro.core.accel.bounded_slices` (the rule the
-    engines use to bound frontier memory), so scheduling chunks and
-    engine-internal chunks agree on what "near the cap" means.
+    ``weights[b_i:b_{i+1}]``.  The boundaries are those of
+    :func:`repro.core.accel.bounded_slices` — a chunk closes as soon as
+    its cumulative weight reaches ``cap`` and a lone over-cap element
+    forms a chunk of its own — so scheduling chunks and engine-internal
+    chunks are cut by one rule, not two that agree.
     """
-    n = len(weights)
-    if hasattr(weights, "cumsum") and hasattr(weights, "searchsorted"):
-        # numpy (or array-API) weights: O(chunks log n) via prefix sums,
-        # same closing rule as the scalar loop below.
-        cum = weights.cumsum()
-        boundaries = [0]
-        start = 0
-        while start < n:
-            base = cum[start - 1] if start else 0
-            end = int(cum.searchsorted(base + cap, "left")) + 1
-            end = min(max(end, start + 1), n)
-            boundaries.append(end)
-            start = end
-        return boundaries
-    boundaries = [0]
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if acc >= cap:
-            boundaries.append(i + 1)
-            acc = 0.0
-    if boundaries[-1] != n:
-        boundaries.append(n)
-    return boundaries
+    return [0] + [sl.stop for sl in bounded_slices(np.asarray(weights), cap)]
 
 
 class ChunkLedger:
@@ -143,11 +122,9 @@ class ChunkLedger:
             boundaries = list(range(0, n, step))
             boundaries.append(n)
             return cls(order, boundaries)
-        total = (
-            float(weights.sum()) if hasattr(weights, "sum")
-            else float(sum(weights))
-        )
-        mean = total / n if n else 1.0
+        weights = np.asarray(weights)
+        total = float(weights.sum())
+        mean = total / n
         if chunk_hint is not None:
             if chunk_hint < 1:
                 raise ValueError(f"chunk_hint must be >= 1, got {chunk_hint}")
@@ -289,75 +266,25 @@ class LeaseBoard:
 
 
 class TaskScheduler:
-    """Chunked atomic-counter scheduler over a fixed task order (threads).
+    """Lock-guarded chunk cursor over a :class:`ChunkLedger` (threads).
 
-    The thread-side face of the shared layer: a :class:`ChunkLedger`
-    plus a lock-guarded cursor.  ``chunk_size`` is the chunk hint —
-    tasks per chunk on a uniform frontier (``None`` sizes chunks
-    automatically for ``num_workers``, targeting
-    :data:`CHUNKS_PER_WORKER` each); pass ``weights`` (typically
-    ``degree + 1`` per task) to get degree-weighted chunks, where a hub
-    chunk carries fewer starts than a leaf chunk.
+    The thread-side face of the shared layer, as :class:`ProcessCursor`
+    is the process-side one: the ledger (weighted or strided) says what
+    the chunks are, the scheduler hands each out exactly once.
     """
 
-    __slots__ = ("_ledger", "_next", "_lock", "chunk_size")
+    __slots__ = ("ledger", "_next", "_lock")
 
-    def __init__(
-        self,
-        order: Sequence[int],
-        chunk_size: int | None = 64,
-        weights: Sequence[float] | None = None,
-        num_workers: int = 1,
-    ):
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._bind(
-            ChunkLedger.build(
-                order,
-                weights=weights,
-                chunk_hint=chunk_size,
-                num_workers=num_workers,
-            ),
-            chunk_size,
-        )
-
-    def _bind(self, ledger: ChunkLedger, chunk_size: int | None) -> None:
-        self._ledger = ledger
+    def __init__(self, ledger: ChunkLedger):
+        self.ledger = ledger
         self._next = 0
         self._lock = threading.Lock()
-        self.chunk_size = chunk_size
-
-    @classmethod
-    def degree_descending(cls, num_vertices: int, chunk_size: int = 64) -> "TaskScheduler":
-        """Scheduler over a degree-ordered graph: ids n-1 .. 0 (§5.2)."""
-        return cls(range(num_vertices - 1, -1, -1), chunk_size=chunk_size)
-
-    @classmethod
-    def from_ledger(cls, ledger: ChunkLedger) -> "TaskScheduler":
-        """Scheduler over a prebuilt ledger (e.g. the strided shape)."""
-        scheduler = cls.__new__(cls)
-        scheduler._bind(ledger, None)
-        return scheduler
-
-    @property
-    def ledger(self) -> ChunkLedger:
-        return self._ledger
 
     def next_chunk(self) -> Sequence[int]:
         """Claim the next chunk of start vertices; empty when exhausted."""
         with self._lock:
             index = self._next
-            if index >= len(self._ledger):
+            if index >= len(self.ledger):
                 return ()
             self._next = index + 1
-        return self._ledger.chunk(index)
-
-    def remaining(self) -> int:
-        """Number of tasks not yet claimed (chunk-granular)."""
-        with self._lock:
-            index = min(self._next, len(self._ledger))
-        return self._ledger.num_tasks - self._ledger.boundaries[index]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._next = 0
+        return self.ledger.chunk(index)

@@ -237,30 +237,32 @@ def _options_signature(options: dict) -> tuple:
 
 
 def _stage_job(session: MiningSession, job: QueryJob, options: dict):
-    """One job's own probe → admit → plan: ``(options, query plan)``.
+    """One job's own probe → admit → plan: the staged query value.
 
     Count jobs without a budget may be answered by the sampling tier,
     so only they are staged as count-only.
     """
-    opts, query_plan, _ = session._stage(
+    return session._stage(
         [job.pattern],
         session.defaults.merged(options),
         count_only=job.kind == "count" and job.budget is None,
     )
-    return opts, query_plan
 
 
-def _run_job(session: MiningSession, job: QueryJob, run_options: dict):
-    """One job on its own: the solo path and the isolation fallback."""
-    overrides = dict(run_options)
-    if job.budget is not None:
-        overrides["budget"] = job.budget
-    # Staged here only for the echo: the verb below stages again off the
-    # session's cached probe, and reading ``session.last_query_plan``
-    # back instead would race with the pool's other threads.
-    _, query_plan = _stage_job(session, job, overrides)
+def _run_job(session: MiningSession, job: QueryJob, run_options: dict, staged=None):
+    """One job on its own: the solo path and the isolation fallback.
+
+    Stage once, execute what was staged (``staged``: a batch member's
+    own stage, already done) — the plan echoed is the plan that ran.
+    """
+    if staged is None:
+        overrides = dict(run_options)
+        if job.budget is not None:
+            overrides["budget"] = job.budget
+        staged = _stage_job(session, job, overrides)
+    query_plan = staged[1]
     if job.kind == "count":
-        value = session.count(job.pattern, **overrides)
+        value = session._execute(staged)
         if isinstance(value, ApproxCount):
             return JobResult(int(value), query_plan, approx=value.as_dict())
         return JobResult(int(value), query_plan)
@@ -271,7 +273,7 @@ def _run_job(session: MiningSession, job: QueryJob, run_options: dict):
         if limit is None or len(rows) < limit:
             rows.append(list(match.mapping))
 
-    total = session.match(job.pattern, collect, **overrides)
+    total = session._execute(staged, collect)
     return JobResult(int(total), query_plan, rows=rows)
 
 
@@ -296,13 +298,14 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
     plans: dict[int, QueryPlan] = {}
     for i, job in enumerate(jobs):
         try:
-            opts, plans[i] = _stage_job(session, job, shared)
+            staged = _stage_job(session, job, shared)
         except ReproError as exc:
             outcomes[i] = exc
             continue
+        opts, plans[i], _ = staged
         if opts.approx is not None:
             try:
-                outcomes[i] = _run_job(session, job, shared)
+                outcomes[i] = _run_job(session, job, shared, staged)
             except Exception as exc:
                 outcomes[i] = exc
             continue

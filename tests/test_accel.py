@@ -485,8 +485,7 @@ class TestFrontierStartOrder:
         g = erdos_renyi(25, 0.2, seed=3)
         ordered, _ = g.degree_ordered()
         view = shared_view(ordered)
-        plan = generate_plan(generate_clique(3))
-        starts = frontier_start_order(view.labels, view.num_vertices, plan)
+        starts = frontier_start_order(ordered)
         assert starts.tolist() == list(range(view.num_vertices - 1, -1, -1))
 
     def test_labeled_filters_to_top_labels(self):
@@ -495,7 +494,7 @@ class TestFrontierStartOrder:
         view = shared_view(ordered)
         p = _labeled_pattern(generate_clique(3), {0: 1, 1: 1, 2: 1})
         plan = generate_plan(p)
-        starts = frontier_start_order(view.labels, view.num_vertices, plan)
+        starts = frontier_start_order(ordered, plan.pinned_start_labels())
         assert starts.size > 0
         assert all(view.labels[v] == 1 for v in starts.tolist())
         # hub-first order is preserved within the filtered set
@@ -507,7 +506,7 @@ class TestFrontierStartOrder:
         view = shared_view(ordered)
         p = _labeled_pattern(generate_chain(3), {0: 0, 1: 1, 2: 0})
         plan = generate_plan(p)
-        starts = frontier_start_order(view.labels, view.num_vertices, plan)
+        starts = frontier_start_order(ordered, plan.pinned_start_labels())
         total = FrontierBatchedEngine(view).run(plan, count_only=True)
         sliced = sum(
             FrontierBatchedEngine(view).run(

@@ -357,6 +357,56 @@ class TestBudgetedVerbs:
         assert 5 <= result < full
         assert "cap 5" in result.reason
 
+    def test_multi_pattern_partial_flags_cut_and_unstarted_members(self):
+        """Regression: multi-pattern verbs under on_budget="partial"
+        returned plain ints, so a truncated census read as an exact one.
+        Frontier-row caps trip deterministically: the label-pinned pair
+        (small frontiers) finishes, the unpinned pair trips."""
+        from repro.graph.generators import with_random_labels
+
+        g = with_random_labels(erdos_renyi(90, 0.2, seed=3), 3, seed=3)
+        session = MiningSession(g)
+        pinned = []
+        for _ in range(2):
+            p = generate_chain(3)
+            for u in range(3):
+                p.set_label(u, 0)
+            pinned.append(p)
+        pinned[1].set_label(1, 1)
+        patterns = pinned + [generate_chain(3), generate_clique(3)]
+        pinned_rows = sum(
+            len(session._frontier(session._frontier_key(session.plan_for(p))))
+            for p in pinned
+        )
+        budget = Budget(max_frontier_rows=pinned_rows + 1)
+
+        def run(**pins):
+            seen = [[] for _ in patterns]
+            totals = session.match_many(
+                patterns, [rows.append for rows in seen],
+                budget=budget, on_budget="partial", **pins,
+            )
+            return totals, seen
+
+        totals, seen = run(engine="fused")
+        exact = [session.count(p, engine="reference") for p in patterns]
+        assert totals[:2] == exact[:2]
+        assert [type(t) for t in totals] == [int, int, PartialResult, PartialResult]
+        assert all(t.truncated and "frontier rows" in t.reason for t in totals[2:])
+        assert [len(rows) for rows in seen] == [*exact[:2], 0, 0]
+        # per-pattern engines: the first two finish, the third trips, and
+        # the fourth is flagged without being started just to re-trip
+        totals, seen = run(engine="accel-batch")
+        assert [type(t) for t in totals] == [int, int, PartialResult, PartialResult]
+        assert totals[:2] == exact[:2] and seen[3] == []
+        assert "frontier rows" in totals[3].reason
+        with pytest.raises(BudgetExceededError):
+            session.count_many(patterns, budget=budget, engine="fused")
+        counts = session.count_many(
+            patterns, budget=budget, on_budget="partial", engine="fused"
+        )
+        assert [type(v) for v in counts.values()] == [type(t) for t in totals]
+
     def test_on_budget_raise_is_the_default(self):
         g = erdos_renyi(60, 0.3, seed=4)
         with pytest.raises(BudgetExceededError):

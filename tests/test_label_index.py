@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EngineStats, count, match
-from repro.core.session import _label_filtered_starts
-from repro.core.plan import generate_plan
+from repro.core import EngineStats, MiningSession, count, match
+from repro.errors import MatchingError
 from repro.graph import erdos_renyi, with_random_labels
 from repro.pattern import Pattern, generate_chain, generate_clique
 
@@ -25,25 +24,42 @@ def fully_labeled_chain(labels: tuple[int, ...]) -> Pattern:
     return p
 
 
-class TestLabelFilteredStarts:
+class TestFrontier:
+    """The one frontier function: ``MiningSession._frontier_key`` names a
+    plan's pinned-label set, ``_frontier`` is the cached hub-first array."""
+
     def test_unlabeled_graph_no_restriction(self):
-        g = erdos_renyi(30, 0.2, seed=1)
-        ordered, _ = g.degree_ordered()
-        plan = generate_plan(generate_clique(3))
-        assert _label_filtered_starts(ordered, plan) is None
+        session = MiningSession(erdos_renyi(30, 0.2, seed=1))
+        key = session._frontier_key(session.plan_for(generate_clique(3)))
+        assert key is None
+        assert session._frontier(key).tolist() == list(range(29, -1, -1))
 
     def test_wildcard_top_no_restriction(self, labeled):
-        ordered, _ = labeled.degree_ordered()
-        plan = generate_plan(generate_chain(3))  # unlabeled pattern
-        assert _label_filtered_starts(ordered, plan) is None
+        session = MiningSession(labeled)
+        plan = session.plan_for(generate_chain(3))  # unlabeled pattern
+        assert session._frontier_key(plan) is None
 
     def test_labeled_pattern_restricts_and_orders_hub_first(self, labeled):
-        ordered, _ = labeled.degree_ordered()
-        plan = generate_plan(fully_labeled_chain((0, 1, 2)))
-        starts = _label_filtered_starts(ordered, plan)
-        assert starts is not None
-        assert starts == sorted(starts, reverse=True)
-        assert len(starts) < ordered.num_vertices
+        session = MiningSession(labeled)
+        plan = session.plan_for(fully_labeled_chain((0, 1, 2)))
+        key = session._frontier_key(plan)
+        assert key == frozenset(plan.pinned_start_labels())
+        starts = session._frontier(key).tolist()
+        labels = session.ordered.labels()
+        assert starts == sorted(
+            (v for v in range(len(labels)) if labels[v] in key), reverse=True
+        )
+        assert 0 < len(starts) < session.ordered.num_vertices
+        # label_index off seeds from every vertex; the array is cached
+        assert session._frontier_key(plan, label_index=False) is None
+        assert session._frontier(key) is session._frontier(key)
+        assert session.cache_info()["start_lists"] == 1
+
+    def test_labeled_pattern_on_unlabeled_graph_is_rejected_here(self):
+        session = MiningSession(erdos_renyi(30, 0.2, seed=1))
+        plan = session.plan_for(fully_labeled_chain((0, 1, 2)))
+        with pytest.raises(MatchingError, match="unlabeled"):
+            session._frontier_key(plan)
 
 
 class TestCountsUnchanged:

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    Budget,
+    ExplorationControl,
     MiningSession,
     MultiPatternPlan,
     count,
@@ -34,6 +36,8 @@ from repro.core.session import FUSED_MIN_GROUP
 from repro.errors import MatchingError
 from repro.graph import erdos_renyi, with_random_labels
 from repro.mining.cliques import maximal_clique_pattern
+from repro.runtime import parallel_match, process_count_many
+from repro.service.batching import QueryJob, _run_batch
 from repro.pattern import (
     Pattern,
     generate_all_vertex_induced,
@@ -250,20 +254,142 @@ class TestFusedCallbackParity:
 
 
 # ----------------------------------------------------------------------
+# One executor under every driver: tier x driver parity table
+# ----------------------------------------------------------------------
+
+# Every driver only chooses start vertices; the compiled plan and the two
+# executors underneath are the same.  Reference interpreter as oracle.
+TIERS = {
+    "edge-induced-direct": ("unlabeled-mix", {}),
+    "vertex-induced-census": ("4-motifs", {"edge_induced": False}),
+    "label-pinned": ("labeled-mixed-pins", {}),
+}
+
+
+def _tier(name):
+    set_name, flags = TIERS[name]
+    set_fn = next(fn for sid, fn, _ in PATTERN_SETS if sid == set_name)
+    return _graph_for(set_name, seed=7, n=48), set_fn(), flags
+
+
+def _drive_in_process(session, patterns, flags):
+    counts = session.count_many(patterns, engine="fused", **flags)
+    assert session.match_many(patterns, engine="fused", **flags) == list(
+        counts.values()
+    )
+    return counts
+
+
+def _drive_processes(share_mode):
+    def drive(session, patterns, flags):
+        return process_count_many(
+            session, patterns, num_processes=2, share_mode=share_mode, **flags
+        )
+
+    return drive
+
+
+def _drive_sampling(session, patterns, flags):
+    # max_samples >= frontier: the estimator must degenerate to exact.
+    estimates = session.count_many(
+        patterns, approx=0.05, seed=1,
+        max_samples=session.graph.num_vertices, engine="fused", **flags,
+    )
+    assert all(est.exact and est.ci_low == est.ci_high for est in estimates.values())
+    return {p: int(est) for p, est in estimates.items()}
+
+
+def _drive_threads(session, patterns, flags):
+    return {
+        p: parallel_match(session, p, num_threads=2, **flags).matches
+        for p in patterns
+    }
+
+
+def _drive_service_batch(session, patterns, flags):
+    jobs = [QueryJob("count", p, options=dict(flags)) for p in patterns]
+    outcomes, _ = _run_batch(session, jobs)
+    return {p: outcome.count for p, outcome in zip(patterns, outcomes)}
+
+
+DRIVERS = {
+    "in-process": _drive_in_process,
+    "processes-fork": _drive_processes("fork"),
+    "processes-mmap": _drive_processes("mmap"),
+    "sampling-exhausted": _drive_sampling,
+    "threads": _drive_threads,
+    "service-batch": _drive_service_batch,
+}
+
+
+class TestOneExecutorEveryDriver:
+    @pytest.mark.parametrize("driver", sorted(DRIVERS))
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_counts_equal_the_reference_interpreter(self, tier, driver):
+        g, patterns, flags = _tier(tier)
+        assert DRIVERS[driver](MiningSession(g), patterns, flags) == (
+            _reference_counts(g, patterns, **flags)
+        )
+
+    @pytest.mark.parametrize("tier", sorted(TIERS))
+    def test_mixed_count_callback_and_batch_consumers(self, tier):
+        """One group, three kinds of consumer: a count-only member (on
+        the census tier where it applies), a callback and a batch."""
+        g, patterns, flags = _tier(tier)
+        session = MiningSession(g)
+        seen, rows = [], []
+        callbacks = [None, lambda m: seen.append(m.mapping)] + [None] * (
+            len(patterns) - 2
+        )
+        on_batches = [None, None, lambda a: rows.extend(map(tuple, a.tolist()))] + [
+            None
+        ] * (len(patterns) - 3)
+        totals = session._run_many(
+            patterns, callbacks, on_batches,
+            session.options(engine="fused", **flags),
+        )
+        assert totals == list(_reference_counts(g, patterns, **flags).values())
+        for got, pattern in ((seen, patterns[1]), (rows, patterns[2])):
+            expected = []
+            match(g, pattern, expected.append, engine="reference", **flags)
+            assert sorted(got) == sorted(m.mapping for m in expected)
+
+    def test_service_batch_mixes_count_and_match_jobs(self):
+        g, patterns, flags = _tier("vertex-induced-census")
+        jobs = [QueryJob("count", p, options=dict(flags)) for p in patterns]
+        jobs.append(QueryJob("match", patterns[0], options=dict(flags), limit=10**6))
+        outcomes, deduped = _run_batch(MiningSession(g), jobs)
+        expected = _reference_counts(g, patterns, **flags)
+        assert [o.count for o in outcomes[:-1]] == list(expected.values())
+        assert outcomes[-1].count == len(outcomes[-1].rows) == expected[patterns[0]]
+        assert deduped == 0
+
+
+# ----------------------------------------------------------------------
 # Grouping, dispatch and error behaviour
 # ----------------------------------------------------------------------
 
 
+def _compile(session, patterns, consumers=None, min_group=FUSED_MIN_GROUP, **options):
+    """Stage then compile, as every driver does."""
+    opts, _, plans = session._stage(patterns, session.options(**options))
+    return MultiPatternPlan.build(
+        session, patterns, plans, opts, consumers, min_group
+    )
+
+
 class TestMultiPatternPlan:
     def test_unlabeled_patterns_share_one_group(self):
-        plans = [
-            MiningSession(erdos_renyi(10, 0.3, seed=1)).plan_for(p)
-            for p in (generate_clique(3), generate_chain(3), generate_star(3))
-        ]
-        multi = MultiPatternPlan.build(plans)
+        session = MiningSession(erdos_renyi(10, 0.3, seed=1))
+        multi = _compile(
+            session, [generate_clique(3), generate_chain(3), generate_star(3)]
+        )
         assert multi.groups == ((0, 1, 2),)
         assert multi.group_keys == (None,)
         assert multi.singles == ()
+        # edge-induced: every member is counted by its own plan
+        assert multi.direct == ((0, 1, 2),) and multi.census == ((),)
+        assert multi.members == (multi.plans,)
 
     def test_label_pins_split_groups(self):
         session = MiningSession(
@@ -272,8 +398,7 @@ class TestMultiPatternPlan:
         fully_pinned = _labeled(generate_chain(3), {0: 0, 1: 1, 2: 1})
         same_pin = _labeled(generate_chain(3), {0: 1, 1: 0, 2: 0})
         wildcard = generate_chain(3)
-        plans = [session.plan_for(p) for p in (fully_pinned, same_pin, wildcard)]
-        multi = MultiPatternPlan.build(plans, min_group=1)
+        multi = _compile(session, [fully_pinned, same_pin, wildcard], min_group=1)
         keys = {key for key in multi.group_keys}
         # The wildcard pattern seeds from every vertex (key None); the
         # pinned patterns group by their pinned top-label sets.
@@ -281,11 +406,8 @@ class TestMultiPatternPlan:
         assert len(multi.groups) >= 2
 
     def test_min_group_floor(self):
-        plans = [
-            MiningSession(erdos_renyi(10, 0.3, seed=3)).plan_for(p)
-            for p in (generate_clique(3),)
-        ]
-        multi = MultiPatternPlan.build(plans, min_group=FUSED_MIN_GROUP)
+        session = MiningSession(erdos_renyi(10, 0.3, seed=3))
+        multi = _compile(session, [generate_clique(3)])
         assert multi.groups == ()
         assert multi.singles == (0,)
 
@@ -293,14 +415,65 @@ class TestMultiPatternPlan:
         session = MiningSession(
             with_random_labels(erdos_renyi(10, 0.3, seed=4), 2, seed=4)
         )
-        plans = [
-            session.plan_for(p)
-            for p in (_labeled(generate_chain(3), {0: 0, 1: 1, 2: 1}),
-                      generate_chain(3))
-        ]
-        multi = MultiPatternPlan.build(plans, label_index=False)
+        multi = _compile(
+            session,
+            [_labeled(generate_chain(3), {0: 0, 1: 1, 2: 1}), generate_chain(3)],
+            label_index=False,
+        )
         assert multi.groups == ((0, 1),)
         assert multi.group_keys == (None,)
+
+    def test_census_tier_has_one_rule(self):
+        """Count-only, vertex-induced, symmetry-broken, unpinned, >= 2
+        eligible members, nothing that can stop the run early."""
+        session = MiningSession(erdos_renyi(12, 0.3, seed=5))
+        motifs = generate_all_vertex_induced(4)
+        multi = _compile(session, motifs, edge_induced=False)
+        assert multi.direct == ((),)
+        assert [idx for idx, _ in multi.census[0]] == list(range(len(motifs)))
+        assert len(multi.members[0]) == len(multi.transforms[0].basis)
+        # the basis is anti-edge-free: arithmetic tail counts, no
+        # membership kernels
+        assert all(
+            plan.edge_induced and plan.matched_pattern.num_anti_edges == 0
+            for plan in multi.members[0]
+        )
+        # a consumer keeps its member on its own plan
+        streamed = _compile(
+            session, motifs, {0: (lambda m: None, None)}, edge_induced=False
+        )
+        assert streamed.direct == ((0,),) and len(streamed.census[0]) == 5
+        for off in (
+            dict(edge_induced=True),
+            dict(edge_induced=False, symmetry_breaking=False),
+            dict(edge_induced=False, control=ExplorationControl()),
+            dict(edge_induced=False, budget=Budget(max_matches=10**9)),
+        ):
+            plain = _compile(session, motifs, **off)
+            assert plain.census == ((),) and plain.transforms == (None,), off
+        one = _compile(session, motifs[:1], edge_induced=False, min_group=1)
+        assert one.direct == ((0,),)
+
+    def test_compiled_plan_is_picklable_and_demuxes(self):
+        import pickle
+
+        g = erdos_renyi(16, 0.35, seed=6)
+        session = MiningSession(g)
+        motifs = generate_all_vertex_induced(4)
+        multi = pickle.loads(pickle.dumps(_compile(session, motifs, edge_induced=False)))
+        # two halves of the frontier, summed raw, invert to the census
+        frontier = session._frontier(None)
+        raw = [
+            a + b
+            for a, b in zip(
+                multi.run_group(0, session.view, frontier[::2]),
+                multi.run_group(0, session.view, frontier[1::2]),
+            )
+        ]
+        totals = multi.demux(0, raw)
+        assert [totals[i] for i in range(len(motifs))] == [
+            count(g, p, edge_induced=False, engine="reference") for p in motifs
+        ]
 
 
 class TestFusedDispatchErrors:
@@ -441,6 +614,40 @@ class TestParallelAggregate:
             session.aggregate(
                 generate_clique(3), map_fn, num_threads=2, engine="fused"
             )
+        # Regression: budgets and the sampling knobs used to be dropped
+        # silently — the threaded run returned the full aggregate where
+        # num_threads=1 raises BudgetExceededError.
+        for name, value in (
+            ("budget", Budget(deadline=1e-9)),
+            ("budget", Budget(max_matches=5)),
+            ("approx", 0.1),
+            ("latency_budget", 1.0),
+        ):
+            with pytest.raises(MatchingError, match=name):
+                session.aggregate(
+                    generate_clique(3), map_fn, num_threads=2, **{name: value}
+                )
+
+    def test_threaded_aggregate_forwards_guard_and_label_index(self, monkeypatch):
+        """Regression: per-call guard/label_index never reached the
+        thread runtime; the options now go over whole."""
+        from repro.errors import QueryRefusedError
+        from repro.runtime import guards
+
+        g = with_random_labels(erdos_renyi(40, 0.25, seed=7), 2, seed=7)
+        session = MiningSession(g)
+        p = _labeled(generate_chain(3), {0: 0, 1: 1, 2: 0})
+        map_fn = lambda m: ("k", 1)  # noqa: E731
+        expected = {"k": count(g, p)}
+        assert session.aggregate(p, map_fn, num_threads=2) == expected
+        assert None not in session._starts  # chunks of the pinned frontier
+        assert session.aggregate(
+            p, map_fn, num_threads=2, label_index=False
+        ) == expected
+        assert None in session._starts  # ... and now of the whole one
+        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
+        with pytest.raises(QueryRefusedError):
+            session.aggregate(p, map_fn, num_threads=2, guard="refuse")
 
     def test_threaded_on_update_sees_cumulative_totals(self):
         """on_update observes one map accumulating across patterns."""

@@ -18,6 +18,7 @@ from repro.pattern import (
 )
 from repro.runtime import (
     AggregatorThread,
+    ChunkLedger,
     DeadlineControl,
     TaskScheduler,
     parallel_match,
@@ -40,7 +41,7 @@ def _boom_worker(*_args):
 
 class TestTaskScheduler:
     def test_chunks_cover_everything_once(self):
-        sched = TaskScheduler(range(100), chunk_size=7)
+        sched = TaskScheduler(ChunkLedger.build(range(100), chunk_hint=7))
         seen = []
         while True:
             chunk = sched.next_chunk()
@@ -49,23 +50,13 @@ class TestTaskScheduler:
             seen.extend(chunk)
         assert seen == list(range(100))
 
-    def test_degree_descending_order(self):
-        sched = TaskScheduler.degree_descending(5, chunk_size=10)
-        assert list(sched.next_chunk()) == [4, 3, 2, 1, 0]
-
-    def test_remaining_and_reset(self):
-        sched = TaskScheduler(range(10), chunk_size=4)
-        sched.next_chunk()
-        assert sched.remaining() == 6
-        sched.reset()
-        assert sched.remaining() == 10
-
-    def test_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            TaskScheduler(range(3), chunk_size=0)
+    def test_strided_ledger_drains_through_the_same_cursor(self):
+        sched = TaskScheduler(ChunkLedger.strided(range(10), 3))
+        chunks = [list(sched.next_chunk()) for _ in range(4)]
+        assert chunks == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8], []]
 
     def test_thread_safety(self):
-        sched = TaskScheduler(range(1000), chunk_size=3)
+        sched = TaskScheduler(ChunkLedger.build(range(1000), chunk_hint=3))
         collected = []
         lock = threading.Lock()
 
@@ -728,6 +719,99 @@ class TestFaultInjection:
         monkeypatch.setenv(parallel.FAULT_ENV, "nonsense")
         with pytest.raises(ValueError, match="worker:chunk"):
             process_count(g, generate_clique(3), **self.PATTERN_KW)
+
+
+class TestCensusTierUnderProcesses:
+    """The compiled workload ships to workers whole, so the census tier
+    works under processes: workers count the anti-edge-free basis per
+    chunk and the parent inverts once, over the sums of *all* chunks —
+    and never over anything less."""
+
+    def _workload(self):
+        g = erdos_renyi(48, 0.2, seed=9)
+        motifs = generate_all_vertex_induced(4)
+        return g, motifs, MiningSession(g).count_many(
+            motifs, edge_induced=False, engine="reference"
+        )
+
+    def _jobs(self, monkeypatch):
+        jobs = []
+        drain = parallel._tolerant_count
+
+        def recording(ctx, num_workers, handle, job, cancel):
+            jobs.append(job)
+            return drain(ctx, num_workers, handle, job, cancel)
+
+        monkeypatch.setattr(parallel, "_tolerant_count", recording)
+        return jobs
+
+    @pytest.mark.parametrize("share_mode", SHARE_MODES)
+    def test_induced_census_equals_in_process_and_survives_a_crash(
+        self, share_mode, monkeypatch
+    ):
+        _skip_unless_fork_available(share_mode)
+        g, motifs, expected = self._workload()
+        jobs = self._jobs(monkeypatch)
+        session = MiningSession(g)
+
+        def run():
+            return process_count_many(
+                session, motifs, num_processes=2, edge_induced=False,
+                share_mode=share_mode, chunk_hint=4,
+            )
+
+        assert run() == expected == session.count_many(motifs, edge_induced=False)
+        monkeypatch.setenv(parallel.FAULT_ENV, "0:0")
+        assert run() == expected
+        # What the workers ran: the whole group on the basis, every plan
+        # edge-induced and anti-edge-free (tail arithmetic, no membership
+        # kernels), one lease-board slot per basis member.
+        multi = jobs[0].multi
+        assert multi.direct == ((),) and len(multi.census[0]) == len(motifs)
+        assert all(
+            plan.edge_induced and plan.matched_pattern.num_anti_edges == 0
+            for plan in multi.members[0]
+        )
+
+    def test_session_verb_reaches_the_same_path(self):
+        g, motifs, expected = self._workload()
+        assert MiningSession(g).count_many(
+            motifs, edge_induced=False, num_processes=2
+        ) == expected
+
+    def test_cancel_turns_the_tier_off(self, monkeypatch):
+        g, motifs, expected = self._workload()
+        jobs = self._jobs(monkeypatch)
+        live = ExplorationControl()  # never fires: the run completes
+        assert process_count_many(
+            g, motifs, num_processes=2, edge_induced=False, cancel=live
+        ) == expected
+        assert jobs[0].multi.census == ((),)
+        assert jobs[0].multi.transforms == (None,)
+        with pytest.raises(QueryCancelledError) as info:
+            process_count_many(
+                g, motifs, num_processes=2, edge_induced=False,
+                chunk_hint=4, cancel=DeadlineControl(0.0),
+            )
+        assert info.value.partial.detail["totals"] == [0] * len(motifs)
+
+    def test_crash_partial_never_inverts_an_incomplete_basis(self, monkeypatch):
+        g, motifs, _ = self._workload()
+        square = Pattern.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        square.add_anti_edge(0, 2)  # explicit anti-edge: stays direct
+        monkeypatch.setenv(parallel.FAULT_ENV, "*:1")
+        with pytest.raises(WorkerCrashError) as info:
+            process_count_many(
+                g, [square, *motifs], num_processes=2, edge_induced=False,
+                chunk_hint=4,
+            )
+        partial = info.value.partial
+        direct, *census = partial.detail["totals"]
+        # exact-so-far for the direct member, "not available" for the
+        # census members — a basis missing chunk 1 must not be inverted
+        assert census == [None] * len(motifs)
+        assert 0 <= direct <= count(g, square, edge_induced=False)
+        assert partial == direct and partial.detail["failed_chunks"] == [1]
 
 
 class _StopsAfterPolls(ExplorationControl):

@@ -64,10 +64,15 @@ class TestWeightedBoundaries:
                 assert total - weights[hi - 1] < cap
 
     @given(weights_lists, caps)
-    def test_numpy_path_matches_pure_python(self, weights, cap):
-        np = pytest.importorskip("numpy")
-        got = weighted_boundaries(np.asarray(weights, dtype=np.int64), cap)
-        assert got == weighted_boundaries(weights, cap)
+    def test_boundaries_are_the_engines_bounded_slices(self, weights, cap):
+        from repro.core.accel import bounded_slices
+
+        array = np.asarray(weights, dtype=np.int64)
+        bounds = weighted_boundaries(weights, cap)
+        assert weighted_boundaries(array, cap) == bounds
+        assert [(sl.start, sl.stop) for sl in bounded_slices(array, cap)] == (
+            list(zip(bounds, bounds[1:]))
+        )
 
     def test_lone_overweight_element_forms_own_chunk(self):
         assert weighted_boundaries([1, 100, 1, 1], 3) == [0, 2, 4]
