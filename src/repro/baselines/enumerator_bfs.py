@@ -197,11 +197,6 @@ def _edges_code(graph: DataGraph, emb, enumerator: BFSEnumerator) -> tuple:
     return code
 
 
-# Orbit partitions are a property of the canonical pattern, so cache them
-# by code across all embeddings of a run.
-_ORBIT_CACHE: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-
-
 def induced_labeled_code_for_edges(
     graph: DataGraph,
     edges: Sequence[tuple[int, int]],
@@ -214,8 +209,7 @@ def induced_labeled_code_for_edges(
     orbits (needed so MNI domains merge symmetric positions — a canonical
     embedding only materializes one automorphic arrangement).
     """
-    from ..core.symmetry import orbit_partition
-    from ..pattern.canonical import canonical_form, canonical_permutation
+    from ..pattern.canonical import canonical_sweep
     from ..pattern.pattern import Pattern
 
     index = {v: i for i, v in enumerate(vertices)}
@@ -226,14 +220,8 @@ def induced_labeled_code_for_edges(
         label = graph.label(v)
         if label is not None:
             p.set_label(i, label)
-    code, order = canonical_permutation(p)
-    orbits = _ORBIT_CACHE.get(code)
-    if orbits is None:
-        orbits = tuple(
-            tuple(orbit) for orbit in orbit_partition(canonical_form(p))
-        )
-        _ORBIT_CACHE[code] = orbits
-    return code, tuple(vertices[i] for i in order), orbits
+    code, order, orbits = canonical_sweep(p)
+    return code, tuple(vertices[i] for i in order), tuple(map(tuple, orbits))
 
 
 # ----------------------------------------------------------------------

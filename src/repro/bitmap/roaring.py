@@ -98,6 +98,11 @@ class RoaringBitmap:
             chunks[cur_key] = container_from_values(cur)
         return out
 
+    @classmethod
+    def from_mask(cls, mask) -> "RoaringBitmap":
+        """The set of indices at which a boolean numpy array is true."""
+        return cls.from_sorted(mask.nonzero()[0].tolist())
+
     def optimize(self) -> "RoaringBitmap":
         """Re-pick the cheapest container per chunk (``runOptimize``)."""
         for key, chunk in list(self._chunks.items()):

@@ -24,7 +24,7 @@ the regular vertices' orbits.
 
 from __future__ import annotations
 
-from ..pattern.canonical import exists_automorphism, stabilizer_orbit
+from ..pattern.canonical import canonical_sweep, stabilizer_orbit
 from ..pattern.pattern import Pattern
 
 __all__ = ["break_symmetries", "conditions_hold", "orbit_partition"]
@@ -72,18 +72,8 @@ def orbit_partition(p: Pattern) -> list[list[int]]:
     """Vertex orbits under the full automorphism group.
 
     FSM's domain folding uses this (§5.5 interaction with symmetry
-    breaking).  Orbit membership is decided by single-automorphism
-    existence tests, never by materializing the group.
+    breaking).  The orbits fall out of the canonical-labeling sweep: the
+    orderings that minimize the code differ exactly by automorphisms.
     """
-    seen: set[int] = set()
-    orbits: list[list[int]] = []
-    for u in range(p.num_vertices):
-        if u in seen:
-            continue
-        orbit = [u]
-        for v in range(u + 1, p.num_vertices):
-            if v not in seen and exists_automorphism(p, {u: v}):
-                orbit.append(v)
-        orbits.append(orbit)
-        seen.update(orbit)
-    return orbits
+    _, order, orbits = canonical_sweep(p)
+    return sorted(sorted(order[i] for i in orbit) for orbit in orbits)

@@ -12,9 +12,11 @@ The FSM loop is the paper's Figure 4a program:
    repeat until patterns have the requested number of edges.
 
 Domains are folded into canonical coordinates via
-:func:`~repro.pattern.canonical.canonical_permutation`, so matches of
+:func:`~repro.pattern.canonical.canonical_sweep`, so matches of
 isomorphic labeled patterns discovered through different extension paths
-aggregate into one table.
+aggregate into one table.  Step 3 also runs *inside* step 2
+(:class:`_LabelSpace`): rows of a labeling that cannot be frequent are
+dropped before anything is grouped, canonicalized or written for them.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as _np
 
-from ..core.callbacks import Match
 from ..core.session import MiningSession, as_session
-from ..core.symmetry import orbit_partition
 from ..graph.graph import DataGraph
-from ..pattern.canonical import canonical_form, canonical_permutation
+from ..pattern.canonical import canonical_sweep, pattern_from_code
 from ..pattern.extend import extend_by_edge
 from ..pattern.pattern import Pattern
 from .support import Domain
@@ -41,9 +41,11 @@ class FSMResult:
 
     ``frequent`` maps each frequent labeled pattern (canonical form) at the
     final size to its MNI support; ``frequent_by_size[k]`` records the
-    intermediate rounds.  ``domain_writes`` totals per-vertex domain
-    insertions — the aggregation-write metric behind Figure 10's FSM bars —
-    and ``domain_bytes`` the peak logical bitmap footprint (Figure 13).
+    intermediate rounds.  ``domain_writes`` totals the per-vertex domain
+    insertions *performed* — rows the sink pruned as unable to be frequent
+    are never written, in either symmetry-breaking mode — the
+    aggregation-write metric behind Figure 10's FSM bars, and
+    ``domain_bytes`` the peak logical bitmap footprint (Figure 13).
     """
 
     threshold: int
@@ -58,186 +60,138 @@ class FSMResult:
         return len(self.frequent)
 
 
-def _table_collector(
-    structural: Pattern, symmetry_breaking: bool, bitset_factory=None
-):
-    """Per-structural discovery state: the tables dict and its key fn."""
-    tables: dict[tuple, tuple[Pattern, Domain]] = {}
-    # Cache per distinct label tuple: (code, order) of the labeled pattern.
-    labeling_cache: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
-    n = structural.num_vertices
+class _LabelSpace:
+    """One graph's labels as dense ids, plus the anti-monotone row filter.
 
-    def table_key(labels: tuple) -> tuple[tuple, tuple[int, ...]]:
-        cached = labeling_cache.get(labels)
-        if cached is None:
-            labeled = structural.copy()
-            for u, lab in enumerate(labels):
-                labeled.set_label(u, lab)
-            cached = canonical_permutation(labeled)
-            labeling_cache[labels] = cached
-            code, _ = cached
-            if code not in tables:
-                canonical = canonical_form(labeled)
-                orbits = (
-                    orbit_partition(canonical) if symmetry_breaking else None
-                )
-                tables[code] = (
-                    canonical,
-                    Domain(n, orbits, bitset_factory=bitset_factory),
-                )
-        return cached
+    Labels are remapped to ``0..L-1`` once per run, so sparse or negative
+    raw labels cost nothing; an unlabeled graph is the one-label case
+    whose only "label" is the wildcard.  MNI support is anti-monotone
+    (§2.1), so a labeling that contains a label carried by fewer than
+    ``threshold`` vertices, or — once round 1 has reported them — a
+    pattern edge whose end labels are not a frequent pair, can never
+    reach the threshold: :meth:`keep` drops its rows before they are
+    grouped.  A labeling that can be frequent keeps every one of its
+    rows, hence its exact support.
+    """
 
-    return tables, table_key
+    def __init__(self, graph: DataGraph, threshold: int):
+        raw = graph.labels()
+        if raw is None:
+            self.alphabet: list[int | None] = [None]
+            self.ids = _np.zeros(graph.num_vertices, dtype=_np.int64)
+        else:
+            alphabet, ids = _np.unique(
+                _np.asarray(raw, dtype=_np.int64), return_inverse=True
+            )
+            self.alphabet, self.ids = alphabet.tolist(), ids
+        carried = _np.bincount(self.ids, minlength=len(self.alphabet))
+        self._vertex_ok = carried >= threshold
+        self._pairs = None  # sorted keys a * L + b of the frequent edges
+
+    def keep_pairs_of(self, frequent_edges) -> None:
+        """Restrict later rounds to the end-label pairs of round 1."""
+        index = {lab: i for i, lab in enumerate(self.alphabet)}
+        radix = len(self.alphabet)
+        keys = set()
+        for edge in frequent_edges:
+            a, b = index[edge.label_of(0)], index[edge.label_of(1)]
+            keys.update((a * radix + b, b * radix + a))
+        self._pairs = _np.array(sorted(keys), dtype=_np.int64)
+
+    def keep(self, label_rows, edges) -> "_np.ndarray":
+        """Boolean mask of the rows whose labeling can still be frequent."""
+        if self._pairs is None:
+            return self._vertex_ok[label_rows].all(axis=1)
+        ok = _np.ones(len(label_rows), dtype=bool)
+        radix, pairs = len(self.alphabet), self._pairs
+        for a, b in edges:
+            keys = label_rows[:, a] * radix + label_rows[:, b]
+            at = _np.searchsorted(pairs, keys).clip(max=pairs.size - 1)
+            ok &= pairs[at] == keys
+        return ok
 
 
 def _batch_discoverer(
-    graph: DataGraph,
+    space: _LabelSpace,
     structural: Pattern,
     symmetry_breaking: bool,
     bitset_factory=None,
 ):
     """``(tables, on_batch)`` for one structural pattern.
 
-    Each batch is group-reduced with a vectorized row-``unique`` over the
-    matched label tuples, then folded into the domains column-wise — one
-    Python call per distinct labeling per batch instead of one per match.
+    ``tables`` maps the canonical code of each discovered labeling to its
+    ``(canonical pattern, domain)``.  Each batch is pruned by
+    :meth:`_LabelSpace.keep`, group-reduced with a vectorized
+    row-``unique`` over the matched label tuples, then folded into the
+    domains column-wise in canonical coordinates — one Python call per
+    distinct labeling per batch instead of one per match, and one
+    canonical sweep per distinct labeling per round.
     """
-    tables, table_key = _table_collector(
-        structural, symmetry_breaking, bitset_factory
-    )
+    tables: dict[tuple, tuple[Pattern, Domain]] = {}
+    # Per distinct label-id tuple: (domain, canonical order of its columns).
+    labelings: dict[tuple, tuple[Domain, list[int]]] = {}
     n = structural.num_vertices
-    graph_labels = _np.asarray(graph.labels(), dtype=_np.int64)
+    edges = structural.edges()
+    alphabet = space.alphabet
     # Scalar keys for the row group-by: label tuples are mixed-radix
     # encoded so the per-batch unique runs over 1D int64 (far cheaper
-    # than ``np.unique(axis=0)``'s structured sort).
-    radix = int(graph_labels.max()) + 1 if graph_labels.size else 1
-    # Huge label alphabets could overflow the scalar encoding; the
-    # structured-sort unique is the (slower) safe fallback there.
-    scalar_keys = (
-        radix > 1
-        and int(graph_labels.min()) >= 0
-        and n * (radix - 1).bit_length() < 62
+    # than ``np.unique(axis=0)``'s structured sort, which is the safe
+    # fallback when a huge alphabet would overflow the encoding).
+    radix = len(alphabet)
+    powers = (
+        radix ** _np.arange(n, dtype=_np.int64)
+        if n * (radix - 1).bit_length() < 62
+        else None
     )
-    powers = radix ** _np.arange(n, dtype=_np.int64) if scalar_keys else None
+
+    def labeling(ids: tuple) -> tuple[Domain, list[int]]:
+        labeled = structural.copy()
+        for u, i in enumerate(ids):
+            if alphabet[i] is not None:
+                labeled.set_label(u, alphabet[i])
+        code, order, orbits = canonical_sweep(labeled)
+        if code not in tables:
+            tables[code] = (
+                pattern_from_code(code),
+                Domain(
+                    n,
+                    orbits if symmetry_breaking else None,
+                    bitset_factory=bitset_factory,
+                ),
+            )
+        return tables[code][1], list(order)
 
     def on_batch(mappings) -> None:
+        label_rows = space.ids[mappings]
+        keep = space.keep(label_rows, edges)
+        if not keep.all():
+            mappings, label_rows = mappings[keep], label_rows[keep]
+            if not len(mappings):
+                return
         # Group rows by their matched label tuple in one vectorized
         # pass (unique + stable argsort, so each group is one slice),
         # then write each group's columns (canonical order) into its
         # domain table as a batch.
-        label_rows = graph_labels[mappings]
-        if scalar_keys:
-            _, first_row, inverse = _np.unique(
-                label_rows @ powers, return_index=True, return_inverse=True
-            )
-        else:
-            _, first_row, inverse = _np.unique(
-                label_rows, axis=0, return_index=True, return_inverse=True
-            )
+        _, first_row, inverse = _np.unique(
+            label_rows if powers is None else label_rows @ powers,
+            axis=0 if powers is None else None,
+            return_index=True,
+            return_inverse=True,
+        )
+        inverse = inverse.reshape(-1)  # numpy 2.0 shapes it (rows, 1) under axis=0
         by_group = mappings[_np.argsort(inverse, kind="stable")]
         ends = _np.cumsum(_np.bincount(inverse, minlength=first_row.size))
         start = 0
-        for gi, end in enumerate(ends.tolist()):
-            labels = tuple(int(lab) for lab in label_rows[first_row[gi]])
-            code, order = table_key(labels)
-            tables[code][1].update_batch(by_group[start:end, list(order)])
+        for ids, end in zip(label_rows[first_row].tolist(), ends.tolist()):
+            ids = tuple(ids)
+            found = labelings.get(ids)
+            if found is None:
+                found = labelings[ids] = labeling(ids)
+            domain, order = found
+            domain.update_batch(by_group[start:end, order])
             start = end
 
     return tables, on_batch
-
-
-def _discover(
-    session: MiningSession,
-    structural: Pattern,
-    symmetry_breaking: bool,
-    bitset_factory=None,
-    engine: str | None = None,
-) -> dict[tuple, tuple[Pattern, Domain]]:
-    """Match one (partially labeled) pattern, grouping by discovered labels.
-
-    Returns ``{canonical code of labeled pattern: (pattern, domain)}``.
-    The labeled pattern's canonical permutation is computed lazily per
-    distinct labeling, and each match's vertices are written into the
-    domains in canonical coordinates.  This is the single-pattern path;
-    FSM rounds go through :func:`_discover_round`, which fuses all of a
-    round's structural patterns onto one frontier walk.
-    """
-    return _discover_round(
-        session, [structural], symmetry_breaking, bitset_factory, engine
-    )[0]
-
-
-def _discover_round(
-    session: MiningSession,
-    structurals: list[Pattern],
-    symmetry_breaking: bool,
-    bitset_factory=None,
-    engine: str | None = None,
-) -> list[dict[tuple, tuple[Pattern, Domain]]]:
-    """Discover labelings for every structural pattern of one FSM round.
-
-    The round issues a single
-    :meth:`~repro.core.session.MiningSession.match_batches_many`: the
-    structural patterns share one level-0 frontier walk (they are
-    unlabeled, so they always group) and every pattern's matches arrive
-    as arrays for the vectorized domain group-by.  Unlabeled graphs have
-    no label array to group by and take
-    :func:`_discover_round_per_match`, which computes the same tables.
-    """
-    graph = session.graph
-    if graph.labels() is None:
-        return _discover_round_per_match(
-            session, structurals, symmetry_breaking, bitset_factory, engine
-        )
-    pairs = [
-        _batch_discoverer(graph, s, symmetry_breaking, bitset_factory)
-        for s in structurals
-    ]
-    session.match_batches_many(
-        structurals,
-        [on_batch for _, on_batch in pairs],
-        edge_induced=True,
-        symmetry_breaking=symmetry_breaking,
-        engine=engine,
-    )
-    return [tables for tables, _ in pairs]
-
-
-def _discover_round_per_match(
-    session: MiningSession,
-    structurals: list[Pattern],
-    symmetry_breaking: bool,
-    bitset_factory=None,
-    engine: str | None = None,
-) -> list[dict[tuple, tuple[Pattern, Domain]]]:
-    """:func:`_discover_round` with one domain update per match.
-
-    The path for unlabeled graphs, and the oracle ``tests/test_fsm.py``
-    pins the vectorized group-by against.
-    """
-    graph = session.graph
-    results: list[dict[tuple, tuple[Pattern, Domain]]] = []
-    for structural in structurals:
-        tables, table_key = _table_collector(
-            structural, symmetry_breaking, bitset_factory
-        )
-        n = structural.num_vertices
-
-        def on_match(m: Match, _table_key=table_key, _tables=tables, _n=n) -> None:
-            labels = tuple(graph.label(m.mapping[u]) for u in range(_n))
-            code, order = _table_key(labels)
-            domain = _tables[code][1]
-            domain.update([m.mapping[u] for u in order])
-
-        session.match(
-            structural,
-            on_match,
-            edge_induced=True,
-            symmetry_breaking=symmetry_breaking,
-            engine=engine,
-        )
-        results.append(tables)
-    return results
 
 
 def fsm(
@@ -265,16 +219,27 @@ def fsm(
         behaviour (the two are compared in ``bench_ablations.py``).
     """
     session = as_session(graph)
+    space = _LabelSpace(session.graph, threshold)
     result = FSMResult(threshold=threshold, num_edges=num_edges)
     seed = Pattern.from_edges([(0, 1)])
     frontier: list[Pattern] = [seed]
     for size in range(1, num_edges + 1):
         frequent_here: dict[Pattern, int] = {}
         merged: dict[tuple, tuple[Pattern, Domain]] = {}
-        round_tables = _discover_round(
-            session, frontier, symmetry_breaking, bitset_factory, engine=engine
+        # One walk per round: the structural patterns that share a level-0
+        # frontier fuse, and every pattern's matches arrive as arrays.
+        sinks = [
+            _batch_discoverer(space, s, symmetry_breaking, bitset_factory)
+            for s in frontier
+        ]
+        session.match_batches_many(
+            frontier,
+            [on_batch for _, on_batch in sinks],
+            edge_induced=True,
+            symmetry_breaking=symmetry_breaking,
+            engine=engine,
         )
-        for tables in round_tables:
+        for tables, _ in sinks:
             result.patterns_explored += 1
             for code, (labeled, domain) in tables.items():
                 if code in merged:
@@ -293,5 +258,7 @@ def fsm(
         if size == num_edges or not frequent_here:
             result.frequent = frequent_here
             break
+        if size == 1:
+            space.keep_pairs_of(frequent_here)
         frontier = extend_by_edge(frequent_here.keys())
     return result

@@ -11,8 +11,8 @@ fastest exact-set union primitive — with the same logical interface:
 set bit, or-merge, popcount.  Domains are engine-agnostic sinks: FSM
 feeds them whole match arrays from
 :meth:`repro.core.session.MiningSession.match_batches` (vectorized
-:meth:`Domain.update_batch`) with the per-match :meth:`Domain.update`
-path for unlabeled graphs.
+:meth:`Domain.update_batch`); :meth:`Domain.update` is the per-match
+sink for user callbacks.
 
 Symmetry breaking interaction (§6.6): with symmetry breaking, each
 automorphism class of matches is seen once, so the raw per-vertex domains
@@ -26,6 +26,8 @@ matching, exactly the property Figure 10 credits for FSM's 3x win.
 from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 __all__ = ["Bitset", "Domain"]
 
@@ -44,6 +46,14 @@ class Bitset:
     def add(self, value: int) -> None:
         """Set one bit."""
         self._bits |= 1 << value
+
+    @classmethod
+    def from_mask(cls, mask) -> "Bitset":
+        """The set of indices at which a boolean array is true."""
+        out = cls()
+        packed = np.packbits(mask, bitorder="little")
+        out._bits = int.from_bytes(packed.tobytes(), "little")
+        return out
 
     def __contains__(self, value: int) -> bool:
         return value >= 0 and (self._bits >> value) & 1 == 1
@@ -99,7 +109,8 @@ class Domain:
     ``orbits`` partitions the pattern's vertices into automorphism orbits
     (see :func:`repro.core.symmetry.orbit_partition`); pass the trivial
     partition (singletons) when matches already include all automorphic
-    copies (the PRG-U mode).
+    copies (the PRG-U mode).  ``bitset_factory`` is a bitset class with
+    ``add``, ``|=``, ``len``, ``memory_bytes`` and ``from_mask``.
     """
 
     __slots__ = ("_domains", "_orbits", "_factory", "writes")
@@ -130,31 +141,23 @@ class Domain:
         """Record a batch of matches from a ``(rows, vertices)`` array.
 
         The batched counterpart of :meth:`update` for the frontier
-        engine's match arrays: each column is group-reduced to its
-        distinct vertices first (``np.unique``), so the per-bit Python
-        work is one call per *distinct* vertex instead of one per match
-        row.  ``writes`` advances by ``rows * vertices`` — the same
-        logical insertion count the per-match path records — keeping the
-        Figure 10 aggregation-write metric engine-independent.
+        engine's match arrays: each column is scattered into a boolean
+        mask whose packed bits are or-ed into the column's bitset in one
+        step (the bitset class's ``from_mask``), so no Python runs per
+        vertex.  Negative entries (anti-vertex columns) are skipped.
+        ``writes`` advances by ``rows * vertices`` — the same logical
+        insertion count the per-match path records — keeping the Figure
+        10 aggregation-write metric engine-independent.
         """
-        import numpy as np
-
         rows, width = mappings.shape
         if rows == 0:
             return
-        domains = self._domains
-        if rows < 16:
-            # Tiny groups: per-row insertion beats numpy setup costs.
-            for row in mappings.tolist():
-                for u, v in enumerate(row):
-                    if v >= 0:
-                        domains[u].add(v)
-        else:
-            for u in range(width):
-                column = mappings[:, u]
-                add = domains[u].add
-                for v in np.unique(column[column >= 0]).tolist():
-                    add(v)
+        size = max(int(mappings.max()) + 1, 0)
+        for u, domain in enumerate(self._domains):
+            column = mappings[:, u]
+            mask = np.zeros(size, dtype=bool)
+            mask[column[column >= 0]] = True
+            domain |= type(domain).from_mask(mask)
         self.writes += rows * width
 
     def vertex_domain(self, u: int) -> Bitset:

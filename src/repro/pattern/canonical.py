@@ -4,12 +4,16 @@ Patterns are tiny (the paper never mines beyond a handful of vertices), so
 exact algorithms are affordable: automorphisms and isomorphisms are found by
 class-pruned backtracking, and the canonical code is the lexicographically
 minimal encoding over all vertex orderings consistent with invariant
-classes.
+classes.  One sweep over those orderings (:func:`canonical_sweep`) yields
+the code, a minimizing order and the vertex orbits; the other canonical
+entry points are projections of it.
 
 Anti-edges are treated as a second edge color: an automorphism must map
 edges to edges *and* anti-edges to anti-edges (this is what makes
 symmetry-breaking anti-vertex-aware, §4.3).  Labels must be preserved
-exactly, with the wildcard (no label) its own class.
+exactly, with the wildcard (no label) its own class: a label cell is
+``(0,)`` for the wildcard and ``(1, label)`` otherwise, so no label value
+(``-1`` included) can stand in for it.
 """
 
 from __future__ import annotations
@@ -27,27 +31,38 @@ __all__ = [
     "canonical_code",
     "canonical_form",
     "canonical_permutation",
+    "canonical_sweep",
+    "pattern_from_code",
 ]
 
 
-def _vertex_class(p: Pattern, u: int) -> tuple:
-    """Isomorphism-invariant vertex fingerprint used to prune search."""
-    return (
-        p.degree(u),
-        len(p.anti_neighbors(u)),
-        p.label_of(u) if p.label_of(u) is not None else -1,
-    )
+_WILDCARD = (0,)
 
 
-def _compatible(p: Pattern, q: Pattern, mapping: list[int], u: int, cand: int) -> bool:
-    """Whether extending ``mapping`` with ``u -> cand`` preserves structure."""
-    for w in range(u):
-        mw = mapping[w]
-        if p.are_connected(u, w) != q.are_connected(cand, mw):
-            return False
-        if p.are_anti_adjacent(u, w) != q.are_anti_adjacent(cand, mw):
-            return False
-    return True
+def _color_matrix(p: Pattern) -> list[list[int]]:
+    """Symmetric adjacency cells: 0 = no edge, 1 = edge, 2 = anti-edge."""
+    color = [[0] * p.num_vertices for _ in range(p.num_vertices)]
+    for u, v in p.edges():
+        color[u][v] = color[v][u] = 1
+    for u, v in p.anti_edges():
+        color[u][v] = color[v][u] = 2
+    return color
+
+
+def _vertex_classes(p: Pattern, color: list[list[int]]) -> list[tuple]:
+    """Isomorphism-invariant ``(degree, anti-degree, label cell)`` per vertex."""
+    labels = p.labels()
+    return [
+        (row.count(1), row.count(2), (1, labels[u]) if u in labels else _WILDCARD)
+        for u, row in enumerate(color)
+    ]
+
+
+def _compatible(
+    cp: list[list[int]], cq: list[list[int]], mapping: list[int], u: int, cand: int
+) -> bool:
+    """Whether extending ``mapping`` with ``u -> cand`` preserves the colors."""
+    return all(cp[u][w] == cq[cand][mapping[w]] for w in range(u))
 
 
 def _isomorphisms(p: Pattern, q: Pattern) -> Iterator[list[int]]:
@@ -57,8 +72,9 @@ def _isomorphisms(p: Pattern, q: Pattern) -> Iterator[list[int]]:
         return
     if p.num_anti_edges != q.num_anti_edges:
         return
-    p_classes = [_vertex_class(p, u) for u in range(n)]
-    q_classes = [_vertex_class(q, u) for u in range(n)]
+    cp, cq = _color_matrix(p), _color_matrix(q)
+    p_classes = _vertex_classes(p, cp)
+    q_classes = _vertex_classes(q, cq)
     if sorted(p_classes) != sorted(q_classes):
         return
 
@@ -73,7 +89,7 @@ def _isomorphisms(p: Pattern, q: Pattern) -> Iterator[list[int]]:
             yield mapping.copy()
             return
         for cand in candidates[u]:
-            if not used[cand] and _compatible(p, q, mapping, u, cand):
+            if not used[cand] and _compatible(cp, cq, mapping, u, cand):
                 mapping[u] = cand
                 used[cand] = True
                 yield from backtrack(u + 1)
@@ -108,7 +124,8 @@ def exists_automorphism(p: Pattern, forced: dict[int, int]) -> bool:
     symmetry breaking.
     """
     n = p.num_vertices
-    classes = [_vertex_class(p, u) for u in range(n)]
+    color = _color_matrix(p)
+    classes = _vertex_classes(p, color)
     for u, v in forced.items():
         if classes[u] != classes[v]:
             return False
@@ -123,7 +140,7 @@ def exists_automorphism(p: Pattern, forced: dict[int, int]) -> bool:
             return True
         cands = (forced[u],) if u in forced else candidates[u]
         for cand in cands:
-            if not used[cand] and _compatible(p, p, mapping, u, cand):
+            if not used[cand] and _compatible(color, color, mapping, u, cand):
                 mapping[u] = cand
                 used[cand] = True
                 if backtrack(u + 1):
@@ -180,57 +197,62 @@ def are_isomorphic(p: Pattern, q: Pattern) -> bool:
     return find_isomorphism(p, q) is not None
 
 
-def _encode(p: Pattern, order: tuple[int, ...]) -> tuple:
-    """Encode ``p`` under a vertex ordering as a comparable tuple.
+def canonical_sweep(
+    p: Pattern,
+) -> tuple[tuple, tuple[int, ...], list[list[int]]]:
+    """``(code, order, orbits)`` from one sweep over vertex orderings.
 
-    ``order[i]`` is the original vertex placed at position ``i``.  Cell
-    values: 0 = no edge, 1 = edge, 2 = anti-edge; labels use -1 for the
-    wildcard.
-    """
-    n = p.num_vertices
-    cells = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            u, v = order[i], order[j]
-            if p.are_connected(u, v):
-                cells.append(1)
-            elif p.are_anti_adjacent(u, v):
-                cells.append(2)
-            else:
-                cells.append(0)
-    label_row = tuple(
-        p.label_of(order[i]) if p.label_of(order[i]) is not None else -1
-        for i in range(n)
-    )
-    return (n, tuple(cells), label_row)
+    The code is ``(n, cells, label_row)``: the upper triangle of the color
+    matrix row by row and the label cells, under the ordering that
+    minimizes ``cells``; ``order[i]`` is the original vertex at canonical
+    position ``i``.  Two patterns have equal codes iff they are isomorphic.
 
-
-def canonical_code(p: Pattern) -> tuple:
-    """Isomorphism-invariant canonical code.
-
-    Two patterns have equal codes iff they are isomorphic.  The code is the
-    minimum of :func:`_encode` over vertex orderings; orderings are pruned
-    to those sorted by invariant vertex class, which preserves exactness
-    (any minimizing ordering can be reordered within classes).
+    Only orderings that list the invariant vertex classes in sorted order
+    are visited, which stays exact: an isomorphism maps such orderings
+    onto such orderings with equal cells, and ``label_row`` is the same
+    for all of them.  The minimizing orders differ exactly by
+    automorphisms, so two canonical positions share an orbit iff the same
+    vertices get placed at both; ``orbits`` partitions the *positions*
+    (the canonical form's vertices), each orbit sorted, in order of
+    smallest member.
     """
     n = p.num_vertices
     if n == 0:
-        return (0, (), ())
-    classes = [_vertex_class(p, u) for u in range(n)]
-    # Only orderings where class keys appear in non-decreasing order can be
-    # minimal w.r.t. some fixed class-major layout; to stay exact we instead
-    # sort vertices by class and permute within the whole sorted frame, but
-    # skip orderings whose class sequence differs from the sorted one.
-    sorted_class_seq = sorted(classes)
+        return (0, (), ()), (), []
+    color = _color_matrix(p)
+    classes = _vertex_classes(p, color)
+    blocks: dict[tuple, list[int]] = {}
+    for u in sorted(range(n), key=classes.__getitem__):
+        blocks.setdefault(classes[u], []).append(u)
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
     best: tuple | None = None
-    for order in permutations(range(n)):
-        if [classes[v] for v in order] != sorted_class_seq:
-            continue
-        code = _encode(p, order)
-        if best is None or code < best:
-            best = code
-    assert best is not None
-    return best
+    for order in _class_major_orders(list(blocks.values())):
+        cells = tuple([color[order[i]][order[j]] for i, j in upper])
+        if best is None or cells < best:
+            best, first, images = cells, order, [{u} for u in order]
+        elif cells == best:
+            for at, u in zip(images, order):
+                at.add(u)
+    orbits: dict[frozenset, list[int]] = {}
+    for i, at in enumerate(images):
+        orbits.setdefault(frozenset(at), []).append(i)
+    code = (n, best, tuple(classes[u][2] for u in first))
+    return code, first, list(orbits.values())
+
+
+def _class_major_orders(blocks: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Every concatenation of one permutation per block, lexicographically."""
+    if not blocks:
+        yield ()
+        return
+    for head in permutations(blocks[0]):
+        for rest in _class_major_orders(blocks[1:]):
+            yield head + rest
+
+
+def canonical_code(p: Pattern) -> tuple:
+    """Isomorphism-invariant canonical code (see :func:`canonical_sweep`)."""
+    return canonical_sweep(p)[0]
 
 
 def canonical_permutation(p: Pattern) -> tuple[tuple, tuple[int, ...]]:
@@ -240,27 +262,12 @@ def canonical_permutation(p: Pattern) -> tuple[tuple, tuple[int, ...]]:
     placed at canonical position ``i`` — the correspondence FSM needs to
     fold a match's vertices into the canonical pattern's domains.
     """
-    n = p.num_vertices
-    if n == 0:
-        return (0, (), ()), ()
-    classes = [_vertex_class(p, u) for u in range(n)]
-    sorted_class_seq = sorted(classes)
-    best: tuple | None = None
-    best_order: tuple[int, ...] = ()
-    for order in permutations(range(n)):
-        if [classes[v] for v in order] != sorted_class_seq:
-            continue
-        code = _encode(p, order)
-        if best is None or code < best:
-            best = code
-            best_order = order
-    assert best is not None
-    return best, best_order
+    return canonical_sweep(p)[:2]
 
 
-def canonical_form(p: Pattern) -> Pattern:
-    """A canonical representative: rebuild the pattern from its code."""
-    n, cells, label_row = canonical_code(p)
+def pattern_from_code(code: tuple) -> Pattern:
+    """Rebuild the canonical representative a code describes."""
+    n, cells, label_row = code
     q = Pattern(num_vertices=n)
     idx = 0
     for i in range(n):
@@ -270,7 +277,12 @@ def canonical_form(p: Pattern) -> Pattern:
             elif cells[idx] == 2:
                 q.add_anti_edge(i, j)
             idx += 1
-    for i, lab in enumerate(label_row):
-        if lab != -1:
-            q.set_label(i, lab)
+    for i, cell in enumerate(label_row):
+        if cell != _WILDCARD:
+            q.set_label(i, cell[1])
     return q
+
+
+def canonical_form(p: Pattern) -> Pattern:
+    """A canonical representative: rebuild the pattern from its code."""
+    return pattern_from_code(canonical_code(p))

@@ -1,10 +1,15 @@
 """Tests for frequent subgraph mining (MNI support, label discovery)."""
 
+import random
 from itertools import permutations
 
+from hypothesis import example, given, settings, strategies as st
+
+from repro.bitmap import RoaringBitmap
 from repro.graph import DataGraph, from_edges, mico_like, with_random_labels, erdos_renyi
 from repro.mining import fsm
 from repro.pattern import Pattern, canonical_code
+from repro.testing.oracles import brute_force_fsm, nx_labeled_isomorphic
 
 
 def brute_force_mni(graph: DataGraph, p: Pattern) -> int:
@@ -102,27 +107,6 @@ class TestSymmetryBreakingAblation:
 
 
 class TestEngineParity:
-    def test_batched_domains_match_per_match_oracle(self, monkeypatch):
-        """The vectorized group-by computes the per-match path's tables."""
-        import sys
-
-        fsm_mod = sys.modules["repro.mining.fsm"]
-        g = with_random_labels(erdos_renyi(40, 0.2, seed=31), 2, seed=9)
-        batched = fsm(g, 2, 2)
-        monkeypatch.setattr(
-            fsm_mod, "_discover_round", fsm_mod._discover_round_per_match
-        )
-        per_match = fsm(g, 2, 2)
-        batched_set = {
-            (canonical_code(p), s) for p, s in batched.frequent.items()
-        }
-        per_match_set = {
-            (canonical_code(p), s) for p, s in per_match.frequent.items()
-        }
-        assert batched_set == per_match_set
-        assert batched.domain_writes == per_match.domain_writes
-        assert batched.domain_bytes == per_match.domain_bytes
-
     def test_engine_knob_parity(self):
         g = with_random_labels(erdos_renyi(30, 0.25, seed=33), 3, seed=11)
         results = {
@@ -152,3 +136,93 @@ class TestResultShape:
         g = with_random_labels(erdos_renyi(10, 0.1, seed=7), 5, seed=8)
         result = fsm(g, 3, threshold=50)
         assert result.frequent == {}
+
+
+# Alphabets for the oracle fuzz: "common" labels share the vertices,
+# each "rare" label sits on one vertex only (fewer than any threshold
+# here, so the label filter fires in round 1 and the pair filter later).
+_ALPHABETS = [
+    ([0, 1], [7]),
+    ([-1, 0], [10**6]),  # -1 is a label, not the wildcard
+    ([5, 10**6, 2 * 10**6], []),  # sparse ids
+    ([3], [4, 9]),
+    None,  # unlabeled graph: the one-label case of the same sink
+]
+
+
+def _fuzz_graph(seed: int, alphabet) -> DataGraph:
+    rng = random.Random(seed)
+    base = erdos_renyi(rng.randint(9, 12), rng.choice([0.35, 0.5]), seed=seed)
+    if alphabet is None:
+        return base
+    common, rare = alphabet
+    labels = [rng.choice(common) for _ in base.vertices()]
+    for lab, v in zip(rare, rng.sample(range(base.num_vertices), len(rare))):
+        labels[v] = lab
+    return DataGraph([base.neighbors(v) for v in base.vertices()], labels)
+
+
+def _assert_same_frequent(got: dict, want: dict, context) -> None:
+    """``got`` and ``want`` hold the same patterns up to isomorphism."""
+    assert len(got) == len(want), context
+    unmatched = dict(want)
+    for pattern, support in got.items():
+        twin = next(
+            (q for q in unmatched if nx_labeled_isomorphic(pattern, q)), None
+        )
+        assert twin is not None, (context, pattern)
+        assert unmatched.pop(twin) == support, (context, pattern)
+
+
+class TestCompletenessOracle:
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        alphabet=st.sampled_from(_ALPHABETS),
+        threshold=st.sampled_from([2, 3]),
+        factory=st.sampled_from([None, RoaringBitmap]),
+        engine=st.sampled_from(["auto", "reference"]),
+    )
+    @example(seed=1, alphabet=None, threshold=2, factory=None, engine="auto")
+    @example(seed=2, alphabet=_ALPHABETS[1], threshold=2, factory=RoaringBitmap, engine="reference")
+    @settings(max_examples=20, deadline=None)
+    def test_frequent_sets_match_brute_force(
+        self, seed, alphabet, threshold, factory, engine
+    ):
+        g = _fuzz_graph(seed, alphabet)
+        want = brute_force_fsm(g, 3, threshold)
+        for symmetry_breaking in (True, False):
+            result = fsm(
+                g,
+                3,
+                threshold,
+                symmetry_breaking=symmetry_breaking,
+                bitset_factory=factory,
+                engine=engine,
+            )
+            for size in (1, 2, 3):
+                _assert_same_frequent(
+                    result.frequent_by_size.get(size, {}),
+                    want[size],
+                    (size, symmetry_breaking),
+                )
+
+
+class TestNegativeLabels:
+    def test_minus_one_labelled_graph_equals_its_shifted_twin(self):
+        base = erdos_renyi(30, 0.2, seed=13)
+        adjacency = [base.neighbors(v) for v in base.vertices()]
+        low = DataGraph(adjacency, [(v % 3) - 1 for v in base.vertices()])
+        twin = DataGraph(adjacency, [v % 3 for v in base.vertices()])
+        got, want = fsm(low, 3, 2), fsm(twin, 3, 2)
+        assert set(got.frequent_by_size) == set(want.frequent_by_size) == {1, 2, 3}
+        for size, frequent in want.frequent_by_size.items():
+            shifted = {}
+            for p, support in got.frequent_by_size[size].items():
+                assert p.is_fully_labeled, p
+                q = p.copy()
+                for u, lab in p.labels().items():
+                    q.set_label(u, lab + 1)
+                shifted[canonical_code(q)] = support
+            assert shifted == {
+                canonical_code(p): s for p, s in frequent.items()
+            }, size

@@ -18,7 +18,13 @@ from repro.pattern import (
     generate_star,
     pattern_p7,
 )
-from repro.pattern.canonical import canonical_permutation
+from repro.core.symmetry import orbit_partition
+from repro.pattern import generate_all_edge_induced
+from repro.pattern.canonical import (
+    canonical_permutation,
+    canonical_sweep,
+    exists_automorphism,
+)
 
 
 class TestAutomorphisms:
@@ -138,3 +144,64 @@ class TestCanonicalCode:
 
     def test_empty_pattern_code(self):
         assert canonical_code(Pattern()) == (0, (), ())
+
+    def test_minus_one_is_a_label_not_the_wildcard(self):
+        bare = Pattern.from_edges([(0, 1)])
+        p = Pattern.from_edges([(0, 1)])
+        p.set_label(0, -1)
+        assert canonical_code(p) != canonical_code(bare)
+        assert not are_isomorphic(p, bare)
+        assert sorted(canonical_form(p).labels().values()) == [-1]
+        assert automorphism_count(p) == 1
+
+
+def _orbits_by_automorphism_search(p: Pattern) -> list[list[int]]:
+    """The pre-sweep ``orbit_partition``: one witness search per pair."""
+    seen: set[int] = set()
+    orbits: list[list[int]] = []
+    for u in range(p.num_vertices):
+        if u in seen:
+            continue
+        orbit = [u]
+        for v in range(u + 1, p.num_vertices):
+            if v not in seen and exists_automorphism(p, {u: v}):
+                orbit.append(v)
+        orbits.append(orbit)
+        seen.update(orbit)
+    return orbits
+
+
+class TestCanonicalSweep:
+    def test_projections_agree_on_decorated_patterns(self):
+        """Code, order and orbits of one sweep are mutually consistent."""
+        rng = random.Random(19)
+        for k in range(1, 6):
+            for base in generate_all_edge_induced(k):
+                for _ in range(4):
+                    p = base.copy()
+                    n = p.num_vertices
+                    for u in range(n):
+                        if rng.random() < 0.5:
+                            p.set_label(u, rng.choice([-1, 0, 3, 10**6]))
+                    for u in range(n):
+                        for v in range(u + 1, n):
+                            if not p.are_connected(u, v) and rng.random() < 0.2:
+                                p.add_anti_edge(u, v)
+                    code, order, orbits = canonical_sweep(p)
+                    # Orbits are over canonical positions; orbit_partition
+                    # maps them back onto p's own vertices.
+                    form = canonical_form(p)
+                    assert orbits == _orbits_by_automorphism_search(form), repr(p)
+                    assert orbit_partition(p) == _orbits_by_automorphism_search(p)
+                    assert canonical_permutation(p) == (code, order)
+                    assert canonical_code(p) == code
+                    position = {v: i for i, v in enumerate(order)}
+                    relabeled = Pattern(
+                        num_vertices=n,
+                        edges=[(position[u], position[v]) for u, v in p.edges()],
+                        anti_edges=[
+                            (position[u], position[v]) for u, v in p.anti_edges()
+                        ],
+                        labels={position[u]: lab for u, lab in p.labels().items()},
+                    )
+                    assert relabeled == canonical_form(p), repr(p)

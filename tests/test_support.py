@@ -1,7 +1,10 @@
 """Tests for Bitset and MNI Domain (support computation)."""
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.bitmap import RoaringBitmap
 from repro.mining import Bitset, Domain
 
 values = st.lists(st.integers(min_value=0, max_value=500), max_size=50)
@@ -99,3 +102,35 @@ class TestDomain:
         d = Domain(2)
         d.update([100, 200])
         assert d.memory_bytes() > 0
+
+
+class TestUpdateBatch:
+    @pytest.mark.parametrize("factory", [Bitset, RoaringBitmap])
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=70_000),
+                st.integers(min_value=-1, max_value=300),
+                st.just(-1),  # an anti-vertex column
+            ),
+            max_size=40,  # covers fewer than and at least 16 rows
+        )
+    )
+    def test_matches_per_row_update(self, factory, rows):
+        batched = Domain(3, bitset_factory=factory)
+        per_row = Domain(3, bitset_factory=factory)
+        batched.update_batch(np.array(rows, dtype=np.int64).reshape(-1, 3))
+        for row in rows:
+            per_row.update(row)
+        for u in range(3):
+            assert batched.vertex_domain(u) == per_row.vertex_domain(u)
+        assert batched.writes == per_row.writes
+        assert batched.support() == per_row.support()
+
+    def test_accumulates_across_batches(self):
+        d = Domain(2)
+        d.update_batch(np.array([[1, 9], [2, 9]]))
+        d.update_batch(np.array([[2, 70], [3, 9]]))
+        assert d.vertex_domain(0).to_list() == [1, 2, 3]
+        assert d.vertex_domain(1).to_list() == [9, 70]
+        assert d.writes == 8
