@@ -30,7 +30,7 @@ from ..core.plan import generate_plan
 from ..graph.binary_io import GraphStore, open_graph, save_mmap, save_npz
 from ..graph.io import load_edge_list, load_labeled, save_edge_list, save_labels
 from ..graph.stats import graph_stats
-from ..mining.sampling import ApproxCount, approx_count
+from ..mining.sampling import ApproxCount
 from ..mining.cliques import (
     clique_count,
     clique_exists,
@@ -491,15 +491,12 @@ def cmd_approx(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
     session = MiningSession(load_dataset(args))
     pattern = parse_pattern_spec(args.pattern)
     begin = time.perf_counter()
-    r = approx_count(
-        session,
+    r = session.count(
         pattern,
-        rel_err=args.rel_err,
+        approx=args.rel_err,
         confidence=args.confidence,
         max_samples=args.max_samples,
         seed=args.sample_seed,
-        method=args.method,
-        num_colors=args.colors,
         edge_induced=not args.vertex_induced,
     )
     elapsed = time.perf_counter() - begin

@@ -372,20 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frontier degenerates to the exact count)",
     )
     p.add_argument(
-        "--method",
-        choices=["ns", "color-coding"],
-        default="ns",
-        help="estimator: 'ns' neighborhood sampling (default) or "
-        "'color-coding' colorful sparsification (connected "
-        "edge-induced patterns)",
-    )
-    p.add_argument(
-        "--colors",
-        type=int,
-        default=2,
-        help="number of colors for --method color-coding (default 2)",
-    )
-    p.add_argument(
         "--sample-seed", type=int, default=None, help="sampling RNG seed"
     )
     p.set_defaults(func=commands.cmd_approx)

@@ -154,26 +154,6 @@ class AcceleratedGraphView:
         self._degrees: np.ndarray | None = None
         self._hub_index = None
 
-    @classmethod
-    def from_csr(
-        cls,
-        flat: np.ndarray,
-        offsets: np.ndarray,
-        labels: np.ndarray | None = None,
-        graph: DataGraph | None = None,
-    ) -> "AcceleratedGraphView":
-        """Wrap pre-built CSR buffers (e.g. shared-memory segments)."""
-        view = cls.__new__(cls)
-        view.graph = graph
-        view._flat = flat
-        view._offsets = offsets
-        view._labels = labels
-        view._label_arrays = None
-        view._adj_keys = None
-        view._degrees = None
-        view._hub_index = None
-        return view
-
     def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The raw ``(flat, offsets, labels)`` buffers (do not mutate)."""
         return self._flat, self._offsets, self._labels

@@ -271,7 +271,6 @@ def match_batches(
     label_index: bool = True,
     engine: str = "auto",
     frontier_chunk: int | None = None,
-    flush_size: int = 4096,
 ) -> int:
     """Stream every canonical match as 2D numpy arrays; return the count.
 
@@ -284,7 +283,7 @@ def match_batches(
 
     When the frontier-batched engine serves the run, batches come
     straight off its final frontiers; otherwise matches are buffered into
-    ``flush_size``-row arrays over the fallback engine, so callers keep a
+    fixed-size row arrays over the fallback engine, so callers keep a
     single code path.  Batch boundaries and inter-batch order are
     unspecified; the row multiset equals ``match``'s match multiset.
     """
@@ -297,7 +296,6 @@ def match_batches(
         label_index=label_index,
         engine=engine,
         frontier_chunk=frontier_chunk,
-        flush_size=flush_size,
     )
 
 

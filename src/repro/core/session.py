@@ -38,7 +38,9 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+
+import numpy as np
 
 from ..errors import BudgetExceededError, MatchingError, PartialResult
 from ..graph.binary_io import GraphStore, open_graph
@@ -75,12 +77,6 @@ _SCHEDULE_CHOICES = (None, "dynamic", "static")
 # answered by the sampling tier nor own their frontier).
 INSTRUMENTS = ("stats", "timer")
 OBSERVERS = INSTRUMENTS + ("control", "budget", "start_vertices")
-
-
-def _samplable(opts: "ExecOptions", *consumers) -> bool:
-    """Whether the sampling tier may answer a run: nothing consumes
-    individual matches or observes partial progress."""
-    return all(c is None for c in consumers) and not opts.hooks(*OBSERVERS)
 
 
 # What a session accepts as its graph: the graph itself, an opened .rgx
@@ -210,7 +206,7 @@ class MultiPatternPlan:
                         [patterns[idx] for idx in eligible]
                     )
                 counted += [
-                    session._cached_plan(basis_pattern, True, True)[0]
+                    session._cached_plan(basis_pattern, True, True)
                     for basis_pattern in transform.basis
                 ]
             groups.append(tuple(group))
@@ -289,8 +285,6 @@ class ExecOptions:
         engine's per-dispatch frontier cap from the predicted partial
         volume; ``chunk_hint`` (target tasks per scheduling chunk)
         defaults to the ledger's own rule.
-    ``flush_size``
-        row-buffer size when ``match_batches`` runs on the interpreter.
     ``start_vertices`` / ``plan``
         explicit task seeds and a precomputed
         :class:`~repro.core.plan.ExplorationPlan` (bypassing the session
@@ -330,7 +324,6 @@ class ExecOptions:
     engine: str = "auto"
     frontier_chunk: int | None = None
     label_index: bool = True
-    flush_size: int = 4096
     start_vertices: Iterable[int] | None = None
     control: ExplorationControl | None = None
     stats: EngineStats | None = None
@@ -422,6 +415,29 @@ _PER_CALL_ONLY = ("plan", "start_vertices")
 # (insertion order) so memory stays bounded without an eviction policy
 # knob.  Frontiers (keyed per pinned-label set) share the cap.
 PLAN_CACHE_LIMIT = 1024
+
+# Rows the interpreter buffers before handing ``match_batches`` consumers
+# an array (the batched engine emits its own frontier blocks).
+INTERPRETER_BATCH_ROWS = 4096
+
+
+class StagedQuery(NamedTuple):
+    """A workload after :meth:`MiningSession._stage` — what every driver
+    executes.  A single-pattern query is the workload of one.
+
+    ``patterns`` and their exploration ``plans`` (aligned); ``opts`` with
+    the plan's choices folded in (``engine`` is concrete: the workload's
+    — each member's own is ``query_plan.member_engines``); the
+    :class:`~repro.runtime.planner.QueryPlan` used; and ``samplable`` —
+    whether the sampling tier may answer (nothing consumes individual
+    matches or observes partial progress).
+    """
+
+    patterns: Sequence[Pattern]
+    plans: Sequence[ExplorationPlan]
+    opts: "ExecOptions"
+    query_plan: Any
+    samplable: bool
 
 
 class _LinkedControl(ExplorationControl):
@@ -591,7 +607,7 @@ class MiningSession:
             edge_induced = self.defaults.edge_induced
         if symmetry_breaking is None:
             symmetry_breaking = self.defaults.symmetry_breaking
-        return self._cached_plan(pattern, edge_induced, symmetry_breaking)[0]
+        return self._cached_plan(pattern, edge_induced, symmetry_breaking)
 
     def clear_caches(self) -> None:
         """Drop cached plans and start lists (hit/miss counters persist).
@@ -653,7 +669,7 @@ class MiningSession:
     def _cached_plan(
         self, pattern: Pattern, edge_induced: bool, symmetry_breaking: bool
     ):
-        """The (plan, cache key) pair for ``pattern`` under the flags."""
+        """The cached exploration plan for ``pattern`` under the flags."""
         key = (pattern.signature(), edge_induced, symmetry_breaking)
         plan = self._plans.get(key)
         if plan is None:
@@ -668,7 +684,7 @@ class MiningSession:
                 del self._plans[next(iter(self._plans))]
         else:
             self.plan_cache_hits += 1
-        return plan, key
+        return plan
 
     def _frontier_key(
         self, plan: ExplorationPlan, label_index: bool = True
@@ -734,7 +750,8 @@ class MiningSession:
         legacy :func:`repro.core.api.match` for per-knob semantics.
         """
         opts = self.defaults.merged(options)
-        return self._run_match(pattern, callback, opts)
+        staged = self._stage([pattern], opts, count_only=callback is None)
+        return self._execute(staged, [callback])[0]
 
     def count(self, pattern: Pattern, **options) -> int:
         """Number of canonical matches of ``pattern``.
@@ -754,7 +771,7 @@ class MiningSession:
         ``guard="downgrade"`` escalation step.
         """
         opts = self.defaults.merged(options)
-        return self._run_match(pattern, None, opts)
+        return self._execute(self._stage([pattern], opts, count_only=True))[0]
 
     def count_many(
         self, patterns: Sequence[Pattern], num_processes: int = 1, **options
@@ -813,7 +830,7 @@ class MiningSession:
                 frontier_chunk=opts.frontier_chunk,
                 guard=opts.guard,
             )
-        totals = self._run_many(patterns, None, None, opts, count_only=True)
+        totals = self._execute(self._stage(patterns, opts, count_only=True))
         return dict(zip(patterns, totals))
 
     def match_many(
@@ -844,7 +861,7 @@ class MiningSession:
         """
         patterns = list(patterns)
         opts = self.defaults.merged(options, multi=True)
-        return self._run_many(patterns, callbacks, None, opts)
+        return self._execute(self._stage(patterns, opts), callbacks)
 
     def match_batches_many(
         self,
@@ -862,7 +879,7 @@ class MiningSession:
         """
         patterns = list(patterns)
         opts = self.defaults.merged(options, multi=True)
-        return self._run_many(patterns, None, list(on_batches), opts)
+        return self._execute(self._stage(patterns, opts), None, on_batches)
 
     def exists(self, pattern: Pattern, **options) -> bool:
         """Whether at least one match exists; stops at the first (§5.3).
@@ -891,7 +908,7 @@ class MiningSession:
             control.stop()
 
         opts = self.defaults.merged(options)
-        self._run_match(pattern, on_first, opts)
+        self._execute(self._stage([pattern], opts), [on_first])
         return bool(found)
 
     def match_batches(self, pattern: Pattern, on_batch, **options) -> int:
@@ -904,11 +921,10 @@ class MiningSession:
         multiset equals :meth:`match`'s match multiset.
         """
         opts = self.defaults.merged(options)
-        return self._run_match(pattern, None, opts, on_batch=on_batch)
+        return self._execute(self._stage([pattern], opts), None, [on_batch])[0]
 
     def _batch_emitter(self, on_batch) -> Callable:
         """Wrap ``on_batch`` to receive rows in the caller's vertex ids."""
-        np = _accel.np
         if self._translation is None:
             self._translation = np.asarray(self.translation, dtype=np.int64)
         translation = self._translation
@@ -997,18 +1013,22 @@ class MiningSession:
         def on_match(m: Match) -> None:
             fold(m, local)
 
+        # Without an early-termination token the members may interleave
+        # freely, so the patterns run as one workload (compatible ones
+        # fuse); with one they run one by one, so a stop lands between
+        # patterns.
+        workloads = (
+            [patterns] if opts.control is None else [[p] for p in patterns]
+        )
         with AggregatorThread(
             total, [local], interval=interval, on_update=on_update
         ):
-            if opts.control is None and len(patterns) > 1:
-                # No early-termination token: the multi-pattern runner can
-                # interleave members freely, so compatible patterns fuse.
-                self._run_many(patterns, [on_match] * len(patterns), None, opts)
-            else:
-                for pattern in patterns:
-                    self._run_match(pattern, on_match, opts)
-                    if opts.control is not None and opts.control.stopped:
-                        break
+            for workload in workloads:
+                self._execute(
+                    self._stage(workload, opts), [on_match] * len(workload)
+                )
+                if opts.control is not None and opts.control.stopped:
+                    break
         return total.result()
 
     # ------------------------------------------------------------------
@@ -1021,38 +1041,38 @@ class MiningSession:
         opts: ExecOptions,
         workers: int | None = 1,
         count_only: bool = False,
-    ):
+    ) -> StagedQuery:
         """Probe → admit → plan: the one dispatch stage of every query.
 
         Every entry point — the session verbs, both concurrent runtimes
         and the service batcher (per member) — resolves how its
-        workload runs here.  Each pattern's exploration plan is looked
-        up once and each *distinct* pattern's probe estimate fetched
-        from the session cache (one bounded frontier walk per
-        ``(pattern, flags)``, ever);
-        :func:`repro.runtime.guards.admit` refuses or downgrades
+        workload runs here, once; a single-pattern query is the workload
+        of one.  Each pattern's exploration plan is looked up once and
+        its probe estimate fetched from the session cache (one bounded
+        frontier walk per ``(width, frontier, symmetry breaking)``,
+        ever); :func:`repro.runtime.guards.admit` refuses or downgrades
         predicted-explosive members (``guard="downgrade"`` also caps
         ``workers``); :func:`repro.runtime.planner.plan_workload` then
-        fills whatever the caller did not pin — engine, schedule,
-        frontier chunk, and the pool size when ``workers`` is ``None``.
+        fills whatever the caller did not pin — engine (the workload's
+        and every member's own), schedule, frontier chunk, and the pool
+        size when ``workers`` is ``None``.
 
-        ``count_only`` marks runs that may legally be answered by the
-        sampling tier (nothing observes individual matches): only those
-        are escalated to it, by the guard or by a ``latency_budget``.
+        ``count_only`` marks runs without a match consumer.  Those — if
+        nothing observes their progress either (:data:`OBSERVERS`) — may
+        legally be answered by the sampling tier: only they are
+        escalated to it, by the guard or by a ``latency_budget``; every
+        enumerating run ignores both routings and stays exact.
 
-        Returns ``(options, query plan, plans)`` — the staged query
-        value the executors take: the options with the plan's choices
-        folded in (``engine`` is concrete afterwards), the
-        :class:`~repro.runtime.planner.QueryPlan` used, and every
-        pattern's exploration plan.
+        Returns the :class:`StagedQuery` the executors take.
         """
         # Deferred import: repro.runtime imports repro.core at module
         # load; by the time a session runs a query, both exist.
         from ..runtime import guards, planner
 
+        samplable = count_only and not opts.hooks(*OBSERVERS)
         plans, estimates = self._estimates(patterns, opts)
         for estimate in estimates:
-            opts = guards.admit(estimate, opts, count_only)
+            opts = guards.admit(estimate, opts, samplable)
             if (
                 workers is not None
                 and opts.guard == "downgrade"
@@ -1063,88 +1083,155 @@ class MiningSession:
             self, patterns, opts, estimates=estimates, num_workers=workers
         )
         self.last_query_plan = query_plan
-        opts = planner.apply_plan(query_plan, opts, allow_approx=count_only)
-        return opts, query_plan, plans
+        opts = planner.apply_plan(query_plan, opts, allow_approx=samplable)
+        return StagedQuery(patterns, plans, opts, query_plan, samplable)
 
     def _estimates(self, patterns: Sequence[Pattern], opts: ExecOptions):
-        """Each pattern's plan lookup and each distinct pattern's probe.
+        """Each pattern's plan lookup and probe estimate.
 
-        Returns ``(plans, estimates)``: the exploration plan per pattern
-        (one plan-cache lookup each; an explicit ``opts.plan`` bypasses
-        the cache) and the
-        :class:`~repro.runtime.guards.CostEstimate` of each distinct
-        ``(pattern signature, flags)``.  Only the probe *measurements*
-        are cached; the explosive threshold is a deployment knob
-        documented as resolved at call time, so every hit re-resolves it
-        against the current
-        :data:`repro.runtime.guards.EXPLOSIVE_PARTIALS` — retuning the
-        module threshold flips admission on warm sessions too.
+        Returns ``(plans, estimates)``, both aligned with ``patterns``:
+        the exploration plan per pattern (one plan-cache lookup each; an
+        explicit ``opts.plan`` bypasses the cache) and its
+        :class:`~repro.runtime.guards.CostEstimate`, cached under what
+        :func:`~repro.runtime.guards.probe` reads — ``(pattern width,
+        frontier key, symmetry_breaking)`` — so patterns that differ only
+        in structure share one walk.  Only the probe *measurements* are
+        cached; the explosive threshold is a deployment knob documented
+        as resolved at call time, so every hit re-resolves it against
+        the current :data:`repro.runtime.guards.EXPLOSIVE_PARTIALS` —
+        retuning the module threshold flips admission on warm sessions
+        too.
         """
         from ..runtime import guards
 
-        plans = []
-        estimates: dict[tuple, Any] = {}
-        flags = (opts.edge_induced, opts.symmetry_breaking)
+        plans, estimates = [], []
         for pattern in patterns:
-            if opts.plan is not None:
-                plan, probe_key = opts.plan, (pattern.signature(), *flags)
-            else:
-                plan, probe_key = self._cached_plan(pattern, *flags)
-            plans.append(plan)
-            if probe_key in estimates:
-                continue
-            estimate = self._guard_cache.get(probe_key)
+            plan = opts.plan
+            if plan is None:
+                plan = self._cached_plan(
+                    pattern, opts.edge_induced, opts.symmetry_breaking
+                )
+            key = (
+                pattern.num_vertices,
+                self._frontier_key(plan),
+                opts.symmetry_breaking,
+            )
+            estimate = self._guard_cache.get(key)
             if estimate is None:
                 estimate = guards.probe(
                     self.ordered,
                     pattern.num_vertices,
-                    self._frontier(self._frontier_key(plan)),
+                    self._frontier(key[1]),
                     symmetry_breaking=opts.symmetry_breaking,
                 )
-                self._guard_cache[probe_key] = estimate
+                self._guard_cache[key] = estimate
                 if len(self._guard_cache) > PLAN_CACHE_LIMIT:
                     self._guard_cache.pop(next(iter(self._guard_cache)))
-            estimates[probe_key] = guards.resolve_threshold(estimate)
-        return plans, list(estimates.values())
+            plans.append(plan)
+            estimates.append(guards.resolve_threshold(estimate))
+        return plans, estimates
 
-    def _run_match(
+    def _execute(
         self,
-        pattern: Pattern,
-        callback: Callable[[Match], None] | None,
-        opts: ExecOptions,
-        meter=None,
-        on_batch=None,
-    ) -> int:
-        """Stage, then execute, one single-pattern query."""
-        consumers = (callback, on_batch, meter)
-        staged = self._stage(
-            [pattern], opts, count_only=_samplable(opts, *consumers)
-        )
-        return self._execute(staged, *consumers)
+        staged: StagedQuery,
+        callbacks: Sequence[Callable[[Match], None] | None] | None = None,
+        on_batches: Sequence[Callable | None] | None = None,
+    ) -> list:
+        """Execute a staged workload; per-pattern totals in input order.
 
-    def _execute(self, staged, callback=None, on_batch=None, meter=None) -> int:
-        """Execute one staged single-pattern query (:meth:`_stage`'s
-        3-tuple is the query value) into its consumers: routing to the
-        sampling tier, arming the budget, ``on_budget`` handling."""
-        opts, _, [plan] = staged
+        The only code between a verb (or a driver holding a stage) and
+        the two executors: compile (:class:`MultiPatternPlan`) what the
+        plan fuses and run those groups through the group executor,
+        everything else through the single-pattern one on the member's
+        own planned engine — the two cover every index exactly once.
+        ``callbacks[i]`` / ``on_batches[i]`` consume member ``i``'s
+        matches (caller ids).  A staged ``approx`` answers the whole
+        workload from the sampling tier instead; ``on_budget="partial"``
+        turns a budget trip into flagged partial totals.
+        """
+        patterns, plans, opts, query_plan, samplable = staged
+        n = len(patterns)
+        callbacks = list(callbacks) if callbacks is not None else [None] * n
+        on_batches = list(on_batches) if on_batches is not None else [None] * n
+        if len(callbacks) != n or len(on_batches) != n:
+            raise ValueError(
+                "callbacks/on_batches must align one-to-one with patterns"
+            )
         if opts.approx is not None:
-            if not _samplable(opts, callback, on_batch, meter):
+            if not samplable:
                 raise MatchingError(
                     "approx=... is count-only: it does not support "
                     "callbacks, batch consumers, budgets, controls, "
                     "stats/timer hooks or explicit start_vertices"
                 )
-            from ..mining.sampling import approx_count_session
+            from ..mining.sampling import approx_count_many_session
 
-            return approx_count_session(self, plan, opts)
-        if meter is None and opts.budget is not None:
-            meter = opts.budget.meter()
+            return approx_count_many_session(self, patterns, plans, opts)
+        # A control never pins per-pattern dispatch: fused_run polls it
+        # between frontier slices and threads it into every member
+        # engine, so deadline/stop tokens ride the fused walk too.
+        meter = opts.budget.meter() if opts.budget is not None else None
+        multi = None
+        remaining: Sequence[int] = range(n)
+        if opts.engine == "fused":
+            consumers = {
+                idx: (
+                    self._translated(cb) if cb is not None else None,
+                    self._batch_emitter(ob) if ob is not None else None,
+                )
+                for idx, (cb, ob) in enumerate(zip(callbacks, on_batches))
+                if cb is not None or ob is not None
+            }
+            # A pinned "fused" is every member's own engine too: even a
+            # lone member then runs as a fused group of one.
+            pinned = "fused" in query_plan.member_engines
+            multi = MultiPatternPlan.build(
+                self, patterns, plans, opts, consumers,
+                min_group=1 if pinned else FUSED_MIN_GROUP,
+            )
+            remaining = multi.singles
+        totals: list = [None] * n
+        running: Sequence[int] = ()
         try:
-            return self._run_match_engines(plan, callback, opts, meter, on_batch)
+            for g, running in enumerate(multi.groups if multi else ()):
+                counts = multi.run_group(
+                    g, self.view, self._frontier(multi.group_keys[g]),
+                    consumers, opts.frontier_chunk, opts.control, meter,
+                )
+                for idx, total in multi.demux(g, counts).items():
+                    totals[idx] = total
+            for idx in remaining:
+                running = (idx,)
+                totals[idx] = self._run_match_engines(
+                    plans[idx],
+                    callbacks[idx],
+                    dataclasses.replace(
+                        opts, engine=query_plan.member_engines[idx]
+                    ),
+                    meter,
+                    on_batches[idx],
+                )
         except BudgetExceededError as err:
-            if opts.on_budget == "partial":
-                return err.partial
-            raise
+            if opts.on_budget != "partial":
+                raise
+            # The one place a budget trip lands.  Members that finished
+            # before it keep their exact ints; a member that was running
+            # alone gets the engine's own partial; a running group's
+            # members (a budgeted group counts every member directly, so
+            # the error's per-member totals align with it) and the
+            # members never started come back flagged, with no run
+            # issued to re-trip it.
+            partial = err.partial
+            cut = dict(zip(running, partial.detail.get("totals", ())))
+            totals = [
+                total if total is not None
+                else partial if running == (idx,)
+                else PartialResult(
+                    cut.get(idx, 0), truncated=True, reason=partial.reason
+                )
+                for idx, total in enumerate(totals)
+            ]
+        return totals
 
     def _run_match_engines(
         self,
@@ -1159,10 +1246,9 @@ class MiningSession:
         Runs ``plan`` over ``opts.start_vertices`` — a thread chunk, a
         sampled round — or, without them, its whole frontier; matches go
         to ``callback`` one by one or to ``on_batch`` as row arrays (the
-        interpreter's through a ``flush_size`` buffer), both in caller
-        ids.
+        interpreter's through an :data:`INTERPRETER_BATCH_ROWS` buffer),
+        both in caller ids.
         """
-        np = _accel.np
         starts = opts.start_vertices
         if starts is None:
             starts = self._frontier(self._frontier_key(plan, opts.label_index))
@@ -1189,7 +1275,7 @@ class MiningSession:
         if emit is not None:
             def on_match(m: Match) -> None:
                 buffer.append(m.mapping)
-                if len(buffer) >= opts.flush_size:
+                if len(buffer) >= INTERPRETER_BATCH_ROWS:
                     flush()
 
         total = run_tasks(
@@ -1208,115 +1294,6 @@ class MiningSession:
         )
         flush()
         return total
-
-    def _run_many(
-        self,
-        patterns: Sequence[Pattern],
-        callbacks: Sequence[Callable[[Match], None] | None] | None,
-        on_batches: Sequence[Callable] | None,
-        opts: ExecOptions,
-        count_only: bool = False,
-    ) -> list[int]:
-        """Run a multi-pattern workload; per-pattern totals in input order.
-
-        Stage, compile (:class:`MultiPatternPlan`), execute: fused
-        groups through the group executor, everything else through the
-        single-pattern one — the two cover every index exactly once.
-        ``count_only`` (``count_many``) lets the stage route the whole
-        workload to the sampling tier.
-        """
-        n = len(patterns)
-        callbacks = list(callbacks) if callbacks is not None else [None] * n
-        on_batches = list(on_batches) if on_batches is not None else [None] * n
-        if len(callbacks) != n or len(on_batches) != n:
-            raise ValueError(
-                "callbacks/on_batches must align one-to-one with patterns"
-            )
-        # A control never pins per-pattern dispatch: fused_run polls it
-        # between frontier slices and threads it into every member
-        # engine, so deadline/stop tokens ride the fused walk too.
-        fusable = not opts.hooks(*INSTRUMENTS, "plan", "start_vertices")
-        if opts.engine == "fused" and not fusable:
-            raise MatchingError(
-                "engine='fused' does not support stats/timer/"
-                "plan/start_vertices overrides; use engine='auto' to fall "
-                "back to per-pattern dispatch"
-            )
-        samplable = count_only and not opts.hooks(*OBSERVERS, "plan")
-        if not samplable and opts.hooks("approx", "latency_budget"):
-            raise MatchingError(
-                "approx/latency_budget are count-only knobs: use count(...) "
-                "or count_many(...) without callbacks, budgets, controls, "
-                "stats/timer hooks, plan or start_vertices overrides"
-            )
-        pinned_engine = opts.engine
-        opts, query_plan, plans = self._stage(
-            patterns, opts, count_only=samplable
-        )
-        if opts.approx is not None:
-            from ..mining.sampling import approx_count_many_session
-
-            return approx_count_many_session(self, patterns, plans, opts)
-        meter = opts.budget.meter() if opts.budget is not None else None
-
-        multi = None
-        remaining: Sequence[int] = range(n)
-        if fusable and query_plan.engine == "fused":
-            consumers = {
-                idx: (
-                    self._translated(cb) if cb is not None else None,
-                    self._batch_emitter(ob) if ob is not None else None,
-                )
-                for idx, (cb, ob) in enumerate(zip(callbacks, on_batches))
-                if cb is not None or ob is not None
-            }
-            multi = MultiPatternPlan.build(
-                self, patterns, plans, opts, consumers,
-                min_group=1 if pinned_engine == "fused" else FUSED_MIN_GROUP,
-            )
-            remaining = multi.singles
-        # Per-pattern engines ("accel-batch", "reference") and non-fusable
-        # members keep the exact single-pattern semantics, hooks included:
-        # each plans its own engine from the caller's pin.  Admission,
-        # latency routing and budget trips are workload decisions.
-        member_opts = dataclasses.replace(
-            opts, engine=pinned_engine, guard="off", latency_budget=None,
-            on_budget="raise",
-        )
-        totals: list = [None] * n
-        running: Sequence[int] = ()
-        try:
-            for g, running in enumerate(multi.groups if multi else ()):
-                counts = multi.run_group(
-                    g, self.view, self._frontier(multi.group_keys[g]),
-                    consumers, opts.frontier_chunk, opts.control, meter,
-                )
-                for idx, total in multi.demux(g, counts).items():
-                    totals[idx] = total
-            for idx in remaining:
-                running = (idx,)
-                totals[idx] = self._run_match(
-                    patterns[idx], callbacks[idx], member_opts,
-                    meter=meter, on_batch=on_batches[idx],
-                )
-        except BudgetExceededError as err:
-            if opts.on_budget != "partial":
-                raise
-            # The one place a multi-pattern budget trip lands.  Members
-            # that finished before it keep their exact ints; the running
-            # ones (a budgeted group counts every member directly, so the
-            # error's per-member totals align with it) and the ones never
-            # started come back flagged, with no run issued to re-trip it.
-            cut = dict(zip(
-                running, err.partial.detail.get("totals", [int(err.partial)])
-            ))
-            totals = [
-                PartialResult(
-                    cut.get(idx, 0), truncated=True, reason=err.partial.reason
-                ) if total is None else total
-                for idx, total in enumerate(totals)
-            ]
-        return totals
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         info = self.cache_info()

@@ -16,12 +16,7 @@ from .existence import (
     gcc_exceeds_bound,
     global_clustering_coefficient,
 )
-from .sampling import (
-    ApproxCount,
-    approx_count,
-    approx_count_many,
-    color_coding_count,
-)
+from .sampling import ApproxCount, approx_count, approx_count_many
 from .matching import (
     count_pattern,
     enumerate_matches,
@@ -33,7 +28,6 @@ __all__ = [
     "ApproxCount",
     "approx_count",
     "approx_count_many",
-    "color_coding_count",
     "Bitset",
     "Domain",
     "motif_counts",

@@ -9,13 +9,12 @@ amortizes (degree ordering, CSR view, plan cache, label-filtered
 frontiers, fused multi-pattern walks) accelerates the approximate tier
 too.
 
-Two estimators:
-
-**Neighborhood sampling** (``method="ns"``, the default and what
-``MiningSession.count(pattern, approx=rel_err)`` runs).  Every match is
-counted by the engines at exactly one level-0 start vertex, so the
-per-start counts over the (label-filtered, hub-first) frontier sum to
-the exact count.  The estimator stratifies that frontier:
+**Neighborhood sampling** is the one estimator, and ``approx=rel_err``
+is an option of ``MiningSession.count`` / ``count_many`` — a single
+count is the workload of one.  Every match is counted by the engines at
+exactly one level-0 start vertex, so the per-start counts over the
+(label-filtered, hub-first) frontier sum to the exact count.  The
+estimator stratifies that frontier:
 
 * the *hub prefix* (the first :data:`HUB_EXHAUST` starts — the frontier
   is hub-first, so these are the heavy, high-variance starts where
@@ -36,18 +35,9 @@ estimator *finishes the tail exactly* and returns the exact count with a
 zero-width interval (sampling never costs asymptotically more than
 exact).
 
-**Color coding** (:func:`color_coding_count`): Pagh–Tsourakakis colorful
-sparsification.  Each round colors vertices uniformly from ``c`` colors,
-keeps only monochromatic edges (~``m/c`` survive), counts the pattern
-exactly on that subgraph and scales by ``c^(k-1)`` — a connected
-``k``-vertex match survives iff its ``k-1`` non-root vertices match the
-root's color.  Rounds over independent colorings are i.i.d. unbiased
-estimates and feed the same adaptive CI machinery.  Only valid for
-non-induced (``edge_induced=True``) counting: anti-edge checks on the
-sparsified subgraph would misread removed edges as absent.
-
-Multi-pattern estimation (:func:`approx_count_many`, reached via
-``count_many(patterns, approx=rel_err)``) compiles the workload with the
+Estimation (``count_many(patterns, approx=rel_err)``;
+:func:`approx_count_many` is its functional spelling) compiles the
+workload with the
 exact path's :class:`~repro.core.session.MultiPatternPlan` and serves
 each group's hub pass and sampled rounds through its one fused executor
 — this tier is a *driver*: it only picks the start vertices.  The
@@ -66,9 +56,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..errors import MatchingError
 from ..core.session import (
-    OBSERVERS,
     ExecOptions,
     MiningSession,
     MultiPatternPlan,
@@ -80,13 +68,11 @@ __all__ = [
     "ApproxCount",
     "approx_count",
     "approx_count_many",
-    "color_coding_count",
     "DEFAULT_REL_ERR",
     "DEFAULT_CONFIDENCE",
     "MIN_ROUNDS",
     "ROUND_STARTS",
     "HUB_EXHAUST",
-    "MAX_COLORINGS",
 ]
 
 # Default accuracy target: 5% relative error at 95% two-sided confidence
@@ -110,8 +96,8 @@ ROUND_STARTS = 128
 # half the sample budget), so there is always a tail left to sample.
 HUB_EXHAUST = 1024
 
-# Default colorings budget for the color-coding estimator.
-MAX_COLORINGS = 64
+# The one estimator's name, carried on ApproxCount.method.
+METHOD = "ns"
 
 # Early-stop reasons carried on ApproxCount.early_stop.
 STOP_TARGET = "target-met"
@@ -129,11 +115,11 @@ class ApproxCount:
     Student-t interval at ``confidence``.  ``rel_err`` is the *achieved*
     relative half-width (``0.0`` for exact results,``inf`` when the
     estimate is zero but uncertainty remains), ``requested_rel_err`` the
-    target the run was asked to meet (``None`` = spend the budget).
-    ``samples`` counts level-0 starts actually processed (hub prefix +
-    sampled draws; colorings for the color-coding method), ``rounds``
-    the i.i.d. sampling rounds behind ``stderr``, and ``hit_rate`` the
-    fraction of rounds that saw at least one match.  ``exact=True``
+    target the run was asked to meet.  ``samples`` counts level-0 starts
+    actually processed (hub prefix + sampled draws), ``rounds`` the
+    i.i.d. sampling rounds behind ``stderr``, ``hit_rate`` the fraction
+    of rounds that saw at least one match, and ``method`` names the
+    estimator (:data:`METHOD`).  ``exact=True``
     means the run degenerated to an exact count (tiny frontier, or
     ``max_samples`` covered it) — the estimate then equals the exact
     count and the interval has zero width.  ``early_stop`` says why
@@ -150,7 +136,7 @@ class ApproxCount:
     ci_high: float
     confidence: float
     rel_err: float
-    requested_rel_err: float | None
+    requested_rel_err: float
     samples: int
     rounds: int
     frontier_size: int
@@ -246,16 +232,6 @@ def _target_met(rounds: list[float], rel_err: float, confidence: float) -> bool:
 # Option plumbing shared with the session verbs
 # ----------------------------------------------------------------------
 
-def _reject_unsupported(opts: ExecOptions) -> None:
-    bad = opts.hooks(*OBSERVERS)
-    if bad:
-        raise MatchingError(
-            f"approximate counting does not support the {sorted(bad)} "
-            "option(s); sampling owns the frontier and runs to its own "
-            "stopping rule"
-        )
-
-
 def _inner_opts(opts: ExecOptions) -> ExecOptions:
     """The options the per-round exact sub-runs execute under.
 
@@ -275,7 +251,7 @@ def _inner_opts(opts: ExecOptions) -> ExecOptions:
 
 
 # ----------------------------------------------------------------------
-# The stratified round estimator (shared by single- and multi-pattern)
+# The stratified round estimator
 # ----------------------------------------------------------------------
 
 
@@ -285,8 +261,7 @@ def _exact_results(
     rounds: int,
     frontier_size: int,
     confidence: float,
-    rel_err,
-    method: str,
+    rel_err: float,
     early_stop: str,
 ) -> list[ApproxCount]:
     return [
@@ -302,7 +277,7 @@ def _exact_results(
             rounds=rounds,
             frontier_size=frontier_size,
             hit_rate=1.0 if total else 0.0,
-            method=method,
+            method=METHOD,
             exact=True,
             early_stop=early_stop,
         )
@@ -316,8 +291,7 @@ def _member_result(
     samples: int,
     frontier_size: int,
     confidence: float,
-    rel_err,
-    method: str,
+    rel_err: float,
     early_stop: str,
 ) -> ApproxCount:
     r = len(rounds_j)
@@ -341,7 +315,7 @@ def _member_result(
         rounds=r,
         frontier_size=frontier_size,
         hit_rate=(hits_j / r) if r else 0.0,
-        method=method,
+        method=METHOD,
         exact=False,
         early_stop=early_stop,
     )
@@ -352,13 +326,10 @@ def _estimate_group(
     num_members: int,
     frontier,
     *,
-    rel_err: float | None,
+    rel_err: float,
     confidence: float,
     max_samples: int | None,
     rng: random.Random,
-    hub_exhaust: int = HUB_EXHAUST,
-    round_starts: int = ROUND_STARTS,
-    method: str = "ns",
 ) -> list[ApproxCount]:
     """Run the stratified round loop for one shared-frontier group.
 
@@ -372,14 +343,13 @@ def _estimate_group(
     N = len(frontier)
     if N == 0:
         return _exact_results(
-            [0] * num_members, 0, 0, 0, confidence, rel_err, method,
-            STOP_EMPTY,
+            [0] * num_members, 0, 0, 0, confidence, rel_err, STOP_EMPTY
         )
     budget = N if max_samples is None else max_samples
     allow_exact = budget >= N
-    h = min(hub_exhaust, N // 2, budget // 2)
+    h = min(HUB_EXHAUST, N // 2, budget // 2)
     tail = N - h
-    m = max(1, min(round_starts, tail))
+    m = max(1, min(ROUND_STARTS, tail))
     if not allow_exact:
         m = max(1, min(m, (budget - h) // MIN_ROUNDS))
     if (max_samples is not None and max_samples >= N) or (
@@ -389,7 +359,7 @@ def _estimate_group(
         # tail to sample meaningfully — exact is cheaper than estimating.
         totals = run_members(frontier)
         return _exact_results(
-            totals, N, 0, N, confidence, rel_err, method, STOP_EXHAUSTED
+            totals, N, 0, N, confidence, rel_err, STOP_EXHAUSTED
         )
     hub_totals = run_members(frontier[:h]) if h > 0 else [0] * num_members
     samples = h
@@ -414,7 +384,6 @@ def _estimate_group(
                     N,
                     confidence,
                     rel_err,
-                    method,
                     STOP_EXHAUSTED,
                 )
             break
@@ -425,74 +394,24 @@ def _estimate_group(
             per_round[j].append(hub_totals[j] + totals[j] * scale)
             if totals[j]:
                 hits[j] += 1
-        if rel_err is not None and len(per_round[0]) >= MIN_ROUNDS:
-            if all(
-                _target_met(per_round[j], rel_err, confidence)
-                for j in range(num_members)
-            ):
-                early_stop = STOP_TARGET
-                break
+        if len(per_round[0]) >= MIN_ROUNDS and all(
+            _target_met(per_round[j], rel_err, confidence)
+            for j in range(num_members)
+        ):
+            early_stop = STOP_TARGET
+            break
     return [
         _member_result(
             per_round[j], hits[j], samples, N, confidence, rel_err,
-            method, early_stop,
+            early_stop,
         )
         for j in range(num_members)
     ]
 
 
 # ----------------------------------------------------------------------
-# Runner: one single-pattern executor pass per plan over explicit starts
+# Session entry point (what count/count_many(approx=...) route to)
 # ----------------------------------------------------------------------
-
-
-def _sequential_runner(
-    session: MiningSession, plans, opts: ExecOptions
-) -> Callable[[Sequence[int]], list[int]]:
-    inner = _inner_opts(opts)
-
-    def run(starts) -> list[int]:
-        o = dataclasses.replace(inner, start_vertices=starts)
-        return [
-            int(session._run_match_engines(plan, None, o, None))
-            for plan in plans
-        ]
-
-    return run
-
-
-# ----------------------------------------------------------------------
-# Session entry points (what count(approx=...) routes to)
-# ----------------------------------------------------------------------
-
-
-def approx_count_session(
-    session: MiningSession,
-    plan,
-    opts: ExecOptions,
-    hub_exhaust: int = HUB_EXHAUST,
-    round_starts: int = ROUND_STARTS,
-) -> ApproxCount:
-    """Estimate one staged query's count.
-
-    The internal target of ``MiningSession.count(pattern, approx=...)``:
-    ``plan`` and ``opts`` come out of the session's dispatch stage;
-    ``opts.approx``/``confidence``/``max_samples``/``seed`` drive the
-    loop.  ``opts.approx`` may be ``None`` (spend the whole
-    ``max_samples`` budget).
-    """
-    [result] = _estimate_group(
-        _sequential_runner(session, [plan], opts),
-        1,
-        session._frontier(session._frontier_key(plan, opts.label_index)),
-        rel_err=opts.approx,
-        confidence=opts.confidence,
-        max_samples=opts.max_samples,
-        rng=random.Random(opts.seed),
-        hub_exhaust=hub_exhaust,
-        round_starts=round_starts,
-    )
-    return result
 
 
 def approx_count_many_session(
@@ -500,13 +419,14 @@ def approx_count_many_session(
     patterns: Sequence[Pattern],
     plans,
     opts: ExecOptions,
-    hub_exhaust: int = HUB_EXHAUST,
-    round_starts: int = ROUND_STARTS,
 ) -> list[ApproxCount]:
     """Estimate every pattern of a staged workload, in input order.
 
-    The internal target of ``count_many(patterns, approx=...)``.  The
-    workload compiles exactly like the exact fused path
+    The internal target of ``count(pattern, approx=...)`` (the workload
+    of one) and ``count_many(patterns, approx=...)``: ``plans`` and
+    ``opts`` come out of the session's dispatch stage, and
+    ``opts.approx``/``confidence``/``max_samples``/``seed`` drive the
+    loop.  The workload compiles exactly like the exact fused path
     (:meth:`~repro.core.session.MultiPatternPlan.build`: groups by
     pinned-start-label signature, census tier included — Möbius
     inversion is linear, so per-round restricted basis counts invert
@@ -523,18 +443,20 @@ def approx_count_many_session(
     rng = random.Random(opts.seed)
     results: list[ApproxCount | None] = [None] * len(patterns)
     for g, group in enumerate(multi.groups):
-        if opts.engine == "fused":
 
-            def run(starts, g=g, group=group) -> list[int]:
+        def run(starts, g=g, group=group) -> list[int]:
+            if opts.engine == "fused":
                 totals = multi.demux(g, multi.run_group(
                     g, session.view, starts, chunk=inner.frontier_chunk
                 ))
                 return [int(totals[idx]) for idx in group]
+            # one single-pattern executor pass per member
+            o = dataclasses.replace(inner, start_vertices=starts)
+            return [
+                int(session._run_match_engines(multi.plans[idx], None, o, None))
+                for idx in group
+            ]
 
-        else:
-            run = _sequential_runner(
-                session, [multi.plans[idx] for idx in group], opts
-            )
         group_results = _estimate_group(
             run,
             len(group),
@@ -543,8 +465,6 @@ def approx_count_many_session(
             confidence=opts.confidence,
             max_samples=opts.max_samples,
             rng=rng,
-            hub_exhaust=hub_exhaust,
-            round_starts=round_starts,
         )
         for idx, result in zip(group, group_results):
             results[idx] = result
@@ -556,179 +476,42 @@ def approx_count_many_session(
 # ----------------------------------------------------------------------
 
 
-def _staged(session: MiningSession, patterns, multi: bool, options, **knobs):
-    """Resolve, check and stage a functional-surface call's options
-    (``knobs``: the estimator parameters, under their option names)."""
-    opts = session.defaults.merged({**options, **knobs}, multi=multi)
-    _reject_unsupported(opts)
-    if multi and opts.plan is not None:
-        raise MatchingError(
-            "plan= is a single-pattern override; approx_count_many plans "
-            "each pattern from the session cache"
-        )
-    opts, _, plans = session._stage(patterns, opts)
-    return opts, plans
-
-
 def approx_count(
     graph_or_session,
     pattern: Pattern,
-    rel_err: float | None = DEFAULT_REL_ERR,
+    rel_err: float = DEFAULT_REL_ERR,
     confidence: float = DEFAULT_CONFIDENCE,
     max_samples: int | None = None,
     seed: int | None = None,
-    method: str = "ns",
-    num_colors: int = 2,
-    hub_exhaust: int = HUB_EXHAUST,
-    round_starts: int = ROUND_STARTS,
     **options,
 ) -> ApproxCount:
     """Estimate ``pattern``'s count to ``rel_err`` relative error.
 
-    The functional spelling of ``session.count(pattern, approx=...)``,
-    plus the knobs the verb keeps at defaults: ``method`` selects the
-    estimator (``"ns"`` neighborhood sampling or ``"color-coding"``),
-    ``hub_exhaust``/``round_starts`` tune the sampling geometry, and
-    ``rel_err=None`` disables the accuracy target (spend ``max_samples``
-    and report the achieved interval).  ``**options`` are the usual
+    The functional spelling of ``session.count(pattern, approx=rel_err,
+    ...)``.  ``**options`` are the usual
     :class:`~repro.core.session.ExecOptions` overrides.
     """
-    session = as_session(graph_or_session)
-    if method == "color-coding":
-        return color_coding_count(
-            session,
-            pattern,
-            rel_err=rel_err,
-            confidence=confidence,
-            max_colorings=(
-                MAX_COLORINGS if max_samples is None else max_samples
-            ),
-            num_colors=num_colors,
-            seed=seed,
-            **options,
-        )
-    if method != "ns":
-        raise ValueError(
-            f"method must be 'ns' or 'color-coding', got {method!r}"
-        )
-    opts, [plan] = _staged(
-        session, [pattern], False, options, approx=rel_err,
-        confidence=confidence, max_samples=max_samples, seed=seed,
+    return as_session(graph_or_session).count(
+        pattern, approx=rel_err, confidence=confidence,
+        max_samples=max_samples, seed=seed, **options,
     )
-    return approx_count_session(session, plan, opts, hub_exhaust, round_starts)
 
 
 def approx_count_many(
     graph_or_session,
     patterns: Sequence[Pattern],
-    rel_err: float | None = DEFAULT_REL_ERR,
+    rel_err: float = DEFAULT_REL_ERR,
     confidence: float = DEFAULT_CONFIDENCE,
     max_samples: int | None = None,
     seed: int | None = None,
-    hub_exhaust: int = HUB_EXHAUST,
-    round_starts: int = ROUND_STARTS,
     **options,
 ) -> dict[Pattern, ApproxCount]:
     """Estimate every pattern's count, sharing fused sampled walks.
 
-    The functional spelling of ``count_many(patterns, approx=...)`` with
-    the sampling-geometry knobs exposed (see :func:`approx_count`).
+    The functional spelling of ``session.count_many(patterns,
+    approx=rel_err, ...)`` (see :func:`approx_count`).
     """
-    session = as_session(graph_or_session)
-    patterns = list(patterns)
-    opts, plans = _staged(
-        session, patterns, True, options, approx=rel_err,
-        confidence=confidence, max_samples=max_samples, seed=seed,
-    )
-    return dict(zip(patterns, approx_count_many_session(
-        session, patterns, plans, opts, hub_exhaust, round_starts
-    )))
-
-
-def color_coding_count(
-    graph_or_session,
-    pattern: Pattern,
-    rel_err: float | None = DEFAULT_REL_ERR,
-    confidence: float = DEFAULT_CONFIDENCE,
-    max_colorings: int = MAX_COLORINGS,
-    num_colors: int = 2,
-    seed: int | None = None,
-    **options,
-) -> ApproxCount:
-    """Color-coding estimate via colorful sparsification.
-
-    Each round draws an independent uniform ``num_colors``-coloring of
-    the vertices, builds the monochromatic-edge subgraph, counts
-    ``pattern`` exactly there (the subgraph gets its own session, so the
-    count runs the full engine stack on ~``m / num_colors`` edges) and
-    scales by ``num_colors ** (k - 1)``.  Rounds are i.i.d. unbiased
-    estimates; adaptive growth stops at ``rel_err`` or after
-    ``max_colorings`` rounds.  Requires a *connected* pattern (the
-    survival probability argument needs one mono-chromatic component)
-    and non-induced semantics (``edge_induced=True``) — removed edges
-    would satisfy anti-edge checks vacuously.
-    """
-    from ..graph.builder import from_edges
-
-    session = as_session(graph_or_session)
-    opts = session.defaults.merged(
-        dict(options, approx=rel_err, confidence=confidence,
-             max_samples=max_colorings)
-    )
-    _reject_unsupported(opts)
-    if not pattern.is_connected():
-        raise MatchingError(
-            "color coding requires a connected pattern; use "
-            "neighborhood sampling (method='ns') instead"
-        )
-    if not opts.edge_induced:
-        raise MatchingError(
-            "color coding is only unbiased for non-induced counting "
-            "(edge_induced=True): sparsification removes edges, so "
-            "anti-edge checks on the subgraph misfire"
-        )
-    if num_colors < 2:
-        raise ValueError(f"num_colors must be >= 2, got {num_colors!r}")
-    graph = session.graph
-    n = graph.num_vertices
-    k = pattern.num_vertices
-    if n == 0:
-        return _exact_results(
-            [0], 0, 0, 0, confidence, rel_err, "color-coding", STOP_EMPTY
-        )[0]
-    scale = float(num_colors) ** (k - 1)
-    labels = None if graph.labels() is None else list(graph.labels())
-    edges = list(graph.edges())
-    rng = random.Random(seed)
-    rounds: list[float] = []
-    hits = 0
-    early_stop = STOP_BUDGET
-    while len(rounds) < max_colorings:
-        colors = [rng.randrange(num_colors) for _ in range(n)]
-        kept = [(u, v) for u, v in edges if colors[u] == colors[v]]
-        sub = from_edges(
-            kept, labels=labels, num_vertices=n,
-            name=f"{graph.name}-colorful",
-        )
-        count = int(
-            MiningSession(sub).count(
-                pattern,
-                edge_induced=True,
-                symmetry_breaking=opts.symmetry_breaking,
-                label_index=opts.label_index,
-            )
-        )
-        rounds.append(count * scale)
-        if count:
-            hits += 1
-        if (
-            rel_err is not None
-            and len(rounds) >= MIN_ROUNDS
-            and _target_met(rounds, rel_err, confidence)
-        ):
-            early_stop = STOP_TARGET
-            break
-    return _member_result(
-        rounds, hits, len(rounds), n, confidence, rel_err,
-        "color-coding", early_stop,
+    return as_session(graph_or_session).count_many(
+        patterns, approx=rel_err, confidence=confidence,
+        max_samples=max_samples, seed=seed, **options,
     )

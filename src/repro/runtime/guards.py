@@ -26,8 +26,9 @@ for ``ExecOptions.guard``:
 
 The estimator is deliberately simple and deterministic — evenly-spaced
 sampling over the hub-first frontier, pure-Python adjacency probes,
-geometric extrapolation.  Every query is probed once per ``(pattern,
-flags)`` by the session's dispatch stage
+geometric extrapolation.  Every query is probed once per ``(pattern
+width, frontier, symmetry breaking)`` — everything :func:`probe` reads —
+by the session's dispatch stage
 (:meth:`repro.core.session.MiningSession._stage`), and the measurements
 serve two consumers: :func:`admit` (triage, conservative by design) and
 :mod:`repro.runtime.planner` (engine/schedule/chunk/worker selection
@@ -41,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+from ..core.accel import hub_degree_threshold
 from ..errors import QueryRefusedError
 from ..pattern.pattern import Pattern
 
@@ -86,11 +88,6 @@ DOWNGRADE_MAX_WORKERS = 2
 # relative error (see repro.mining.sampling).
 DOWNGRADE_APPROX_FACTOR = 16.0
 DOWNGRADE_APPROX_REL_ERR = 0.05
-
-
-def _hub_degree_floor(n: int) -> int:
-    """The accel tier's hub threshold, numpy-free (max(128, n / 64))."""
-    return max(128, n // 64)
 
 
 @dataclass(frozen=True)
@@ -155,7 +152,7 @@ def estimate_cost(
     from ..core.session import as_session
 
     session = as_session(graph_or_session)
-    plan, _ = session._cached_plan(pattern, edge_induced, symmetry_breaking)
+    plan = session._cached_plan(pattern, edge_induced, symmetry_breaking)
     return probe(
         session.ordered,
         pattern.num_vertices,
@@ -207,7 +204,7 @@ def probe(
             max_expansion=0,
             growth=0.0,
             hub_count=0,
-            hub_degree_floor=_hub_degree_floor(n),
+            hub_degree_floor=hub_degree_threshold(n),
             predicted_partials=float(frontier_size),
             threshold=threshold,
             level1_volume=0.0,
@@ -245,7 +242,7 @@ def probe(
             growth_count += 1
     growth = (growth_total / growth_count) if growth_count else 0.0
 
-    hub_floor = _hub_degree_floor(n)
+    hub_floor = hub_degree_threshold(n)
     hub_count = 0
     for i in range(min(frontier_size, PROBE_HUB_SCAN)):
         if ordered.degree(frontier[i]) >= hub_floor:
@@ -285,7 +282,7 @@ def resolve_threshold(
 ) -> CostEstimate:
     """Re-resolve a cached estimate against the *current* threshold.
 
-    Probe measurements are stable per (pattern, flags) and safe to
+    Probe measurements are stable per probe input and safe to
     cache, but the explosive threshold is a deployment knob documented
     as "resolved at call time".  Callers holding a cached estimate must
     pass it through here before any admission decision so retuning

@@ -250,10 +250,9 @@ def _thread_match(
             f"{sorted(unsupported)} not available under threads: drop the "
             "option(s) or run single-threaded"
         )
-    opts, query_plan, [plan] = session._stage(
-        [pattern], opts, workers=num_threads
-    )
-    num_threads = query_plan.num_workers
+    staged = session._stage([pattern], opts, workers=num_threads)
+    opts, [plan] = staged.opts, staged.plans
+    num_threads = staged.query_plan.num_workers
     scheduler = TaskScheduler(
         _ledger(
             session,
@@ -823,7 +822,7 @@ def process_count_many(
             f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
         )
     patterns = list(patterns)
-    opts, query_plan, plans = session._stage(
+    staged = session._stage(
         patterns,
         session.options(
             edge_induced=edge_induced,
@@ -836,20 +835,15 @@ def process_count_many(
         ),
         workers=num_processes,
     )
-    num_processes = query_plan.num_workers
+    opts, plans = staged.opts, staged.plans
+    num_processes = staged.query_plan.num_workers
     if num_processes <= 1 or not patterns:
+        # A pool of one is the in-process driver: it executes the stage
+        # it already holds (admitted and planned once).
         latch = None if cancel is None else _CancelLatch(cancel)
-        # Already admitted and planned: the in-process run keeps the
-        # staged frontier chunk and skips a second admission.
-        counts = session.count_many(
-            patterns,
-            edge_induced=edge_induced,
-            symmetry_breaking=symmetry_breaking,
-            label_index=label_index,
-            frontier_chunk=opts.frontier_chunk,
-            guard="off",
-            control=latch,
-        )
+        if latch is not None:
+            staged = staged._replace(opts=replace(opts, control=latch))
+        counts = dict(zip(patterns, session._execute(staged)))
         if latch is not None and latch.seen:
             # Same contract as the pooled drain, with the whole run as
             # its one chunk: an engine saw the stop and wound down, so

@@ -4,7 +4,8 @@ Peregrine's point (§3–§4) is that the *system* derives how to explore
 from the pattern and the graph.  The session's dispatch stage
 (:meth:`repro.core.session.MiningSession._stage`) probes every query's
 level-0 frontier once (:func:`repro.runtime.guards.probe`, cached per
-``(pattern signature, matching flags)``), lets
+``(pattern width, frontier, symmetry breaking)`` — what the probe
+reads), lets
 :func:`~repro.runtime.guards.admit` refuse or downgrade it, and hands
 the same measurements to :func:`plan_workload`, which fills in every
 choice the caller did not pin:
@@ -107,7 +108,11 @@ class QueryPlan:
     or ``"fused"`` for multi-pattern workloads) — never ``"auto"``.
     ``reasons`` records one line per choice for ``explain`` and the
     service echo; ``estimate`` is the probe behind them (the members'
-    aggregate for a workload).
+    aggregate for a workload).  ``member_engines[i]`` is the engine
+    member ``i`` runs on when it shares no fused walk: the same engine
+    rule applied to its own estimate, or the caller's pin — a pinned
+    ``"fused"`` included, under which even a lone member runs as a fused
+    group of one.
     """
 
     engine: str
@@ -121,6 +126,7 @@ class QueryPlan:
     # instead of running exact (see apply_plan's allow_approx).
     use_approx: bool = False
     approx_rel_err: float | None = None
+    member_engines: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
         """JSON-friendly form (service envelopes, bench artifacts)."""
@@ -158,20 +164,25 @@ def _batch_worthy(estimate: guards.CostEstimate) -> bool:
 
 
 def _choose_engine(estimates, opts, batched: str, reasons: list) -> str:
-    """``batched`` (the batched engine's name for this workload) when
-    any member's frontier clears the crossover — a fused group shares
-    its gathers, so one worthy member pays for the walk."""
-    instruments = opts.hooks(*INSTRUMENTS)
+    """The one engine rule.  A pin wins (and says so when the run
+    carries something that engine cannot honour); otherwise ``batched``
+    (the batched engine's name for this workload) when any member's
+    frontier clears the crossover — a fused group shares its gathers, so
+    one worthy member pays for the walk."""
     if opts.engine != "auto":
-        if instruments and opts.engine != "reference":
+        rejected = () if opts.engine == "reference" else INSTRUMENTS
+        if opts.engine == "fused":
+            # fused_run owns its members' plans and their shared frontier
+            rejected += ("plan", "start_vertices")
+        if opts.hooks(*rejected):
             raise MatchingError(
-                f"engine={opts.engine!r} does not support stats/timer "
-                "hooks; use engine='auto' to fall back to the reference "
-                "engine"
+                f"engine={opts.engine!r} does not support "
+                f"{'/'.join(rejected)} overrides; use engine='auto' to "
+                "let the plan choose an engine that does"
             )
         reasons.append(f"engine {opts.engine!r} pinned by caller")
         return opts.engine
-    if instruments:
+    if opts.hooks(*INSTRUMENTS):
         reasons.append("reference: stats/timer hooks pin the interpreter")
         return "reference"
     for est in estimates:
@@ -284,18 +295,21 @@ def plan_workload(
 
     ``opts`` is a resolved :class:`~repro.core.session.ExecOptions`;
     keyword ``options`` are the usual per-call overrides when ``opts``
-    is not given.  ``estimates`` (one per distinct member) lets the
+    is not given.  ``estimates`` (one per pattern, aligned) lets the
     session's dispatch stage share the probes it already holds.  An
     integer ``num_workers`` is the caller's pool and is kept; ``None``
     asks the plan to size the pool from the measured work, up to the
     machine's core count.
 
     The fused runner walks one shared frontier per compatible group, so
-    workload-level choices aggregate: the batched engine (``"fused"``
-    for several patterns) when any member's frontier clears the
-    crossover, the dynamic schedule when any member sees hub skew,
-    workers fed by the *summed* level-1 volume, and the frontier chunk
-    the largest member prediction needs.
+    workload-level choices aggregate over the distinct members: the
+    batched engine (``"fused"`` for several patterns) when any member's
+    frontier clears the crossover, the dynamic schedule when any member
+    sees hub skew, workers fed by the *summed* level-1 volume, and the
+    frontier chunk the largest member prediction needs.  Every member
+    also gets the engine it takes outside a fused group
+    (:attr:`QueryPlan.member_engines`) — this is the only place an
+    engine is chosen.
     """
     session = as_session(graph_or_session)
     if opts is None:
@@ -312,35 +326,40 @@ def plan_workload(
             num_workers=max(1, num_workers or 1),
             reasons=("empty workload",),
         )
-    if len(estimates) == 1:
-        combined = estimates[0]
+    distinct = list(dict(zip(patterns, estimates)).values())
+    if len(distinct) == 1:
+        combined = distinct[0]
     else:
         combined = dataclasses.replace(
-            max(estimates, key=lambda e: e.level1_volume),
-            level1_volume=sum(e.level1_volume for e in estimates),
-            frontier_size=max(e.frontier_size for e in estimates),
-            hub_count=max(e.hub_count for e in estimates),
-            hub_skew=max(e.hub_skew for e in estimates),
-            predicted_partials=max(e.predicted_partials for e in estimates),
+            max(distinct, key=lambda e: e.level1_volume),
+            level1_volume=sum(e.level1_volume for e in distinct),
+            frontier_size=max(e.frontier_size for e in distinct),
+            hub_count=max(e.hub_count for e in distinct),
+            hub_skew=max(e.hub_skew for e in distinct),
+            predicted_partials=max(e.predicted_partials for e in distinct),
             predicted_partials_raw=max(
-                e.predicted_partials_raw for e in estimates
+                e.predicted_partials_raw for e in distinct
             ),
         )
     reasons: list[str] = []
+    # Members under a plan/start_vertices override cannot share a walk.
+    fusable = len(patterns) > 1 and not opts.hooks("plan", "start_vertices")
     engine = _choose_engine(
-        estimates, opts, "fused" if len(patterns) > 1 else "accel-batch",
-        reasons,
+        distinct, opts, "fused" if fusable else "accel-batch", reasons
     )
-    use_approx, approx_rel_err = _choose_approx(estimates, opts, reasons)
+    use_approx, approx_rel_err = _choose_approx(distinct, opts, reasons)
     return QueryPlan(
         engine=engine,
         schedule=_choose_schedule(combined, opts, reasons),
-        frontier_chunk=_choose_frontier_chunk(estimates, opts, reasons),
+        frontier_chunk=_choose_frontier_chunk(distinct, opts, reasons),
         num_workers=_choose_workers(combined, num_workers, reasons),
         reasons=tuple(reasons),
         estimate=combined,
         use_approx=use_approx,
         approx_rel_err=approx_rel_err,
+        member_engines=tuple(
+            _choose_engine([est], opts, "accel-batch", []) for est in estimates
+        ),
     )
 
 

@@ -158,7 +158,7 @@ class BatchingQueue:
             # walk), and its stopping rule is a per-request contract
             # exactly like a budget.
             self.metrics.record_solo()
-            return await self.pool.run(_run_job, session, job, job.options)
+            return await self.pool.run(_run_job, session, job)
 
         bkey = (key, _options_signature(job.options))
         loop = asyncio.get_running_loop()
@@ -239,33 +239,34 @@ def _options_signature(options: dict) -> tuple:
 def _stage_job(session: MiningSession, job: QueryJob, options: dict):
     """One job's own probe → admit → plan: the staged query value.
 
-    Count jobs without a budget may be answered by the sampling tier,
-    so only they are staged as count-only.
+    Only count jobs may be answered by the sampling tier (a budget is an
+    observer: the stage keeps such a job exact).
     """
     return session._stage(
         [job.pattern],
         session.defaults.merged(options),
-        count_only=job.kind == "count" and job.budget is None,
+        count_only=job.kind == "count",
     )
 
 
-def _run_job(session: MiningSession, job: QueryJob, run_options: dict, staged=None):
+def _run_job(session: MiningSession, job: QueryJob, staged=None):
     """One job on its own: the solo path and the isolation fallback.
 
     Stage once, execute what was staged (``staged``: a batch member's
     own stage, already done) — the plan echoed is the plan that ran.
     """
     if staged is None:
-        overrides = dict(run_options)
+        overrides = dict(job.options)
         if job.budget is not None:
             overrides["budget"] = job.budget
         staged = _stage_job(session, job, overrides)
-    query_plan = staged[1]
     if job.kind == "count":
-        value = session._execute(staged)
+        [value] = session._execute(staged)
         if isinstance(value, ApproxCount):
-            return JobResult(int(value), query_plan, approx=value.as_dict())
-        return JobResult(int(value), query_plan)
+            return JobResult(
+                int(value), staged.query_plan, approx=value.as_dict()
+            )
+        return JobResult(int(value), staged.query_plan)
     rows: list[list[int]] = []
     limit = job.limit
 
@@ -273,8 +274,8 @@ def _run_job(session: MiningSession, job: QueryJob, run_options: dict, staged=No
         if limit is None or len(rows) < limit:
             rows.append(list(match.mapping))
 
-    total = session._execute(staged, collect)
-    return JobResult(int(total), query_plan, rows=rows)
+    [total] = session._execute(staged, [collect])
+    return JobResult(int(total), staged.query_plan, rows=rows)
 
 
 def _run_batch(session: MiningSession, jobs: list[QueryJob]):
@@ -295,17 +296,17 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
     # member escalated to the sampling tier is answered alone, and a
     # downgrade tightens the shared walk's frontier chunk.
     admitted: list[int] = []
-    plans: dict[int, QueryPlan] = {}
+    stages: dict[int, Any] = {}
     for i, job in enumerate(jobs):
         try:
-            staged = _stage_job(session, job, shared)
+            staged = stages[i] = _stage_job(session, job, shared)
         except ReproError as exc:
             outcomes[i] = exc
             continue
-        opts, plans[i], _ = staged
+        opts = staged.opts
         if opts.approx is not None:
             try:
-                outcomes[i] = _run_job(session, job, shared, staged)
+                outcomes[i] = _run_job(session, job, staged)
             except Exception as exc:
                 outcomes[i] = exc
             continue
@@ -357,11 +358,12 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
         totals = session.match_many(patterns, callbacks, **run_options)
     except Exception:
         # Isolation fallback: something in the fused call failed, and
-        # blame may belong to one member only.  Re-run each admitted job
-        # alone so errors land exactly where they arise.
+        # blame may belong to one member only.  Run each admitted job
+        # alone, from its own stage, so errors land exactly where they
+        # arise.
         for i in admitted:
             try:
-                outcomes[i] = _run_job(session, jobs[i], run_options)
+                outcomes[i] = _run_job(session, jobs[i], stages[i])
             except Exception as exc:
                 outcomes[i] = exc
         return outcomes, 0
@@ -369,6 +371,7 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
     for member, owners in enumerate(member_jobs):
         for i in owners:
             outcomes[i] = JobResult(
-                int(totals[member]), plans[i], rows=collected_rows.get(i)
+                int(totals[member]), stages[i].query_plan,
+                rows=collected_rows.get(i),
             )
     return outcomes, deduped

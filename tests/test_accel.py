@@ -69,15 +69,6 @@ class TestAcceleratedGraphView:
         assert view.labels is None
         assert view.vertices_with_label(0).size == 0
 
-    def test_from_csr_roundtrip(self):
-        g = with_random_labels(erdos_renyi(30, 0.2, seed=2), 2, seed=3)
-        view = AcceleratedGraphView(g)
-        rebuilt = AcceleratedGraphView.from_csr(*view.csr())
-        assert rebuilt.num_vertices == g.num_vertices
-        for v in g.vertices():
-            assert rebuilt.neighbors(v).tolist() == g.neighbors(v)
-        assert rebuilt.labels.tolist() == g.labels()
-
     def test_shared_view_cached(self):
         g = erdos_renyi(20, 0.3, seed=8)
         ordered, _ = g.degree_ordered()

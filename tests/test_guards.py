@@ -18,10 +18,17 @@ from repro.core.callbacks import Budget, BudgetMeter
 from repro.core.session import ExecOptions, MiningSession
 from repro.errors import (
     BudgetExceededError,
+    MatchingError,
     PartialResult,
     QueryRefusedError,
 )
-from repro.graph.generators import erdos_renyi, power_law, star_graph
+from repro.graph.generators import (
+    erdos_renyi,
+    power_law,
+    star_graph,
+    with_random_labels,
+)
+from repro.mining import fsm, labeled_motif_counts
 from repro.mining.sampling import ApproxCount
 from repro.pattern.generators import generate_chain, generate_clique
 from repro.pattern.pattern import Pattern
@@ -192,6 +199,32 @@ def _via_match_batches(graph, options):
     return total, session.last_query_plan
 
 
+def _via_match_many(graph, options):
+    session = MiningSession(graph, **options)
+    seen = []
+    totals = session.match_many([PATTERN, generate_chain(3)], [seen.append, None])
+    assert len(seen) == totals[0]
+    return totals[0], session.last_query_plan
+
+
+def _via_match_batches_many(graph, options):
+    session = MiningSession(graph, **options)
+    rows = [], []
+    totals = session.match_batches_many(
+        [PATTERN, generate_chain(3)], [rows[0].append, rows[1].append]
+    )
+    assert [sum(len(b) for b in batches) for batches in rows] == totals
+    return totals[0], session.last_query_plan
+
+
+def _via_aggregate(graph, options):
+    session = MiningSession(graph, **options)
+    by_edges = session.aggregate(
+        [PATTERN, generate_chain(3)], lambda m: (m.pattern.num_edges, 1)
+    )
+    return by_edges[PATTERN.num_edges], session.last_query_plan
+
+
 def _via_process_count_many(graph, options):
     session = MiningSession(graph, **options)
     counts = process_count_many(session, [PATTERN], num_processes=WORKERS)
@@ -252,6 +285,9 @@ SURFACES = {
     "count": (_via_count, True, False),
     "count_many": (_via_count_many, True, False),
     "match_batches": (_via_match_batches, False, False),
+    "match_many": (_via_match_many, False, False),
+    "match_batches_many": (_via_match_batches_many, False, False),
+    "aggregate": (_via_aggregate, False, False),
     "process_count_many": (_via_process_count_many, False, True),
     "parallel_match": (_via_parallel_match, False, True),
     "service_batch": (_via_service_batch, True, False),
@@ -269,7 +305,14 @@ def _as_int(value):
     return value.count if isinstance(value, _Estimate) else int(value)
 
 
-@pytest.mark.parametrize("surface", sorted(SURFACES))
+each_surface = pytest.mark.parametrize("surface", sorted(SURFACES))
+# surfaces that hand individual matches to a consumer
+ENUMERATING = (
+    "aggregate", "match_batches", "match_batches_many", "match_many",
+    "parallel_match",
+)
+
+
 class TestRoutingAcrossSurfaces:
     """refuse / downgrade / downgrade→approx / latency-budget routing is
     decided once, in ``MiningSession._stage``, so every surface that
@@ -286,6 +329,7 @@ class TestRoutingAcrossSurfaces:
     def truth(self, graph):
         return MiningSession(graph).count(PATTERN, engine="reference")
 
+    @each_surface
     def test_refuse_raises_before_any_work(self, surface, graph, monkeypatch):
         run, _, _ = SURFACES[surface]
         monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
@@ -295,6 +339,7 @@ class TestRoutingAcrossSurfaces:
             assert info.value.estimate.explosive
             assert info.value.partial == 0
 
+    @each_surface
     def test_mild_explosion_only_paces(
         self, surface, graph, truth, monkeypatch
     ):
@@ -312,6 +357,7 @@ class TestRoutingAcrossSurfaces:
         if pooled:
             assert plan.num_workers == guards.DOWNGRADE_MAX_WORKERS < WORKERS
 
+    @each_surface
     def test_deep_explosion_escalates_count_only_surfaces(
         self, surface, graph, truth, monkeypatch
     ):
@@ -325,6 +371,7 @@ class TestRoutingAcrossSurfaces:
         expected = guards.DOWNGRADE_APPROX_REL_ERR if samplable else None
         assert _requested_rel_err(value) == expected
 
+    @each_surface
     def test_latency_budget_routes_count_only_surfaces(
         self, surface, graph, truth
     ):
@@ -335,6 +382,29 @@ class TestRoutingAcrossSurfaces:
         assert _requested_rel_err(value) == expected
         roomy, _ = run(graph, {"latency_budget": 1e9})
         assert type(roomy) is int and roomy == truth
+
+    @pytest.mark.parametrize("surface", ENUMERATING)
+    def test_explicit_approx_with_consumers_raises(self, surface, graph):
+        # latency_budget is a hint an enumerating run ignores; an approx
+        # the caller (or the session defaults) spelled out is a request
+        # such a run cannot honour.
+        with pytest.raises(MatchingError):
+            SURFACES[surface][0](graph, {"approx": 0.05})
+
+    @pytest.mark.parametrize("symmetry_breaking", [True, False])
+    def test_latency_budget_is_a_hint_mining_entry_points_ignore(
+        self, graph, symmetry_breaking
+    ):
+        """Regression: a session whose defaults carry ``latency_budget``
+        raised ``MatchingError`` from every multi-pattern enumerating
+        verb, so ``labeled_motif_counts`` and ``fsm`` could not run."""
+        g = with_random_labels(graph, 2, seed=1)
+        flags = {"symmetry_breaking": symmetry_breaking}
+        plain = MiningSession(g, **flags)
+        hinted = MiningSession(g, latency_budget=1e-9, **flags)
+        assert labeled_motif_counts(hinted, 3) == labeled_motif_counts(plain, 3)
+        mined, expected = fsm(hinted, 2, threshold=2), fsm(plain, 2, threshold=2)
+        assert mined.frequent_by_size == expected.frequent_by_size
 
 
 class TestBudgetedVerbs:
@@ -439,16 +509,20 @@ class TestBudgetedVerbs:
         g = power_law(3000, gamma=2.0, d_min=6, seed=11)
         session = MiningSession(g)
         pattern = generate_clique(3)
-        budget = Budget(deadline=0.05)
+        class ElapsedBudget(Budget):
+            def meter(self):
+                meter = super().meter()
+                meter.deadline_at = time.perf_counter() - 1.0
+                return meter
+
+        budget = ElapsedBudget(deadline=0.05)
         opts = session.defaults.merged(
             {"engine": "auto", "budget": budget, "on_budget": "partial"}
         )
         # budgets do not demote dispatch
         assert planner.plan_query(session, pattern, opts).engine == "accel-batch"
 
-        meter = budget.meter()
-        meter.deadline_at = time.perf_counter() - 1.0  # deadline elapsed
-        result = session._run_match(pattern, None, opts, meter=meter)
+        [result] = session._execute(session._stage([pattern], opts))
         assert isinstance(result, PartialResult)
         assert result.truncated
         assert "deadline" in result.reason

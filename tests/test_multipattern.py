@@ -344,9 +344,9 @@ class TestOneExecutorEveryDriver:
         on_batches = [None, None, lambda a: rows.extend(map(tuple, a.tolist()))] + [
             None
         ] * (len(patterns) - 3)
-        totals = session._run_many(
-            patterns, callbacks, on_batches,
-            session.options(engine="fused", **flags),
+        totals = session._execute(
+            session._stage(patterns, session.options(engine="fused", **flags)),
+            callbacks, on_batches,
         )
         assert totals == list(_reference_counts(g, patterns, **flags).values())
         for got, pattern in ((seen, patterns[1]), (rows, patterns[2])):
@@ -372,7 +372,8 @@ class TestOneExecutorEveryDriver:
 
 def _compile(session, patterns, consumers=None, min_group=FUSED_MIN_GROUP, **options):
     """Stage then compile, as every driver does."""
-    opts, _, plans = session._stage(patterns, session.options(**options))
+    staged = session._stage(patterns, session.options(**options))
+    plans, opts = staged.plans, staged.opts
     return MultiPatternPlan.build(
         session, patterns, plans, opts, consumers, min_group
     )

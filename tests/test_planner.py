@@ -311,9 +311,9 @@ class TestPinsWin:
         monkeypatch.setattr(planner, "TIGHTEN_PARTIALS", 1.0)
         session = MiningSession(power_law(1500, gamma=2.1, d_min=4, seed=7))
         pattern = generate_clique(3)
-        free, free_plan, _ = session._stage(
+        free = session._stage(
             [pattern], session.options(), workers=None
-        )
+        ).opts
         assert (free.engine, free.schedule, free.frontier_chunk) == (
             "accel-batch", "dynamic", planner.PLANNED_FRONTIER_CHUNK
         )
@@ -321,9 +321,8 @@ class TestPinsWin:
             engine="reference", schedule="static", chunk_hint=3,
             frontier_chunk=99_999,
         )
-        opts, plan, _ = session._stage(
-            [pattern], session.options(**pins), workers=5
-        )
+        staged = session._stage([pattern], session.options(**pins), workers=5)
+        opts, plan = staged.opts, staged.query_plan
         for name, value in pins.items():
             assert getattr(opts, name) == value, name
         assert plan.num_workers == 5

@@ -915,14 +915,14 @@ class TestCancellation:
         the pooled path likewise raises only with chunks pending."""
         g = erdos_renyi(80, 0.2, seed=1)
         cancel = ExplorationControl()
-        real = MiningSession.count_many
+        real = MiningSession._execute
 
         def then_fire(self, *args, **kwargs):
             counts = real(self, *args, **kwargs)
             cancel.stop()
             return counts
 
-        monkeypatch.setattr(MiningSession, "count_many", then_fire)
+        monkeypatch.setattr(MiningSession, "_execute", then_fire)
         assert process_count(
             g, generate_clique(3), num_processes=1, cancel=cancel
         ) == 668

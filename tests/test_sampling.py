@@ -24,7 +24,6 @@ from repro.mining.sampling import (
     ApproxCount,
     approx_count,
     approx_count_many,
-    color_coding_count,
 )
 from repro.pattern import (
     Pattern,
@@ -197,28 +196,6 @@ class TestMultiPattern:
         )
         assert set(results) == set(patterns)
         assert all(isinstance(r, ApproxCount) for r in results.values())
-
-
-class TestColorCoding:
-    def test_triangle_estimate(self, ba_session):
-        exact = ba_session.count(generate_clique(3))
-        r = color_coding_count(
-            ba_session, generate_clique(3), num_colors=2, seed=1,
-            max_colorings=32,
-        )
-        assert r.method == "color-coding"
-        assert abs(r.estimate - exact) / exact < 0.5
-
-    def test_disconnected_pattern_rejected(self, ba_session):
-        disconnected = Pattern.from_edges([(0, 1), (2, 3)])
-        with pytest.raises(MatchingError):
-            color_coding_count(ba_session, disconnected, seed=1)
-
-    def test_vertex_induced_rejected(self, ba_session):
-        with pytest.raises(MatchingError):
-            color_coding_count(
-                ba_session, generate_clique(3), seed=1, edge_induced=False
-            )
 
 
 # ----------------------------------------------------------------------

@@ -252,7 +252,6 @@ class TestExecOptions:
         "engine": st.sampled_from(["reference", "accel-batch"]),
         "frontier_chunk": st.integers(min_value=1, max_value=64),
         "label_index": st.just(False),
-        "flush_size": st.integers(min_value=1, max_value=512),
     }
 
     @given(
@@ -260,18 +259,18 @@ class TestExecOptions:
             {}, optional=_OVERRIDE_SAMPLES
         ),
         base_engine=st.sampled_from(["auto", "reference"]),
-        base_flush=st.integers(min_value=1, max_value=9999),
+        base_hint=st.integers(min_value=1, max_value=9999),
     )
     @settings(max_examples=60)
     def test_merged_resolves_field_by_field(
-        self, overrides, base_engine, base_flush
+        self, overrides, base_engine, base_hint
     ):
         """Random override subsets: overridden fields take the override,
         every other field keeps the session default, and the defaults
         object itself is never mutated."""
         import dataclasses
 
-        defaults = ExecOptions(engine=base_engine, flush_size=base_flush)
+        defaults = ExecOptions(engine=base_engine, chunk_hint=base_hint)
         snapshot = dataclasses.asdict(defaults)
         merged = defaults.merged(overrides)
         for field in dataclasses.fields(ExecOptions):
@@ -295,7 +294,7 @@ class TestExecOptions:
     def test_merged_engine_none_inherits(self):
         defaults = ExecOptions(engine="reference")
         assert defaults.merged({"engine": None}).engine == "reference"
-        assert defaults.merged({"engine": None, "flush_size": 7}).flush_size == 7
+        assert defaults.merged({"engine": None, "chunk_hint": 7}).chunk_hint == 7
 
 
 # ----------------------------------------------------------------------
@@ -495,7 +494,7 @@ LEGACY_SIGNATURES = {
     "exists": ("graph", "pattern", "edge_induced", "engine"),
     "match_batches": (
         "graph", "pattern", "on_batch", "edge_induced", "symmetry_breaking",
-        "plan", "label_index", "engine", "frontier_chunk", "flush_size",
+        "plan", "label_index", "engine", "frontier_chunk",
     ),
 }
 
@@ -513,9 +512,6 @@ class TestLegacyShims:
         assert sig.parameters["symmetry_breaking"].default is True
         assert sig.parameters["engine"].default == "auto"
         assert sig.parameters["label_index"].default is True
-        assert inspect.signature(api_module.match_batches).parameters[
-            "flush_size"
-        ].default == 4096
 
     def test_precomputed_plan_still_honored(self):
         from repro.core import generate_plan
@@ -524,3 +520,232 @@ class TestLegacyShims:
         p = generate_clique(3)
         plan = generate_plan(p)
         assert count(g, p, plan=plan) == count(g, p)
+
+
+# ----------------------------------------------------------------------
+# Every query is a workload: a single-pattern verb is its many-verb of
+# one element, and every verb stages exactly once
+# ----------------------------------------------------------------------
+
+
+def _anti_edge_square() -> Pattern:
+    p = Pattern.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+    p.add_anti_edge(0, 2)
+    return p
+
+
+WORKLOAD_PATTERNS = {
+    "clique3": lambda: generate_clique(3),
+    "chain4": lambda: generate_chain(4),
+    "anti-edge-square": _anti_edge_square,
+    "labeled-chain": lambda: _labeled(generate_chain(3), {0: 0, 2: 1}),
+    "labeled-top": lambda: _labeled(generate_clique(3), {0: 1, 1: 1, 2: 1}),
+}
+
+workload_cases = given(
+    name=st.sampled_from(sorted(WORKLOAD_PATTERNS)),
+    seed=st.integers(min_value=0, max_value=50),
+    engine=st.sampled_from(["accel-batch", "reference"]),
+    edge_induced=st.booleans(),
+)
+
+
+def _workload_case(name, seed, n=32):
+    graph = with_random_labels(erdos_renyi(n, 0.25, seed=seed), 2, seed=seed)
+    return MiningSession(graph), WORKLOAD_PATTERNS[name]()
+
+
+class TestWorkloadOfOne:
+    @workload_cases
+    @settings(max_examples=25, deadline=None)
+    def test_exact_verbs_equal_their_many_verb_of_one(
+        self, name, seed, engine, edge_induced
+    ):
+        session, p = _workload_case(name, seed)
+        flags = {"engine": engine, "edge_induced": edge_induced}
+        total = session.count(p, **flags)
+        assert type(total) is int
+        assert session.count_many([p], **flags) == {p: total}
+        assert session.exists(p, **flags) == (total > 0)
+
+        one, many = [], []
+        assert session.match(p, lambda m: one.append(m.mapping), **flags) == total
+        assert session.match_many(
+            [p], [lambda m: many.append(m.mapping)], **flags
+        ) == [total]
+        assert one == many  # the callback *sequence*
+
+        rows_one, rows_many = [], []
+        session.match_batches(
+            p, lambda a: rows_one.extend(map(tuple, a.tolist())), **flags
+        )
+        session.match_batches_many(
+            [p], [lambda a: rows_many.extend(map(tuple, a.tolist()))], **flags
+        )
+        assert sorted(rows_one) == sorted(rows_many) == sorted(one)
+
+    @workload_cases
+    @settings(max_examples=25, deadline=None)
+    def test_estimates_and_partials_equal_field_for_field(
+        self, name, seed, engine, edge_induced
+    ):
+        from repro.core.callbacks import Budget
+        from repro.errors import PartialResult
+        from repro.mining.sampling import ApproxCount
+
+        session, p = _workload_case(name, seed, n=90)
+        flags = {"engine": engine, "edge_induced": edge_induced}
+        knobs = {"approx": 0.2, "seed": seed, "max_samples": 40, **flags}
+        estimate = session.count(p, **knobs)
+        assert isinstance(estimate, ApproxCount)
+        assert session.count_many([p], **knobs) == {p: estimate}
+
+        budget = {"budget": Budget(max_frontier_rows=1), "on_budget": "partial"}
+        cut = session.count(p, **budget, **flags)
+        [many] = session.count_many([p], **budget, **flags).values()
+        for partial in (cut, many):
+            assert type(partial) is PartialResult and partial.truncated
+        assert (int(cut), cut.reason, cut.levels_completed, cut.detail) == (
+            int(many), many.reason, many.levels_completed, many.detail
+        )
+
+    @pytest.mark.parametrize("engine", ["accel-batch", "reference"])
+    def test_refusal_and_fused_pin_raise_alike(self, engine, monkeypatch):
+        from repro.errors import QueryRefusedError
+        from repro.runtime import guards
+
+        session, p = _workload_case("clique3", 3)
+        monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
+        for run in (
+            lambda **o: session.count(p, **o),
+            lambda **o: session.count_many([p], **o),
+            lambda **o: session.match(p, lambda m: None, **o),
+            lambda **o: session.match_many([p], [lambda m: None], **o),
+        ):
+            with pytest.raises(QueryRefusedError, match="refused"):
+                run(guard="refuse", engine=engine)
+        # "fused" names the multi-pattern runner: the single verbs
+        # reject it as a bad value, the many-verbs of one accept it.
+        for verb in (
+            lambda: session.count(p, engine="fused"),
+            lambda: session.match(p, engine="fused"),
+            lambda: session.exists(p, engine="fused"),
+            lambda: session.match_batches(p, lambda a: None, engine="fused"),
+        ):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                verb()
+        monkeypatch.undo()
+        assert session.count_many([p], engine="fused") == {
+            p: session.count(p, engine=engine)
+        }
+
+
+def _count_stages(monkeypatch) -> list:
+    calls = []
+    real = MiningSession._stage
+
+    def spy(self, patterns, *args, **kwargs):
+        calls.append(list(patterns))
+        return real(self, patterns, *args, **kwargs)
+
+    monkeypatch.setattr(MiningSession, "_stage", spy)
+    return calls
+
+
+class TestOneStagePerVerb:
+    def test_every_session_verb_stages_once(self, monkeypatch):
+        g = with_random_labels(erdos_renyi(40, 0.25, seed=2), 2, seed=2)
+        session = MiningSession(g)
+        p, q = generate_clique(3), generate_chain(3)
+        # label-pinned: its frontier differs, so under engine="auto" it
+        # runs outside any fused group
+        single = WORKLOAD_PATTERNS["labeled-top"]()
+        multi = session.options(engine="auto")
+        staged = session._stage([p, q, single], multi)
+        assert staged.opts.engine == "fused"
+        from repro.core.session import MultiPatternPlan
+
+        compiled = MultiPatternPlan.build(
+            session, staged.patterns, staged.plans, staged.opts
+        )
+        assert compiled.singles == (2,)
+
+        calls = _count_stages(monkeypatch)
+        verbs = [
+            lambda: session.count(p),
+            lambda: session.count(p, approx=0.2, seed=1),
+            lambda: session.match(p, lambda m: None),
+            lambda: session.exists(p),
+            lambda: session.match_batches(p, lambda a: None),
+            lambda: session.count_many([p, q, single]),
+            lambda: session.count_many([p, q, single], approx=0.2, seed=1),
+            lambda: session.match_many([p, q, single], [None] * 3),
+            lambda: session.match_batches_many(
+                [p, q, single], [lambda a: None] * 3
+            ),
+            lambda: session.aggregate([p, q, single], lambda m: ("n", 1)),
+        ]
+        for verb in verbs:
+            del calls[:]
+            verb()
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_a_service_batch_of_k_stages_k_plus_one(self, k, monkeypatch):
+        from repro.service.batching import QueryJob, _run_batch
+
+        g = erdos_renyi(40, 0.25, seed=2)
+        session = MiningSession(g)
+        patterns = [generate_clique(3), generate_chain(3), generate_star(3)][:k]
+        expected = [session.count(p) for p in patterns]
+        calls = _count_stages(monkeypatch)
+        outcomes, _ = _run_batch(
+            session, [QueryJob("count", p) for p in patterns]
+        )
+        assert [o.count for o in outcomes] == expected
+        # each member's own admission, then the one shared walk
+        assert [len(c) for c in calls] == [1] * k + [k]
+
+
+class TestProbeCache:
+    @pytest.mark.parametrize("symmetry_breaking", [True, False])
+    def test_probes_are_cached_by_what_the_probe_reads(
+        self, symmetry_breaking, monkeypatch
+    ):
+        """An FSM run probes once per distinct ``(width, frontier key,
+        symmetry_breaking)`` — not once per pattern — and every pattern
+        still gets the estimate its own standalone probe measures."""
+        from repro.mining import fsm
+        from repro.runtime import guards
+
+        g = with_random_labels(erdos_renyi(60, 0.15, seed=4), 3, seed=4)
+        session = MiningSession(g)
+        staged = _count_stages(monkeypatch)
+        probes = []
+        real = guards.probe
+
+        def spy(*args, **kwargs):
+            probes.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(guards, "probe", spy)
+        fsm(session, 3, threshold=2, symmetry_breaking=symmetry_breaking)
+        patterns = {p for workload in staged for p in workload}
+        triples = {
+            (
+                p.num_vertices,
+                session._frontier_key(
+                    session.plan_for(p, symmetry_breaking=symmetry_breaking)
+                ),
+                symmetry_breaking,
+            )
+            for p in patterns
+        }
+        assert len(patterns) > len(triples) == len(probes)
+        monkeypatch.undo()
+        for p in patterns:
+            opts = session.options(symmetry_breaking=symmetry_breaking)
+            [cached] = session._estimates([p], opts)[1]
+            assert cached == guards.estimate_cost(
+                g, p, symmetry_breaking=symmetry_breaking
+            )
