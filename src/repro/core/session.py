@@ -988,12 +988,6 @@ class MiningSession:
         if num_threads > 1:
             from ..runtime.parallel import _thread_match
 
-            if opts.latency_budget is not None:
-                raise MatchingError(
-                    "latency_budget routes count-only queries to the sampling "
-                    f"tier; aggregate(num_threads={num_threads}) enumerates "
-                    "every match — drop it or use num_threads=1"
-                )
             # One shared destination across every pattern's run, so
             # on_update observes cumulative totals (the Fig 4b
             # threshold-stop idiom keeps working across patterns).  The
@@ -1146,10 +1140,11 @@ class MiningSession:
         own planned engine — the two cover every index exactly once.
         ``callbacks[i]`` / ``on_batches[i]`` consume member ``i``'s
         matches (caller ids).  A staged ``approx`` answers the whole
-        workload from the sampling tier instead; ``on_budget="partial"``
-        turns a budget trip into flagged partial totals.
+        workload from the sampling tier instead (which raises when the
+        stage has consumers or observers); ``on_budget="partial"`` turns
+        a budget trip into flagged partial totals.
         """
-        patterns, plans, opts, query_plan, samplable = staged
+        patterns, plans, opts, query_plan, _ = staged
         n = len(patterns)
         callbacks = list(callbacks) if callbacks is not None else [None] * n
         on_batches = list(on_batches) if on_batches is not None else [None] * n
@@ -1158,15 +1153,9 @@ class MiningSession:
                 "callbacks/on_batches must align one-to-one with patterns"
             )
         if opts.approx is not None:
-            if not samplable:
-                raise MatchingError(
-                    "approx=... is count-only: it does not support "
-                    "callbacks, batch consumers, budgets, controls, "
-                    "stats/timer hooks or explicit start_vertices"
-                )
             from ..mining.sampling import approx_count_many_session
 
-            return approx_count_many_session(self, patterns, plans, opts)
+            return approx_count_many_session(self, staged)
         # A control never pins per-pattern dispatch: fused_run polls it
         # between frontier slices and threads it into every member
         # engine, so deadline/stop tokens ride the fused walk too.
@@ -1182,12 +1171,8 @@ class MiningSession:
                 for idx, (cb, ob) in enumerate(zip(callbacks, on_batches))
                 if cb is not None or ob is not None
             }
-            # A pinned "fused" is every member's own engine too: even a
-            # lone member then runs as a fused group of one.
-            pinned = "fused" in query_plan.member_engines
             multi = MultiPatternPlan.build(
-                self, patterns, plans, opts, consumers,
-                min_group=1 if pinned else FUSED_MIN_GROUP,
+                self, patterns, plans, opts, consumers, query_plan.min_group
             )
             remaining = multi.singles
         totals: list = [None] * n

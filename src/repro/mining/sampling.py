@@ -60,8 +60,10 @@ from ..core.session import (
     ExecOptions,
     MiningSession,
     MultiPatternPlan,
+    StagedQuery,
     as_session,
 )
+from ..errors import MatchingError
 from ..pattern.pattern import Pattern
 
 __all__ = [
@@ -330,6 +332,7 @@ def _estimate_group(
     confidence: float,
     max_samples: int | None,
     rng: random.Random,
+    round_starts: int = ROUND_STARTS,
 ) -> list[ApproxCount]:
     """Run the stratified round loop for one shared-frontier group.
 
@@ -349,7 +352,7 @@ def _estimate_group(
     allow_exact = budget >= N
     h = min(HUB_EXHAUST, N // 2, budget // 2)
     tail = N - h
-    m = max(1, min(ROUND_STARTS, tail))
+    m = max(1, min(round_starts, tail))
     if not allow_exact:
         m = max(1, min(m, (budget - h) // MIN_ROUNDS))
     if (max_samples is not None and max_samples >= N) or (
@@ -416,17 +419,18 @@ def _estimate_group(
 
 def approx_count_many_session(
     session: MiningSession,
-    patterns: Sequence[Pattern],
-    plans,
-    opts: ExecOptions,
+    staged: StagedQuery,
+    round_starts: int = ROUND_STARTS,
 ) -> list[ApproxCount]:
     """Estimate every pattern of a staged workload, in input order.
 
     The internal target of ``count(pattern, approx=...)`` (the workload
-    of one) and ``count_many(patterns, approx=...)``: ``plans`` and
-    ``opts`` come out of the session's dispatch stage, and
+    of one) and ``count_many(patterns, approx=...)``: ``staged`` comes
+    out of the session's dispatch stage, and its
     ``opts.approx``/``confidence``/``max_samples``/``seed`` drive the
-    loop.  The workload compiles exactly like the exact fused path
+    loop; a stage with match consumers or progress observers
+    (``staged.samplable`` false) raises — an estimate has no matches to
+    hand over.  The workload compiles exactly like the exact fused path
     (:meth:`~repro.core.session.MultiPatternPlan.build`: groups by
     pinned-start-label signature, census tier included — Möbius
     inversion is linear, so per-round restricted basis counts invert
@@ -436,8 +440,16 @@ def approx_count_many_session(
     loop runs until every member meets the target, so shared rounds are
     never wasted).  The ``max_samples`` budget applies per group.  A
     staged engine other than ``"fused"`` runs each member on it over the
-    same starts.
+    same starts.  ``round_starts`` is the per-round draw count
+    (:func:`approx_count_many` exposes it).
     """
+    patterns, plans, opts, _, samplable = staged
+    if not samplable:
+        raise MatchingError(
+            "approx=... is count-only: it does not support callbacks, "
+            "batch consumers, budgets, controls, stats/timer hooks or "
+            "explicit start_vertices"
+        )
     inner = _inner_opts(opts)
     multi = MultiPatternPlan.build(session, patterns, plans, inner, min_group=1)
     rng = random.Random(opts.seed)
@@ -465,6 +477,7 @@ def approx_count_many_session(
             confidence=opts.confidence,
             max_samples=opts.max_samples,
             rng=rng,
+            round_starts=round_starts,
         )
         for idx, result in zip(group, group_results):
             results[idx] = result
@@ -504,14 +517,27 @@ def approx_count_many(
     confidence: float = DEFAULT_CONFIDENCE,
     max_samples: int | None = None,
     seed: int | None = None,
+    round_starts: int = ROUND_STARTS,
     **options,
 ) -> dict[Pattern, ApproxCount]:
     """Estimate every pattern's count, sharing fused sampled walks.
 
     The functional spelling of ``session.count_many(patterns,
-    approx=rel_err, ...)`` (see :func:`approx_count`).
+    approx=rel_err, ...)`` (see :func:`approx_count`), with the one
+    geometry knob a caller sets: ``round_starts``, the per-round draw
+    count — ``benchmarks/bench_approx.py`` measures its 150k-start
+    census at 1,024.  Same stage, same sampling entry as the verb.
     """
-    return as_session(graph_or_session).count_many(
-        patterns, approx=rel_err, confidence=confidence,
-        max_samples=max_samples, seed=seed, **options,
+    session = as_session(graph_or_session)
+    patterns = list(patterns)
+    opts = session.defaults.merged(
+        dict(
+            options, approx=rel_err, confidence=confidence,
+            max_samples=max_samples, seed=seed,
+        ),
+        multi=True,
     )
+    staged = session._stage(patterns, opts, count_only=True)
+    return dict(zip(
+        patterns, approx_count_many_session(session, staged, round_starts)
+    ))

@@ -811,7 +811,9 @@ def process_count_many(
     from the in-process path too.  ``guard`` ("refuse" or "downgrade")
     applies the :mod:`~repro.runtime.guards` admission decision first —
     refusing predicted-explosive pattern sets or capping the worker
-    count.
+    count.  This driver counts exactly, whatever size its pool ends up:
+    a session whose defaults carry ``approx`` raises
+    :class:`~repro.errors.MatchingError`.
     """
     session = as_session(graph)
     has_fork = "fork" in multiprocessing.get_all_start_methods()
@@ -822,19 +824,23 @@ def process_count_many(
             f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
         )
     patterns = list(patterns)
-    staged = session._stage(
-        patterns,
-        session.options(
-            edge_induced=edge_induced,
-            symmetry_breaking=symmetry_breaking,
-            label_index=label_index,
-            schedule=schedule,
-            chunk_hint=chunk_hint,
-            frontier_chunk=frontier_chunk,
-            guard=guard,
-        ),
-        workers=num_processes,
+    opts = session.options(
+        edge_induced=edge_induced,
+        symmetry_breaking=symmetry_breaking,
+        label_index=label_index,
+        schedule=schedule,
+        chunk_hint=chunk_hint,
+        frontier_chunk=frontier_chunk,
+        guard=guard,
     )
+    if opts.approx is not None:
+        # Only a session default can carry it here.  Rejected up front
+        # so a pool of one and a real pool behave alike.
+        raise MatchingError(
+            "['approx'] not available under processes: drop the option or "
+            "use count_many(approx=...) in process"
+        )
+    staged = session._stage(patterns, opts, workers=num_processes)
     opts, plans = staged.opts, staged.plans
     num_processes = staged.query_plan.num_workers
     if num_processes <= 1 or not patterns:

@@ -38,7 +38,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from ..core.session import INSTRUMENTS, as_session
+from ..core.session import FUSED_MIN_GROUP, INSTRUMENTS, as_session
 from ..errors import MatchingError
 from . import guards
 
@@ -110,9 +110,11 @@ class QueryPlan:
     service echo; ``estimate`` is the probe behind them (the members'
     aggregate for a workload).  ``member_engines[i]`` is the engine
     member ``i`` runs on when it shares no fused walk: the same engine
-    rule applied to its own estimate, or the caller's pin — a pinned
-    ``"fused"`` included, under which even a lone member runs as a fused
-    group of one.
+    rule applied to its own estimate, or the caller's pin.
+    ``min_group`` is the smallest group a fused workload compiles: 1
+    when the caller pinned ``engine="fused"`` (even a lone member then
+    runs as a fused group of one), :data:`FUSED_MIN_GROUP` when the
+    plan chose it.
     """
 
     engine: str
@@ -127,6 +129,7 @@ class QueryPlan:
     use_approx: bool = False
     approx_rel_err: float | None = None
     member_engines: tuple[str, ...] = ()
+    min_group: int = FUSED_MIN_GROUP
 
     def as_dict(self) -> dict:
         """JSON-friendly form (service envelopes, bench artifacts)."""
@@ -360,6 +363,7 @@ def plan_workload(
         member_engines=tuple(
             _choose_engine([est], opts, "accel-batch", []) for est in estimates
         ),
+        min_group=1 if opts.engine == "fused" else FUSED_MIN_GROUP,
     )
 
 

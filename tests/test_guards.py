@@ -225,6 +225,14 @@ def _via_aggregate(graph, options):
     return by_edges[PATTERN.num_edges], session.last_query_plan
 
 
+def _via_aggregate_threads(graph, options):
+    session = MiningSession(graph, **options)
+    by_edges = session.aggregate(
+        PATTERN, lambda m: (m.pattern.num_edges, 1), num_threads=WORKERS
+    )
+    return by_edges[PATTERN.num_edges], session.last_query_plan
+
+
 def _via_process_count_many(graph, options):
     session = MiningSession(graph, **options)
     counts = process_count_many(session, [PATTERN], num_processes=WORKERS)
@@ -288,6 +296,7 @@ SURFACES = {
     "match_many": (_via_match_many, False, False),
     "match_batches_many": (_via_match_batches_many, False, False),
     "aggregate": (_via_aggregate, False, False),
+    "aggregate_threads": (_via_aggregate_threads, False, True),
     "process_count_many": (_via_process_count_many, False, True),
     "parallel_match": (_via_parallel_match, False, True),
     "service_batch": (_via_service_batch, True, False),
@@ -308,8 +317,8 @@ def _as_int(value):
 each_surface = pytest.mark.parametrize("surface", sorted(SURFACES))
 # surfaces that hand individual matches to a consumer
 ENUMERATING = (
-    "aggregate", "match_batches", "match_batches_many", "match_many",
-    "parallel_match",
+    "aggregate", "aggregate_threads", "match_batches", "match_batches_many",
+    "match_many", "parallel_match",
 )
 
 
@@ -390,6 +399,16 @@ class TestRoutingAcrossSurfaces:
         # such a run cannot honour.
         with pytest.raises(MatchingError):
             SURFACES[surface][0](graph, {"approx": 0.05})
+
+    @pytest.mark.parametrize("num_processes", [1, 2])
+    def test_process_pool_rejects_default_approx_at_any_size(
+        self, graph, num_processes
+    ):
+        # It counts exactly, so the outcome must not depend on whether
+        # the pool was planned or capped to one.
+        session = MiningSession(graph, approx=0.05)
+        with pytest.raises(MatchingError, match="under processes"):
+            process_count_many(session, [PATTERN], num_processes=num_processes)
 
     @pytest.mark.parametrize("symmetry_breaking", [True, False])
     def test_latency_budget_is_a_hint_mining_entry_points_ignore(

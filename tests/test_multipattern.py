@@ -622,12 +622,18 @@ class TestParallelAggregate:
             ("budget", Budget(deadline=1e-9)),
             ("budget", Budget(max_matches=5)),
             ("approx", 0.1),
-            ("latency_budget", 1.0),
         ):
             with pytest.raises(MatchingError, match=name):
                 session.aggregate(
                     generate_clique(3), map_fn, num_threads=2, **{name: value}
                 )
+        # latency_budget is a routing hint: an enumerating run ignores it
+        # at any thread count.
+        for num_threads in (1, 2):
+            assert session.aggregate(
+                generate_clique(3), map_fn, num_threads=num_threads,
+                latency_budget=1e-9,
+            ) == {"k": session.count(generate_clique(3))}
 
     def test_threaded_aggregate_forwards_guard_and_label_index(self, monkeypatch):
         """Regression: per-call guard/label_index never reached the

@@ -330,6 +330,19 @@ class TestPinsWin:
             "reference", "static", 99_999
         )
 
+    def test_pinned_fused_compiles_groups_of_one(self):
+        # The planner states the group floor next to the engine rule;
+        # _execute reads it instead of inferring the pin.
+        from repro.core.session import FUSED_MIN_GROUP
+
+        session = MiningSession(power_law(1500, gamma=2.1, d_min=4, seed=7))
+        patterns = [generate_clique(3), generate_chain(3)]
+        chosen = planner.plan_workload(session, patterns)
+        pinned = planner.plan_workload(session, patterns, engine="fused")
+        assert chosen.engine == pinned.engine == "fused"
+        assert (chosen.min_group, pinned.min_group) == (FUSED_MIN_GROUP, 1)
+        assert "min_group" not in pinned.as_dict()
+
     def test_explicit_thread_count_runs_exactly_that_many(self, monkeypatch):
         from repro.runtime.parallel import parallel_match
 

@@ -17,6 +17,7 @@ import io
 
 import pytest
 
+from repro.core.engine import EngineStats
 from repro.core.session import ExecOptions, MiningSession
 from repro.errors import MatchingError
 from repro.graph import barabasi_albert, erdos_renyi, from_edges
@@ -196,6 +197,24 @@ class TestMultiPattern:
         )
         assert set(results) == set(patterns)
         assert all(isinstance(r, ApproxCount) for r in results.values())
+
+    def test_round_starts_is_the_functional_spellings_one_extra_knob(
+        self, ba_session
+    ):
+        # bench_approx.py sets it; at the default the spelling is the verb.
+        patterns = [generate_clique(3), generate_star(3)]
+        knobs = dict(max_samples=600, seed=3)
+        assert approx_count_many(
+            ba_session, patterns, rel_err=0.05, **knobs
+        ) == ba_session.count_many(patterns, approx=0.05, **knobs)
+        hub = 300  # half the 600-start budget on this 800-start frontier
+        for r in approx_count_many(
+            ba_session, patterns, rel_err=1e-6, round_starts=16, **knobs
+        ).values():
+            assert not r.exact and r.samples == hub + 16 * r.rounds
+        # same contract as the verb: an estimate has no matches to observe
+        with pytest.raises(MatchingError, match="count-only"):
+            approx_count_many(ba_session, patterns, stats=EngineStats())
 
 
 # ----------------------------------------------------------------------
