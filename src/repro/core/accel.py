@@ -128,27 +128,9 @@ class AcceleratedGraphView:
 
     def __init__(self, graph: DataGraph):
         self.graph = graph
-        arrays = graph.csr_arrays()
-        if arrays is not None:
-            # Array-backed graph (mmap store / .npz load): alias its CSR
-            # sections zero-copy — cold start is the mmap call the loader
-            # already made, not an O(E) rebuild.
-            offsets, flat, labels = arrays
-            self._offsets = offsets
-            self._flat = flat
-            self._labels = labels
-        else:
-            degrees = [graph.degree(v) for v in graph.vertices()]
-            self._offsets = np.zeros(graph.num_vertices + 1, dtype=np.int64)
-            np.cumsum(degrees, out=self._offsets[1:])
-            self._flat = np.empty(int(self._offsets[-1]), dtype=np.int64)
-            for v in graph.vertices():
-                lo, hi = self._offsets[v], self._offsets[v + 1]
-                self._flat[lo:hi] = graph.neighbors(v)
-            labels = graph.labels()
-            self._labels = (
-                np.asarray(labels, dtype=np.int64) if labels is not None else None
-            )
+        # Alias the graph's own CSR arrays: building a view copies
+        # nothing, so a cold start on an mmap store stays O(header).
+        self._offsets, self._flat, self._labels = graph.csr_arrays()
         self._label_arrays: dict[int, np.ndarray] | None = None
         self._adj_keys: np.ndarray | None = None
         self._degrees: np.ndarray | None = None

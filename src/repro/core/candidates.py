@@ -1,10 +1,13 @@
-"""Sorted-list set operations used by the matching engine.
+"""Sorted-sequence set operations used by the reference interpreter.
 
-All adjacency lists in :class:`~repro.graph.graph.DataGraph` are sorted, so
+All adjacency rows in :class:`~repro.graph.graph.DataGraph` are sorted, so
 candidate generation reduces to merge-style intersections, differences and
 binary-search range restriction — the operations §4 builds everything from.
-The functions here are the library's hot loop; they stick to plain lists and
-``bisect`` because those are the fastest exact-set primitives in CPython.
+The functions here are the interpreter's hot loop.  They accept any sorted
+sequence (the graph's array slices included) and always return plain lists;
+they are fastest on lists, because ``bisect`` over Python ints is the fastest
+exact-set primitive in CPython — which is why :mod:`repro.core.engine`
+converts each row it touches with ``.tolist()`` once per run.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ def intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """
     if len(a) > len(b):
         a, b = b, a
-    # len() checks, not truthiness: array-backed graphs hand us numpy
-    # slices, whose bool() is ambiguous beyond one element.
+    # len() checks, not truthiness: graph rows are numpy slices, whose
+    # bool() is ambiguous beyond one element.
     if len(a) == 0 or len(b) == 0:
         return []
     out = []

@@ -78,11 +78,26 @@ def default_task_order(graph: DataGraph) -> range:
     return range(graph.num_vertices - 1, -1, -1)
 
 
+class _Memo(dict):
+    """``memo[v]`` is ``fetch(v)``, computed on first use and kept.
+
+    The graph stores rows and labels as arrays, but the hot loops below
+    are fastest over plain lists and ints; a run converts each row and
+    label it touches once and keeps it for its own length.
+    """
+
+    def __init__(self, fetch: Callable[[int], object]):
+        self.fetch = fetch
+
+    def __missing__(self, v: int):
+        value = self[v] = self.fetch(v)
+        return value
+
+
 class _Run:
     """Mutable state for one engine invocation over a set of tasks."""
 
     __slots__ = (
-        "graph",
         "plan",
         "on_match",
         "control",
@@ -90,6 +105,7 @@ class _Run:
         "timer",
         "count_only",
         "labels",
+        "rows",
         "mapping",
         "used",
         "matches",
@@ -107,14 +123,15 @@ class _Run:
         timer,
         count_only: bool,
     ):
-        self.graph = graph
         self.plan = plan
         self.on_match = on_match
         self.control = control
         self.stats = stats
         self.timer = timer
         self.count_only = count_only and on_match is None
-        self.labels = graph.labels()
+        labels = graph.labels()
+        self.labels = None if labels is None else _Memo(labels.item)
+        self.rows = _Memo(lambda v: graph.neighbors(v).tolist())
         pattern = plan.matched_pattern
         if pattern.is_labeled and self.labels is None:
             raise MatchingError(
@@ -138,7 +155,6 @@ class _Run:
         """Explore every match whose top core position holds ``start``."""
         if self.stats is not None:
             self.stats.tasks += 1
-        graph = self.graph
         for oc in self.plan.ordered_cores:
             top = oc.size - 1
             label = oc.labels[top]
@@ -155,14 +171,14 @@ class _Run:
 
     def _match_core(self, oc: OrderedCore, pos_map: list[int], i: int) -> None:
         """Assign position ``i`` (descending) of the ordered core."""
-        graph = self.graph
+        rows = self.rows
         timer = self.timer
         later_nbrs = oc.later_neighbors(i)
         upper = pos_map[i + 1]
         if later_nbrs:
             if timer is not None:
                 timer.start("core")
-            lists = [graph.neighbors(pos_map[j]) for j in later_nbrs]
+            lists = [rows[pos_map[j]] for j in later_nbrs]
             base = intersect_many(lists) if len(lists) > 1 else lists[0]
             if timer is not None:
                 timer.stop("core")
@@ -181,7 +197,7 @@ class _Run:
             if timer is not None:
                 timer.start("core")
             for j in anti_later:
-                cands = difference(cands, graph.neighbors(pos_map[j]))
+                cands = difference(cands, rows[pos_map[j]])
             if timer is not None:
                 timer.stop("core")
             anti_later = []
@@ -192,7 +208,7 @@ class _Run:
             if label is not None and labels[v] != label:
                 continue
             if anti_later and any(
-                contains(graph.neighbors(pos_map[j]), v) for j in anti_later
+                contains(rows[pos_map[j]], v) for j in anti_later
             ):
                 continue
             pos_map[i] = v
@@ -232,16 +248,16 @@ class _Run:
             self._report()
             return
         step = steps[step_index]
-        graph = self.graph
+        rows = self.rows
         mapping = self.mapping
         timer = self.timer
 
         if timer is not None:
             timer.start("noncore")
-        lists = [graph.neighbors(mapping[v]) for v in step.neighbors]
+        lists = [rows[mapping[v]] for v in step.neighbors]
         cands = intersect_many(lists) if len(lists) > 1 else list(lists[0])
         for a in step.anti_neighbors:
-            cands = difference(cands, graph.neighbors(mapping[a]))
+            cands = difference(cands, rows[mapping[a]])
         if timer is not None:
             timer.stop("noncore")
 
@@ -296,7 +312,7 @@ class _Run:
         """A full regular-vertex assignment: verify anti-vertices, emit."""
         checks = self.plan.anti_vertex_checks
         if checks:
-            graph = self.graph
+            rows = self.rows
             mapping = self.mapping
             used = self.used
             timer = self.timer
@@ -304,9 +320,7 @@ class _Run:
                 timer.start("noncore")
             try:
                 for check in checks:
-                    lists = [
-                        graph.neighbors(mapping[v]) for v in check.neighbors
-                    ]
+                    lists = [rows[mapping[v]] for v in check.neighbors]
                     common = (
                         intersect_many(lists) if len(lists) > 1 else lists[0]
                     )

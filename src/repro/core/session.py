@@ -493,7 +493,6 @@ class MiningSession:
         "graph",
         "defaults",
         "_ordered",
-        "_old_of_new",
         "_translation",
         "_plans",
         "_starts",
@@ -525,8 +524,7 @@ class MiningSession:
         self.graph = _coerce_graph(graph)
         self.defaults = base
         self._ordered: DataGraph | None = None
-        self._old_of_new: list[int] | None = None
-        self._translation = None  # numpy mirror of _old_of_new (lazy)
+        self._translation = None
         self._plans: dict[tuple, ExplorationPlan] = {}
         self._starts: dict[frozenset | None, Any] = {}
         self._census: dict[tuple, CensusTransform] = {}
@@ -568,18 +566,18 @@ class MiningSession:
             ordered, old_of_new = self.graph.degree_ordered()
             # Publish the translation before the ordered graph: a
             # concurrent first use observing _ordered set may then rely
-            # on _old_of_new being set too (no lock on the lazy init;
+            # on _translation being set too (no lock on the lazy init;
             # degree_ordered itself is idempotent and graph-cached).
-            self._old_of_new = old_of_new
+            self._translation = old_of_new
             self._ordered = ordered
         return self._ordered
 
     @property
-    def translation(self) -> list[int]:
-        """``old_of_new`` id map from ordered ids back to caller ids."""
-        if self._old_of_new is None:
+    def translation(self) -> np.ndarray:
+        """``old_of_new`` int64 id map from ordered ids back to caller ids."""
+        if self._translation is None:
             self.ordered
-        return self._old_of_new
+        return self._translation
 
     @property
     def view(self):
@@ -638,7 +636,6 @@ class MiningSession:
         self._guard_cache.clear()
         self.last_query_plan = None
         self._ordered = None
-        self._old_of_new = None
         self._translation = None
         graph = self.graph
         if graph is not None:
@@ -723,11 +720,11 @@ class MiningSession:
         self, callback: Callable[[Match], None]
     ) -> Callable[[Match], None]:
         """Wrap ``callback`` to report matches in the caller's vertex ids."""
-        old_of_new = self.translation
+        old_of_new = self.translation.item  # plain ints, not numpy scalars
 
         def wrapper(m: Match) -> None:
             translated = tuple(
-                old_of_new[v] if v >= 0 else -1 for v in m.mapping
+                old_of_new(v) if v >= 0 else -1 for v in m.mapping
             )
             callback(Match(m.pattern, translated))
 
@@ -925,9 +922,7 @@ class MiningSession:
 
     def _batch_emitter(self, on_batch) -> Callable:
         """Wrap ``on_batch`` to receive rows in the caller's vertex ids."""
-        if self._translation is None:
-            self._translation = np.asarray(self.translation, dtype=np.int64)
-        translation = self._translation
+        translation = self.translation
 
         def emit(mappings) -> None:
             translated = translation[np.maximum(mappings, 0)]

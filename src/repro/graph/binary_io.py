@@ -12,10 +12,10 @@ for our substrate:
 * ``save_mmap`` / ``load_mmap`` / :class:`GraphStore` — the ``.rgx``
   on-disk tier: a fixed 64-byte header followed by 64-byte-aligned raw
   ``int64`` sections (offsets, neighbors, optional labels).  Opening one
-  is three ``mmap`` calls; the arrays are wrapped zero-copy by the
-  array-backed :class:`~repro.graph.graph.DataGraph`, engine views alias
-  the same pages, and worker processes re-opening the file share them
-  through the OS page cache instead of shared-memory copies.
+  is three ``mmap`` calls; the arrays are wrapped zero-copy by
+  :class:`~repro.graph.graph.DataGraph`, engine views alias the same
+  pages, and worker processes re-opening the file share them through
+  the OS page cache instead of shared-memory copies.
 
 Both formats are versioned so later readers reject incompatible files
 instead of mis-parsing them.
@@ -49,7 +49,6 @@ __all__ = [
     "save_mmap",
     "load_mmap",
     "open_graph",
-    "graph_csr",
     "GraphStore",
     "FORMAT_VERSION",
     "MMAP_VERSION",
@@ -66,45 +65,6 @@ _FLAG_LABELS = 1
 _FLAG_DEGREE_SORTED = 2
 
 
-def graph_csr(graph: DataGraph):
-    """``(offsets, neighbors, labels)`` int64 CSR arrays for ``graph``.
-
-    Zero-copy for array-backed graphs, aliased from a cached
-    ``AcceleratedGraphView`` when one exists, and derived with a single
-    fill pass otherwise — savers share this so none of them re-walk the
-    adjacency in Python when CSR already exists somewhere.
-    """
-    arrays = graph.csr_arrays()
-    if arrays is not None:
-        offsets, flat, labels = arrays
-        return (
-            np.ascontiguousarray(offsets, dtype=np.int64),
-            np.ascontiguousarray(flat, dtype=np.int64),
-            None if labels is None else np.ascontiguousarray(labels, dtype=np.int64),
-        )
-    labels = graph.labels()
-    if labels is not None:
-        labels = np.asarray(labels, dtype=np.int64)
-    view = graph._accel_view
-    if view is not None:
-        flat, offsets, _ = view.csr()
-        return (
-            np.ascontiguousarray(offsets, dtype=np.int64),
-            np.ascontiguousarray(flat, dtype=np.int64),
-            labels,
-        )
-    n = graph.num_vertices
-    degrees = np.fromiter(
-        (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
-    )
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-    flat = np.empty(int(offsets[-1]), dtype=np.int64)
-    for v in range(n):
-        flat[offsets[v]: offsets[v + 1]] = graph.neighbors(v)
-    return offsets, flat, labels
-
-
 # ----------------------------------------------------------------------
 # Compressed .npz archives
 # ----------------------------------------------------------------------
@@ -113,12 +73,9 @@ def graph_csr(graph: DataGraph):
 def save_npz(graph: DataGraph, path: str | os.PathLike) -> None:
     """Write a graph (and its labels, if any) as a compressed ``.npz``.
 
-    Stores CSR offsets/neighbors as ``int64`` — the same layout
-    :class:`~repro.core.accel.AcceleratedGraphView` builds in memory, so
-    the arrays are pulled from an existing view or array backing instead
-    of re-deriving degrees vertex by vertex.
+    Stores the graph's own CSR offsets/neighbors ``int64`` arrays.
     """
-    offsets, flat, labels = graph_csr(graph)
+    offsets, flat, labels = graph.csr_arrays()
     arrays = {
         "version": np.array([FORMAT_VERSION], dtype=np.int64),
         "offsets": offsets,
@@ -132,9 +89,7 @@ def save_npz(graph: DataGraph, path: str | os.PathLike) -> None:
 def load_npz(path: str | os.PathLike, name: str | None = None) -> DataGraph:
     """Load a graph written by :func:`save_npz`.
 
-    The result is **array-backed**: the decompressed CSR arrays are
-    wrapped directly instead of being exploded into per-vertex Python
-    lists.
+    The decompressed CSR arrays are wrapped directly.
     """
     path = os.fspath(path)
     with np.load(path) as data:
@@ -173,7 +128,7 @@ def save_mmap(graph: DataGraph, path: str | os.PathLike) -> None:
     Records whether the graph is already degree-sorted so reloading a
     converted store skips the ordering pass entirely.
     """
-    offsets, flat, labels = graph_csr(graph)
+    offsets, flat, labels = graph.csr_arrays()
     flags = 0
     if labels is not None:
         flags |= _FLAG_LABELS
@@ -204,9 +159,9 @@ class GraphStore:
     Construction is O(1): the header is read and validated, and each
     section becomes a read-only ``numpy.memmap`` — no adjacency is
     materialized until something touches the pages.  ``graph()`` wraps
-    the sections as an array-backed :class:`DataGraph` (cached), keeping
-    a reference to the store so the parallel runtime can point worker
-    processes at the same file.
+    the sections as a :class:`DataGraph` (cached), keeping a reference
+    to the store so the parallel runtime can point worker processes at
+    the same file.
     """
 
     __slots__ = (
@@ -278,7 +233,7 @@ class GraphStore:
         self._graph: DataGraph | None = None
 
     def graph(self, name: str | None = None) -> DataGraph:
-        """The store's array-backed :class:`DataGraph` (cached)."""
+        """The store's :class:`DataGraph` (cached)."""
         if self._graph is None:
             if name is None:
                 name = os.path.basename(self.path)
@@ -338,10 +293,10 @@ class GraphStore:
 
 
 def load_mmap(path: str | os.PathLike, name: str | None = None) -> DataGraph:
-    """Open an ``.rgx`` store and wrap it as an array-backed graph.
+    """Open an ``.rgx`` store and wrap its sections as a graph.
 
-    O(header) Python work: no adjacency list is built, the engines' CSR
-    views alias the mapped sections directly.
+    O(header) Python work: the graph and the engines' CSR views alias
+    the mapped sections directly.
     """
     return GraphStore(path).graph(name)
 

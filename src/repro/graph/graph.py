@@ -1,49 +1,59 @@
-"""In-memory data graph with sorted adjacency lists.
+"""The data graph: sorted adjacency rows in CSR arrays.
 
 The :class:`DataGraph` is Peregrine's substrate (§5.5 of the paper): an
-undirected graph stored as per-vertex sorted adjacency lists.  Vertex ids are
-dense integers ``0..n-1``.  Two properties matter for the matching engine:
+undirected graph whose per-vertex sorted adjacency rows are stored back
+to back in one ``neighbors`` array, delimited by an ``offsets`` array of
+``n + 1`` entries, plus an optional per-vertex ``labels`` array — all
+``int64``, possibly memory-mapped.  Vertex ids are dense integers
+``0..n-1``.  Two properties matter for the matching engines:
 
-* adjacency lists are sorted, so candidate generation can use binary search
-  to restrict candidates to a partial-order-compatible range, and set
+* rows are sorted, so candidate generation can use binary search to
+  restrict candidates to a partial-order-compatible range, and set
   intersections / differences run in merge fashion;
 * vertices are (optionally) *degree-ordered* — renamed so that
   ``u < v  iff  degree(u) <= degree(v)`` (ties broken by original id), the
   ordering §5.2 uses for early pruning and load balancing.
 
-Two backings share the same interface:
-
-* **list** — per-vertex Python lists, built by the constructor.  The
-  default for generated and hand-built graphs.
-* **array** — a CSR pair (``offsets``/``neighbors`` int64 arrays, plus an
-  optional label array) wrapped zero-copy, built by
-  :meth:`DataGraph.from_csr`.  This is how graphs loaded from the mmap
-  ``.rgx`` store (:mod:`repro.graph.binary_io`) avoid exploding into
-  Python lists: ``neighbors()`` returns array slices, and the engines'
-  CSR views alias the same memory.
+This is the only storage: the constructor converts its rows to CSR once,
+:meth:`DataGraph.from_csr` wraps existing arrays zero-copy (how an
+``.rgx`` store opens in O(header) work, :mod:`repro.graph.binary_io`),
+and the engines' CSR views alias the same memory.  ``neighbors()`` and
+``labels()`` return read-only array slices for every graph; call
+``.tolist()`` on them where Python lists or plain ints are wanted.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from ..errors import GraphError
 
 __all__ = ["DataGraph"]
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only int64 array, aliasing it when it already is one."""
+    view = np.asarray(values, dtype=np.int64).view()
+    view.flags.writeable = False
+    return view
+
+
 class DataGraph:
-    """Undirected data graph with sorted adjacency lists and optional labels.
+    """Undirected data graph with sorted adjacency rows and optional labels.
 
     Instances are immutable once constructed; build them with
     :func:`repro.graph.builder.from_edges`, the loaders in
-    :mod:`repro.graph.io`, or :meth:`from_csr` for array-backed graphs.
+    :mod:`repro.graph.io` / :mod:`repro.graph.binary_io`, or
+    :meth:`from_csr` when the CSR arrays already exist.
 
     Parameters
     ----------
     adjacency:
-        Sequence of sorted, duplicate-free neighbor lists, one per vertex.
+        Sequence of sorted, duplicate-free neighbor rows, one per vertex.
         Must be symmetric (``v in adjacency[u]`` iff ``u in adjacency[v]``).
     labels:
         Optional per-vertex integer labels (``None`` for an unlabeled graph).
@@ -55,16 +65,14 @@ class DataGraph:
     """
 
     __slots__ = (
-        "_adj",
+        "_offsets",
+        "_flat",
         "_labels",
-        "_num_edges",
         "name",
         "_label_index",
         "_ordered_cache",
         "_accel_view",
         "_session_cache",
-        "_offsets",
-        "_flat",
         "_degree_sorted",
         "_store",
     )
@@ -76,32 +84,16 @@ class DataGraph:
         name: str = "graph",
         validate: bool = True,
     ):
-        self._adj: list[list[int]] | None = [list(nbrs) for nbrs in adjacency]
-        self._labels = list(labels) if labels is not None else None
-        self.name = name
-        self._label_index: dict[int, list[int]] | None = None
-        self._ordered_cache: tuple["DataGraph", Sequence[int]] | None = None
-        # Cached CSR view for the vectorized engine; owned and populated
-        # by repro.core.accel.shared_view (graphs are immutable, so the
-        # cache can never go stale).
-        self._accel_view = None
-        # Shared default MiningSession; owned and populated by
-        # repro.core.session.MiningSession.for_graph so one-shot api
-        # calls share plan/start caches across queries.
-        self._session_cache = None
-        # Array-backing state; unused in list mode.
-        self._offsets = None
-        self._flat = None
-        self._degree_sorted: bool | None = None
-        self._store = None
-
-        if self._labels is not None and len(self._labels) != len(self._adj):
-            raise GraphError(
-                f"labels length {len(self._labels)} != vertex count {len(self._adj)}"
-            )
-        if validate:
-            self._validate()
-        self._num_edges = sum(len(nbrs) for nbrs in self._adj) // 2
+        n = len(adjacency)
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(
+            np.fromiter(map(len, adjacency), dtype=np.int64, count=n),
+            out=offsets[1:],
+        )
+        flat = np.fromiter(
+            chain.from_iterable(adjacency), dtype=np.int64, count=int(offsets[-1])
+        )
+        self._wrap(offsets, flat, labels, name, validate)
 
     @classmethod
     def from_csr(
@@ -114,7 +106,7 @@ class DataGraph:
         degree_sorted: bool | None = None,
         store=None,
     ) -> "DataGraph":
-        """Wrap CSR arrays zero-copy as an **array-backed** graph.
+        """Wrap existing CSR arrays zero-copy.
 
         ``offsets`` has ``n + 1`` entries with ``offsets[0] == 0``;
         ``neighbors`` concatenates the sorted per-vertex rows.  The
@@ -126,58 +118,42 @@ class DataGraph:
         :class:`~repro.graph.binary_io.GraphStore` so the parallel
         runtime can re-open the same file in workers.
         """
-        import numpy as np
-
-        offsets = np.asarray(offsets, dtype=np.int64)
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        if labels is not None:
-            labels = np.asarray(labels, dtype=np.int64)
-        if offsets.ndim != 1 or offsets.size < 1:
-            raise GraphError("offsets must be a 1-d array with >= 1 entry")
-        n = offsets.size - 1
-        if labels is not None and labels.size != n:
-            raise GraphError(
-                f"labels length {labels.size} != vertex count {n}"
-            )
         obj = cls.__new__(cls)
-        obj._adj = None
-        obj._labels = labels
-        obj.name = name
-        obj._label_index = None
-        obj._ordered_cache = None
-        obj._accel_view = None
-        obj._session_cache = None
-        obj._offsets = offsets
-        obj._flat = neighbors
-        obj._degree_sorted = degree_sorted
-        obj._store = store
-        obj._num_edges = int(neighbors.size) // 2
-        if validate:
-            obj._validate_csr()
+        obj._wrap(offsets, neighbors, labels, name, validate, degree_sorted, store)
         return obj
 
-    def _validate(self) -> None:
-        n = len(self._adj)
-        edge_set = set()
-        for u, nbrs in enumerate(self._adj):
-            prev = -1
-            for v in nbrs:
-                if not 0 <= v < n:
-                    raise GraphError(f"vertex {u} has out-of-range neighbor {v}")
-                if v == u:
-                    raise GraphError(f"self-loop at vertex {u}")
-                if v <= prev:
-                    raise GraphError(f"adjacency of {u} is not sorted/unique")
-                prev = v
-                edge_set.add((u, v))
-        for u, v in edge_set:
-            if (v, u) not in edge_set:
-                raise GraphError(f"edge ({u},{v}) missing reverse direction")
+    def _wrap(
+        self, offsets, flat, labels, name, validate, degree_sorted=None, store=None
+    ) -> None:
+        self._offsets = _frozen(offsets)
+        self._flat = _frozen(flat)
+        self._labels = None if labels is None else _frozen(labels)
+        self.name = name
+        self._label_index: dict[int, list[int]] = {}
+        self._ordered_cache: tuple["DataGraph", np.ndarray] | None = None
+        # Cached CSR view for the vectorized engine; owned and populated
+        # by repro.core.accel.shared_view (graphs are immutable, so the
+        # cache can never go stale).
+        self._accel_view = None
+        # Shared default MiningSession; owned and populated by
+        # repro.core.session.MiningSession.for_graph so one-shot api
+        # calls share plan/start caches across queries.
+        self._session_cache = None
+        self._degree_sorted = degree_sorted
+        self._store = store
+        if self._offsets.ndim != 1 or self._offsets.size < 1:
+            raise GraphError("offsets must be a 1-d array with >= 1 entry")
+        if self._labels is not None and self._labels.size != self.num_vertices:
+            raise GraphError(
+                f"labels length {self._labels.size} != vertex count "
+                f"{self.num_vertices}"
+            )
+        if validate:
+            self._validate_csr()
 
     def _validate_csr(self) -> None:
-        """Vectorized structural checks for array-backed graphs."""
-        import numpy as np
-
+        """Reject out-of-range ids, self-loops, unsorted or duplicate
+        row entries and edges missing their reverse (all vectorized)."""
         offsets, flat = self._offsets, self._flat
         n = offsets.size - 1
         if offsets[0] != 0 or offsets[-1] != flat.size:
@@ -204,30 +180,13 @@ class DataGraph:
         if not np.array_equal(np.sort(flat * stride + owners), keys):
             raise GraphError("edge missing reverse direction")
 
-    # ------------------------------------------------------------------
-    # Backing introspection
-    # ------------------------------------------------------------------
-
-    @property
-    def backing(self) -> str:
-        """``"list"`` or ``"array"`` — which storage backs this graph."""
-        return "list" if self._adj is not None else "array"
-
     @property
     def backing_store(self):
         """The :class:`GraphStore` this graph maps, or ``None``."""
         return self._store
 
     def csr_arrays(self):
-        """``(offsets, neighbors, labels)`` for array-backed graphs.
-
-        Returns ``None`` in list mode; callers that need CSR for a
-        list-backed graph derive it themselves (see
-        :func:`repro.graph.binary_io.graph_csr` and
-        :class:`repro.core.accel.AcceleratedGraphView`).
-        """
-        if self._adj is not None:
-            return None
+        """The ``(offsets, neighbors, labels)`` arrays (read-only, aliased)."""
         return self._offsets, self._flat, self._labels
 
     # ------------------------------------------------------------------
@@ -237,14 +196,12 @@ class DataGraph:
     @property
     def num_vertices(self) -> int:
         """Number of vertices |V(G)|."""
-        if self._adj is not None:
-            return len(self._adj)
         return self._offsets.size - 1
 
     @property
     def num_edges(self) -> int:
         """Number of undirected edges |E(G)|."""
-        return self._num_edges
+        return self._flat.size // 2
 
     @property
     def is_labeled(self) -> bool:
@@ -255,31 +212,25 @@ class DataGraph:
         """All vertex ids as a range."""
         return range(self.num_vertices)
 
-    def neighbors(self, u: int) -> Sequence[int]:
-        """Sorted neighbors of ``u`` (list or array slice; do not mutate)."""
-        if self._adj is not None:
-            return self._adj[u]
+    def neighbors(self, u: int) -> np.ndarray:
+        """Sorted neighbors of ``u`` (a read-only slice of the CSR array)."""
         return self._flat[self._offsets[u]:self._offsets[u + 1]]
 
     def degree(self, u: int) -> int:
         """Degree of vertex ``u``."""
-        if self._adj is not None:
-            return len(self._adj[u])
         return int(self._offsets[u + 1] - self._offsets[u])
 
     def label(self, u: int) -> int | None:
         """Label of vertex ``u`` (``None`` when unlabeled)."""
         return int(self._labels[u]) if self._labels is not None else None
 
-    def labels(self):
-        """The full label sequence, or ``None`` for unlabeled graphs."""
+    def labels(self) -> np.ndarray | None:
+        """The read-only label array, or ``None`` for unlabeled graphs."""
         return self._labels
 
     def num_labels(self) -> int:
         """Number of distinct labels |L(G)| (0 for unlabeled graphs)."""
-        if self._labels is None:
-            return 0
-        return len(set(int(lab) for lab in self._labels))
+        return 0 if self._labels is None else int(np.unique(self._labels).size)
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge (u, v) exists, via binary search."""
@@ -287,48 +238,38 @@ class DataGraph:
             return False
         nbrs = self.neighbors(u)
         i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
+        return i < len(nbrs) and bool(nbrs[i] == v)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate undirected edges as (u, v) pairs with u < v."""
         for u in range(self.num_vertices):
-            nbrs = self.neighbors(u)
-            lo = bisect_right(nbrs, u)
-            for v in nbrs[lo:]:
-                yield (u, int(v))
+            for v in self.neighbors_above(u, u).tolist():
+                yield (u, v)
 
     def max_degree(self) -> int:
         """Maximum vertex degree (0 for the empty graph)."""
-        if self._adj is not None:
-            return max((len(nbrs) for nbrs in self._adj), default=0)
-        import numpy as np
-
-        if self._offsets.size <= 1:
-            return 0
-        return int(np.diff(self._offsets).max())
+        return int(np.diff(self._offsets).max()) if self.num_vertices else 0
 
     def avg_degree(self) -> float:
         """Average vertex degree (0.0 for the empty graph)."""
         n = self.num_vertices
-        if not n:
-            return 0.0
-        return 2.0 * self._num_edges / n
+        return 2.0 * self.num_edges / n if n else 0.0
 
     # ------------------------------------------------------------------
     # Range-restricted access (partial-order support, §5.1 'PO' stage)
     # ------------------------------------------------------------------
 
-    def neighbors_above(self, u: int, bound: int) -> Sequence[int]:
+    def neighbors_above(self, u: int, bound: int) -> np.ndarray:
         """Neighbors of ``u`` with id strictly greater than ``bound``."""
         nbrs = self.neighbors(u)
         return nbrs[bisect_right(nbrs, bound):]
 
-    def neighbors_below(self, u: int, bound: int) -> Sequence[int]:
+    def neighbors_below(self, u: int, bound: int) -> np.ndarray:
         """Neighbors of ``u`` with id strictly less than ``bound``."""
         nbrs = self.neighbors(u)
         return nbrs[: bisect_left(nbrs, bound)]
 
-    def neighbors_between(self, u: int, lo: int, hi: int) -> Sequence[int]:
+    def neighbors_between(self, u: int, lo: int, hi: int) -> np.ndarray:
         """Neighbors v of ``u`` with ``lo < v < hi`` (exclusive bounds).
 
         ``lo=-1`` / ``hi=num_vertices`` express one-sided or absent bounds.
@@ -343,26 +284,14 @@ class DataGraph:
     def vertices_with_label(self, label: int) -> list[int]:
         """Sorted vertex ids carrying ``label`` (empty for unlabeled graphs).
 
-        The index is built lazily on first use and cached — fully in
-        list mode, per queried label in array mode (one vectorized scan
+        Built lazily and cached per queried label (one vectorized scan
         each, so an mmap-backed load never pays for labels it does not
         filter on).
         """
         if self._labels is None:
             return []
-        if self._adj is not None:
-            if self._label_index is None:
-                index: dict[int, list[int]] = {}
-                for v, lab in enumerate(self._labels):
-                    index.setdefault(lab, []).append(v)
-                self._label_index = index
-            return self._label_index.get(label, [])
-        if self._label_index is None:
-            self._label_index = {}
         cached = self._label_index.get(label)
         if cached is None:
-            import numpy as np
-
             cached = np.flatnonzero(self._labels == label).tolist()
             self._label_index[label] = cached
         return cached
@@ -371,50 +300,29 @@ class DataGraph:
     # Degree ordering (§5.2)
     # ------------------------------------------------------------------
 
-    def degree_ordered(self) -> tuple["DataGraph", Sequence[int]]:
+    def degree_ordered(self) -> tuple["DataGraph", np.ndarray]:
         """Return a copy renamed so ids increase with degree, plus the map.
 
-        In the renamed graph ``u < v`` implies ``degree(u) <= degree(v)``.
-        Returns ``(graph, old_of_new)`` where ``old_of_new[new_id]`` is the
-        original id, so callers can translate matches back.  The result is
-        cached: repeated calls return the same objects.
+        In the renamed graph ``u < v`` implies ``degree(u) <= degree(v)``
+        (ties keep their original id order).  Returns ``(graph,
+        old_of_new)`` where ``old_of_new[new_id]`` is the original id, so
+        callers can translate matches back.  The result is cached.
 
-        Array-backed graphs take a vectorized path, and a graph whose
-        backing store already recorded the degree-sorted flag returns
-        *itself* with an identity map — the zero-copy fast path that
-        makes reopening a converted ``.rgx`` file O(1).
+        A graph that is already degree-ordered — e.g. one whose backing
+        store recorded the degree-sorted flag — returns *itself* with
+        the identity map, so reopening a converted ``.rgx`` file never
+        re-sorts.
         """
-        if self._ordered_cache is not None:
-            return self._ordered_cache
-        if self._adj is None:
-            self._ordered_cache = self._degree_ordered_csr()
-            return self._ordered_cache
-        n = len(self._adj)
-        order = sorted(range(n), key=lambda v: (len(self._adj[v]), v))
-        new_of_old = [0] * n
-        for new_id, old_id in enumerate(order):
-            new_of_old[old_id] = new_id
-        adjacency = [
-            sorted(new_of_old[w] for w in self._adj[old_id]) for old_id in order
-        ]
-        labels = (
-            [self._labels[old_id] for old_id in order]
-            if self._labels is not None
-            else None
-        )
-        renamed = DataGraph(adjacency, labels, name=self.name, validate=False)
-        self._ordered_cache = (renamed, order)
-        return renamed, order
+        if self._ordered_cache is None:
+            self._ordered_cache = self._degree_ordered()
+        return self._ordered_cache
 
-    def _degree_ordered_csr(self) -> tuple["DataGraph", Sequence[int]]:
-        """Vectorized degree ordering over the CSR backing."""
-        import numpy as np
-
+    def _degree_ordered(self) -> tuple["DataGraph", np.ndarray]:
         offsets, flat = self._offsets, self._flat
         n = offsets.size - 1
-        degrees = np.diff(offsets)
         if self.is_degree_ordered():
-            return self, range(n)
+            return self, _frozen(np.arange(n, dtype=np.int64))
+        degrees = np.diff(offsets)
         order = np.argsort(degrees, kind="stable")
         new_of_old = np.empty(n, dtype=np.int64)
         new_of_old[order] = np.arange(n, dtype=np.int64)
@@ -437,16 +345,11 @@ class DataGraph:
         renamed = DataGraph.from_csr(
             new_offsets, new_flat, new_labels, name=self.name, degree_sorted=True
         )
-        return renamed, order.tolist()
+        return renamed, _frozen(order)
 
     def is_degree_ordered(self) -> bool:
         """Whether vertex ids already increase with degree."""
-        if self._adj is not None:
-            degs = [len(nbrs) for nbrs in self._adj]
-            return all(degs[i] <= degs[i + 1] for i in range(len(degs) - 1))
         if self._degree_sorted is None:
-            import numpy as np
-
             degrees = np.diff(self._offsets)
             self._degree_sorted = bool(np.all(degrees[:-1] <= degrees[1:]))
         return self._degree_sorted
@@ -474,25 +377,19 @@ class DataGraph:
         g.add_edges_from(self.edges())
         if self._labels is not None:
             nx.set_node_attributes(
-                g, {v: int(lab) for v, lab in enumerate(self._labels)}, "label"
+                g, dict(enumerate(self._labels.tolist())), "label"
             )
         return g
 
     def memory_bytes(self) -> int:
-        """Rough byte footprint of the adjacency structure (8 B per entry).
+        """Byte footprint of the CSR arrays (8 B per entry).
 
-        Used by the Fig 13 memory accounting; deliberately counts the
-        *logical* CSR size rather than CPython object overhead so numbers
-        are comparable with the baselines' embedding stores.
+        Used by the Fig 13 memory accounting; counts ``n`` offsets, the
+        neighbor entries and the labels, so numbers are comparable with
+        the baselines' embedding stores.
         """
         n = self.num_vertices
-        if self._adj is not None:
-            entries = sum(len(nbrs) for nbrs in self._adj) + n
-        else:
-            entries = int(self._flat.size) + n
-        if self._labels is not None:
-            entries += n
-        return 8 * entries
+        return 8 * (self._flat.size + n + (n if self.is_labeled else 0))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         lab = f", labels={self.num_labels()}" if self.is_labeled else ""
@@ -504,22 +401,12 @@ class DataGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DataGraph):
             return NotImplemented
-        if self._adj is not None and other._adj is not None:
-            return self._adj == other._adj and self._labels == other._labels
-        if (
-            self.num_vertices != other.num_vertices
-            or self.num_edges != other.num_edges
-        ):
+        if (self._labels is None) != (other._labels is None):
             return False
-        mine, theirs = self.labels(), other.labels()
-        if (mine is None) != (theirs is None):
-            return False
-        if mine is not None and [int(x) for x in mine] != [int(x) for x in theirs]:
-            return False
-        return all(
-            [int(x) for x in self.neighbors(u)]
-            == [int(x) for x in other.neighbors(u)]
-            for u in range(self.num_vertices)
+        return (
+            np.array_equal(self._offsets, other._offsets)
+            and np.array_equal(self._flat, other._flat)
+            and (self._labels is None or np.array_equal(self._labels, other._labels))
         )
 
     def __hash__(self):  # graphs are mutable-free but big; identity hash
@@ -527,14 +414,7 @@ class DataGraph:
 
     def label_histogram(self) -> Mapping[int, int]:
         """Histogram of label frequencies (empty for unlabeled graphs)."""
-        hist: dict[int, int] = {}
         if self._labels is None:
-            return hist
-        if self._adj is not None:
-            for lab in self._labels:
-                hist[lab] = hist.get(lab, 0) + 1
-            return hist
-        import numpy as np
-
+            return {}
         values, counts = np.unique(self._labels, return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, counts)}
+        return dict(zip(values.tolist(), counts.tolist()))

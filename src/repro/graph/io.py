@@ -102,11 +102,10 @@ def load_labeled(
     """Load a labeled graph from an edge-list file plus a label file."""
     unlabeled = load_edge_list(edge_path, name=name)
     labels = load_labels(label_path)
-    n = unlabeled.num_vertices
-    label_list = [labels.get(v, 0) for v in range(n)]
-    return DataGraph(
-        [unlabeled.neighbors(v) for v in range(n)],
-        label_list,
+    offsets, flat, _ = unlabeled.csr_arrays()
+    return DataGraph.from_csr(
+        offsets,
+        flat,
+        [labels.get(v, 0) for v in range(unlabeled.num_vertices)],
         name=unlabeled.name,
-        validate=False,
     )

@@ -65,7 +65,7 @@ def bron_kerbosch(
     """
     if isinstance(graph, MiningSession):
         graph = graph.graph
-    adj = [set(graph.neighbors(v)) for v in graph.vertices()]
+    adj = [set(graph.neighbors(v).tolist()) for v in graph.vertices()]
 
     def expand(r: list[int], p: set[int], x: set[int]) -> Iterator[tuple[int, ...]]:
         if not p and not x:

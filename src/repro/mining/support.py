@@ -38,14 +38,15 @@ class Bitset:
     __slots__ = ("_bits",)
 
     def __init__(self, values: Iterable[int] = ()):
+        # int(): a numpy integer would shift in 64 bits and wrap to 0.
         bits = 0
         for v in values:
-            bits |= 1 << v
+            bits |= 1 << int(v)
         self._bits = bits
 
     def add(self, value: int) -> None:
         """Set one bit."""
-        self._bits |= 1 << value
+        self._bits |= 1 << int(value)
 
     @classmethod
     def from_mask(cls, mask) -> "Bitset":
@@ -56,7 +57,7 @@ class Bitset:
         return out
 
     def __contains__(self, value: int) -> bool:
-        return value >= 0 and (self._bits >> value) & 1 == 1
+        return value >= 0 and (self._bits >> int(value)) & 1 == 1
 
     def __len__(self) -> int:
         return self._bits.bit_count()

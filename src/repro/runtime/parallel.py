@@ -694,7 +694,7 @@ def _mmap_store(session):
     """An on-disk degree-ordered ``.rgx`` path for the session's graph.
 
     Returns ``(path, is_temp)``.  When the session's ordered graph is
-    already array-backed by an on-disk store (a converted ``.rgx`` file
+    already backed by an on-disk store (a converted ``.rgx`` file
     whose ids are degree-sorted) the workers re-open that file directly
     and nothing is written.  Anything else — generated graphs, unsorted
     stores — is spilled to a temporary ``.rgx`` once; the caller must

@@ -35,6 +35,10 @@ DEFAULT_PORT = 8765
 # Mining calls are bounded by budgets/guards; this is the last resort.
 REQUEST_TIMEOUT_S = 600.0
 
+# Largest request body /query reads.  Envelopes are a few hundred bytes
+# (a verb, a graph name, a pattern spec); anything near this is not one.
+MAX_REQUEST_BYTES = 1 << 20
+
 
 class _RequestHandler(BaseHTTPRequestHandler):
     server_version = "repro-service"
@@ -50,8 +54,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_error(self, status: int, code: str, message: str) -> None:
+        self._send_json(
+            status,
+            {"ok": False, "error": {"code": code, "message": message, "status": status}},
+        )
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/health":
@@ -61,46 +73,34 @@ class _RequestHandler(BaseHTTPRequestHandler):
             response = self.server.run_request({"verb": "stats"})
             self._send_json(200 if response.get("ok") else 500, response)
             return
-        self._send_json(
-            404,
-            {
-                "ok": False,
-                "error": {
-                    "code": "not_found",
-                    "message": f"no such endpoint: {self.path}",
-                    "status": 404,
-                },
-            },
-        )
+        self._send_error(404, "not_found", f"no such endpoint: {self.path}")
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         if self.path != "/query":
-            self._send_json(
-                404,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "not_found",
-                        "message": f"no such endpoint: {self.path}",
-                        "status": 404,
-                    },
-                },
-            )
+            self._send_error(404, "not_found", f"no such endpoint: {self.path}")
             return
         try:
             length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:  # rfile.read(-1) would block until the peer closes
+                raise ValueError(f"negative Content-Length {length}")
+        except ValueError as exc:
+            # The body's extent is unknown, so the connection cannot be reused.
+            self.close_connection = True
+            self._send_error(400, "invalid_request", f"bad Content-Length: {exc}")
+            return
+        if length > MAX_REQUEST_BYTES:
+            self.close_connection = True  # the body is left unread
+            self._send_error(
+                413,
+                "payload_too_large",
+                f"request body of {length} bytes exceeds {MAX_REQUEST_BYTES}",
+            )
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"null")
-        except (ValueError, json.JSONDecodeError) as exc:
-            self._send_json(
-                400,
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "invalid_request",
-                        "message": f"request body is not valid JSON: {exc}",
-                        "status": 400,
-                    },
-                },
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            self._send_error(
+                400, "invalid_request", f"request body is not valid JSON: {exc}"
             )
             return
         response = self.server.run_request(payload)

@@ -43,7 +43,7 @@ class TestAcceleratedGraphView:
         g = erdos_renyi(50, 0.2, seed=4)
         view = AcceleratedGraphView(g)
         for v in g.vertices():
-            assert view.neighbors(v).tolist() == g.neighbors(v)
+            assert view.neighbors(v).tolist() == g.neighbors(v).tolist()
 
     def test_memory_accounting(self):
         g = erdos_renyi(50, 0.2, seed=4)

@@ -18,7 +18,7 @@ class TestConstruction:
 
     def test_neighbors_sorted(self):
         g = from_edges([(2, 0), (0, 1), (0, 3)])
-        assert g.neighbors(0) == [1, 2, 3]
+        assert g.neighbors(0).tolist() == [1, 2, 3]
 
     def test_isolated_vertices_via_num_vertices(self):
         g = from_edges([(0, 1)], num_vertices=5)
@@ -98,18 +98,18 @@ class TestAccessors:
 class TestRangeQueries:
     def test_neighbors_above(self):
         g = from_edges([(2, 0), (2, 1), (2, 3), (2, 4)])
-        assert g.neighbors_above(2, 1) == [3, 4]
-        assert g.neighbors_above(2, 4) == []
+        assert g.neighbors_above(2, 1).tolist() == [3, 4]
+        assert g.neighbors_above(2, 4).tolist() == []
 
     def test_neighbors_below(self):
         g = from_edges([(2, 0), (2, 1), (2, 3), (2, 4)])
-        assert g.neighbors_below(2, 3) == [0, 1]
-        assert g.neighbors_below(2, 0) == []
+        assert g.neighbors_below(2, 3).tolist() == [0, 1]
+        assert g.neighbors_below(2, 0).tolist() == []
 
     def test_neighbors_between_exclusive(self):
         g = from_edges([(5, 0), (5, 1), (5, 2), (5, 3), (5, 4)])
-        assert g.neighbors_between(5, 0, 4) == [1, 2, 3]
-        assert g.neighbors_between(5, -1, 5) == [0, 1, 2, 3, 4]
+        assert g.neighbors_between(5, 0, 4).tolist() == [1, 2, 3]
+        assert g.neighbors_between(5, -1, 5).tolist() == [0, 1, 2, 3, 4]
 
 
 class TestDegreeOrdering:

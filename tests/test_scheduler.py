@@ -277,13 +277,13 @@ class TestThreadScheduleParity:
 
 
 # ----------------------------------------------------------------------
-# Backing-agnostic scheduling: mmap-backed graphs pin the same results
+# Storage-agnostic scheduling: mmap-opened graphs pin the same results
 # ----------------------------------------------------------------------
 
 
 class TestMmapBackedScheduleParity:
     """The work-stealing runtime must be storage-agnostic: a graph
-    re-opened from an ``.rgx`` mmap store pins the list-backed
+    re-opened from an ``.rgx`` mmap store pins its in-memory twin's
     sequential reference across schedules, engines and share modes."""
 
     @given(seeds)

@@ -7,6 +7,7 @@ error status codes, malformed bodies, and clean shutdown.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -18,6 +19,7 @@ from repro.core.session import MiningSession
 from repro.graph import barabasi_albert
 from repro.pattern import generate_clique
 from repro.service import ServiceHTTPServer
+from repro.service.http import MAX_REQUEST_BYTES
 from repro.service.service import MiningService, ServiceConfig
 
 
@@ -28,8 +30,12 @@ def server():
     graph = barabasi_albert(120, 3, seed=4)
     service.register_graph("g", graph)
     http_server = ServiceHTTPServer("127.0.0.1", 0, service=service)
+    # shutdown() waits out one poll interval; the 0.5 s default would be
+    # paid on every teardown.
     thread = threading.Thread(
-        target=http_server.serve_forever, daemon=True
+        target=http_server.serve_forever,
+        kwargs={"poll_interval": 0.01},
+        daemon=True,
     )
     thread.start()
     try:
@@ -112,6 +118,35 @@ class TestHTTPFront:
         status, body = _post(http_server, b"{not json")
         assert status == 400
         assert body["error"]["code"] == "invalid_request"
+
+    @pytest.mark.parametrize(
+        "length, status, code",
+        [
+            ("-1", 400, "invalid_request"),
+            ("lots", 400, "invalid_request"),
+            (str(MAX_REQUEST_BYTES + 1), 413, "payload_too_large"),
+        ],
+    )
+    def test_bad_content_length_is_refused_without_reading(
+        self, server, length, status, code
+    ):
+        """No body is sent: a handler that trusted the header would block
+        in ``rfile.read`` until the client gave up."""
+        http_server, _ = server
+        conn = http.client.HTTPConnection(*http_server.address, timeout=5.0)
+        try:
+            conn.putrequest("POST", "/query")
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            response = conn.getresponse()
+            body = json.load(response)
+        finally:
+            conn.close()
+        assert response.status == status
+        assert body["error"]["code"] == code and body["error"]["status"] == status
+        assert response.getheader("Connection") == "close"
+        # The server is still serving.
+        assert _get(http_server, "/health") == (200, {"ok": True})
 
     def test_unknown_endpoint_is_404(self, server):
         http_server, _ = server

@@ -1,12 +1,14 @@
-"""Storage-tier tests: the ``.rgx`` mmap store and array-backed graphs.
+"""Storage-tier tests: the one CSR storage and its ``.rgx`` mmap store.
 
-The out-of-core tier must be invisible in results (an mmap-backed graph
-pins its list-backed twin across every engine) and visible in cost (a
-cold open does O(header) work, never a full adjacency materialization).
-This suite fuzz-pins the round trip over the graph feature matrix,
-rejects malformed files loudly, guards the lazy-open property, checks
-engine/backing parity, and unit-tests the roaring hub-membership kernels
-the CSR views compile for power-law hubs.
+Every construction route (rows, edge list, ``.npz``, ``.rgx``) must
+yield the same arrays, and the out-of-core tier must be invisible in
+results (an mmap-opened graph pins its in-memory twin across every
+engine) and visible in cost (a cold open does O(header) work, never a
+full adjacency materialization).  This suite pins the storage contract,
+fuzz-pins the round trip over the graph feature matrix, rejects
+malformed files loudly, guards the lazy-open property, checks
+in-memory-vs-mmap engine parity, and unit-tests the roaring
+hub-membership kernels the CSR views compile for power-law hubs.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from repro.core.accel import (  # noqa: E402
     hub_degree_threshold,
 )
 from repro.bitmap import RoaringBitmap  # noqa: E402
-from repro.errors import GraphFormatError  # noqa: E402
+from repro.errors import GraphError, GraphFormatError  # noqa: E402
 from repro.graph import (  # noqa: E402
+    DataGraph,
     GraphStore,
     barabasi_albert,
     erdos_renyi,
@@ -49,6 +52,7 @@ from repro.graph.binary_io import MMAP_MAGIC, MMAP_VERSION  # noqa: E402
 from repro.pattern import Pattern, generate_clique, generate_star  # noqa: E402
 
 seeds = st.integers(min_value=0, max_value=40)
+ENGINES = ("reference", "accel-batch")
 
 
 def _fuzz_graph(seed: int):
@@ -80,7 +84,6 @@ class TestRgxRoundtrip:
             path = _rgx_path(tmp)
             save_mmap(g, path)
             h = load_mmap(path)
-            assert h.backing == "array"
             assert h == g
             assert h.num_vertices == g.num_vertices
             assert h.num_edges == g.num_edges
@@ -141,6 +144,87 @@ class TestRgxRoundtrip:
             assert open_graph(txt) == g
 
 
+vertex_ids = st.integers(min_value=0, max_value=14)
+edge_lists = st.lists(st.tuples(vertex_ids, vertex_ids), max_size=50)
+
+# One malformed adjacency per defect class the validator rejects.
+DEFECTS = {
+    "out-of-range id": [[1, 7], [0]],
+    "self-loop": [[0, 1], [0]],
+    "unsorted row": [[2, 1], [0], [0]],
+    "duplicate in row": [[1, 1], [0]],
+    "missing reverse edge": [[1], []],
+}
+
+
+def _rows_csr(rows):
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    return offsets, np.array([v for r in rows for v in r], dtype=np.int64)
+
+
+class TestOneStorage:
+    """Every route into a ``DataGraph`` lands on the same CSR arrays."""
+
+    @given(edge_lists, st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_construction_routes_agree(self, edges, labeled):
+        g = from_edges(edges)
+        if labeled:
+            g = with_random_labels(g, 3, seed=len(edges))
+        labels = g.labels().tolist() if labeled else None
+        rows = [g.neighbors(v).tolist() for v in g.vertices()]
+        with tempfile.TemporaryDirectory() as tmp:
+            npz, rgx = os.path.join(tmp, "g.npz"), _rgx_path(tmp)
+            save_npz(g, npz)
+            save_mmap(g, rgx)
+            for h in (DataGraph(rows, labels), load_npz(npz), load_mmap(rgx)):
+                assert h == g
+                for mine, theirs in zip(h.csr_arrays(), g.csr_arrays()):
+                    if theirs is None:
+                        assert mine is None
+                        continue
+                    assert mine.dtype == np.int64
+                    assert not mine.flags.writeable
+                    assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("rows", DEFECTS.values(), ids=DEFECTS.keys())
+    def test_both_constructors_reject_each_defect(self, rows):
+        with pytest.raises(GraphError):
+            DataGraph(rows, validate=True)
+        with pytest.raises(GraphError):
+            DataGraph.from_csr(*_rows_csr(rows), validate=True)
+
+    @given(edge_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_degree_order_breaks_ties_by_original_id(self, edges):
+        g = from_edges(edges)
+        ordered, old_of_new = g.degree_ordered()
+        keys = [(g.degree(v), v) for v in old_of_new.tolist()]
+        assert keys == sorted(keys)
+        assert [ordered.degree(v) for v in ordered.vertices()] == [
+            d for d, _ in keys
+        ]
+
+    @given(seeds)
+    @settings(max_examples=10, deadline=None)
+    def test_engines_emit_the_same_plain_int_matches_on_mmap(self, seed):
+        g = _fuzz_graph(seed)
+        p = generate_clique(3) if seed % 2 else generate_star(3)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_mmap(g, _rgx_path(tmp))
+            session = MiningSession(load_mmap(_rgx_path(tmp)))
+            emitted = {}
+            for engine in ENGINES:
+                seen = []
+                total = session.match(
+                    p, lambda m: seen.append(m.mapping), engine=engine
+                )
+                assert total == len(seen)
+                assert all(type(v) is int for row in seen for v in row)
+                emitted[engine] = seen
+            assert emitted["reference"] == emitted["accel-batch"]
+
+
 class TestRgxValidation:
     def _valid_bytes(self) -> bytes:
         g = erdos_renyi(20, 0.3, seed=1)
@@ -196,9 +280,9 @@ class TestColdStartIsLazy:
     def test_load_does_no_adjacency_materialization(self):
         """Opening a store is O(header): the acceptance-criteria guard.
 
-        The loaded graph must keep ``memmap`` sections (no list-of-lists
-        rebuild) and the Python-side allocations of the open itself must
-        stay far below the neighbor payload size.
+        The loaded graph must keep ``memmap`` sections (no copy into
+        heap arrays) and the Python-side allocations of the open itself
+        must stay far below the neighbor payload size.
         """
         import tracemalloc
 
@@ -212,7 +296,6 @@ class TestColdStartIsLazy:
             h = load_mmap(path)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.stop()
-            assert h._adj is None  # no per-vertex Python lists
             assert peak < payload // 4
             # ... and the pages really are the file's mapped sections,
             # not copies (asarray re-wraps the memmap as a plain view).
@@ -238,13 +321,10 @@ class TestColdStartIsLazy:
             )
 
 
-ENGINES = ("reference", "accel-batch")
-
-
 class TestMmapEngineParity:
     @given(seeds)
     @settings(max_examples=12, deadline=None)
-    def test_counts_pin_list_backed(self, seed):
+    def test_counts_pin_in_memory_twin(self, seed):
         g = _fuzz_graph(seed)
         kind = seed % 3
         if kind == 0:
@@ -263,7 +343,7 @@ class TestMmapEngineParity:
                 got = count(h, p, edge_induced=edge_induced, engine=engine)
                 assert got == expected, engine
 
-    def test_labeled_counts_pin_list_backed(self):
+    def test_labeled_counts_pin_in_memory_twin(self):
         g = with_random_labels(erdos_renyi(50, 0.18, seed=13), 3, seed=2)
         p = generate_clique(3)
         p.set_label(0, 1)

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.baselines import bfs_fsm
 from repro.bitmap import RoaringBitmap
-from repro.mining import Bitset, Domain
+from repro.graph import DataGraph, mico_like
+from repro.mining import Bitset, Domain, fsm
+from repro.pattern import canonical_code
 
 values = st.lists(st.integers(min_value=0, max_value=500), max_size=50)
 
@@ -40,6 +43,14 @@ class TestBitset:
         assert len(b) == 1
         assert b.to_list() == [3]
 
+    def test_numpy_integers_set_the_same_bits(self):
+        # 1 << np.int64(70) wraps to 0: ids >= 63 must not vanish.
+        b = Bitset([np.int64(70)])
+        b.add(np.int64(130))
+        assert b.to_list() == [70, 130]
+        assert np.int64(70) in b and np.int64(71) not in b
+        assert b.memory_bytes() == Bitset([70, 130]).memory_bytes()
+
     def test_memory_bytes_grows(self):
         small = Bitset([1])
         large = Bitset([10_000])
@@ -48,6 +59,16 @@ class TestBitset:
     def test_equality_hash(self):
         assert Bitset([1, 2]) == Bitset([2, 1])
         assert hash(Bitset([5])) == hash(Bitset([5]))
+
+
+def test_bfs_fsm_domains_on_a_from_csr_graph():
+    """The baseline feeds graph-row ids (numpy integers) into Bitsets."""
+    g = mico_like(0.15)
+    assert g.num_vertices > 64
+    stored = DataGraph.from_csr(*g.csr_arrays())
+    baseline, _ = bfs_fsm(stored, 1, 3)
+    engine = {canonical_code(p): s for p, s in fsm(stored, 1, 3).frequent.items()}
+    assert baseline and baseline == engine
 
 
 class TestDomain:
