@@ -9,7 +9,10 @@ measured the planner's ``repro.runtime.planner.MIN_BATCH_EXPANSION``
 batching amortizes numpy dispatch across whole match levels, so the
 batched engine wins from avg degree ~2 upward, including on
 single-vertex-core patterns, whose tail count it vectorizes per frontier
-row.
+row.  The multi-step tail cells (``star-5``, ``chain-4``, ``diamond``,
+and ``tailed-triangle``, the paw) are the count-only tail program's
+shapes; each row records which shape its plan compiled to under
+``tail``.
 
 Run the full sweep (writes ``BENCH_engine.json``, prints the table)::
 
@@ -28,9 +31,16 @@ import pytest
 
 from benchmarks.common import timed
 
-from repro.core import count
+from repro.core import count, generate_plan
+from repro.core.accel import _compile_steps
 from repro.graph import erdos_renyi
-from repro.pattern import Pattern, generate_chain, generate_clique
+from repro.pattern import (
+    Pattern,
+    generate_chain,
+    generate_clique,
+    generate_star,
+)
+from repro.pattern.evaluation import pattern_p1
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT_PATH = REPO_ROOT / "BENCH_engine.json"
@@ -41,16 +51,36 @@ SWEEP_DEGREES = (2, 4, 8, 16, 32, 64, 128)
 
 # One multi-vertex-core pattern per regime the dispatch rules reason
 # about: core-intersection dominated (clique), mixed core+completion
-# (tailed triangle), and tail-count dominated (single-vertex-core chain).
+# (tailed triangle), and tail-count dominated (single-vertex-core chain)
+# — plus one cell per multi-step tail shape: one shared set (star-5,
+# diamond), two linked steps (chain-4) and two unlinked steps (the
+# tailed triangle is the paw).
 PATTERNS = {
     "triangle": lambda: generate_clique(3),
     "tailed-triangle": lambda: Pattern.from_edges(
         [(0, 1), (1, 2), (2, 0), (2, 3)]
     ),
     "chain-3": lambda: generate_chain(3),
+    "star-5": lambda: generate_star(5),
+    "chain-4": lambda: generate_chain(4),
+    "diamond": pattern_p1,
 }
 
-MULTI_CORE_PATTERNS = ("triangle", "tailed-triangle")
+MULTI_CORE_PATTERNS = ("triangle", "tailed-triangle", "chain-4", "diamond")
+
+# The interpreter enumerates every tail step but the last, so the deep
+# tails stop where its run passes a few seconds.
+TAIL_DEGREES = (2, 4, 8, 16, 32)
+DEGREES = {"star-5": TAIL_DEGREES, "chain-4": TAIL_DEGREES}
+
+
+def _tail_shape(pattern) -> str:
+    """The count-only tail program a default plan compiles to."""
+    plan = generate_plan(pattern)
+    tail = _compile_steps(plan)[-1]
+    if tail is None:
+        return "none"
+    return f"{tail.kind}x{len(plan.noncore_steps) - tail.start}"
 
 
 def _sweep_graph(avg_degree: int, n: int = SWEEP_N, seed: int = 7):
@@ -94,11 +124,12 @@ def test_frontier_sweep_emits_json(capsys):
     results = []
     for name, pattern_fn in PATTERNS.items():
         pattern = pattern_fn()
-        for degree in SWEEP_DEGREES:
+        for degree in DEGREES.get(name, SWEEP_DEGREES):
             graph = _sweep_graph(degree)
             entry = _time_engines(graph, pattern)
             entry.update(
                 pattern=name,
+                tail=_tail_shape(pattern),
                 multi_vertex_core=name in MULTI_CORE_PATTERNS,
                 avg_degree_target=degree,
                 avg_degree=round(graph.avg_degree(), 2),
@@ -106,6 +137,18 @@ def test_frontier_sweep_emits_json(capsys):
             )
             results.append(entry)
 
+    crossover = {
+        name: min(
+            (
+                row["avg_degree_target"]
+                for row in results
+                if row["pattern"] == name
+                and row["batch_speedup_vs_reference"] > 1.0
+            ),
+            default=None,
+        )
+        for name in PATTERNS
+    }
     payload = {
         "bench": "engine-frontier",
         "n": SWEEP_N,
@@ -113,27 +156,32 @@ def test_frontier_sweep_emits_json(capsys):
         "note": (
             "Wall-clock seconds per engine for count() across an "
             "erdos_renyi avg-degree sweep; measured basis for "
-            "MIN_BATCH_EXPANSION in repro.runtime.planner."
+            "MIN_BATCH_EXPANSION in repro.runtime.planner.  `tail` is "
+            "the count-only tail program's shape (kind x steps counted); "
+            "`crossover` is the lowest swept degree where accel-batch "
+            "beats the interpreter, per pattern."
         ),
+        "crossover": crossover,
         "results": results,
     }
     OUTPUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     with capsys.disabled():
         print("\n=== engine frontier sweep (seconds) ===")
-        header = f"{'pattern':<16} {'deg':>4} {'matches':>10}"
+        header = f"{'pattern':<16} {'tail':<11} {'deg':>4} {'matches':>12}"
         header += "".join(f" {engine:>11}" for engine in ENGINES)
         header += f" {'batch-x':>8}"
         print(header)
         for row in results:
             line = (
-                f"{row['pattern']:<16} {row['avg_degree_target']:>4}"
-                f" {row['matches']:>10,}"
+                f"{row['pattern']:<16} {row['tail']:<11}"
+                f" {row['avg_degree_target']:>4} {row['matches']:>12,}"
             )
             for engine in ENGINES:
                 line += f" {row[f'{engine}_seconds']:>11.4f}"
             line += f" {row['batch_speedup_vs_reference']:>7.1f}x"
             print(line)
+        print(f"crossover degree per pattern: {crossover}")
         print(f"wrote {OUTPUT_PATH}")
 
     # Acceptance: the batched engine beats the reference interpreter at

@@ -18,8 +18,19 @@ The engine covers the **full pattern-feature matrix** of the paper:
   plus label-partitioned vertex arrays, so label constraints become
   boolean masks instead of per-vertex Python comparisons;
 * per-match callbacks and row batches in the reference engine's DFS
-  order, and the enumeration-free tail count when no callback needs the
-  matches.
+  order, and — when no callback needs the matches — the count-only
+  **tail program** (§4's core/non-core split put to work): every
+  non-core candidate set depends on the matched columns alone, so the
+  longest countable suffix of the plan's non-core steps is counted per
+  frontier row from candidate-set *sizes* instead of being enumerated.
+  Three shapes count (:class:`_TailProgram`): k steps drawing from one
+  shared set (``C(m, k)`` times the orderings their symmetry bounds
+  allow — stars, the diamond), two unlinked steps (``|A|·|B| − |A∩B|``
+  — the paw, the tailed 4-clique, the house) and two single-neighbour
+  steps linked by one symmetry bound (the first set enumerated, each
+  candidate ranked into the second — the 4-path).  Labeled steps,
+  anti-edges between tail steps, anti-vertex plans and longer linked
+  chains keep enumerating up to their last step, which counts alone.
 
 Counts must agree **exactly** with the reference engine on every
 feature combination — ``tests/test_accel.py`` fuzzes that equivalence
@@ -32,7 +43,8 @@ in ``benchmarks/bench_engine_frontier.py``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+import math
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +52,7 @@ from ..errors import BudgetExceededError, MatchingError, PartialResult
 from ..graph.graph import DataGraph
 from ..pattern.pattern import Pattern
 from .callbacks import ExplorationControl, Match
-from .matching_order import OrderedCore
+from .matching_order import OrderedCore, _linear_extensions
 from .plan import ExplorationPlan, NonCoreStep, generate_plan
 
 __all__ = [
@@ -339,6 +351,229 @@ def frontier_start_order(
     return np.sort(starts)[::-1].copy()
 
 
+# ----------------------------------------------------------------------
+# Non-core candidate sets and the count-only tail program (compiled once
+# per plan from its non-core steps and the matched pattern)
+# ----------------------------------------------------------------------
+
+
+class _CandidateSet(NamedTuple):
+    """One non-core candidate set over a fixed frontier column layout.
+
+    Per row the set is ``⋂ adj(nbr_cols) − ⋃ adj(anti_cols)``, strictly
+    between the largest ``lower_cols`` and the smallest ``upper_cols``
+    value, carrying ``label``, minus the row's used vertices.
+    ``maybe_inside`` is the pattern-aware injectivity table: the used
+    columns that *can* lie in the set, each with the neighbour and
+    anti-neighbour columns whose membership the pattern does not already
+    decide.  A neighbour or bound column (or one ordered beyond a bound)
+    is never inside, nor is one whose pattern edges contradict the set.
+    """
+
+    nbr_cols: tuple[int, ...]
+    anti_cols: tuple[int, ...]
+    lower_cols: tuple[int, ...]
+    upper_cols: tuple[int, ...]
+    label: int | None
+    maybe_inside: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]
+
+    @property
+    def is_segment(self) -> bool:
+        """One bounded adjacency segment: its size is a rank difference."""
+        return (
+            len(self.nbr_cols) == 1 and not self.anti_cols and self.label is None
+        )
+
+
+class _Geometry(NamedTuple):
+    """Per-row candidate geometry of one set over one frontier block."""
+
+    lo: np.ndarray | None  # strict lower bound (None: unbounded)
+    hi: np.ndarray | None  # strict upper bound (None: unbounded)
+    pick: np.ndarray | None  # which neighbour is the pivot (multi-neighbour)
+    pivot: np.ndarray  # the min-degree neighbour whose segment is gathered
+    start: np.ndarray  # segment rank of the first candidate
+    end: np.ndarray  # segment rank past the last candidate
+    lens: np.ndarray  # max(end - start, 0)
+
+
+class _TailProgram(NamedTuple):
+    """How a count-only run counts the steps from ``start`` on.
+
+    ``kind`` is one of three shapes, each counted from per-row set sizes:
+
+    * ``"shared"`` — every step draws from the one set ``sets[0]``; the
+      rows contribute ``orders * C(m, k)`` (``k`` steps, ``orders`` the
+      linear extensions of their symmetry bounds: 1 for a chain, ``k!``
+      with none).
+    * ``"unlinked"`` — two steps with no bound between them contribute
+      ``|A|·|B| − |A∩B|``; ``sets[inter]`` is ``A∩B`` (``A`` or ``B``
+      itself when one's constraints contain the other's).
+    * ``"linked"`` — two single-neighbour steps, the second bounded by
+      the first (``above``: from below); the first set is enumerated and
+      each candidate ranked into the second.
+    """
+
+    start: int
+    kind: str
+    sets: tuple[_CandidateSet, ...]
+    orders: int = 1
+    inter: int = 0
+    above: bool = True
+
+
+def _frontier_columns(plan: ExplorationPlan, step_index: int) -> list[int]:
+    """Pattern vertex held by each frontier column at ``step_index``."""
+    return list(plan.core) + [s.vertex for s in plan.noncore_steps[:step_index]]
+
+
+def _candidate_set(
+    plan: ExplorationPlan,
+    step: NonCoreStep,
+    columns: list[int],
+    internal: frozenset = frozenset(),
+) -> _CandidateSet | None:
+    """Compile ``step``'s candidate set against the frontier ``columns``.
+
+    Bounds on ``internal`` vertices (later tail steps) are left to the
+    tail program; an anti-edge to one makes the set uncountable (None).
+    """
+    if internal.intersection(step.anti_neighbors):
+        return None
+    pattern = plan.matched_pattern
+    orders = set(plan.partial_orders)
+    col_of = {v: c for c, v in enumerate(columns)}
+    lower = [w for w in step.lower_bounds if w not in internal]
+    upper = [w for w in step.upper_bounds if w not in internal]
+    maybe_inside = []
+    for c, u in enumerate(columns):
+        if (
+            u in step.neighbors
+            or any(u == w or (u, w) in orders for w in lower)
+            or any(u == w or (w, u) in orders for w in upper)
+            or any(pattern.are_anti_adjacent(u, v) for v in step.neighbors)
+            or any(pattern.are_connected(u, a) for a in step.anti_neighbors)
+            or (
+                step.label is not None
+                and pattern.label_of(u) not in (None, step.label)
+            )
+        ):
+            continue
+        maybe_inside.append((
+            c,
+            tuple(col_of[v] for v in step.neighbors
+                  if not pattern.are_connected(u, v)),
+            tuple(col_of[a] for a in step.anti_neighbors
+                  if not pattern.are_anti_adjacent(u, a)),
+        ))
+    return _CandidateSet(
+        tuple(col_of[v] for v in step.neighbors),
+        tuple(col_of[a] for a in step.anti_neighbors),
+        tuple(col_of[w] for w in lower),
+        tuple(col_of[w] for w in upper),
+        step.label,
+        tuple(maybe_inside),
+    )
+
+
+def _contains(outer: _CandidateSet, inner: _CandidateSet) -> bool:
+    """Whether ``outer``'s constraints are a subset of ``inner``'s."""
+    return all(
+        set(getattr(outer, f)) <= set(getattr(inner, f))
+        for f in ("nbr_cols", "anti_cols", "lower_cols", "upper_cols")
+    )
+
+
+def _tail_shape(plan: ExplorationPlan, start: int) -> _TailProgram | None:
+    """The tail program for the steps from ``start`` on, if countable."""
+    suffix = plan.noncore_steps[start:]
+    columns = _frontier_columns(plan, start)
+    internal = frozenset(s.vertex for s in suffix)
+    sets = [_candidate_set(plan, s, columns, internal) for s in suffix]
+    if None in sets:
+        return None
+    if len(suffix) == 1:
+        return _TailProgram(start, "shared", (sets[0],))
+    if any(s.label is not None for s in suffix):
+        return None
+    links = [
+        (w, s.vertex) for s in suffix for w in s.lower_bounds if w in internal
+    ] + [
+        (s.vertex, w) for s in suffix for w in s.upper_bounds if w in internal
+    ]
+    if all(cs == sets[0] for cs in sets):
+        orders = sum(1 for _ in _linear_extensions(list(internal), links))
+        return _TailProgram(start, "shared", (sets[0],), orders=orders)
+    if len(suffix) != 2:
+        return None
+    a, b = sets
+    if not links:
+        if _contains(b, a):
+            return _TailProgram(start, "unlinked", (a, b), inter=0)
+        if _contains(a, b):
+            return _TailProgram(start, "unlinked", (a, b), inter=1)
+        first, second = suffix
+        union = NonCoreStep(
+            -1,
+            *(
+                tuple(sorted(set(getattr(first, f)) | set(getattr(second, f))))
+                for f in (
+                    "neighbors", "anti_neighbors", "lower_bounds", "upper_bounds"
+                )
+            ),
+            None,
+        )
+        both = _candidate_set(plan, union, columns, internal)
+        return _TailProgram(start, "unlinked", (a, b, both), inter=2)
+    if len(links) == 1 and a.is_segment and b.is_segment:
+        return _TailProgram(
+            start, "linked", (a, b), above=links[0][0] == suffix[0].vertex
+        )
+    return None
+
+
+def _compile_steps(
+    plan: ExplorationPlan,
+) -> tuple[list[_CandidateSet], list[_CandidateSet], _TailProgram | None]:
+    """Candidate sets per step and per anti-vertex check, plus the tail program.
+
+    An anti-vertex check is the set of its neighbours' common neighbours
+    over the completed match; a row survives when that set is empty.
+    The tail program covers the longest countable suffix of steps.
+    """
+    steps = plan.noncore_steps
+    sets = [
+        _candidate_set(plan, step, _frontier_columns(plan, i))
+        for i, step in enumerate(steps)
+    ]
+    checks = [
+        _candidate_set(
+            plan,
+            NonCoreStep(check.anti_vertex, check.neighbors, (), (), (), None),
+            _frontier_columns(plan, len(steps)),
+        )
+        for check in plan.anti_vertex_checks
+        if check.neighbors
+    ]
+    tails = (_tail_shape(plan, start) for start in range(len(steps)))
+    return sets, checks, next((t for t in tails if t is not None), None)
+
+
+def _choose_sum(sizes: np.ndarray, k: int) -> int:
+    """``Σ C(m, k)`` over per-row set sizes ``m``, exactly."""
+    sizes = sizes[sizes >= k]
+    if sizes.size == 0:
+        return 0
+    if k == 1:
+        return int(sizes.sum())
+    if int(sizes.max()) ** k * sizes.size >= 1 << 62:
+        return sum(math.comb(m, k) for m in sizes.tolist())
+    ways = sizes.copy()
+    for i in range(1, k):
+        ways = ways * (sizes - i) // (i + 1)
+    return int(ways.sum())
+
+
 class FrontierBatchedEngine:
     """Level-synchronous batched analogue of the reference engine.
 
@@ -355,10 +590,18 @@ class FrontierBatchedEngine:
       constraints and injectivity become boolean masks over the
       concatenated candidate segments (membership via one
       ``searchsorted`` over the view's :meth:`adjacency_keys`);
-    * the final completion step is counted with per-row arithmetic
-      instead of enumerated (the vectorized tail count), which is why the
-      batched engine also wins on single-vertex-core (tail-count
-      dominated) patterns.
+    * count-only runs hand the longest countable suffix of non-core
+      steps to the plan's tail program (compiled once per plan by
+      :func:`_compile_steps`): per frontier row the suffix contributes a
+      closed form over candidate-set sizes — rank differences for a
+      single-neighbour set, a gathered mask count otherwise, minus the
+      used vertices the pattern cannot rule out of the set — so a
+      star's leaves, a path's ends and a diamond's tips are never
+      materialised.  Per-row counts equal enumeration's exactly, so
+      fused walks, process chunks and sampled rounds see identical
+      per-start totals; a :class:`~repro.core.callbacks.Budget` charges
+      only the rows actually materialised (the block entering the tail
+      is charged, its counted completions never are).
 
     Exploration order is the reference engine's DFS order: expansion
     preserves row order and candidate order, so leaves surface in DFS
@@ -405,6 +648,10 @@ class FrontierBatchedEngine:
         "_cur_rank",
         "_pending",
         "_ordered_emit",
+        "_compiled",
+        "_sets",
+        "_checks",
+        "_tail",
     )
 
     def __init__(self, view: AcceleratedGraphView):
@@ -422,6 +669,7 @@ class FrontierBatchedEngine:
         # so level-1 expansions reuse one neighbor gather across member
         # patterns; standalone runs leave it None.
         self.shared: SharedFrontierGathers | None = None
+        self._compiled: ExplorationPlan | None = None
 
     # ------------------------------------------------------------------
     # Batched kernels over concatenated candidate segments
@@ -539,6 +787,9 @@ class FrontierBatchedEngine:
             raise ValueError("pass on_match or on_batch, not both")
         self.plan = plan
         self.steps = plan.noncore_steps
+        if self._compiled is not plan:
+            self._sets, self._checks, self._tail = _compile_steps(plan)
+            self._compiled = plan
         self.on_match = on_match
         self.on_batch = on_batch
         self.count_only = count_only and on_match is None and on_batch is None
@@ -714,12 +965,6 @@ class FrontierBatchedEngine:
     # Completion (non-core steps, batched)
     # ------------------------------------------------------------------
 
-    def _columns(self, step_index: int) -> list[int]:
-        """Pattern vertex held by each frontier column at ``step_index``."""
-        return list(self.plan.core) + [
-            s.vertex for s in self.steps[:step_index]
-        ]
-
     def _core_complete(self, block: np.ndarray, origin: np.ndarray) -> None:
         """Remap finished core rows through each sequence, interleaved."""
         oc = self._cur_oc
@@ -763,104 +1008,196 @@ class FrontierBatchedEngine:
         if self.budget is not None:
             self.budget.charge_partials(block.shape[0])
             self.budget.check(self.total)
-        if step_index + 1 == len(steps) and self.can_count_tail:
-            self.total += self._count_tail_step(block, step_index)
+        if self.can_count_tail and step_index == self._tail.start:
+            self.total += self._count_tail(block)
             return
         for nxt, nxt_origin in self._expand_step(block, origin, step_index):
             self._process_steps(nxt, nxt_origin, step_index + 1)
 
-    def _step_context(self, block: np.ndarray, step_index: int):
-        """Per-row candidate geometry for one completion step."""
-        step = self.steps[step_index]
-        col_of = {v: c for c, v in enumerate(self._columns(step_index))}
-        rows = block.shape[0]
-        nbr_cols = [col_of[v] for v in step.neighbors]
-        # Tightest symmetry bounds per row (vectorized max/min folds).
-        lo = np.full(rows, -1, dtype=np.int64)
-        for w in step.lower_bounds:
-            np.maximum(lo, block[:, col_of[w]], out=lo)
-        hi = np.full(rows, self.n, dtype=np.int64)
-        for w in step.upper_bounds:
-            np.minimum(hi, block[:, col_of[w]], out=hi)
-        owner_cols = block[:, nbr_cols]
-        pick = np.argmin(self.degrees[owner_cols], axis=1)
-        pivot = owner_cols[np.arange(rows), pick]
-        start_rank = self._rank(pivot, lo, "right")
-        end_rank = self._rank(pivot, hi, "left")
-        lens = np.maximum(end_rank - start_rank, 0)
-        return step, col_of, nbr_cols, lo, hi, pick, pivot, start_rank, lens
+    def _step_context(self, block: np.ndarray, cset: _CandidateSet) -> _Geometry:
+        """Per-row candidate geometry of one set over ``block``.
 
-    def _step_mask(
+        The pivot is each row's min-degree neighbour; an absent bound
+        skips its rank query (rank 0, or the pivot's degree).
+        """
+        rows = block.shape[0]
+        lo = hi = pick = None
+        if cset.lower_cols:
+            lo = block[:, list(cset.lower_cols)].max(axis=1)
+        if cset.upper_cols:
+            hi = block[:, list(cset.upper_cols)].min(axis=1)
+        if len(cset.nbr_cols) == 1:
+            pivot = block[:, cset.nbr_cols[0]]
+        else:
+            owner_cols = block[:, list(cset.nbr_cols)]
+            pick = np.argmin(self.degrees[owner_cols], axis=1)
+            pivot = owner_cols[np.arange(rows), pick]
+        start = (
+            np.zeros(rows, dtype=np.int64)
+            if lo is None
+            else self._rank(pivot, lo, "right")
+        )
+        end = self.degrees[pivot] if hi is None else self._rank(pivot, hi, "left")
+        return _Geometry(lo, hi, pick, pivot, start, end,
+                         np.maximum(end - start, 0))
+
+    def _set_filter(
         self,
-        g_block: np.ndarray,
+        block: np.ndarray,
+        rows_slice: slice,
         row_ids: np.ndarray,
         cands: np.ndarray,
-        step: NonCoreStep,
-        col_of: dict[int, int],
-        nbr_cols: list[int],
-        g_pick: np.ndarray,
+        cset: _CandidateSet,
+        pick: np.ndarray | None,
+        injective: bool,
     ) -> np.ndarray:
-        """Constraint masks for one gathered candidate group."""
-        mask = np.ones(cands.size, dtype=bool)
-        if len(nbr_cols) > 1:
-            for k, c in enumerate(nbr_cols):
-                # the pivot's own membership is implicit
-                hit = self._member(g_block[row_ids, c], cands)
-                mask &= hit | (g_pick[row_ids] == k)
-        for v in step.anti_neighbors:
-            mask &= ~self._member(g_block[row_ids, col_of[v]], cands)
-        if step.label is not None and cands.size:
-            mask &= self.labels[cands] == step.label
-        # Injectivity: the candidate may equal none of the row's matched
-        # vertices (the frontier columns are exactly the used set).
-        for c in range(g_block.shape[1]):
-            mask &= cands != g_block[row_ids, c]
-        return mask
+        """Indices of the gathered candidates that lie in ``cset``.
 
-    def _count_tail_step(self, block: np.ndarray, step_index: int) -> int:
-        """Count the final completion step without enumerating it."""
-        step, col_of, nbr_cols, lo, hi, pick, pivot, start_rank, lens = (
-            self._step_context(block, step_index)
-        )
-        if (
-            len(nbr_cols) == 1
-            and not step.anti_neighbors
-            and step.label is None
-        ):
-            # Pure degree arithmetic per frontier row: the candidate set
-            # is one bounded adjacency segment, so its size is a rank
-            # difference and injectivity subtracts the used vertices that
-            # land inside it — no candidate array is ever gathered.
-            total = int(lens.sum())
-            for c in range(block.shape[1]):
-                used = block[:, c]
-                inside = (used > lo) & (used < hi) & self._member(pivot, used)
-                total -= int(np.count_nonzero(inside))
-            return total
+        Constraints narrow the survivors one at a time — label first,
+        then each non-pivot neighbour, then anti-neighbours — so every
+        membership probe runs only on candidates still alive.
+        ``injective`` also drops candidates equal to a used vertex (only
+        the columns that can lie in the set need the comparison).
+        """
+        g_block = block[rows_slice]
+        keep = np.arange(cands.size, dtype=np.int64)
+        if cset.label is not None:
+            keep = keep[self.labels[cands] == cset.label]
+        if pick is not None:
+            g_pick = pick[rows_slice]
+            for k, c in enumerate(cset.nbr_cols):
+                rows = row_ids[keep]
+                probe = np.flatnonzero(g_pick[rows] != k)
+                hit = np.ones(keep.size, dtype=bool)
+                hit[probe] = self._member(
+                    g_block[rows[probe], c], cands[keep[probe]]
+                )
+                keep = keep[hit]
+        for c in cset.anti_cols:
+            keep = keep[~self._member(g_block[row_ids[keep], c], cands[keep])]
+        if injective:
+            for c, _, _ in cset.maybe_inside:
+                keep = keep[cands[keep] != g_block[row_ids[keep], c]]
+        return keep
+
+    def _inside_rows(
+        self, block: np.ndarray, cset: _CandidateSet, geo: _Geometry
+    ):
+        """Yield ``(used, rows)``: per used column, the rows it lies in the set.
+
+        Bounds are compared first and membership is probed only on the
+        surviving rows, and only for the neighbours the pattern's own
+        edges leave undecided.
+        """
+        for c, nbr_probes, anti_probes in cset.maybe_inside:
+            used = block[:, c]
+            keep = np.ones(used.size, dtype=bool)
+            if geo.lo is not None:
+                keep &= used > geo.lo
+            if geo.hi is not None:
+                keep &= used < geo.hi
+            rows = np.flatnonzero(keep)
+            for n in nbr_probes:
+                rows = rows[self._member(block[rows, n], used[rows])]
+            for a in anti_probes:
+                rows = rows[~self._member(block[rows, a], used[rows])]
+            if cset.label is not None:
+                rows = rows[self.labels[used[rows]] == cset.label]
+            yield used, rows
+
+    def _set_sizes(self, block: np.ndarray, cset: _CandidateSet) -> np.ndarray:
+        """Per-row size of ``cset`` minus the row's used vertices in it."""
+        geo = self._step_context(block, cset)
+        if cset.is_segment:
+            sizes = geo.lens
+        else:
+            sizes = np.zeros(block.shape[0], dtype=np.int64)
+            seg_base = self.offsets[geo.pivot] + geo.start
+            for rows_slice in self._row_groups(geo.lens):
+                row_ids, local = self._gather(geo.lens[rows_slice])
+                cands = self.flat[seg_base[rows_slice][row_ids] + local]
+                keep = self._set_filter(
+                    block, rows_slice, row_ids, cands, cset, geo.pick, False
+                )
+                sizes[rows_slice] = np.bincount(
+                    row_ids[keep], minlength=rows_slice.stop - rows_slice.start
+                )
+        for _, rows in self._inside_rows(block, cset, geo):
+            sizes[rows] -= 1
+        return sizes
+
+    def _count_tail(self, block: np.ndarray) -> int:
+        """Count every completion of ``block`` through the tail program."""
+        tail = self._tail
+        if tail.kind == "linked":
+            return self._count_linked(block, *tail.sets, tail.above)
+        if tail.kind == "shared":
+            sizes = self._set_sizes(block, tail.sets[0])
+            return tail.orders * _choose_sum(sizes, len(self.steps) - tail.start)
+        # |A|·|B| − |A∩B|: a row with an empty A or B contributes nothing,
+        # so each later set is sized only on the rows still alive.
+        sizes = []
+        for cset in tail.sets:
+            if sizes:
+                live = np.flatnonzero(sizes[-1])
+                block = block[live]
+                sizes = [s[live] for s in sizes]
+            sizes.append(self._set_sizes(block, cset))
+        return int(sizes[0] @ sizes[1]) - int(sizes[tail.inter].sum())
+
+    def _count_linked(
+        self,
+        block: np.ndarray,
+        first: _CandidateSet,
+        second: _CandidateSet,
+        above: bool,
+    ) -> int:
+        """Two linked single-neighbour steps: rank each first into the second.
+
+        Each first-step candidate ``x`` (used vertices removed) completes
+        with every second-step vertex beyond ``x`` — one rank query into
+        the second pivot's segment, minus the used vertices inside it
+        that also lie beyond ``x``.
+        """
+        ga = self._step_context(block, first)
+        gb = self._step_context(block, second)
+        used_b = []
+        for used, rows in self._inside_rows(block, second, gb):
+            flag = np.zeros(block.shape[0], dtype=bool)
+            flag[rows] = True
+            used_b.append((used, flag))
+        seg_base = self.offsets[ga.pivot] + ga.start
         total = 0
-        seg_base = self.offsets[pivot] + start_rank
-        for rows_slice in self._row_groups(lens):
-            row_ids, local = self._gather(lens[rows_slice])
-            cands = self.flat[seg_base[rows_slice][row_ids] + local]
-            mask = self._step_mask(
-                block[rows_slice], row_ids, cands, step, col_of, nbr_cols,
-                pick[rows_slice],
+        for rows_slice in self._row_groups(ga.lens):
+            row_ids, local = self._gather(ga.lens[rows_slice])
+            x = self.flat[seg_base[rows_slice][row_ids] + local]
+            keep = self._set_filter(
+                block, rows_slice, row_ids, x, first, None, True
             )
-            total += int(np.count_nonzero(mask))
+            r = row_ids[keep] + rows_slice.start
+            x = x[keep]
+            if above:
+                bound = x if gb.lo is None else np.maximum(gb.lo[r], x)
+                n = gb.end[r] - self._rank(gb.pivot[r], bound, "right")
+            else:
+                bound = x if gb.hi is None else np.minimum(gb.hi[r], x)
+                n = self._rank(gb.pivot[r], bound, "left") - gb.start[r]
+            total += int(np.maximum(n, 0).sum())
+            for used, flag in used_b:
+                beyond = used[r] > x if above else used[r] < x
+                total -= int(np.count_nonzero(flag[r] & beyond))
         return total
 
     def _expand_step(
         self, block: np.ndarray, origin: np.ndarray, step_index: int
     ):
         """Assign one non-core vertex; yields expanded sub-blocks."""
-        step, col_of, nbr_cols, _lo, _hi, pick, pivot, start_rank, lens = (
-            self._step_context(block, step_index)
-        )
+        cset = self._sets[step_index]
         if (
             step_index == 0
             and block.shape[1] == 1
-            and len(nbr_cols) == 1
-            and not step.anti_neighbors
+            and len(cset.nbr_cols) == 1
+            and not cset.anti_cols
             and self.shared is not None
             and self.shared.matches(block[:, 0])
         ):
@@ -870,26 +1207,25 @@ class FrontierBatchedEngine:
             # first-level expansion (injectivity is vacuous — a simple
             # graph never lists a vertex among its own neighbors).
             exp_block, rows = self.shared.expansion(
-                bool(step.lower_bounds),
-                bool(step.upper_bounds),
-                step.label,
+                bool(cset.lower_cols), bool(cset.upper_cols), cset.label
             )
             yield exp_block, self.shared.origin_rows(origin, rows)
             return
-        seg_base = self.offsets[pivot] + start_rank
-        for rows_slice in self._row_groups(lens):
-            row_ids, local = self._gather(lens[rows_slice])
+        geo = self._step_context(block, cset)
+        seg_base = self.offsets[geo.pivot] + geo.start
+        for rows_slice in self._row_groups(geo.lens):
+            row_ids, local = self._gather(geo.lens[rows_slice])
             cands = self.flat[seg_base[rows_slice][row_ids] + local]
-            g_block = block[rows_slice]
-            mask = self._step_mask(
-                g_block, row_ids, cands, step, col_of, nbr_cols,
-                pick[rows_slice],
+            keep = self._set_filter(
+                block, rows_slice, row_ids, cands, cset, geo.pick, True
             )
-            if not mask.all():
-                row_ids = row_ids[mask]
-                cands = cands[mask]
+            if keep.size < cands.size:
+                row_ids = row_ids[keep]
+                cands = cands[keep]
             yield (
-                np.concatenate([g_block[row_ids], cands[:, None]], axis=1),
+                np.concatenate(
+                    [block[rows_slice][row_ids], cands[:, None]], axis=1
+                ),
                 origin[rows_slice][row_ids],
             )
 
@@ -898,37 +1234,21 @@ class FrontierBatchedEngine:
     # ------------------------------------------------------------------
 
     def _finalize(self, block: np.ndarray, origin: np.ndarray) -> None:
-        checks = self.plan.anti_vertex_checks
-        cols = self._columns(len(self.steps))
-        if checks:
-            col_of = {v: c for c, v in enumerate(cols)}
+        cols = _frontier_columns(self.plan, len(self.steps))
+        if self._checks:
             alive = np.ones(block.shape[0], dtype=bool)
-            for check in checks:
-                if not check.neighbors:
-                    continue
-                nbr_cols = [col_of[v] for v in check.neighbors]
-                rows = block.shape[0]
-                owner_cols = block[:, nbr_cols]
-                pick = np.argmin(self.degrees[owner_cols], axis=1)
-                pivot = owner_cols[np.arange(rows), pick]
-                lens = self.degrees[pivot]
-                for rows_slice in self._row_groups(lens):
-                    row_ids, local = self._gather(lens[rows_slice])
-                    cands = self.flat[
-                        self.offsets[pivot[rows_slice]][row_ids] + local
-                    ]
-                    g_block = block[rows_slice]
-                    mask = np.ones(cands.size, dtype=bool)
-                    if len(nbr_cols) > 1:
-                        g_pick = pick[rows_slice]
-                        for k, c in enumerate(nbr_cols):
-                            hit = self._member(g_block[row_ids, c], cands)
-                            mask &= hit | (g_pick[row_ids] == k)
-                    for c in range(g_block.shape[1]):
-                        mask &= cands != g_block[row_ids, c]
+            for cset in self._checks:
+                geo = self._step_context(block, cset)
+                seg_base = self.offsets[geo.pivot]
+                for rows_slice in self._row_groups(geo.lens):
+                    row_ids, local = self._gather(geo.lens[rows_slice])
+                    cands = self.flat[seg_base[rows_slice][row_ids] + local]
+                    keep = self._set_filter(
+                        block, rows_slice, row_ids, cands, cset, geo.pick, True
+                    )
                     # Rows with any surviving common neighbor outside the
                     # match violate the anti-vertex; scatter-reject them.
-                    alive[rows_slice.start + row_ids[mask]] = False
+                    alive[rows_slice.start + row_ids[keep]] = False
             if not alive.all():
                 block = block[alive]
                 origin = origin[alive]

@@ -109,6 +109,13 @@ class Budget:
     limit trips, so counts may overshoot by up to one chunk.  For an
     exact match cap use
     :func:`repro.runtime.termination.stop_after_n_matches`.
+
+    ``max_expanded_partials`` caps partial-match rows the engine actually
+    *materialises*.  A count-only run counts its trailing non-core steps
+    from candidate-set sizes (the batched engine's tail program): the
+    rows entering that tail are charged once, and the completions it
+    counts are never charged — a ``star:5`` count charges one row per
+    start vertex however many matches it finds.
     """
 
     deadline: float | None = None
@@ -164,7 +171,7 @@ class BudgetMeter:
         self.frontier_rows += n
 
     def charge_partials(self, n: int) -> None:
-        """Account ``n`` expanded partial matches (frontier block rows)."""
+        """Account ``n`` materialised partial matches (frontier block rows)."""
         self.expanded_partials += n
 
     def exhausted_reason(self) -> str | None:

@@ -9,6 +9,8 @@ enough, against the networkx oracles.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,15 +20,26 @@ from repro.core.callbacks import ExplorationControl
 from repro.core.accel import (
     AcceleratedGraphView,
     FrontierBatchedEngine,
+    _compile_steps,
     frontier_count,
     frontier_start_order,
     shared_view,
 )
 from repro.core.engine import EngineStats
+from repro.core.session import MiningSession
 from repro.errors import MatchingError
 from repro.graph import barabasi_albert, erdos_renyi, with_random_labels
 from repro.mining.cliques import maximal_clique_pattern
-from repro.pattern import Pattern, generate_chain, generate_clique, generate_star
+from repro.pattern import (
+    Pattern,
+    generate_chain,
+    generate_clique,
+    generate_cycle,
+    generate_star,
+)
+from repro.pattern.evaluation import pattern_p1, pattern_p3, pattern_p4
+from repro.pattern.generators import generate_all_vertex_induced
+from repro.runtime import process_count_many
 from repro.testing.oracles import nx_count_edge_induced, nx_count_vertex_induced
 
 def reference_count(graph, pattern, **kwargs):
@@ -336,10 +349,19 @@ def _feature_matrix():
     def labeled_triangle():
         return _labeled_pattern(generate_clique(3), {0: 0, 1: 1, 2: 2})
 
+    def anti_edge_leaves():
+        p = generate_star(4)
+        p.add_anti_edge(1, 2)
+        return p
+
+    def labeled_star_leaves():
+        return _labeled_pattern(generate_star(4), {1: 0, 2: 0})
+
     return [
         ("clique3", lambda: generate_clique(3), {}),
         ("clique4", lambda: generate_clique(4), {}),
-        # single-vertex cores exercise the vectorized tail count
+        # single-vertex cores exercise the vectorized tail count; the
+        # 4-path's two leaves are the linked tail shape
         ("chain4-single-core", lambda: generate_chain(4), {}),
         ("star4-single-core", lambda: generate_star(4), {}),
         ("tailed-triangle", lambda: Pattern.from_edges(
@@ -358,6 +380,16 @@ def _feature_matrix():
         ("labeled-triangle", labeled_triangle, {}),
         ("no-symmetry-clique", lambda: generate_clique(3),
          {"symmetry_breaking": False}),
+        # count-only tail program: one shared set, two unlinked steps,
+        # two linked steps, and the shapes that fall back to enumeration
+        ("star5-shared-tail", lambda: generate_star(5), {}),
+        ("diamond-shared-tail", pattern_p1, {}),
+        ("house-unlinked-tail", pattern_p3, {}),
+        ("tailed-k4-unlinked-tail", pattern_p4, {}),
+        ("no-symmetry-star", lambda: generate_star(4),
+         {"symmetry_breaking": False}),
+        ("anti-edge-leaves", anti_edge_leaves, {}),
+        ("labeled-star-leaves", labeled_star_leaves, {}),
     ]
 
 
@@ -469,6 +501,139 @@ class TestFrontierBatchedParity:
         ref = _collect_matches(g, p, "reference")
         assert total == len(ref)
         assert sorted(rows) == sorted(ref)
+
+
+# ----------------------------------------------------------------------
+# Count-only tail program: per-start parity, shapes, fused and process runs
+# ----------------------------------------------------------------------
+
+
+def _paw():
+    return Pattern.from_edges([(0, 1), (1, 2), (2, 0), (2, 3)])
+
+
+# pattern -> the tail program a default (edge-induced, symmetry-broken)
+# plan compiles to: (kind, trailing steps counted from set sizes)
+TAIL_PATTERNS = {
+    "star4": (lambda: generate_star(4), ("shared", 3)),
+    "star5": (lambda: generate_star(5), ("shared", 4)),
+    "chain4": (lambda: generate_chain(4), ("linked", 2)),
+    "chain5": (lambda: generate_chain(5), ("linked", 2)),
+    "diamond": (pattern_p1, ("shared", 2)),
+    "paw": (_paw, ("unlinked", 2)),
+    "tailed-k4": (pattern_p4, ("unlinked", 2)),
+    "house": (pattern_p3, ("unlinked", 2)),
+    "cycle5": (lambda: generate_cycle(5), ("shared", 1)),
+}
+
+
+def _tail_of(pattern, **kwargs):
+    plan = generate_plan(pattern, **kwargs)
+    tail = _compile_steps(plan)[-1]
+    return tail.kind, len(plan.noncore_steps) - tail.start
+
+
+def _random_connected_pattern(rng: random.Random) -> Pattern:
+    while True:
+        k = rng.randint(4, 6)
+        edges = [
+            (u, v) for u in range(k) for v in range(u + 1, k)
+            if rng.random() < 0.45
+        ]
+        if edges:
+            p = Pattern.from_edges(edges)
+            if p.num_vertices == k and p.is_connected():
+                return p
+
+
+def _assert_per_start_parity(session, pattern, chunks=CHUNKS, **kwargs):
+    """Every start vertex alone: the batched count equals the interpreter's."""
+    for v in range(session.graph.num_vertices):
+        expected = session.count(
+            pattern, engine="reference", start_vertices=[v], **kwargs
+        )
+        for chunk in chunks:
+            got = session.count(
+                pattern, engine="accel-batch", frontier_chunk=chunk,
+                start_vertices=[v], **kwargs,
+            )
+            assert got == expected, (v, chunk)
+
+
+class TestTailProgram:
+    @pytest.fixture(scope="class")
+    def session(self):
+        return MiningSession(erdos_renyi(16, 0.4, seed=5))
+
+    @pytest.mark.parametrize("name", sorted(TAIL_PATTERNS))
+    def test_compiled_shapes(self, name):
+        pattern_fn, shape = TAIL_PATTERNS[name]
+        assert _tail_of(pattern_fn()) == shape
+
+    def test_unbroken_symmetry_keeps_the_shared_set(self):
+        # no symmetry bounds: k! orderings of one set, not enumeration
+        assert _tail_of(generate_star(5), symmetry_breaking=False) == (
+            "shared", 4
+        )
+
+    @pytest.mark.parametrize("symmetry_breaking", (True, False))
+    @pytest.mark.parametrize("edge_induced", (True, False))
+    @pytest.mark.parametrize("name", sorted(TAIL_PATTERNS))
+    def test_per_start_counts_match_reference(
+        self, session, name, edge_induced, symmetry_breaking
+    ):
+        _assert_per_start_parity(
+            session, TAIL_PATTERNS[name][0](),
+            edge_induced=edge_induced, symmetry_breaking=symmetry_breaking,
+        )
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=15, deadline=None)
+    def test_fuzz_random_patterns_per_start(self, seed):
+        rng = random.Random(seed)
+        pattern = _random_connected_pattern(rng)
+        session = MiningSession(erdos_renyi(13, 0.4, seed=seed))
+        _assert_per_start_parity(
+            session, pattern, chunks=([1, 2, None][seed % 3],),
+            edge_induced=rng.random() < 0.6,
+            symmetry_breaking=rng.random() < 0.6,
+        )
+
+    def test_fall_back_shapes_stay_exact(self):
+        """Labeled steps, anti-edges between tail steps and anti-vertices."""
+        labeled = _labeled_pattern(generate_star(4), {1: 0, 2: 0})
+        anti_leaves = generate_star(4)
+        anti_leaves.add_anti_edge(1, 2)
+        anti_vertex = generate_star(3)
+        anti_vertex.add_anti_vertex([1, 2])
+        assert _tail_of(labeled) == ("shared", 1)
+        assert _tail_of(generate_star(4), edge_induced=False) == ("shared", 1)
+        assert _tail_of(anti_leaves)[1] < 3
+        plain = MiningSession(erdos_renyi(16, 0.4, seed=8))
+        colored = MiningSession(
+            with_random_labels(erdos_renyi(16, 0.4, seed=8), 2, seed=3)
+        )
+        _assert_per_start_parity(colored, labeled)
+        _assert_per_start_parity(plain, anti_leaves)
+        _assert_per_start_parity(plain, anti_vertex)
+
+    def test_fused_process_and_census_tiers_agree(self):
+        session = MiningSession(erdos_renyi(40, 0.2, seed=3))
+        patterns = [fn() for fn, _ in TAIL_PATTERNS.values()]
+        expected = {
+            p: session.count(p, engine="reference") for p in patterns
+        }
+        assert session.count_many(patterns, engine="fused") == expected
+        assert process_count_many(session, patterns, num_processes=2) == expected
+        motifs = list(generate_all_vertex_induced(4))
+        census = session.count_many(motifs, edge_induced=False)
+        assert census == {
+            m: session.count(m, edge_induced=False, engine="reference")
+            for m in motifs
+        }
+        assert process_count_many(
+            session, motifs, num_processes=2, edge_induced=False
+        ) == census
 
 
 class TestFrontierStartOrder:

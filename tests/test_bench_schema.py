@@ -129,13 +129,15 @@ def test_workload_entries_stable(name):
 def test_engine_results_rows_stable():
     payload = _load("BENCH_engine.json")
     assert payload["results"], "BENCH_engine.json has no result rows"
-    row_keys = {"pattern", "avg_degree", "matches", "batch_speedup_vs_reference"}
+    row_keys = {
+        "pattern", "tail", "avg_degree", "matches", "batch_speedup_vs_reference",
+    }
     for row in payload["results"]:
         missing = row_keys - row.keys()
         assert not missing, f"engine sweep row lost key(s) {sorted(missing)}"
     # Two engines survive: the oracle and the batched engine, which must
     # keep beating the interpreter on a multi-vertex-core pattern at low
-    # degree (the measured basis of ACCEL_BATCH_MIN_AVG_DEGREE).
+    # degree (the measured basis of MIN_BATCH_EXPANSION).
     assert payload["engines"] == ["reference", "accel-batch"]
     assert any(
         row["multi_vertex_core"]
@@ -143,6 +145,22 @@ def test_engine_results_rows_stable():
         and row["batch_speedup_vs_reference"] > 1.0
         for row in payload["results"]
     )
+    assert "ACCEL_BATCH_MIN_AVG_DEGREE" not in payload["note"]
+    assert set(payload["crossover"]) == {row["pattern"] for row in payload["results"]}
+
+
+def test_engine_tail_cells_recorded():
+    """One cell per count-only tail shape, each counted from set sizes."""
+    payload = _load("BENCH_engine.json")
+    shapes = {row["pattern"]: row["tail"] for row in payload["results"]}
+    assert shapes["star-5"] == "sharedx4"
+    assert shapes["diamond"] == "sharedx2"
+    assert shapes["chain-4"] == "linkedx2"
+    assert shapes["tailed-triangle"] == "unlinkedx2"  # the paw
+    # A counted tail beats enumerating it by more at every degree >= 8.
+    for row in payload["results"]:
+        if row["pattern"] in ("star-5", "chain-4") and row["avg_degree_target"] >= 8:
+            assert row["batch_speedup_vs_reference"] > 10.0, row
 
 
 def test_multipattern_acceptance_recorded():

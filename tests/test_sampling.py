@@ -20,7 +20,7 @@ import pytest
 from repro.core.engine import EngineStats
 from repro.core.session import ExecOptions, MiningSession
 from repro.errors import MatchingError
-from repro.graph import barabasi_albert, erdos_renyi, from_edges
+from repro.graph import barabasi_albert, erdos_renyi, from_edges, power_law
 from repro.mining.sampling import (
     ApproxCount,
     approx_count,
@@ -215,6 +215,63 @@ class TestMultiPattern:
         # same contract as the verb: an estimate has no matches to observe
         with pytest.raises(MatchingError, match="count-only"):
             approx_count_many(ba_session, patterns, stats=EngineStats())
+
+
+class TestEstimatePin:
+    """Estimates are byte-identical across engine rewrites.
+
+    Every sampled round is an exact executor pass over a draw of start
+    vertices, so an engine change that keeps per-start counts exact
+    (tail counting included) must reproduce these numbers bit for bit:
+    ``(estimate, ci_low, ci_high, samples, rounds)``, hard-coded.
+    """
+
+    @pytest.fixture(scope="class")
+    def pl_graph(self):
+        return power_law(3000, gamma=2.3, seed=5)
+
+    CENSUS = {
+        1: [
+            (69631671.02083333, 69631492.71291573, 69631849.32875092, 1792, 6),
+            (10117766.78125, 10117555.577733804, 10117977.984766196, 1792, 6),
+            (2935531.5729166665, 2935525.3093614276, 2935537.8364719055,
+             1792, 6),
+            (33344.145833333336, 33331.61872285504, 33356.67294381163, 1792,
+             6),
+        ],
+        2: [
+            (69631611.84375, 69631015.19953975, 69632208.48796025, 1536, 4),
+            (10117774.5, 10116803.531462805, 10118745.468537195, 1536, 4),
+            (2935567.59375, 2935487.2102100076, 2935647.9772899924, 1536, 4),
+            (33342.859375, 33332.24331090402, 33353.47543909598, 1536, 4),
+        ],
+    }
+
+    SINGLE = [
+        (generate_star(4),
+         (72852835.4375, 72852567.43006112, 72853103.44493888, 1536, 4)),
+        (generate_chain(4),
+         (16979156.5, 16978754.395405028, 16979558.604594972, 1536, 4)),
+    ]
+
+    @staticmethod
+    def _pinned(r):
+        assert not r.exact
+        return (r.estimate, r.ci_low, r.ci_high, r.samples, r.rounds)
+
+    @pytest.mark.parametrize("seed", sorted(CENSUS))
+    def test_census_estimates(self, pl_graph, seed):
+        motifs = list(generate_all_vertex_induced(4))[:4]
+        results = MiningSession(pl_graph).count_many(
+            motifs, edge_induced=False, approx=0.05, seed=seed
+        )
+        assert [self._pinned(results[m]) for m in motifs] == self.CENSUS[seed]
+
+    @pytest.mark.parametrize("index", range(len(SINGLE)))
+    def test_single_estimates(self, pl_graph, index):
+        pattern, pinned = self.SINGLE[index]
+        r = MiningSession(pl_graph).count(pattern, approx=0.05, seed=7)
+        assert self._pinned(r) == pinned
 
 
 # ----------------------------------------------------------------------
