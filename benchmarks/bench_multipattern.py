@@ -8,8 +8,11 @@ member engine, so the measured delta is exactly the fusion:
 * **sequential** — ``engine="accel-batch"``: every pattern walks its own
   level-0 frontier through the frontier-batched engine, the pre-fusion
   behaviour of ``count_many``;
-* **fused** — ``engine="fused"``: one shared frontier walk with shared
-  first-level gathers (:class:`repro.core.accel.SharedFrontierGathers`),
+* **fused** — ``engine="fused"``: one shared frontier walk whose first
+  expansions are memoised per slice
+  (:class:`repro.core.accel.SharedFrontierGathers` stores the engine
+  kernel's own sub-blocks per ``(bounded below, bounded above, label)``
+  variant, so the first member computes them and the rest replay them),
   and — for the count-only vertex-induced censuses — the shared
   non-induced basis of :mod:`repro.core.multipattern` (anti-edge-free
   plans hit the engine's arithmetic tail counts; induced counts
@@ -172,7 +175,7 @@ def test_multipattern_emits_json(capsys):
             "Wall-clock seconds per multi-pattern workload on one warm "
             "MiningSession: sequential = engine='accel-batch' per-pattern "
             "execution (own frontier walk each), fused = engine='fused' "
-            "(shared frontier walk + shared first-level gathers; "
+            "(shared frontier walk + per-slice memo of first expansions; "
             "count-only vertex-induced censuses additionally route "
             "through the shared non-induced basis with exact Möbius "
             "demultiplexing).  Censuses are where fusion multiplies; the "

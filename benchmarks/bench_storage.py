@@ -117,7 +117,7 @@ def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
     # The fork tier shares heap arrays: copy the (possibly mapped) CSR
     # sections into anonymous memory, as a generated graph's view holds
     # them.
-    flat, offsets, _ = view.csr()
+    offsets, flat, _ = view.graph.csr_arrays()
     heap = [np.array(offsets), np.array(flat)]
     heap_bytes = sum(arr.nbytes for arr in heap)
     with ctx.Pool(

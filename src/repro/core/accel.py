@@ -9,6 +9,12 @@ level-synchronous analogue of :func:`repro.core.engine.run_tasks` that
 extends *every* live partial match of a level per numpy dispatch, plus
 :func:`fused_run`, which walks one shared frontier for several plans.
 
+One set operation adds a pattern vertex, in the core and outside it
+(§4.1, §5.5): every core level, non-core step and anti-vertex check
+compiles to a ``_CandidateSet`` — matched neighbours to intersect,
+anti-neighbours to subtract, symmetry bounds, a label — and one kernel
+gathers and filters every set, so there is one gather to instrument.
+
 The engine covers the **full pattern-feature matrix** of the paper:
 
 * edge-induced and vertex-induced matching (anti-edge membership masks,
@@ -50,10 +56,9 @@ import numpy as np
 
 from ..errors import BudgetExceededError, MatchingError, PartialResult
 from ..graph.graph import DataGraph
-from ..pattern.pattern import Pattern
 from .callbacks import ExplorationControl, Match
 from .matching_order import OrderedCore, _linear_extensions
-from .plan import ExplorationPlan, NonCoreStep, generate_plan
+from .plan import ExplorationPlan, NonCoreStep
 
 __all__ = [
     "bounded_slices",
@@ -66,7 +71,6 @@ __all__ = [
     "ACCEL_FRONTIER_CHUNK",
     "frontier_start_order",
     "shared_view",
-    "frontier_count",
     "fused_run",
 ]
 
@@ -94,7 +98,7 @@ def hub_degree_threshold(num_vertices: int) -> int:
 def bounded_slices(weights: np.ndarray, cap: int):
     """Consecutive slices of ``weights`` whose sums stay near ``cap``.
 
-    The one chunking rule: :meth:`FrontierBatchedEngine._row_groups`
+    The one chunking rule: :meth:`FrontierBatchedEngine._candidates`
     (candidate totals per gather), :func:`fused_run` (frontier walks)
     and — through :func:`repro.runtime.scheduler.weighted_boundaries` —
     the concurrent runtimes' degree-weighted work chunks all cut here.
@@ -147,10 +151,6 @@ class AcceleratedGraphView:
         self._adj_keys: np.ndarray | None = None
         self._degrees: np.ndarray | None = None
         self._hub_index = None
-
-    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """The raw ``(flat, offsets, labels)`` buffers (do not mutate)."""
-        return self._flat, self._offsets, self._labels
 
     @property
     def num_vertices(self) -> int:
@@ -352,19 +352,21 @@ def frontier_start_order(
 
 
 # ----------------------------------------------------------------------
-# Non-core candidate sets and the count-only tail program (compiled once
-# per plan from its non-core steps and the matched pattern)
+# Candidate sets and the count-only tail program (compiled once per plan
+# from its ordered cores, its non-core steps and the matched pattern)
 # ----------------------------------------------------------------------
 
 
 class _CandidateSet(NamedTuple):
-    """One non-core candidate set over a fixed frontier column layout.
+    """One candidate set over a fixed frontier column layout.
 
     Per row the set is ``⋂ adj(nbr_cols) − ⋃ adj(anti_cols)``, strictly
     between the largest ``lower_cols`` and the smallest ``upper_cols``
-    value, carrying ``label``, minus the row's used vertices.
-    ``maybe_inside`` is the pattern-aware injectivity table: the used
-    columns that *can* lie in the set, each with the neighbour and
+    value, carrying ``label``, minus the row's used vertices.  With no
+    ``nbr_cols`` (a core position with no later neighbour) the set draws
+    from the ``label`` partition, or from every vertex, below the upper
+    bound.  ``maybe_inside`` is the pattern-aware injectivity table: the
+    used columns that *can* lie in the set, each with the neighbour and
     anti-neighbour columns whose membership the pattern does not already
     decide.  A neighbour or bound column (or one ordered beyond a bound)
     is never inside, nor is one whose pattern edges contradict the set.
@@ -391,7 +393,7 @@ class _Geometry(NamedTuple):
     lo: np.ndarray | None  # strict lower bound (None: unbounded)
     hi: np.ndarray | None  # strict upper bound (None: unbounded)
     pick: np.ndarray | None  # which neighbour is the pivot (multi-neighbour)
-    pivot: np.ndarray  # the min-degree neighbour whose segment is gathered
+    pivot: np.ndarray | None  # the min-degree neighbour (None: no neighbour)
     start: np.ndarray  # segment rank of the first candidate
     end: np.ndarray  # segment rank past the last candidate
     lens: np.ndarray  # max(end - start, 0)
@@ -532,15 +534,44 @@ def _tail_shape(plan: ExplorationPlan, start: int) -> _TailProgram | None:
     return None
 
 
+def _core_set(oc: OrderedCore, level: int) -> _CandidateSet:
+    """Core position ``top - level`` as a candidate set over the core block.
+
+    Column ``j`` holds position ``top - j``, so the previous position is
+    the last column and the set's one upper bound.  Core values strictly
+    decrease along the columns, so no used vertex can lie in the set.
+    """
+    top = oc.size - 1
+    i = top - level
+    return _CandidateSet(
+        tuple(top - j for j in oc.later_neighbors(i)),
+        tuple(top - b for a, b in oc.anti_edges if a == i),
+        (),
+        (level - 1,),
+        oc.labels[i],
+        (),
+    )
+
+
 def _compile_steps(
     plan: ExplorationPlan,
-) -> tuple[list[_CandidateSet], list[_CandidateSet], _TailProgram | None]:
-    """Candidate sets per step and per anti-vertex check, plus the tail program.
+) -> tuple[
+    list[list[_CandidateSet]],
+    list[_CandidateSet],
+    list[_CandidateSet],
+    _TailProgram | None,
+]:
+    """Candidate sets per core level, step and anti-vertex check, plus the tail.
 
-    An anti-vertex check is the set of its neighbours' common neighbours
-    over the completed match; a row survives when that set is empty.
-    The tail program covers the longest countable suffix of steps.
+    ``cores[rank][level - 1]`` assigns level ``level`` of ordered core
+    ``rank``.  An anti-vertex check is the set of its neighbours' common
+    neighbours over the completed match; a row survives when that set is
+    empty.  The tail program covers the longest countable suffix of steps.
     """
+    cores = [
+        [_core_set(oc, level) for level in range(1, oc.size)]
+        for oc in plan.ordered_cores
+    ]
     steps = plan.noncore_steps
     sets = [
         _candidate_set(plan, step, _frontier_columns(plan, i))
@@ -556,7 +587,7 @@ def _compile_steps(
         if check.neighbors
     ]
     tails = (_tail_shape(plan, start) for start in range(len(steps)))
-    return sets, checks, next((t for t in tails if t is not None), None)
+    return cores, sets, checks, next((t for t in tails if t is not None), None)
 
 
 def _choose_sum(sizes: np.ndarray, k: int) -> int:
@@ -581,15 +612,19 @@ class FrontierBatchedEngine:
     at a time and recurses per partial match, this engine holds *all*
     live partial matches of a matching-order level in one
     ``(n_partials, level)`` array and extends the whole level per numpy
-    dispatch:
+    dispatch.  Every core level, non-core step and anti-vertex check is
+    compiled to one :class:`_CandidateSet` and served by one kernel,
+    :meth:`_candidates`:
 
     * candidate neighborhoods are gathered with a CSR degree-prefix
       gather from each row's cheapest (min-degree) constraint vertex,
-      pre-clipped to the symmetry bound by a rank query;
+      pre-clipped to the symmetry bounds by rank queries (a core
+      position with no later neighbour gathers its label partition, or
+      ``0 .. bound - 1``, instead);
     * remaining edge constraints, anti-edge differences, label
-      constraints and injectivity become boolean masks over the
-      concatenated candidate segments (membership via one
-      ``searchsorted`` over the view's :meth:`adjacency_keys`);
+      constraints and injectivity narrow the gathered candidates one
+      constraint at a time (membership via one ``searchsorted`` over the
+      view's :meth:`adjacency_keys`, or a hub's packed bit row);
     * count-only runs hand the longest countable suffix of non-core
       steps to the plan's tail program (compiled once per plan by
       :func:`_compile_steps`): per frontier row the suffix contributes a
@@ -616,7 +651,7 @@ class FrontierBatchedEngine:
     Memory is bounded two ways (default :data:`ACCEL_FRONTIER_CHUNK`):
     oversized frontiers are split into ``chunk``-row blocks exhausted
     depth-first, and each expansion gathers its candidate segments in
-    groups capped near ``chunk`` *candidates* (:meth:`_row_groups`), so
+    groups capped near ``chunk`` *candidates* (:meth:`_candidates`), so
     peak intermediates stay ~``O(chunk)`` per level regardless of graph
     density — a single row's segment (at most one adjacency list or one
     ``arange(bound)``) is the only irreducible allocation.
@@ -649,6 +684,7 @@ class FrontierBatchedEngine:
         "_pending",
         "_ordered_emit",
         "_compiled",
+        "_cores",
         "_sets",
         "_checks",
         "_tail",
@@ -658,16 +694,15 @@ class FrontierBatchedEngine:
         self.view = view
         self.labels = view.labels
         self.n = view.num_vertices
-        flat, offsets, _ = view.csr()
-        self.flat = flat
-        self.offsets = offsets
+        self.offsets, self.flat, _ = view.graph.csr_arrays()
         self.degrees = view.degrees()
         self.keys = view.adjacency_keys()
         self.stride = self.n + 1
         self.hubs = view.hub_index()
-        # A fused multi-pattern run attaches a SharedFrontierGathers here
-        # so level-1 expansions reuse one neighbor gather across member
-        # patterns; standalone runs leave it None.
+        # A fused multi-pattern run attaches its slice's
+        # SharedFrontierGathers memo here so first expansions are
+        # computed once per slice, not once per member; standalone runs
+        # leave it None.
         self.shared: SharedFrontierGathers | None = None
         self._compiled: ExplorationPlan | None = None
 
@@ -723,20 +758,6 @@ class FrontierBatchedEngine:
         local = np.arange(total, dtype=np.int64) - np.repeat(seg_starts, lens)
         return row_ids, local
 
-    def _row_groups(self, lens: np.ndarray):
-        """Split rows so each group's *candidate total* stays near ``chunk``.
-
-        Input-row chunking alone cannot bound an expansion: a single
-        level can fan ``chunk`` rows out to ``chunk * n`` candidates
-        (e.g. an unconstrained core position whose candidates are
-        ``arange(bound)``).  Capping the cumulative candidate count per
-        gather keeps every intermediate allocation near the chunk size;
-        a lone row whose own segment exceeds the cap still goes through
-        whole (one segment is one gather), which bounds the worst case
-        at ``O(max_segment)``, not ``O(rows * max_segment)``.
-        """
-        return bounded_slices(lens, self.chunk)
-
     # ------------------------------------------------------------------
     # Entry point
     # ------------------------------------------------------------------
@@ -788,7 +809,9 @@ class FrontierBatchedEngine:
         self.plan = plan
         self.steps = plan.noncore_steps
         if self._compiled is not plan:
-            self._sets, self._checks, self._tail = _compile_steps(plan)
+            self._cores, self._sets, self._checks, self._tail = (
+                _compile_steps(plan)
+            )
             self._compiled = plan
         self.on_match = on_match
         self.on_batch = on_batch
@@ -883,83 +906,9 @@ class FrontierBatchedEngine:
         if self.budget is not None:
             self.budget.charge_partials(block.shape[0])
             self.budget.check(self.total)
-        for nxt, nxt_origin in self._expand_core(oc, block, origin, level):
+        cset = self._cores[self._cur_rank][level - 1]
+        for nxt, nxt_origin in self._expand(block, origin, cset):
             self._process_core(nxt, nxt_origin, level + 1)
-
-    def _expand_core(
-        self, oc: OrderedCore, block: np.ndarray, origin: np.ndarray, level: int
-    ):
-        """Assign core position ``top - level``; yields expanded sub-blocks.
-
-        Per-row candidate segments are described once (source array, base
-        offset, length), then gathered in :meth:`_row_groups`-bounded
-        groups so no single expansion materializes more than ~``chunk``
-        candidates at a time.
-        """
-        top = oc.size - 1
-        i = top - level
-        rows = block.shape[0]
-        bound = block[:, -1]  # the (strictly larger) value at position i+1
-        later = oc.later_neighbors(i)
-        label = oc.labels[i]
-        anti_later = [b for a, b in oc.anti_edges if a == i]
-        if (
-            level == 1
-            and later
-            and not anti_later
-            and self.shared is not None
-            and self.shared.matches(block[:, 0])
-        ):
-            # At level 1 the only later core position is the top, so the
-            # expansion is "neighbors of the start, strictly below it" —
-            # a pure variant of the slice's shared first-level expansion.
-            exp_block, rows = self.shared.expansion(False, True, label)
-            yield exp_block, self.shared.origin_rows(origin, rows)
-            return
-        pick = None
-        if later:
-            owner_cols = block[:, [top - j for j in later]]
-            pick = np.argmin(self.degrees[owner_cols], axis=1)
-            pivot = owner_cols[np.arange(rows), pick]
-            lens = self._rank(pivot, bound, "left")
-            seg_base = self.offsets[pivot]
-            source = self.flat
-        elif label is not None:
-            # No later core neighbor but a label: scan the (sorted) label
-            # partition below the bound instead of every vertex.
-            source = self.view.vertices_with_label(label)
-            lens = np.searchsorted(source, bound).astype(np.int64)
-            seg_base = np.zeros(rows, dtype=np.int64)
-            label = None
-        else:
-            lens = bound
-            seg_base = None
-            source = None  # candidates are 0 .. bound-1 verbatim
-        for rows_slice in self._row_groups(lens):
-            row_ids, local = self._gather(lens[rows_slice])
-            if source is not None:
-                cands = source[seg_base[rows_slice][row_ids] + local]
-            else:
-                cands = local
-            g_block = block[rows_slice]
-            mask = np.ones(cands.size, dtype=bool)
-            if later and len(later) > 1:
-                g_pick = pick[rows_slice]
-                for k, j in enumerate(later):
-                    # the pivot's own membership is implicit
-                    hit = self._member(g_block[row_ids, top - j], cands)
-                    mask &= hit | (g_pick[row_ids] == k)
-            for j in anti_later:
-                mask &= ~self._member(g_block[row_ids, top - j], cands)
-            if label is not None and cands.size:
-                mask &= self.labels[cands] == label
-            if not mask.all():
-                row_ids = row_ids[mask]
-                cands = cands[mask]
-            yield (
-                np.concatenate([g_block[row_ids], cands[:, None]], axis=1),
-                origin[rows_slice][row_ids],
-            )
 
     # ------------------------------------------------------------------
     # Completion (non-core steps, batched)
@@ -1011,14 +960,22 @@ class FrontierBatchedEngine:
         if self.can_count_tail and step_index == self._tail.start:
             self.total += self._count_tail(block)
             return
-        for nxt, nxt_origin in self._expand_step(block, origin, step_index):
+        cset = self._sets[step_index]
+        for nxt, nxt_origin in self._expand(block, origin, cset):
             self._process_steps(nxt, nxt_origin, step_index + 1)
+
+    # ------------------------------------------------------------------
+    # The candidate-set kernel (every core level, step and check)
+    # ------------------------------------------------------------------
 
     def _step_context(self, block: np.ndarray, cset: _CandidateSet) -> _Geometry:
         """Per-row candidate geometry of one set over ``block``.
 
         The pivot is each row's min-degree neighbour; an absent bound
-        skips its rank query (rank 0, or the pivot's degree).
+        skips its rank query (rank 0, or the pivot's degree).  A set with
+        no neighbour (a core position, bounded above only) ranks its
+        bound into the label partition, or takes it as the length of
+        ``0 .. bound - 1``.
         """
         rows = block.shape[0]
         lo = hi = pick = None
@@ -1026,6 +983,13 @@ class FrontierBatchedEngine:
             lo = block[:, list(cset.lower_cols)].max(axis=1)
         if cset.upper_cols:
             hi = block[:, list(cset.upper_cols)].min(axis=1)
+        if not cset.nbr_cols:
+            end = hi
+            if cset.label is not None:
+                part = self.view.vertices_with_label(cset.label)
+                end = np.searchsorted(part, hi)
+            return _Geometry(lo, hi, None, None,
+                             np.zeros(rows, dtype=np.int64), end, end)
         if len(cset.nbr_cols) == 1:
             pivot = block[:, cset.nbr_cols[0]]
         else:
@@ -1055,13 +1019,15 @@ class FrontierBatchedEngine:
 
         Constraints narrow the survivors one at a time — label first,
         then each non-pivot neighbour, then anti-neighbours — so every
-        membership probe runs only on candidates still alive.
-        ``injective`` also drops candidates equal to a used vertex (only
-        the columns that can lie in the set need the comparison).
+        membership probe runs only on candidates still alive.  A set with
+        no neighbour was drawn from its label partition, so its label
+        holds already.  ``injective`` also drops candidates equal to a
+        used vertex (only the columns that can lie in the set need the
+        comparison).
         """
         g_block = block[rows_slice]
         keep = np.arange(cands.size, dtype=np.int64)
-        if cset.label is not None:
+        if cset.label is not None and cset.nbr_cols:
             keep = keep[self.labels[cands] == cset.label]
         if pick is not None:
             g_pick = pick[rows_slice]
@@ -1079,6 +1045,81 @@ class FrontierBatchedEngine:
             for c, _, _ in cset.maybe_inside:
                 keep = keep[cands[keep] != g_block[row_ids[keep], c]]
         return keep
+
+    def _candidates(
+        self,
+        block: np.ndarray,
+        cset: _CandidateSet,
+        geo: _Geometry,
+        injective: bool,
+    ):
+        """Yield ``(rows_slice, row_ids, cands)``: ``cset``'s members per row group.
+
+        The one gather.  Each row's segment — its pivot's adjacency
+        between the bound ranks, the label partition below the bound, or
+        ``0 .. bound - 1`` — is gathered in row groups whose *candidate
+        total* stays near ``chunk`` (input-row chunking alone cannot bound
+        a level that fans ``chunk`` rows out to ``chunk * n`` candidates;
+        a lone over-cap row still goes whole, so the worst case is one
+        segment), then narrowed by :meth:`_set_filter`.  ``row_ids``
+        index ``block[rows_slice]``; survivors keep row-then-candidate
+        order.
+        """
+        if geo.pivot is not None:
+            source, base = self.flat, self.offsets[geo.pivot] + geo.start
+        elif cset.label is not None:
+            source, base = self.view.vertices_with_label(cset.label), None
+        else:
+            source = base = None
+        for rows_slice in bounded_slices(geo.lens, self.chunk):
+            row_ids, local = self._gather(geo.lens[rows_slice])
+            pos = local if base is None else base[rows_slice][row_ids] + local
+            cands = pos if source is None else source[pos]
+            keep = self._set_filter(
+                block, rows_slice, row_ids, cands, cset, geo.pick, injective
+            )
+            if keep.size < cands.size:
+                row_ids = row_ids[keep]
+                cands = cands[keep]
+            yield rows_slice, row_ids, cands
+
+    def _expand(self, block: np.ndarray, origin: np.ndarray, cset: _CandidateSet):
+        """Extend each row of ``block`` by each member of ``cset``.
+
+        Yields ``(sub_block, sub_origin)`` pairs per row group.  A fused
+        run's first expansion of its slice — the block's one column is
+        the slice verbatim, so its origin is the identity — is computed
+        once per variant and replayed from the slice's memo for every
+        further member (:class:`SharedFrontierGathers`).
+        """
+        memo = self.shared
+        key = subs = None
+        if (
+            memo is not None
+            and block.shape[1] == 1
+            and cset.nbr_cols
+            and memo.matches(block[:, 0])
+        ):
+            key = (bool(cset.lower_cols), bool(cset.upper_cols), cset.label)
+            if key in memo.expansions:
+                yield from memo.expansions[key]
+                return
+            subs = []
+        geo = self._step_context(block, cset)
+        for rows_slice, row_ids, cands in self._candidates(
+            block, cset, geo, True
+        ):
+            sub = (
+                np.concatenate(
+                    [block[rows_slice][row_ids], cands[:, None]], axis=1
+                ),
+                origin[rows_slice][row_ids],
+            )
+            if subs is not None:
+                subs.append(sub)
+            yield sub
+        if subs is not None:
+            memo.expansions[key] = subs
 
     def _inside_rows(
         self, block: np.ndarray, cset: _CandidateSet, geo: _Geometry
@@ -1112,15 +1153,11 @@ class FrontierBatchedEngine:
             sizes = geo.lens
         else:
             sizes = np.zeros(block.shape[0], dtype=np.int64)
-            seg_base = self.offsets[geo.pivot] + geo.start
-            for rows_slice in self._row_groups(geo.lens):
-                row_ids, local = self._gather(geo.lens[rows_slice])
-                cands = self.flat[seg_base[rows_slice][row_ids] + local]
-                keep = self._set_filter(
-                    block, rows_slice, row_ids, cands, cset, geo.pick, False
-                )
+            for rows_slice, row_ids, _ in self._candidates(
+                block, cset, geo, False
+            ):
                 sizes[rows_slice] = np.bincount(
-                    row_ids[keep], minlength=rows_slice.stop - rows_slice.start
+                    row_ids, minlength=rows_slice.stop - rows_slice.start
                 )
         for _, rows in self._inside_rows(block, cset, geo):
             sizes[rows] -= 1
@@ -1166,16 +1203,9 @@ class FrontierBatchedEngine:
             flag = np.zeros(block.shape[0], dtype=bool)
             flag[rows] = True
             used_b.append((used, flag))
-        seg_base = self.offsets[ga.pivot] + ga.start
         total = 0
-        for rows_slice in self._row_groups(ga.lens):
-            row_ids, local = self._gather(ga.lens[rows_slice])
-            x = self.flat[seg_base[rows_slice][row_ids] + local]
-            keep = self._set_filter(
-                block, rows_slice, row_ids, x, first, None, True
-            )
-            r = row_ids[keep] + rows_slice.start
-            x = x[keep]
+        for rows_slice, row_ids, x in self._candidates(block, first, ga, True):
+            r = row_ids + rows_slice.start
             if above:
                 bound = x if gb.lo is None else np.maximum(gb.lo[r], x)
                 n = gb.end[r] - self._rank(gb.pivot[r], bound, "right")
@@ -1188,47 +1218,6 @@ class FrontierBatchedEngine:
                 total -= int(np.count_nonzero(flag[r] & beyond))
         return total
 
-    def _expand_step(
-        self, block: np.ndarray, origin: np.ndarray, step_index: int
-    ):
-        """Assign one non-core vertex; yields expanded sub-blocks."""
-        cset = self._sets[step_index]
-        if (
-            step_index == 0
-            and block.shape[1] == 1
-            and len(cset.nbr_cols) == 1
-            and not cset.anti_cols
-            and self.shared is not None
-            and self.shared.matches(block[:, 0])
-        ):
-            # Single-vertex-core first step: the only matched vertex is
-            # the start, so bounds can only clip to above/below it and
-            # the candidates are another variant of the slice's shared
-            # first-level expansion (injectivity is vacuous — a simple
-            # graph never lists a vertex among its own neighbors).
-            exp_block, rows = self.shared.expansion(
-                bool(cset.lower_cols), bool(cset.upper_cols), cset.label
-            )
-            yield exp_block, self.shared.origin_rows(origin, rows)
-            return
-        geo = self._step_context(block, cset)
-        seg_base = self.offsets[geo.pivot] + geo.start
-        for rows_slice in self._row_groups(geo.lens):
-            row_ids, local = self._gather(geo.lens[rows_slice])
-            cands = self.flat[seg_base[rows_slice][row_ids] + local]
-            keep = self._set_filter(
-                block, rows_slice, row_ids, cands, cset, geo.pick, True
-            )
-            if keep.size < cands.size:
-                row_ids = row_ids[keep]
-                cands = cands[keep]
-            yield (
-                np.concatenate(
-                    [block[rows_slice][row_ids], cands[:, None]], axis=1
-                ),
-                origin[rows_slice][row_ids],
-            )
-
     # ------------------------------------------------------------------
     # Anti-vertex verification + emission
     # ------------------------------------------------------------------
@@ -1239,16 +1228,12 @@ class FrontierBatchedEngine:
             alive = np.ones(block.shape[0], dtype=bool)
             for cset in self._checks:
                 geo = self._step_context(block, cset)
-                seg_base = self.offsets[geo.pivot]
-                for rows_slice in self._row_groups(geo.lens):
-                    row_ids, local = self._gather(geo.lens[rows_slice])
-                    cands = self.flat[seg_base[rows_slice][row_ids] + local]
-                    keep = self._set_filter(
-                        block, rows_slice, row_ids, cands, cset, geo.pick, True
-                    )
-                    # Rows with any surviving common neighbor outside the
-                    # match violate the anti-vertex; scatter-reject them.
-                    alive[rows_slice.start + row_ids[keep]] = False
+                # Rows with any surviving common neighbor outside the
+                # match violate the anti-vertex; scatter-reject them.
+                for rows_slice, row_ids, _ in self._candidates(
+                    block, cset, geo, True
+                ):
+                    alive[rows_slice.start + row_ids] = False
             if not alive.all():
                 block = block[alive]
                 origin = origin[alive]
@@ -1312,137 +1297,38 @@ class FrontierBatchedEngine:
 
 
 class SharedFrontierGathers:
-    """One slice's first-level expansions, shared across fused members.
+    """One slice's first expansions, memoised across fused members.
 
     The fused multi-pattern runner walks the level-0 frontier in slices
     and runs every member pattern over each slice.  A member's *first*
-    expansion — a multi-position core's level-1, or the first completion
-    step of a single-vertex-core plan — always extends the bare start
-    vertex by its own neighbors, so its output is fully determined by a
-    small *variant signature*: the symmetry bounds relative to the start
-    (none / below-start / above-start), the new vertex's label
-    constraint, and whether an anti-edge to the start applies.  (The
-    engine's injectivity mask is vacuous here: a simple graph never lists
-    a vertex among its own neighbors.)
+    expansion — a multi-position core's level 1, or the first completion
+    step of a single-vertex-core plan — extends the bare start vertex by
+    its own neighbours, so its candidate set is fully determined by a
+    small *variant signature*: bounded below the start, bounded above
+    it, and the new vertex's label.  (An anti-edge to the start leaves
+    no neighbour to gather and never reaches the memo; injectivity is
+    vacuous, since a simple graph never lists a vertex among its own
+    neighbours.)
 
-    This cache memoizes the fully expanded ``(block, rows)`` pair per
-    variant, computed exactly the way a standalone engine would (rank
-    queries + one CSR gather) — so the *first* member needing a variant
-    pays the sequential price and every further member gets it free.
-    Motif censuses and FSM rounds concentrate on a handful of variants,
-    which is where fusion's multiplicative saving comes from.
-
-    :meth:`expansion` only serves a request whose start array equals the
-    slice verbatim (label-filtered per-core subsets fall back to the
-    engine's own path), so correctness never depends on the cache: a
-    miss simply costs the un-fused expansion.
+    :meth:`FrontierBatchedEngine._expand` stores its own sub-blocks here
+    per variant, so the first member needing a variant pays the
+    sequential price and every further member replays them.  Motif
+    censuses and FSM rounds concentrate on a handful of variants.  The
+    memo is consulted only when the block's one column is the slice
+    verbatim (label-filtered per-core subsets take the kernel), so
+    correctness never depends on it: a miss costs the un-fused
+    expansion.  Callers must not mutate the stored arrays.
     """
 
-    __slots__ = (
-        "flat",
-        "offsets",
-        "degrees",
-        "keys",
-        "stride",
-        "labels",
-        "_starts",
-        "_identity",
-        "_expansions",
-    )
+    __slots__ = ("starts", "expansions")
 
-    def __init__(self, view: AcceleratedGraphView):
-        flat, offsets, labels = view.csr()
-        self.flat = flat
-        self.offsets = offsets
-        self.degrees = view.degrees()
-        self.keys = view.adjacency_keys()
-        self.stride = view.num_vertices + 1
-        self.labels = labels
-        self._starts: np.ndarray | None = None
-        self._identity: np.ndarray | None = None
-        self._expansions: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-    def reset(self, starts: np.ndarray) -> None:
-        """Begin a new frontier slice; previous expansions are dropped."""
-        self._starts = starts
-        self._identity = None
-        self._expansions = {}
+    def __init__(self, starts: np.ndarray):
+        self.starts = starts
+        self.expansions: dict[tuple, list[tuple[np.ndarray, np.ndarray]]] = {}
 
     def matches(self, starts: np.ndarray) -> bool:
-        """Whether ``starts`` is exactly the current slice."""
-        current = self._starts
-        return (
-            current is not None
-            and starts.size == current.size
-            and bool(np.array_equal(starts, current))
-        )
-
-    def origin_rows(self, origin: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """``origin[rows]``, skipping the gather for identity origins.
-
-        A cache hit implies the member's level-0 frontier is the whole
-        slice, so its origin array is almost always ``arange`` — one
-        cheap O(rows) equality check saves an O(candidates) gather.
-        """
-        if self._identity is None:
-            self._identity = np.arange(self._starts.size, dtype=np.int64)
-        if origin.size == self._identity.size and np.array_equal(
-            origin, self._identity
-        ):
-            return rows
-        return origin[rows]
-
-    def expansion(
-        self,
-        bounded_below: bool,
-        bounded_above: bool,
-        label: int | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The slice's first-level expansion for one variant signature.
-
-        Returns ``(block, rows)``: ``block`` is the expanded
-        ``(n_partials, 2)`` frontier — column 0 the start vertex, column
-        1 its surviving neighbor — and ``rows`` the per-partial index
-        into the slice.  ``bounded_below``/``bounded_above`` clip each
-        start's neighbor segment to strictly above/below the start
-        itself (the only symmetry bounds expressible at the first
-        level); ``label`` keeps only candidates carrying it.  An
-        anti-edge to the start can never constrain a first-level
-        candidate (the candidate is a neighbor of the start, and a
-        vertex pair cannot carry both an edge and an anti-edge), so the
-        variant space is exactly these three axes.  Callers must not
-        mutate the returned arrays.
-        """
-        key = (bounded_below, bounded_above, label)
-        cached = self._expansions.get(key)
-        if cached is not None:
-            return cached
-        starts = self._starts
-        seg_base = self.offsets[starts]
-        if bounded_below:
-            queries = starts * self.stride + starts
-            start_rank = np.searchsorted(self.keys, queries, "right") - seg_base
-            seg_base = seg_base + start_rank
-        else:
-            start_rank = 0
-        if bounded_above:
-            queries = starts * self.stride + starts
-            end_rank = np.searchsorted(self.keys, queries, "left") - self.offsets[starts]
-        else:
-            end_rank = self.degrees[starts]
-        lens = np.maximum(end_rank - start_rank, 0)
-        rows, local = FrontierBatchedEngine._gather(lens)
-        cands = self.flat[seg_base[rows] + local]
-        if label is not None:
-            keep = self.labels[cands] == label
-            rows = rows[keep]
-            cands = cands[keep]
-        block = np.empty((cands.size, 2), dtype=np.int64)
-        block[:, 0] = starts[rows]
-        block[:, 1] = cands
-        cached = (block, rows)
-        self._expansions[key] = cached
-        return cached
+        """Whether ``starts`` is exactly this slice."""
+        return bool(np.array_equal(starts, self.starts))
 
 
 def fused_run(
@@ -1464,9 +1350,9 @@ def fused_run(
 
     The frontier is walked once in degree-weighted slices; per slice,
     each member's :class:`FrontierBatchedEngine` runs with the slice's
-    :class:`SharedFrontierGathers` attached, so first-level expansions
-    reuse one CSR gather across the whole group and only per-pattern
-    constraint masks diverge.  Per-member counts and callback order are
+    :class:`SharedFrontierGathers` memo attached, so each first-expansion
+    variant is computed by the kernel once per slice and replayed for
+    every further member.  Per-member counts and callback order are
     identical to running each member alone (slices partition the same
     start order, and in-slice exploration is the engine's own DFS), which
     ``tests/test_multipattern.py`` fuzz-enforces.
@@ -1489,7 +1375,6 @@ def fused_run(
         starts = np.fromiter(start_vertices, dtype=np.int64)
     cap = ACCEL_FRONTIER_CHUNK if chunk is None else max(1, int(chunk))
     engines = [FrontierBatchedEngine(view) for _ in members]
-    shared = SharedFrontierGathers(view)
     totals = [0] * len(members)
     # degree + 1 keeps zero-degree starts advancing and bounds slice rows.
     weights = view.degrees()[starts] + 1
@@ -1497,7 +1382,7 @@ def fused_run(
         if control is not None and control.stopped:
             break
         sl_starts = starts[sl]
-        shared.reset(sl_starts)
+        shared = SharedFrontierGathers(sl_starts)
         for idx, (plan, on_match, on_batch) in enumerate(members):
             engine = engines[idx]
             engine.shared = shared
@@ -1526,26 +1411,3 @@ def fused_run(
                 engine.shared = None
     return totals
 
-
-def frontier_count(
-    graph: DataGraph,
-    pattern: Pattern,
-    plan: ExplorationPlan | None = None,
-    view: AcceleratedGraphView | None = None,
-    edge_induced: bool = True,
-    symmetry_breaking: bool = True,
-    chunk: int | None = None,
-) -> int:
-    """Frontier-batched match counting (full pattern-feature matrix).
-
-    Semantically identical to ``repro.core.count`` — labeled patterns,
-    vertex-induced matching, anti-edges and anti-vertices included.
-    """
-    if plan is None:
-        plan = generate_plan(
-            pattern, edge_induced=edge_induced, symmetry_breaking=symmetry_breaking
-        )
-    ordered, _ = graph.degree_ordered()
-    if view is None or view.graph is not ordered:
-        view = shared_view(ordered)
-    return FrontierBatchedEngine(view).run(plan, count_only=True, chunk=chunk)

@@ -98,9 +98,6 @@ ROUND_STARTS = 128
 # half the sample budget), so there is always a tail left to sample.
 HUB_EXHAUST = 1024
 
-# The one estimator's name, carried on ApproxCount.method.
-METHOD = "ns"
-
 # Early-stop reasons carried on ApproxCount.early_stop.
 STOP_TARGET = "target-met"
 STOP_BUDGET = "max-samples"
@@ -119,10 +116,9 @@ class ApproxCount:
     estimate is zero but uncertainty remains), ``requested_rel_err`` the
     target the run was asked to meet.  ``samples`` counts level-0 starts
     actually processed (hub prefix + sampled draws), ``rounds`` the
-    i.i.d. sampling rounds behind ``stderr``, ``hit_rate`` the fraction
-    of rounds that saw at least one match, and ``method`` names the
-    estimator (:data:`METHOD`).  ``exact=True``
-    means the run degenerated to an exact count (tiny frontier, or
+    i.i.d. sampling rounds behind ``stderr`` and ``hit_rate`` the
+    fraction of rounds that saw at least one match.  ``exact=True`` means
+    the run degenerated to an exact count (tiny frontier, or
     ``max_samples`` covered it) — the estimate then equals the exact
     count and the interval has zero width.  ``early_stop`` says why
     sampling stopped: ``"target-met"``, ``"max-samples"``,
@@ -143,7 +139,6 @@ class ApproxCount:
     rounds: int
     frontier_size: int
     hit_rate: float
-    method: str
     exact: bool
     early_stop: str
 
@@ -177,7 +172,6 @@ class ApproxCount:
             "rounds": self.rounds,
             "frontier_size": self.frontier_size,
             "hit_rate": self.hit_rate,
-            "method": self.method,
             "exact": self.exact,
             "early_stop": self.early_stop,
         }
@@ -279,7 +273,6 @@ def _exact_results(
             rounds=rounds,
             frontier_size=frontier_size,
             hit_rate=1.0 if total else 0.0,
-            method=METHOD,
             exact=True,
             early_stop=early_stop,
         )
@@ -317,7 +310,6 @@ def _member_result(
         rounds=r,
         frontier_size=frontier_size,
         hit_rate=(hits_j / r) if r else 0.0,
-        method=METHOD,
         exact=False,
         early_stop=early_stop,
     )

@@ -21,7 +21,6 @@ from repro.core.accel import (
     AcceleratedGraphView,
     FrontierBatchedEngine,
     _compile_steps,
-    frontier_count,
     frontier_start_order,
     shared_view,
 )
@@ -44,6 +43,10 @@ from repro.testing.oracles import nx_count_edge_induced, nx_count_vertex_induced
 
 def reference_count(graph, pattern, **kwargs):
     return count(graph, pattern, engine="reference", **kwargs)
+
+
+def batched_count(graph, pattern, **kwargs):
+    return count(graph, pattern, engine="accel-batch", **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -108,40 +111,26 @@ class TestFrontierCount:
     def test_agrees_with_reference(self, pattern_fn):
         g = barabasi_albert(300, 5, seed=9)
         p = pattern_fn()
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_random_graph_triangles(self, seed):
         g = erdos_renyi(40, 0.25, seed=seed)
-        assert frontier_count(g, generate_clique(3)) == reference_count(
+        assert batched_count(g, generate_clique(3)) == reference_count(
             g, generate_clique(3)
         )
 
     def test_single_edge_pattern(self):
         g = erdos_renyi(30, 0.2, seed=2)
-        assert frontier_count(g, Pattern.from_edges([(0, 1)])) == g.num_edges
-
-    def test_reusable_view(self):
-        g = barabasi_albert(200, 4, seed=3)
-        ordered, _ = g.degree_ordered()
-        view = AcceleratedGraphView(ordered)
-        for p in (generate_clique(3), generate_chain(3)):
-            assert frontier_count(g, p, view=view) == reference_count(g, p)
-
-    def test_foreign_view_is_rebuilt_not_trusted(self):
-        g = erdos_renyi(40, 0.3, seed=2)
-        other = erdos_renyi(25, 0.2, seed=99)
-        foreign = AcceleratedGraphView(other.degree_ordered()[0])
-        p = generate_clique(3)
-        assert frontier_count(g, p, view=foreign) == reference_count(g, p)
+        assert batched_count(g, Pattern.from_edges([(0, 1)])) == g.num_edges
 
     def test_rejects_labeled_pattern_on_unlabeled_graph(self):
         g = erdos_renyi(20, 0.3, seed=1)
         p = Pattern.from_edges([(0, 1)])
         p.set_label(0, 1)
         with pytest.raises(MatchingError):
-            frontier_count(g, p)
+            batched_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -154,14 +143,14 @@ class TestAntiConstraintParity:
         g = erdos_renyi(40, 0.25, seed=1)
         p = generate_chain(3)
         p.add_anti_edge(0, 2)
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     def test_square_with_anti_diagonals(self):
         g = erdos_renyi(35, 0.3, seed=13)
         p = Pattern.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         p.add_anti_edge(0, 2)
         p.add_anti_edge(1, 3)
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
@@ -169,20 +158,20 @@ class TestAntiConstraintParity:
         g = erdos_renyi(30, 0.25, seed=seed)
         p = generate_chain(4)
         p.add_anti_edge(0, 3)
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=10, deadline=None)
     def test_fuzz_maximal_cliques(self, seed):
         g = erdos_renyi(30, 0.3, seed=seed)
         p = maximal_clique_pattern(3)
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     def test_anti_vertex_star(self):
         g = erdos_renyi(40, 0.2, seed=21)
         p = generate_star(3)
         p.add_anti_vertex([0, 1])
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +193,7 @@ class TestVertexInducedParity:
     def test_agrees_with_reference_and_oracle(self, pattern_fn):
         g = erdos_renyi(30, 0.25, seed=17)
         p = pattern_fn()
-        got = frontier_count(g, p, edge_induced=False)
+        got = batched_count(g, p, edge_induced=False)
         assert got == reference_count(g, p, edge_induced=False)
         assert got == nx_count_vertex_induced(g, p)
 
@@ -213,7 +202,7 @@ class TestVertexInducedParity:
     def test_fuzz_vertex_induced_wedges(self, seed):
         g = erdos_renyi(30, 0.3, seed=seed)
         p = generate_star(3)
-        assert frontier_count(g, p, edge_induced=False) == reference_count(
+        assert batched_count(g, p, edge_induced=False) == reference_count(
             g, p, edge_induced=False
         )
 
@@ -243,7 +232,7 @@ class TestLabeledParity:
     def test_labeled_triangle(self, labels):
         g = with_random_labels(erdos_renyi(40, 0.25, seed=7), 3, seed=1)
         p = _labeled_pattern(generate_clique(3), labels)
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     @pytest.mark.parametrize(
         "labels",
@@ -252,25 +241,25 @@ class TestLabeledParity:
     def test_labeled_chain(self, labels):
         g = with_random_labels(erdos_renyi(40, 0.2, seed=11), 4, seed=2)
         p = _labeled_pattern(generate_chain(3), labels)
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=8, deadline=None)
     def test_fuzz_labeled_stars(self, seed):
         g = with_random_labels(erdos_renyi(35, 0.2, seed=seed), 3, seed=seed)
         p = _labeled_pattern(generate_star(3), {0: seed % 3, 2: (seed + 1) % 3})
-        assert frontier_count(g, p) == reference_count(g, p)
+        assert batched_count(g, p) == reference_count(g, p)
 
     def test_labeled_vertex_induced_combination(self):
         g = with_random_labels(erdos_renyi(30, 0.25, seed=19), 3, seed=4)
         p = _labeled_pattern(generate_star(3), {0: 1, 1: 0, 2: 2})
-        got = frontier_count(g, p, edge_induced=False)
+        got = batched_count(g, p, edge_induced=False)
         assert got == reference_count(g, p, edge_induced=False)
 
     def test_label_absent_from_graph(self):
         g = with_random_labels(erdos_renyi(20, 0.3, seed=3), 2, seed=5)
         p = _labeled_pattern(generate_clique(3), {0: 7})
-        assert frontier_count(g, p) == 0 == reference_count(g, p)
+        assert batched_count(g, p) == 0 == reference_count(g, p)
 
 
 # ----------------------------------------------------------------------
@@ -357,6 +346,9 @@ def _feature_matrix():
     def labeled_star_leaves():
         return _labeled_pattern(generate_star(4), {1: 0, 2: 0})
 
+    def labeled_chain5():
+        return _labeled_pattern(generate_chain(5), {1: 0, 3: 1})
+
     return [
         ("clique3", lambda: generate_clique(3), {}),
         ("clique4", lambda: generate_clique(4), {}),
@@ -390,6 +382,10 @@ def _feature_matrix():
          {"symmetry_breaking": False}),
         ("anti-edge-leaves", anti_edge_leaves, {}),
         ("labeled-star-leaves", labeled_star_leaves, {}),
+        # an ordered-core position with no later neighbour draws its
+        # candidates from 0..bound-1, or from its label partition
+        ("chain5-gap-position", lambda: generate_chain(5), {}),
+        ("labeled-chain5-gap-position", labeled_chain5, {}),
     ]
 
 
@@ -461,6 +457,42 @@ class TestFrontierBatchedParity:
             )
             assert batched == _collect_matches(g, p, "reference")
 
+    @pytest.mark.parametrize(
+        "name,labeled",
+        [("chain5-gap-position", False), ("labeled-chain5-gap-position", True)],
+    )
+    def test_gap_cases_keep_a_gap_position(self, name, labeled):
+        """The gap cases' plans really have a core position with no later neighbour."""
+        pattern_fn = {n: fn for n, fn, _ in FEATURE_MATRIX}[name]
+        cores = _compile_steps(generate_plan(pattern_fn()))[0]
+        gaps = [cset for sets in cores for cset in sets if not cset.nbr_cols]
+        assert gaps
+        assert all((cset.label is not None) == labeled for cset in gaps)
+
+    def test_fusion_gathers_each_first_level_once_per_slice(self, monkeypatch):
+        """Fused members sharing a first expansion share its one gather."""
+        g = erdos_renyi(60, 0.2, seed=7)
+        patterns = [generate_clique(3), generate_clique(4)]
+        session = MiningSession(g)
+        expected = session.count_many(patterns, engine="accel-batch")
+        kernel = FrontierBatchedEngine._candidates
+        gathered = []
+
+        def spy(self, block, cset, geo, injective):
+            if block.shape[1] == 1:
+                gathered.append(tuple(block[:, 0].tolist()))
+            return kernel(self, block, cset, geo, injective)
+
+        monkeypatch.setattr(FrontierBatchedEngine, "_candidates", spy)
+        fused = session.count_many(patterns, engine="fused", frontier_chunk=64)
+        assert fused == expected
+        # one gather per slice, not per member: no slice is gathered
+        # twice, and the gathered slices partition the frontier
+        assert len(gathered) == len(set(gathered)) > 1
+        assert sorted(v for sl in gathered for v in sl) == list(
+            range(g.num_vertices)
+        )
+
     def test_count_with_callback_equals_count_only(self):
         g = erdos_renyi(40, 0.2, seed=19)
         p = generate_chain(3)  # single-vertex core: vectorized tail count
@@ -468,17 +500,12 @@ class TestFrontierBatchedParity:
             _collect_matches(g, p, "accel-batch")
         )
 
-    def test_frontier_count_helper(self):
-        g = barabasi_albert(200, 4, seed=3)
-        for p in (generate_clique(3), generate_chain(3)):
-            assert frontier_count(g, p) == reference_count(g, p)
-
     def test_rejects_labeled_pattern_on_unlabeled_graph(self):
         g = erdos_renyi(20, 0.3, seed=1)
         p = Pattern.from_edges([(0, 1)])
         p.set_label(0, 1)
         with pytest.raises(MatchingError):
-            frontier_count(g, p)
+            batched_count(g, p)
 
     def test_rejects_on_match_and_on_batch_together(self):
         g = erdos_renyi(20, 0.3, seed=2)

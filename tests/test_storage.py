@@ -314,7 +314,7 @@ class TestColdStartIsLazy:
             save_mmap(g, path)
             h = load_mmap(path)
             view = AcceleratedGraphView(h)
-            flat, offsets, _ = view.csr()
+            offsets, flat, _ = view.graph.csr_arrays()
             assert flat is h._flat or np.shares_memory(flat, h._flat)
             assert offsets is h._offsets or np.shares_memory(
                 offsets, h._offsets
