@@ -63,7 +63,7 @@ def _engine_seconds(session, plan, starts) -> float:
     """One raw engine run: the pre-guardrail hot path, no session verb."""
     from repro.core import accel
 
-    engine = accel.FrontierBatchedEngine(session.view)
+    engine = accel.FrontierBatchedEngine(session.ordered)
     elapsed, _ = timed(
         lambda: engine.run(plan, start_vertices=starts, count_only=True)
     )
@@ -102,7 +102,7 @@ def test_guards_emits_json(capsys):
     session = MiningSession(graph)
     plan = session.plan_for(pattern)
     starts = session._frontier(session._frontier_key(plan))
-    expected = session.count(pattern)  # warm: CSR view, plan, dispatch
+    expected = session.count(pattern)  # warm: derived arrays, plan, dispatch
 
     # --- guard-off overhead: disarmed verb path vs raw engine runs ---
     raw_rounds, off_rounds, armed_rounds = [], [], []
@@ -154,11 +154,11 @@ def test_guards_emits_json(capsys):
 
         rec_session = MiningSession(recovery_graph)
         rec_plan = rec_session.plan_for(pattern)
-        rec_view = rec_session.view
+        rec_ordered = rec_session.ordered
         rec_starts = rec_session._frontier(rec_session._frontier_key(rec_plan))
         ledger = ChunkLedger.build(
             list(rec_starts),
-            weights=rec_view.degrees()[rec_starts] + 1,
+            weights=rec_ordered.degrees()[rec_starts] + 1,
             num_workers=pool_kw["num_processes"],
             chunk_hint=pool_kw["chunk_hint"],
         )

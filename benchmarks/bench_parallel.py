@@ -116,10 +116,10 @@ def _schedule_round(session, plan, num_workers: int) -> dict:
     """
     from repro.core import accel
 
-    view = session.view
+    ordered = session.ordered
     frontier = session._frontier(session._frontier_key(plan))
-    weights = view.degrees()[frontier] + 1
-    engine = accel.FrontierBatchedEngine(view)
+    weights = ordered.degrees()[frontier] + 1
+    engine = accel.FrontierBatchedEngine(ordered)
 
     slice_seconds = []
     for offset in range(num_workers):
@@ -192,7 +192,7 @@ def test_parallel_schedule_emits_json(capsys):
         graph = factory()
         session = MiningSession(graph)
         plan = session.plan_for(pattern)
-        # Warm: CSR view, adjacency keys, numpy dispatch caches — and the
+        # Warm: degrees, adjacency keys, numpy dispatch caches — and the
         # count doubles as the real-pool parity reference.
         sequential_matches = count(graph, pattern)
         degrees = sorted(

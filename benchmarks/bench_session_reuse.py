@@ -5,10 +5,10 @@ workload (a motif census) arrives repeatedly against one graph.
 
 * **cold** — the pre-session worst case: every query arrives with a
   fresh ``DataGraph`` handle, so each ``count()`` re-derives the degree
-  ordering, rebuilds the CSR shared view, and regenerates the
+  ordering, rebuilds its degrees and adjacency keys, and regenerates the
   exploration plan;
 * **warm** — one :class:`~repro.core.session.MiningSession` pinned on
-  the graph serves every query: ordering and view are derived once for
+  the graph serves every query: ordering and its arrays are derived once for
   the whole run;
 * **warm-repeat** — a second identical round on the same session: on top
   of the shared graph state, every plan and start list is a cache hit.
@@ -80,7 +80,7 @@ def _cold_round(handles, patterns) -> dict:
 def _measure(graph: DataGraph, patterns) -> dict:
     # The cold handles are built OUTSIDE the timed region: a real cold
     # caller already holds its graph — only the per-query re-derivation
-    # of ordering/CSR view/plan should be charged to the cold path.
+    # of ordering/derived arrays/plan should be charged to the cold path.
     handles = [_fresh_handle(graph) for _ in patterns]
     cold_seconds, cold_counts = timed(lambda: _cold_round(handles, patterns))
 
@@ -112,9 +112,9 @@ def test_session_smoke():
     patterns = generate_all_vertex_induced(3)
     entry = _measure(graph, patterns)
     assert entry["matches_total"] > 0
-    # Reuse happened: one ordering/view, plans all cache-hit on repeat.
+    # Reuse happened: one ordering, plans all cache-hit on repeat.
     cache = entry["session_cache"]
-    assert cache["ordered_built"] and cache["view_built"]
+    assert cache["ordered_built"]
     assert cache["plan_hits"] >= len(patterns)
 
 

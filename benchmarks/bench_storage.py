@@ -21,7 +21,7 @@ measures what our storage tiers buy on the same axes:
   heap copy mmap does without.
 * **membership** — the roaring hub kernels vs the searchsorted adjacency
   keys on power-law hub queries: the
-  :class:`~repro.core.accel.HubMembershipIndex` compiles each hub row
+  :class:`~repro.bitmap.roaring.HubMembershipIndex` compiles each hub row
   into packed bits (via :class:`~repro.bitmap.roaring.RoaringBitmap`),
   so a batched anti-edge/injectivity probe against hubs is two array
   lookups instead of an O(log E) search per element.
@@ -46,6 +46,7 @@ from benchmarks.common import timed
 
 from repro.core import count
 from repro.graph import (
+    DataGraph,
     GraphStore,
     load_edge_list,
     load_mmap,
@@ -108,16 +109,12 @@ def _touch_and_measure(_worker_id):
 
 def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
     """Worker residency under fork fan-out vs mmap fan-out of one CSR."""
-    from repro.core import accel
-
     ctx = multiprocessing.get_context("fork")
     ordered, _ = graph.degree_ordered()
-    view = accel.shared_view(ordered)
 
     # The fork tier shares heap arrays: copy the (possibly mapped) CSR
-    # sections into anonymous memory, as a generated graph's view holds
-    # them.
-    offsets, flat, _ = view.graph.csr_arrays()
+    # sections into anonymous memory, as a generated graph holds them.
+    offsets, flat, _ = ordered.csr_arrays()
     heap = [np.array(offsets), np.array(flat)]
     heap_bytes = sum(arr.nbytes for arr in heap)
     with ctx.Pool(
@@ -156,7 +153,7 @@ def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
             )
     return {
         "workers": workers,
-        "csr_payload_bytes": int(view.memory_bytes()),
+        "csr_payload_bytes": int(ordered.memory_bytes()),
         "fork": {
             **fork_summary,
             "parent_heap_bytes": int(heap_bytes),
@@ -179,11 +176,14 @@ def _membership_round(graph, queries: int, seed: int) -> dict:
     """Roaring hub rows vs searchsorted keys on hub-heavy query batches."""
     from repro.core import accel
 
-    ordered, _ = graph.degree_ordered()
-    view = accel.AcceleratedGraphView(ordered)
-    build_seconds, hubs = timed(lambda: view.hub_index())
+    # A fresh wrapper over the ordered arrays, so the timed hub_index()
+    # builds the index instead of returning an earlier round's.
+    ordered = DataGraph.from_csr(
+        *graph.degree_ordered()[0].csr_arrays(), degree_sorted=True
+    )
+    build_seconds, hubs = timed(lambda: ordered.hub_index())
     assert hubs is not None, "benchmark graph has no hubs at the threshold"
-    engine = accel.FrontierBatchedEngine(view)
+    engine = accel.FrontierBatchedEngine(ordered)
 
     rng = np.random.default_rng(seed)
     n = ordered.num_vertices
@@ -300,7 +300,7 @@ def test_storage_emits_json(tmp_path, capsys):
             "membership compares the searchsorted adjacency-key kernel "
             "against the roaring-compiled HubMembershipIndex bit rows on "
             "hub-owner query batches (the anti-edge / injectivity probe "
-            "shape); index_build_seconds is the one-time view-build cost."
+            "shape); index_build_seconds is the one-time index-build cost."
         ),
         "cold_start": cold_start,
         "fanout_rss": fanout,

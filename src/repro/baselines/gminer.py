@@ -85,7 +85,7 @@ def gminer_match_p2(
     for lab in set(labels):
         store.add(8 * len(graph.vertices_with_label(lab)))
     glabel = graph.label
-    for v0 in graph.vertices_with_label(lab0):
+    for v0 in graph.vertices_with_label(lab0).tolist():
         counters.extra["tasks"] += 1
         nbrs0 = graph.neighbors(v0)
         cand1 = [v for v in nbrs0 if glabel(v) == lab1]

@@ -17,6 +17,10 @@ package reimplements the roaring design in pure Python:
 ``memory_bytes``) so FSM's :class:`~repro.mining.support.Domain` can be
 backed by either; ``bench_ablations.py`` compares the two backends on the
 Fig-13 FSM memory workload.
+
+The same bitmaps compile a graph's hub rows into the batched engine's
+packed membership index (:class:`HubMembershipIndex`, built lazily by
+:meth:`repro.graph.graph.DataGraph.hub_index`).
 """
 
 from .containers import (
@@ -26,7 +30,7 @@ from .containers import (
     RunContainer,
     container_from_values,
 )
-from .roaring import RoaringBitmap
+from .roaring import HubMembershipIndex, RoaringBitmap, hub_degree_threshold
 
 __all__ = [
     "ARRAY_MAX",
@@ -35,4 +39,6 @@ __all__ = [
     "RunContainer",
     "container_from_values",
     "RoaringBitmap",
+    "HubMembershipIndex",
+    "hub_degree_threshold",
 ]

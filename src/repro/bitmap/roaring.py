@@ -8,11 +8,16 @@ intersection, cardinality, iteration, equality, and a faithful
 
 Interface-compatible with :class:`repro.mining.support.Bitset`, so it can
 back :class:`repro.mining.support.Domain` via its ``bitset_factory``.
+
+:class:`HubMembershipIndex` compiles a graph's hub rows through it into
+packed bit rows for the batched engine's membership kernel.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .containers import (
     ArrayContainer,
@@ -22,10 +27,30 @@ from .containers import (
     container_from_values,
 )
 
-__all__ = ["RoaringBitmap"]
+__all__ = [
+    "RoaringBitmap",
+    "HubMembershipIndex",
+    "ROARING_HUB_MIN_DEGREE",
+    "hub_degree_threshold",
+]
 
 _LOW_MASK = (1 << CHUNK_BITS) - 1
 _CHUNK_BYTES = CHUNK_SIZE // 8
+
+# Hub membership (the roaring second tier): a vertex qualifies for a
+# packed dense bit row when its degree reaches both this floor and
+# n / 64.  The floor keeps tiny graphs on pure searchsorted (row builds
+# are not free); the density cut bounds the index at 8x the hubs' own
+# adjacency bytes (a row costs n/8 bytes vs >= 8 * n/64 adjacency).
+# ``benchmarks/bench_storage.py`` measures the membership crossover.
+# Read at call time, so tests force hubs on small graphs by patching
+# this module's value before a graph's first ``hub_index()``.
+ROARING_HUB_MIN_DEGREE = 128
+
+
+def hub_degree_threshold(num_vertices: int) -> int:
+    """Minimum degree for a vertex to earn a dense membership row."""
+    return max(ROARING_HUB_MIN_DEGREE, num_vertices >> 6)
 
 
 class RoaringBitmap:
@@ -235,4 +260,84 @@ class RoaringBitmap:
         return (
             f"RoaringBitmap({len(self)} values, "
             f"{len(self._chunks)} chunks, {self.memory_bytes()} bytes)"
+        )
+
+
+class HubMembershipIndex:
+    """Roaring-compiled dense membership rows for hub neighborhoods.
+
+    ``searchsorted`` over the global adjacency keys answers a membership
+    query in O(log E) — unbeatable for sparse rows, but on power-law
+    hubs the same dense row is probed over and over and every probe
+    repays the full binary search.  This index gives each vertex whose
+    degree clears the threshold a packed bit row: its CSR row is
+    bulk-compiled into a :class:`RoaringBitmap` (array/bitmap/run
+    containers chosen per 65536-value chunk) and flattened into one
+    ``(num_hubs, ceil(n / 8))`` uint8 matrix, so a batched query against
+    hub owners is two vectorized lookups — ``bits[row, v >> 3] >> (v &
+    7)`` — with no search at all.  Non-hub owners fall through to the
+    caller's searchsorted kernel; the split is decided per *vertex* at
+    build time, per *query element* at run time.  ``graph`` is a
+    :class:`~repro.graph.graph.DataGraph` (``num_vertices``,
+    ``degrees()``, ``neighbors(v)``).
+    """
+
+    __slots__ = ("num_vertices", "hubs", "row_of", "bits", "bitmaps")
+
+    def __init__(self, graph, threshold: int):
+        n = graph.num_vertices
+        self.num_vertices = n
+        self.hubs = np.flatnonzero(graph.degrees() >= threshold).astype(
+            np.int64
+        )
+        self.row_of = np.full(n, -1, dtype=np.int64)
+        self.row_of[self.hubs] = np.arange(self.hubs.size, dtype=np.int64)
+        row_bytes = (n + 7) >> 3
+        self.bits = np.zeros((self.hubs.size, row_bytes), dtype=np.uint8)
+        self.bitmaps: list = []
+        for row, hub in enumerate(self.hubs):
+            bitmap = RoaringBitmap.from_sorted(graph.neighbors(int(hub)))
+            self.bitmaps.append(bitmap)
+            self.bits[row] = np.frombuffer(
+                bitmap.to_dense_bytes(n), dtype=np.uint8
+            )
+        for arr in (self.hubs, self.row_of, self.bits):
+            arr.flags.writeable = False
+
+    def member(
+        self,
+        owners: np.ndarray,
+        values: np.ndarray,
+        fallback: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Elementwise membership, hub rows via bits, the rest via ``fallback``."""
+        rows = self.row_of[owners]
+        on_hub = rows >= 0
+        if not on_hub.any():
+            return fallback(owners, values)
+        if on_hub.all():
+            return (
+                self.bits[rows, values >> 3] >> (values & 7) & 1
+            ).astype(bool)
+        out = np.empty(owners.size, dtype=bool)
+        hub_values = values[on_hub]
+        out[on_hub] = (
+            self.bits[rows[on_hub], hub_values >> 3] >> (hub_values & 7) & 1
+        ).astype(bool)
+        rest = ~on_hub
+        out[rest] = fallback(owners[rest], values[rest])
+        return out
+
+    def memory_bytes(self) -> int:
+        """Roaring payloads + the packed matrix + the row map."""
+        return (
+            sum(b.memory_bytes() for b in self.bitmaps)
+            + self.bits.nbytes
+            + self.row_of.nbytes
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"HubMembershipIndex({self.hubs.size} hubs, "
+            f"{self.memory_bytes()} bytes)"
         )

@@ -5,7 +5,7 @@ returns a process exit code, and prints human-readable results.  They are
 thin session consumers: every command builds one
 :class:`~repro.core.session.MiningSession` over the loaded dataset and
 issues its queries through it, so multi-pattern commands (motif census,
-clique scans, FSM rounds) share one degree ordering, CSR view and plan
+clique scans, FSM rounds) share one degree ordering, derived arrays and plan
 cache — and anything the CLI can do is equally scriptable from Python.
 """
 

@@ -3,11 +3,12 @@
 Peregrine's hot loop is adjacency-list intersection on a 16-core C++
 machine; CPython cannot match that with interpreted merge loops.  This
 module is the closest offline-available stand-in for the paper's
-compiled set operations: a CSR :class:`AcceleratedGraphView` over the
-degree-ordered graph and :class:`FrontierBatchedEngine`, a
+compiled set operations: :class:`FrontierBatchedEngine`, a
 level-synchronous analogue of :func:`repro.core.engine.run_tasks` that
-extends *every* live partial match of a level per numpy dispatch, plus
-:func:`fused_run`, which walks one shared frontier for several plans.
+reads the degree-ordered :class:`~repro.graph.graph.DataGraph`'s CSR
+arrays directly and extends *every* live partial match of a level per
+numpy dispatch, plus :func:`fused_run`, which walks one shared frontier
+for several plans.
 
 One set operation adds a pattern vertex, in the core and outside it
 (§4.1, §5.5): every core level, non-core step and anti-vertex check
@@ -20,9 +21,10 @@ The engine covers the **full pattern-feature matrix** of the paper:
 * edge-induced and vertex-induced matching (anti-edge membership masks,
   Theorem 3.1);
 * anti-edges and anti-vertices (§4.3);
-* labeled patterns — :class:`AcceleratedGraphView` keeps a label array
-  plus label-partitioned vertex arrays, so label constraints become
-  boolean masks instead of per-vertex Python comparisons;
+* labeled patterns — the graph's label array and its per-label vertex
+  arrays (:meth:`~repro.graph.graph.DataGraph.vertices_with_label`)
+  turn label constraints into boolean masks instead of per-vertex
+  Python comparisons;
 * per-match callbacks and row batches in the reference engine's DFS
   order, and — when no callback needs the matches — the count-only
   **tail program** (§4's core/non-core split put to work): every
@@ -62,15 +64,10 @@ from .plan import ExplorationPlan, NonCoreStep
 
 __all__ = [
     "bounded_slices",
-    "AcceleratedGraphView",
     "FrontierBatchedEngine",
-    "HubMembershipIndex",
-    "ROARING_HUB_MIN_DEGREE",
-    "hub_degree_threshold",
     "SharedFrontierGathers",
     "ACCEL_FRONTIER_CHUNK",
     "frontier_start_order",
-    "shared_view",
     "fused_run",
 ]
 
@@ -80,19 +77,6 @@ __all__ = [
 # numpy call overhead across thousands of partial matches.  Tunable per
 # run via the ``frontier_chunk`` knob on :func:`repro.core.api.match`.
 ACCEL_FRONTIER_CHUNK = 16_384
-
-# Hub membership (the roaring second tier): a vertex qualifies for a
-# packed dense bit row when its degree reaches both this floor and
-# n / 64.  The floor keeps tiny graphs on pure searchsorted (row builds
-# are not free); the density cut bounds the index at 8x the hubs' own
-# adjacency bytes (a row costs n/8 bytes vs >= 8 * n/64 adjacency).
-# ``benchmarks/bench_storage.py`` measures the membership crossover.
-ROARING_HUB_MIN_DEGREE = 128
-
-
-def hub_degree_threshold(num_vertices: int) -> int:
-    """Minimum degree for a vertex to earn a dense membership row."""
-    return max(ROARING_HUB_MIN_DEGREE, num_vertices >> 6)
 
 
 def bounded_slices(weights: np.ndarray, cap: int):
@@ -122,212 +106,6 @@ def bounded_slices(weights: np.ndarray, cap: int):
         start = end
 
 
-class AcceleratedGraphView:
-    """CSR ``numpy`` adjacency (+ label) views over a degree-ordered graph.
-
-    The flat/offset arrays are plain contiguous ``int64`` buffers, which
-    makes the view cheap to share: fork-inherited copy-on-write pages or
-    re-mapped ``.rgx`` store sections both work without pickling a single
-    adjacency list (see :func:`repro.runtime.parallel.process_count`).
-    """
-
-    __slots__ = (
-        "graph",
-        "_flat",
-        "_offsets",
-        "_labels",
-        "_label_arrays",
-        "_adj_keys",
-        "_degrees",
-        "_hub_index",
-    )
-
-    def __init__(self, graph: DataGraph):
-        self.graph = graph
-        # Alias the graph's own CSR arrays: building a view copies
-        # nothing, so a cold start on an mmap store stays O(header).
-        self._offsets, self._flat, self._labels = graph.csr_arrays()
-        self._label_arrays: dict[int, np.ndarray] | None = None
-        self._adj_keys: np.ndarray | None = None
-        self._degrees: np.ndarray | None = None
-        self._hub_index = None
-
-    @property
-    def num_vertices(self) -> int:
-        return int(self._offsets.size - 1)
-
-    @property
-    def labels(self) -> np.ndarray | None:
-        """Per-vertex label array (``None`` for unlabeled graphs)."""
-        return self._labels
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor array of ``v`` (a zero-copy view)."""
-        return self._flat[self._offsets[v]: self._offsets[v + 1]]
-
-    def vertices_with_label(self, label: int) -> np.ndarray:
-        """Sorted vertex-id array carrying ``label`` (lazily partitioned)."""
-        if self._labels is None:
-            return np.empty(0, dtype=np.int64)
-        if self._label_arrays is None:
-            self._label_arrays = {
-                int(lab): np.flatnonzero(self._labels == lab).astype(np.int64)
-                for lab in np.unique(self._labels)
-            }
-        return self._label_arrays.get(label, np.empty(0, dtype=np.int64))
-
-    def degrees(self) -> np.ndarray:
-        """Per-vertex degree array (lazy ``diff(offsets)``, cached).
-
-        Every :class:`FrontierBatchedEngine` instance needs it for its
-        min-degree pivot picks; caching it on the view means multi-pattern
-        workloads (censuses, FSM rounds, fused runs) pay the O(E) diff
-        once per graph rather than once per engine construction.
-        """
-        if self._degrees is None:
-            self._degrees = np.diff(self._offsets)
-        return self._degrees
-
-    def adjacency_keys(self) -> np.ndarray:
-        """Globally sorted ``owner * (n + 1) + neighbor`` keys (lazy).
-
-        The flat CSR array is sorted *per segment* only; fusing the owner
-        into each entry yields one globally sorted array, so a single
-        ``searchsorted`` answers per-element queries over *different*
-        adjacency lists at once — the primitive every frontier-batched
-        membership test and bound rank is built on.  The ``n + 1``
-        multiplier leaves headroom for queries with the sentinel bounds
-        ``-1`` and ``n`` without colliding into adjacent segments.
-        """
-        if self._adj_keys is None:
-            n = self.num_vertices
-            owners = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self._offsets)
-            )
-            self._adj_keys = owners * (n + 1) + self._flat
-        return self._adj_keys
-
-    def hub_index(self, min_degree: int | None = None):
-        """The view's :class:`HubMembershipIndex`, or ``None``.
-
-        Built lazily at first request (i.e. at view-build time of the
-        first batched engine) and cached; ``None`` when no vertex clears
-        the degree threshold, so sparse graphs pay one ``max`` on the
-        cached degree array and nothing else.
-        """
-        if self._hub_index is None:
-            threshold = (
-                hub_degree_threshold(self.num_vertices)
-                if min_degree is None
-                else min_degree
-            )
-            degrees = self.degrees()
-            if degrees.size and int(degrees.max()) >= threshold:
-                self._hub_index = HubMembershipIndex(self, threshold)
-            else:
-                self._hub_index = False  # checked: no hubs
-        return self._hub_index or None
-
-    def memory_bytes(self) -> int:
-        total = self._flat.nbytes + self._offsets.nbytes
-        if self._labels is not None:
-            total += self._labels.nbytes
-        return total
-
-
-class HubMembershipIndex:
-    """Roaring-compiled dense membership rows for hub neighborhoods.
-
-    ``searchsorted`` over the global adjacency keys answers a membership
-    query in O(log E) — unbeatable for sparse rows, but on power-law
-    hubs the same dense row is probed over and over and every probe
-    repays the full binary search.  This index gives each vertex whose
-    degree clears the threshold a packed bit row: its CSR row is
-    bulk-compiled into a :class:`~repro.bitmap.roaring.RoaringBitmap`
-    (array/bitmap/run containers chosen per 65536-value chunk) and
-    flattened into one ``(num_hubs, ceil(n / 8))`` uint8 matrix, so a
-    batched query against hub owners is two vectorized lookups —
-    ``bits[row, v >> 3] >> (v & 7)`` — with no search at all.  Non-hub
-    owners fall through to the caller's searchsorted kernel; the split
-    is decided per *vertex* at build time, per *query element* at run
-    time.
-    """
-
-    __slots__ = ("num_vertices", "hubs", "row_of", "bits", "bitmaps")
-
-    def __init__(self, view: "AcceleratedGraphView", min_degree: int):
-        from ..bitmap.roaring import RoaringBitmap
-
-        n = view.num_vertices
-        self.num_vertices = n
-        self.hubs = np.flatnonzero(view.degrees() >= min_degree).astype(
-            np.int64
-        )
-        self.row_of = np.full(n, -1, dtype=np.int64)
-        self.row_of[self.hubs] = np.arange(self.hubs.size, dtype=np.int64)
-        row_bytes = (n + 7) >> 3
-        self.bits = np.zeros((self.hubs.size, row_bytes), dtype=np.uint8)
-        self.bitmaps: list = []
-        for row, hub in enumerate(self.hubs):
-            bitmap = RoaringBitmap.from_sorted(view.neighbors(int(hub)))
-            self.bitmaps.append(bitmap)
-            self.bits[row] = np.frombuffer(
-                bitmap.to_dense_bytes(n), dtype=np.uint8
-            )
-
-    def member(
-        self,
-        owners: np.ndarray,
-        values: np.ndarray,
-        fallback: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> np.ndarray:
-        """Elementwise membership, hub rows via bits, the rest via ``fallback``."""
-        rows = self.row_of[owners]
-        on_hub = rows >= 0
-        if not on_hub.any():
-            return fallback(owners, values)
-        if on_hub.all():
-            return (
-                self.bits[rows, values >> 3] >> (values & 7) & 1
-            ).astype(bool)
-        out = np.empty(owners.size, dtype=bool)
-        hub_values = values[on_hub]
-        out[on_hub] = (
-            self.bits[rows[on_hub], hub_values >> 3] >> (hub_values & 7) & 1
-        ).astype(bool)
-        rest = ~on_hub
-        out[rest] = fallback(owners[rest], values[rest])
-        return out
-
-    def memory_bytes(self) -> int:
-        """Roaring payloads + the packed matrix + the row map."""
-        return (
-            sum(b.memory_bytes() for b in self.bitmaps)
-            + self.bits.nbytes
-            + self.row_of.nbytes
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HubMembershipIndex({self.hubs.size} hubs, "
-            f"{self.memory_bytes()} bytes)"
-        )
-
-
-def shared_view(ordered: DataGraph) -> AcceleratedGraphView:
-    """The (cached) CSR view of a degree-ordered graph.
-
-    Graphs are immutable, so the view is built once and reused across
-    every accelerated run — motif censuses and FSM rounds issue hundreds
-    of counts against one graph.
-    """
-    view = ordered._accel_view
-    if view is None:
-        view = AcceleratedGraphView(ordered)
-        ordered._accel_view = view
-    return view
-
-
 def frontier_start_order(
     ordered: DataGraph, labels: Iterable[int] | None = None
 ) -> np.ndarray:
@@ -344,9 +122,9 @@ def frontier_start_order(
     """
     if labels is None:
         return np.arange(ordered.num_vertices - 1, -1, -1, dtype=np.int64)
-    starts = np.fromiter(
-        (v for label in labels for v in ordered.vertices_with_label(label)),
-        dtype=np.int64,
+    starts = np.concatenate(
+        [np.empty(0, dtype=np.int64)]
+        + [ordered.vertices_with_label(label) for label in labels]
     )
     return np.sort(starts)[::-1].copy()
 
@@ -614,7 +392,12 @@ class FrontierBatchedEngine:
     ``(n_partials, level)`` array and extends the whole level per numpy
     dispatch.  Every core level, non-core step and anti-vertex check is
     compiled to one :class:`_CandidateSet` and served by one kernel,
-    :meth:`_candidates`:
+    :meth:`_candidates`, over a degree-ordered
+    :class:`~repro.graph.graph.DataGraph` — its CSR arrays plus its
+    cached :meth:`~repro.graph.graph.DataGraph.degrees`,
+    :meth:`~repro.graph.graph.DataGraph.adjacency_keys` and
+    :meth:`~repro.graph.graph.DataGraph.hub_index`, so building an engine
+    per run or per fused member copies nothing:
 
     * candidate neighborhoods are gathered with a CSR degree-prefix
       gather from each row's cheapest (min-degree) constraint vertex,
@@ -624,7 +407,7 @@ class FrontierBatchedEngine:
     * remaining edge constraints, anti-edge differences, label
       constraints and injectivity narrow the gathered candidates one
       constraint at a time (membership via one ``searchsorted`` over the
-      view's :meth:`adjacency_keys`, or a hub's packed bit row);
+      adjacency keys, or a hub's packed bit row);
     * count-only runs hand the longest countable suffix of non-core
       steps to the plan's tail program (compiled once per plan by
       :func:`_compile_steps`): per frontier row the suffix contributes a
@@ -658,7 +441,7 @@ class FrontierBatchedEngine:
     """
 
     __slots__ = (
-        "view",
+        "graph",
         "labels",
         "n",
         "flat",
@@ -690,15 +473,14 @@ class FrontierBatchedEngine:
         "_tail",
     )
 
-    def __init__(self, view: AcceleratedGraphView):
-        self.view = view
-        self.labels = view.labels
-        self.n = view.num_vertices
-        self.offsets, self.flat, _ = view.graph.csr_arrays()
-        self.degrees = view.degrees()
-        self.keys = view.adjacency_keys()
+    def __init__(self, graph: DataGraph):
+        self.graph = graph
+        self.offsets, self.flat, self.labels = graph.csr_arrays()
+        self.n = graph.num_vertices
+        self.degrees = graph.degrees()
+        self.keys = graph.adjacency_keys()
         self.stride = self.n + 1
-        self.hubs = view.hub_index()
+        self.hubs = graph.hub_index()
         # A fused multi-pattern run attaches its slice's
         # SharedFrontierGathers memo here so first expansions are
         # computed once per slice, not once per member; standalone runs
@@ -713,7 +495,7 @@ class FrontierBatchedEngine:
     def _member(self, owners: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Elementwise ``values[k] in neighbors(owners[k])``.
 
-        Queries whose owner is a hub route through the view's packed
+        Queries whose owner is a hub route through the graph's packed
         roaring rows (two array lookups); the rest binary-search the
         global adjacency keys.  Anti-edge checks and injectivity masks
         — the dense-row-heavy membership consumers — all flow through
@@ -986,7 +768,7 @@ class FrontierBatchedEngine:
         if not cset.nbr_cols:
             end = hi
             if cset.label is not None:
-                part = self.view.vertices_with_label(cset.label)
+                part = self.graph.vertices_with_label(cset.label)
                 end = np.searchsorted(part, hi)
             return _Geometry(lo, hi, None, None,
                              np.zeros(rows, dtype=np.int64), end, end)
@@ -1068,7 +850,7 @@ class FrontierBatchedEngine:
         if geo.pivot is not None:
             source, base = self.flat, self.offsets[geo.pivot] + geo.start
         elif cset.label is not None:
-            source, base = self.view.vertices_with_label(cset.label), None
+            source, base = self.graph.vertices_with_label(cset.label), None
         else:
             source = base = None
         for rows_slice in bounded_slices(geo.lens, self.chunk):
@@ -1332,7 +1114,7 @@ class SharedFrontierGathers:
 
 
 def fused_run(
-    view: AcceleratedGraphView,
+    graph: DataGraph,
     members: list[tuple[ExplorationPlan, Callable | None, Callable | None]],
     start_vertices: Iterable[int] | None = None,
     chunk: int | None = None,
@@ -1341,7 +1123,7 @@ def fused_run(
 ) -> list[int]:
     """Run several plans over one shared frontier; return per-member counts.
 
-    ``members`` are ``(plan, on_match, on_batch)`` triples in reference
+    ``graph`` is the degree-ordered graph; ``members`` are ``(plan, on_match, on_batch)`` triples in reference
     order (at most one of the callbacks each; both ``None`` counts
     without enumerating).  All members must share the level-0 frontier:
     ``start_vertices`` is that fused frontier (``None`` = every vertex,
@@ -1366,7 +1148,7 @@ def fused_run(
     :class:`~repro.errors.BudgetExceededError` carries the *summed*
     partial with per-member counts in ``partial.detail["totals"]``.
     """
-    n = view.num_vertices
+    n = graph.num_vertices
     if start_vertices is None:
         starts = np.arange(n - 1, -1, -1, dtype=np.int64)
     elif isinstance(start_vertices, np.ndarray):
@@ -1374,10 +1156,10 @@ def fused_run(
     else:
         starts = np.fromiter(start_vertices, dtype=np.int64)
     cap = ACCEL_FRONTIER_CHUNK if chunk is None else max(1, int(chunk))
-    engines = [FrontierBatchedEngine(view) for _ in members]
+    engines = [FrontierBatchedEngine(graph) for _ in members]
     totals = [0] * len(members)
     # degree + 1 keeps zero-degree starts advancing and bounds slice rows.
-    weights = view.degrees()[starts] + 1
+    weights = graph.degrees()[starts] + 1
     for sl in bounded_slices(weights, cap):
         if control is not None and control.stopped:
             break

@@ -8,7 +8,7 @@ enumeration-free counting fast path); ``exists`` stops at the first match.
 Since the session redesign this module is a *one-shot shim layer*: every
 function delegates to the pinned-graph session machinery in
 :mod:`repro.core.session` via :meth:`MiningSession.for_graph`, which
-caches the degree-ordered graph, the CSR shared view, exploration plans
+caches the degree-ordered graph (with its derived arrays), exploration plans
 and label-filtered start lists per graph.  Signatures here are stable —
 existing programs keep working unchanged and transparently share those
 caches; new code that issues several queries against one graph should
@@ -175,7 +175,7 @@ def count_many(
 
     This is the multi-pattern overload of the paper's ``count`` (used by
     motif counting, Fig 4e).  All patterns run through one shared
-    session, so the degree ordering, CSR view and plan cache are derived
+    session, so the degree ordering, its arrays and plan cache are derived
     once, not once per pattern — and compatible patterns *fuse* onto one
     shared frontier walk (``engine="auto"``/``"fused"``; see
     :meth:`MiningSession.match_many` for the dispatch rules and

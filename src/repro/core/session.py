@@ -7,9 +7,9 @@ aggregators while the system owns planning and execution.  A
 explicit: it pins one :class:`~repro.graph.graph.DataGraph` and amortizes
 everything derivable from it across queries —
 
-* the degree-ordered copy and its id translation (§5.2), computed once;
-* the numpy CSR :class:`~repro.core.accel.AcceleratedGraphView`, built
-  lazily on the first vectorized run and shared by every later one;
+* the degree-ordered copy and its id translation (§5.2), computed once —
+  the graph every engine runs on, whose degrees, adjacency keys and hub
+  index are built on the first vectorized run and cached on it;
 * exploration plans (§4), cached per ``(pattern, edge_induced,
   symmetry_breaking)`` — motif censuses, FSM rounds and repeated service
   queries re-plan nothing;
@@ -221,15 +221,16 @@ class MultiPatternPlan:
         )
 
     def run_group(
-        self, g: int, view, starts, consumers: Mapping[int, tuple] | None = None,
+        self, g: int, graph: DataGraph, starts, consumers: Mapping[int, tuple] | None = None,
         chunk: int | None = None, control=None, budget=None,
     ) -> list[int]:
         """The fused-group executor: group ``g`` over ``starts``.
 
         Whoever drives — the whole frontier in process, a sampled round,
-        a worker's leased chunk — hands over start vertices and gets raw
-        per-member counts back, aligned with ``members[g]``; they, or
-        their sums over every chunk of a frontier, go to :meth:`demux`.
+        a worker's leased chunk — hands over the degree-ordered ``graph``
+        and start vertices in its ids, and gets raw per-member counts
+        back, aligned with ``members[g]``; they, or their sums over every
+        chunk of a frontier, go to :meth:`demux`.
         ``consumers[i]`` is member ``i``'s ``(on_match, on_batch)`` pair
         (engine ids); members without one are counted, not enumerated.
         """
@@ -239,7 +240,7 @@ class MultiPatternPlan:
             for plan, idx in zip(self.members[g], direct)
         ] + [(plan, None, None) for plan in self.members[g][len(direct):]]
         return _accel.fused_run(
-            view, fused, start_vertices=starts,
+            graph, fused, start_vertices=starts,
             chunk=chunk, control=control, budget=budget,
         )
 
@@ -463,7 +464,7 @@ class MiningSession:
     """All of Peregrine's verbs over one pinned data graph.
 
     Construction is cheap — every derived structure (degree ordering,
-    CSR view, plans, start lists) is built lazily on first use and cached
+    plans, start lists) is built lazily on first use and cached
     for the session's lifetime.  Graphs are immutable, so nothing a
     session caches can go stale.
 
@@ -580,9 +581,14 @@ class MiningSession:
         return self._translation
 
     @property
-    def view(self):
-        """The CSR :class:`AcceleratedGraphView` of the ordered graph."""
-        return _accel.shared_view(self.ordered)
+    def view(self) -> DataGraph:
+        """Alias of :attr:`ordered`.
+
+        Kept only because ``benchmarks/e2e/workloads.py``, which may not
+        change alongside the code it measures, reads ``session.view``'s
+        ``hub_index()``, ``degrees()`` and ``num_vertices``.
+        """
+        return self.ordered
 
     def options(self, **overrides) -> ExecOptions:
         """Session defaults merged with ``overrides`` — the one knob path."""
@@ -610,9 +616,10 @@ class MiningSession:
     def clear_caches(self) -> None:
         """Drop cached plans and start lists (hit/miss counters persist).
 
-        The graph-level state (degree ordering, CSR view) stays — it is
-        O(graph) once, whereas plans/start lists grow with the pattern
-        stream (bounded by :data:`PLAN_CACHE_LIMIT`, FIFO-evicted).
+        The graph-level state (degree ordering and the arrays cached on
+        it) stays — it is O(graph) once, whereas plans/start lists grow
+        with the pattern stream (bounded by :data:`PLAN_CACHE_LIMIT`,
+        FIFO-evicted).
         """
         self._plans.clear()
         self._starts.clear()
@@ -623,14 +630,16 @@ class MiningSession:
 
         The registry hook for the service tier
         (:class:`repro.service.SessionRegistry`): an evicted session must
-        not keep the graph's derived state — degree-ordered copy, CSR
-        view, plans, start lists, guard estimates — alive through its own
-        references.  With ``release_store=True`` the graph's backing
+        not keep the graph's derived state — degree-ordered copy,
+        adjacency keys, hub index, plans, start lists, guard estimates —
+        alive through its own references (a degree-sorted store's graph is
+        its own ordered graph, so its keys and hub index are dropped from
+        the graph itself).  With ``release_store=True`` the graph's backing
         :class:`~repro.graph.binary_io.GraphStore` is closed too (mmap
         descriptors freed immediately); pass it only when the caller owns
         the store — i.e. this session (or its registry) opened the path —
-        since a closed store invalidates every other graph/view aliasing
-        the mapped sections.  The session is unusable afterwards.
+        since a closed store invalidates every other graph aliasing the
+        mapped sections.  The session is unusable afterwards.
         """
         self.clear_caches()
         self._guard_cache.clear()
@@ -640,8 +649,8 @@ class MiningSession:
         graph = self.graph
         if graph is not None:
             # Drop the graph-cached derived objects we may have built, so
-            # the graph itself does not pin the CSR view or this session.
-            graph._accel_view = None
+            # the graph itself does not pin them or this session.
+            graph._adj_keys = graph._hub_index = None
             graph._ordered_cache = None
             if graph._session_cache is self:
                 graph._session_cache = None
@@ -657,10 +666,6 @@ class MiningSession:
             "start_lists": len(self._starts),
             "census_transforms": len(self._census),
             "ordered_built": self._ordered is not None,
-            "view_built": (
-                self._ordered is not None
-                and self._ordered._accel_view is not None
-            ),
         }
 
     def _cached_plan(
@@ -776,11 +781,11 @@ class MiningSession:
         """Count each pattern over the shared session state.
 
         The multi-pattern overload of the paper's ``count`` (motif
-        counting, Fig 4e): the ordered graph, CSR view and plan cache are
-        reused across every pattern instead of being re-derived per call,
-        and compatible patterns additionally *fuse* — one shared level-0
-        frontier walk with shared numpy gathers serves the whole group
-        (see :meth:`match_many` for the dispatch rules).
+        counting, Fig 4e): the ordered graph, its cached arrays and the
+        plan cache are reused across every pattern instead of being
+        re-derived per call, and compatible patterns additionally *fuse* —
+        one shared level-0 frontier walk with shared numpy gathers serves
+        the whole group (see :meth:`match_many` for the dispatch rules).
 
         The workload is compiled once (:class:`MultiPatternPlan`) and
         only the *driver* differs.  ``num_processes > 1``
@@ -1175,7 +1180,7 @@ class MiningSession:
         try:
             for g, running in enumerate(multi.groups if multi else ()):
                 counts = multi.run_group(
-                    g, self.view, self._frontier(multi.group_keys[g]),
+                    g, self.ordered, self._frontier(multi.group_keys[g]),
                     consumers, opts.frontier_chunk, opts.control, meter,
                 )
                 for idx, total in multi.demux(g, counts).items():
@@ -1235,7 +1240,7 @@ class MiningSession:
         on_match = self._translated(callback) if callback is not None else None
         emit = self._batch_emitter(on_batch) if on_batch is not None else None
         if opts.engine == "accel-batch":
-            return _accel.FrontierBatchedEngine(self.view).run(
+            return _accel.FrontierBatchedEngine(self.ordered).run(
                 plan,
                 start_vertices=starts,
                 on_match=on_match,

@@ -13,8 +13,8 @@ for our substrate:
   on-disk tier: a fixed 64-byte header followed by 64-byte-aligned raw
   ``int64`` sections (offsets, neighbors, optional labels).  Opening one
   is three ``mmap`` calls; the arrays are wrapped zero-copy by
-  :class:`~repro.graph.graph.DataGraph`, engine views alias the same
-  pages, and worker processes re-opening the file share them through
+  :class:`~repro.graph.graph.DataGraph`, which the engines read
+  directly, and worker processes re-opening the file share them through
   the OS page cache instead of shared-memory copies.
 
 Both formats are versioned so later readers reject incompatible files
@@ -275,7 +275,7 @@ class GraphStore:
         free its descriptors *now*, not at the next collection cycle.
         Closing is idempotent; empty sections (zero-edge graphs) have no
         backing map and are skipped.  Touching the store's arrays (or any
-        graph/view aliasing them) after close raises ``ValueError`` —
+        graph aliasing them) after close raises ``ValueError`` —
         callers evicting a store must drop every consumer first.
         """
         self._graph = None
@@ -295,8 +295,8 @@ class GraphStore:
 def load_mmap(path: str | os.PathLike, name: str | None = None) -> DataGraph:
     """Open an ``.rgx`` store and wrap its sections as a graph.
 
-    O(header) Python work: the graph and the engines' CSR views alias
-    the mapped sections directly.
+    O(header) Python work: the graph aliases the mapped sections
+    directly, and the engines read them through it.
     """
     return GraphStore(path).graph(name)
 

@@ -17,9 +17,13 @@ to back in one ``neighbors`` array, delimited by an ``offsets`` array of
 This is the only storage: the constructor converts its rows to CSR once,
 :meth:`DataGraph.from_csr` wraps existing arrays zero-copy (how an
 ``.rgx`` store opens in O(header) work, :mod:`repro.graph.binary_io`),
-and the engines' CSR views alias the same memory.  ``neighbors()`` and
-``labels()`` return read-only array slices for every graph; call
-``.tolist()`` on them where Python lists or plain ints are wanted.
+and the batched engines read the same arrays directly.  What they derive
+from them — :meth:`~DataGraph.degrees`, :meth:`~DataGraph.adjacency_keys`
+and :meth:`~DataGraph.hub_index` — is built at first request and cached
+on the graph; graphs are immutable, so those caches never go stale.
+``neighbors()``, ``labels()`` and ``vertices_with_label()`` return
+read-only arrays for every graph; call ``.tolist()`` on them where
+Python lists or plain ints are wanted.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..bitmap.roaring import HubMembershipIndex, hub_degree_threshold
 from ..errors import GraphError
 
 __all__ = ["DataGraph"]
@@ -40,6 +45,9 @@ def _frozen(values) -> np.ndarray:
     view = np.asarray(values, dtype=np.int64).view()
     view.flags.writeable = False
     return view
+
+
+_NO_VERTICES = _frozen(np.empty(0, dtype=np.int64))
 
 
 class DataGraph:
@@ -71,7 +79,9 @@ class DataGraph:
         "name",
         "_label_index",
         "_ordered_cache",
-        "_accel_view",
+        "_degrees",
+        "_adj_keys",
+        "_hub_index",
         "_session_cache",
         "_degree_sorted",
         "_store",
@@ -129,12 +139,11 @@ class DataGraph:
         self._flat = _frozen(flat)
         self._labels = None if labels is None else _frozen(labels)
         self.name = name
-        self._label_index: dict[int, list[int]] = {}
+        self._label_index: dict[int, np.ndarray] = {}
         self._ordered_cache: tuple["DataGraph", np.ndarray] | None = None
-        # Cached CSR view for the vectorized engine; owned and populated
-        # by repro.core.accel.shared_view (graphs are immutable, so the
-        # cache can never go stale).
-        self._accel_view = None
+        self._degrees: np.ndarray | None = None
+        self._adj_keys: np.ndarray | None = None
+        self._hub_index = None  # False once checked and hub-free
         # Shared default MiningSession; owned and populated by
         # repro.core.session.MiningSession.for_graph so one-shot api
         # calls share plan/start caches across queries.
@@ -158,7 +167,7 @@ class DataGraph:
         n = offsets.size - 1
         if offsets[0] != 0 or offsets[-1] != flat.size:
             raise GraphError("offsets do not span the neighbor array")
-        degrees = np.diff(offsets)
+        degrees = self.degrees()
         if degrees.size and int(degrees.min()) < 0:
             raise GraphError("offsets are not non-decreasing")
         if flat.size:
@@ -248,12 +257,62 @@ class DataGraph:
 
     def max_degree(self) -> int:
         """Maximum vertex degree (0 for the empty graph)."""
-        return int(np.diff(self._offsets).max()) if self.num_vertices else 0
+        return int(self.degrees().max()) if self.num_vertices else 0
 
     def avg_degree(self) -> float:
         """Average vertex degree (0.0 for the empty graph)."""
         n = self.num_vertices
         return 2.0 * self.num_edges / n if n else 0.0
+
+    # ------------------------------------------------------------------
+    # Derived arrays for the batched engines (lazy, cached, read-only)
+    # ------------------------------------------------------------------
+
+    def degrees(self) -> np.ndarray:
+        """Per-vertex degree array: ``diff(offsets)``, computed once.
+
+        The one degree array every reader shares — validation, the degree
+        ordering, the batched engines' min-degree pivot picks and the
+        ``degree + 1`` weights of fused slices and process chunks.
+        """
+        if self._degrees is None:
+            self._degrees = _frozen(np.diff(self._offsets))
+        return self._degrees
+
+    def adjacency_keys(self) -> np.ndarray:
+        """Globally sorted ``owner * (n + 1) + neighbor`` keys (lazy).
+
+        The neighbor array is sorted *per row* only; fusing the owner
+        into each entry yields one globally sorted array, so a single
+        ``searchsorted`` answers per-element queries over *different*
+        rows at once — the primitive every frontier-batched membership
+        test and bound rank is built on.  The ``n + 1`` multiplier leaves
+        headroom for queries with the sentinel bounds ``-1`` and ``n``
+        without colliding into adjacent rows.
+        """
+        if self._adj_keys is None:
+            n = self.num_vertices
+            owners = np.repeat(np.arange(n, dtype=np.int64), self.degrees())
+            self._adj_keys = _frozen(owners * (n + 1) + self._flat)
+        return self._adj_keys
+
+    def hub_index(self) -> HubMembershipIndex | None:
+        """Packed membership bit rows for the hubs, or ``None``.
+
+        Built at first request (the first batched engine over this
+        graph) for every vertex whose degree reaches
+        :func:`~repro.bitmap.roaring.hub_degree_threshold`, and cached —
+        the miss too, so a graph without hubs pays one ``max`` over
+        :meth:`degrees` and nothing else.
+        """
+        if self._hub_index is None:
+            threshold = hub_degree_threshold(self.num_vertices)
+            degrees = self.degrees()
+            if degrees.size and int(degrees.max()) >= threshold:
+                self._hub_index = HubMembershipIndex(self, threshold)
+            else:
+                self._hub_index = False
+        return self._hub_index or None
 
     # ------------------------------------------------------------------
     # Range-restricted access (partial-order support, §5.1 'PO' stage)
@@ -281,18 +340,18 @@ class DataGraph:
     # Label index (used by the G-Miner-like baseline and labeled matching)
     # ------------------------------------------------------------------
 
-    def vertices_with_label(self, label: int) -> list[int]:
-        """Sorted vertex ids carrying ``label`` (empty for unlabeled graphs).
+    def vertices_with_label(self, label: int) -> np.ndarray:
+        """Sorted vertex ids carrying ``label`` (read-only int64 array).
 
-        Built lazily and cached per queried label (one vectorized scan
-        each, so an mmap-backed load never pays for labels it does not
-        filter on).
+        Empty for unlabeled graphs.  Built lazily and cached per queried
+        label (one vectorized scan each, so an mmap-backed load never
+        pays for labels it does not filter on).
         """
         if self._labels is None:
-            return []
+            return _NO_VERTICES
         cached = self._label_index.get(label)
         if cached is None:
-            cached = np.flatnonzero(self._labels == label).tolist()
+            cached = _frozen(np.flatnonzero(self._labels == label))
             self._label_index[label] = cached
         return cached
 
@@ -322,7 +381,7 @@ class DataGraph:
         n = offsets.size - 1
         if self.is_degree_ordered():
             return self, _frozen(np.arange(n, dtype=np.int64))
-        degrees = np.diff(offsets)
+        degrees = self.degrees()
         order = np.argsort(degrees, kind="stable")
         new_of_old = np.empty(n, dtype=np.int64)
         new_of_old[order] = np.arange(n, dtype=np.int64)
@@ -350,7 +409,7 @@ class DataGraph:
     def is_degree_ordered(self) -> bool:
         """Whether vertex ids already increase with degree."""
         if self._degree_sorted is None:
-            degrees = np.diff(self._offsets)
+            degrees = self.degrees()
             self._degree_sorted = bool(np.all(degrees[:-1] <= degrees[1:]))
         return self._degree_sorted
 

@@ -16,7 +16,7 @@ fused vs. sequential per-pattern execution.
 
 Every entry point accepts either a :class:`~repro.graph.graph.DataGraph`
 or a :class:`~repro.core.session.MiningSession`; a motif census run
-through a session also shares its degree ordering, CSR view and plan
+through a session also shares its degree ordering, derived arrays and plan
 cache with every other query of that session.
 
 ``labeled_motif_counts`` additionally discovers labels: matches of each

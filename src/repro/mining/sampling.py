@@ -5,7 +5,7 @@ motif censuses, FSM support checks and service dashboards actually
 consume — tolerate sampling: an unbiased estimator with an error bound
 answers in a fraction of the exact run's time.  The estimators here run
 *on the session's own execution core*, so everything the exact tier
-amortizes (degree ordering, CSR view, plan cache, label-filtered
+amortizes (degree ordering, derived arrays, plan cache, label-filtered
 frontiers, fused multi-pattern walks) accelerates the approximate tier
 too.
 
@@ -451,7 +451,7 @@ def approx_count_many_session(
         def run(starts, g=g, group=group) -> list[int]:
             if opts.engine == "fused":
                 totals = multi.demux(g, multi.run_group(
-                    g, session.view, starts, chunk=inner.frontier_chunk
+                    g, session.ordered, starts, chunk=inner.frontier_chunk
                 ))
                 return [int(totals[idx]) for idx in group]
             # one single-pattern executor pass per member

@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..core.accel import hub_degree_threshold
+from ..bitmap import hub_degree_threshold
 from ..errors import QueryRefusedError
 from ..pattern.pattern import Pattern
 

@@ -35,8 +35,9 @@ measures the gap; ``chunk_hint`` tunes dynamic chunk granularity).
 
 Both entry points accept a :class:`~repro.core.session.MiningSession` in
 place of the graph: the runtime then reuses the session's degree
-ordering, id translation, CSR view and plan cache instead of re-deriving
-them per call (plain graphs resolve to their shared default session).
+ordering, id translation, derived arrays and plan cache instead of
+re-deriving them per call (plain graphs resolve to their shared default
+session).
 Both resolve engine, schedule, frontier chunk and pool size through the
 session's one dispatch stage
 (:meth:`~repro.core.session.MiningSession._stage`): what the caller
@@ -60,7 +61,6 @@ from ..errors import (
     QueryCancelledError,
     WorkerCrashError,
 )
-from ..core import accel
 from ..core.callbacks import Aggregator, ExplorationControl, Match
 from ..core.engine import EngineStats
 from ..core.session import MiningSession, MultiPatternPlan, as_session
@@ -151,7 +151,7 @@ def _ledger(session, key, opts, num_workers: int) -> ChunkLedger:
         return ChunkLedger.strided(frontier, num_workers)
     return ChunkLedger.build(
         frontier,
-        weights=session.view.degrees()[frontier] + 1,
+        weights=session.ordered.degrees()[frontier] + 1,
         chunk_hint=opts.chunk_hint,
         num_workers=num_workers,
     )
@@ -337,9 +337,10 @@ def _thread_match(
 # handle*:
 #
 # * ``share_mode="fork"`` (default where fork exists) hands children the
-#   parent's CSR view as a plain reference — they inherit
-#   the numpy buffers copy-on-write, so worker startup moves zero graph
-#   bytes no matter how many processes run;
+#   parent's degree-ordered graph as a plain reference — they inherit
+#   its numpy buffers (and whatever derived arrays it has cached)
+#   copy-on-write, so worker startup moves zero graph bytes no matter
+#   how many processes run;
 # * ``share_mode="mmap"`` (default elsewhere) hands them the path of an
 #   on-disk ``.rgx`` store (the graph's own backing file when it is
 #   already degree-sorted on disk, otherwise a temporary spill): workers
@@ -405,26 +406,24 @@ class _Job:
 def _chunk_runner(handle, job: _Job, control):
     """The one worker initializer: open the graph handle, bind the job.
 
-    ``handle`` is the fork-inherited CSR view or the path of an ``.rgx``
-    store to re-open (the view holds the mapped graph, which keeps its
-    store alive).  Returns ``run_chunk(index) -> counts``: the chunk's
-    group executed over the chunk's starts, one raw count per group
-    member (census-tier basis plans included — the parent inverts, once,
-    over the sums of every chunk).  ``control`` reaches the engine of
+    ``handle`` is the fork-inherited degree-ordered graph or the path of
+    a degree-sorted ``.rgx`` store to re-open (the mapped graph keeps its
+    store alive, and is its own ordered graph).  Returns
+    ``run_chunk(index) -> counts``: the chunk's group executed over the
+    chunk's starts, one raw count per group member (census-tier basis
+    plans included — the parent inverts, once, over the sums of every
+    chunk).  ``control`` reaches the engine of
     every chunk run, so a shared cancellation token stops workers
     *inside* a chunk — between frontier blocks or start tasks — not just
     between chunks.
     """
-    if isinstance(handle, accel.AcceleratedGraphView):
-        view = handle
-    else:
-        view = accel.shared_view(GraphStore(handle).graph())
+    graph = handle if isinstance(handle, DataGraph) else GraphStore(handle).graph()
 
     def run_chunk(index: int):
         gi = job.group_of(index)
         return job.multi.run_group(
             gi,
-            view,
+            graph,
             job.ledgers[gi].chunk(index - job.offsets[gi]),
             chunk=job.frontier_chunk,
             control=control,
@@ -869,11 +868,9 @@ def process_count_many(
     for ledger in ledgers:
         offsets.append(offsets[-1] + len(ledger))
     job = _Job(multi, ledgers, tuple(offsets), opts.frontier_chunk)
-    view = session.view
-
     if share_mode == "fork":
         ctx = multiprocessing.get_context("fork")
-        handle, spill = view, None
+        handle, spill = session.ordered, None
     else:
         ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
         handle, is_temp = _mmap_store(session)

@@ -9,7 +9,7 @@ push session verbs onto worker threads: a named
 
 Threads (not processes) are the right default here: the batched engines
 spend their time inside numpy kernels that release the GIL, the session
-caches (plans, CSR view, start lists) are shared by reference instead of
+caches (plans, ordered graph, start lists) are shared by reference instead of
 being re-derived per worker, and queries that *do* need real
 process-level parallelism go through the PR-5 runtimes from inside the
 job (``session.count_many(..., num_processes=N)`` hands off to

@@ -2,7 +2,7 @@
 
 A service process outlives any single graph: datasets come and go, and a
 box serving heavy traffic cannot let every graph it has ever touched pin
-its degree ordering, CSR view and plan cache in RAM (or its ``.rgx``
+its degree ordering, derived arrays and plan cache in RAM (or its ``.rgx``
 mmap descriptors in the fd table) forever.  :class:`SessionRegistry`
 maps *graph keys* to shared :class:`~repro.core.session.MiningSession`
 instances with two eviction axes:

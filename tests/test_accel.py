@@ -1,4 +1,4 @@
-"""Tests for the CSR graph view and the frontier-batched engine.
+"""Tests for the frontier-batched engine over the degree-ordered graph.
 
 Every feature of the pattern matrix — labels, vertex-induced matching,
 anti-edges, anti-vertices, callbacks — is parity-fuzzed against the
@@ -18,11 +18,9 @@ from hypothesis import strategies as st
 from repro.core import count, generate_plan, match, match_batches
 from repro.core.callbacks import ExplorationControl
 from repro.core.accel import (
-    AcceleratedGraphView,
     FrontierBatchedEngine,
     _compile_steps,
     frontier_start_order,
-    shared_view,
 )
 from repro.core.engine import EngineStats
 from repro.core.session import MiningSession
@@ -47,48 +45,6 @@ def reference_count(graph, pattern, **kwargs):
 
 def batched_count(graph, pattern, **kwargs):
     return count(graph, pattern, engine="accel-batch", **kwargs)
-
-
-# ----------------------------------------------------------------------
-# Graph view
-# ----------------------------------------------------------------------
-
-
-class TestAcceleratedGraphView:
-    def test_neighbors_agree_with_graph(self):
-        g = erdos_renyi(50, 0.2, seed=4)
-        view = AcceleratedGraphView(g)
-        for v in g.vertices():
-            assert view.neighbors(v).tolist() == g.neighbors(v).tolist()
-
-    def test_memory_accounting(self):
-        g = erdos_renyi(50, 0.2, seed=4)
-        view = AcceleratedGraphView(g)
-        assert view.memory_bytes() >= 8 * 2 * g.num_edges
-
-    def test_label_partition(self):
-        g = with_random_labels(erdos_renyi(40, 0.2, seed=9), 3, seed=5)
-        view = AcceleratedGraphView(g)
-        seen = []
-        for lab in range(3):
-            arr = view.vertices_with_label(lab)
-            assert arr.tolist() == sorted(
-                v for v in g.vertices() if g.label(v) == lab
-            )
-            seen.extend(arr.tolist())
-        assert sorted(seen) == list(g.vertices())
-        assert view.vertices_with_label(99).size == 0
-
-    def test_unlabeled_partition_empty(self):
-        g = erdos_renyi(10, 0.3, seed=1)
-        view = AcceleratedGraphView(g)
-        assert view.labels is None
-        assert view.vertices_with_label(0).size == 0
-
-    def test_shared_view_cached(self):
-        g = erdos_renyi(20, 0.3, seed=8)
-        ordered, _ = g.degree_ordered()
-        assert shared_view(ordered) is shared_view(ordered)
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +466,7 @@ class TestFrontierBatchedParity:
     def test_rejects_on_match_and_on_batch_together(self):
         g = erdos_renyi(20, 0.3, seed=2)
         ordered, _ = g.degree_ordered()
-        engine = FrontierBatchedEngine(shared_view(ordered))
+        engine = FrontierBatchedEngine(ordered)
         with pytest.raises(ValueError):
             engine.run(
                 generate_plan(generate_clique(3)),
@@ -667,32 +623,29 @@ class TestFrontierStartOrder:
     def test_unlabeled_is_hub_first(self):
         g = erdos_renyi(25, 0.2, seed=3)
         ordered, _ = g.degree_ordered()
-        view = shared_view(ordered)
         starts = frontier_start_order(ordered)
-        assert starts.tolist() == list(range(view.num_vertices - 1, -1, -1))
+        assert starts.tolist() == list(range(ordered.num_vertices - 1, -1, -1))
 
     def test_labeled_filters_to_top_labels(self):
         g = with_random_labels(erdos_renyi(40, 0.25, seed=5), 3, seed=7)
         ordered, _ = g.degree_ordered()
-        view = shared_view(ordered)
         p = _labeled_pattern(generate_clique(3), {0: 1, 1: 1, 2: 1})
         plan = generate_plan(p)
         starts = frontier_start_order(ordered, plan.pinned_start_labels())
         assert starts.size > 0
-        assert all(view.labels[v] == 1 for v in starts.tolist())
+        assert all(ordered.label(v) == 1 for v in starts.tolist())
         # hub-first order is preserved within the filtered set
         assert starts.tolist() == sorted(starts.tolist(), reverse=True)
 
     def test_sliced_frontier_partitions_the_count(self):
         g = with_random_labels(erdos_renyi(50, 0.25, seed=9), 2, seed=11)
         ordered, _ = g.degree_ordered()
-        view = shared_view(ordered)
         p = _labeled_pattern(generate_chain(3), {0: 0, 1: 1, 2: 0})
         plan = generate_plan(p)
         starts = frontier_start_order(ordered, plan.pinned_start_labels())
-        total = FrontierBatchedEngine(view).run(plan, count_only=True)
+        total = FrontierBatchedEngine(ordered).run(plan, count_only=True)
         sliced = sum(
-            FrontierBatchedEngine(view).run(
+            FrontierBatchedEngine(ordered).run(
                 plan, start_vertices=starts[off::3], count_only=True
             )
             for off in range(3)

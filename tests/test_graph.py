@@ -1,9 +1,10 @@
 """Unit tests for the DataGraph substrate."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import DataGraph, from_edges
+from repro.graph import DataGraph, erdos_renyi, from_edges, with_random_labels
 
 
 def square() -> DataGraph:
@@ -146,13 +147,34 @@ class TestDegreeOrdering:
 class TestLabelIndex:
     def test_vertices_with_label(self):
         g = from_edges([(0, 1), (1, 2)], labels=[1, 2, 1])
-        assert g.vertices_with_label(1) == [0, 2]
-        assert g.vertices_with_label(2) == [1]
-        assert g.vertices_with_label(9) == []
+        assert g.vertices_with_label(1).tolist() == [0, 2]
+        assert g.vertices_with_label(2).tolist() == [1]
+        assert g.vertices_with_label(9).tolist() == []
+        arr = g.vertices_with_label(1)
+        assert arr.dtype == np.int64
+        assert not arr.flags.writeable
+        assert g.vertices_with_label(1) is arr  # cached per label
 
     def test_unlabeled_graph_returns_empty(self):
         g = square()
-        assert g.vertices_with_label(0) == []
+        assert g.vertices_with_label(0).tolist() == []
+
+    def test_label_partition(self):
+        g = with_random_labels(erdos_renyi(40, 0.2, seed=9), 3, seed=5)
+        seen = []
+        for lab in range(3):
+            arr = g.vertices_with_label(lab)
+            assert arr.tolist() == sorted(
+                v for v in g.vertices() if g.label(v) == lab
+            )
+            seen.extend(arr.tolist())
+        assert sorted(seen) == list(g.vertices())
+        assert g.vertices_with_label(99).size == 0
+
+    def test_unlabeled_partition_empty(self):
+        g = erdos_renyi(10, 0.3, seed=1)
+        assert g.labels() is None
+        assert g.vertices_with_label(0).size == 0
 
 
 class TestMisc:
@@ -172,3 +194,5 @@ class TestMisc:
 
     def test_memory_bytes_positive(self):
         assert square().memory_bytes() > 0
+        g = erdos_renyi(50, 0.2, seed=4)
+        assert g.memory_bytes() >= 8 * 2 * g.num_edges

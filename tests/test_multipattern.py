@@ -467,8 +467,8 @@ class TestMultiPatternPlan:
         raw = [
             a + b
             for a, b in zip(
-                multi.run_group(0, session.view, frontier[::2]),
-                multi.run_group(0, session.view, frontier[1::2]),
+                multi.run_group(0, session.ordered, frontier[::2]),
+                multi.run_group(0, session.ordered, frontier[1::2]),
             )
         ]
         totals = multi.demux(0, raw)

@@ -304,7 +304,7 @@ class TestProcessCount:
         assert got == expected
 
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
-    def test_dense_labeled_graph_shares_label_arrays(self, share_mode):
+    def test_dense_labeled_graph_shares_labels(self, share_mode):
         """Labels must survive graph sharing into the workers."""
         from repro.graph import with_random_labels
         from repro.pattern import generate_clique as clique

@@ -331,7 +331,7 @@ class TestSessionCaches:
         session = MiningSession(g)
         session.count(generate_clique(3))
         assert session.ordered is g.degree_ordered()[0]
-        assert session.view is session.view
+        assert session.view is session.ordered
 
     def test_legacy_api_shares_the_graph_session(self):
         g = erdos_renyi(30, 0.25, seed=8)

@@ -7,8 +7,9 @@ engine) and visible in cost (a cold open does O(header) work, never a
 full adjacency materialization).  This suite pins the storage contract,
 fuzz-pins the round trip over the graph feature matrix, rejects
 malformed files loudly, guards the lazy-open property, checks
-in-memory-vs-mmap engine parity, and unit-tests the roaring
-hub-membership kernels the CSR views compile for power-law hubs.
+in-memory-vs-mmap engine parity, and unit-tests the graph's cached
+derived arrays and the roaring hub-membership kernels it compiles for
+power-law hubs.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.core import MiningSession, as_session, count  # noqa: E402
-from repro.core.accel import (  # noqa: E402
-    AcceleratedGraphView,
-    FrontierBatchedEngine,
-    HubMembershipIndex,
+from repro.core.accel import FrontierBatchedEngine  # noqa: E402
+from repro.bitmap import HubMembershipIndex, RoaringBitmap  # noqa: E402
+from repro.bitmap import roaring  # noqa: E402
+from repro.bitmap.roaring import (  # noqa: E402
     ROARING_HUB_MIN_DEGREE,
     hub_degree_threshold,
 )
-from repro.bitmap import RoaringBitmap  # noqa: E402
 from repro.errors import GraphError, GraphFormatError  # noqa: E402
 from repro.graph import (  # noqa: E402
     DataGraph,
@@ -306,19 +306,51 @@ class TestColdStartIsLazy:
             assert np.shares_memory(h._offsets, h.backing_store.offsets)
             del h
 
-    def test_engine_view_aliases_mapped_sections(self):
-        """The CSR view must wrap the mapped arrays, not copy them."""
+    def test_engine_aliases_mapped_sections(self):
+        """The engine must read the mapped arrays, not copies of them."""
         g = erdos_renyi(60, 0.2, seed=7)
         with tempfile.TemporaryDirectory() as tmp:
             path = _rgx_path(tmp)
             save_mmap(g, path)
             h = load_mmap(path)
-            view = AcceleratedGraphView(h)
-            offsets, flat, _ = view.graph.csr_arrays()
-            assert flat is h._flat or np.shares_memory(flat, h._flat)
-            assert offsets is h._offsets or np.shares_memory(
-                offsets, h._offsets
+            engine = FrontierBatchedEngine(h)
+            assert np.shares_memory(engine.flat, h.backing_store.neighbors)
+            assert np.shares_memory(engine.offsets, h.backing_store.offsets)
+
+    @pytest.mark.parametrize("member", ["degrees", "adjacency_keys", "hub_index"])
+    def test_derived_members_cached_and_read_only(self, monkeypatch, member):
+        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
+        g = power_law(300, gamma=1.6, seed=9)
+        first = getattr(g, member)()
+        assert first is not None
+        assert getattr(g, member)() is first
+        arrays = (first.hubs, first.row_of, first.bits) if member == "hub_index" else (first,)
+        for arr in arrays:
+            assert not arr.flags.writeable
+        if member == "degrees":
+            assert first.tolist() == [g.degree(v) for v in g.vertices()]
+
+    def test_close_releases_keys_and_hubs_of_a_degree_sorted_store(
+        self, monkeypatch
+    ):
+        """A degree-sorted store's graph is its own ordered graph, so
+        dropping the ordering cache alone would keep its derived arrays."""
+        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
+        ordered, _ = power_law(300, gamma=1.6, seed=9).degree_ordered()
+        p = Pattern.from_edges([(0, 1), (1, 2)], anti_edges=[(0, 2)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _rgx_path(tmp)
+            save_mmap(ordered, path)
+            h = load_mmap(path)
+            session = MiningSession(h)
+            assert session.ordered is h
+            assert session.count(p, engine="accel-batch") == count(
+                ordered, p, engine="reference"
             )
+            assert h._adj_keys is not None and h._hub_index
+            session.close()
+            assert h._adj_keys is None
+            assert h._hub_index is None
 
 
 class TestMmapEngineParity:
@@ -455,18 +487,18 @@ class TestHubMembership:
 
     def test_no_hubs_below_threshold(self):
         g = erdos_renyi(50, 0.1, seed=3)  # max degree far below 128
-        view = AcceleratedGraphView(g)
-        assert view.hub_index() is None
-        assert view.hub_index() is None  # the miss is cached too
+        assert g.hub_index() is None
+        assert g._hub_index is False  # the miss is cached too
+        assert g.hub_index() is None
 
-    def test_index_structure_and_lookup(self):
+    def test_index_structure_and_lookup(self, monkeypatch):
+        # Force hubs before the fresh graph's first (cached) hub_index().
+        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 12)
         g = barabasi_albert(300, 6, seed=5)
-        view = AcceleratedGraphView(g)
-        hub = view.hub_index(min_degree=12)
-        assert hub is not None
+        hub = g.hub_index()
         assert isinstance(hub, HubMembershipIndex)
-        degrees = view.degrees()
-        assert all(degrees[h] >= 12 for h in hub.hubs)
+        degrees = g.degrees()
+        assert hub.hubs.tolist() == np.flatnonzero(degrees >= 12).tolist()
         for h in np.asarray(hub.hubs)[:10]:
             row = hub.row_of[h]
             assert row >= 0
@@ -479,14 +511,15 @@ class TestHubMembership:
     @given(seeds)
     @settings(max_examples=10, deadline=None)
     def test_member_routes_agree_with_searchsorted(self, seed):
-        g = power_law(120 + seed, gamma=1.7, seed=seed)
-        view = AcceleratedGraphView(g)
-        # Force hub routing before the engine binds the (lazily cached)
-        # index: the engine's own init would cache the default-threshold
-        # miss first.
-        hubs = view.hub_index(min_degree=4)
+        # Force hub routing before the fresh graph's first hub_index()
+        # (hypothesis reruns the body, so patch inside it, not via the
+        # function-scoped monkeypatch fixture).
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
+            g = power_law(120 + seed, gamma=1.7, seed=seed)
+            engine = FrontierBatchedEngine(g)
+        hubs = g.hub_index()
         assert hubs is not None
-        engine = FrontierBatchedEngine(view)
         assert engine.hubs is hubs
         rng = np.random.default_rng(seed)
         n = g.num_vertices
@@ -497,16 +530,13 @@ class TestHubMembership:
         assert np.array_equal(got, want)
 
     def test_engine_counts_unchanged_when_hubs_engage(self, monkeypatch):
-        import repro.core.accel as accel_mod
-
+        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
         g = power_law(300, gamma=1.6, seed=9)
         p = Pattern.from_edges([(0, 1), (1, 2)], anti_edges=[(0, 2)])
         expected = count(g, p, engine="reference")
-        monkeypatch.setattr(accel_mod, "ROARING_HUB_MIN_DEGREE", 4)
         h, _ = g.degree_ordered()
-        view = AcceleratedGraphView(h)
-        assert view.hub_index() is not None  # hubs really engage
-        engine = FrontierBatchedEngine(view)
-        assert engine.hubs is not None
+        engine = FrontierBatchedEngine(h)
+        assert engine.hubs is not None  # hubs really engage
+        assert engine.hubs is h.hub_index()
         got = count(g, p, engine="accel-batch")
         assert got == expected
