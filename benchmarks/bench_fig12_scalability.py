@@ -70,7 +70,7 @@ def test_work_partition_speedup(orkut, capsys):
 
 @pytest.mark.paper_artifact("figure12")
 def test_load_imbalance_near_zero(orkut, capsys):
-    result = parallel_match(orkut, pattern_p1(), num_threads=4, chunk_hint=2)
+    result = parallel_match(orkut, pattern_p1(), num_threads=4)
     with capsys.disabled():
         print(f"\nmatch-placement imbalance: {result.load_imbalance():.3f} "
               f"(per-thread matches {result.per_thread_matches})")

@@ -3,8 +3,8 @@ tolerance cost when you are *not* using them.
 
 PR 7's execution guardrails ride the hot paths: every engine polls an
 optional budget between frontier chunks, the session verbs route
-through admission guards, and ``process_count``'s dynamic schedule runs
-on crash-tolerant lease-board workers instead of a ``Pool``.  The
+through admission guards, and ``process_count``'s work-stealing drain
+runs on crash-tolerant lease-board workers instead of a ``Pool``.  The
 robustness story only holds if the disarmed cost is negligible, so this
 bench pins two ratios:
 
@@ -86,9 +86,7 @@ def test_guards_smoke():
     assert estimate.sampled <= guards.PROBE_SAMPLE
     os.environ[FAULT_ENV] = "0:0"
     try:
-        got = process_count(
-            g, pattern, num_processes=2, schedule="dynamic", chunk_hint=8
-        )
+        got = process_count(g, pattern, num_processes=2)
     finally:
         del os.environ[FAULT_ENV]
     assert got == expected
@@ -131,7 +129,7 @@ def test_guards_emits_json(capsys):
     # --- recovery overhead: one deterministic worker death vs clean ---
     recovery_graph = erdos_renyi(1_500, 0.02, seed=4, name="recovery")
     recovery_expected = count(recovery_graph, pattern)
-    pool_kw = dict(num_processes=2, schedule="dynamic", chunk_hint=64)
+    pool_kw = dict(num_processes=2)
     clean_rounds, crash_rounds = [], []
     num_chunks = None
     for _ in range(RECOVERY_ROUNDS):
@@ -160,7 +158,6 @@ def test_guards_emits_json(capsys):
             list(rec_starts),
             weights=rec_ordered.degrees()[rec_starts] + 1,
             num_workers=pool_kw["num_processes"],
-            chunk_hint=pool_kw["chunk_hint"],
         )
         num_chunks = len(ledger)
     clean = min(clean_rounds)
@@ -177,7 +174,7 @@ def test_guards_emits_json(capsys):
             "same plan and frontier, best-of-rounds; acceptance <= "
             "1.02.  guarded_ratio arms an hour-long deadline plus a "
             "downgrade admission probe on the same call, for context.  "
-            "recovery: process_count (dynamic, 2 workers) with "
+            "recovery: process_count (2 workers) with "
             "REPRO_FAULT_WORKER_DIE='0:0' killing one worker at its "
             "first lease vs the same run clean; overhead_ratio = "
             "crash/clean, both returning the exact count — the price "

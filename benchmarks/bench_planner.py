@@ -1,7 +1,7 @@
 """Planned vs. fixed-threshold dispatch: the ablation behind the default.
 
 Product dispatch has one policy: every query is probed once and
-:mod:`repro.runtime.planner` picks the engine (and schedule, chunking,
+:mod:`repro.runtime.planner` picks the engine (and frontier chunking,
 pool size) from the *query's own* measured frontier.  The policy it
 replaced looked at the *graph*: a global ``avg_degree >= 2.0`` picked
 the batched engine.  That fixed threshold lives on only here, as the
@@ -140,7 +140,6 @@ def _measure_cell(graph, pattern) -> dict:
         "rounds": ROUNDS,
         "fixed_engine": pinned,
         "auto_engine": chosen.engine,
-        "auto_schedule": chosen.schedule,
         "probe": {
             "frontier_size": estimate.frontier_size,
             "avg_expansion": estimate.avg_expansion,
@@ -187,7 +186,7 @@ def test_planner_emits_json(capsys):
         "rounds_per_cell": ROUNDS,
         "note": (
             "Planned dispatch (the only product policy: one bounded "
-            "probe chooses engine, schedule, chunking and workers per "
+            "probe chooses engine, chunking and workers per "
             "query) against the fixed-threshold ablation (engine "
             "pinned per cell from the global avg_degree >= 2.0 rule "
             "product dispatch used before).  Cells are the e2e "

@@ -227,8 +227,6 @@ def cmd_count(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
                 num_processes=processes,
                 edge_induced=not args.vertex_induced,
                 symmetry_breaking=not args.no_symmetry_breaking,
-                schedule=getattr(args, "schedule", None),
-                chunk_hint=getattr(args, "chunk_hint", None),
                 cancel=cancel,
                 guard=guard,
             )
@@ -332,8 +330,6 @@ def cmd_motifs(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
             args.size,
             engine=engine,
             num_processes=processes,
-            schedule=getattr(args, "schedule", None),
-            chunk_hint=getattr(args, "chunk_hint", None),
         )
     except QueryRefusedError as err:
         return _report_refused(err, out)

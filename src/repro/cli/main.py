@@ -32,23 +32,8 @@ def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
         "--processes",
         type=int,
         default=1,
-        help="worker processes (shared-CSR pool; 1 = in-process)",
-    )
-    parser.add_argument(
-        "--schedule",
-        choices=["dynamic", "static"],
-        default=None,
-        help="pin the work placement across workers: 'dynamic' pulls "
-        "degree-weighted frontier chunks from a shared queue (absorbs "
-        "stragglers on skewed graphs), 'static' cuts one stride chunk "
-        "per worker; by default the plan picks from the probed skew",
-    )
-    parser.add_argument(
-        "--chunk-hint",
-        type=int,
-        default=None,
-        help="target start-vertices per dynamic chunk (uniform-frontier "
-        "equivalent; default sizes chunks automatically)",
+        help="worker processes pulling degree-weighted frontier chunks "
+        "from a shared queue (shared-CSR pool; 1 = in-process)",
     )
 
 

@@ -54,10 +54,7 @@ signatures are frozen).  To scale across cores, hold a session and pass
 ``num_processes`` to :meth:`MiningSession.count_many`, or use the
 runtimes directly — :func:`repro.runtime.parallel.process_count` /
 :func:`~repro.runtime.parallel.process_count_many` — which place work
-through the shared chunk scheduler (``schedule="dynamic"`` work
-stealing by default, ``"static"`` one stride chunk per worker as the
-ablation;
-``chunk_hint`` tunes granularity; measured in
+through the shared work-stealing chunk scheduler (measured in
 ``benchmarks/bench_parallel.py`` → ``BENCH_parallel.json``).
 """
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -69,7 +70,6 @@ _ENGINE_CHOICES = ("auto", "accel-batch", "reference")
 _MULTI_ENGINE_CHOICES = ("fused",) + _ENGINE_CHOICES
 _ON_BUDGET_CHOICES = ("raise", "partial")
 _GUARD_CHOICES = ("off", "refuse", "downgrade")
-_SCHEDULE_CHOICES = (None, "dynamic", "static")
 
 # Option groups for ``ExecOptions.hooks``: the reference-engine
 # instruments (they pin the interpreter), and everything that observes
@@ -278,14 +278,11 @@ class ExecOptions:
     ``edge_induced`` / ``symmetry_breaking`` / ``label_index``
         matching semantics (Theorem 3.1; PRG-U ablation) and the
         label-filtered start pruning (§6.4).
-    ``engine`` / ``schedule`` / ``frontier_chunk`` / ``chunk_hint``
-        pins.  ``engine="auto"`` and ``None`` elsewhere let the plan
-        choose: the engine from the probe's measured frontier expansion,
-        the concurrent schedule (``"dynamic"`` work stealing vs.
-        ``"static"`` stride chunks) from its hub skew, the batched
-        engine's per-dispatch frontier cap from the predicted partial
-        volume; ``chunk_hint`` (target tasks per scheduling chunk)
-        defaults to the ledger's own rule.
+    ``engine`` / ``frontier_chunk``
+        pins.  ``engine="auto"`` and ``frontier_chunk=None`` let the
+        plan choose: the engine from the probe's measured frontier
+        expansion, the batched engine's per-dispatch frontier cap from
+        the predicted partial volume.
     ``start_vertices`` / ``plan``
         explicit task seeds and a precomputed
         :class:`~repro.core.plan.ExplorationPlan` (bypassing the session
@@ -330,8 +327,6 @@ class ExecOptions:
     stats: EngineStats | None = None
     timer: Any = None
     plan: ExplorationPlan | None = None
-    schedule: str | None = None
-    chunk_hint: int | None = None
     budget: Budget | None = None
     on_budget: str = "raise"
     guard: str = "off"
@@ -372,7 +367,6 @@ class ExecOptions:
         for name, choices in (
             ("engine", engines),
             ("guard", _GUARD_CHOICES),
-            ("schedule", _SCHEDULE_CHOICES),
             ("on_budget", _ON_BUDGET_CHOICES),
         ):
             if getattr(self, name) not in choices:
@@ -384,9 +378,13 @@ class ExecOptions:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-        for name in (
-            "max_samples", "latency_budget", "chunk_hint", "frontier_chunk"
-        ):
+        for name in ("frontier_chunk", "max_samples", "seed"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, Integral)
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("max_samples", "latency_budget", "frontier_chunk"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value!r}")
@@ -791,10 +789,11 @@ class MiningSession:
         only the *driver* differs.  ``num_processes > 1``
         (:func:`repro.runtime.parallel.process_count_many`) cuts each
         group's frontier into degree-weighted chunks that worker
-        processes pull from a shared queue (``schedule``/``chunk_hint``
-        apply), census tier included — true parallel speedup for motif
-        censuses; it counts exactly and only (``engine`` must be
-        ``"auto"`` or ``"fused"``; hook and sampling options raise).
+        processes pull from a shared queue, census tier included — true
+        parallel speedup for motif censuses; it counts exactly and only
+        (``engine`` must be ``"auto"`` or ``"fused"``; hook and sampling
+        options raise).  The stage is built here, once, with
+        ``workers=num_processes`` and handed to the process runtime.
         ``approx=rel_err`` — or a ``latency_budget`` /
         ``guard="downgrade"`` escalation — *estimates* every pattern
         instead (:class:`~repro.mining.sampling.ApproxCount` values)
@@ -803,7 +802,7 @@ class MiningSession:
         patterns = list(patterns)
         opts = self.defaults.merged(options, multi=True)
         if num_processes > 1:
-            from ..runtime.parallel import process_count_many
+            from ..runtime.parallel import _process_drive
 
             unsupported = opts.hooks(
                 "stats", "timer", "control", "plan", "start_vertices",
@@ -820,17 +819,8 @@ class MiningSession:
                     f"engine={opts.engine!r} is not available under "
                     "processes; use 'auto' or 'fused'"
                 )
-            return process_count_many(
-                self,
-                patterns,
-                num_processes=num_processes,
-                edge_induced=opts.edge_induced,
-                symmetry_breaking=opts.symmetry_breaking,
-                label_index=opts.label_index,
-                schedule=opts.schedule,
-                chunk_hint=opts.chunk_hint,
-                frontier_chunk=opts.frontier_chunk,
-                guard=opts.guard,
+            return _process_drive(
+                self, self._stage(patterns, opts, workers=num_processes)
             )
         totals = self._execute(self._stage(patterns, opts, count_only=True))
         return dict(zip(patterns, totals))
@@ -1048,7 +1038,7 @@ class MiningSession:
         predicted-explosive members (``guard="downgrade"`` also caps
         ``workers``); :func:`repro.runtime.planner.plan_workload` then
         fills whatever the caller did not pin — engine (the workload's
-        and every member's own), schedule, frontier chunk, and the pool
+        and every member's own), frontier chunk, and the pool
         size when ``workers`` is ``None``.
 
         ``count_only`` marks runs without a match consumer.  Those — if

@@ -42,8 +42,6 @@ def motif_counts(
     symmetry_breaking: bool = True,
     engine: str | None = None,
     num_processes: int = 1,
-    schedule: str | None = None,
-    chunk_hint: int | None = None,
 ) -> dict[Pattern, int]:
     """Count vertex-induced matches of every motif with ``size`` vertices.
 
@@ -60,23 +58,16 @@ def motif_counts(
     ``num_processes > 1`` scales the census across worker processes:
     the fused frontier walk is cut into degree-weighted chunks pulled
     from a shared work queue
-    (:func:`repro.runtime.parallel.process_count_many`;
-    ``schedule``/``chunk_hint`` tune the placement).
+    (:func:`repro.runtime.parallel.process_count_many`).
     """
     session = as_session(graph)
     motifs = generate_all_vertex_induced(size)
-    options = {}
-    if schedule is not None:
-        options["schedule"] = schedule
-    if chunk_hint is not None:
-        options["chunk_hint"] = chunk_hint
     found = session.count_many(
         motifs,
         edge_induced=False,
         symmetry_breaking=symmetry_breaking,
         engine=engine,
         num_processes=num_processes,
-        **options,
     )
     results: dict[Pattern, int] = {}
     for motif in motifs:
@@ -121,20 +112,13 @@ def motif_census_table(
     size: int,
     engine: str | None = None,
     num_processes: int = 1,
-    schedule: str | None = None,
-    chunk_hint: int | None = None,
 ) -> str:
     """Human-readable motif census (used by the motif-census example)."""
     session = as_session(graph)
     rows = []
     for motif, found in sorted(
         motif_counts(
-            session,
-            size,
-            engine=engine,
-            num_processes=num_processes,
-            schedule=schedule,
-            chunk_hint=chunk_hint,
+            session, size, engine=engine, num_processes=num_processes
         ).items(),
         key=lambda kv: -kv[1],
     ):

@@ -31,7 +31,7 @@ width, frontier, symmetry breaking)`` — everything :func:`probe` reads —
 by the session's dispatch stage
 (:meth:`repro.core.session.MiningSession._stage`), and the measurements
 serve two consumers: :func:`admit` (triage, conservative by design) and
-:mod:`repro.runtime.planner` (engine/schedule/chunk/worker selection
+:mod:`repro.runtime.planner` (engine/chunk/worker selection
 from the same probe).  The planner consumes the *unclamped*
 extrapolation (``predicted_partials_raw``) while admission keeps the
 conservative growth floor in ``predicted_partials``.

@@ -24,21 +24,17 @@ chunks (:class:`~repro.runtime.scheduler.ChunkLedger`, same closing rule
 as the engines' :func:`~repro.core.accel.bounded_slices`) and workers
 *pull* chunk indices from a shared cursor until the queue drains —
 ``threading.Lock`` under threads, a ``multiprocessing.Value`` under
-processes.  This dynamic schedule (``schedule="dynamic"``, the default)
-absorbs stragglers on skewed graphs: whoever finishes early keeps
-pulling, so one mega-hub task never holds the whole run the way a fixed
-partition does.  ``schedule="static"`` is a second *ledger shape*, not a
-second machinery: one stride chunk per worker
-(:meth:`~repro.runtime.scheduler.ChunkLedger.strided`) drained by the
-same cursor — the ablation baseline (``benchmarks/bench_parallel.py``
-measures the gap; ``chunk_hint`` tunes dynamic chunk granularity).
+processes.  This work stealing absorbs stragglers on skewed graphs:
+whoever finishes early keeps pulling, so one mega-hub task never holds
+the whole run the way a fixed partition does
+(``benchmarks/bench_parallel.py`` measures the gap against one).
 
 Both entry points accept a :class:`~repro.core.session.MiningSession` in
 place of the graph: the runtime then reuses the session's degree
 ordering, id translation, derived arrays and plan cache instead of
 re-deriving them per call (plain graphs resolve to their shared default
 session).
-Both resolve engine, schedule, frontier chunk and pool size through the
+Both resolve engine, frontier chunk and pool size through the
 session's one dispatch stage
 (:meth:`~repro.core.session.MiningSession._stage`): what the caller
 passes explicitly is kept, ``None`` is planned from the probe.
@@ -97,8 +93,7 @@ class ParallelResult:
     ``engine`` records which engine the workers drove
     (``"reference"`` or ``"accel-batch"``); engine stats are a
     reference-engine feature, so ``stats`` counters are zero for
-    vectorized runs.  ``schedule`` records the work placement used
-    (``"dynamic"`` weighted chunks vs. ``"static"`` stride chunks).
+    vectorized runs.
     """
 
     matches: int
@@ -108,7 +103,6 @@ class ParallelResult:
     per_thread_matches: list[int] = field(default_factory=list)
     per_thread_cpu: list[float] = field(default_factory=list)
     engine: str = "reference"
-    schedule: str = "dynamic"
 
     def load_imbalance(self) -> float:
         """Max-minus-min share of matches across threads (0 = perfect).
@@ -137,22 +131,18 @@ class ParallelResult:
         return 0.0 if hi == 0 else (hi - lo) / hi
 
 
-def _ledger(session, key, opts, num_workers: int) -> ChunkLedger:
+def _ledger(session, key, num_workers: int) -> ChunkLedger:
     """The chunk table both runtimes cut from one frontier.
 
     ``key`` names the session's hub-first, label-filtered frontier
-    (:meth:`~repro.core.session.MiningSession._frontier`).  The dynamic
-    schedule weighs each start ``degree + 1`` — the rule the fused
-    runner bounds its slices by — so chunk extents track expected
-    per-start cost; the static one deals a stride chunk per worker.
+    (:meth:`~repro.core.session.MiningSession._frontier`).  Each start
+    weighs ``degree + 1`` — the rule the fused runner bounds its slices
+    by — so chunk extents track expected per-start cost.
     """
     frontier = session._frontier(key)
-    if opts.schedule == "static":
-        return ChunkLedger.strided(frontier, num_workers)
     return ChunkLedger.build(
         frontier,
         weights=session.ordered.degrees()[frontier] + 1,
-        chunk_hint=opts.chunk_hint,
         num_workers=num_workers,
     )
 
@@ -170,8 +160,6 @@ def parallel_match(
     engine: str | None = None,
     combine: Callable | None = None,
     global_aggregator: Aggregator | None = None,
-    schedule: str | None = None,
-    chunk_hint: int | None = None,
 ) -> ParallelResult:
     """Match a pattern with ``num_threads`` worker threads.
 
@@ -194,17 +182,14 @@ def parallel_match(
     aggregates — pass one so ``on_update`` observes the *cumulative*
     totals rather than each run's private map.
 
-    ``engine``/``schedule``/``chunk_hint`` pin the run; ``None`` values
-    inherit the session's :class:`~repro.core.session.ExecOptions`
-    defaults and whatever is still open is planned from the probe (see
-    the module docstring): the batched engine whenever the pattern's
-    frontier clears the crossover — each chunk's numpy kernels run with
-    the GIL released, so worker threads overlap on the hot loop instead
-    of serializing, and a user ``control`` is polled between frontier
-    blocks and per emitted match — ``"dynamic"`` degree-weighted chunks
-    pulled from the shared scheduler on hub-skewed frontiers, one
-    ``"static"`` stride chunk per thread on uniform ones.  With no hint,
-    chunks are sized automatically for the pool
+    ``engine`` pins the run; ``None`` inherits the session's
+    :class:`~repro.core.session.ExecOptions` default and ``"auto"`` is
+    planned from the probe (see the module docstring): the batched
+    engine whenever the pattern's frontier clears the crossover — each
+    chunk's numpy kernels run with the GIL released, so worker threads
+    overlap on the hot loop instead of serializing, and a user
+    ``control`` is polled between frontier blocks and per emitted match.
+    Threads pull degree-weighted chunks from the shared scheduler
     (:data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER` per thread).
     Reference-engine runs keep per-thread :class:`EngineStats`;
     vectorized runs report zero stats (see :class:`ParallelResult`).
@@ -219,8 +204,6 @@ def parallel_match(
             symmetry_breaking=symmetry_breaking,
             control=control,
             engine=engine,
-            schedule=schedule,
-            chunk_hint=chunk_hint,
         )
     )
     return _thread_match(
@@ -255,10 +238,7 @@ def _thread_match(
     num_threads = staged.query_plan.num_workers
     scheduler = TaskScheduler(
         _ledger(
-            session,
-            session._frontier_key(plan, opts.label_index),
-            opts,
-            num_threads,
+            session, session._frontier_key(plan, opts.label_index), num_threads
         )
     )
     shared_control = (
@@ -327,7 +307,6 @@ def _thread_match(
         per_thread_matches=thread_matches,
         per_thread_cpu=thread_cpu,
         engine=opts.engine,
-        schedule=opts.schedule,
     )
 
 
@@ -348,15 +327,13 @@ def _thread_match(
 #   pages through the OS page cache — zero copies, works under any start
 #   method.
 #
-# Work placement is orthogonal and is only a ledger shape:
-# ``schedule="dynamic"`` (default) cuts degree-weighted frontier chunks,
-# ``schedule="static"`` one stride chunk per worker; either way workers
-# claim chunk indices from a shared ``ProcessCursor`` until drained.
+# Work placement is orthogonal: workers claim indices of degree-weighted
+# frontier chunks from a shared ``ProcessCursor`` until drained.
 #
 # ``multiprocessing.Pool`` is the wrong substrate for fault tolerance —
 # a worker that dies abruptly mid-task leaves the pool's ``map`` hung
 # (or, on newer CPythons, kills the whole map with no record of which
-# inputs finished).  Both schedules therefore run raw ``ctx.Process`` workers
+# inputs finished).  Workers are therefore raw ``ctx.Process`` workers
 # over a :class:`~repro.runtime.scheduler.LeaseBoard`: a worker *leases*
 # a chunk before running it and lands the chunk's counts atomically with
 # its done-mark, so after every worker exits the parent knows exactly
@@ -717,16 +694,14 @@ def process_count(
     edge_induced: bool = True,
     symmetry_breaking: bool = True,
     share_mode: str | None = None,
-    schedule: str | None = None,
-    chunk_hint: int | None = None,
     cancel: ExplorationControl | None = None,
     guard: str | None = None,
 ) -> int:
     """Count matches with worker processes (true parallel speedup).
 
     The one-pattern case of :func:`process_count_many` — same graph
-    sharing, schedules, crash tolerance, cancellation, guard and
-    planning; see there for every knob.
+    sharing, crash tolerance, cancellation, guard and planning; see
+    there for every knob.
     """
     return process_count_many(
         graph,
@@ -735,8 +710,6 @@ def process_count(
         edge_induced=edge_induced,
         symmetry_breaking=symmetry_breaking,
         share_mode=share_mode,
-        schedule=schedule,
-        chunk_hint=chunk_hint,
         cancel=cancel,
         guard=guard,
     )[pattern]
@@ -750,8 +723,6 @@ def process_count_many(
     symmetry_breaking: bool = True,
     label_index: bool = True,
     share_mode: str | None = None,
-    schedule: str | None = None,
-    chunk_hint: int | None = None,
     frontier_chunk: int | None = None,
     cancel: ExplorationControl | None = None,
     guard: str | None = None,
@@ -761,43 +732,36 @@ def process_count_many(
     The process-level driver of the fused executor: patterns are grouped
     by shared level-0 frontier signature
     (:class:`~repro.core.session.MultiPatternPlan`, group floor 1), each
-    group's hub-first, label-filtered frontier is cut into chunks, and
-    worker processes pull chunks from one shared queue spanning *all*
-    groups — every chunk runs its whole group through the one fused
-    executor (:meth:`~repro.core.session.MultiPatternPlan.run_group`),
-    so motif censuses and FSM-style pattern sets scale across cores
-    without giving up the shared first-level gathers.  The workload is
-    compiled exactly as the sequential ``count_many`` compiles it, census
-    tier included: workers count the anti-edge-free basis per chunk and
-    the parent inverts once, over the sums of *all* chunks (with
-    ``cancel`` set the tier is off — a stopped basis must never invert).
+    group's hub-first, label-filtered frontier is cut into
+    degree-weighted chunks, and worker processes pull chunks from one
+    shared queue spanning *all* groups — every chunk runs its whole
+    group through the one fused executor
+    (:meth:`~repro.core.session.MultiPatternPlan.run_group`), so motif
+    censuses and FSM-style pattern sets scale across cores without
+    giving up the shared first-level gathers.  Pulling absorbs
+    stragglers on skewed (power-law) graphs, where a fixed partition
+    leaves one process holding the heaviest hub *and* its full share of
+    everything else.  The workload is compiled exactly as the sequential
+    ``count_many`` compiles it, census tier included: workers count the
+    anti-edge-free basis per chunk and the parent inverts once, over the
+    sums of *all* chunks (with ``cancel`` set the tier is off — a
+    stopped basis must never invert).
 
     An integer ``num_processes`` runs exactly that many workers;
     ``None`` lets the plan size the pool from the measured work volume,
     up to the machine's core count.  A pool of one (asked for, planned,
     or capped by ``guard="downgrade"``) runs the sequential session
-    path in-process.
-
-    ``schedule``/``chunk_hint``/``frontier_chunk`` pin the run; ``None``
-    values inherit the session's
-    :class:`~repro.core.session.ExecOptions` defaults and whatever is
-    still open is planned from the members' probes.
-    ``schedule="dynamic"`` cuts degree-weighted chunks — the
-    work-stealing schedule that absorbs stragglers on skewed (power-law)
-    graphs, where a fixed partition leaves one process holding the
-    heaviest hub *and* its full share of everything else;
-    ``chunk_hint`` tunes their granularity (target starts per chunk on a
-    uniform frontier; default sizes chunks automatically).
-    ``schedule="static"`` cuts one stride chunk per worker (the §5.2
-    interleaving without stealing).  ``frontier_chunk`` bounds each
-    worker engine's per-dispatch frontier exactly as in sequential runs.
+    path in-process.  ``frontier_chunk`` pins each worker engine's
+    per-dispatch frontier bound exactly as in sequential runs; ``None``
+    inherits the session's :class:`~repro.core.session.ExecOptions`
+    default or is planned from the members' probes.
 
     ``share_mode`` picks the graph handle workers receive (see above):
     ``"fork"`` (default where fork exists) or ``"mmap"``.  A
     :class:`~repro.core.session.MiningSession` may be passed in place of
     the graph to reuse its cached ordering and plans.
 
-    Both schedules are **crash-tolerant**: chunk leases over a shared
+    Runs are **crash-tolerant**: chunk leases over a shared
     :class:`~repro.runtime.scheduler.LeaseBoard` let the parent requeue
     any chunk whose worker died before its counts landed (bounded
     retries, then :class:`~repro.errors.WorkerCrashError` carrying the
@@ -815,20 +779,11 @@ def process_count_many(
     :class:`~repro.errors.MatchingError`.
     """
     session = as_session(graph)
-    has_fork = "fork" in multiprocessing.get_all_start_methods()
-    if share_mode is None:
-        share_mode = "fork" if has_fork else "mmap"
-    if share_mode not in _SHARE_MODES:
-        raise ValueError(
-            f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
-        )
     patterns = list(patterns)
     opts = session.options(
         edge_induced=edge_induced,
         symmetry_breaking=symmetry_breaking,
         label_index=label_index,
-        schedule=schedule,
-        chunk_hint=chunk_hint,
         frontier_chunk=frontier_chunk,
         guard=guard,
     )
@@ -840,7 +795,31 @@ def process_count_many(
             "use count_many(approx=...) in process"
         )
     staged = session._stage(patterns, opts, workers=num_processes)
-    opts, plans = staged.opts, staged.plans
+    return _process_drive(session, staged, share_mode, cancel)
+
+
+def _process_drive(
+    session: MiningSession,
+    staged,
+    share_mode: str | None = None,
+    cancel: ExplorationControl | None = None,
+) -> dict[Pattern, int]:
+    """Execute a staged count-only workload on the planned process pool.
+
+    ``staged`` is the :class:`~repro.core.session.StagedQuery` of
+    ``session._stage(patterns, opts, workers=num_processes)`` — what
+    :func:`process_count_many` builds from its keywords and what
+    :meth:`~repro.core.session.MiningSession.count_many` hands over
+    whole.  Returns ``{pattern: exact count}``.
+    """
+    has_fork = "fork" in multiprocessing.get_all_start_methods()
+    if share_mode is None:
+        share_mode = "fork" if has_fork else "mmap"
+    if share_mode not in _SHARE_MODES:
+        raise ValueError(
+            f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
+        )
+    patterns, plans, opts = staged.patterns, staged.plans, staged.opts
     num_processes = staged.query_plan.num_workers
     if num_processes <= 1 or not patterns:
         # A pool of one is the in-process driver: it executes the stage
@@ -862,7 +841,7 @@ def process_count_many(
         session, patterns, plans, replace(opts, control=cancel), min_group=1
     )
     ledgers = tuple(
-        _ledger(session, key, opts, num_processes) for key in multi.group_keys
+        _ledger(session, key, num_processes) for key in multi.group_keys
     )
     offsets = [0]
     for ledger in ledgers:

@@ -16,9 +16,6 @@ choice the caller did not pin:
   otherwise.  The signal is per query, not per graph: a labeled pattern
   on the dense core of a near-forest graph batches, a sparse sliver of
   a dense graph does not;
-* **schedule** — work stealing for hub-skewed frontiers, one static
-  stride chunk per worker for uniform ones (chunk granularity belongs
-  to :class:`~repro.runtime.scheduler.ChunkLedger`);
 * **frontier chunk** — tightened when the predicted partial volume is
   large;
 * **workers** — sized from the measured work when the caller passed
@@ -26,8 +23,10 @@ choice the caller did not pin:
 * **approximation** — a count-only query predicted past its
   ``latency_budget`` routes to the sampling tier.
 
-Pins always win: an explicit ``engine``, ``schedule``,
-``frontier_chunk`` or integer worker count is echoed through untouched.
+Pins always win: an explicit ``engine``, ``frontier_chunk`` or integer
+worker count is echoed through untouched.  Work placement is not a
+choice: both runtimes pull degree-weighted chunks from
+:class:`~repro.runtime.scheduler.ChunkLedger`.
 The fixed global thresholds this replaced (``avg_degree >= 2.0``) live
 on only as the ablation baseline of ``benchmarks/bench_planner.py``.
 """
@@ -50,7 +49,6 @@ __all__ = [
     "explain",
     "MIN_BATCH_EXPANSION",
     "TINY_LEVEL1_VOLUME",
-    "SKEW_DYNAMIC_THRESHOLD",
     "TIGHTEN_PARTIALS",
     "PLANNED_FRONTIER_CHUNK",
     "WORK_PER_WORKER",
@@ -70,12 +68,6 @@ MIN_BATCH_EXPANSION = 1.0
 # finish before numpy per-dispatch overhead amortizes — keep such
 # queries on the reference engine regardless of density.
 TINY_LEVEL1_VOLUME = 64.0
-
-# Work-stealing pays when stragglers exist.  A frontier with hub starts
-# (probe hub prefix non-empty) or with max/avg expansion skew at or
-# above this ratio gets the dynamic schedule; uniform frontiers take
-# static stride slices and skip the shared-cursor protocol.
-SKEW_DYNAMIC_THRESHOLD = 4.0
 
 # Above this predicted (unclamped) partial volume, bound per-dispatch
 # frontier memory even for admitted queries.  Looser than the guard's
@@ -118,7 +110,6 @@ class QueryPlan:
     """
 
     engine: str
-    schedule: str
     frontier_chunk: int | None
     num_workers: int
     reasons: tuple[str, ...] = ()
@@ -135,7 +126,6 @@ class QueryPlan:
         """JSON-friendly form (service envelopes, bench artifacts)."""
         payload = {
             "engine": self.engine,
-            "schedule": self.schedule,
             "frontier_chunk": self.frontier_chunk,
             "num_workers": self.num_workers,
             "use_approx": self.use_approx,
@@ -150,8 +140,8 @@ class QueryPlan:
         """One line for CLI output and logs."""
         chunk = "-" if self.frontier_chunk is None else self.frontier_chunk
         line = (
-            f"engine={self.engine} schedule={self.schedule} "
-            f"frontier_chunk={chunk} workers={self.num_workers}"
+            f"engine={self.engine} frontier_chunk={chunk} "
+            f"workers={self.num_workers}"
         )
         if self.use_approx:
             line += f" approx={self.approx_rel_err:g}"
@@ -224,22 +214,6 @@ def _choose_workers(estimate, num_workers: int | None, reasons: list) -> int:
     return sized
 
 
-def _choose_schedule(estimate, opts, reasons: list) -> str:
-    if opts.schedule is not None:
-        return opts.schedule
-    if (
-        estimate.hub_count > 0
-        or estimate.hub_skew >= SKEW_DYNAMIC_THRESHOLD
-    ):
-        reasons.append(
-            f"dynamic: {estimate.hub_count} hub starts, "
-            f"expansion skew {estimate.hub_skew:.1f}"
-        )
-        return "dynamic"
-    reasons.append("static: uniform frontier, one stride chunk per worker")
-    return "static"
-
-
 def _choose_approx(estimates, opts, reasons: list) -> tuple[bool, float | None]:
     """Latency-budget routing: approximate when exact cannot fit.
 
@@ -307,10 +281,9 @@ def plan_workload(
     The fused runner walks one shared frontier per compatible group, so
     workload-level choices aggregate over the distinct members: the
     batched engine (``"fused"`` for several patterns) when any member's
-    frontier clears the crossover, the dynamic schedule when any member
-    sees hub skew, workers fed by the *summed* level-1 volume, and the
-    frontier chunk the largest member prediction needs.  Every member
-    also gets the engine it takes outside a fused group
+    frontier clears the crossover, workers fed by the *summed* level-1
+    volume, and the frontier chunk the largest member prediction needs.
+    Every member also gets the engine it takes outside a fused group
     (:attr:`QueryPlan.member_engines`) — this is the only place an
     engine is chosen.
     """
@@ -324,7 +297,6 @@ def plan_workload(
     if not estimates:
         return QueryPlan(
             engine="reference",
-            schedule=opts.schedule or "dynamic",
             frontier_chunk=opts.frontier_chunk,
             num_workers=max(1, num_workers or 1),
             reasons=("empty workload",),
@@ -353,7 +325,6 @@ def plan_workload(
     use_approx, approx_rel_err = _choose_approx(distinct, opts, reasons)
     return QueryPlan(
         engine=engine,
-        schedule=_choose_schedule(combined, opts, reasons),
         frontier_chunk=_choose_frontier_chunk(distinct, opts, reasons),
         num_workers=_choose_workers(combined, num_workers, reasons),
         reasons=tuple(reasons),
@@ -390,8 +361,8 @@ def plan_query(
 def apply_plan(plan: QueryPlan, opts, allow_approx: bool = True):
     """Fold a plan's choices back into execution options.
 
-    ``engine`` and ``schedule`` are always concrete after planning and
-    ``frontier_chunk`` carries the planned value — for knobs the caller
+    ``engine`` is always concrete after planning and ``frontier_chunk``
+    carries the planned value — for knobs the caller
     pinned explicitly, the planner already kept them.  A latency-budget
     routing decision (``plan.use_approx``) engages the sampling tier
     only when the caller's run can honor it (``allow_approx`` —
@@ -404,7 +375,6 @@ def apply_plan(plan: QueryPlan, opts, allow_approx: bool = True):
     return dataclasses.replace(
         opts,
         engine=plan.engine,
-        schedule=plan.schedule,
         frontier_chunk=plan.frontier_chunk,
         approx=approx,
     )

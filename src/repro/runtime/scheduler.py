@@ -21,12 +21,9 @@ Both concurrent runtimes consume this layer:
   reaches workers fork-inherited or pickled once, so only the cursor is
   ever contended.
 
-``schedule="static"`` is the same machinery over a second *ledger
-shape*: :meth:`ChunkLedger.strided` cuts the frontier into one stride
-chunk per worker (chunk ``i`` = ``order[i::P]`` — the pre-work-stealing
-decomposition, kept as the ablation baseline the scalability benchmark
-measures against), drained through the same cursor and lease board, so
-static runs cancel and survive worker death exactly like dynamic ones.
+This is the only work placement.  A fixed stride partition
+(``order[i::P]`` per worker) is not offered; ``benchmarks/bench_parallel.py``
+measures it as the ablation arm.
 """
 
 from __future__ import annotations
@@ -47,8 +44,8 @@ __all__ = [
     "weighted_boundaries",
 ]
 
-# Auto chunk sizing: target this many chunks per worker when no
-# ``chunk_hint`` is given.  Enough granularity that one straggler chunk
+# Chunk sizing: target this many chunks per worker.  Enough
+# granularity that one straggler chunk
 # costs ~1/8 of a worker's share, few enough that per-chunk dispatch
 # overhead (one engine call, one cursor claim) stays negligible.
 CHUNKS_PER_WORKER = 8
@@ -77,83 +74,37 @@ class ChunkLedger:
     workers, or referenced from any number of threads.
     """
 
-    __slots__ = ("order", "boundaries", "stride")
+    __slots__ = ("order", "boundaries")
 
-    def __init__(
-        self, order: Sequence[int], boundaries: Sequence[int], stride: int = 0
-    ):
+    def __init__(self, order: Sequence[int], boundaries: Sequence[int]):
         self.order = order
         self.boundaries = boundaries
-        self.stride = stride
 
     @classmethod
     def build(
         cls,
         order: Sequence[int],
-        weights: Sequence[float] | None = None,
-        chunk_hint: int | None = None,
+        weights: Sequence[float],
         num_workers: int = 1,
     ) -> "ChunkLedger":
-        """Chunk ``order`` by weight (degree) or uniformly.
+        """Chunk ``order`` by weight (degree).
 
         ``weights`` aligns one-to-one with ``order`` (typically
-        ``degree + 1`` per start vertex); ``None`` means uniform tasks.
-        ``chunk_hint`` is the target number of *tasks* per chunk on a
-        uniform frontier — internally a weight cap of ``chunk_hint *
-        mean_weight``, so on skewed frontiers a hub chunk carries fewer
-        starts.  Without a hint the cap targets
-        :data:`CHUNKS_PER_WORKER` chunks per worker.
+        ``degree + 1`` per start vertex).  The weight cap targets
+        :data:`CHUNKS_PER_WORKER` chunks per worker (and never falls
+        below the mean weight), so on skewed frontiers a hub chunk
+        carries fewer starts.
         """
         n = len(order)
         if n == 0:
             return cls(order, [0])
-        if weights is None:
-            # Uniform weights: boundaries are arithmetic, skip the scan.
-            if chunk_hint is not None:
-                if chunk_hint < 1:
-                    raise ValueError(
-                        f"chunk_hint must be >= 1, got {chunk_hint}"
-                    )
-                step = int(chunk_hint)
-            else:
-                step = max(
-                    1, n // (max(1, num_workers) * CHUNKS_PER_WORKER)
-                )
-            boundaries = list(range(0, n, step))
-            boundaries.append(n)
-            return cls(order, boundaries)
         weights = np.asarray(weights)
         total = float(weights.sum())
-        mean = total / n
-        if chunk_hint is not None:
-            if chunk_hint < 1:
-                raise ValueError(f"chunk_hint must be >= 1, got {chunk_hint}")
-            cap = chunk_hint * max(mean, 1e-12)
-        else:
-            cap = max(
-                max(mean, 1e-12),
-                total / (max(1, num_workers) * CHUNKS_PER_WORKER),
-            )
+        cap = max(
+            max(total / n, 1e-12),
+            total / (max(1, num_workers) * CHUNKS_PER_WORKER),
+        )
         return cls(order, weighted_boundaries(weights, cap))
-
-    @classmethod
-    def strided(cls, order: Sequence[int], num_workers: int) -> "ChunkLedger":
-        """One stride chunk per worker: chunk ``i`` is ``order[i::P]``.
-
-        The ``schedule="static"`` ledger shape.  On a hub-first frontier
-        striding interleaves hubs and leaves, but per-task cost skew
-        still lands unevenly — whichever worker draws the heaviest hub
-        keeps its full 1/P share of everything else too, which is
-        exactly the straggler the weighted chunks of :meth:`build`
-        absorb.  Chunks are stride slices of ``order`` itself (views of
-        a ``range`` or array — nothing is copied); ``boundaries`` are
-        still the running task counts.
-        """
-        n = len(order)
-        boundaries = [0]
-        for i in range(min(num_workers, n)):
-            boundaries.append(boundaries[-1] + len(range(i, n, num_workers)))
-        return cls(order, boundaries, stride=num_workers)
 
     def __len__(self) -> int:
         return len(self.boundaries) - 1
@@ -164,8 +115,6 @@ class ChunkLedger:
 
     def chunk(self, index: int) -> Sequence[int]:
         """The ``index``-th chunk of the task order."""
-        if self.stride:
-            return self.order[index:: self.stride]
         return self.order[self.boundaries[index]: self.boundaries[index + 1]]
 
 
@@ -269,8 +218,8 @@ class TaskScheduler:
     """Lock-guarded chunk cursor over a :class:`ChunkLedger` (threads).
 
     The thread-side face of the shared layer, as :class:`ProcessCursor`
-    is the process-side one: the ledger (weighted or strided) says what
-    the chunks are, the scheduler hands each out exactly once.
+    is the process-side one: the ledger says what the chunks are, the
+    scheduler hands each out exactly once.
     """
 
     __slots__ = ("ledger", "_next", "_lock")

@@ -75,8 +75,6 @@ ALLOWED_OPTIONS: dict[str, tuple] = {
     "frontier_chunk": (int,),
     "label_index": (bool,),
     "guard": (str,),
-    "schedule": (str,),
-    "chunk_hint": (int,),
     "approx": (int, float),
     "confidence": (int, float),
     "max_samples": (int,),
@@ -228,12 +226,12 @@ def _edge_spec(pattern: Pattern) -> str:
 def _plan_echo(service: "MiningService", result) -> dict:
     """The plan the job's dispatch stage chose, for the response.
 
-    The chosen engine/schedule are also folded into
+    The chosen engine is also folded into
     :class:`~repro.service.metrics.ServiceMetrics` so the ``stats`` verb
     shows what the planner has been deciding fleet-wide.
     """
     plan = result.plan.as_dict()
-    service.metrics.record_plan(plan["engine"], plan["schedule"])
+    service.metrics.record_plan(plan["engine"])
     return plan
 
 
@@ -395,9 +393,7 @@ async def _handle_motifs(service: "MiningService", payload: dict) -> dict:
         )
     options = _parse_options(payload, multi=True)
     for name in options:
-        if name not in (
-            "symmetry_breaking", "engine", "schedule", "chunk_hint"
-        ):
+        if name not in ("symmetry_breaking", "engine"):
             raise InvalidRequestError(
                 f"option {name!r} is not supported by the motifs verb"
             )

@@ -14,7 +14,7 @@ directly from one snapshot:
   solo run, so the *fusion batch rate* is the fraction of batched
   requests that actually shared a walk with a sibling);
 * **planner gauges** — how many count/match requests were planned and
-  which engines/schedules their dispatch stage chose;
+  which engines their dispatch stage chose;
 * **registry stats** — folded in at snapshot time from
   :meth:`~repro.service.registry.SessionRegistry.stats`.
 
@@ -115,7 +115,6 @@ class ServiceMetrics:
         # Planner gauges (every count/match request is planned).
         self._planned_queries = 0
         self._plan_engines: dict[str, int] = {}
-        self._plan_schedules: dict[str, int] = {}
         # Approximate-tier gauges: every request answered from the
         # sampling tier, and the subset that got there by planner/guard
         # downgrade rather than by asking for it.
@@ -163,14 +162,11 @@ class ServiceMetrics:
         with self._lock:
             self._solo_requests += 1
 
-    def record_plan(self, engine: str, schedule: str) -> None:
-        """One planned request and what its dispatch stage chose."""
+    def record_plan(self, engine: str) -> None:
+        """One planned request and the engine its dispatch stage chose."""
         with self._lock:
             self._planned_queries += 1
             self._plan_engines[engine] = self._plan_engines.get(engine, 0) + 1
-            self._plan_schedules[schedule] = (
-                self._plan_schedules.get(schedule, 0) + 1
-            )
 
     def record_approx(self, auto: bool = False) -> None:
         """One request answered by the approximate tier.
@@ -220,7 +216,6 @@ class ServiceMetrics:
                 "planner": {
                     "planned_queries": self._planned_queries,
                     "engines": dict(self._plan_engines),
-                    "schedules": dict(self._plan_schedules),
                 },
                 "approx": {
                     "engagements": self._approx_engagements,

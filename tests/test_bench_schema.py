@@ -264,7 +264,6 @@ def test_planner_acceptance_recorded():
         "rounds",
         "fixed_engine",
         "auto_engine",
-        "auto_schedule",
         "probe",
         "fixed_seconds",
         "auto_seconds",

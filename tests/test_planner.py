@@ -1,7 +1,7 @@
 """Tests for the cost-model-driven query planner.
 
 Covers the :mod:`repro.runtime.planner` selection logic (engine,
-schedule, frontier chunk, pool size), the rule that caller pins always
+frontier chunk, pool size), the rule that caller pins always
 win, the probe-once contract shared by admission and planning, result
 parity between planned runs and the interpreter oracle, and regression
 tests for the three estimator bugfixes that shipped with the planner:
@@ -192,21 +192,24 @@ class TestPlanSelection:
         )
         assert plan.engine == "reference"
 
-    def test_skewed_frontier_chooses_dynamic_schedule(self):
-        session = MiningSession(power_law(1500, gamma=2.1, d_min=4, seed=7))
-        plan = planner.plan_query(
-            session, generate_clique(3), num_workers=4
-        )
-        assert plan.schedule == "dynamic"
-
-    def test_uniform_frontier_chooses_static_schedule(self):
-        session = MiningSession(erdos_renyi(300, 0.05, seed=5))
-        est = planner.plan_query(session, generate_clique(3)).estimate
-        if est.hub_count == 0 and est.hub_skew < planner.SKEW_DYNAMIC_THRESHOLD:
+    def test_work_placement_is_not_planned(self):
+        """Skewed or uniform, every frontier gets the one work-stealing
+        placement: the plan carries no schedule and no reason about it,
+        while the probe's skew still reaches the estimate."""
+        for graph in (
+            power_law(1500, gamma=2.1, d_min=4, seed=7),
+            erdos_renyi(300, 0.05, seed=5),
+        ):
             plan = planner.plan_query(
-                session, generate_clique(3), num_workers=4
+                MiningSession(graph), generate_clique(3), num_workers=4
             )
-            assert plan.schedule == "static"
+            assert not hasattr(plan, "schedule")
+            assert not any(
+                word in reason
+                for reason in plan.reasons
+                for word in ("static", "dynamic", "stride")
+            )
+            assert plan.estimate.hub_skew > 0
 
     def test_unpinned_pool_is_sized_by_measured_work(self, monkeypatch):
         monkeypatch.setattr(planner.os, "cpu_count", lambda: 8)
@@ -244,7 +247,6 @@ class TestPlanSelection:
         plan = planner.plan_query(session, generate_clique(3))
         opts = planner.apply_plan(plan, session.defaults)
         assert opts.engine == plan.engine
-        assert opts.schedule == plan.schedule
         assert opts.frontier_chunk == plan.frontier_chunk
 
     def test_plan_dict_and_describe_are_stable(self):
@@ -252,13 +254,13 @@ class TestPlanSelection:
         plan = planner.plan_query(session, generate_clique(3))
         payload = plan.as_dict()
         assert set(payload) >= {
-            "engine", "schedule", "frontier_chunk",
-            "num_workers", "reasons", "estimate",
+            "engine", "frontier_chunk", "num_workers", "reasons", "estimate",
         }
+        assert "schedule" not in payload
         assert payload["estimate"]["explosive"] is False
         text = plan.describe()
         assert f"engine={plan.engine}" in text
-        assert f"schedule={plan.schedule}" in text
+        assert "schedule=" not in text
 
     def test_workload_plan_fuses_when_any_member_is_worthy(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -314,21 +316,16 @@ class TestPinsWin:
         free = session._stage(
             [pattern], session.options(), workers=None
         ).opts
-        assert (free.engine, free.schedule, free.frontier_chunk) == (
-            "accel-batch", "dynamic", planner.PLANNED_FRONTIER_CHUNK
+        assert (free.engine, free.frontier_chunk) == (
+            "accel-batch", planner.PLANNED_FRONTIER_CHUNK
         )
-        pins = dict(
-            engine="reference", schedule="static", chunk_hint=3,
-            frontier_chunk=99_999,
-        )
+        pins = dict(engine="reference", frontier_chunk=99_999)
         staged = session._stage([pattern], session.options(**pins), workers=5)
         opts, plan = staged.opts, staged.query_plan
         for name, value in pins.items():
             assert getattr(opts, name) == value, name
         assert plan.num_workers == 5
-        assert (plan.engine, plan.schedule, plan.frontier_chunk) == (
-            "reference", "static", 99_999
-        )
+        assert (plan.engine, plan.frontier_chunk) == ("reference", 99_999)
 
     def test_pinned_fused_compiles_groups_of_one(self):
         # The planner states the group floor next to the engine rule;

@@ -24,6 +24,7 @@ from repro.runtime import (
     parallel_match,
     process_count,
     process_count_many,
+    scheduler,
     stop_after_n_matches,
     stop_when_aggregate,
 )
@@ -41,7 +42,9 @@ def _boom_worker(*_args):
 
 class TestTaskScheduler:
     def test_chunks_cover_everything_once(self):
-        sched = TaskScheduler(ChunkLedger.build(range(100), chunk_hint=7))
+        sched = TaskScheduler(
+            ChunkLedger.build(range(100), weights=[1] * 100, num_workers=2)
+        )
         seen = []
         while True:
             chunk = sched.next_chunk()
@@ -50,13 +53,22 @@ class TestTaskScheduler:
             seen.extend(chunk)
         assert seen == list(range(100))
 
-    def test_strided_ledger_drains_through_the_same_cursor(self):
-        sched = TaskScheduler(ChunkLedger.strided(range(10), 3))
-        chunks = [list(sched.next_chunk()) for _ in range(4)]
-        assert chunks == [[0, 3, 6, 9], [1, 4, 7], [2, 5, 8], []]
+    def test_one_start_chunks_drain_through_the_same_cursor(
+        self, monkeypatch
+    ):
+        # The finest granularity cuts one start per chunk; the cursor
+        # hands them out in order, once each, then reports exhaustion.
+        monkeypatch.setattr(scheduler, "CHUNKS_PER_WORKER", 10**6)
+        sched = TaskScheduler(
+            ChunkLedger.build(range(4), weights=[1] * 4, num_workers=3)
+        )
+        chunks = [list(sched.next_chunk()) for _ in range(5)]
+        assert chunks == [[0], [1], [2], [3], []]
 
     def test_thread_safety(self):
-        sched = TaskScheduler(ChunkLedger.build(range(1000), chunk_hint=3))
+        sched = TaskScheduler(
+            ChunkLedger.build(range(1000), weights=[1] * 1000, num_workers=32)
+        )
         collected = []
         lock = threading.Lock()
 
@@ -118,7 +130,7 @@ class TestParallelMatch:
 
     def test_per_thread_accounting(self):
         g = erdos_renyi(60, 0.2, seed=5)
-        result = parallel_match(g, generate_clique(3), num_threads=3, chunk_hint=4)
+        result = parallel_match(g, generate_clique(3), num_threads=3)
         assert sum(result.per_thread_matches) == result.matches
         assert 0.0 <= result.load_imbalance() <= 1.0
 
@@ -209,7 +221,17 @@ class TestParallelMatchEngines:
 
 
 SHARE_MODES = ("fork", "mmap")
-SCHEDULES = ("dynamic", "static")
+
+
+@pytest.fixture(
+    params=(1, scheduler.CHUNKS_PER_WORKER), ids=lambda v: f"cpw{v}"
+)
+def chunks_per_worker(request, monkeypatch):
+    """Pin a process test across chunk granularities: one chunk per
+    worker (the coarsest lease, so a requeue or cancel moves the most
+    work) and the default."""
+    monkeypatch.setattr(scheduler, "CHUNKS_PER_WORKER", request.param)
+    return request.param
 
 
 def _skip_unless_fork_available(share_mode):
@@ -249,9 +271,8 @@ class TestProcessCount:
         )
         assert got == expected
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
-    def test_share_modes_agree(self, share_mode, schedule):
+    def test_share_modes_agree(self, share_mode, chunks_per_worker):
         _skip_unless_fork_available(share_mode)
         g = erdos_renyi(60, 0.15, seed=6)
         expected = count(g, generate_clique(3))
@@ -260,20 +281,20 @@ class TestProcessCount:
             generate_clique(3),
             num_processes=3,
             share_mode=share_mode,
-            schedule=schedule,
         )
         assert got == expected
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
-    def test_is_the_one_pattern_case_of_count_many(self, share_mode, schedule):
+    def test_is_the_one_pattern_case_of_count_many(
+        self, share_mode, chunks_per_worker
+    ):
         """``process_count(g, p)`` is ``process_count_many(g, [p])[p]`` —
         on a batched-regime graph and on a near-forest one (avg degree
         < 2, below the sequential crossover: workers still run the fused
         engine, which beat the interpreter there), pinned to the
         interpreter oracle."""
         _skip_unless_fork_available(share_mode)
-        kw = dict(num_processes=2, share_mode=share_mode, schedule=schedule)
+        kw = dict(num_processes=2, share_mode=share_mode)
         dense = (erdos_renyi(60, 0.15, seed=6), generate_clique(3))
         for g, p in (dense, _near_forest()):
             expected = count(g, p, engine="reference")
@@ -360,8 +381,9 @@ class TestProcessCount:
         with pytest.raises(ValueError, match="fork"):
             process_count_many(g, [generate_clique(3)], **kw)
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_labeled_anti_edge_pattern_agrees_across_modes(self, schedule):
+    def test_labeled_anti_edge_pattern_agrees_across_modes(
+        self, chunks_per_worker
+    ):
         """A labeled pattern with an anti-edge exercises label filtering
         and the anti-edge membership kernels in the workers at once."""
         g = with_random_labels(erdos_renyi(50, 0.18, seed=12), 3, seed=7)
@@ -369,10 +391,8 @@ class TestProcessCount:
         p.set_label(1, 1)
         expected = count(g, p, engine="reference")
         for mode in SHARE_MODES:
-            got = process_count(
-                g, p, num_processes=3, share_mode=mode, schedule=schedule
-            )
-            assert got == expected, (mode, schedule)
+            got = process_count(g, p, num_processes=3, share_mode=mode)
+            assert got == expected, mode
 
     def test_non_fork_platform_defaults_to_mmap_under_spawn(
         self, monkeypatch
@@ -401,9 +421,8 @@ class TestProcessCount:
 class TestProcessCountFailurePaths:
     """Workers dying mid-run must not leak the mmap spill file."""
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_mmap_spill_unlinked_when_worker_raises(
-        self, monkeypatch, schedule
+        self, monkeypatch, chunks_per_worker
     ):
         g = erdos_renyi(40, 0.2, seed=3)
         recorded: list[str] = []
@@ -418,7 +437,7 @@ class TestProcessCountFailurePaths:
         monkeypatch.setattr(parallel, "_mmap_store", recording)
         # Under the fork start method the children inherit the patched
         # module; workers dying surfaces as WorkerCrashError after the
-        # requeue retries run dry — under either schedule.
+        # requeue retries run dry.
         monkeypatch.setattr(parallel, "_tolerant_worker", _boom_worker)
         with pytest.raises(WorkerCrashError):
             process_count(
@@ -426,14 +445,14 @@ class TestProcessCountFailurePaths:
                 generate_clique(3),
                 num_processes=2,
                 share_mode="mmap",
-                schedule=schedule,
             )
         assert recorded, "mmap mode spilled no store"
         for path in recorded:
             assert not os.path.exists(path)
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_mmap_spill_unlinked_on_success_too(self, monkeypatch, schedule):
+    def test_mmap_spill_unlinked_on_success_too(
+        self, monkeypatch, chunks_per_worker
+    ):
         g = erdos_renyi(40, 0.2, seed=4)
         recorded: list[str] = []
         original = parallel._mmap_store
@@ -450,7 +469,6 @@ class TestProcessCountFailurePaths:
             generate_clique(3),
             num_processes=2,
             share_mode="mmap",
-            schedule=schedule,
         ) == expected
         assert recorded
         for path in recorded:
@@ -523,9 +541,8 @@ class TestProcessCountFailurePaths:
 
 
 class TestProcessCountMany:
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
-    def test_census_pins_sequential(self, schedule, share_mode):
+    def test_census_pins_sequential(self, share_mode, chunks_per_worker):
         _skip_unless_fork_available(share_mode)
         g = erdos_renyi(70, 0.12, seed=8)
         motifs = generate_all_vertex_induced(3)
@@ -536,7 +553,6 @@ class TestProcessCountMany:
             num_processes=3,
             edge_induced=False,
             share_mode=share_mode,
-            schedule=schedule,
         )
         assert got == expected
 
@@ -557,11 +573,7 @@ class TestProcessCountMany:
         patterns.append(generate_clique(3))  # unlabeled group
         session = MiningSession(g)
         expected = session.count_many(patterns)
-        for schedule in SCHEDULES:
-            got = process_count_many(
-                g, patterns, num_processes=2, schedule=schedule, chunk_hint=2
-            )
-            assert got == expected, schedule
+        assert process_count_many(g, patterns, num_processes=2) == expected
 
     def test_session_verb_routes_processes(self):
         g = erdos_renyi(60, 0.12, seed=11)
@@ -617,21 +629,18 @@ class TestFaultInjection:
     pinned-worker spec ("0:0") fires once and the requeued chunk lands
     on a fresh id — the recovery path — while a pinned-chunk spec
     ("*:1") kills every worker that ever leases chunk 1 and exhausts
-    the retry budget — the poison path.  Static schedules drain their
-    stride chunks through the same lease board, so they share the whole
-    failure contract.
+    the retry budget — the poison path.
     """
 
-    PATTERN_KW = dict(num_processes=2, chunk_hint=4)
+    PATTERN_KW = dict(num_processes=2)
 
     def _graph_and_expected(self):
         g = erdos_renyi(60, 0.15, seed=6)
         return g, count(g, generate_clique(3))
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_worker_death_recovers_to_exact_count(
-        self, share_mode, schedule, monkeypatch
+        self, share_mode, monkeypatch, chunks_per_worker
     ):
         _skip_unless_fork_available(share_mode)
         g, expected = self._graph_and_expected()
@@ -640,38 +649,36 @@ class TestFaultInjection:
             g,
             generate_clique(3),
             share_mode=share_mode,
-            schedule=schedule,
             **self.PATTERN_KW,
         )
         assert got == expected
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_always_dying_worker_id_still_recovers(self, schedule, monkeypatch):
+    def test_always_dying_worker_id_still_recovers(
+        self, monkeypatch, chunks_per_worker
+    ):
         # "0:*" kills worker id 0 on its first lease; every later spawn
         # gets a fresh id, so the whole frontier still completes exactly.
         g, expected = self._graph_and_expected()
         monkeypatch.setenv(parallel.FAULT_ENV, "0:*")
-        got = process_count(
-            g, generate_clique(3), schedule=schedule, **self.PATTERN_KW
-        )
+        got = process_count(g, generate_clique(3), **self.PATTERN_KW)
         assert got == expected
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_poison_chunk_exhausts_retries(self, schedule, monkeypatch):
+    def test_poison_chunk_exhausts_retries(
+        self, monkeypatch, chunks_per_worker
+    ):
         g, expected = self._graph_and_expected()
         monkeypatch.setenv(parallel.FAULT_ENV, "*:1")
         with pytest.raises(WorkerCrashError) as info:
-            process_count(
-                g, generate_clique(3), schedule=schedule, **self.PATTERN_KW
-            )
+            process_count(g, generate_clique(3), **self.PATTERN_KW)
         partial = info.value.partial
         assert partial.truncated
         assert partial.detail["failed_chunks"] == [1]
         # Every chunk except the poisoned one was still counted exactly.
         assert 0 < partial < expected
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_mmap_spill_cleaned_up_after_recovery(self, schedule, monkeypatch):
+    def test_mmap_spill_cleaned_up_after_recovery(
+        self, monkeypatch, chunks_per_worker
+    ):
         g, expected = self._graph_and_expected()
         recorded: list[str] = []
         original = parallel._mmap_store
@@ -688,7 +695,6 @@ class TestFaultInjection:
             g,
             generate_clique(3),
             share_mode="mmap",
-            schedule=schedule,
             **self.PATTERN_KW,
         )
         assert got == expected
@@ -696,8 +702,9 @@ class TestFaultInjection:
         for path in recorded:
             assert not os.path.exists(path)  # ...and was unlinked
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_count_many_recovers_to_exact_totals(self, schedule, monkeypatch):
+    def test_count_many_recovers_to_exact_totals(
+        self, monkeypatch, chunks_per_worker
+    ):
         g = erdos_renyi(40, 0.2, seed=5)
         patterns = generate_all_vertex_induced(3)
         expected = {
@@ -709,8 +716,6 @@ class TestFaultInjection:
             patterns,
             num_processes=2,
             edge_induced=False,
-            schedule=schedule,
-            chunk_hint=4,
         )
         assert got == expected
 
@@ -757,7 +762,7 @@ class TestCensusTierUnderProcesses:
         def run():
             return process_count_many(
                 session, motifs, num_processes=2, edge_induced=False,
-                share_mode=share_mode, chunk_hint=4,
+                share_mode=share_mode,
             )
 
         assert run() == expected == session.count_many(motifs, edge_induced=False)
@@ -791,7 +796,7 @@ class TestCensusTierUnderProcesses:
         with pytest.raises(QueryCancelledError) as info:
             process_count_many(
                 g, motifs, num_processes=2, edge_induced=False,
-                chunk_hint=4, cancel=DeadlineControl(0.0),
+                cancel=DeadlineControl(0.0),
             )
         assert info.value.partial.detail["totals"] == [0] * len(motifs)
 
@@ -803,7 +808,6 @@ class TestCensusTierUnderProcesses:
         with pytest.raises(WorkerCrashError) as info:
             process_count_many(
                 g, [square, *motifs], num_processes=2, edge_induced=False,
-                chunk_hint=4,
             )
         partial = info.value.partial
         direct, *census = partial.detail["totals"]
@@ -830,18 +834,17 @@ class _StopsAfterPolls(ExplorationControl):
 
 
 class TestCancellation:
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_pre_stopped_cancel_raises_with_all_chunks_pending(self, schedule):
-        """Static gets leases too: cancel stops it and reports what is
-        pending, exactly like the dynamic schedule."""
+    def test_pre_stopped_cancel_raises_with_all_chunks_pending(
+        self, chunks_per_worker
+    ):
+        """A token fired before the drain starts: cancel stops the run
+        and reports every chunk as pending."""
         g = erdos_renyi(60, 0.15, seed=6)
         with pytest.raises(QueryCancelledError) as info:
             process_count(
                 g,
                 generate_clique(3),
                 num_processes=2,
-                schedule=schedule,
-                chunk_hint=4,
                 cancel=DeadlineControl(0.0),
             )
         partial = info.value.partial
@@ -850,8 +853,9 @@ class TestCancellation:
         assert partial.detail["pending_chunks"] > 0
         assert partial.detail["pending_chunks"] == partial.detail["num_chunks"]
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_mid_run_cancel_stops_workers_inside_their_chunks(self, schedule):
+    def test_mid_run_cancel_stops_workers_inside_their_chunks(
+        self, chunks_per_worker
+    ):
         # Many seconds of exact work, cancelled ~100 ms into the drain
         # (50 bridge polls at 2 ms): the token lands while every worker
         # is inside a chunk, so only the engines' own polling stops them.
@@ -862,7 +866,6 @@ class TestCancellation:
                 g,
                 p,
                 num_processes=2,
-                schedule=schedule,
                 cancel=_StopsAfterPolls(50),
             )
         partial = info.value.partial
@@ -873,15 +876,13 @@ class TestCancellation:
         # exceed the exact answer.
         assert partial == sum(partial.detail["totals"])
 
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_unstopped_cancel_changes_nothing(self, schedule):
+    def test_unstopped_cancel_changes_nothing(self, chunks_per_worker):
         g = erdos_renyi(60, 0.15, seed=6)
         expected = count(g, generate_clique(3))
         got = process_count(
             g,
             generate_clique(3),
             num_processes=2,
-            schedule=schedule,
             cancel=ExplorationControl(),
         )
         assert got == expected

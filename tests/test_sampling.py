@@ -110,6 +110,16 @@ class TestApproxCount:
             ba_session.count(generate_clique(3), approx=0.05, max_samples=0)
         with pytest.raises(ValueError):
             ba_session.count(generate_clique(3), latency_budget=-1.0)
+        # Integer knobs are integers: a float or a bool used to slip
+        # through (or die as a raw TypeError inside the sampling tier).
+        for knob in (
+            {"max_samples": 200.0}, {"max_samples": True},
+            {"frontier_chunk": 0.5}, {"frontier_chunk": True},
+            {"seed": 2.5}, {"seed": False},
+        ):
+            (name,) = knob
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                ba_session.count(generate_clique(3), approx=0.05, **knob)
 
     def test_count_only_contract(self, ba_session):
         with pytest.raises(MatchingError):

@@ -1,25 +1,28 @@
-"""Scheduler-layer tests: chunk ledgers + dynamic-vs-static parity.
+"""Scheduler-layer tests: chunk ledgers + work-stealing parity.
 
 The work-stealing runtime must be invisible in results: counts, callback
 multisets and early-termination accounting have to match the sequential
 reference no matter how the frontier is chunked or which worker claims
-which chunk.  This suite fuzz-pins that across schedules
-(``dynamic``/``static``), chunk hints (1 / 2 / default) and the pattern
-feature matrix, and unit-tests the shared chunking layer itself
+which chunk.  This suite fuzz-pins that across chunk granularities
+(:data:`~repro.runtime.scheduler.CHUNKS_PER_WORKER` patched to 1 / 2 /
+default / 10**6 — the last cuts about one start per chunk) and the
+pattern feature matrix, and unit-tests the shared chunking layer itself
 (:mod:`repro.runtime.scheduler`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import ExplorationControl, count, match
+from repro.core import ExplorationControl, MiningSession, count, match
 from repro.graph import barabasi_albert, erdos_renyi, power_law, with_random_labels
+from repro.graph.generators import random_regular
 from repro.pattern import (
     Pattern,
     generate_chain,
@@ -30,11 +33,17 @@ from repro.runtime import (
     ChunkLedger,
     parallel_match,
     process_count,
+    scheduler,
     weighted_boundaries,
 )
 
-CHUNK_HINTS = (1, 2, None)  # None = the auto default
-SCHEDULES = ("dynamic", "static")
+GRANULARITIES = (1, 2, scheduler.CHUNKS_PER_WORKER, 10**6)
+
+
+def _chunks_per_worker(value: int):
+    """Patch the ledger's chunk granularity for the enclosed runs."""
+    return mock.patch.object(scheduler, "CHUNKS_PER_WORKER", value)
+
 
 weights_lists = st.lists(
     st.integers(min_value=0, max_value=50), min_size=0, max_size=60
@@ -81,7 +90,10 @@ class TestWeightedBoundaries:
 
 class TestChunkLedger:
     def test_uniform_chunks_cover_everything_once(self):
-        ledger = ChunkLedger.build(list(range(100)), chunk_hint=7)
+        ledger = ChunkLedger.build(
+            list(range(100)), weights=[1] * 100, num_workers=2
+        )
+        assert len(ledger) > 1
         seen = []
         for i in range(len(ledger)):
             seen.extend(ledger.chunk(i))
@@ -93,10 +105,11 @@ class TestChunkLedger:
         # uniform tail packs many per chunk.
         weights = [1000] + [1] * 99
         ledger = ChunkLedger.build(
-            list(range(100)), weights=weights, chunk_hint=4
+            list(range(100)), weights=weights, num_workers=4
         )
         first = ledger.chunk(0)
         assert len(first) == 1  # the hub rides alone
+        assert len(ledger.chunk(1)) > 1
         flat = [v for i in range(len(ledger)) for v in ledger.chunk(i)]
         assert flat == list(range(100))
 
@@ -108,11 +121,15 @@ class TestChunkLedger:
         )
         assert len(ledger) == 4 * CHUNKS_PER_WORKER
 
-    def test_bad_chunk_hint_rejected(self):
-        with pytest.raises(ValueError):
-            ChunkLedger.build(range(10), chunk_hint=0)
-        with pytest.raises(ValueError):
-            ChunkLedger.build(range(10), weights=[1] * 10, chunk_hint=0)
+    @pytest.mark.parametrize("chunks_per_worker", GRANULARITIES)
+    def test_granularity_sets_the_chunk_count(
+        self, chunks_per_worker
+    ):
+        with _chunks_per_worker(chunks_per_worker):
+            ledger = ChunkLedger.build(
+                range(64), weights=[1] * 64, num_workers=2
+            )
+        assert len(ledger) == min(64, 2 * chunks_per_worker)
 
     def test_empty_order(self):
         ledger = ChunkLedger.build([], weights=[])
@@ -120,8 +137,11 @@ class TestChunkLedger:
         assert ledger.num_tasks == 0
 
 
-class TestStridedLedger:
-    """``schedule="static"`` is a ledger shape: chunk i == order[i::P]."""
+class TestLedgerShapes:
+    """The degree-weighted ledger over every order type the runtimes and
+    benches hand it: chunks are contiguous slices of the order, in order,
+    each start exactly once, no more than the workers' chunk budget, and
+    hub chunks never carry more starts than the lighter ones after."""
 
     @pytest.mark.parametrize("num_workers", [1, 3, 4, 7])
     @pytest.mark.parametrize(
@@ -134,23 +154,43 @@ class TestStridedLedger:
         ids=["list", "range", "numpy"],
     )
     @pytest.mark.parametrize("n", [0, 2, 5, 103])
-    def test_chunks_are_stride_slices(self, n, make_order, num_workers):
+    def test_chunks_are_contiguous_order_slices(
+        self, n, make_order, num_workers
+    ):
         order = make_order(n)
-        ledger = ChunkLedger.strided(order, num_workers)
-        assert len(ledger) == min(num_workers, n)
+        # Hub-first degree + 1, as the runtimes weight their frontiers.
+        weights = [n - i + 1 for i in range(n)]
+        ledger = ChunkLedger.build(
+            order, weights=weights, num_workers=num_workers
+        )
         assert ledger.num_tasks == n
+        assert len(ledger) <= min(n, num_workers * scheduler.CHUNKS_PER_WORKER)
+        assert n == 0 or len(ledger) >= 1
+        sizes = []
+        covered = []
         for i in range(len(ledger)):
-            assert list(ledger.chunk(i)) == list(order[i::num_workers])
-        covered = [v for i in range(len(ledger)) for v in ledger.chunk(i)]
-        assert sorted(covered) == sorted(order)
+            chunk = ledger.chunk(i)
+            assert type(chunk) is type(order)
+            lo, hi = ledger.boundaries[i], ledger.boundaries[i + 1]
+            assert list(chunk) == list(order[lo:hi])
+            sizes.append(len(chunk))
+            covered.extend(chunk)
+        assert covered == list(order)
+        assert all(size > 0 for size in sizes)
+        assert sizes[:-1] == sorted(sizes[:-1])
 
     def test_numpy_order_stays_an_array(self):
-        ledger = ChunkLedger.strided(np.arange(10, dtype=np.int64), 3)
-        assert isinstance(ledger.chunk(0), np.ndarray)
+        order = np.arange(10, dtype=np.int64)
+        ledger = ChunkLedger.build(
+            order, weights=np.ones(10, dtype=np.int64) + order, num_workers=3
+        )
+        assert len(ledger) > 1
+        for i in range(len(ledger)):
+            assert isinstance(ledger.chunk(i), np.ndarray)
 
 
 # ----------------------------------------------------------------------
-# Thread-pool parity: dynamic vs static vs sequential reference
+# Thread-pool parity: every granularity vs sequential reference
 # ----------------------------------------------------------------------
 
 seeds = st.integers(min_value=0, max_value=30)
@@ -188,14 +228,12 @@ class TestThreadScheduleParity:
     def test_counts_pin_sequential_reference(self, seed):
         g, p, edge_induced = _fuzz_graph_and_pattern(seed)
         expected = count(g, p, edge_induced=edge_induced, engine="reference")
-        for schedule in SCHEDULES:
-            for hint in CHUNK_HINTS:
+        for granularity in GRANULARITIES:
+            with _chunks_per_worker(granularity):
                 result = parallel_match(
-                    g, p, num_threads=3, edge_induced=edge_induced,
-                    schedule=schedule, chunk_hint=hint,
+                    g, p, num_threads=3, edge_induced=edge_induced
                 )
-                assert result.matches == expected, (schedule, hint)
-                assert result.schedule == schedule
+            assert result.matches == expected, granularity
 
     @given(seeds)
     @settings(max_examples=8, deadline=None)
@@ -204,30 +242,29 @@ class TestThreadScheduleParity:
         sequential: Counter = Counter()
         match(g, p, lambda m: sequential.update([m.mapping]),
               edge_induced=edge_induced, engine="reference")
-        for schedule in SCHEDULES:
-            for hint in CHUNK_HINTS:
-                found: Counter = Counter()
+        for granularity in GRANULARITIES:
+            found: Counter = Counter()
 
-                def cb(m, agg):
-                    found.update([m.mapping])
+            def cb(m, agg):
+                found.update([m.mapping])
 
+            with _chunks_per_worker(granularity):
                 result = parallel_match(
                     g, p, num_threads=3, callback=cb,
                     edge_induced=edge_induced,
-                    schedule=schedule, chunk_hint=hint,
                 )
-                assert found == sequential, (schedule, hint)
-                assert result.matches == sum(found.values())
+            assert found == sequential, granularity
+            assert result.matches == sum(found.values())
 
-    @given(seeds, st.sampled_from(SCHEDULES))
+    @given(seeds)
     @settings(max_examples=8, deadline=None)
-    def test_control_stops_early_and_counts_callbacks(self, seed, schedule):
+    def test_control_stops_early_and_counts_callbacks(self, seed):
         g = erdos_renyi(50 + seed, 0.2, seed=seed)
         p = generate_clique(3)
         total = count(g, p, engine="reference")
         if total < 8:
             return
-        for hint in CHUNK_HINTS:
+        for granularity in GRANULARITIES:
             control = ExplorationControl()
             fired = [0]
 
@@ -236,42 +273,32 @@ class TestThreadScheduleParity:
                 if fired[0] >= 3:
                     control.stop()
 
-            result = parallel_match(
-                g, p, num_threads=2, callback=cb, control=control,
-                schedule=schedule, chunk_hint=hint,
-            )
+            with _chunks_per_worker(granularity):
+                result = parallel_match(
+                    g, p, num_threads=2, callback=cb, control=control
+                )
             assert control.stopped
             # The returned count is exactly the callbacks that fired,
             # and the stop landed before full enumeration.
             assert result.matches == fired[0]
             assert result.matches < total
 
-    def test_static_schedule_accounts_per_thread(self):
-        # Stride chunks drained through the shared cursor must still
-        # produce per-thread accounting that sums to the total.
-        g = erdos_renyi(60, 0.15, seed=5)
-        result = parallel_match(
-            g, generate_clique(3), num_threads=3, schedule="static"
-        )
-        assert sum(result.per_thread_matches) == result.matches
-        assert result.schedule == "static"
-
-    def test_unknown_schedule_rejected(self):
-        g = erdos_renyi(20, 0.3, seed=1)
-        with pytest.raises(ValueError):
-            parallel_match(g, generate_clique(3), schedule="wishful")
-        with pytest.raises(ValueError):
-            process_count(g, generate_clique(3), schedule="wishful")
-        with pytest.raises(ValueError):
-            parallel_match(g, generate_clique(3), chunk_hint=0)
+    def test_uniform_frontier_pins_sequential(self):
+        """A frontier with no hub start and low skew — where a fixed
+        stride partition used to be planned — runs the same work
+        stealing and pins the reference, per thread accounting too."""
+        g = random_regular(3000, 10, seed=1)
+        for p in (generate_clique(3), generate_chain(3)):
+            expected = count(g, p, engine="reference")
+            result = parallel_match(g, p, num_threads=3)
+            assert result.matches == expected
+            assert sum(result.per_thread_matches) == expected
 
     def test_session_defaults_steer_the_runtime(self):
-        from repro.core import MiningSession
-
         g = erdos_renyi(50, 0.15, seed=9)
-        session = MiningSession(g, schedule="static", chunk_hint=2)
+        session = MiningSession(g, engine="reference")
         result = parallel_match(session, generate_clique(3), num_threads=2)
-        assert result.schedule == "static"
+        assert result.engine == "reference"
         assert result.matches == count(g, generate_clique(3),
                                        engine="reference")
 
@@ -284,7 +311,8 @@ class TestThreadScheduleParity:
 class TestMmapBackedScheduleParity:
     """The work-stealing runtime must be storage-agnostic: a graph
     re-opened from an ``.rgx`` mmap store pins its in-memory twin's
-    sequential reference across schedules, engines and share modes."""
+    sequential reference across chunk granularities, engines and share
+    modes."""
 
     @given(seeds)
     @settings(max_examples=6, deadline=None)
@@ -302,12 +330,12 @@ class TestMmapBackedScheduleParity:
         try:
             save_mmap(g, path)
             h = load_mmap(path)
-            for schedule in SCHEDULES:
-                result = parallel_match(
-                    h, p, num_threads=3, edge_induced=edge_induced,
-                    schedule=schedule,
-                )
-                assert result.matches == expected, schedule
+            for granularity in GRANULARITIES:
+                with _chunks_per_worker(granularity):
+                    result = parallel_match(
+                        h, p, num_threads=3, edge_induced=edge_induced
+                    )
+                assert result.matches == expected, granularity
             assert process_count(
                 h, p, num_processes=2, edge_induced=edge_induced,
                 share_mode="mmap",
@@ -322,15 +350,13 @@ class TestMmapBackedScheduleParity:
 
 
 class TestProcessScheduleParity:
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    @pytest.mark.parametrize("hint", [1, None])
-    def test_counts_pin_sequential(self, schedule, hint):
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_counts_pin_sequential(self, granularity):
         g = power_law(150, gamma=2.0, seed=4)
         p = generate_clique(3)
         expected = count(g, p, engine="reference")
-        got = process_count(
-            g, p, num_processes=3, schedule=schedule, chunk_hint=hint
-        )
+        with _chunks_per_worker(granularity):
+            got = process_count(g, p, num_processes=3)
         assert got == expected
 
     def test_labeled_dynamic_pins_sequential(self):
@@ -339,7 +365,13 @@ class TestProcessScheduleParity:
         p.set_label(0, 1)
         p.set_label(2, 2)
         expected = count(g, p, engine="reference")
-        for schedule in SCHEDULES:
-            assert process_count(
-                g, p, num_processes=2, schedule=schedule, chunk_hint=2
-            ) == expected
+        with _chunks_per_worker(2):
+            assert process_count(g, p, num_processes=2) == expected
+
+    def test_uniform_frontier_pins_sequential(self):
+        g = random_regular(3000, 10, seed=1)
+        patterns = [generate_clique(3), generate_chain(3)]
+        expected = {p: count(g, p, engine="reference") for p in patterns}
+        assert MiningSession(g).count_many(
+            patterns, num_processes=2
+        ) == expected

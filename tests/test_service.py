@@ -508,9 +508,10 @@ class TestDispatch:
         self, service, verb, options
     ):
         """Option values are checked once, where options are resolved,
-        so a typo can neither run unguarded (``guard``/``schedule`` used
-        to be silently accepted on the batched path) nor surface as a
-        500 from the worker pool."""
+        so a typo can neither run unguarded (``guard`` used to be
+        silently accepted on the batched path) nor surface as a 500 from
+        the worker pool.  The deleted placement knobs (``schedule``,
+        ``chunk_hint``) are unknown names now, refused the same way."""
         response = run(
             service.handle(
                 {"verb": verb, "graph": "g", "pattern": "clique:3",
@@ -810,7 +811,7 @@ class TestPlanEcho:
         assert response["result"]["count"] == truth.count(generate_clique(3))
         echoed = response["result"]["plan"]
         assert echoed["engine"] in ("reference", "accel-batch")
-        assert echoed["schedule"] in ("static", "dynamic")
+        assert "schedule" not in echoed
         assert echoed["estimate"]["frontier_size"] > 0
         assert echoed["reasons"]
 
@@ -819,15 +820,14 @@ class TestPlanEcho:
             service.handle(
                 {"verb": "match", "graph": "g", "pattern": "chain:3",
                  "limit": 5,
-                 "options": {"engine": "reference", "schedule": "static",
-                             "frontier_chunk": 77}}
+                 "options": {"engine": "reference", "frontier_chunk": 77}}
             )
         )
         assert response["ok"], response
         echoed = response["result"]["plan"]
-        assert (
-            echoed["engine"], echoed["schedule"], echoed["frontier_chunk"]
-        ) == ("reference", "static", 77)
+        assert (echoed["engine"], echoed["frontier_chunk"]) == (
+            "reference", 77
+        )
 
     def test_plan_gauges_in_stats(self, service):
         run(
@@ -839,7 +839,7 @@ class TestPlanEcho:
         gauges = stats["result"]["planner"]
         assert gauges["planned_queries"] == 1
         assert sum(gauges["engines"].values()) == 1
-        assert sum(gauges["schedules"].values()) == 1
+        assert "schedules" not in gauges
 
     def test_plan_is_not_a_request_option(self, service):
         response = run(

@@ -259,18 +259,18 @@ class TestExecOptions:
             {}, optional=_OVERRIDE_SAMPLES
         ),
         base_engine=st.sampled_from(["auto", "reference"]),
-        base_hint=st.integers(min_value=1, max_value=9999),
+        base_samples=st.integers(min_value=1, max_value=9999),
     )
     @settings(max_examples=60)
     def test_merged_resolves_field_by_field(
-        self, overrides, base_engine, base_hint
+        self, overrides, base_engine, base_samples
     ):
         """Random override subsets: overridden fields take the override,
         every other field keeps the session default, and the defaults
         object itself is never mutated."""
         import dataclasses
 
-        defaults = ExecOptions(engine=base_engine, chunk_hint=base_hint)
+        defaults = ExecOptions(engine=base_engine, max_samples=base_samples)
         snapshot = dataclasses.asdict(defaults)
         merged = defaults.merged(overrides)
         for field in dataclasses.fields(ExecOptions):
@@ -294,7 +294,44 @@ class TestExecOptions:
     def test_merged_engine_none_inherits(self):
         defaults = ExecOptions(engine="reference")
         assert defaults.merged({"engine": None}).engine == "reference"
-        assert defaults.merged({"engine": None, "chunk_hint": 7}).chunk_hint == 7
+        merged = defaults.merged({"engine": None, "frontier_chunk": 7})
+        assert merged.frontier_chunk == 7
+
+    def test_option_surface_is_pinned(self, capsys):
+        """Every execution knob, exactly.  A new knob must edit this set
+        on purpose; the service may expose a subset, never more.  The
+        deleted work-placement knobs fail loudly on every surface."""
+        import dataclasses
+
+        from repro.cli import build_parser
+        from repro.runtime import parallel_match, process_count
+        from repro.service.handlers import ALLOWED_OPTIONS
+
+        fields = {f.name for f in dataclasses.fields(ExecOptions)}
+        assert fields == {
+            "edge_induced", "symmetry_breaking", "engine", "frontier_chunk",
+            "label_index", "start_vertices", "control", "stats", "timer",
+            "plan", "budget", "on_budget", "guard", "approx", "confidence",
+            "max_samples", "latency_budget", "seed",
+        }
+        assert set(ALLOWED_OPTIONS) <= fields
+        g = erdos_renyi(10, 0.3, seed=1)
+        for knob in ({"schedule": "dynamic"}, {"chunk_hint": 2}):
+            with pytest.raises(TypeError, match="unknown execution option"):
+                MiningSession(g, **knob)
+            for runtime in (parallel_match, process_count):
+                with pytest.raises(TypeError):
+                    runtime(g, generate_clique(3), **knob)
+        for argv in (
+            ["count", "--schedule", "static"],
+            ["count", "--chunk-hint", "2"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                build_parser().parse_args(
+                    [*argv, "--pattern", "clique:3"]
+                )
+            assert info.value.code == 2
+        capsys.readouterr()
 
 
 # ----------------------------------------------------------------------
