@@ -199,9 +199,8 @@ def test_engine_dispatch(benchmark, patents_labeled, workload, engine):
     """Batched vs interpreted engine on every pattern-feature class.
 
     Documents that the vectorized path engages on labeled,
-    vertex-induced and anti-constraint workloads too; the density
-    crossover ``engine="auto"`` plans by
-    (``repro.runtime.planner.MIN_BATCH_EXPANSION``) is swept by
+    vertex-induced and anti-constraint workloads too; the density sweep
+    behind ``engine="auto"`` always planning the batched engine is
     ``bench_engine_frontier.py``.
     """
     pattern, kwargs = WORKLOADS[workload]()

@@ -3,13 +3,12 @@
 Compares the two engines — reference interpreter and frontier-batched
 (``accel-batch``) — across an average-degree sweep, and writes the
 machine-readable timings to ``BENCH_engine.json`` at the repo root so
-future PRs have a baseline to regress against.  The sweep is what
-measured the planner's ``repro.runtime.planner.MIN_BATCH_EXPANSION``
-(one level-1 candidate per start, i.e. average degree ~2): frontier
+later changes have a baseline to regress against.  The sweep is why
+the planner sends every unpinned query to the batched engine: frontier
 batching amortizes numpy dispatch across whole match levels, so the
-batched engine wins from avg degree ~2 upward, including on
-single-vertex-core patterns, whose tail count it vectorizes per frontier
-row.  The multi-step tail cells (``star-5``, ``chain-4``, ``diamond``,
+batched engine wins from the lowest swept degree (2) upward, including
+on single-vertex-core patterns, whose tail count it vectorizes per
+frontier row.  The multi-step tail cells (``star-5``, ``chain-4``, ``diamond``,
 and ``tailed-triangle``, the paw) are the count-only tail program's
 shapes; each row records which shape its plan compiled to under
 ``tail``.
@@ -120,7 +119,7 @@ def test_frontier_smoke():
 
 @pytest.mark.paper_artifact("engine-frontier")
 def test_frontier_sweep_emits_json(capsys):
-    """Full sweep: beat the interpreter from the crossover up, log it."""
+    """Full sweep: beat the interpreter at every swept degree, log it."""
     results = []
     for name, pattern_fn in PATTERNS.items():
         pattern = pattern_fn()
@@ -156,7 +155,8 @@ def test_frontier_sweep_emits_json(capsys):
         "note": (
             "Wall-clock seconds per engine for count() across an "
             "erdos_renyi avg-degree sweep; measured basis for "
-            "MIN_BATCH_EXPANSION in repro.runtime.planner.  `tail` is "
+            "repro.runtime.planner planning the batched engine for "
+            "every unpinned query.  `tail` is "
             "the count-only tail program's shape (kind x steps counted); "
             "`crossover` is the lowest swept degree where accel-batch "
             "beats the interpreter, per pattern."

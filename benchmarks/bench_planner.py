@@ -1,10 +1,10 @@
 """Planned vs. fixed-threshold dispatch: the ablation behind the default.
 
 Product dispatch has one policy: every query is probed once and
-:mod:`repro.runtime.planner` picks the engine (and frontier chunking,
-pool size) from the *query's own* measured frontier.  The policy it
-replaced looked at the *graph*: a global ``avg_degree >= 2.0`` picked
-the batched engine.  That fixed threshold lives on only here, as the
+:mod:`repro.runtime.planner` plans the batched engine for it, with
+frontier chunking and pool size from the *query's own* measured
+frontier.  The policy it replaced looked at the *graph*: a global
+``avg_degree >= 2.0`` picked the batched engine, the interpreter below.  That fixed threshold lives on only here, as the
 ablation arm — the engine is pinned from it per cell — so the claim
 "planning never loses to the threshold and wins where pattern and graph
 disagree" stays measured.
@@ -12,10 +12,9 @@ disagree" stays measured.
 The cells are the end-to-end benchmark's ``bench``-scale inputs
 (``benchmarks/e2e/inputs.py``: the power-law ``G_pl``/``G_small``, the
 labeled ``G_ba`` and ``G_fsm``) crossed with small and large patterns,
-plus the cell the planner exists for: a near-forest graph whose global
-average degree keeps the fixed rule on the pure-Python interpreter,
-hiding a dense fully-labeled core where the probe measures high
-per-start expansion and routes the query to the batched engine.
+plus the cell the fixed rule gets wrong: a near-forest graph whose
+global average degree keeps it on the pure-Python interpreter, hiding a
+dense fully-labeled core that the batched engine serves.
 Timings are warm (probe cached on the session, best-of-rounds) and
 every cell asserts count parity, so the ratios are engine choice, not
 noise or wrong answers.
@@ -160,17 +159,15 @@ def test_planner_smoke():
     pattern = generate_clique(3)
     assert dense.count(pattern) == dense.count(pattern, engine="reference")
     assert dense.last_query_plan.engine == "reference"  # the pinned rerun
-    assert planner.explain(dense, pattern).engine == "accel-batch"
+    assert planner.plan_query(dense, pattern).engine == "accel-batch"
 
     core = MiningSession(hub_core_graph(core=60, tail=600))
     pattern = labeled(generate_clique(3), 1)
     assert core.count(pattern) == core.count(pattern, engine="reference")
-    # The fixed rule reads the near-forest global degree; the probe
-    # reads the dense labeled frontier.  They must disagree here.
+    # The fixed rule reads the near-forest global degree; the planner
+    # batches every unpinned query.  They must disagree here.
     assert fixed_engine(core) == "reference"
-    plan = planner.explain(core, pattern)
-    assert plan.engine == "accel-batch"
-    assert plan.estimate.avg_expansion >= planner.MIN_BATCH_EXPANSION
+    assert planner.plan_query(core, pattern).engine == "accel-batch"
 
 
 @pytest.mark.paper_artifact("planner")
@@ -197,8 +194,8 @@ def test_planner_emits_json(capsys):
             "'skewed-labeled-core' is the acceptance cell — a "
             "near-forest graph (global avg degree < 2 keeps the fixed "
             "rule on the reference engine) hiding a dense "
-            "fully-labeled core that the probe routes to the batched "
-            "engine.  Acceptance: every cell >= 0.95, the labeled-core "
+            "fully-labeled core that the batched engine serves.  "
+            "Acceptance: every cell >= 0.95, the labeled-core "
             "cell >= 1.3."
         ),
         "cells": cells,

@@ -136,11 +136,11 @@ def cmd_explain(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
     stage takes, so the output is exactly what a run of the same query
     would decide.
     """
-    from ..runtime import planner
+    from ..runtime.planner import plan_query
 
     session = MiningSession(load_dataset(args))
     pattern = parse_pattern_spec(args.pattern)
-    query_plan = planner.explain(
+    query_plan = plan_query(
         session,
         pattern,
         num_workers=getattr(args, "processes", None),
@@ -181,12 +181,15 @@ def cmd_count(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
     pattern = parse_pattern_spec(args.pattern)
     processes = getattr(args, "processes", 1)
     stats = EngineStats() if args.profile else None
-    # Profiling counters live in the reference engine only; forcing a
-    # vectorized engine alongside --profile would raise at dispatch.
-    engine = "reference" if args.profile else getattr(args, "engine", "auto")
+    engine = getattr(args, "engine", "auto")
     if processes > 1 and args.profile:
         raise SystemExit("error: --profile needs the in-process engine; "
                          "drop --processes")
+    # Profiling counters live in the interpreter only: the stats hook
+    # plans it under 'auto', and the batched engine cannot fill them.
+    if args.profile and engine == "accel-batch":
+        raise SystemExit("error: --profile needs the reference engine; "
+                         "drop --engine accel-batch")
     if processes > 1 and engine != "auto":
         raise SystemExit("error: --processes picks engines per worker; "
                          "drop --engine")

@@ -137,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=_ENGINE_CHOICES,
         default="auto",
-        help="pin an engine ('auto' plans it from the probed "
-        "frontier; --profile forces the reference engine)",
+        help="pin an engine ('auto' plans the batched engine, or the "
+        "reference engine under --profile)",
     )
     p.add_argument(
         "--approx",

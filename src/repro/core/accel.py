@@ -43,10 +43,9 @@ The engine covers the **full pattern-feature matrix** of the paper:
 Counts must agree **exactly** with the reference engine on every
 feature combination — ``tests/test_accel.py`` fuzzes that equivalence
 against both the reference engine and the networkx oracles.
-:mod:`repro.core.session` auto-dispatches here when a run qualifies (no
-stats / timer attached) and its probed frontier clears the batched
-crossover (:data:`repro.runtime.planner.MIN_BATCH_EXPANSION`), measured
-in ``benchmarks/bench_engine_frontier.py``.
+:mod:`repro.core.session` auto-dispatches here whenever a run carries
+no stats / timer: ``benchmarks/bench_engine_frontier.py`` measures it
+ahead of the interpreter at every swept degree.
 """
 
 from __future__ import annotations

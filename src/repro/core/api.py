@@ -22,14 +22,12 @@ reference interpreter (:mod:`repro.core.engine`, the oracle and the
 owner of the profiling hooks) and the frontier-batched
 :class:`~repro.core.accel.FrontierBatchedEngine` (whole matching-order
 levels per numpy dispatch).  With ``engine="auto"`` (the default) the
-session's dispatch stage plans the engine per query from one bounded
-probe of the pattern's own frontier
-(:mod:`repro.runtime.planner`): the batched engine when the measured
-level-1 expansion clears its crossover and no ``stats`` / ``timer`` is
-attached (those instruments are only wired in the reference engine),
-the interpreter otherwise.  An early-termination ``control`` is polled
-by the batched engine between frontier blocks and per emitted match, so
-``exists`` and capped enumerations batch too.  Benchmarks:
+session's dispatch stage (:mod:`repro.runtime.planner`) plans the
+batched engine on every frontier, however small, unless ``stats`` /
+``timer`` is attached (those instruments are only wired in the
+reference engine, which they plan).  An early-termination ``control``
+is polled by the batched engine between frontier blocks and per
+emitted match, so ``exists`` and capped enumerations batch too.  Benchmarks:
 ``bench_engine_frontier.py`` (``BENCH_engine.json``) and
 ``bench_planner.py`` (planned vs. the old fixed threshold).
 ``engine="reference"`` / ``engine="accel-batch"`` pin one engine
@@ -247,9 +245,9 @@ def exists(
     This is the paper's existence-query idiom (Fig 4f): the callback fires
     ``stopExploration()`` on the first match.  The frontier-batched engine
     polls the control between frontier blocks and per emitted match, so
-    ``engine="auto"`` dispatches this to the batched engine in its winning
-    regime.  The trade: the expensive no-match case
-    (full exploration) runs vectorized, while a quick-hit positive may
+    ``engine="auto"`` dispatches this to the batched engine.  The trade:
+    the expensive no-match case (full exploration) runs vectorized,
+    while a quick-hit positive may
     explore up to one start vertex's task before its stop lands —
     ``engine="reference"`` remains the finest-grained stopper.
     """

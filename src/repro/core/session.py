@@ -425,8 +425,9 @@ class StagedQuery(NamedTuple):
     executes.  A single-pattern query is the workload of one.
 
     ``patterns`` and their exploration ``plans`` (aligned); ``opts`` with
-    the plan's choices folded in (``engine`` is concrete: the workload's
-    — each member's own is ``query_plan.member_engines``); the
+    the plan's choices folded in (``engine`` is concrete: the
+    workload's; a member outside every fused group runs on
+    ``"accel-batch"`` under a fused plan); the
     :class:`~repro.runtime.planner.QueryPlan` used; and ``samplable`` —
     whether the sampling tier may answer (nothing consumes individual
     matches or observes partial progress).
@@ -840,8 +841,7 @@ class MiningSession:
         members.
 
         **Fused dispatch.**  With ``engine="auto"`` (no
-        ``stats``/``timer``/``plan``/``start_vertices`` overrides, some
-        member's probed frontier above the batched crossover), patterns
+        ``stats``/``timer``/``plan``/``start_vertices`` overrides), patterns
         sharing a level-0 frontier signature are grouped by
         :class:`MultiPatternPlan` and groups of at least
         :data:`FUSED_MIN_GROUP` members run through
@@ -1126,8 +1126,9 @@ class MiningSession:
         The only code between a verb (or a driver holding a stage) and
         the two executors: compile (:class:`MultiPatternPlan`) what the
         plan fuses and run those groups through the group executor,
-        everything else through the single-pattern one on the member's
-        own planned engine — the two cover every index exactly once.
+        everything else through the single-pattern one — on
+        ``"accel-batch"`` under a fused plan, on the planned engine
+        otherwise; the two cover every index exactly once.
         ``callbacks[i]`` / ``on_batches[i]`` consume member ``i``'s
         matches (caller ids).  A staged ``approx`` answers the whole
         workload from the sampling tier instead (which raises when the
@@ -1152,7 +1153,9 @@ class MiningSession:
         meter = opts.budget.meter() if opts.budget is not None else None
         multi = None
         remaining: Sequence[int] = range(n)
+        single_opts = opts
         if opts.engine == "fused":
+            single_opts = dataclasses.replace(opts, engine="accel-batch")
             consumers = {
                 idx: (
                     self._translated(cb) if cb is not None else None,
@@ -1178,12 +1181,7 @@ class MiningSession:
             for idx in remaining:
                 running = (idx,)
                 totals[idx] = self._run_match_engines(
-                    plans[idx],
-                    callbacks[idx],
-                    dataclasses.replace(
-                        opts, engine=query_plan.member_engines[idx]
-                    ),
-                    meter,
+                    plans[idx], callbacks[idx], single_opts, meter,
                     on_batches[idx],
                 )
         except BudgetExceededError as err:

@@ -14,7 +14,7 @@ from .guards import (
     estimate_cost,
     resolve_threshold,
 )
-from .planner import QueryPlan, apply_plan, explain, plan_query, plan_workload
+from .planner import QueryPlan, apply_plan, plan_query, plan_workload
 from .parallel import (
     FAULT_ENV,
     MAX_CHUNK_RETRIES,
@@ -43,7 +43,6 @@ __all__ = [
     "resolve_threshold",
     "QueryPlan",
     "apply_plan",
-    "explain",
     "plan_query",
     "plan_workload",
     "FAULT_ENV",

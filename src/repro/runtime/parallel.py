@@ -7,9 +7,9 @@ shared early-termination control.  When the plan picks the batched
 engine the workers drive it over chunks of the level-0 frontier — numpy
 kernels release the GIL, so the thread pool gets real parallelism on the
 hot loop, and each worker's engine polls the shared control between
-frontier blocks and per emitted match; frontiers below the batched
-crossover and forced ``engine="reference"`` runs stay on the
-interpreter, where CPython's GIL serializes the list operations.
+frontier blocks and per emitted match; stats/timer runs and forced
+``engine="reference"`` runs stay on the interpreter, where CPython's
+GIL serializes the list operations.
 
 Process-level scaling is ``process_count_many`` — worker processes that
 share the graph with the parent (fork-inherited copy-on-write pages or
@@ -99,10 +99,10 @@ class ParallelResult:
     matches: int
     num_threads: int
     stats: EngineStats
+    engine: str
     aggregates: dict = field(default_factory=dict)
     per_thread_matches: list[int] = field(default_factory=list)
     per_thread_cpu: list[float] = field(default_factory=list)
-    engine: str = "reference"
 
     def load_imbalance(self) -> float:
         """Max-minus-min share of matches across threads (0 = perfect).
@@ -184,8 +184,7 @@ def parallel_match(
 
     ``engine`` pins the run; ``None`` inherits the session's
     :class:`~repro.core.session.ExecOptions` default and ``"auto"`` is
-    planned from the probe (see the module docstring): the batched
-    engine whenever the pattern's frontier clears the crossover — each
+    planned (see the module docstring): the batched engine — each
     chunk's numpy kernels run with the GIL released, so worker threads
     overlap on the hot loop instead of serializing, and a user
     ``control`` is polled between frontier blocks and per emitted match.

@@ -10,12 +10,10 @@ reads), lets
 the same measurements to :func:`plan_workload`, which fills in every
 choice the caller did not pin:
 
-* **engine** — the frontier-batched engine (``"fused"`` for
-  multi-pattern workloads) when the pattern's own label-filtered
-  frontier expands enough to amortize numpy dispatch, the interpreter
-  otherwise.  The signal is per query, not per graph: a labeled pattern
-  on the dense core of a near-forest graph batches, a sparse sliver of
-  a dense graph does not;
+* **engine** — the frontier-batched engine (``"fused"`` for a
+  fusable multi-pattern workload), on every frontier however small;
+  only the interpreter's own instruments (``stats``/``timer``) plan
+  the interpreter;
 * **frontier chunk** — tightened when the predicted partial volume is
   large;
 * **workers** — sized from the measured work when the caller passed
@@ -27,8 +25,9 @@ Pins always win: an explicit ``engine``, ``frontier_chunk`` or integer
 worker count is echoed through untouched.  Work placement is not a
 choice: both runtimes pull degree-weighted chunks from
 :class:`~repro.runtime.scheduler.ChunkLedger`.
-The fixed global thresholds this replaced (``avg_degree >= 2.0``) live
-on only as the ablation baseline of ``benchmarks/bench_planner.py``.
+The fixed global degree threshold the planner once used
+(``avg_degree >= 2.0``) lives on only as the ablation baseline of
+``benchmarks/bench_planner.py``.
 """
 
 from __future__ import annotations
@@ -46,28 +45,12 @@ __all__ = [
     "plan_query",
     "plan_workload",
     "apply_plan",
-    "explain",
-    "MIN_BATCH_EXPANSION",
-    "TINY_LEVEL1_VOLUME",
     "TIGHTEN_PARTIALS",
     "PLANNED_FRONTIER_CHUNK",
     "WORK_PER_WORKER",
     "APPROX_PARTIALS_PER_SECOND",
     "AUTO_APPROX_REL_ERR",
 ]
-
-# The batched engine's crossover in probe units.  The probe measures
-# level-1 candidates per start (neighbors *below* the start under
-# symmetry breaking — about half the degree), so an average degree of
-# 2.0 (the crossover measured by bench_engine_frontier.py) is one
-# candidate per start — evaluated on the pattern's own (label-filtered)
-# frontier, not on the graph.
-MIN_BATCH_EXPANSION = 1.0
-
-# Below this much total level-1 work, interpreter bisect/slice loops
-# finish before numpy per-dispatch overhead amortizes — keep such
-# queries on the reference engine regardless of density.
-TINY_LEVEL1_VOLUME = 64.0
 
 # Above this predicted (unclamped) partial volume, bound per-dispatch
 # frontier memory even for admitted queries.  Looser than the guard's
@@ -100,13 +83,10 @@ class QueryPlan:
     or ``"fused"`` for multi-pattern workloads) — never ``"auto"``.
     ``reasons`` records one line per choice for ``explain`` and the
     service echo; ``estimate`` is the probe behind them (the members'
-    aggregate for a workload).  ``member_engines[i]`` is the engine
-    member ``i`` runs on when it shares no fused walk: the same engine
-    rule applied to its own estimate, or the caller's pin.
-    ``min_group`` is the smallest group a fused workload compiles: 1
-    when the caller pinned ``engine="fused"`` (even a lone member then
-    runs as a fused group of one), :data:`FUSED_MIN_GROUP` when the
-    plan chose it.
+    aggregate for a workload).  ``min_group`` is the smallest group a
+    fused workload compiles: 1 when the caller pinned ``engine="fused"``
+    (even a lone member then runs as a fused group of one),
+    :data:`FUSED_MIN_GROUP` when the plan chose it.
     """
 
     engine: str
@@ -119,7 +99,6 @@ class QueryPlan:
     # instead of running exact (see apply_plan's allow_approx).
     use_approx: bool = False
     approx_rel_err: float | None = None
-    member_engines: tuple[str, ...] = ()
     min_group: int = FUSED_MIN_GROUP
 
     def as_dict(self) -> dict:
@@ -148,20 +127,12 @@ class QueryPlan:
         return line
 
 
-def _batch_worthy(estimate: guards.CostEstimate) -> bool:
-    """Whether the frontier-batched engine wins on *this* frontier."""
-    return (
-        estimate.avg_expansion >= MIN_BATCH_EXPANSION
-        and estimate.level1_volume >= TINY_LEVEL1_VOLUME
-    )
-
-
-def _choose_engine(estimates, opts, batched: str, reasons: list) -> str:
+def _choose_engine(opts, batched: str, reasons: list) -> str:
     """The one engine rule.  A pin wins (and says so when the run
-    carries something that engine cannot honour); otherwise ``batched``
-    (the batched engine's name for this workload) when any member's
-    frontier clears the crossover — a fused group shares its gathers, so
-    one worthy member pays for the walk."""
+    carries something that engine cannot honour); stats/timer hooks,
+    which only the interpreter fills, plan the interpreter; everything
+    else runs on ``batched`` (the batched engine's name for this
+    workload)."""
     if opts.engine != "auto":
         rejected = () if opts.engine == "reference" else INSTRUMENTS
         if opts.engine == "fused":
@@ -178,20 +149,8 @@ def _choose_engine(estimates, opts, batched: str, reasons: list) -> str:
     if opts.hooks(*INSTRUMENTS):
         reasons.append("reference: stats/timer hooks pin the interpreter")
         return "reference"
-    for est in estimates:
-        if _batch_worthy(est):
-            reasons.append(
-                f"{batched}: measured level-1 expansion "
-                f"{est.avg_expansion:.2f} >= {MIN_BATCH_EXPANSION:.2f} "
-                f"over {est.frontier_size} starts"
-            )
-            return batched
-    reasons.append(
-        "reference: no frontier clears the batched crossover (level-1 "
-        f"expansion >= {MIN_BATCH_EXPANSION:.2f} over >= "
-        f"{TINY_LEVEL1_VOLUME:.0f} rows)"
-    )
-    return "reference"
+    reasons.append(f"{batched}: no engine pin and no stats/timer hook")
+    return batched
 
 
 def _choose_workers(estimate, num_workers: int | None, reasons: list) -> int:
@@ -280,12 +239,10 @@ def plan_workload(
 
     The fused runner walks one shared frontier per compatible group, so
     workload-level choices aggregate over the distinct members: the
-    batched engine (``"fused"`` for several patterns) when any member's
-    frontier clears the crossover, workers fed by the *summed* level-1
-    volume, and the frontier chunk the largest member prediction needs.
-    Every member also gets the engine it takes outside a fused group
-    (:attr:`QueryPlan.member_engines`) — this is the only place an
-    engine is chosen.
+    batched engine (``"fused"`` for several patterns), workers fed by
+    the *summed* level-1 volume, and the frontier chunk the largest
+    member prediction needs.  A member that shares no fused walk runs on
+    ``"accel-batch"`` under a fused plan, on the plan's engine otherwise.
     """
     session = as_session(graph_or_session)
     if opts is None:
@@ -296,7 +253,7 @@ def plan_workload(
         _, estimates = session._estimates(patterns, opts)
     if not estimates:
         return QueryPlan(
-            engine="reference",
+            engine="accel-batch",
             frontier_chunk=opts.frontier_chunk,
             num_workers=max(1, num_workers or 1),
             reasons=("empty workload",),
@@ -320,7 +277,7 @@ def plan_workload(
     # Members under a plan/start_vertices override cannot share a walk.
     fusable = len(patterns) > 1 and not opts.hooks("plan", "start_vertices")
     engine = _choose_engine(
-        distinct, opts, "fused" if fusable else "accel-batch", reasons
+        opts, "fused" if fusable else "accel-batch", reasons
     )
     use_approx, approx_rel_err = _choose_approx(distinct, opts, reasons)
     return QueryPlan(
@@ -331,9 +288,6 @@ def plan_workload(
         estimate=combined,
         use_approx=use_approx,
         approx_rel_err=approx_rel_err,
-        member_engines=tuple(
-            _choose_engine([est], opts, "accel-batch", []) for est in estimates
-        ),
         min_group=1 if opts.engine == "fused" else FUSED_MIN_GROUP,
     )
 
@@ -379,16 +333,3 @@ def apply_plan(plan: QueryPlan, opts, allow_approx: bool = True):
         approx=approx,
     )
 
-
-def explain(
-    graph_or_session, pattern, num_workers: int | None = 1, **options
-) -> QueryPlan:
-    """The plan a query *would* run with, without running it.
-
-    Powers the CLI ``explain`` verb: probe (or reuse the session-cached
-    probe), admit nothing, run nothing — just return the frozen
-    :class:`QueryPlan` with its estimate and reasons attached.
-    """
-    return plan_query(
-        graph_or_session, pattern, num_workers=num_workers, **options
-    )

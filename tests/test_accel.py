@@ -676,15 +676,15 @@ class TestDispatch:
         with pytest.raises(ValueError, match="accel-batch"):
             count(g, generate_clique(3), engine="accel")
 
-    def test_planned_engine_follows_the_probed_frontier(self):
-        from repro.runtime.planner import explain
+    def test_tiny_frontiers_plan_the_batched_engine(self):
+        from repro.runtime.planner import plan_query
 
         moderate = erdos_renyi(300, 0.05, seed=51)
         forest = erdos_renyi(300, 0.002, seed=51)
-        # no density floor beyond near-forests, no core-size exclusion
-        assert explain(moderate, generate_clique(3)).engine == "accel-batch"
-        assert explain(moderate, generate_chain(3)).engine == "accel-batch"
-        assert explain(forest, generate_clique(3)).engine == "reference"
+        # no density floor, no core-size exclusion: near-forests batch too
+        for g in (moderate, forest):
+            for pattern in (generate_clique(3), generate_chain(3)):
+                assert plan_query(g, pattern).engine == "accel-batch"
 
     def test_force_accel_batch_with_stats_raises(self):
         g = erdos_renyi(20, 0.3, seed=1)
@@ -719,12 +719,12 @@ class TestControlDispatch:
     """
 
     def test_control_does_not_change_dispatch(self):
-        from repro.runtime.planner import explain
+        from repro.runtime.planner import plan_query
 
         g = erdos_renyi(300, 0.05, seed=51)
         for pattern in (generate_clique(3), generate_chain(3)):
-            bare = explain(g, pattern).engine
-            controlled = explain(
+            bare = plan_query(g, pattern).engine
+            controlled = plan_query(
                 g, pattern, control=ExplorationControl()
             ).engine
             assert controlled == bare == "accel-batch"

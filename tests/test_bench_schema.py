@@ -137,7 +137,7 @@ def test_engine_results_rows_stable():
         assert not missing, f"engine sweep row lost key(s) {sorted(missing)}"
     # Two engines survive: the oracle and the batched engine, which must
     # keep beating the interpreter on a multi-vertex-core pattern at low
-    # degree (the measured basis of MIN_BATCH_EXPANSION).
+    # degree (why ``engine="auto"`` plans the batched engine everywhere).
     assert payload["engines"] == ["reference", "accel-batch"]
     assert any(
         row["multi_vertex_core"]

@@ -105,6 +105,15 @@ class TestSubcommands:
         assert "canonicality_checks: 0" in out
         assert "isomorphism_checks: 0" in out
 
+    def test_count_profile_rejects_the_batched_engine(self):
+        # The batched engine fills no interpreter counters, so a pinned
+        # accel-batch must not silently run the interpreter instead.
+        with pytest.raises(SystemExit, match="error: --profile"):
+            run_cli(
+                ["count", *MICO, "--pattern", "clique:3", "--profile",
+                 "--engine", "accel-batch"]
+            )
+
     def test_count_vertex_induced_differs(self):
         _, edge_out = run_cli(["count", *MICO, "--pattern", "chain:3"])
         _, vi_out = run_cli(

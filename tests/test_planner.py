@@ -168,10 +168,10 @@ class TestPlanSelection:
         assert plan.estimate is not None
         assert plan.reasons  # every choice is explained
 
-    def test_tiny_level1_volume_stays_on_reference(self):
+    def test_tiny_level1_volume_plans_the_batched_engine(self):
         session = MiningSession(chain_graph(30))
         plan = planner.plan_query(session, generate_chain(3))
-        assert plan.engine == "reference"
+        assert plan.engine == "accel-batch"
 
     def test_pinned_engine_passes_through(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -262,20 +262,20 @@ class TestPlanSelection:
         assert f"engine={plan.engine}" in text
         assert "schedule=" not in text
 
-    def test_workload_plan_fuses_when_any_member_is_worthy(self):
+    def test_workload_plan_fuses(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
         patterns = [generate_clique(3), generate_chain(3)]
         plan = planner.plan_workload(session, patterns)
         assert plan.engine == "fused"
         empty = planner.plan_workload(session, [])
-        assert empty.engine == "reference"
+        assert empty.engine == "accel-batch"
 
-    def test_workload_plan_on_sparse_members_stays_reference(self):
+    def test_workload_plan_on_sparse_members_fuses(self):
         session = MiningSession(chain_graph(30))
         plan = planner.plan_workload(
             session, [generate_chain(3), generate_star(3)]
         )
-        assert plan.engine == "reference"
+        assert plan.engine == "fused"
 
     def test_plan_query_is_the_one_pattern_workload(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -299,6 +299,60 @@ class TestPlanSelection:
         assert session.count(pattern, plan=plan) == session.count(pattern)
 
 
+TINY_GRAPHS = {
+    "chain-30": lambda: chain_graph(30),
+    "near-forest": lambda: erdos_renyi(300, 0.002, seed=51),
+    "path-4": lambda: chain_graph(4),
+    "empty": lambda: from_edges([], num_vertices=0),
+    "single-vertex": lambda: from_edges([], num_vertices=1),
+    "isolated-5": lambda: from_edges([], num_vertices=5),
+}
+
+
+@pytest.mark.parametrize("graph_name", sorted(TINY_GRAPHS))
+def test_tiny_frontiers_plan_the_batched_engine(graph_name):
+    """However small the frontier, ``auto`` plans the batched engine;
+    only the interpreter's instruments or a pin plan the interpreter,
+    and every verb answers exactly as the interpreter does."""
+    from repro.core.engine import EngineStats
+
+    session = MiningSession(TINY_GRAPHS[graph_name]())
+    pattern = generate_chain(3)
+    patterns = [generate_chain(3), generate_clique(3)]
+    for plan, engine in (
+        (planner.plan_query(session, pattern), "accel-batch"),
+        (planner.plan_workload(session, patterns), "fused"),
+    ):
+        assert plan.engine == engine
+        assert not any(
+            word in reason.lower()
+            for reason in plan.reasons
+            for word in ("reference", "interpreter")
+        )
+    stats = planner.plan_query(session, pattern, stats=EngineStats())
+    pinned = planner.plan_query(session, pattern, engine="reference")
+    assert stats.engine == pinned.engine == "reference"
+
+    def run(engine):
+        order, rows = [], []
+        session.match(
+            pattern, lambda m: order.append(tuple(m.mapping)), engine=engine
+        )
+        session.match_batches(
+            pattern, lambda b: rows.extend(map(tuple, b.tolist())),
+            engine=engine,
+        )
+        return (
+            session.count(pattern, engine=engine),
+            order,
+            session.exists(pattern, engine=engine),
+            sorted(rows),
+            session.count_many(patterns, edge_induced=False, engine=engine),
+        )
+
+    assert run("auto") == run("reference")
+
+
 # ----------------------------------------------------------------------
 # Pins always win
 # ----------------------------------------------------------------------
@@ -308,7 +362,7 @@ class TestPinsWin:
     """What the caller passes explicitly is never overridden by the plan."""
 
     def test_stage_keeps_every_pinned_choice(self, monkeypatch):
-        # A skewed, batch-worthy frontier with a prediction the planner
+        # A skewed frontier with a prediction the planner
         # would tighten: every unpinned choice would come out different.
         monkeypatch.setattr(planner, "TIGHTEN_PARTIALS", 1.0)
         session = MiningSession(power_law(1500, gamma=2.1, d_min=4, seed=7))

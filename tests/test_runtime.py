@@ -148,7 +148,7 @@ class TestParallelMatchEngines:
         assert result.matches == expected
 
     def test_auto_without_hooks_drives_batched_engine(self):
-        g = erdos_renyi(70, 0.15, seed=8)  # well above the batch crossover
+        g = erdos_renyi(70, 0.15, seed=8)
         result = parallel_match(g, generate_clique(3), num_threads=2)
         assert result.engine == "accel-batch"
         assert result.matches == count(g, generate_clique(3), engine="reference")
@@ -243,13 +243,14 @@ def _skip_unless_fork_available(share_mode):
 
 
 def _near_forest():
-    """A graph below the batched crossover (avg degree < 2)."""
+    """A near-forest graph (avg degree < 2): tiny frontiers still plan
+    the batched engine."""
     from repro.pattern import generate_chain
-    from repro.runtime.planner import explain
+    from repro.runtime.planner import plan_query
 
     g = erdos_renyi(300, 0.005, seed=3)
     p = generate_chain(3)
-    assert explain(g, p).engine == "reference"
+    assert plan_query(g, p).engine == "accel-batch"
     assert count(g, p, engine="reference") > 0
     return g, p
 
@@ -289,9 +290,8 @@ class TestProcessCount:
         self, share_mode, chunks_per_worker
     ):
         """``process_count(g, p)`` is ``process_count_many(g, [p])[p]`` —
-        on a batched-regime graph and on a near-forest one (avg degree
-        < 2, below the sequential crossover: workers still run the fused
-        engine, which beat the interpreter there), pinned to the
+        on a dense graph and on a near-forest one (avg degree < 2, where
+        the batched engine still beats the interpreter), pinned to the
         interpreter oracle."""
         _skip_unless_fork_available(share_mode)
         kw = dict(num_processes=2, share_mode=share_mode)
@@ -342,12 +342,12 @@ class TestProcessCount:
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_moderate_density_uses_batched_workers(self, share_mode):
         """The batched tier engages at single-digit average degree."""
-        from repro.runtime.planner import explain
+        from repro.runtime.planner import plan_query
 
         _skip_unless_fork_available(share_mode)
         g = erdos_renyi(80, 0.1, seed=21)  # avg degree ~8
         # guard: batch path engaged
-        assert explain(g, generate_clique(3)).engine == "accel-batch"
+        assert plan_query(g, generate_clique(3)).engine == "accel-batch"
         expected = count(g, generate_clique(3), engine="reference")
         got = process_count(
             g, generate_clique(3), num_processes=3, share_mode=share_mode

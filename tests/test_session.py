@@ -484,7 +484,7 @@ class TestSessionEarlyTermination:
         assert not live.stopped
 
     def test_exists_matches_reference_and_stops(self):
-        g = erdos_renyi(40, 0.3, seed=14)  # above the batched crossover
+        g = erdos_renyi(40, 0.3, seed=14)
         session = MiningSession(g)
         assert session.exists(generate_clique(3)) == exists(
             g, generate_clique(3), engine="reference"
