@@ -2,14 +2,14 @@
 
 The workload the fused runner exists for: one ``count_many`` (or one FSM
 round's ``match_batches_many``) over a set of patterns against one
-graph.  Both sides run on the *same warm session* and force the same
-member engine, so the measured delta is exactly the fusion:
+graph.  Both sides run on the *same warm session* and the same batched
+engine, so the measured delta is exactly the fusion:
 
-* **sequential** — ``engine="accel-batch"``: every pattern walks its own
-  level-0 frontier through the frontier-batched engine, the pre-fusion
-  behaviour of ``count_many``;
-* **fused** — ``engine="fused"``: one shared frontier walk whose first
-  expansions are memoised per slice
+* **sequential** — one ``count`` (or ``match_batches``) call per
+  pattern: every pattern walks its own level-0 frontier as a fused
+  group of one, the pre-fusion behaviour of ``count_many``;
+* **fused** — one multi-pattern call: one shared frontier walk whose
+  first expansions are memoised per slice
   (:class:`repro.core.accel.SharedFrontierGathers` stores the engine
   kernel's own sub-blocks per ``(bounded below, bounded above, label)``
   variant, so the first member computes them and the rest replay them),
@@ -57,8 +57,6 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_multipattern.json"
 
 ROUNDS = 3
 
-SEQUENTIAL_ENGINE = "accel-batch"
-
 # name -> (n, avg degree, kind, kind arg)
 WORKLOADS = {
     "3-motif-census": (8000, 6, "census", 3),
@@ -74,11 +72,13 @@ def _bench_graph(n: int, degree: int, labels: int | None, seed: int = 21) -> Dat
     return graph
 
 
-def _census_round(session: MiningSession, patterns, engine: str) -> dict:
-    return session.count_many(patterns, edge_induced=False, engine=engine)
+def _census_round(session: MiningSession, patterns, fused: bool) -> dict:
+    if fused:
+        return session.count_many(patterns, edge_induced=False)
+    return {p: session.count(p, edge_induced=False) for p in patterns}
 
 
-def _fsm_round(session: MiningSession, structurals, engine: str) -> list[int]:
+def _fsm_round(session: MiningSession, structurals, fused: bool) -> list[int]:
     """One FSM-style structural round: stream matches into per-pattern sinks."""
     rows = [0] * len(structurals)
 
@@ -88,25 +88,25 @@ def _fsm_round(session: MiningSession, structurals, engine: str) -> list[int]:
 
         return on_batch
 
-    session.match_batches_many(
-        structurals,
-        [sink(i) for i in range(len(structurals))],
-        edge_induced=True,
-        engine=engine,
-    )
+    sinks = [sink(i) for i in range(len(structurals))]
+    if fused:
+        session.match_batches_many(structurals, sinks, edge_induced=True)
+    else:
+        for pattern, on_batch in zip(structurals, sinks):
+            session.match_batches(pattern, on_batch, edge_induced=True)
     return rows
 
 
 def _warm(session: MiningSession, run) -> None:
     """Warm both paths once (plans, CSR view, census transform) and
     assert fused/sequential agreement before any timing happens."""
-    expected = run(session, SEQUENTIAL_ENGINE)
-    assert run(session, "fused") == expected, "fused/sequential disagree"
+    expected = run(session, False)
+    assert run(session, True) == expected, "fused/sequential disagree"
 
 
 def _measure(session: MiningSession, run) -> dict:
-    sequential_seconds, _ = timed(lambda: run(session, SEQUENTIAL_ENGINE))
-    fused_seconds, _ = timed(lambda: run(session, "fused"))
+    sequential_seconds, _ = timed(lambda: run(session, False))
+    fused_seconds, _ = timed(lambda: run(session, True))
     return {
         "sequential_seconds": sequential_seconds,
         "fused_seconds": fused_seconds,
@@ -117,16 +117,16 @@ def _measure(session: MiningSession, run) -> dict:
 def _workload_runner(kind: str, arg: int):
     if kind == "census":
         patterns = generate_all_vertex_induced(arg)
-        return patterns, lambda session, engine: _census_round(
-            session, patterns, engine
+        return patterns, lambda session, fused: _census_round(
+            session, patterns, fused
         )
     structurals = [
         Pattern.from_edges([(0, 1)]),
         generate_chain(3),
         generate_clique(3),
     ]
-    return structurals, lambda session, engine: _fsm_round(
-        session, structurals, engine
+    return structurals, lambda session, fused: _fsm_round(
+        session, structurals, fused
     )
 
 
@@ -134,17 +134,10 @@ def _workload_runner(kind: str, arg: int):
 @pytest.mark.paper_artifact("multipattern-fusion")
 def test_multipattern_smoke():
     """CI smoke: fused execution agrees with sequential on both shapes."""
-    graph = _bench_graph(n=150, degree=8, labels=None)
-    session = MiningSession(graph)
-    patterns = generate_all_vertex_induced(3)
-    assert session.count_many(
-        patterns, edge_induced=False, engine="fused"
-    ) == session.count_many(
-        patterns, edge_induced=False, engine=SEQUENTIAL_ENGINE
-    )
+    session = MiningSession(_bench_graph(n=150, degree=8, labels=None))
+    _warm(session, _workload_runner("census", 3)[1])
     labeled = MiningSession(_bench_graph(n=150, degree=8, labels=3))
-    structurals, run = _workload_runner("fsm-round", 3)
-    assert run(labeled, "fused") == run(labeled, SEQUENTIAL_ENGINE)
+    _warm(labeled, _workload_runner("fsm-round", 3)[1])
 
 
 @pytest.mark.paper_artifact("multipattern-fusion")
@@ -170,12 +163,12 @@ def test_multipattern_emits_json(capsys):
     payload = {
         "bench": "multipattern-fusion",
         "rounds_per_workload": ROUNDS,
-        "sequential_engine": SEQUENTIAL_ENGINE,
+        "sequential_engine": "accel-batch",
         "note": (
             "Wall-clock seconds per multi-pattern workload on one warm "
-            "MiningSession: sequential = engine='accel-batch' per-pattern "
-            "execution (own frontier walk each), fused = engine='fused' "
-            "(shared frontier walk + per-slice memo of first expansions; "
+            "MiningSession: sequential = one count/match_batches call per "
+            "pattern (own frontier walk each), fused = one multi-pattern "
+            "call (shared frontier walk + per-slice memo of first expansions; "
             "count-only vertex-induced censuses additionally route "
             "through the shared non-induced basis with exact Möbius "
             "demultiplexing).  Censuses are where fusion multiplies; the "

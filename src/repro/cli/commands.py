@@ -324,9 +324,9 @@ def cmd_motifs(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
     )
     begin = _timed_header(out, f"{args.size}-motif census")
     engine = getattr(args, "engine", None)
-    if processes > 1 and engine not in (None, "auto", "fused"):
-        raise SystemExit("error: --processes runs the fused worker path; "
-                         "use --engine auto/fused or drop --processes")
+    if processes > 1 and engine == "reference":
+        raise SystemExit("error: --processes runs the batched worker path; "
+                         "drop --engine reference or --processes")
     try:
         table = motif_census_table(
             session,

@@ -11,7 +11,7 @@ import sys
 from typing import Sequence
 
 from .. import __version__
-from ..core.session import _ENGINE_CHOICES, _MULTI_ENGINE_CHOICES
+from ..core.session import _ENGINE_CHOICES
 from . import commands
 from .parsing import add_dataset_arguments
 
@@ -206,10 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=3, help="motif size (vertices)")
     p.add_argument(
         "--engine",
-        choices=_MULTI_ENGINE_CHOICES,
+        choices=_ENGINE_CHOICES,
         default=None,
-        help="engine selection; 'fused' forces the multi-pattern runner, "
-        "'accel-batch' ablates it with sequential per-pattern execution",
+        help="engine selection (default: auto)",
     )
     _add_parallel_flags(p)
     _add_guard_flags(p)
@@ -246,10 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=_MULTI_ENGINE_CHOICES,
+        choices=_ENGINE_CHOICES,
         default=None,
-        help="engine selection for each round's structural matches; "
-        "'fused' forces the round onto one shared frontier walk",
+        help="engine selection for each round's structural matches",
     )
     _add_guard_flags(p)
     p.set_defaults(func=commands.cmd_fsm)

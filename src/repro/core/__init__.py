@@ -15,7 +15,6 @@ from .session import (
     MiningSession,
     MultiPatternPlan,
     as_session,
-    FUSED_MIN_GROUP,
 )
 from .callbacks import (
     Match,
@@ -57,7 +56,6 @@ __all__ = [
     "MiningSession",
     "MultiPatternPlan",
     "as_session",
-    "FUSED_MIN_GROUP",
     "Match",
     "ExplorationControl",
     "Aggregator",

@@ -34,18 +34,15 @@ emitted match, so ``exists`` and capped enumerations batch too.  Benchmarks:
 unconditionally (ablations, debugging); pinning the batched engine
 raises when the run does not qualify.
 
-**Multi-pattern fusion.**  The multi-pattern verbs (``count_many``,
-``match_many``, ``match_batches_many``) additionally accept
-``engine="fused"``: patterns sharing a level-0 frontier signature are
-grouped by :class:`~repro.core.session.MultiPatternPlan` and run through
+**Multi-pattern fusion.**  On the batched engine every verb's patterns
+are grouped by level-0 frontier signature
+(:class:`~repro.core.session.MultiPatternPlan`; a single pattern is a
+group of one) and each group runs through
 :func:`repro.core.accel.fused_run` — one frontier walk, shared
 first-level gathers, per-pattern constraint masks — with count-only
 vertex-induced censuses additionally rewritten onto the shared
-non-induced basis (:mod:`repro.core.multipattern`).  ``engine="auto"``
-fuses automatically for groups of at least
-:data:`~repro.core.session.FUSED_MIN_GROUP` when the run qualifies;
-measured in ``benchmarks/bench_multipattern.py`` →
-``BENCH_multipattern.json``.
+non-induced basis (:mod:`repro.core.multipattern`); measured in
+``benchmarks/bench_multipattern.py`` → ``BENCH_multipattern.json``.
 
 **Process scaling.**  These shims are single-process by design (their
 signatures are frozen).  To scale across cores, hold a session and pass
@@ -65,7 +62,7 @@ from ..pattern.pattern import Pattern
 from .callbacks import ExplorationControl, Match
 from .engine import EngineStats
 from .plan import ExplorationPlan
-from .session import FUSED_MIN_GROUP, MiningSession
+from .session import MiningSession
 
 __all__ = [
     "match",
@@ -172,9 +169,8 @@ def count_many(
     motif counting, Fig 4e).  All patterns run through one shared
     session, so the degree ordering, its arrays and plan cache are derived
     once, not once per pattern — and compatible patterns *fuse* onto one
-    shared frontier walk (``engine="auto"``/``"fused"``; see
-    :meth:`MiningSession.match_many` for the dispatch rules and
-    :data:`repro.core.session.FUSED_MIN_GROUP` for the group floor).
+    shared frontier walk (see :meth:`MiningSession.match_many` for the
+    dispatch rules).
     """
     return MiningSession.for_graph(graph).count_many(
         patterns,

@@ -58,16 +58,11 @@ __all__ = [
     "MiningSession",
     "MultiPatternPlan",
     "as_session",
-    "FUSED_MIN_GROUP",
 ]
 
 # Enumerated option values; ``ExecOptions.merged`` is the one place they
-# (and the numeric ranges) are checked.  The multi-pattern verbs take
-# everything a single-pattern run accepts plus "fused", which forces the
-# fused multi-pattern runner (ablations; "auto" fuses whenever the plan
-# says the shared gathers pay).
+# (and the numeric ranges) are checked, for every verb alike.
 _ENGINE_CHOICES = ("auto", "accel-batch", "reference")
-_MULTI_ENGINE_CHOICES = ("fused",) + _ENGINE_CHOICES
 _ON_BUDGET_CHOICES = ("raise", "partial")
 _GUARD_CHOICES = ("off", "refuse", "downgrade")
 
@@ -104,29 +99,22 @@ def _coerce_graph(source) -> DataGraph:
     )
 
 
-# Smallest fusable group worth routing through the fused runner under
-# engine="auto": a single-member group shares nothing, so it runs through
-# the ordinary per-pattern dispatch.  engine="fused" ignores the floor.
-FUSED_MIN_GROUP = 2
-
-
 @dataclass(frozen=True)
 class MultiPatternPlan:
-    """A staged multi-pattern workload *compiled* for fused execution.
+    """A staged workload *compiled* for the batched executor.
 
     The one compile step between the dispatch stage and the executor:
-    the in-process verbs loop over it, the sampling tier wraps it in its
-    Horvitz–Thompson rounds, and the process runtime ships it
-    (immutable, picklable) to its workers.
+    the in-process verbs (a lone pattern is a group of one), thread
+    chunks and sampled rounds loop over it, and the process runtime
+    ships it (immutable, picklable) to its workers.
 
     ``plans`` holds every member's exploration plan in reference order
     (results always demultiplex back to it).  Members are *compatible*
     when they share a level-0 frontier: ``group_keys[g]`` is group
     ``g``'s :meth:`MiningSession._frontier_key` — so unlabeled censuses
     and FSM structural rounds collapse into one group while label-pinned
-    patterns group per distinct label set.  ``groups`` lists the fusable
-    groups (member indices, each at least ``min_group`` strong),
-    ``singles`` the left-over indices for the single-pattern executor.
+    patterns group per distinct label set.  ``groups`` lists every
+    group's member indices; together they cover every index once.
 
     ``members[g]`` are the plans group ``g`` actually counts: those of
     its ``direct[g]`` indices, then the anti-edge-free basis plans of
@@ -139,7 +127,6 @@ class MultiPatternPlan:
     plans: tuple[ExplorationPlan, ...]
     groups: tuple[tuple[int, ...], ...]
     group_keys: tuple[frozenset | None, ...]
-    singles: tuple[int, ...]
     members: tuple[tuple[ExplorationPlan, ...], ...]
     direct: tuple[tuple[int, ...], ...]
     census: tuple[tuple[tuple[int, tuple], ...], ...]
@@ -153,7 +140,6 @@ class MultiPatternPlan:
         plans: Sequence[ExplorationPlan],
         opts: "ExecOptions",
         consumers: Mapping[int, tuple] | None = None,
-        min_group: int = FUSED_MIN_GROUP,
     ) -> "MultiPatternPlan":
         """Compile a staged ``(patterns, plans, opts)`` workload.
 
@@ -163,10 +149,12 @@ class MultiPatternPlan:
         census-eligible members ride the shared non-induced basis when
         the run is vertex-induced and symmetry-broken, the frontier is
         unpinned, at least two members qualify (below that the basis
-        cannot amortize) and nothing can stop the run early — a
-        ``control``-stopped, ``budget``-tripped or cancelled run's basis
-        counts would invert into garbage, so such runs count every
-        member directly (still one shared frontier walk).
+        cannot amortize), every member runs its own plan over its whole
+        frontier (no ``plan``/``start_vertices`` override) and nothing
+        can stop the run early — a ``control``-stopped,
+        ``budget``-tripped or cancelled run's basis counts would invert
+        into garbage, so such runs count every member directly (still
+        one shared frontier walk).
         """
         from ..pattern.canonical import canonical_permutation
 
@@ -178,14 +166,10 @@ class MultiPatternPlan:
         census_run = (
             not opts.edge_induced
             and opts.symmetry_breaking
-            and not opts.hooks("control", "budget")
+            and not opts.hooks("control", "budget", "plan", "start_vertices")
         )
-        singles: list[int] = []
         groups, keys, members, direct, census, transforms = ([] for _ in range(6))
         for key, group in by_key.items():
-            if len(group) < max(1, min_group):
-                singles.extend(group)
-                continue
             eligible = [
                 idx for idx in group
                 if idx not in consumers and census_eligible(patterns[idx])
@@ -202,8 +186,9 @@ class MultiPatternPlan:
                 cache_key = tuple(sorted(set(codes)))
                 transform = session._census.get(cache_key)
                 if transform is None:
-                    transform = session._census[cache_key] = census_transform(
-                        [patterns[idx] for idx in eligible]
+                    transform = _cache_put(
+                        session._census, cache_key,
+                        census_transform([patterns[idx] for idx in eligible]),
                     )
                 counted += [
                     session._cached_plan(basis_pattern, True, True)
@@ -216,21 +201,21 @@ class MultiPatternPlan:
             census.append(tuple(zip(eligible, codes)))
             transforms.append(transform)
         return cls(
-            tuple(plans), tuple(groups), tuple(keys), tuple(sorted(singles)),
-            tuple(members), tuple(direct), tuple(census), tuple(transforms),
+            tuple(plans), tuple(groups), tuple(keys), tuple(members),
+            tuple(direct), tuple(census), tuple(transforms),
         )
 
     def run_group(
         self, g: int, graph: DataGraph, starts, consumers: Mapping[int, tuple] | None = None,
         chunk: int | None = None, control=None, budget=None,
     ) -> list[int]:
-        """The fused-group executor: group ``g`` over ``starts``.
+        """The batched executor: group ``g`` over ``starts``.
 
-        Whoever drives — the whole frontier in process, a sampled round,
-        a worker's leased chunk — hands over the degree-ordered ``graph``
-        and start vertices in its ids, and gets raw per-member counts
-        back, aligned with ``members[g]``; they, or their sums over every
-        chunk of a frontier, go to :meth:`demux`.
+        Whoever drives — the whole frontier in process, a thread chunk,
+        a sampled round, a worker's leased chunk — hands over the
+        degree-ordered ``graph`` and start vertices in its ids, and gets
+        raw per-member counts back, aligned with ``members[g]``; they, or
+        their sums over every chunk of a frontier, go to :meth:`demux`.
         ``consumers[i]`` is member ``i``'s ``(on_match, on_batch)`` pair
         (engine ids); members without one are counted, not enumerated.
         """
@@ -336,15 +321,12 @@ class ExecOptions:
     latency_budget: float | None = None
     seed: int | None = None
 
-    def merged(
-        self, overrides: Mapping[str, Any], multi: bool = False
-    ) -> "ExecOptions":
+    def merged(self, overrides: Mapping[str, Any]) -> "ExecOptions":
         """Resolve per-call ``overrides`` against these defaults.
 
         Unknown names raise ``TypeError`` with the valid field list, so a
         typo'd knob fails loudly instead of being silently dropped; bad
-        *values* raise ``ValueError`` here and nowhere else (``multi``
-        admits the multi-pattern verbs' ``engine="fused"``).  A ``None``
+        *values* raise ``ValueError`` here and nowhere else.  A ``None``
         override means "inherit the default" — session-consumer wrappers
         (mining entry points, the runtimes) forward their parameters
         unconditionally and ``None`` is their not-specified value.
@@ -360,12 +342,12 @@ class ExecOptions:
             changes = {k: v for k, v in overrides.items() if v is not None}
             if changes:
                 resolved = dataclasses.replace(self, **changes)
-        resolved._validate(_MULTI_ENGINE_CHOICES if multi else _ENGINE_CHOICES)
+        resolved._validate()
         return resolved
 
-    def _validate(self, engines: tuple) -> None:
+    def _validate(self) -> None:
         for name, choices in (
-            ("engine", engines),
+            ("engine", _ENGINE_CHOICES),
             ("guard", _GUARD_CHOICES),
             ("on_budget", _ON_BUDGET_CHOICES),
         ):
@@ -412,8 +394,29 @@ _PER_CALL_ONLY = ("plan", "start_vertices")
 # Cached plans are small but a long-lived service graph can see an
 # unbounded stream of ad-hoc patterns; cap the cache and evict FIFO
 # (insertion order) so memory stays bounded without an eviction policy
-# knob.  Frontiers (keyed per pinned-label set) share the cap.
+# knob.  Frontiers, probe estimates and census transforms share the cap.
 PLAN_CACHE_LIMIT = 1024
+
+
+def _cache_put(cache: dict, key, value):
+    """Insert ``value`` into a FIFO cache bounded by :data:`PLAN_CACHE_LIMIT`.
+
+    The one insert of every session cache.  Threads sharing a session
+    (the service pool runs several on one registry session) may insert
+    and evict at once, so the eviction neither assumes the oldest key is
+    still there nor that the cache kept its size while it looked.
+    """
+    cache[key] = value
+    while len(cache) > PLAN_CACHE_LIMIT:
+        try:
+            oldest = next(iter(cache))
+        except StopIteration:  # emptied by a concurrent clear
+            break
+        except RuntimeError:  # resized by another thread: look again
+            continue
+        cache.pop(oldest, None)
+    return value
+
 
 # Rows the interpreter buffers before handing ``match_batches`` consumers
 # an array (the batched engine emits its own frontier blocks).
@@ -425,9 +428,8 @@ class StagedQuery(NamedTuple):
     executes.  A single-pattern query is the workload of one.
 
     ``patterns`` and their exploration ``plans`` (aligned); ``opts`` with
-    the plan's choices folded in (``engine`` is concrete: the
-    workload's; a member outside every fused group runs on
-    ``"accel-batch"`` under a fused plan); the
+    the plan's choices folded in (``engine`` is concrete: the batched
+    engine every member runs on, or the interpreter); the
     :class:`~repro.runtime.planner.QueryPlan` used; and ``samplable`` —
     whether the sampling tier may answer (nothing consumes individual
     matches or observes partial progress).
@@ -514,7 +516,7 @@ class MiningSession:
         base = (
             defaults
             if defaults is not None
-            else ExecOptions().merged(options, multi=True)
+            else ExecOptions().merged(options)
         )
         for name in _PER_CALL_ONLY:
             if getattr(base, name) is not None:
@@ -591,7 +593,7 @@ class MiningSession:
 
     def options(self, **overrides) -> ExecOptions:
         """Session defaults merged with ``overrides`` — the one knob path."""
-        return self.defaults.merged(overrides, multi=True)
+        return self.defaults.merged(overrides)
 
     def plan_for(
         self,
@@ -617,7 +619,7 @@ class MiningSession:
 
         The graph-level state (degree ordering and the arrays cached on
         it) stays — it is O(graph) once, whereas plans/start lists grow
-        with the pattern stream (bounded by :data:`PLAN_CACHE_LIMIT`,
+        with the pattern stream (each bounded by :data:`PLAN_CACHE_LIMIT`,
         FIFO-evicted).
         """
         self._plans.clear()
@@ -680,9 +682,7 @@ class MiningSession:
                 edge_induced=edge_induced,
                 symmetry_breaking=symmetry_breaking,
             )
-            self._plans[key] = plan
-            if len(self._plans) > PLAN_CACHE_LIMIT:
-                del self._plans[next(iter(self._plans))]
+            _cache_put(self._plans, key, plan)
         else:
             self.plan_cache_hits += 1
         return plan
@@ -714,10 +714,9 @@ class MiningSession:
         only in which slices of it they hand the executors."""
         starts = self._starts.get(key)
         if starts is None:
-            starts = _accel.frontier_start_order(self.ordered, key)
-            self._starts[key] = starts
-            if len(self._starts) > PLAN_CACHE_LIMIT:
-                del self._starts[next(iter(self._starts))]
+            starts = _cache_put(
+                self._starts, key, _accel.frontier_start_order(self.ordered, key)
+            )
         return starts
 
     def _translated(
@@ -792,7 +791,7 @@ class MiningSession:
         group's frontier into degree-weighted chunks that worker
         processes pull from a shared queue, census tier included — true
         parallel speedup for motif censuses; it counts exactly and only
-        (``engine`` must be ``"auto"`` or ``"fused"``; hook and sampling
+        on the batched engine (``engine="reference"``, hook and sampling
         options raise).  The stage is built here, once, with
         ``workers=num_processes`` and handed to the process runtime.
         ``approx=rel_err`` — or a ``latency_budget`` /
@@ -801,7 +800,7 @@ class MiningSession:
         from sampled rounds of each group's one shared walk.
         """
         patterns = list(patterns)
-        opts = self.defaults.merged(options, multi=True)
+        opts = self.defaults.merged(options)
         if num_processes > 1:
             from ..runtime.parallel import _process_drive
 
@@ -815,10 +814,10 @@ class MiningSession:
                     f"support the {sorted(unsupported)} option(s); drop "
                     "them or use num_processes=1"
                 )
-            if opts.engine not in ("auto", "fused"):
+            if opts.engine == "reference":
                 raise MatchingError(
-                    f"engine={opts.engine!r} is not available under "
-                    "processes; use 'auto' or 'fused'"
+                    "engine='reference' is not available under processes; "
+                    "use 'auto' or 'accel-batch'"
                 )
             return _process_drive(
                 self, self._stage(patterns, opts, workers=num_processes)
@@ -840,19 +839,16 @@ class MiningSession:
         reorders a member's own matches, only interleaves work *between*
         members.
 
-        **Fused dispatch.**  With ``engine="auto"`` (no
-        ``stats``/``timer``/``plan``/``start_vertices`` overrides), patterns
-        sharing a level-0 frontier signature are grouped by
-        :class:`MultiPatternPlan` and groups of at least
-        :data:`FUSED_MIN_GROUP` members run through
-        :func:`repro.core.accel.fused_run`: one frontier walk, shared
-        first-level gathers, per-pattern masks.  ``engine="fused"``
-        forces fusion for every group (raising when the run does not
-        qualify); any other engine runs the patterns sequentially on that
-        engine.
+        **Fused dispatch.**  On the batched engine, patterns sharing a
+        level-0 frontier signature are grouped by
+        :class:`MultiPatternPlan` and every group — a lone pattern is a
+        group of one — runs through :func:`repro.core.accel.fused_run`:
+        one frontier walk, shared first-level gathers, per-pattern
+        masks.  The interpreter (``engine="reference"``, or planned for
+        ``stats``/``timer``) runs the patterns one by one.
         """
         patterns = list(patterns)
-        opts = self.defaults.merged(options, multi=True)
+        opts = self.defaults.merged(options)
         return self._execute(self._stage(patterns, opts), callbacks)
 
     def match_batches_many(
@@ -870,7 +866,7 @@ class MiningSession:
         structural pattern of a round off one shared frontier walk.
         """
         patterns = list(patterns)
-        opts = self.defaults.merged(options, multi=True)
+        opts = self.defaults.merged(options)
         return self._execute(self._stage(patterns, opts), None, on_batches)
 
     def exists(self, pattern: Pattern, **options) -> bool:
@@ -967,7 +963,7 @@ class MiningSession:
         if isinstance(patterns, Pattern):
             patterns = [patterns]
         patterns = list(patterns)
-        opts = self.defaults.merged(options, multi=True)
+        opts = self.defaults.merged(options)
 
         def fold(m: Match, into: Aggregator) -> None:
             kv = map_fn(m)
@@ -1102,15 +1098,12 @@ class MiningSession:
             )
             estimate = self._guard_cache.get(key)
             if estimate is None:
-                estimate = guards.probe(
+                estimate = _cache_put(self._guard_cache, key, guards.probe(
                     self.ordered,
                     pattern.num_vertices,
                     self._frontier(key[1]),
                     symmetry_breaking=opts.symmetry_breaking,
-                )
-                self._guard_cache[key] = estimate
-                if len(self._guard_cache) > PLAN_CACHE_LIMIT:
-                    self._guard_cache.pop(next(iter(self._guard_cache)))
+                ))
             plans.append(plan)
             estimates.append(guards.resolve_threshold(estimate))
         return plans, estimates
@@ -1124,18 +1117,19 @@ class MiningSession:
         """Execute a staged workload; per-pattern totals in input order.
 
         The only code between a verb (or a driver holding a stage) and
-        the two executors: compile (:class:`MultiPatternPlan`) what the
-        plan fuses and run those groups through the group executor,
-        everything else through the single-pattern one — on
-        ``"accel-batch"`` under a fused plan, on the planned engine
-        otherwise; the two cover every index exactly once.
+        the executors: on the batched engine it compiles the workload
+        (:class:`MultiPatternPlan`) and runs every group through
+        :meth:`MultiPatternPlan.run_group`; the interpreter runs each
+        pattern through :meth:`_run_reference`.  Either way the run
+        covers ``opts.start_vertices`` — a thread chunk, an explicit
+        seed list — or, without them, each pattern's whole frontier.
         ``callbacks[i]`` / ``on_batches[i]`` consume member ``i``'s
         matches (caller ids).  A staged ``approx`` answers the whole
         workload from the sampling tier instead (which raises when the
         stage has consumers or observers); ``on_budget="partial"`` turns
         a budget trip into flagged partial totals.
         """
-        patterns, plans, opts, query_plan, _ = staged
+        patterns, plans, opts, _, _ = staged
         n = len(patterns)
         callbacks = list(callbacks) if callbacks is not None else [None] * n
         on_batches = list(on_batches) if on_batches is not None else [None] * n
@@ -1147,43 +1141,44 @@ class MiningSession:
             from ..mining.sampling import approx_count_many_session
 
             return approx_count_many_session(self, staged)
-        # A control never pins per-pattern dispatch: fused_run polls it
+        # A control never pins the interpreter: fused_run polls it
         # between frontier slices and threads it into every member
-        # engine, so deadline/stop tokens ride the fused walk too.
+        # engine, so deadline/stop tokens ride the batched walk too.
         meter = opts.budget.meter() if opts.budget is not None else None
-        multi = None
-        remaining: Sequence[int] = range(n)
-        single_opts = opts
-        if opts.engine == "fused":
-            single_opts = dataclasses.replace(opts, engine="accel-batch")
-            consumers = {
-                idx: (
-                    self._translated(cb) if cb is not None else None,
-                    self._batch_emitter(ob) if ob is not None else None,
-                )
-                for idx, (cb, ob) in enumerate(zip(callbacks, on_batches))
-                if cb is not None or ob is not None
-            }
-            multi = MultiPatternPlan.build(
-                self, patterns, plans, opts, consumers, query_plan.min_group
-            )
-            remaining = multi.singles
         totals: list = [None] * n
         running: Sequence[int] = ()
         try:
-            for g, running in enumerate(multi.groups if multi else ()):
-                counts = multi.run_group(
-                    g, self.ordered, self._frontier(multi.group_keys[g]),
-                    consumers, opts.frontier_chunk, opts.control, meter,
+            if opts.engine == "reference":
+                for idx in range(n):
+                    running = (idx,)
+                    totals[idx] = self._run_reference(
+                        plans[idx], callbacks[idx], opts, meter, on_batches[idx]
+                    )
+            else:
+                consumers = {
+                    idx: (
+                        self._translated(cb) if cb is not None else None,
+                        self._batch_emitter(ob) if ob is not None else None,
+                    )
+                    for idx, (cb, ob) in enumerate(zip(callbacks, on_batches))
+                    if cb is not None or ob is not None
+                }
+                multi = MultiPatternPlan.build(
+                    self, patterns, plans, opts, consumers
                 )
-                for idx, total in multi.demux(g, counts).items():
-                    totals[idx] = total
-            for idx in remaining:
-                running = (idx,)
-                totals[idx] = self._run_match_engines(
-                    plans[idx], callbacks[idx], single_opts, meter,
-                    on_batches[idx],
-                )
+                starts = opts.start_vertices
+                if starts is not None and not isinstance(starts, np.ndarray):
+                    # every group walks the same seeds: read them once
+                    starts = np.fromiter(starts, dtype=np.int64)
+                for g, running in enumerate(multi.groups):
+                    counts = multi.run_group(
+                        g, self.ordered,
+                        self._frontier(multi.group_keys[g])
+                        if starts is None else starts,
+                        consumers, opts.frontier_chunk, opts.control, meter,
+                    )
+                    for idx, total in multi.demux(g, counts).items():
+                        totals[idx] = total
         except BudgetExceededError as err:
             if opts.on_budget != "partial":
                 raise
@@ -1206,7 +1201,7 @@ class MiningSession:
             ]
         return totals
 
-    def _run_match_engines(
+    def _run_reference(
         self,
         plan: ExplorationPlan,
         callback: Callable[[Match], None] | None,
@@ -1214,30 +1209,19 @@ class MiningSession:
         meter,
         on_batch=None,
     ) -> int:
-        """The single-pattern executor (``opts.engine`` is concrete).
+        """The interpreter's per-pattern executor.
 
         Runs ``plan`` over ``opts.start_vertices`` — a thread chunk, a
         sampled round — or, without them, its whole frontier; matches go
-        to ``callback`` one by one or to ``on_batch`` as row arrays (the
-        interpreter's through an :data:`INTERPRETER_BATCH_ROWS` buffer),
-        both in caller ids.
+        to ``callback`` one by one or to ``on_batch`` as row arrays
+        through an :data:`INTERPRETER_BATCH_ROWS` buffer, both in caller
+        ids.
         """
         starts = opts.start_vertices
         if starts is None:
             starts = self._frontier(self._frontier_key(plan, opts.label_index))
         on_match = self._translated(callback) if callback is not None else None
         emit = self._batch_emitter(on_batch) if on_batch is not None else None
-        if opts.engine == "accel-batch":
-            return _accel.FrontierBatchedEngine(self.ordered).run(
-                plan,
-                start_vertices=starts,
-                on_match=on_match,
-                on_batch=emit,
-                count_only=on_match is None and emit is None,
-                chunk=opts.frontier_chunk,
-                control=opts.control,
-                budget=meter,
-            )
         buffer: list[tuple[int, ...]] = []
 
         def flush() -> None:

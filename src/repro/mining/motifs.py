@@ -11,8 +11,8 @@ runner (:meth:`~repro.core.session.MiningSession.count_many` /
 frontier walk, shared first-level gathers, and — for count-only censuses
 — the shared non-induced basis of
 :mod:`repro.core.multipattern`, with results demultiplexed back to
-per-motif counts.  ``engine="fused"`` / ``engine="accel-batch"`` ablate
-fused vs. sequential per-pattern execution.
+per-motif counts.  ``benchmarks/bench_multipattern.py`` measures the
+fused census against one ``count`` per motif.
 
 Every entry point accepts either a :class:`~repro.graph.graph.DataGraph`
 or a :class:`~repro.core.session.MiningSession`; a motif census run

@@ -430,9 +430,9 @@ def approx_count_many_session(
     this tier only chooses the start vertices.  Every group samples
     *one* shared frontier and all of its members stop together (the
     loop runs until every member meets the target, so shared rounds are
-    never wasted).  The ``max_samples`` budget applies per group.  A
-    staged engine other than ``"fused"`` runs each member on it over the
-    same starts.  ``round_starts`` is the per-round draw count
+    never wasted).  The ``max_samples`` budget applies per group.  Under
+    a staged ``"reference"`` engine each member runs on the interpreter
+    over the same starts.  ``round_starts`` is the per-round draw count
     (:func:`approx_count_many` exposes it).
     """
     patterns, plans, opts, _, samplable = staged
@@ -443,23 +443,22 @@ def approx_count_many_session(
             "explicit start_vertices"
         )
     inner = _inner_opts(opts)
-    multi = MultiPatternPlan.build(session, patterns, plans, inner, min_group=1)
+    multi = MultiPatternPlan.build(session, patterns, plans, inner)
     rng = random.Random(opts.seed)
     results: list[ApproxCount | None] = [None] * len(patterns)
     for g, group in enumerate(multi.groups):
 
         def run(starts, g=g, group=group) -> list[int]:
-            if opts.engine == "fused":
-                totals = multi.demux(g, multi.run_group(
-                    g, session.ordered, starts, chunk=inner.frontier_chunk
-                ))
-                return [int(totals[idx]) for idx in group]
-            # one single-pattern executor pass per member
-            o = dataclasses.replace(inner, start_vertices=starts)
-            return [
-                int(session._run_match_engines(multi.plans[idx], None, o, None))
-                for idx in group
-            ]
+            if inner.engine == "reference":
+                o = dataclasses.replace(inner, start_vertices=starts)
+                return [
+                    int(session._run_reference(multi.plans[idx], None, o, None))
+                    for idx in group
+                ]
+            totals = multi.demux(g, multi.run_group(
+                g, session.ordered, starts, chunk=inner.frontier_chunk
+            ))
+            return [int(totals[idx]) for idx in group]
 
         group_results = _estimate_group(
             run,
@@ -526,8 +525,7 @@ def approx_count_many(
         dict(
             options, approx=rel_err, confidence=confidence,
             max_samples=max_samples, seed=seed,
-        ),
-        multi=True,
+        )
     )
     staged = session._stage(patterns, opts, count_only=True)
     return dict(zip(

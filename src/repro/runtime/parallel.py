@@ -225,8 +225,6 @@ def _thread_match(
     unsupported = opts.hooks(
         "stats", "timer", "plan", "start_vertices", "budget", "approx"
     )
-    if opts.engine == "fused":
-        unsupported.append("engine='fused'")
     if unsupported:
         raise MatchingError(
             f"{sorted(unsupported)} not available under threads: drop the "
@@ -266,18 +264,13 @@ def _thread_match(
             chunk = scheduler.next_chunk()
             if len(chunk) == 0:
                 break
-            # The session's one single-pattern executor, over this chunk.
-            total += session._run_match_engines(
-                plan,
-                on_match,
-                replace(
-                    opts,
-                    start_vertices=chunk,
-                    control=shared_control,
-                    stats=local_stats[tid],
-                ),
-                None,
-            )
+            # The session's one execute path, over this chunk.
+            total += session._execute(staged._replace(opts=replace(
+                opts,
+                start_vertices=chunk,
+                control=shared_control,
+                stats=local_stats[tid],
+            )), [on_match])[0]
         thread_matches[tid] = total
         thread_cpu[tid] = time.thread_time() - cpu_begin
 
@@ -730,7 +723,7 @@ def process_count_many(
 
     The process-level driver of the fused executor: patterns are grouped
     by shared level-0 frontier signature
-    (:class:`~repro.core.session.MultiPatternPlan`, group floor 1), each
+    (:class:`~repro.core.session.MultiPatternPlan`), each
     group's hub-first, label-filtered frontier is cut into
     degree-weighted chunks, and worker processes pull chunks from one
     shared queue spanning *all* groups — every chunk runs its whole
@@ -837,7 +830,7 @@ def _process_drive(
     # ``cancel`` can stop the run early, so it is compiled as what it is
     # — a control: the census tier stays off under it.
     multi = MultiPatternPlan.build(
-        session, patterns, plans, replace(opts, control=cancel), min_group=1
+        session, patterns, plans, replace(opts, control=cancel)
     )
     ledgers = tuple(
         _ledger(session, key, num_processes) for key in multi.group_keys

@@ -10,10 +10,9 @@ reads), lets
 the same measurements to :func:`plan_workload`, which fills in every
 choice the caller did not pin:
 
-* **engine** — the frontier-batched engine (``"fused"`` for a
-  fusable multi-pattern workload), on every frontier however small;
-  only the interpreter's own instruments (``stats``/``timer``) plan
-  the interpreter;
+* **engine** — the frontier-batched engine, on every frontier however
+  small and for any number of patterns; only the interpreter's own
+  instruments (``stats``/``timer``) plan the interpreter;
 * **frontier chunk** — tightened when the predicted partial volume is
   large;
 * **workers** — sized from the measured work when the caller passed
@@ -36,7 +35,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from ..core.session import FUSED_MIN_GROUP, INSTRUMENTS, as_session
+from ..core.session import INSTRUMENTS, as_session
 from ..errors import MatchingError
 from . import guards
 
@@ -79,14 +78,10 @@ AUTO_APPROX_REL_ERR = 0.05
 class QueryPlan:
     """One query's frozen execution choices, derived from one probe.
 
-    ``engine`` is a concrete engine (``"reference"``/``"accel-batch"``,
-    or ``"fused"`` for multi-pattern workloads) — never ``"auto"``.
-    ``reasons`` records one line per choice for ``explain`` and the
-    service echo; ``estimate`` is the probe behind them (the members'
-    aggregate for a workload).  ``min_group`` is the smallest group a
-    fused workload compiles: 1 when the caller pinned ``engine="fused"``
-    (even a lone member then runs as a fused group of one),
-    :data:`FUSED_MIN_GROUP` when the plan chose it.
+    ``engine`` is a concrete engine (``"reference"``/``"accel-batch"``)
+    — never ``"auto"``.  ``reasons`` records one line per choice for
+    ``explain`` and the service echo; ``estimate`` is the probe behind
+    them (the members' aggregate for a workload).
     """
 
     engine: str
@@ -99,7 +94,6 @@ class QueryPlan:
     # instead of running exact (see apply_plan's allow_approx).
     use_approx: bool = False
     approx_rel_err: float | None = None
-    min_group: int = FUSED_MIN_GROUP
 
     def as_dict(self) -> dict:
         """JSON-friendly form (service envelopes, bench artifacts)."""
@@ -127,17 +121,13 @@ class QueryPlan:
         return line
 
 
-def _choose_engine(opts, batched: str, reasons: list) -> str:
+def _choose_engine(opts, reasons: list) -> str:
     """The one engine rule.  A pin wins (and says so when the run
     carries something that engine cannot honour); stats/timer hooks,
     which only the interpreter fills, plan the interpreter; everything
-    else runs on ``batched`` (the batched engine's name for this
-    workload)."""
+    else runs on the batched engine."""
     if opts.engine != "auto":
         rejected = () if opts.engine == "reference" else INSTRUMENTS
-        if opts.engine == "fused":
-            # fused_run owns its members' plans and their shared frontier
-            rejected += ("plan", "start_vertices")
         if opts.hooks(*rejected):
             raise MatchingError(
                 f"engine={opts.engine!r} does not support "
@@ -149,8 +139,8 @@ def _choose_engine(opts, batched: str, reasons: list) -> str:
     if opts.hooks(*INSTRUMENTS):
         reasons.append("reference: stats/timer hooks pin the interpreter")
         return "reference"
-    reasons.append(f"{batched}: no engine pin and no stats/timer hook")
-    return batched
+    reasons.append("accel-batch: no engine pin and no stats/timer hook")
+    return "accel-batch"
 
 
 def _choose_workers(estimate, num_workers: int | None, reasons: list) -> int:
@@ -237,12 +227,11 @@ def plan_workload(
     asks the plan to size the pool from the measured work, up to the
     machine's core count.
 
-    The fused runner walks one shared frontier per compatible group, so
-    workload-level choices aggregate over the distinct members: the
-    batched engine (``"fused"`` for several patterns), workers fed by
-    the *summed* level-1 volume, and the frontier chunk the largest
-    member prediction needs.  A member that shares no fused walk runs on
-    ``"accel-batch"`` under a fused plan, on the plan's engine otherwise.
+    The batched executor walks one shared frontier per compatible
+    group, so workload-level choices aggregate over the distinct
+    members: workers fed by the *summed* level-1 volume and the frontier
+    chunk the largest member prediction needs.  Every member runs on the
+    workload's engine.
     """
     session = as_session(graph_or_session)
     if opts is None:
@@ -274,11 +263,7 @@ def plan_workload(
             ),
         )
     reasons: list[str] = []
-    # Members under a plan/start_vertices override cannot share a walk.
-    fusable = len(patterns) > 1 and not opts.hooks("plan", "start_vertices")
-    engine = _choose_engine(
-        opts, "fused" if fusable else "accel-batch", reasons
-    )
+    engine = _choose_engine(opts, reasons)
     use_approx, approx_rel_err = _choose_approx(distinct, opts, reasons)
     return QueryPlan(
         engine=engine,
@@ -288,7 +273,6 @@ def plan_workload(
         estimate=combined,
         use_approx=use_approx,
         approx_rel_err=approx_rel_err,
-        min_group=1 if opts.engine == "fused" else FUSED_MIN_GROUP,
     )
 
 

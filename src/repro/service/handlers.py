@@ -109,14 +109,13 @@ def _require_dict(payload) -> dict:
     return payload
 
 
-def _parse_options(payload: dict, multi: bool = False) -> dict:
+def _parse_options(payload: dict) -> dict:
     """The request's validated option overrides.
 
     Names and types are checked against :data:`ALLOWED_OPTIONS`; values
     by the one option-resolution path
-    (:meth:`~repro.core.session.ExecOptions.merged` — ``multi`` admits
-    the multi-pattern ``motifs`` verb's ``"fused"`` engine), so a bad
-    value is ``invalid_request`` on every verb, before any mining.
+    (:meth:`~repro.core.session.ExecOptions.merged`), so a bad value is
+    ``invalid_request`` on every verb, before any mining.
     """
     raw = payload.get("options", {})
     if not isinstance(raw, dict):
@@ -139,13 +138,13 @@ def _parse_options(payload: dict, multi: bool = False) -> dict:
                 f"got {value!r}"
             )
         options[name] = value
-    _check_values(options, multi)
+    _check_values(options)
     return options
 
 
-def _check_values(options: dict, multi: bool = False) -> None:
+def _check_values(options: dict) -> None:
     try:
-        ExecOptions().merged(options, multi=multi)
+        ExecOptions().merged(options)
     except ValueError as exc:
         raise InvalidRequestError(f"bad option value: {exc}") from exc
 
@@ -391,7 +390,7 @@ async def _handle_motifs(service: "MiningService", payload: dict) -> dict:
         raise InvalidRequestError(
             f"'size' must be one of {MOTIF_SIZES}, got {size!r}"
         )
-    options = _parse_options(payload, multi=True)
+    options = _parse_options(payload)
     for name in options:
         if name not in ("symmetry_breaking", "engine"):
             raise InvalidRequestError(

@@ -477,23 +477,22 @@ class TestBudgetedVerbs:
             )
             return totals, seen
 
-        totals, seen = run(engine="fused")
+        totals, seen = run()
         exact = [session.count(p, engine="reference") for p in patterns]
         assert totals[:2] == exact[:2]
         assert [type(t) for t in totals] == [int, int, PartialResult, PartialResult]
         assert all(t.truncated and "frontier rows" in t.reason for t in totals[2:])
         assert [len(rows) for rows in seen] == [*exact[:2], 0, 0]
-        # per-pattern engines: the first two finish, the third trips, and
-        # the fourth is flagged without being started just to re-trip
-        totals, seen = run(engine="accel-batch")
+        # the per-pattern interpreter: the first two finish, the third
+        # trips, and the fourth is flagged without being started just to
+        # re-trip
+        totals, seen = run(engine="reference")
         assert [type(t) for t in totals] == [int, int, PartialResult, PartialResult]
         assert totals[:2] == exact[:2] and seen[3] == []
         assert "frontier rows" in totals[3].reason
         with pytest.raises(BudgetExceededError):
-            session.count_many(patterns, budget=budget, engine="fused")
-        counts = session.count_many(
-            patterns, budget=budget, on_budget="partial", engine="fused"
-        )
+            session.count_many(patterns, budget=budget)
+        counts = session.count_many(patterns, budget=budget, on_budget="partial")
         assert [type(v) for v in counts.values()] == [type(t) for t in totals]
 
     def test_on_budget_raise_is_the_default(self):

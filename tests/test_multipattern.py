@@ -32,7 +32,6 @@ from repro.core.multipattern import (
     census_transform,
 )
 from repro.core.engine import EngineStats
-from repro.core.session import FUSED_MIN_GROUP
 from repro.errors import MatchingError
 from repro.graph import erdos_renyi, with_random_labels
 from repro.mining.cliques import maximal_clique_pattern
@@ -138,7 +137,7 @@ class TestFusedCountParity:
         patterns = set_fn()
         expected = _reference_counts(g, patterns, **kwargs)
         session = MiningSession(g)
-        assert session.count_many(patterns, engine="fused", **kwargs) == expected
+        assert session.count_many(patterns, engine="accel-batch", **kwargs) == expected
         assert session.count_many(patterns, engine="auto", **kwargs) == expected
 
     @pytest.mark.parametrize("chunk", [1, 2, None])
@@ -148,7 +147,7 @@ class TestFusedCountParity:
         patterns = set_fn()
         expected = _reference_counts(g, patterns, **kwargs)
         got = MiningSession(g).count_many(
-            patterns, engine="fused", frontier_chunk=chunk, **kwargs
+            patterns, engine="accel-batch", frontier_chunk=chunk, **kwargs
         )
         assert got == expected
 
@@ -163,7 +162,7 @@ class TestFusedCountParity:
         patterns = rng.sample(pool, rng.randint(2, len(pool)))
         expected = _reference_counts(g, patterns, edge_induced=False)
         got = MiningSession(g).count_many(
-            patterns, edge_induced=False, engine="fused"
+            patterns, edge_induced=False, engine="accel-batch"
         )
         assert got == expected
 
@@ -197,7 +196,8 @@ class TestFusedCallbackParity:
             for bucket in collected
         ]
         totals = MiningSession(g).match_many(
-            patterns, callbacks, engine="fused", frontier_chunk=chunk, **kwargs
+            patterns, callbacks, engine="accel-batch", frontier_chunk=chunk,
+            **kwargs,
         )
         for i, p in enumerate(patterns):
             expected: list[tuple[int, ...]] = []
@@ -215,7 +215,7 @@ class TestFusedCallbackParity:
         seen: list[tuple[int, ...]] = []
         totals = MiningSession(g).match_many(
             patterns, [None, lambda m: seen.append(m.mapping), None],
-            engine="fused",
+            engine="accel-batch",
         )
         assert totals == [count(g, p) for p in patterns]
         assert len(seen) == totals[1]
@@ -236,7 +236,7 @@ class TestFusedCallbackParity:
             for bucket in rows
         ]
         totals = match_batches_many(
-            g, patterns, on_batches, frontier_chunk=chunk, engine="fused"
+            g, patterns, on_batches, frontier_chunk=chunk, engine="accel-batch"
         )
         for i, p in enumerate(patterns):
             expected: list[tuple[int, ...]] = []
@@ -273,8 +273,8 @@ def _tier(name):
 
 
 def _drive_in_process(session, patterns, flags):
-    counts = session.count_many(patterns, engine="fused", **flags)
-    assert session.match_many(patterns, engine="fused", **flags) == list(
+    counts = session.count_many(patterns, engine="accel-batch", **flags)
+    assert session.match_many(patterns, engine="accel-batch", **flags) == list(
         counts.values()
     )
     return counts
@@ -293,7 +293,7 @@ def _drive_sampling(session, patterns, flags):
     # max_samples >= frontier: the estimator must degenerate to exact.
     estimates = session.count_many(
         patterns, approx=0.05, seed=1,
-        max_samples=session.graph.num_vertices, engine="fused", **flags,
+        max_samples=session.graph.num_vertices, engine="accel-batch", **flags,
     )
     assert all(est.exact and est.ci_low == est.ci_high for est in estimates.values())
     return {p: int(est) for p, est in estimates.items()}
@@ -345,7 +345,7 @@ class TestOneExecutorEveryDriver:
             None
         ] * (len(patterns) - 3)
         totals = session._execute(
-            session._stage(patterns, session.options(engine="fused", **flags)),
+            session._stage(patterns, session.options(engine="accel-batch", **flags)),
             callbacks, on_batches,
         )
         assert totals == list(_reference_counts(g, patterns, **flags).values())
@@ -370,12 +370,11 @@ class TestOneExecutorEveryDriver:
 # ----------------------------------------------------------------------
 
 
-def _compile(session, patterns, consumers=None, min_group=FUSED_MIN_GROUP, **options):
+def _compile(session, patterns, consumers=None, **options):
     """Stage then compile, as every driver does."""
     staged = session._stage(patterns, session.options(**options))
-    plans, opts = staged.plans, staged.opts
     return MultiPatternPlan.build(
-        session, patterns, plans, opts, consumers, min_group
+        session, patterns, staged.plans, staged.opts, consumers
     )
 
 
@@ -387,7 +386,6 @@ class TestMultiPatternPlan:
         )
         assert multi.groups == ((0, 1, 2),)
         assert multi.group_keys == (None,)
-        assert multi.singles == ()
         # edge-induced: every member is counted by its own plan
         assert multi.direct == ((0, 1, 2),) and multi.census == ((),)
         assert multi.members == (multi.plans,)
@@ -399,18 +397,18 @@ class TestMultiPatternPlan:
         fully_pinned = _labeled(generate_chain(3), {0: 0, 1: 1, 2: 1})
         same_pin = _labeled(generate_chain(3), {0: 1, 1: 0, 2: 0})
         wildcard = generate_chain(3)
-        multi = _compile(session, [fully_pinned, same_pin, wildcard], min_group=1)
+        multi = _compile(session, [fully_pinned, same_pin, wildcard])
         keys = {key for key in multi.group_keys}
         # The wildcard pattern seeds from every vertex (key None); the
         # pinned patterns group by their pinned top-label sets.
         assert None in keys
         assert len(multi.groups) >= 2
 
-    def test_min_group_floor(self):
+    def test_a_lone_pattern_is_a_group_of_one(self):
         session = MiningSession(erdos_renyi(10, 0.3, seed=3))
         multi = _compile(session, [generate_clique(3)])
-        assert multi.groups == ()
-        assert multi.singles == (0,)
+        assert multi.groups == ((0,),) and multi.direct == ((0,),)
+        assert multi.members == (multi.plans,)
 
     def test_label_index_off_collapses_groups(self):
         session = MiningSession(
@@ -449,10 +447,11 @@ class TestMultiPatternPlan:
             dict(edge_induced=False, symmetry_breaking=False),
             dict(edge_induced=False, control=ExplorationControl()),
             dict(edge_induced=False, budget=Budget(max_matches=10**9)),
+            dict(edge_induced=False, start_vertices=[0, 1]),
         ):
             plain = _compile(session, motifs, **off)
             assert plain.census == ((),) and plain.transforms == (None,), off
-        one = _compile(session, motifs[:1], edge_induced=False, min_group=1)
+        one = _compile(session, motifs[:1], edge_induced=False)
         assert one.direct == ((0,),)
 
     def test_compiled_plan_is_picklable_and_demuxes(self):
@@ -483,7 +482,7 @@ class TestFusedDispatchErrors:
         with pytest.raises(MatchingError):
             MiningSession(g).count_many(
                 [generate_clique(3), generate_chain(3)],
-                engine="fused",
+                engine="accel-batch",
                 stats=EngineStats(),
             )
 
@@ -497,12 +496,12 @@ class TestFusedDispatchErrors:
         expected = _reference_counts(g, patterns)
         control = ExplorationControl()
         got = MiningSession(g).count_many(
-            patterns, engine="fused", control=control
+            patterns, engine="accel-batch", control=control
         )
         assert got == expected
         control.stop()  # a pre-stopped control short-circuits every slice
         got = MiningSession(g).count_many(
-            patterns, engine="fused", control=control
+            patterns, engine="accel-batch", control=control
         )
         assert all(v == 0 for v in got.values())
 
@@ -564,9 +563,9 @@ class TestCensusTransform:
         g = erdos_renyi(24, 0.3, seed=8)
         session = MiningSession(g)
         patterns = generate_all_vertex_induced(3)
-        session.count_many(patterns, edge_induced=False, engine="fused")
+        session.count_many(patterns, edge_induced=False, engine="accel-batch")
         cached = dict(session._census)
-        session.count_many(patterns, edge_induced=False, engine="fused")
+        session.count_many(patterns, edge_induced=False, engine="accel-batch")
         assert session._census == cached and len(cached) == 1
 
 
@@ -610,10 +609,6 @@ class TestParallelAggregate:
         with pytest.raises(MatchingError, match="stats"):
             session.aggregate(
                 generate_clique(3), map_fn, num_threads=2, stats=EngineStats()
-            )
-        with pytest.raises(MatchingError, match="not available under threads"):
-            session.aggregate(
-                generate_clique(3), map_fn, num_threads=2, engine="fused"
             )
         # Regression: budgets and the sampling knobs used to be dropped
         # silently — the threaded run returned the full aggregate where

@@ -16,6 +16,8 @@ tests for the three estimator bugfixes that shipped with the planner:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.session import MiningSession
@@ -263,10 +265,12 @@ class TestPlanSelection:
         assert "schedule=" not in text
 
     def test_workload_plan_fuses(self):
+        # One engine name for any workload size: the batched executor
+        # fuses whatever shares a frontier.
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
         patterns = [generate_clique(3), generate_chain(3)]
         plan = planner.plan_workload(session, patterns)
-        assert plan.engine == "fused"
+        assert plan.engine == "accel-batch"
         empty = planner.plan_workload(session, [])
         assert empty.engine == "accel-batch"
 
@@ -275,7 +279,7 @@ class TestPlanSelection:
         plan = planner.plan_workload(
             session, [generate_chain(3), generate_star(3)]
         )
-        assert plan.engine == "fused"
+        assert plan.engine == "accel-batch"
 
     def test_plan_query_is_the_one_pattern_workload(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -319,11 +323,11 @@ def test_tiny_frontiers_plan_the_batched_engine(graph_name):
     session = MiningSession(TINY_GRAPHS[graph_name]())
     pattern = generate_chain(3)
     patterns = [generate_chain(3), generate_clique(3)]
-    for plan, engine in (
-        (planner.plan_query(session, pattern), "accel-batch"),
-        (planner.plan_workload(session, patterns), "fused"),
+    for plan in (
+        planner.plan_query(session, pattern),
+        planner.plan_workload(session, patterns),
     ):
-        assert plan.engine == engine
+        assert plan.engine == "accel-batch"
         assert not any(
             word in reason.lower()
             for reason in plan.reasons
@@ -381,18 +385,18 @@ class TestPinsWin:
         assert plan.num_workers == 5
         assert (plan.engine, plan.frontier_chunk) == ("reference", 99_999)
 
-    def test_pinned_fused_compiles_groups_of_one(self):
-        # The planner states the group floor next to the engine rule;
-        # _execute reads it instead of inferring the pin.
-        from repro.core.session import FUSED_MIN_GROUP
-
+    def test_pinned_batched_engine_plans_like_auto(self):
+        # One batched executor: pinning it names what auto plans, and
+        # the plan carries no group floor to tell them apart.
         session = MiningSession(power_law(1500, gamma=2.1, d_min=4, seed=7))
         patterns = [generate_clique(3), generate_chain(3)]
         chosen = planner.plan_workload(session, patterns)
-        pinned = planner.plan_workload(session, patterns, engine="fused")
-        assert chosen.engine == pinned.engine == "fused"
-        assert (chosen.min_group, pinned.min_group) == (FUSED_MIN_GROUP, 1)
-        assert "min_group" not in pinned.as_dict()
+        pinned = planner.plan_workload(session, patterns, engine="accel-batch")
+        assert chosen.engine == pinned.engine == "accel-batch"
+        assert [f.name for f in dataclasses.fields(planner.QueryPlan)] == [
+            "engine", "frontier_chunk", "num_workers", "reasons", "estimate",
+            "use_approx", "approx_rel_err",
+        ]
 
     def test_explicit_thread_count_runs_exactly_that_many(self, monkeypatch):
         from repro.runtime.parallel import parallel_match

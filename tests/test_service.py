@@ -552,8 +552,8 @@ class TestDispatch:
     def test_fused_engine_is_a_bad_option_on_single_pattern_verbs(
         self, service, verb
     ):
-        """``fused`` is only a multi-pattern engine: single-pattern verbs
-        answer 400, not the session's ValueError as a 500."""
+        """``fused`` is no engine: the verbs answer 400, not the
+        session's ValueError as a 500."""
         response = run(
             service.handle(
                 {"verb": verb, "graph": "g", "pattern": "clique:3",
@@ -564,14 +564,17 @@ class TestDispatch:
         assert response["error"]["status"] == 400
         assert "fused" not in response["error"]["message"].split("got")[0]
 
-    def test_fused_engine_accepted_by_motifs(self, service):
+    def test_fused_engine_rejected_by_motifs(self, service):
+        # the multi-pattern verb takes the one engine vocabulary too
         response = run(
             service.handle(
                 {"verb": "motifs", "graph": "g", "size": 3,
                  "options": {"engine": "fused"}}
             )
         )
-        assert response["ok"], response
+        assert response["error"]["code"] == "invalid_request"
+        assert response["error"]["status"] == 400
+        assert "'accel-batch'" in response["error"]["message"]
 
     def test_bad_budget_field(self, service):
         response = run(

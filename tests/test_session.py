@@ -401,6 +401,66 @@ class TestSessionCaches:
         with pytest.raises(TypeError):
             as_session([[0, 1]])
 
+    def test_caches_survive_concurrent_eviction(self, monkeypatch):
+        """Threads sharing one session (the service pool runs several on
+        a registry session) insert and evict at once: an eviction that
+        assumed it was alone raised ``KeyError`` or ``RuntimeError``."""
+        import sys
+        import threading
+
+        from repro.core import session as session_module
+
+        monkeypatch.setattr(session_module, "PLAN_CACHE_LIMIT", 2)
+        # cheap plans keep the threads inside the insert/evict window
+        monkeypatch.setattr(
+            session_module, "generate_plan", lambda pattern, **flags: object()
+        )
+        session = MiningSession(erdos_renyi(10, 0.3, seed=1))
+        patterns = [
+            make(k)
+            for make in (generate_chain, generate_star, generate_clique)
+            for k in range(2, 9)
+        ]
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(500):
+                    for p in patterns:
+                        session._cached_plan(p, True, True)
+            except Exception as exc:  # noqa: BLE001 - the race under test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(session._plans) <= 2
+
+    def test_census_transforms_are_bounded(self, monkeypatch):
+        from repro.core import session as session_module
+
+        monkeypatch.setattr(session_module, "PLAN_CACHE_LIMIT", 2)
+        g = erdos_renyi(20, 0.3, seed=3)
+        session = MiningSession(g)
+        motifs = generate_all_vertex_induced(4)
+        for pair in zip(motifs, motifs[1:]):
+            counts = session.count_many(pair, edge_induced=False)
+            assert counts == {
+                p: count(g, p, edge_induced=False, engine="reference")
+                for p in pair
+            }
+            assert len(session._census) <= 2
+        assert session.cache_info()["census_transforms"] == 2
+
 
 # ----------------------------------------------------------------------
 # Early termination through the batched engine (session dispatch)
@@ -429,19 +489,44 @@ class TestSessionEarlyTermination:
 
     def test_removed_per_match_engine_rejected_naming_choices(self):
         # "accel" was the per-match numpy tier; the two survivors (and
-        # "auto") are the whole single-pattern engine surface.
-        from repro.core.session import _ENGINE_CHOICES, _MULTI_ENGINE_CHOICES
+        # "auto") are the whole engine surface of every verb.
+        from repro.core.session import _ENGINE_CHOICES
 
         assert _ENGINE_CHOICES == ("auto", "accel-batch", "reference")
         session = MiningSession(erdos_renyi(20, 0.3, seed=12))
-        with pytest.raises(ValueError) as info:
-            session.count(generate_clique(3), engine="accel")
-        for choice in _ENGINE_CHOICES:
-            assert repr(choice) in str(info.value)
-        with pytest.raises(ValueError) as info:
-            session.count_many([generate_clique(3)], engine="accel")
-        for choice in _MULTI_ENGINE_CHOICES:
-            assert repr(choice) in str(info.value)
+        for verb in (session.count, session.count_many):
+            arg = generate_clique(3)
+            with pytest.raises(ValueError) as info:
+                verb(arg if verb == session.count else [arg], engine="accel")
+            assert str(info.value) == (
+                f"engine must be one of {_ENGINE_CHOICES}, got 'accel'"
+            )
+
+    def test_fused_is_no_engine_on_any_verb(self):
+        # A lone pattern is a fused group of one, so there is no runner
+        # left for "fused" to force: every verb, the session defaults and
+        # the process driver reject it as a bad value.
+        from repro.runtime.parallel import parallel_match
+
+        session = MiningSession(erdos_renyi(20, 0.3, seed=12))
+        p = generate_clique(3)
+        for verb in (
+            lambda: session.count(p, engine="fused"),
+            lambda: session.match(p, lambda m: None, engine="fused"),
+            lambda: session.exists(p, engine="fused"),
+            lambda: session.match_batches(p, lambda a: None, engine="fused"),
+            lambda: session.count_many([p], engine="fused"),
+            lambda: session.count_many([p], num_processes=2, engine="fused"),
+            lambda: session.match_many([p], engine="fused"),
+            lambda: session.match_batches_many(
+                [p], [lambda a: None], engine="fused"
+            ),
+            lambda: session.aggregate(p, lambda m: ("n", 1), engine="fused"),
+            lambda: parallel_match(session, p, num_threads=2, engine="fused"),
+            lambda: MiningSession(session.graph, engine="fused"),
+        ):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                verb()
 
     def test_multi_core_control_stops_at_limit(self):
         # Vertex-induced 4-chains have 3 ordered cores, the order-merged
@@ -647,7 +732,7 @@ class TestWorkloadOfOne:
         )
 
     @pytest.mark.parametrize("engine", ["accel-batch", "reference"])
-    def test_refusal_and_fused_pin_raise_alike(self, engine, monkeypatch):
+    def test_refusal_raises_alike(self, engine, monkeypatch):
         from repro.errors import QueryRefusedError
         from repro.runtime import guards
 
@@ -661,20 +746,6 @@ class TestWorkloadOfOne:
         ):
             with pytest.raises(QueryRefusedError, match="refused"):
                 run(guard="refuse", engine=engine)
-        # "fused" names the multi-pattern runner: the single verbs
-        # reject it as a bad value, the many-verbs of one accept it.
-        for verb in (
-            lambda: session.count(p, engine="fused"),
-            lambda: session.match(p, engine="fused"),
-            lambda: session.exists(p, engine="fused"),
-            lambda: session.match_batches(p, lambda a: None, engine="fused"),
-        ):
-            with pytest.raises(ValueError, match="engine must be one of"):
-                verb()
-        monkeypatch.undo()
-        assert session.count_many([p], engine="fused") == {
-            p: session.count(p, engine=engine)
-        }
 
 
 def _count_stages(monkeypatch) -> list:
@@ -694,18 +765,17 @@ class TestOneStagePerVerb:
         g = with_random_labels(erdos_renyi(40, 0.25, seed=2), 2, seed=2)
         session = MiningSession(g)
         p, q = generate_clique(3), generate_chain(3)
-        # label-pinned: its frontier differs, so under engine="auto" it
-        # runs outside any fused group
+        # label-pinned: its frontier differs, so it runs as a group of one
         single = WORKLOAD_PATTERNS["labeled-top"]()
         multi = session.options(engine="auto")
         staged = session._stage([p, q, single], multi)
-        assert staged.opts.engine == "fused"
+        assert staged.opts.engine == "accel-batch"
         from repro.core.session import MultiPatternPlan
 
         compiled = MultiPatternPlan.build(
             session, staged.patterns, staged.plans, staged.opts
         )
-        assert compiled.singles == (2,)
+        assert compiled.groups == ((0, 1), (2,))
 
         calls = _count_stages(monkeypatch)
         verbs = [
@@ -726,6 +796,35 @@ class TestOneStagePerVerb:
             del calls[:]
             verb()
             assert len(calls) == 1
+
+    def test_single_pattern_verbs_run_one_group(self, monkeypatch):
+        """A lone pattern is a fused group of one: each single-pattern
+        verb reaches the one batched executor exactly once, and the
+        interpreter only when pinned."""
+        from repro.core.session import MultiPatternPlan
+
+        session = MiningSession(erdos_renyi(40, 0.25, seed=2))
+        p = generate_clique(3)
+        groups, real = [], MultiPatternPlan.run_group
+
+        def spy(self, g, *args, **kwargs):
+            groups.append(self.groups[g])
+            return real(self, g, *args, **kwargs)
+
+        monkeypatch.setattr(MultiPatternPlan, "run_group", spy)
+        monkeypatch.setattr(
+            MiningSession, "_run_reference",
+            lambda *a, **k: pytest.fail("the interpreter ran unpinned"),
+        )
+        for verb in (
+            lambda: session.count(p),
+            lambda: session.match(p, lambda m: None),
+            lambda: session.match_batches(p, lambda a: None),
+            lambda: session.exists(p),
+        ):
+            del groups[:]
+            verb()
+            assert groups == [(0,)]
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_a_service_batch_of_k_stages_k_plus_one(self, k, monkeypatch):
