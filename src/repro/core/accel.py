@@ -1142,7 +1142,8 @@ def fused_run(
     member engine (which polls it between blocks and per emitted match),
     so a stop lands within one slice of one member's work.  ``budget``
     is one armed :class:`~repro.core.callbacks.BudgetMeter` shared by
-    every member — the deadline and row caps bound the whole fused call.
+    every member — the deadline and row caps bound the whole fused call,
+    and the match cap binds each member's count over every slice.
     On exhaustion the raised
     :class:`~repro.errors.BudgetExceededError` carries the *summed*
     partial with per-member counts in ``partial.detail["totals"]``.
@@ -1167,6 +1168,8 @@ def fused_run(
         for idx, (plan, on_match, on_batch) in enumerate(members):
             engine = engines[idx]
             engine.shared = shared
+            if budget is not None:
+                budget.counted = totals[idx]
             try:
                 totals[idx] += engine.run(
                     plan,
@@ -1190,5 +1193,7 @@ def fused_run(
                 raise BudgetExceededError(str(err), partial) from None
             finally:
                 engine.shared = None
+                if budget is not None:
+                    budget.counted = 0
     return totals
 

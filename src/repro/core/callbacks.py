@@ -144,7 +144,10 @@ class BudgetMeter:
 
     One meter spans one logical query — a fused multi-pattern walk
     shares a single meter across all member engines, so the deadline and
-    row caps bound the whole call, not each member.
+    row caps bound the whole call, not each member.  The match cap binds
+    each pattern's whole frontier: a walk that runs one engine per
+    frontier slice sets ``counted`` to the member's matches from earlier
+    slices before each engine run, and :meth:`check` adds it.
     """
 
     __slots__ = (
@@ -153,6 +156,7 @@ class BudgetMeter:
         "frontier_rows",
         "expanded_partials",
         "levels_completed",
+        "counted",
     )
 
     def __init__(self, budget: Budget):
@@ -165,6 +169,7 @@ class BudgetMeter:
         self.frontier_rows = 0
         self.expanded_partials = 0
         self.levels_completed = 0
+        self.counted = 0
 
     def charge_rows(self, n: int) -> None:
         """Account ``n`` level-0 frontier rows entering exploration."""
@@ -197,11 +202,16 @@ class BudgetMeter:
         return None
 
     def check(self, matches: int) -> None:
-        """Poll every limit; raise with the partial-so-far on a trip."""
+        """Poll every limit; raise with the partial-so-far on a trip.
+
+        ``matches`` is the polling engine's own count; the raised partial
+        carries it, while the match cap sees ``counted + matches``.
+        """
         b = self.budget
         reason = None
-        if b.max_matches is not None and matches >= b.max_matches:
-            reason = f"matches {matches} >= cap {b.max_matches}"
+        seen = self.counted + matches
+        if b.max_matches is not None and seen >= b.max_matches:
+            reason = f"matches {seen} >= cap {b.max_matches}"
         else:
             reason = self.exhausted_reason()
         if reason is not None:

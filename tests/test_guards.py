@@ -516,6 +516,47 @@ class TestBudgetedVerbs:
         assert result.truncated
         assert "frontier rows" in result.reason
 
+    def test_batched_match_cap_binds_the_whole_frontier(self):
+        """Regression: the batched walk runs one engine per frontier
+        slice, and each engine counted from zero, so a match cap only
+        bound one slice's matches and a many-slice count ran to the end.
+        Each slice here holds fewer matches than the cap."""
+        g = erdos_renyi(200, 0.1, seed=5)
+        session = MiningSession(g)
+        full = session.count(generate_clique(3))
+        assert full > 200
+        result = session.count(
+            generate_clique(3),
+            engine="accel-batch",
+            frontier_chunk=8,
+            budget=Budget(max_matches=100),
+            on_budget="partial",
+        )
+        assert isinstance(result, PartialResult) and result.truncated
+        assert 100 <= result < full
+        assert "cap 100" in result.reason
+
+    def test_batched_match_cap_binds_each_member(self):
+        """In a fused group the match cap binds each member's count over
+        every slice, as the interpreter's per-pattern runs do."""
+        g = erdos_renyi(200, 0.1, seed=5)
+        session = MiningSession(g)
+        patterns = [generate_chain(3), generate_clique(3)]
+        full = [session.count(p) for p in patterns]
+        cap = full[1] + 1
+        assert full[0] > cap
+        for pins in ({}, {"engine": "reference"}):
+            totals = list(session.count_many(
+                patterns, frontier_chunk=8, budget=Budget(max_matches=cap),
+                on_budget="partial", **pins,
+            ).values())
+            assert all(isinstance(t, PartialResult) for t in totals)
+            assert f"cap {cap}" in totals[0].reason
+        with pytest.raises(BudgetExceededError):
+            session.count_many(
+                patterns, frontier_chunk=8, budget=Budget(max_matches=cap)
+            )
+
     def test_deadline_on_power_law_census_via_batched_engine(self):
         """Acceptance: a 50ms deadline on a power-law census returns a
         truncated partial through the BATCHED engine.
