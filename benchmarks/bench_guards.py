@@ -11,7 +11,7 @@ bench pins two ratios:
 * **guard-off overhead** — the disarmed guardrail path
   (``session.count`` with ``guard="off"``, no budget: one ``is None``
   check per frontier chunk) against a raw warm
-  ``FrontierBatchedEngine.run`` of the same plan and frontier.  The
+  ``repro.core.accel.fused_run`` walk of the same plan and frontier.  The
   acceptance bar (pinned in ``tests/test_bench_schema.py``) is <= 2%.
 * **recovery overhead** — a crash-tolerant ``process_count`` run where
   one worker is killed deterministically at its first lease
@@ -60,12 +60,12 @@ def _workload():
 
 
 def _engine_seconds(session, plan, starts) -> float:
-    """One raw engine run: the pre-guardrail hot path, no session verb."""
+    """One raw frontier walk (:func:`repro.core.accel.fused_run` over
+    one count-only member): the production hot path, no session verb."""
     from repro.core import accel
 
-    engine = accel.FrontierBatchedEngine(session.ordered)
     elapsed, _ = timed(
-        lambda: engine.run(plan, start_vertices=starts, count_only=True)
+        lambda: accel.fused_run(session.ordered, [(plan, None, None)], starts)
     )
     return elapsed
 
@@ -170,7 +170,7 @@ def test_guards_emits_json(capsys):
             "Disarmed-guardrail overhead and crash-recovery cost.  "
             "guard_off_ratio = session.count with guard='off' and no "
             "budget (the disarmed path: one is-None poll per frontier "
-            "chunk) over a raw warm FrontierBatchedEngine.run of the "
+            "chunk) over a raw warm accel.fused_run walk of the "
             "same plan and frontier, best-of-rounds; acceptance <= "
             "1.02.  guarded_ratio arms an hour-long deadline plus a "
             "downgrade admission probe on the same call, for context.  "

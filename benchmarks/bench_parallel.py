@@ -110,9 +110,10 @@ WORKLOADS = {
 def _schedule_round(session, plan, num_workers: int) -> dict:
     """One measured round: static slice times vs dynamic chunk makespan.
 
-    Static: each stride slice is one engine run — exactly a static
-    worker's whole assignment.  Dynamic: each ledger chunk is one engine
-    run, then chunks are greedily list-scheduled onto the earliest-free
+    Static: each stride slice is one frontier walk
+    (:func:`repro.core.accel.fused_run`, the production walk) — exactly
+    a static worker's whole assignment.  Dynamic: each ledger chunk is
+    one walk, then chunks are greedily list-scheduled onto the earliest-free
     worker in claiming order — exactly the shared-cursor protocol of
     :func:`repro.runtime.parallel.process_count`.
     """
@@ -121,13 +122,13 @@ def _schedule_round(session, plan, num_workers: int) -> dict:
     ordered = session.ordered
     frontier = session._frontier(session._frontier_key(plan))
     weights = ordered.degrees()[frontier] + 1
-    engine = accel.FrontierBatchedEngine(ordered)
+    members = [(plan, None, None)]
 
     slice_seconds = []
     for offset in range(num_workers):
         elapsed, _ = timed(
-            lambda s=frontier[offset::num_workers]: engine.run(
-                plan, start_vertices=s, count_only=True
+            lambda s=frontier[offset::num_workers]: accel.fused_run(
+                ordered, members, s
             )
         )
         slice_seconds.append(elapsed)
@@ -138,9 +139,7 @@ def _schedule_round(session, plan, num_workers: int) -> dict:
     chunk_seconds = []
     for index in range(len(ledger)):
         elapsed, _ = timed(
-            lambda c=ledger.chunk(index): engine.run(
-                plan, start_vertices=c, count_only=True
-            )
+            lambda c=ledger.chunk(index): accel.fused_run(ordered, members, c)
         )
         chunk_seconds.append(elapsed)
     finish = [0.0] * num_workers
@@ -236,7 +235,7 @@ def test_parallel_schedule_emits_json(capsys):
             "chunks, repro.runtime.scheduler) vs static (up-front stride "
             "slices) work placement for process_count, pattern p1.  "
             "Makespans are host-independent: each worker's assignment "
-            "is timed sequentially on one warm FrontierBatchedEngine "
+            "is timed sequentially through warm accel.fused_run walks "
             "(whole stride slices for static; ledger chunks greedily "
             "list-scheduled in cursor-claiming order for dynamic), the "
             "bench_fig12 work-partition idiom.  speedup_vs_static = "

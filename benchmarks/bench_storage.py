@@ -44,7 +44,7 @@ import pytest
 
 from benchmarks.common import timed
 
-from repro.core import count
+from repro.core import count, generate_plan
 from repro.graph import (
     DataGraph,
     GraphStore,
@@ -183,7 +183,7 @@ def _membership_round(graph, queries: int, seed: int) -> dict:
     )
     build_seconds, hubs = timed(lambda: ordered.hub_index())
     assert hubs is not None, "benchmark graph has no hubs at the threshold"
-    engine = accel.FrontierBatchedEngine(ordered)
+    engine = accel.FrontierBatchedEngine(ordered, generate_plan(generate_clique(3)))
 
     rng = np.random.default_rng(seed)
     n = ordered.num_vertices

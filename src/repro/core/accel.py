@@ -395,8 +395,11 @@ class FrontierBatchedEngine:
     :class:`~repro.graph.graph.DataGraph` — its CSR arrays plus its
     cached :meth:`~repro.graph.graph.DataGraph.degrees`,
     :meth:`~repro.graph.graph.DataGraph.adjacency_keys` and
-    :meth:`~repro.graph.graph.DataGraph.hub_index`, so building an engine
-    per run or per fused member copies nothing:
+    :meth:`~repro.graph.graph.DataGraph.hub_index`, so building one
+    engine per fused member copies nothing.  An engine is bound to one
+    plan, its consumer, chunk, control and budget; :func:`fused_run`
+    builds it once and hands it the frontier one slice at a time
+    (:meth:`walk`), so :attr:`total` is the member's count so far:
 
     * candidate neighborhoods are gathered with a CSR degree-prefix
       gather from each row's cheapest (min-degree) constraint vertex,
@@ -422,16 +425,16 @@ class FrontierBatchedEngine:
 
     Exploration order is the reference engine's DFS order: expansion
     preserves row order and candidate order, so leaves surface in DFS
-    preorder; with several ordered cores, start vertices are walked in
-    ``chunk``-sized slices through every core and each slice's per-core
-    match batches are merge-sorted (keyed by level-0 origin) back into
+    preorder; with several ordered cores, each slice's start vertices
+    are walked through every core and the slice's per-core match
+    batches are merge-sorted (keyed by level-0 origin) back into
     the reference interleaving before callbacks fire, so the merge
     buffer never holds more than one slice's matches.  Counts *and*
     callback order are therefore identical to
     :func:`repro.core.engine.run_tasks`.
 
     Memory is bounded two ways (default :data:`ACCEL_FRONTIER_CHUNK`):
-    oversized frontiers are split into ``chunk``-row blocks exhausted
+    oversized blocks are split into ``chunk``-row blocks exhausted
     depth-first, and each expansion gathers its candidate segments in
     groups capped near ``chunk`` *candidates* (:meth:`_candidates`), so
     peak intermediates stay ~``O(chunk)`` per level regardless of graph
@@ -465,27 +468,54 @@ class FrontierBatchedEngine:
         "_cur_rank",
         "_pending",
         "_ordered_emit",
-        "_compiled",
         "_cores",
         "_sets",
         "_checks",
         "_tail",
     )
 
-    def __init__(self, graph: DataGraph):
+    def __init__(
+        self,
+        graph: DataGraph,
+        plan: ExplorationPlan,
+        on_match: Callable[[Match], None] | None = None,
+        on_batch: Callable[[np.ndarray], None] | None = None,
+        chunk: int = ACCEL_FRONTIER_CHUNK,
+        control: ExplorationControl | None = None,
+        budget=None,
+    ):
         self.graph = graph
         self.offsets, self.flat, self.labels = graph.csr_arrays()
+        if plan.matched_pattern.is_labeled and self.labels is None:
+            raise MatchingError(
+                "pattern has label constraints but the data graph is unlabeled"
+            )
+        if on_match is not None and on_batch is not None:
+            raise ValueError("pass on_match or on_batch, not both")
         self.n = graph.num_vertices
         self.degrees = graph.degrees()
         self.keys = graph.adjacency_keys()
         self.stride = self.n + 1
         self.hubs = graph.hub_index()
-        # A fused multi-pattern run attaches its slice's
-        # SharedFrontierGathers memo here so first expansions are
-        # computed once per slice, not once per member; standalone runs
-        # leave it None.
+        self.plan = plan
+        self.steps = plan.noncore_steps
+        self._cores, self._sets, self._checks, self._tail = _compile_steps(plan)
+        self.on_match = on_match
+        self.on_batch = on_batch
+        self.count_only = on_match is None and on_batch is None
+        self.can_count_tail = self.count_only and not plan.anti_vertex_checks
+        self.chunk = chunk
+        self.width = plan.matched_pattern.num_vertices
+        self.total = 0
+        self.control = control
+        self.budget = budget
+        # The slice's SharedFrontierGathers memo, set by each walk.
         self.shared: SharedFrontierGathers | None = None
-        self._compiled: ExplorationPlan | None = None
+        # Several ordered cores interleave per start vertex in the
+        # reference order; exact callback order then needs a merge keyed
+        # by each match's level-0 origin, buffered for one slice at most.
+        self._ordered_emit = on_match is not None and len(plan.ordered_cores) > 1
+        self._pending = []
 
     # ------------------------------------------------------------------
     # Batched kernels over concatenated candidate segments
@@ -543,18 +573,11 @@ class FrontierBatchedEngine:
     # Entry point
     # ------------------------------------------------------------------
 
-    def run(
-        self,
-        plan: ExplorationPlan,
-        start_vertices: Iterable[int] | None = None,
-        on_match: Callable[[Match], None] | None = None,
-        on_batch: Callable[[np.ndarray], None] | None = None,
-        count_only: bool = False,
-        chunk: int | None = None,
-        control: ExplorationControl | None = None,
-        budget=None,
-    ) -> int:
-        """Run matching tasks over ``start_vertices``; return the count.
+    def walk(self, starts: np.ndarray, shared: SharedFrontierGathers) -> None:
+        """Explore one frontier slice; :attr:`total` grows by its matches.
+
+        ``starts`` is one :func:`fused_run` slice (int64, at most
+        ``chunk`` vertices) and ``shared`` its first-expansion memo.
 
         ``on_batch`` is the array-native alternative to ``on_match``: it
         receives ``(rows, num_pattern_vertices)`` int64 arrays (column
@@ -568,72 +591,29 @@ class FrontierBatchedEngine:
         flag is polled before every frontier block and before each
         ``on_match`` callback, so a stop lands within one block's worth
         of work — or one *task's* worth when several ordered cores
-        require order-merged emission (start slices shrink to single
-        vertices so buffered matches can't defer the stopping callback).
-        With ``on_match``, the returned count equals the callbacks
-        actually fired; batch/count-only runs wind down at block
-        granularity and may include the stopping block in full.
+        require order-merged emission (the slice is walked one start
+        vertex at a time so buffered matches can't defer the stopping
+        callback).  With ``on_match``, :attr:`total` equals the
+        callbacks actually fired; batch/count-only runs wind down at
+        block granularity and may include the stopping block in full.
 
         ``budget`` is an armed :class:`~repro.core.callbacks.BudgetMeter`
-        polled at the same block boundaries the control is (one cheap
-        check per frontier chunk); exhaustion raises
-        :class:`~repro.errors.BudgetExceededError` carrying the count
-        accumulated so far.
+        polled at the same block boundaries the control is; exhaustion
+        raises :class:`~repro.errors.BudgetExceededError`, and the match
+        cap reads :attr:`total`, the member's count over every slice.
         """
-        pattern = plan.matched_pattern
-        if pattern.is_labeled and self.labels is None:
-            raise MatchingError(
-                "pattern has label constraints but the data graph is unlabeled"
-            )
-        if on_match is not None and on_batch is not None:
-            raise ValueError("pass on_match or on_batch, not both")
-        self.plan = plan
-        self.steps = plan.noncore_steps
-        if self._compiled is not plan:
-            self._cores, self._sets, self._checks, self._tail = (
-                _compile_steps(plan)
-            )
-            self._compiled = plan
-        self.on_match = on_match
-        self.on_batch = on_batch
-        self.count_only = count_only and on_match is None and on_batch is None
-        self.can_count_tail = self.count_only and not plan.anti_vertex_checks
-        self.chunk = ACCEL_FRONTIER_CHUNK if chunk is None else max(1, int(chunk))
-        self.width = pattern.num_vertices
-        self.total = 0
-        self.control = control
-        self.budget = budget
-        if start_vertices is None:
-            starts = np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        elif isinstance(start_vertices, np.ndarray):
-            starts = start_vertices.astype(np.int64, copy=False)
-        else:
-            starts = np.fromiter(start_vertices, dtype=np.int64)
-        # Several ordered cores interleave per start vertex in the
-        # reference order; exact callback order then needs a merge keyed
-        # by each match's level-0 origin.  The merge buffer is bounded by
-        # walking start *slices* through every core and emitting after
-        # each slice — pending matches never exceed one slice's yield.
-        self._ordered_emit = (
-            on_match is not None and len(plan.ordered_cores) > 1
-        )
-        self._pending = [] if self._ordered_emit else None
-        if self._ordered_emit and control is not None:
-            # Ordered emission defers callbacks until a slice is fully
-            # explored, and callbacks are the only place this control
-            # can be stopped in a single-threaded run — so walk one
-            # start vertex per slice: a stop then lands within one
-            # task's work, mirroring the reference engine's per-task
-            # control checks, instead of after a whole chunk of starts.
-            slice_size = 1
-        elif self._ordered_emit:
-            slice_size = self.chunk
-        else:
-            slice_size = starts.size
-        for lo in range(0, starts.size, max(1, slice_size)):
+        self.shared = shared
+        # Ordered emission defers callbacks until a slice is fully
+        # explored, and callbacks are the only place this control can be
+        # stopped in a single-threaded run — so walk one start vertex at
+        # a time: a stop then lands within one task's work, mirroring the
+        # reference engine's per-task control checks.
+        step = 1 if self._ordered_emit and self.control is not None else starts.size
+        budget = self.budget
+        for lo in range(0, starts.size, step):
             if self._stopped():
                 break
-            sl = starts[lo: lo + max(1, slice_size)]
+            sl = starts[lo: lo + step]
             if budget is not None:
                 budget.charge_rows(int(sl.size))
                 budget.check(self.total)
@@ -643,7 +623,6 @@ class FrontierBatchedEngine:
             if self._ordered_emit:
                 self._emit_pending()
                 self._pending = []
-        return self.total
 
     def _stopped(self) -> bool:
         """Whether a caller-supplied control has requested termination."""
@@ -1115,85 +1094,64 @@ class SharedFrontierGathers:
 def fused_run(
     graph: DataGraph,
     members: list[tuple[ExplorationPlan, Callable | None, Callable | None]],
-    start_vertices: Iterable[int] | None = None,
+    starts: np.ndarray,
     chunk: int | None = None,
     control: ExplorationControl | None = None,
     budget=None,
 ) -> list[int]:
     """Run several plans over one shared frontier; return per-member counts.
 
-    ``graph`` is the degree-ordered graph; ``members`` are ``(plan, on_match, on_batch)`` triples in reference
+    The one frontier walk.  ``graph`` is the degree-ordered graph;
+    ``members`` are ``(plan, on_match, on_batch)`` triples in reference
     order (at most one of the callbacks each; both ``None`` counts
-    without enumerating).  All members must share the level-0 frontier:
-    ``start_vertices`` is that fused frontier (``None`` = every vertex,
-    hub-first), typically the union of the group's pinned start labels as
-    computed by :meth:`repro.core.session.MiningSession` grouping.
+    without enumerating).  All members share the level-0 frontier:
+    ``starts`` is that fused frontier as an int64 array — typically the
+    union of the group's pinned start labels as computed by
+    :meth:`repro.core.session.MiningSession` grouping, or one chunk or
+    sampled round of it.
 
-    The frontier is walked once in degree-weighted slices; per slice,
-    each member's :class:`FrontierBatchedEngine` runs with the slice's
-    :class:`SharedFrontierGathers` memo attached, so each first-expansion
-    variant is computed by the kernel once per slice and replayed for
-    every further member.  Per-member counts and callback order are
-    identical to running each member alone (slices partition the same
-    start order, and in-slice exploration is the engine's own DFS), which
-    ``tests/test_multipattern.py`` fuzz-enforces.
+    Each member gets one :class:`FrontierBatchedEngine`.  The frontier
+    is walked once in degree-weighted slices; per slice, every engine
+    walks it with the slice's :class:`SharedFrontierGathers` memo, so
+    each first-expansion variant is computed by the kernel once per
+    slice and replayed for every further member.  Per-member counts and
+    callback order are identical to running each member alone (slices
+    partition the same start order, and in-slice exploration is the
+    engine's own DFS), which ``tests/test_multipattern.py``
+    fuzz-enforces.
 
-    ``control`` is polled between frontier slices and threaded into each
-    member engine (which polls it between blocks and per emitted match),
-    so a stop lands within one slice of one member's work.  ``budget``
-    is one armed :class:`~repro.core.callbacks.BudgetMeter` shared by
-    every member — the deadline and row caps bound the whole fused call,
-    and the match cap binds each member's count over every slice.
-    On exhaustion the raised
-    :class:`~repro.errors.BudgetExceededError` carries the *summed*
-    partial with per-member counts in ``partial.detail["totals"]``.
+    ``control`` is polled between frontier slices and by each member
+    engine (between blocks and per emitted match), so a stop lands
+    within one slice of one member's work.  ``budget`` is one armed
+    :class:`~repro.core.callbacks.BudgetMeter` shared by every member —
+    the deadline and row caps bound the whole fused call, and the match
+    cap binds each member's count over every slice.  On exhaustion the
+    raised :class:`~repro.errors.BudgetExceededError` carries the
+    *summed* partial with per-member counts in
+    ``partial.detail["totals"]``.
     """
-    n = graph.num_vertices
-    if start_vertices is None:
-        starts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    elif isinstance(start_vertices, np.ndarray):
-        starts = start_vertices.astype(np.int64, copy=False)
-    else:
-        starts = np.fromiter(start_vertices, dtype=np.int64)
     cap = ACCEL_FRONTIER_CHUNK if chunk is None else max(1, int(chunk))
-    engines = [FrontierBatchedEngine(graph) for _ in members]
-    totals = [0] * len(members)
+    engines = [
+        FrontierBatchedEngine(graph, plan, on_match, on_batch, cap, control, budget)
+        for plan, on_match, on_batch in members
+    ]
     # degree + 1 keeps zero-degree starts advancing and bounds slice rows.
     weights = graph.degrees()[starts] + 1
-    for sl in bounded_slices(weights, cap):
-        if control is not None and control.stopped:
-            break
-        sl_starts = starts[sl]
-        shared = SharedFrontierGathers(sl_starts)
-        for idx, (plan, on_match, on_batch) in enumerate(members):
-            engine = engines[idx]
-            engine.shared = shared
-            if budget is not None:
-                budget.counted = totals[idx]
-            try:
-                totals[idx] += engine.run(
-                    plan,
-                    start_vertices=sl_starts,
-                    on_match=on_match,
-                    on_batch=on_batch,
-                    count_only=on_match is None and on_batch is None,
-                    chunk=cap,
-                    control=control,
-                    budget=budget,
-                )
-            except BudgetExceededError as err:
-                totals[idx] += int(err.partial)
-                partial = PartialResult(
-                    sum(totals),
-                    levels_completed=err.partial.levels_completed,
-                    truncated=True,
-                    reason=err.partial.reason,
-                    detail={"totals": list(totals)},
-                )
-                raise BudgetExceededError(str(err), partial) from None
-            finally:
-                engine.shared = None
-                if budget is not None:
-                    budget.counted = 0
-    return totals
-
+    try:
+        for sl in bounded_slices(weights, cap):
+            if control is not None and control.stopped:
+                break
+            shared = SharedFrontierGathers(starts[sl])
+            for engine in engines:
+                engine.walk(shared.starts, shared)
+    except BudgetExceededError as err:
+        totals = [engine.total for engine in engines]
+        partial = PartialResult(
+            sum(totals),
+            levels_completed=err.partial.levels_completed,
+            truncated=True,
+            reason=err.partial.reason,
+            detail={"totals": totals},
+        )
+        raise BudgetExceededError(str(err), partial) from None
+    return [engine.total for engine in engines]

@@ -101,9 +101,9 @@ class Budget:
     A budget is a frozen spec; each run arms it into a private
     :class:`BudgetMeter` (so a session-default deadline restarts per
     call).  Engines poll the meter cooperatively — once per frontier
-    chunk in the batched engines, once per start task in the per-match
-    engines — so an armed deadline costs one ``perf_counter`` comparison
-    per chunk and a disarmed budget costs one ``is None`` check.
+    block in the batched engine, once per start task in the interpreter
+    — so an armed deadline costs one ``perf_counter`` comparison
+    per poll and a disarmed budget costs one ``is None`` check.
 
     Limits are *cooperative*: a run stops at the first poll after a
     limit trips, so counts may overshoot by up to one chunk.  For an
@@ -144,10 +144,7 @@ class BudgetMeter:
 
     One meter spans one logical query — a fused multi-pattern walk
     shares a single meter across all member engines, so the deadline and
-    row caps bound the whole call, not each member.  The match cap binds
-    each pattern's whole frontier: a walk that runs one engine per
-    frontier slice sets ``counted`` to the member's matches from earlier
-    slices before each engine run, and :meth:`check` adds it.
+    row caps bound the whole call, not each member.
     """
 
     __slots__ = (
@@ -156,7 +153,6 @@ class BudgetMeter:
         "frontier_rows",
         "expanded_partials",
         "levels_completed",
-        "counted",
     )
 
     def __init__(self, budget: Budget):
@@ -169,7 +165,6 @@ class BudgetMeter:
         self.frontier_rows = 0
         self.expanded_partials = 0
         self.levels_completed = 0
-        self.counted = 0
 
     def charge_rows(self, n: int) -> None:
         """Account ``n`` level-0 frontier rows entering exploration."""
@@ -204,14 +199,12 @@ class BudgetMeter:
     def check(self, matches: int) -> None:
         """Poll every limit; raise with the partial-so-far on a trip.
 
-        ``matches`` is the polling engine's own count; the raised partial
-        carries it, while the match cap sees ``counted + matches``.
+        ``matches`` is the polling engine's count over the whole query;
+        the match cap compares it and the raised partial carries it.
         """
         b = self.budget
-        reason = None
-        seen = self.counted + matches
-        if b.max_matches is not None and seen >= b.max_matches:
-            reason = f"matches {seen} >= cap {b.max_matches}"
+        if b.max_matches is not None and matches >= b.max_matches:
+            reason = f"matches {matches} >= cap {b.max_matches}"
         else:
             reason = self.exhausted_reason()
         if reason is not None:

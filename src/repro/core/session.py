@@ -224,10 +224,7 @@ class MultiPatternPlan:
             (plan, *consumers.get(idx, (None, None)))
             for plan, idx in zip(self.members[g], direct)
         ] + [(plan, None, None) for plan in self.members[g][len(direct):]]
-        return _accel.fused_run(
-            graph, fused, start_vertices=starts,
-            chunk=chunk, control=control, budget=budget,
-        )
+        return _accel.fused_run(graph, fused, starts, chunk, control, budget)
 
     def demux(self, g: int, counts: Sequence[int]) -> dict[int, int]:
         """Group ``g``'s raw member counts as ``{member index: total}``.
@@ -265,11 +262,13 @@ class ExecOptions:
         label-filtered start pruning (§6.4).
     ``engine`` / ``frontier_chunk``
         pins.  ``engine="auto"`` and ``frontier_chunk=None`` let the
-        plan choose: the engine from the probe's measured frontier
-        expansion, the batched engine's per-dispatch frontier cap from
-        the predicted partial volume.
+        plan choose: the engine from the pins and hooks (stats/timer plan
+        the interpreter, everything else the batched engine), the batched
+        engine's per-dispatch frontier cap from the predicted partial
+        volume.
     ``start_vertices`` / ``plan``
-        explicit task seeds and a precomputed
+        explicit task seeds (caller vertex ids, each in ``[0, n)``) and
+        a precomputed
         :class:`~repro.core.plan.ExplorationPlan` (bypassing the session
         plan cache); per-call only.
     ``control`` / ``stats`` / ``timer``
@@ -496,6 +495,7 @@ class MiningSession:
         "defaults",
         "_ordered",
         "_translation",
+        "_new_of_old",
         "_plans",
         "_starts",
         "_census",
@@ -527,6 +527,7 @@ class MiningSession:
         self.defaults = base
         self._ordered: DataGraph | None = None
         self._translation = None
+        self._new_of_old = None
         self._plans: dict[tuple, ExplorationPlan] = {}
         self._starts: dict[frozenset | None, Any] = {}
         self._census: dict[tuple, CensusTransform] = {}
@@ -580,6 +581,26 @@ class MiningSession:
         if self._translation is None:
             self.ordered
         return self._translation
+
+    def _ordered_seeds(self, seeds: Iterable[int]) -> np.ndarray:
+        """Caller-id ``start_vertices`` as ordered ids, each range-checked.
+
+        Raises ``ValueError`` naming the first seed that is not an
+        integer vertex id in ``[0, n)``.  The inverse of
+        :attr:`translation` is built on first use and cached beside it.
+        """
+        n = self.graph.num_vertices
+        ids = list(seeds)
+        for v in ids:
+            if isinstance(v, bool) or not isinstance(v, Integral) or not 0 <= v < n:
+                raise ValueError(
+                    f"start vertex {v!r} is not a vertex id in [0, {n})"
+                )
+        if self._new_of_old is None:
+            new_of_old = np.empty(n, dtype=np.int64)
+            new_of_old[self.translation] = np.arange(n, dtype=np.int64)
+            self._new_of_old = new_of_old
+        return self._new_of_old[np.asarray(ids, dtype=np.int64)]
 
     @property
     def view(self) -> DataGraph:
@@ -647,6 +668,7 @@ class MiningSession:
         self.last_query_plan = None
         self._ordered = None
         self._translation = None
+        self._new_of_old = None
         graph = self.graph
         if graph is not None:
             # Drop the graph-cached derived objects we may have built, so
@@ -1033,9 +1055,11 @@ class MiningSession:
         ever); :func:`repro.runtime.guards.admit` refuses or downgrades
         predicted-explosive members (``guard="downgrade"`` also caps
         ``workers``); :func:`repro.runtime.planner.plan_workload` then
-        fills whatever the caller did not pin — engine (the workload's
-        and every member's own), frontier chunk, and the pool
-        size when ``workers`` is ``None``.
+        fills whatever the caller did not pin — engine, frontier chunk,
+        and the pool size when ``workers`` is ``None``.  Caller-id
+        ``start_vertices`` are checked and mapped to ordered ids here
+        (:meth:`_ordered_seeds`); the drivers that seed chunks after
+        staging already hold ordered ids.
 
         ``count_only`` marks runs without a match consumer.  Those — if
         nothing observes their progress either (:data:`OBSERVERS`) — may
@@ -1049,6 +1073,10 @@ class MiningSession:
         # load; by the time a session runs a query, both exist.
         from ..runtime import guards, planner
 
+        if opts.start_vertices is not None:
+            opts = dataclasses.replace(
+                opts, start_vertices=self._ordered_seeds(opts.start_vertices)
+            )
         samplable = count_only and not opts.hooks(*OBSERVERS)
         plans, estimates = self._estimates(patterns, opts)
         for estimate in estimates:
@@ -1167,9 +1195,6 @@ class MiningSession:
                     self, patterns, plans, opts, consumers
                 )
                 starts = opts.start_vertices
-                if starts is not None and not isinstance(starts, np.ndarray):
-                    # every group walks the same seeds: read them once
-                    starts = np.fromiter(starts, dtype=np.int64)
                 for g, running in enumerate(multi.groups):
                     counts = multi.run_group(
                         g, self.ordered,

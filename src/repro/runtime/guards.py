@@ -175,12 +175,12 @@ def probe(
 
     ``starts`` is the hub-first (label-filtered) frontier of a
     ``width``-vertex pattern on the degree-ordered graph ``ordered``
-    (``None`` = every vertex).  Up to ``sample`` starts, evenly spaced
-    so the hubs at the front are always represented, are each charged
-    their first-level candidate count (neighbors below the start under
-    symmetry breaking — the engines' level-1 expansion); the
-    second-level growth trend averages the same measure over a few
-    candidates of each sampled start.  Hubs are counted by scanning the
+    (:meth:`~repro.core.session.MiningSession._frontier`).  Up to
+    ``sample`` starts, evenly spaced so the hubs at the front are
+    always represented, are each charged their first-level candidate
+    count (neighbors below the start under symmetry breaking — the
+    engines' level-1 expansion); the second-level growth trend averages
+    the same measure over a few candidates of each sampled start.  Hubs are counted by scanning the
     frontier's hub prefix.  Work is ``O(sample * fanout-sample)``
     adjacency probes regardless of graph size.
     """
@@ -189,12 +189,7 @@ def probe(
         # module-level threshold.
         threshold = EXPLOSIVE_PARTIALS
     n = ordered.num_vertices
-    if starts is None:
-        frontier = range(n - 1, -1, -1)
-        frontier_size = n
-    else:
-        frontier = starts
-        frontier_size = len(starts)
+    frontier_size = len(starts)
     if frontier_size == 0 or width <= 1:
         return CostEstimate(
             frontier_size=frontier_size,
@@ -225,7 +220,7 @@ def probe(
     # whole frontier.  (An integer step of size//k degrades to 1 when
     # size < 2k, turning the "even sample" into the first k consecutive
     # hub-prefix entries and inflating avg_expansion.)
-    probe = [int(frontier[(i * frontier_size) // k]) for i in range(k)]
+    probe = [int(starts[(i * frontier_size) // k]) for i in range(k)]
 
     expansions = [fanout(v) for v in probe]
     avg_expansion = sum(expansions) / len(probe)
@@ -245,7 +240,7 @@ def probe(
     hub_floor = hub_degree_threshold(n)
     hub_count = 0
     for i in range(min(frontier_size, PROBE_HUB_SCAN)):
-        if ordered.degree(frontier[i]) >= hub_floor:
+        if ordered.degree(starts[i]) >= hub_floor:
             hub_count += 1
         else:
             break  # hub-first order: the hubs are a prefix

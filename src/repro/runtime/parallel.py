@@ -7,9 +7,10 @@ shared early-termination control.  When the plan picks the batched
 engine the workers drive it over chunks of the level-0 frontier — numpy
 kernels release the GIL, so the thread pool gets real parallelism on the
 hot loop, and each worker's engine polls the shared control between
-frontier blocks and per emitted match; stats/timer runs and forced
-``engine="reference"`` runs stay on the interpreter, where CPython's
-GIL serializes the list operations.
+frontier blocks and per emitted match; forced ``engine="reference"``
+runs stay on the interpreter, where CPython's GIL serializes the list
+operations.  Caller stats/timer hooks are rejected: the pool keeps
+per-thread stats of its own and merges them into the result.
 
 Process-level scaling is ``process_count_many`` — worker processes that
 share the graph with the parent (fork-inherited copy-on-write pages or

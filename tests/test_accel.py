@@ -21,6 +21,7 @@ from repro.core.accel import (
     FrontierBatchedEngine,
     _compile_steps,
     frontier_start_order,
+    fused_run,
 )
 from repro.core.engine import EngineStats
 from repro.core.session import MiningSession
@@ -466,9 +467,9 @@ class TestFrontierBatchedParity:
     def test_rejects_on_match_and_on_batch_together(self):
         g = erdos_renyi(20, 0.3, seed=2)
         ordered, _ = g.degree_ordered()
-        engine = FrontierBatchedEngine(ordered)
         with pytest.raises(ValueError):
-            engine.run(
+            FrontierBatchedEngine(
+                ordered,
                 generate_plan(generate_clique(3)),
                 on_match=lambda m: None,
                 on_batch=lambda arr: None,
@@ -643,11 +644,9 @@ class TestFrontierStartOrder:
         p = _labeled_pattern(generate_chain(3), {0: 0, 1: 1, 2: 0})
         plan = generate_plan(p)
         starts = frontier_start_order(ordered, plan.pinned_start_labels())
-        total = FrontierBatchedEngine(ordered).run(plan, count_only=True)
+        [total] = fused_run(ordered, [(plan, None, None)], starts)
         sliced = sum(
-            FrontierBatchedEngine(ordered).run(
-                plan, start_vertices=starts[off::3], count_only=True
-            )
+            fused_run(ordered, [(plan, None, None)], starts[off::3])[0]
             for off in range(3)
         )
         assert sliced == total == reference_count(g, p)

@@ -32,7 +32,7 @@ from repro.core import (
 from repro.core import api as api_module
 from repro.core.callbacks import ExplorationControl
 from repro.errors import MatchingError
-from repro.graph import erdos_renyi, from_edges, with_random_labels
+from repro.graph import erdos_renyi, from_edges, power_law, with_random_labels
 from repro.mining.cliques import maximal_clique_pattern
 from repro.pattern import (
     Pattern,
@@ -233,6 +233,34 @@ class TestExecOptions:
             MiningSession(g, plan=generate_plan(generate_clique(3)))
         with pytest.raises(ValueError):
             MiningSession(g, start_vertices=[0, 1])
+
+    @pytest.mark.parametrize("engine", ["accel-batch", "reference"])
+    def test_start_vertices_are_caller_ids(self, engine):
+        # A skewed graph, so degree ordering really renames vertices.
+        g = power_law(300, gamma=2.1, seed=3)
+        session = MiningSession(g)
+        triangle = generate_clique(3)
+        assert session.count(triangle) > 0
+        seeded = 0
+        for v in list(range(0, g.num_vertices, 7)) + [162]:
+            seen = []
+            total = session.match(
+                triangle, seen.append, engine=engine, start_vertices=[v]
+            )
+            assert total == len(seen)
+            assert all(v in m.mapping for m in seen), v
+            seeded += total > 0
+        assert seeded > 0
+
+    @pytest.mark.parametrize("engine", ["accel-batch", "reference"])
+    @pytest.mark.parametrize("bad", [-1, "n", 2.0, "7"])
+    def test_start_vertices_outside_the_graph_rejected(self, engine, bad):
+        g = power_law(300, gamma=2.1, seed=3)
+        bad = g.num_vertices if bad == "n" else bad
+        with pytest.raises(ValueError, match="start vertex"):
+            MiningSession(g).count(
+                generate_clique(3), engine=engine, start_vertices=[0, bad]
+            )
 
     def test_defaults_and_options_are_exclusive(self):
         g = erdos_renyi(10, 0.3, seed=1)
@@ -528,11 +556,13 @@ class TestSessionEarlyTermination:
             with pytest.raises(ValueError, match="engine must be one of"):
                 verb()
 
-    def test_multi_core_control_stops_at_limit(self):
+    @pytest.mark.parametrize("chunk", [1, 2, None])
+    def test_multi_core_control_stops_at_limit(self, chunk):
         # Vertex-induced 4-chains have 3 ordered cores, the order-merged
         # emission path: with a control attached, start slices shrink to
         # single vertices so the stopping callback isn't deferred behind
-        # a whole chunk of buffered matches.
+        # a whole chunk of buffered matches.  Small frontier chunks cut
+        # the frontier into many slices, so the stop lands across them.
         g = erdos_renyi(40, 0.3, seed=18)
         session = MiningSession(g)
         control = ExplorationControl()
@@ -549,9 +579,18 @@ class TestSessionEarlyTermination:
             edge_induced=False,
             control=control,
             engine="accel-batch",
+            frontier_chunk=chunk,
         )
         assert control.stopped
         assert total == len(seen) == 3
+        reference: list[tuple[int, ...]] = []
+        session.match(
+            generate_chain(4),
+            lambda m: reference.append(m.mapping),
+            edge_induced=False,
+            engine="reference",
+        )
+        assert seen == reference[:3]
 
     def test_exists_honors_external_cancel(self):
         g = erdos_renyi(40, 0.3, seed=19)  # triangles definitely exist

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
-from repro.core import MiningSession, as_session, count  # noqa: E402
+from repro.core import MiningSession, as_session, count, generate_plan  # noqa: E402
 from repro.core.accel import FrontierBatchedEngine  # noqa: E402
 from repro.bitmap import HubMembershipIndex, RoaringBitmap  # noqa: E402
 from repro.bitmap import roaring  # noqa: E402
@@ -313,7 +313,7 @@ class TestColdStartIsLazy:
             path = _rgx_path(tmp)
             save_mmap(g, path)
             h = load_mmap(path)
-            engine = FrontierBatchedEngine(h)
+            engine = FrontierBatchedEngine(h, generate_plan(generate_clique(3)))
             assert np.shares_memory(engine.flat, h.backing_store.neighbors)
             assert np.shares_memory(engine.offsets, h.backing_store.offsets)
 
@@ -517,7 +517,7 @@ class TestHubMembership:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
             g = power_law(120 + seed, gamma=1.7, seed=seed)
-            engine = FrontierBatchedEngine(g)
+            engine = FrontierBatchedEngine(g, generate_plan(generate_clique(3)))
         hubs = g.hub_index()
         assert hubs is not None
         assert engine.hubs is hubs
@@ -535,7 +535,7 @@ class TestHubMembership:
         p = Pattern.from_edges([(0, 1), (1, 2)], anti_edges=[(0, 2)])
         expected = count(g, p, engine="reference")
         h, _ = g.degree_ordered()
-        engine = FrontierBatchedEngine(h)
+        engine = FrontierBatchedEngine(h, generate_plan(generate_clique(3)))
         assert engine.hubs is not None  # hubs really engage
         assert engine.hubs is h.hub_index()
         got = count(g, p, engine="accel-batch")
