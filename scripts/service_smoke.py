@@ -5,10 +5,12 @@ Launches the real entry point (``python -m repro.service --port 0``) as
 a subprocess, waits for its "listening" line to learn the OS-assigned
 port, issues one count query against a freshly written ``.rgx`` graph
 (exercising path-based registry resolution), one request with a bad
-option value (which must answer HTTP 400, not run unguarded) and one
-``/stats`` request, then interrupts the server and asserts it exits
-cleanly.  Exit code 0 means the whole boot -> serve -> shutdown loop
-works outside pytest.
+option value (which must answer HTTP 400, not run unguarded), a
+``match`` and a ``count`` under a latency budget no exact run can meet
+(the match stays exact and its plan echo says so; the count samples and
+its plan echo names the sampling target) and one ``/stats`` request,
+then interrupts the server and asserts it exits cleanly.  Exit code 0
+means the whole boot -> serve -> shutdown loop works outside pytest.
 
 Run:  PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -49,6 +51,7 @@ def main() -> int:
 
     graph = barabasi_albert(200, 3, seed=11)
     expected = MiningSession(graph).count(generate_clique(3))
+    hinted = {"latency_budget": 1e-9}
 
     with tempfile.TemporaryDirectory() as tmp:
         graph_path = os.path.join(tmp, "smoke.rgx")
@@ -90,10 +93,30 @@ def main() -> int:
             else:
                 raise AssertionError("a bad option value was accepted")
 
+            # The plan echo records what ran: an enumeration under a
+            # latency budget stays exact, a count under it samples.
+            exact = _post(
+                f"{base}/query",
+                {"verb": "match", "graph": graph_path, "pattern": "clique:3",
+                 "options": hinted, "limit": 5},
+            )
+            assert exact["ok"], exact
+            assert exact["result"]["count"] == expected, exact
+            assert exact["result"]["plan"]["approx"] is None, exact
+            sampled = _post(
+                f"{base}/query",
+                {"verb": "count", "graph": graph_path, "pattern": "clique:3",
+                 "options": hinted},
+            )
+            assert sampled["ok"], sampled
+            assert "approx" in sampled["result"], sampled
+            assert sampled["result"]["plan"]["approx"] == 0.05, sampled
+
             with urllib.request.urlopen(f"{base}/stats", timeout=60.0) as r:
                 stats = json.load(r)
             assert stats["ok"], stats
-            assert stats["result"]["requests"]["count"] == 2, stats
+            assert stats["result"]["requests"]["count"] == 3, stats
+            assert stats["result"]["requests"]["match"] == 1, stats
             assert stats["result"]["errors"]["count"] == {
                 "invalid_request": 1
             }, stats
@@ -107,7 +130,10 @@ def main() -> int:
         )
         assert "repro service stopped" in output, output
 
-    print("service smoke OK: count + 400 + stats served, clean shutdown")
+    print(
+        "service smoke OK: count + 400 + plan echoes + stats served, "
+        "clean shutdown"
+    )
     return 0
 
 

@@ -253,7 +253,7 @@ class ExecOptions:
     accepts the same field names as keyword overrides and resolves them
     through :meth:`merged` — the single resolution *and validation*
     path.  How a query runs is decided by one stage
-    (:meth:`MiningSession._stage`: probe → admit → plan); the knobs
+    (:meth:`MiningSession._stage`: probe → plan); the knobs
     below either describe the query or *pin* one of the stage's choices
     — a pinned value always wins over the plan.
 
@@ -286,8 +286,8 @@ class ExecOptions:
         :class:`~repro.errors.QueryRefusedError` for predicted-explosive
         queries, ``"downgrade"`` tightens ``frontier_chunk``, caps
         workers and escalates hopeless count-only queries to the
-        sampling tier (:func:`repro.runtime.guards.admit`); ``"off"``
-        (default) admits everything.
+        sampling tier (:func:`repro.runtime.planner.plan_workload`);
+        ``"off"`` (default) admits everything.
     ``approx`` / ``confidence`` / ``max_samples`` / ``seed``
         the sampling tier (:mod:`repro.mining.sampling`):
         ``approx=rel_err`` makes the count-only verbs return
@@ -1044,7 +1044,7 @@ class MiningSession:
         workers: int | None = 1,
         count_only: bool = False,
     ) -> StagedQuery:
-        """Probe → admit → plan: the one dispatch stage of every query.
+        """Probe → plan: the one dispatch stage of every query.
 
         Every entry point — the session verbs, both concurrent runtimes
         and the service batcher (per member) — resolves how its
@@ -1052,12 +1052,13 @@ class MiningSession:
         of one.  Each pattern's exploration plan is looked up once and
         its probe estimate fetched from the session cache (one bounded
         frontier walk per ``(width, frontier, symmetry breaking)``,
-        ever); :func:`repro.runtime.guards.admit` refuses or downgrades
-        predicted-explosive members (``guard="downgrade"`` also caps
-        ``workers``); :func:`repro.runtime.planner.plan_workload` then
-        fills whatever the caller did not pin — engine, frontier chunk,
-        and the pool size when ``workers`` is ``None``.  Caller-id
-        ``start_vertices`` are checked and mapped to ordered ids here
+        ever); :func:`repro.runtime.planner.plan_workload` then admits
+        the workload (refusing or downgrading predicted-explosive
+        members) and fills whatever the caller did not pin — engine,
+        frontier chunk, sampling route, and the pool size when
+        ``workers`` is ``None``.  The options run are the plan's, so
+        ``last_query_plan`` says what ran.  Caller-id ``start_vertices``
+        are checked and mapped to ordered ids here
         (:meth:`_ordered_seeds`); the drivers that seed chunks after
         staging already hold ordered ids.
 
@@ -1065,33 +1066,31 @@ class MiningSession:
         nothing observes their progress either (:data:`OBSERVERS`) — may
         legally be answered by the sampling tier: only they are
         escalated to it, by the guard or by a ``latency_budget``; every
-        enumerating run ignores both routings and stays exact.
+        enumerating run stays exact.
 
         Returns the :class:`StagedQuery` the executors take.
         """
         # Deferred import: repro.runtime imports repro.core at module
         # load; by the time a session runs a query, both exist.
-        from ..runtime import guards, planner
+        from ..runtime import planner
 
         if opts.start_vertices is not None:
             opts = dataclasses.replace(
                 opts, start_vertices=self._ordered_seeds(opts.start_vertices)
             )
-        samplable = count_only and not opts.hooks(*OBSERVERS)
         plans, estimates = self._estimates(patterns, opts)
-        for estimate in estimates:
-            opts = guards.admit(estimate, opts, samplable)
-            if (
-                workers is not None
-                and opts.guard == "downgrade"
-                and estimate.explosive
-            ):
-                workers = min(workers, guards.DOWNGRADE_MAX_WORKERS)
         query_plan = planner.plan_workload(
-            self, patterns, opts, estimates=estimates, num_workers=workers
+            self, patterns, opts, estimates=estimates, num_workers=workers,
+            count_only=count_only,
         )
         self.last_query_plan = query_plan
-        opts = planner.apply_plan(query_plan, opts, allow_approx=samplable)
+        opts = dataclasses.replace(
+            opts,
+            engine=query_plan.engine,
+            frontier_chunk=query_plan.frontier_chunk,
+            approx=query_plan.approx,
+        )
+        samplable = count_only and not opts.hooks(*OBSERVERS)
         return StagedQuery(patterns, plans, opts, query_plan, samplable)
 
     def _estimates(self, patterns: Sequence[Pattern], opts: ExecOptions):

@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core.session import (
-    ExecOptions,
     MiningSession,
     MultiPatternPlan,
     StagedQuery,
@@ -222,28 +221,6 @@ def _target_met(rounds: list[float], rel_err: float, confidence: float) -> bool:
         # runs out (degenerating to an exact tail pass when allowed).
         return False
     return half <= rel_err * mean
-
-
-# ----------------------------------------------------------------------
-# Option plumbing shared with the session verbs
-# ----------------------------------------------------------------------
-
-def _inner_opts(opts: ExecOptions) -> ExecOptions:
-    """The options the per-round exact sub-runs execute under.
-
-    ``opts`` went through the session's dispatch stage once, so its
-    engine is concrete: the rounds run it directly over explicit
-    ``start_vertices`` and never probe, admit or plan again.
-    """
-    return dataclasses.replace(
-        opts,
-        approx=None,
-        max_samples=None,
-        latency_budget=None,
-        seed=None,
-        guard="off",
-        start_vertices=None,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -427,7 +404,8 @@ def approx_count_many_session(
     pinned-start-label signature, census tier included — Möbius
     inversion is linear, so per-round restricted basis counts invert
     soundly *in expectation* once the Horvitz–Thompson scaling applies);
-    this tier only chooses the start vertices.  Every group samples
+    this tier only chooses the start vertices: the rounds run the
+    staged ``opts`` over them and never stage again.  Every group samples
     *one* shared frontier and all of its members stop together (the
     loop runs until every member meets the target, so shared rounds are
     never wasted).  The ``max_samples`` budget applies per group.  Under
@@ -442,21 +420,20 @@ def approx_count_many_session(
             "batch consumers, budgets, controls, stats/timer hooks or "
             "explicit start_vertices"
         )
-    inner = _inner_opts(opts)
-    multi = MultiPatternPlan.build(session, patterns, plans, inner)
+    multi = MultiPatternPlan.build(session, patterns, plans, opts)
     rng = random.Random(opts.seed)
     results: list[ApproxCount | None] = [None] * len(patterns)
     for g, group in enumerate(multi.groups):
 
         def run(starts, g=g, group=group) -> list[int]:
-            if inner.engine == "reference":
-                o = dataclasses.replace(inner, start_vertices=starts)
+            if opts.engine == "reference":
+                o = dataclasses.replace(opts, start_vertices=starts)
                 return [
                     int(session._run_reference(multi.plans[idx], None, o, None))
                     for idx in group
                 ]
             totals = multi.demux(g, multi.run_group(
-                g, session.ordered, starts, chunk=inner.frontier_chunk
+                g, session.ordered, starts, chunk=opts.frontier_chunk
             ))
             return [int(totals[idx]) for idx in group]
 

@@ -10,11 +10,10 @@ from .scheduler import (
 from .aggregation import AggregatorThread
 from .guards import (
     CostEstimate,
-    admit,
     estimate_cost,
     resolve_threshold,
 )
-from .planner import QueryPlan, apply_plan, plan_query, plan_workload
+from .planner import QueryPlan, plan_query, plan_workload
 from .parallel import (
     FAULT_ENV,
     MAX_CHUNK_RETRIES,
@@ -38,11 +37,9 @@ __all__ = [
     "weighted_boundaries",
     "AggregatorThread",
     "CostEstimate",
-    "admit",
     "estimate_cost",
     "resolve_threshold",
     "QueryPlan",
-    "apply_plan",
     "plan_query",
     "plan_workload",
     "FAULT_ENV",

@@ -1,4 +1,4 @@
-"""Admission guards: bounded probe walks that predict query cost.
+"""Admission probes: bounded walks that predict query cost.
 
 The service tier (ROADMAP items 1–2) needs to know *before* running a
 query whether it will explode — a 5-clique census on a power-law graph
@@ -9,34 +9,23 @@ module implements the probe half of the virt-graph ``estimator`` /
 frontier (a bounded walk — cost is ``O(sample)`` adjacency probes, never
 proportional to the graph), measures first-level expansion and the
 second-level growth trend, detects hubs, and extrapolates a predicted
-partial-match volume.  :func:`admit` turns the estimate into a decision
-for ``ExecOptions.guard``:
-
-``"refuse"``
-    raise :class:`~repro.errors.QueryRefusedError` up front when the
-    prediction crosses :data:`EXPLOSIVE_PARTIALS` — admission control
-    for the future service front-end.
-``"downgrade"``
-    run anyway, but tighten ``frontier_chunk`` to
-    :data:`DOWNGRADE_FRONTIER_CHUNK` (bounding peak frontier memory),
-    cap concurrent workers at :data:`DOWNGRADE_MAX_WORKERS`, and answer
-    hopeless count-only queries from the sampling tier.
-``"off"``
-    admit everything (the default).
+partial-match volume.  An estimate past :data:`EXPLOSIVE_PARTIALS` is
+*explosive*; what ``ExecOptions.guard`` does with it — refuse
+(:func:`refusal`), or downgrade to the paced / sampled run the
+``DOWNGRADE_*`` constants describe — is decided by
+:func:`repro.runtime.planner.plan_workload`, with every other choice of
+the run.
 
 The estimator is deliberately simple and deterministic — evenly-spaced
 sampling over the hub-first frontier, pure-Python adjacency probes,
 geometric extrapolation.  Every query is probed once per ``(pattern
 width, frontier, symmetry breaking)`` — everything :func:`probe` reads —
 by the session's dispatch stage
-(:meth:`repro.core.session.MiningSession._stage`), and the measurements
-serve two consumers: :func:`admit` (triage, conservative by design) and
-:mod:`repro.runtime.planner` (engine/chunk/worker selection
-from the same probe).  The planner consumes the *unclamped*
-extrapolation (``predicted_partials_raw``) while admission keeps the
-conservative growth floor in ``predicted_partials``.
+(:meth:`repro.core.session.MiningSession._stage`).  Admission reads the
+conservative growth floor in ``predicted_partials``; the engine, chunk
+and latency choices read the *unclamped* extrapolation
+(``predicted_partials_raw``).
 """
-
 from __future__ import annotations
 
 import dataclasses
@@ -51,7 +40,6 @@ __all__ = [
     "estimate_cost",
     "probe",
     "resolve_threshold",
-    "admit",
     "refusal",
     "EXPLOSIVE_PARTIALS",
     "DOWNGRADE_FRONTIER_CHUNK",
@@ -300,41 +288,4 @@ def refusal(estimate: CostEstimate) -> QueryRefusedError:
         f"{estimate.avg_expansion:.1f}, growth {estimate.growth:.1f}, "
         f"{estimate.hub_count} hub starts)",
         estimate,
-    )
-
-
-def admit(estimate: CostEstimate, opts, count_only: bool = False):
-    """Apply one guard decision to a run's options.
-
-    Benign estimates pass ``opts`` through unchanged.  Explosive ones
-    raise :class:`~repro.errors.QueryRefusedError` under
-    ``guard="refuse"`` or return options with ``frontier_chunk``
-    tightened to :data:`DOWNGRADE_FRONTIER_CHUNK` under
-    ``guard="downgrade"``.  Chunk tightening paces an explosive query,
-    but :data:`DOWNGRADE_APPROX_FACTOR` past the threshold the exact run
-    is hopeless at any pacing: a ``count_only`` run (one that may
-    legally return an estimate) is then answered from the sampling tier
-    at :data:`DOWNGRADE_APPROX_REL_ERR` instead.
-    """
-    if opts.guard == "off" or not estimate.explosive:
-        return opts
-    if opts.guard == "refuse":
-        raise refusal(estimate)
-    chunk = opts.frontier_chunk
-    approx = opts.approx
-    if (
-        count_only
-        and approx is None
-        and estimate.predicted_partials
-        > estimate.threshold * DOWNGRADE_APPROX_FACTOR
-    ):
-        approx = DOWNGRADE_APPROX_REL_ERR
-    return dataclasses.replace(
-        opts,
-        frontier_chunk=(
-            DOWNGRADE_FRONTIER_CHUNK
-            if chunk is None
-            else min(chunk, DOWNGRADE_FRONTIER_CHUNK)
-        ),
-        approx=approx,
     )

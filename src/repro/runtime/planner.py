@@ -5,10 +5,11 @@ from the pattern and the graph.  The session's dispatch stage
 (:meth:`repro.core.session.MiningSession._stage`) probes every query's
 level-0 frontier once (:func:`repro.runtime.guards.probe`, cached per
 ``(pattern width, frontier, symmetry breaking)`` — what the probe
-reads), lets
-:func:`~repro.runtime.guards.admit` refuse or downgrade it, and hands
-the same measurements to :func:`plan_workload`, which fills in every
-choice the caller did not pin:
+reads) and hands the measurements to :func:`plan_workload`, the one
+place that admits and plans a workload.  In one pass it applies
+``ExecOptions.guard`` (``"refuse"`` raises for an explosive member,
+``"downgrade"`` caps the chunk and the pool, and may escalate to
+sampling) and fills in every choice the caller did not pin:
 
 * **engine** — the frontier-batched engine, on every frontier however
   small and for any number of patterns; only the interpreter's own
@@ -17,13 +18,14 @@ choice the caller did not pin:
   large;
 * **workers** — sized from the measured work when the caller passed
   ``None``;
-* **approximation** — a count-only query predicted past its
-  ``latency_budget`` routes to the sampling tier.
+* **approximation** — a samplable count the guard escalates, or one
+  predicted past its ``latency_budget``, routes to the sampling tier.
 
-Pins always win: an explicit ``engine``, ``frontier_chunk`` or integer
-worker count is echoed through untouched.  Work placement is not a
-choice: both runtimes pull degree-weighted chunks from
-:class:`~repro.runtime.scheduler.ChunkLedger`.
+Pins always win: an explicit ``engine``, ``frontier_chunk``, ``approx``
+or integer worker count is echoed through (a downgrade only tightens a
+pinned chunk or pool).  The :class:`QueryPlan` is what the stage runs.
+Work placement is not a choice: both runtimes pull degree-weighted
+chunks from :class:`~repro.runtime.scheduler.ChunkLedger`.
 The fixed global degree threshold the planner once used
 (``avg_degree >= 2.0``) lives on only as the ablation baseline of
 ``benchmarks/bench_planner.py``.
@@ -35,7 +37,7 @@ import dataclasses
 import os
 from dataclasses import dataclass
 
-from ..core.session import INSTRUMENTS, as_session
+from ..core.session import INSTRUMENTS, OBSERVERS, as_session
 from ..errors import MatchingError
 from . import guards
 
@@ -43,7 +45,6 @@ __all__ = [
     "QueryPlan",
     "plan_query",
     "plan_workload",
-    "apply_plan",
     "TIGHTEN_PARTIALS",
     "PLANNED_FRONTIER_CHUNK",
     "WORK_PER_WORKER",
@@ -76,12 +77,14 @@ AUTO_APPROX_REL_ERR = 0.05
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """One query's frozen execution choices, derived from one probe.
+    """One workload's frozen execution choices, derived from one probe.
 
     ``engine`` is a concrete engine (``"reference"``/``"accel-batch"``)
-    — never ``"auto"``.  ``reasons`` records one line per choice for
-    ``explain`` and the service echo; ``estimate`` is the probe behind
-    them (the members' aggregate for a workload).
+    — never ``"auto"``.  ``approx`` is the sampling tier's target
+    relative error when the run is answered by estimation, else
+    ``None``.  ``reasons`` records one line per choice for ``explain``
+    and the service echo; ``estimate`` is the probe behind them (the
+    members' aggregate for a workload).
     """
 
     engine: str
@@ -89,11 +92,7 @@ class QueryPlan:
     num_workers: int
     reasons: tuple[str, ...] = ()
     estimate: guards.CostEstimate | None = None
-    # Latency-budget routing: when True, a count-only run of this query
-    # should answer from the approximate tier at ``approx_rel_err``
-    # instead of running exact (see apply_plan's allow_approx).
-    use_approx: bool = False
-    approx_rel_err: float | None = None
+    approx: float | None = None
 
     def as_dict(self) -> dict:
         """JSON-friendly form (service envelopes, bench artifacts)."""
@@ -101,8 +100,7 @@ class QueryPlan:
             "engine": self.engine,
             "frontier_chunk": self.frontier_chunk,
             "num_workers": self.num_workers,
-            "use_approx": self.use_approx,
-            "approx_rel_err": self.approx_rel_err,
+            "approx": self.approx,
             "reasons": list(self.reasons),
         }
         if self.estimate is not None:
@@ -116,8 +114,8 @@ class QueryPlan:
             f"engine={self.engine} frontier_chunk={chunk} "
             f"workers={self.num_workers}"
         )
-        if self.use_approx:
-            line += f" approx={self.approx_rel_err:g}"
+        if self.approx is not None:
+            line += f" approx={self.approx:g}"
         return line
 
 
@@ -143,8 +141,34 @@ def _choose_engine(opts, reasons: list) -> str:
     return "accel-batch"
 
 
-def _choose_workers(estimate, num_workers: int | None, reasons: list) -> int:
+def _choose_frontier_chunk(
+    distinct, opts, downgrade: bool, reasons: list
+) -> int | None:
+    chunk = opts.frontier_chunk
+    if chunk is None:
+        predicted = max(est.predicted_partials_raw for est in distinct)
+        if predicted > TIGHTEN_PARTIALS:
+            reasons.append(
+                f"frontier_chunk {PLANNED_FRONTIER_CHUNK}: "
+                f"~{predicted:.3g} predicted partials"
+            )
+            chunk = PLANNED_FRONTIER_CHUNK
+    cap = guards.DOWNGRADE_FRONTIER_CHUNK
+    if downgrade and (chunk is None or chunk > cap):
+        chunk = cap
+        reasons.append(f"frontier_chunk {cap}: guard downgrade")
+    return chunk
+
+
+def _choose_workers(
+    estimate, num_workers: int | None, downgrade: bool, reasons: list
+) -> int:
     if num_workers is not None:
+        if downgrade and num_workers > guards.DOWNGRADE_MAX_WORKERS:
+            reasons.append(
+                f"workers {guards.DOWNGRADE_MAX_WORKERS}: guard downgrade"
+            )
+            return guards.DOWNGRADE_MAX_WORKERS
         return max(1, num_workers)
     budget = os.cpu_count() or 1
     if estimate.explosive:
@@ -163,22 +187,41 @@ def _choose_workers(estimate, num_workers: int | None, reasons: list) -> int:
     return sized
 
 
-def _choose_approx(estimates, opts, reasons: list) -> tuple[bool, float | None]:
-    """Latency-budget routing: approximate when exact cannot fit.
+def _choose_approx(
+    distinct, opts, samplable: bool, downgrade: bool, reasons: list
+) -> float | None:
+    """The sampling route: the caller's ``approx``, or an escalation.
 
-    The caller already asking for ``approx`` passes through (the tier
-    is engaged regardless of budgets); otherwise the members' raw
-    partial predictions, at :data:`APPROX_PARTIALS_PER_SECOND`, are the
-    planner's predicted exact latency — past ``opts.latency_budget``
-    the workload routes to the sampling estimator at
-    :data:`AUTO_APPROX_REL_ERR`.
+    A caller's ``approx`` passes through (a run that cannot honour it
+    raises when it executes).  Otherwise only a samplable run is
+    routed: by ``guard="downgrade"`` when a member is
+    :data:`~repro.runtime.guards.DOWNGRADE_APPROX_FACTOR` past the
+    explosive threshold, else when the raw partial predictions, at
+    :data:`APPROX_PARTIALS_PER_SECOND`, exceed ``opts.latency_budget``.
     """
     if opts.approx is not None:
         reasons.append(f"approximate: rel_err={opts.approx:g} pinned by caller")
-        return True, opts.approx
+        return opts.approx
+    if not samplable:
+        return None
+    if downgrade:
+        hopeless = [
+            est.predicted_partials for est in distinct
+            if est.predicted_partials
+            > est.threshold * guards.DOWNGRADE_APPROX_FACTOR
+        ]
+        if hopeless:
+            reasons.append(
+                f"approximate: guard downgrade — ~{max(hopeless):.3g} "
+                "predicted partials are past "
+                f"{guards.DOWNGRADE_APPROX_FACTOR:g}x the explosive "
+                "threshold; sampling at "
+                f"rel_err={guards.DOWNGRADE_APPROX_REL_ERR:g}"
+            )
+            return guards.DOWNGRADE_APPROX_REL_ERR
     if opts.latency_budget is None:
-        return False, None
-    predicted = sum(est.predicted_partials_raw for est in estimates)
+        return None
+    predicted = sum(est.predicted_partials_raw for est in distinct)
     seconds = predicted / APPROX_PARTIALS_PER_SECOND
     if seconds > opts.latency_budget:
         reasons.append(
@@ -187,24 +230,11 @@ def _choose_approx(estimates, opts, reasons: list) -> tuple[bool, float | None]:
             f"{opts.latency_budget:g}s latency budget; "
             f"sampling at rel_err={AUTO_APPROX_REL_ERR:g}"
         )
-        return True, AUTO_APPROX_REL_ERR
+        return AUTO_APPROX_REL_ERR
     reasons.append(
         f"exact: ~{seconds:.3g}s predicted fits the "
         f"{opts.latency_budget:g}s latency budget"
     )
-    return False, None
-
-
-def _choose_frontier_chunk(estimates, opts, reasons: list) -> int | None:
-    if opts.frontier_chunk is not None:
-        return opts.frontier_chunk
-    predicted = max(est.predicted_partials_raw for est in estimates)
-    if predicted > TIGHTEN_PARTIALS:
-        reasons.append(
-            f"frontier_chunk {PLANNED_FRONTIER_CHUNK}: "
-            f"~{predicted:.3g} predicted partials"
-        )
-        return PLANNED_FRONTIER_CHUNK
     return None
 
 
@@ -215,9 +245,10 @@ def plan_workload(
     *,
     estimates=None,
     num_workers: int | None = 1,
+    count_only: bool = True,
     **options,
 ) -> QueryPlan:
-    """Plan a workload of one or more patterns from its members' probes.
+    """Admit and plan a workload of one or more patterns from its probes.
 
     ``opts`` is a resolved :class:`~repro.core.session.ExecOptions`;
     keyword ``options`` are the usual per-call overrides when ``opts``
@@ -225,13 +256,16 @@ def plan_workload(
     session's dispatch stage share the probes it already holds.  An
     integer ``num_workers`` is the caller's pool and is kept; ``None``
     asks the plan to size the pool from the measured work, up to the
-    machine's core count.
+    machine's core count.  Only a ``count_only`` run that nothing
+    observes (:data:`~repro.core.session.OBSERVERS`) may be routed to
+    the sampling tier; the default answers what a count would do.
 
     The batched executor walks one shared frontier per compatible
     group, so workload-level choices aggregate over the distinct
-    members: workers fed by the *summed* level-1 volume and the frontier
-    chunk the largest member prediction needs.  Every member runs on the
-    workload's engine.
+    members: the first explosive one is refused, any explosive one
+    downgrades the run, workers are fed by the *summed* level-1 volume
+    and the frontier chunk is the one the largest member prediction
+    needs.  Every member runs on the workload's engine.
     """
     session = as_session(graph_or_session)
     if opts is None:
@@ -240,14 +274,21 @@ def plan_workload(
         raise TypeError("pass opts= or keyword options, not both")
     if estimates is None:
         _, estimates = session._estimates(patterns, opts)
-    if not estimates:
+    distinct = list(dict(zip(patterns, estimates)).values())
+    explosive = [est for est in distinct if est.explosive]
+    if explosive and opts.guard == "refuse":
+        raise guards.refusal(explosive[0])
+    downgrade = bool(explosive) and opts.guard == "downgrade"
+    reasons: list[str] = []
+    engine = _choose_engine(opts, reasons)
+    if not distinct:
         return QueryPlan(
-            engine="accel-batch",
+            engine=engine,
             frontier_chunk=opts.frontier_chunk,
             num_workers=max(1, num_workers or 1),
-            reasons=("empty workload",),
+            reasons=(*reasons, "empty workload"),
+            approx=opts.approx,
         )
-    distinct = list(dict(zip(patterns, estimates)).values())
     if len(distinct) == 1:
         combined = distinct[0]
     else:
@@ -262,17 +303,17 @@ def plan_workload(
                 e.predicted_partials_raw for e in distinct
             ),
         )
-    reasons: list[str] = []
-    engine = _choose_engine(opts, reasons)
-    use_approx, approx_rel_err = _choose_approx(distinct, opts, reasons)
+    chunk = _choose_frontier_chunk(distinct, opts, downgrade, reasons)
+    workers = _choose_workers(combined, num_workers, downgrade, reasons)
+    samplable = count_only and not opts.hooks(*OBSERVERS)
+    approx = _choose_approx(distinct, opts, samplable, downgrade, reasons)
     return QueryPlan(
         engine=engine,
-        frontier_chunk=_choose_frontier_chunk(distinct, opts, reasons),
-        num_workers=_choose_workers(combined, num_workers, reasons),
+        frontier_chunk=chunk,
+        num_workers=workers,
         reasons=tuple(reasons),
         estimate=combined,
-        use_approx=use_approx,
-        approx_rel_err=approx_rel_err,
+        approx=approx,
     )
 
 
@@ -281,39 +322,10 @@ def plan_query(
     pattern,
     opts=None,
     *,
-    estimate: guards.CostEstimate | None = None,
     num_workers: int | None = 1,
     **options,
 ) -> QueryPlan:
     """Plan one query: the one-pattern case of :func:`plan_workload`."""
     return plan_workload(
-        graph_or_session,
-        [pattern],
-        opts,
-        estimates=None if estimate is None else [estimate],
-        num_workers=num_workers,
-        **options,
+        graph_or_session, [pattern], opts, num_workers=num_workers, **options
     )
-
-
-def apply_plan(plan: QueryPlan, opts, allow_approx: bool = True):
-    """Fold a plan's choices back into execution options.
-
-    ``engine`` is always concrete after planning and ``frontier_chunk``
-    carries the planned value — for knobs the caller
-    pinned explicitly, the planner already kept them.  A latency-budget
-    routing decision (``plan.use_approx``) engages the sampling tier
-    only when the caller's run can honor it (``allow_approx`` —
-    count-only runs without hooks); enumeration verbs keep exact
-    semantics and simply ignore the routing.
-    """
-    approx = opts.approx
-    if allow_approx and plan.use_approx and approx is None:
-        approx = plan.approx_rel_err
-    return dataclasses.replace(
-        opts,
-        engine=plan.engine,
-        frontier_chunk=plan.frontier_chunk,
-        approx=approx,
-    )
-

@@ -23,7 +23,7 @@ into that workload:
 **Error isolation.**  A batch member must never poison its siblings:
 
 * every member goes through the session's dispatch stage (probe →
-  admit → plan) *on its own* before the fused call — a refused request
+  plan) *on its own* before the fused call — a refused request
   gets its :class:`~repro.errors.QueryRefusedError` while the rest
   proceed, and a member the stage routes to the sampling tier is
   answered alone;
@@ -237,7 +237,7 @@ def _options_signature(options: dict) -> tuple:
 
 
 def _stage_job(session: MiningSession, job: QueryJob, options: dict):
-    """One job's own probe → admit → plan: the staged query value.
+    """One job's own probe → plan: the staged query value.
 
     Only count jobs may be answered by the sampling tier (a budget is an
     observer: the stage keeps such a job exact).
@@ -287,14 +287,12 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
     """
     outcomes: list[Any] = [None] * len(jobs)
     shared = jobs[0].options  # all bucket members share one signature
-    run_options = dict(shared)
-    # The fused walk below runs the members the stage admitted here, so
-    # it does not admit again.
-    run_options["guard"] = "off"
 
-    # Per-member stage: refusals surface on their own member only, a
-    # member escalated to the sampling tier is answered alone, and a
-    # downgrade tightens the shared walk's frontier chunk.
+    # Per-member stage: refusals surface on their own member only, and a
+    # member escalated to the sampling tier is answered alone.  The
+    # fused call stages the admitted rest once more under the same
+    # options: none is refused again, a downgrade derives the same
+    # chunk, and an enumerating call never samples.
     admitted: list[int] = []
     stages: dict[int, Any] = {}
     for i, job in enumerate(jobs):
@@ -303,19 +301,13 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
         except ReproError as exc:
             outcomes[i] = exc
             continue
-        opts = staged.opts
-        if opts.approx is not None:
+        if staged.opts.approx is not None:
             try:
                 outcomes[i] = _run_job(session, job, staged)
             except Exception as exc:
                 outcomes[i] = exc
             continue
         admitted.append(i)
-        if opts.guard == "downgrade" and opts.frontier_chunk is not None:
-            run_options["frontier_chunk"] = min(
-                opts.frontier_chunk,
-                run_options.get("frontier_chunk", opts.frontier_chunk),
-            )
 
     # Build the fused workload: count members dedup by exact pattern
     # signature (concurrent identical queries pay one walk), match
@@ -355,7 +347,7 @@ def _run_batch(session: MiningSession, jobs: list[QueryJob]):
         return outcomes, 0
 
     try:
-        totals = session.match_many(patterns, callbacks, **run_options)
+        totals = session.match_many(patterns, callbacks, **shared)
     except Exception:
         # Isolation fallback: something in the fused call failed, and
         # blame may belong to one member only.  Run each admitted job

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.core.callbacks import Budget, BudgetMeter
-from repro.core.session import ExecOptions, MiningSession
+from repro.core.session import MiningSession
 from repro.errors import (
     BudgetExceededError,
     MatchingError,
@@ -160,14 +160,14 @@ class TestAdmissionModes:
         expected = session.count(generate_clique(3))
         assert session.count(generate_clique(3), guard="off") == expected
 
-    def test_downgrade_tightens_frontier_chunk(self, monkeypatch):
+    def test_downgrade_tightens_frontier_chunk(self, session, monkeypatch):
         monkeypatch.setattr(guards, "EXPLOSIVE_PARTIALS", 1.0)
-        est = guards.estimate_cost(erdos_renyi(80, 0.2, seed=9),
-                                   generate_clique(3))
-        opts = guards.admit(est, ExecOptions(guard="downgrade"))
-        assert opts.frontier_chunk == guards.DOWNGRADE_FRONTIER_CHUNK
-        kept = guards.admit(
-            est, ExecOptions(guard="downgrade", frontier_chunk=64)
+        plan = planner.plan_query(
+            session, generate_clique(3), guard="downgrade"
+        )
+        assert plan.frontier_chunk == guards.DOWNGRADE_FRONTIER_CHUNK
+        kept = planner.plan_query(
+            session, generate_clique(3), guard="downgrade", frontier_chunk=64
         )
         assert kept.frontier_chunk == 64  # never loosened
 
@@ -252,6 +252,8 @@ class _Echo:
     def __init__(self, payload):
         self.frontier_chunk = payload["frontier_chunk"]
         self.num_workers = payload["num_workers"]
+        self.approx = payload["approx"]
+        self.reasons = payload["reasons"]
 
 
 class _Estimate:
@@ -379,16 +381,20 @@ class TestRoutingAcrossSurfaces:
         assert plan.frontier_chunk == guards.DOWNGRADE_FRONTIER_CHUNK
         expected = guards.DOWNGRADE_APPROX_REL_ERR if samplable else None
         assert _requested_rel_err(value) == expected
+        assert plan.approx == expected  # the plan records what ran
+        assert not any("pinned by caller" in r for r in plan.reasons)
+        assert any("guard downgrade" in r for r in plan.reasons)
 
     @each_surface
     def test_latency_budget_routes_count_only_surfaces(
         self, surface, graph, truth
     ):
         run, samplable, _ = SURFACES[surface]
-        value, _ = run(graph, {"latency_budget": 1e-9, "seed": 2})
+        value, plan = run(graph, {"latency_budget": 1e-9, "seed": 2})
         assert _as_int(value) == truth
         expected = planner.AUTO_APPROX_REL_ERR if samplable else None
         assert _requested_rel_err(value) == expected
+        assert plan.approx == expected  # the plan records what ran
         roomy, _ = run(graph, {"latency_budget": 1e9})
         assert type(roomy) is int and roomy == truth
 

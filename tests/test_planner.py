@@ -21,7 +21,7 @@ import dataclasses
 import pytest
 
 from repro.core.session import MiningSession
-from repro.errors import QueryRefusedError
+from repro.errors import MatchingError, QueryRefusedError
 from repro.graph.builder import from_edges
 from repro.graph.generators import (
     chain_graph,
@@ -246,10 +246,11 @@ class TestPlanSelection:
 
     def test_apply_plan_rewrites_exec_options(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
-        plan = planner.plan_query(session, generate_clique(3))
-        opts = planner.apply_plan(plan, session.defaults)
+        staged = session._stage([generate_clique(3)], session.defaults)
+        opts, plan = staged.opts, staged.query_plan
         assert opts.engine == plan.engine
         assert opts.frontier_chunk == plan.frontier_chunk
+        assert opts.approx == plan.approx
 
     def test_plan_dict_and_describe_are_stable(self):
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -265,6 +266,8 @@ class TestPlanSelection:
         assert "schedule=" not in text
 
     def test_workload_plan_fuses(self):
+        from repro.core.engine import EngineStats
+
         # One engine name for any workload size: the batched executor
         # fuses whatever shares a frontier.
         session = MiningSession(erdos_renyi(300, 0.1, seed=3))
@@ -273,6 +276,12 @@ class TestPlanSelection:
         assert plan.engine == "accel-batch"
         empty = planner.plan_workload(session, [])
         assert empty.engine == "accel-batch"
+        # The engine rule runs on an empty workload too: a pin is
+        # recorded, and a pin the run cannot honour raises.
+        assert session.count_many([], engine="reference") == {}
+        assert session.last_query_plan.engine == "reference"
+        with pytest.raises(MatchingError, match="stats/timer"):
+            session.count_many([], engine="accel-batch", stats=EngineStats())
 
     def test_workload_plan_on_sparse_members_fuses(self):
         session = MiningSession(chain_graph(30))
@@ -395,7 +404,7 @@ class TestPinsWin:
         assert chosen.engine == pinned.engine == "accel-batch"
         assert [f.name for f in dataclasses.fields(planner.QueryPlan)] == [
             "engine", "frontier_chunk", "num_workers", "reasons", "estimate",
-            "use_approx", "approx_rel_err",
+            "approx",
         ]
 
     def test_explicit_thread_count_runs_exactly_that_many(self, monkeypatch):

@@ -296,8 +296,7 @@ class TestPlannerRouting:
         )
         assert isinstance(r, ApproxCount)
         qp = ba_session.last_query_plan
-        assert qp is not None and qp.use_approx
-        assert qp.approx_rel_err == planner.AUTO_APPROX_REL_ERR
+        assert qp is not None and qp.approx == planner.AUTO_APPROX_REL_ERR
         assert f"approx={planner.AUTO_APPROX_REL_ERR:g}" in qp.describe()
 
     def test_generous_budget_stays_exact(self, ba_session):
@@ -305,7 +304,7 @@ class TestPlannerRouting:
         r = ba_session.count(generate_clique(4), latency_budget=1e9)
         assert isinstance(r, int) and not isinstance(r, ApproxCount)
         assert r == plain
-        assert not ba_session.last_query_plan.use_approx
+        assert ba_session.last_query_plan.approx is None
 
     def test_exact_results_bit_identical_without_approx(self, ba_session):
         # The acceptance pin: adding the tier must not perturb exact
@@ -332,6 +331,7 @@ class TestPlannerRouting:
         )
         assert type(total) is int
         assert len(seen) == total
+        assert ba_session.last_query_plan.approx is None
 
 
 # ----------------------------------------------------------------------
@@ -497,25 +497,10 @@ class TestOptionPlumbing:
         assert opts.latency_budget is None
         assert opts.seed is None
 
-    def test_inner_runs_strip_sampling_knobs(self):
-        from repro.mining.sampling import _inner_opts
-
-        opts = ExecOptions(
-            approx=0.05, max_samples=10, latency_budget=1.0, seed=3,
-            guard="downgrade", engine="accel-batch",
-        )
-        inner = _inner_opts(opts)
-        assert inner.approx is None
-        assert inner.max_samples is None
-        assert inner.latency_budget is None
-        assert inner.guard == "off"
-        assert inner.engine == "accel-batch"  # the engine staged once
-
     def test_plan_query_approx_fields_serialize(self, ba_session):
         opts = dataclasses.replace(
             ba_session.options(), latency_budget=1e-9
         )
         qp = planner.plan_query(ba_session, generate_clique(3), opts)
         payload = qp.as_dict()
-        assert payload["use_approx"] is True
-        assert payload["approx_rel_err"] == planner.AUTO_APPROX_REL_ERR
+        assert payload["approx"] == planner.AUTO_APPROX_REL_ERR
