@@ -497,6 +497,48 @@ class TestOptionPlumbing:
         assert opts.latency_budget is None
         assert opts.seed is None
 
+    def test_inner_runs_strip_sampling_knobs(self, ba_graph, monkeypatch):
+        # The sampled rounds run the options staged once: they never
+        # stage, probe, guard or sample again, and they run the staged
+        # engine over explicit start vertices.
+        from repro.core.session import MultiPatternPlan
+
+        stage, run_group = MiningSession._stage, MultiPatternPlan.run_group
+        run_reference = MiningSession._run_reference
+        calls: dict = {}
+
+        def counting_stage(self, *a, **kw):
+            calls["stage"] += 1
+            return stage(self, *a, **kw)
+
+        def counting_group(self, *a, **kw):
+            calls["groups"] += 1
+            return run_group(self, *a, **kw)
+
+        def recording_reference(self, plan, callback, opts, *a, **kw):
+            calls["reference"].append(opts)
+            return run_reference(self, plan, callback, opts, *a, **kw)
+
+        monkeypatch.setattr(MiningSession, "_stage", counting_stage)
+        monkeypatch.setattr(MultiPatternPlan, "run_group", counting_group)
+        monkeypatch.setattr(MiningSession, "_run_reference", recording_reference)
+        for engine in ("accel-batch", "reference"):
+            calls.update(stage=0, groups=0, reference=[])
+            r = MiningSession(ba_graph).count(
+                generate_clique(3), approx=0.05, max_samples=10,
+                latency_budget=1.0, seed=3, guard="downgrade", engine=engine,
+            )
+            assert isinstance(r, ApproxCount)
+            assert calls["stage"] == 1
+            if engine == "reference":
+                assert calls["groups"] == 0 and calls["reference"]
+                assert all(
+                    o.engine == "reference" and o.start_vertices is not None
+                    for o in calls["reference"]
+                )
+            else:
+                assert calls["groups"] >= 1 and calls["reference"] == []
+
     def test_plan_query_approx_fields_serialize(self, ba_session):
         opts = dataclasses.replace(
             ba_session.options(), latency_budget=1e-9
