@@ -8,9 +8,12 @@ port, issues one count query against a freshly written ``.rgx`` graph
 option value (which must answer HTTP 400, not run unguarded), a
 ``match`` and a ``count`` under a latency budget no exact run can meet
 (the match stays exact and its plan echo says so; the count samples and
-its plan echo names the sampling target) and one ``/stats`` request,
-then interrupts the server and asserts it exits cleanly.  Exit code 0
-means the whole boot -> serve -> shutdown loop works outside pytest.
+its plan echo names the sampling target), a ``guard="downgrade"`` count
+(a downgrade is a contract for one request, so it must run alone), a
+request whose verb is not a string (which must answer HTTP 400, not drop the connection) and
+one ``/stats`` request, then interrupts the server and asserts it exits
+cleanly.  Exit code 0 means the whole boot -> serve -> shutdown loop
+works outside pytest.
 
 Run:  PYTHONPATH=src python scripts/service_smoke.py
 """
@@ -112,10 +115,29 @@ def main() -> int:
             assert "approx" in sampled["result"], sampled
             assert sampled["result"]["plan"]["approx"] == 0.05, sampled
 
+            guarded = _post(
+                f"{base}/query",
+                {"verb": "count", "graph": graph_path, "pattern": "clique:3",
+                 "options": {"guard": "downgrade"}},
+            )
+            assert guarded["ok"], guarded
+            assert guarded["result"]["count"] == expected, guarded
+            assert guarded["result"]["plan"]["approx"] is None, guarded
+
+            try:
+                _post(f"{base}/query", {"verb": [1]})
+            except urllib.error.HTTPError as err:
+                assert err.code == 400, err.code
+                assert json.load(err)["error"]["code"] == "invalid_request"
+            else:
+                raise AssertionError("a list verb was accepted")
+
             with urllib.request.urlopen(f"{base}/stats", timeout=60.0) as r:
                 stats = json.load(r)
             assert stats["ok"], stats
-            assert stats["result"]["requests"]["count"] == 3, stats
+            # the two latency-budget requests and the downgrade-guarded count
+            assert stats["result"]["batching"]["solo_requests"] == 3, stats
+            assert stats["result"]["requests"]["count"] == 4, stats
             assert stats["result"]["requests"]["match"] == 1, stats
             assert stats["result"]["errors"]["count"] == {
                 "invalid_request": 1
@@ -131,8 +153,8 @@ def main() -> int:
         assert "repro service stopped" in output, output
 
     print(
-        "service smoke OK: count + 400 + plan echoes + stats served, "
-        "clean shutdown"
+        "service smoke OK: count + 400s + plan echoes + solo rule + stats "
+        "served, clean shutdown"
     )
     return 0
 

@@ -506,8 +506,7 @@ def cmd_approx(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
 
 def cmd_serve(args: argparse.Namespace, out: TextIO = sys.stdout) -> int:
     """Run the async mining service's HTTP front until interrupted."""
-    # Imported here so plain mining commands never pay for the service
-    # tier (asyncio, http.server) at CLI startup.
+    # Deferred: ``repro.service.handlers`` imports this package.
     from ..service.http import serve
     from ..service.service import ServiceConfig
 

@@ -13,7 +13,7 @@ from typing import Sequence
 from .. import __version__
 from ..core.session import _ENGINE_CHOICES
 from . import commands
-from .parsing import add_dataset_arguments
+from .parsing import add_dataset_arguments, add_service_arguments
 
 __all__ = ["build_parser", "main"]
 
@@ -282,46 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="serve mining queries over HTTP/JSON (async service)"
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port",
-        type=int,
-        default=8765,
-        help="TCP port (0 picks a free one; default 8765)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=2, help="mining worker threads"
-    )
-    p.add_argument(
-        "--max-sessions",
-        type=int,
-        default=8,
-        help="resident graph sessions before LRU eviction",
-    )
-    p.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="evict sessions idle longer than this",
-    )
-    p.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="batching window before a bucket flushes",
-    )
-    p.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="requests that flush a bucket immediately",
-    )
-    p.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="run every request solo (ablation / debugging)",
-    )
+    add_service_arguments(p)
     p.set_defaults(func=commands.cmd_serve)
 
     p = sub.add_parser(

@@ -38,7 +38,12 @@ from ..pattern.generators import (
 from ..pattern.io import load_pattern
 from ..pattern.pattern import Pattern
 
-__all__ = ["add_dataset_arguments", "load_dataset", "parse_pattern_spec"]
+__all__ = [
+    "add_dataset_arguments",
+    "add_service_arguments",
+    "load_dataset",
+    "parse_pattern_spec",
+]
 
 _DATASET_FACTORIES = {
     "mico": lambda scale, seed, labeled: mico_like(scale, seed=seed),
@@ -100,6 +105,44 @@ def add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument(
         "--seed", type=int, default=None, help="generator seed override"
+    )
+
+
+def add_service_arguments(parser: argparse.ArgumentParser) -> None:
+    """Attach the HTTP service flags: ``repro-mine serve`` and
+    ``python -m repro.service`` take the same ones."""
+    # Deferred: ``repro.service.handlers`` imports this module.
+    from ..service.http import DEFAULT_HOST, DEFAULT_PORT
+    from ..service.service import ServiceConfig
+
+    parser.add_argument("--host", default=DEFAULT_HOST)
+    parser.add_argument(
+        "--port", type=int, default=DEFAULT_PORT,
+        help=f"TCP port (0 picks a free one; default {DEFAULT_PORT})",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=ServiceConfig.workers,
+        help="mining worker threads",
+    )
+    parser.add_argument(
+        "--max-sessions", type=int, default=ServiceConfig.max_sessions,
+        help="resident graph sessions before LRU eviction",
+    )
+    parser.add_argument(
+        "--ttl", type=float, default=ServiceConfig.ttl_seconds,
+        metavar="SECONDS", help="evict sessions idle longer than this",
+    )
+    parser.add_argument(
+        "--max-wait-ms", type=float, default=ServiceConfig.max_wait_ms,
+        help="batching window before a bucket flushes",
+    )
+    parser.add_argument(
+        "--max-batch", type=int, default=ServiceConfig.max_batch,
+        help="requests that flush a bucket immediately",
+    )
+    parser.add_argument(
+        "--no-batching", action="store_true",
+        help="run every request solo (ablation / debugging)",
     )
 
 

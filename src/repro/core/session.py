@@ -1047,7 +1047,7 @@ class MiningSession:
         """Probe → plan: the one dispatch stage of every query.
 
         Every entry point — the session verbs, both concurrent runtimes
-        and the service batcher (per member) — resolves how its
+        and the service batcher (once per batch) — resolves how its
         workload runs here, once; a single-pattern query is the workload
         of one.  Each pattern's exploration plan is looked up once and
         its probe estimate fetched from the session cache (one bounded

@@ -5,8 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .http import DEFAULT_HOST, DEFAULT_PORT, serve
-from .service import ServiceConfig
+from ..cli import commands
+from ..cli.parsing import add_service_arguments
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -14,50 +14,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.service",
         description="Serve mining queries over HTTP/JSON.",
     )
-    parser.add_argument("--host", default=DEFAULT_HOST)
-    parser.add_argument(
-        "--port", type=int, default=DEFAULT_PORT,
-        help=f"TCP port (0 picks a free one; default {DEFAULT_PORT})",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=ServiceConfig.workers,
-        help="mining worker threads",
-    )
-    parser.add_argument(
-        "--max-sessions", type=int, default=ServiceConfig.max_sessions,
-        help="resident graph sessions before LRU eviction",
-    )
-    parser.add_argument(
-        "--ttl", type=float, default=None, metavar="SECONDS",
-        help="evict sessions idle longer than this",
-    )
-    parser.add_argument(
-        "--max-wait-ms", type=float, default=ServiceConfig.max_wait_ms,
-        help="batching window before a bucket flushes",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=ServiceConfig.max_batch,
-        help="requests that flush a bucket immediately",
-    )
-    parser.add_argument(
-        "--no-batching", action="store_true",
-        help="run every request solo (ablation / debugging)",
-    )
+    add_service_arguments(parser)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = ServiceConfig(
-        workers=args.workers,
-        max_sessions=args.max_sessions,
-        ttl_seconds=args.ttl,
-        max_wait_ms=args.max_wait_ms,
-        max_batch=args.max_batch,
-        batching=not args.no_batching,
-    )
-    serve(args.host, args.port, config=config)
-    return 0
+    return commands.cmd_serve(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

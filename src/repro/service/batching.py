@@ -14,26 +14,26 @@ into that workload:
    identical semantics may share a walk;
 2. the first request of a bucket arms a flush timer (``max_wait_ms``);
    the bucket flushes early when it reaches ``max_batch``;
-3. the flushed batch is handed to the worker pool as **one**
-   :meth:`~repro.core.session.MiningSession.match_many` call (count
-   members deduplicated by pattern signature, match members carrying
-   capped row collectors), and per-request results demultiplex back to
-   each caller's future.
+3. the flushed batch is handed to the worker pool as **one** workload:
+   one dispatch stage (probe → plan) and one execute over every member
+   (count members deduplicated by pattern signature, match members
+   carrying capped row collectors), and per-request results demultiplex
+   back to each caller's future — each echoing the plan of that one
+   stage, the plan that ran.
+
+A request that runs alone is the same call over a workload of one.
 
 **Error isolation.**  A batch member must never poison its siblings:
 
-* every member goes through the session's dispatch stage (probe →
-  plan) *on its own* before the fused call — a refused request
-  gets its :class:`~repro.errors.QueryRefusedError` while the rest
-  proceed, and a member the stage routes to the sampling tier is
-  answered alone;
-* budgeted / deadline-bearing requests are never coalesced (a budget is
-  a per-request contract; one meter cannot span strangers' work) — they
-  take the solo path;
-* if the fused call itself fails, the batch falls back to per-request
-  execution, so an error that only one member can trigger (say, a
-  labeled pattern against an unlabeled graph) surfaces on that member
-  alone.
+* a request carrying a contract for itself alone — a budget or
+  deadline, ``guard="downgrade"``, ``approx`` or a ``latency_budget``,
+  set by the request or by the session defaults — never coalesces: one
+  meter cannot span strangers' work, and a downgrade or sampling route
+  must reach only the member that asked;
+* if the shared run fails, every member re-runs alone, so an error
+  that only one member can trigger (say, a labeled pattern against an
+  unlabeled graph, or a ``guard="refuse"`` refusal of one explosive
+  member) surfaces on that member alone.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Any, Callable
 
 from ..core.callbacks import Budget
 from ..core.session import MiningSession
-from ..errors import ReproError
 from ..mining.sampling import ApproxCount
 from ..pattern.pattern import Pattern
 from ..runtime.planner import QueryPlan
@@ -72,7 +71,8 @@ class QueryJob:
 
     ``options`` are already-validated :class:`ExecOptions` overrides
     with hashable values (the handler layer whitelists them); ``budget``
-    forces the solo path.  ``limit`` caps collected rows for ``match``.
+    — like ``guard="downgrade"`` or an ``approx`` or ``latency_budget``
+    option — makes the job run alone.  ``limit`` caps collected rows for ``match``.
     """
 
     kind: str  # "count" | "match"
@@ -91,8 +91,9 @@ class JobResult:
     ``rel_err_achieved``) when the count was answered by the sampling
     tier — whether the caller asked (``approx`` option) or the stage
     auto-routed it (``latency_budget``, ``guard="downgrade"``).
-    ``plan`` is the :class:`~repro.runtime.planner.QueryPlan` the job's
-    own dispatch stage chose.
+    ``plan`` is the :class:`~repro.runtime.planner.QueryPlan` of the
+    workload the job ran in — the one stage of its batch, or its own
+    when it ran alone.
     """
 
     count: int
@@ -147,18 +148,10 @@ class BatchingQueue:
         Raises whatever the execution raised for *this* job alone —
         sibling failures never propagate here.
         """
-        if (
-            not self.enabled
-            or job.budget is not None
-            or job.options.get("approx") is not None
-            or job.options.get("latency_budget") is not None
-        ):
-            # Approximate counts never coalesce: the estimator owns its
-            # own frontier sampling (a fused batch shares one exact
-            # walk), and its stopping rule is a per-request contract
-            # exactly like a budget.
+        if not self.enabled or _runs_alone(session, job):
             self.metrics.record_solo()
-            return await self.pool.run(_run_job, session, job)
+            [result], _ = await self.pool.run(_run_jobs, session, [job])
+            return result
 
         bkey = (key, _options_signature(job.options))
         loop = asyncio.get_running_loop()
@@ -236,134 +229,98 @@ def _options_signature(options: dict) -> tuple:
 # ----------------------------------------------------------------------
 
 
-def _stage_job(session: MiningSession, job: QueryJob, options: dict):
-    """One job's own probe → plan: the staged query value.
+def _runs_alone(session: MiningSession, job: QueryJob) -> bool:
+    """Whether ``job`` carries a contract for one request only.
 
-    Only count jobs may be answered by the sampling tier (a budget is an
-    observer: the stage keeps such a job exact).
+    A budget meters, a downgrade guard caps or escalates to sampling,
+    and ``approx`` or a ``latency_budget`` samples — each for the one
+    member that asked.  In a shared walk it would meter, cap or estimate
+    the siblings too.  A ``guard="refuse"`` job may batch: a refusal
+    fails the shared run, and :func:`_run_batch`'s per-job fallback
+    lands it on the explosive member alone.  Session defaults count as
+    if the request had set them.
     """
-    return session._stage(
-        [job.pattern],
-        session.defaults.merged(options),
-        count_only=job.kind == "count",
+    opts = session.defaults.merged(job.options)
+    return (
+        job.budget is not None
+        or opts.budget is not None
+        or opts.guard == "downgrade"
+        or opts.approx is not None
+        or opts.latency_budget is not None
     )
 
 
-def _run_job(session: MiningSession, job: QueryJob, staged=None):
-    """One job on its own: the solo path and the isolation fallback.
+def _run_jobs(session: MiningSession, jobs: list[QueryJob]):
+    """Run ``jobs`` as one workload: one stage, one execute.
 
-    Stage once, execute what was staged (``staged``: a batch member's
-    own stage, already done) — the plan echoed is the plan that ran.
+    Every job shares the options of its bucket; a budget only ever
+    arrives on a job that runs alone.  Count jobs with the same pattern
+    signature share one member; each match job gets its own row
+    collector, capped at its ``limit``.  Every result carries the
+    :class:`QueryPlan` of the stage that ran.  Returns ``(results,
+    deduped)``, where ``deduped`` counts jobs that shared a sibling's
+    count member.
     """
-    if staged is None:
-        overrides = dict(job.options)
-        if job.budget is not None:
-            overrides["budget"] = job.budget
-        staged = _stage_job(session, job, overrides)
-    if job.kind == "count":
-        [value] = session._execute(staged)
-        if isinstance(value, ApproxCount):
-            return JobResult(
-                int(value), staged.query_plan, approx=value.as_dict()
-            )
-        return JobResult(int(value), staged.query_plan)
-    rows: list[list[int]] = []
-    limit = job.limit
+    options = dict(jobs[0].options)
+    if jobs[0].budget is not None:
+        options["budget"] = jobs[0].budget
+    patterns: list[Pattern] = []
+    callbacks: list = []
+    member_of: list[int] = []
+    rows_of: dict[int, list] = {}
+    count_member: dict[tuple, int] = {}
+    for i, job in enumerate(jobs):
+        if job.kind == "count":
+            signature = job.pattern.signature()
+            member = count_member.get(signature)
+            if member is None:
+                member = count_member[signature] = len(patterns)
+                patterns.append(job.pattern)
+                callbacks.append(None)
+            member_of.append(member)
+            continue
+        rows = rows_of[i] = []
 
-    def collect(match) -> None:
-        if limit is None or len(rows) < limit:
-            rows.append(list(match.mapping))
+        def collect(match, rows=rows, limit=job.limit) -> None:
+            if limit is None or len(rows) < limit:
+                rows.append(list(match.mapping))
 
-    [total] = session._execute(staged, [collect])
-    return JobResult(int(total), staged.query_plan, rows=rows)
+        member_of.append(len(patterns))
+        patterns.append(job.pattern)
+        callbacks.append(collect)
+
+    staged = session._stage(
+        patterns,
+        session.defaults.merged(options),
+        count_only=not rows_of,
+    )
+    totals = session._execute(staged, callbacks)
+    results = []
+    for i, member in enumerate(member_of):
+        total = totals[member]
+        approx = total.as_dict() if isinstance(total, ApproxCount) else None
+        results.append(JobResult(
+            int(total), staged.query_plan, rows=rows_of.get(i), approx=approx
+        ))
+    return results, len(jobs) - len(patterns)
 
 
 def _run_batch(session: MiningSession, jobs: list[QueryJob]):
     """Execute one coalesced batch; per-job outcomes, never one verdict.
 
     Returns ``(outcomes, deduped)`` where ``outcomes[i]`` is the
-    :class:`JobResult` or the exception for ``jobs[i]``, and ``deduped``
-    counts requests that shared a sibling's identical count member.
+    :class:`JobResult` or the exception for ``jobs[i]``.  If the shared
+    run fails, blame may belong to one member only: each job re-runs
+    alone, so errors land exactly where they arise.
     """
-    outcomes: list[Any] = [None] * len(jobs)
-    shared = jobs[0].options  # all bucket members share one signature
-
-    # Per-member stage: refusals surface on their own member only, and a
-    # member escalated to the sampling tier is answered alone.  The
-    # fused call stages the admitted rest once more under the same
-    # options: none is refused again, a downgrade derives the same
-    # chunk, and an enumerating call never samples.
-    admitted: list[int] = []
-    stages: dict[int, Any] = {}
-    for i, job in enumerate(jobs):
-        try:
-            staged = stages[i] = _stage_job(session, job, shared)
-        except ReproError as exc:
-            outcomes[i] = exc
-            continue
-        if staged.opts.approx is not None:
-            try:
-                outcomes[i] = _run_job(session, job, staged)
-            except Exception as exc:
-                outcomes[i] = exc
-            continue
-        admitted.append(i)
-
-    # Build the fused workload: count members dedup by exact pattern
-    # signature (concurrent identical queries pay one walk), match
-    # members each carry their own capped row collector.
-    patterns: list[Pattern] = []
-    callbacks: list = []
-    member_jobs: list[list[int]] = []
-    collected_rows: dict[int, list] = {}
-    count_member: dict[tuple, int] = {}
-    for i in admitted:
-        job = jobs[i]
-        if job.kind == "count":
-            signature = job.pattern.signature()
-            member = count_member.get(signature)
-            if member is None:
-                count_member[signature] = len(patterns)
-                patterns.append(job.pattern)
-                callbacks.append(None)
-                member_jobs.append([i])
-            else:
-                member_jobs[member].append(i)
-            continue
-        rows: list[list[int]] = []
-        limit = job.limit
-
-        def collect(match, _rows=rows, _limit=limit) -> None:
-            if _limit is None or len(_rows) < _limit:
-                _rows.append(list(match.mapping))
-
-        collected_rows[i] = rows
-        patterns.append(job.pattern)
-        callbacks.append(collect)
-        member_jobs.append([i])
-
-    deduped = len(admitted) - len(patterns)
-    if not patterns:
-        return outcomes, 0
-
     try:
-        totals = session.match_many(patterns, callbacks, **shared)
+        return _run_jobs(session, jobs)
     except Exception:
-        # Isolation fallback: something in the fused call failed, and
-        # blame may belong to one member only.  Run each admitted job
-        # alone, from its own stage, so errors land exactly where they
-        # arise.
-        for i in admitted:
+        outcomes: list[Any] = []
+        for job in jobs:
             try:
-                outcomes[i] = _run_job(session, jobs[i], stages[i])
+                [result], _ = _run_jobs(session, [job])
             except Exception as exc:
-                outcomes[i] = exc
+                result = exc
+            outcomes.append(result)
         return outcomes, 0
-
-    for member, owners in enumerate(member_jobs):
-        for i in owners:
-            outcomes[i] = JobResult(
-                int(totals[member]), stages[i].query_plan,
-                rows=collected_rows.get(i),
-            )
-    return outcomes, deduped

@@ -223,7 +223,7 @@ def _edge_spec(pattern: Pattern) -> str:
 
 
 def _plan_echo(service: "MiningService", result) -> dict:
-    """The plan the job's dispatch stage chose, for the response.
+    """The plan of the stage the job ran in, for the response.
 
     The chosen engine is also folded into
     :class:`~repro.service.metrics.ServiceMetrics` so the ``stats`` verb
@@ -311,8 +311,8 @@ async def _handle_approx_count(service: "MiningService", payload: dict) -> dict:
     carries the full :class:`~repro.mining.sampling.ApproxCount`
     envelope (``estimate``, ``stderr``, ``ci_low``/``ci_high``,
     ``rel_err_achieved``, ``samples``, ``early_stop``) alongside the
-    rounded ``count``.  Approximate runs never coalesce with fused
-    batches — the estimator owns its own frontier sampling.
+    rounded ``count``.  It is a ``count`` job with ``approx`` set, so
+    it runs alone — the estimator samples for this one request.
     """
     from ..mining import sampling
 
@@ -340,19 +340,15 @@ async def _handle_approx_count(service: "MiningService", payload: dict) -> dict:
     _check_values(options)
     resolved = service.registry.resolve_key(key)
     session = service.registry.get(resolved)
-
-    def estimate() -> dict:
-        result = session.count(pattern, **options)
-        service.metrics.record_approx(auto=False)
-        response = {
-            "graph": key,
-            "pattern": payload["pattern"],
-            "count": int(result),
-        }
-        response.update(result.as_dict())
-        return response
-
-    return await service.queue.solo(estimate)
+    job = QueryJob("count", pattern, options=options)
+    result = await service.queue.submit(resolved, session, job)
+    service.metrics.record_approx(auto=False)
+    return {
+        "graph": key,
+        "pattern": payload["pattern"],
+        "count": result.count,
+        **result.approx,
+    }
 
 
 async def _handle_exists(service: "MiningService", payload: dict) -> dict:
@@ -474,9 +470,11 @@ async def dispatch(service: "MiningService", payload) -> dict:
     try:
         payload = _require_dict(payload)
         verb = payload.get("verb")
-        handler = VERBS.get(verb)
+        handler = VERBS.get(verb) if isinstance(verb, str) else None
         if handler is None:
-            verb = verb if isinstance(verb, str) else None
+            # Metrics key on the verb: a client's unknown string must
+            # not mint a key of its own.
+            verb = None
             raise InvalidRequestError(
                 f"unknown verb {payload.get('verb')!r}; expected one of "
                 f"{', '.join(sorted(VERBS))}"

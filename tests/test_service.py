@@ -380,6 +380,38 @@ class TestBatchFailureIsolation:
         assert refused["error"]["code"] == "query_refused"
         assert refused["error"]["estimate"]["predicted_partials"] > threshold
         assert refused["error"]["partial"]["truncated"] is True
+        # A refusal needs no solo path: the requests coalesce, and the
+        # per-job fallback lands the refusal on its member alone.
+        batching = service.metrics.snapshot()["batching"]
+        assert batching["solo_requests"] == 0
+        assert batching["batched_requests"] == 3
+
+    def test_downgrade_guard_runs_alone(self, graph):
+        """A downgrade may cap or sample its member: it never coalesces."""
+        service = MiningService(ServiceConfig(workers=2, max_wait_ms=20.0))
+        service.register_graph("g", graph)
+        truth = MiningSession(graph)
+
+        async def go():
+            requests = [
+                {"verb": "count", "graph": "g", "pattern": "clique:3"},
+                {"verb": "count", "graph": "g", "pattern": "star:3",
+                 "options": {"guard": "downgrade"}},
+                {"verb": "count", "graph": "g", "pattern": "chain:3"},
+            ]
+            return await asyncio.gather(
+                *[service.handle(r) for r in requests]
+            )
+
+        ok_a, guarded, ok_b = run(
+            TestBatchingCorrectness._with_close(service, go)
+        )
+        assert ok_a["result"]["count"] == truth.count(generate_clique(3))
+        assert guarded["result"]["count"] == truth.count(generate_star(3))
+        assert ok_b["result"]["count"] == truth.count(generate_chain(3))
+        batching = service.metrics.snapshot()["batching"]
+        assert batching["solo_requests"] == 1
+        assert batching["batched_requests"] == 2
 
     def test_budgeted_request_runs_solo_and_fails_alone(self, graph):
         service = MiningService(ServiceConfig(workers=2, max_wait_ms=20.0))
@@ -414,15 +446,16 @@ class TestBatchFailureIsolation:
         """If the fused call itself dies, every member re-runs alone."""
         session = MiningSession(graph)
         metrics = ServiceMetrics()
-
-        def sabotaged_match_many(self, patterns, callbacks=None, **options):
-            raise RuntimeError("fused walk exploded")
-
-        monkeypatch.setattr(
-            MiningSession, "match_many", sabotaged_match_many
-        )
         truth_clique = session.count(generate_clique(3))
         truth_star = session.count(generate_star(3))
+        real = MiningSession._execute
+
+        def sabotaged_execute(self, staged, *args, **kwargs):
+            if len(staged.patterns) > 1:
+                raise RuntimeError("fused walk exploded")
+            return real(self, staged, *args, **kwargs)
+
+        monkeypatch.setattr(MiningSession, "_execute", sabotaged_execute)
 
         async def go():
             with QueryPool(workers=1) as pool:
@@ -444,6 +477,42 @@ class TestBatchFailureIsolation:
         assert clique.count == truth_clique
         assert star.count == truth_star
 
+    def test_batch_echoes_the_plan_that_ran(self, graph, monkeypatch):
+        """Every member's plan is the one stage its shared walk ran."""
+        from repro.core import accel
+        from repro.runtime import planner
+        from repro.service.batching import _run_batch
+
+        session = MiningSession(graph)
+        patterns = [generate_clique(3), generate_star(5)]
+        raw = sorted(
+            guards.estimate_cost(session, p).predicted_partials_raw
+            for p in patterns
+        )
+        assert raw[0] < raw[1]
+        # Only the heavier member alone would plan a frontier chunk.
+        monkeypatch.setattr(planner, "TIGHTEN_PARTIALS", sum(raw) / 2)
+        chunks = []
+        real = accel.fused_run
+
+        def spy(graph, members, starts, chunk=None, *args, **kwargs):
+            chunks.append(chunk)
+            return real(graph, members, starts, chunk, *args, **kwargs)
+
+        monkeypatch.setattr(accel, "fused_run", spy)
+        outcomes, _ = _run_batch(
+            session, [QueryJob("count", p) for p in patterns]
+        )
+        assert chunks and set(chunks) == {planner.PLANNED_FRONTIER_CHUNK}
+        for outcome in outcomes:
+            assert outcome.plan.frontier_chunk == planner.PLANNED_FRONTIER_CHUNK
+            assert any(
+                reason.startswith(
+                    f"frontier_chunk {planner.PLANNED_FRONTIER_CHUNK}"
+                )
+                for reason in outcome.plan.reasons
+            )
+
 
 # ----------------------------------------------------------------------
 # Dispatch surface / response shapes
@@ -463,6 +532,19 @@ class TestDispatch:
         assert not response["ok"]
         assert response["error"]["code"] == "invalid_request"
         assert "shred" in response["error"]["message"]
+
+    def test_hostile_verbs_answer_invalid_and_mint_no_keys(self, service):
+        from repro.service.handlers import VERBS
+
+        junk = [f"junk-{i}" for i in range(5)] + [[1], {"a": 1}]
+        for verb in junk:
+            response = run(service.handle({"verb": verb, "graph": "g"}))
+            assert response["error"]["code"] == "invalid_request", response
+        snapshot = service.stats()
+        allowed = set(VERBS) | {"invalid"}
+        for gauge in ("requests", "latency_ms", "errors"):
+            assert set(snapshot[gauge]) <= allowed, snapshot[gauge]
+        assert snapshot["requests"]["invalid"] == len(junk)
 
     def test_non_dict_payload(self, service):
         response = run(service.handle([1, 2]))

@@ -185,9 +185,16 @@ class TestHTTPFront:
 
 
 def test_module_main_parser_defaults():
+    from repro.cli import build_parser as cli_parser
     from repro.service.__main__ import build_parser
 
     args = build_parser().parse_args([])
     assert args.port == 8765 and args.workers == 2
     args = build_parser().parse_args(["--no-batching", "--port", "0"])
     assert args.no_batching and args.port == 0
+    # ``repro-mine serve`` takes the same flags with the same defaults.
+    for argv in ([], ["--no-batching", "--port", "0"]):
+        served = vars(cli_parser().parse_args(["serve", *argv]))
+        assert served.pop("command") == "serve"
+        del served["func"]
+        assert served == vars(build_parser().parse_args(argv))

@@ -866,7 +866,7 @@ class TestOneStagePerVerb:
             assert groups == [(0,)]
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_a_service_batch_of_k_stages_k_plus_one(self, k, monkeypatch):
+    def test_a_service_batch_of_k_stages_once(self, k, monkeypatch):
         from repro.service.batching import QueryJob, _run_batch
 
         g = erdos_renyi(40, 0.25, seed=2)
@@ -878,8 +878,8 @@ class TestOneStagePerVerb:
             session, [QueryJob("count", p) for p in patterns]
         )
         assert [o.count for o in outcomes] == expected
-        # each member's own admission, then the one shared walk
-        assert [len(c) for c in calls] == [1] * k + [k]
+        # one stage for the whole batch, the stage the walk runs
+        assert [len(c) for c in calls] == [k]
 
 
 class TestProbeCache:
