@@ -9,7 +9,10 @@ option value (which must answer HTTP 400, not run unguarded), a
 ``match`` and a ``count`` under a latency budget no exact run can meet
 (the match stays exact and its plan echo says so; the count samples and
 its plan echo names the sampling target), a ``guard="downgrade"`` count
-(a downgrade is a contract for one request, so it must run alone), a
+(a downgrade is a contract for one request, so it must run alone), an
+``exists`` under a deadline it cannot meet and one under a one-row
+frontier cap (each HTTP 504 ``budget_exceeded``) and one under a roomy
+budget (answers ``true``), a
 request whose verb is not a string (which must answer HTTP 400, not drop the connection) and
 one ``/stats`` request, then interrupts the server and asserts it exits
 cleanly.  Exit code 0 means the whole boot -> serve -> shutdown loop
@@ -124,6 +127,28 @@ def main() -> int:
             assert guarded["result"]["count"] == expected, guarded
             assert guarded["result"]["plan"]["approx"] is None, guarded
 
+            # exists honours its budget: a deadline no walk can meet or
+            # a one-row frontier cap trips it, a roomy one lets it answer.
+            for limit in ({"timeout_ms": 1e-6},
+                          {"budget": {"max_frontier_rows": 1}}):
+                try:
+                    _post(
+                        f"{base}/query",
+                        {"verb": "exists", "graph": graph_path,
+                         "pattern": "clique:3", **limit},
+                    )
+                except urllib.error.HTTPError as err:
+                    assert err.code == 504, (limit, err.code)
+                    assert json.load(err)["error"]["code"] == "budget_exceeded"
+                else:
+                    raise AssertionError(f"an exists under {limit} answered")
+            roomy = _post(
+                f"{base}/query",
+                {"verb": "exists", "graph": graph_path, "pattern": "clique:3",
+                 "budget": {"deadline": 60.0}},
+            )
+            assert roomy["ok"] and roomy["result"]["exists"] is True, roomy
+
             try:
                 _post(f"{base}/query", {"verb": [1]})
             except urllib.error.HTTPError as err:
@@ -135,12 +160,17 @@ def main() -> int:
             with urllib.request.urlopen(f"{base}/stats", timeout=60.0) as r:
                 stats = json.load(r)
             assert stats["ok"], stats
-            # the two latency-budget requests and the downgrade-guarded count
-            assert stats["result"]["batching"]["solo_requests"] == 3, stats
+            # the two latency-budget requests, the downgrade-guarded count
+            # and the three exists probes
+            assert stats["result"]["batching"]["solo_requests"] == 6, stats
             assert stats["result"]["requests"]["count"] == 4, stats
             assert stats["result"]["requests"]["match"] == 1, stats
+            assert stats["result"]["requests"]["exists"] == 3, stats
             assert stats["result"]["errors"]["count"] == {
                 "invalid_request": 1
+            }, stats
+            assert stats["result"]["errors"]["exists"] == {
+                "budget_exceeded": 2
             }, stats
             assert stats["result"]["registry"]["sessions"] == 1, stats
         finally:
@@ -153,8 +183,8 @@ def main() -> int:
         assert "repro service stopped" in output, output
 
     print(
-        "service smoke OK: count + 400s + plan echoes + solo rule + stats "
-        "served, clean shutdown"
+        "service smoke OK: count + 400s + plan echoes + solo rule + exists "
+        "budgets + stats served, clean shutdown"
     )
     return 0
 

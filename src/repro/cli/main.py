@@ -18,6 +18,14 @@ from .parsing import add_dataset_arguments, add_service_arguments
 __all__ = ["build_parser", "main"]
 
 
+def _limit(text: str) -> int:
+    """A ``--limit`` value: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _add_pattern_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pattern",
@@ -189,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", help="write matches to this file")
     p.add_argument(
-        "--limit", type=int, default=None, help="print at most N matches"
+        "--limit", type=_limit, default=None, help="print at most N matches"
     )
     p.set_defaults(func=commands.cmd_match)
 
@@ -228,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode.add_argument("--list", action="store_true", help="list cliques")
     p.add_argument(
-        "--limit", type=int, default=None, help="list at most N cliques"
+        "--limit", type=_limit, default=None, help="list at most N cliques"
     )
     p.set_defaults(func=commands.cmd_cliques)
 

@@ -57,7 +57,7 @@ import numpy as np
 
 from ..errors import BudgetExceededError, MatchingError, PartialResult
 from ..graph.graph import DataGraph
-from .callbacks import ExplorationControl, Match
+from .callbacks import Match, Stop
 from .matching_order import OrderedCore, _linear_extensions
 from .plan import ExplorationPlan, NonCoreStep
 
@@ -397,7 +397,7 @@ class FrontierBatchedEngine:
     :meth:`~repro.graph.graph.DataGraph.adjacency_keys` and
     :meth:`~repro.graph.graph.DataGraph.hub_index`, so building one
     engine per fused member copies nothing.  An engine is bound to one
-    plan, its consumer, chunk, control and budget; :func:`fused_run`
+    plan, its consumer, chunk and stop token; :func:`fused_run`
     builds it once and hands it the frontier one slice at a time
     (:meth:`walk`), so :attr:`total` is the member's count so far:
 
@@ -461,8 +461,7 @@ class FrontierBatchedEngine:
         "chunk",
         "width",
         "total",
-        "control",
-        "budget",
+        "stop",
         "shared",
         "_cur_oc",
         "_cur_rank",
@@ -481,8 +480,7 @@ class FrontierBatchedEngine:
         on_match: Callable[[Match], None] | None = None,
         on_batch: Callable[[np.ndarray], None] | None = None,
         chunk: int = ACCEL_FRONTIER_CHUNK,
-        control: ExplorationControl | None = None,
-        budget=None,
+        stop: Stop | None = None,
     ):
         self.graph = graph
         self.offsets, self.flat, self.labels = graph.csr_arrays()
@@ -507,8 +505,7 @@ class FrontierBatchedEngine:
         self.chunk = chunk
         self.width = plan.matched_pattern.num_vertices
         self.total = 0
-        self.control = control
-        self.budget = budget
+        self.stop = stop
         # The slice's SharedFrontierGathers memo, set by each walk.
         self.shared: SharedFrontierGathers | None = None
         # Several ordered cores interleave per start vertex in the
@@ -587,52 +584,44 @@ class FrontierBatchedEngine:
         inter-batch order are an implementation detail; the row multiset
         equals the reference engine's match multiset.
 
-        ``control`` enables cooperative early termination (§5.3): the
-        flag is polled before every frontier block and before each
-        ``on_match`` callback, so a stop lands within one block's worth
-        of work — or one *task's* worth when several ordered cores
-        require order-merged emission (the slice is walked one start
-        vertex at a time so buffered matches can't defer the stopping
-        callback).  With ``on_match``, :attr:`total` equals the
+        ``stop`` (:class:`~repro.core.callbacks.Stop`, ``None`` for a run
+        nothing can stop) enables cooperative early termination (§5.3):
+        it is polled (:meth:`_poll`) before every frontier block and
+        before each ``on_match`` callback, so a stop lands within one
+        block's worth of work — or one *task's* worth when several
+        ordered cores require order-merged emission (the slice is walked
+        one start vertex at a time so buffered matches can't defer the
+        stopping callback).  With ``on_match``, :attr:`total` equals the
         callbacks actually fired; batch/count-only runs wind down at
         block granularity and may include the stopping block in full.
-
-        ``budget`` is an armed :class:`~repro.core.callbacks.BudgetMeter`
-        polled at the same block boundaries the control is; exhaustion
+        The same polls charge the token's budget, if any; exhaustion
         raises :class:`~repro.errors.BudgetExceededError`, and the match
         cap reads :attr:`total`, the member's count over every slice.
         """
         self.shared = shared
         # Ordered emission defers callbacks until a slice is fully
-        # explored, and callbacks are the only place this control can be
-        # stopped in a single-threaded run — so walk one start vertex at
-        # a time: a stop then lands within one task's work, mirroring the
-        # reference engine's per-task control checks.
-        step = 1 if self._ordered_emit and self.control is not None else starts.size
-        budget = self.budget
+        # explored, so a run that can stop walks one start vertex at a
+        # time: a stop then lands within one task's work, mirroring the
+        # reference engine's per-task polls.
+        step = 1 if self._ordered_emit and self.stop is not None else starts.size
         for lo in range(0, starts.size, step):
-            if self._stopped():
-                break
             sl = starts[lo: lo + step]
-            if budget is not None:
-                budget.charge_rows(int(sl.size))
-                budget.check(self.total)
+            if self._poll(rows=int(sl.size)):
+                break
             self._run_cores(sl)
-            if budget is not None:
-                budget.levels_completed += 1
             if self._ordered_emit:
                 self._emit_pending()
                 self._pending = []
 
-    def _stopped(self) -> bool:
-        """Whether a caller-supplied control has requested termination."""
-        return self.control is not None and self.control.stopped
+    def _poll(self, rows: int = 0, partials: int = 0) -> bool:
+        """Whether to stop: the engine's one question to its stop token
+        (:meth:`~repro.core.callbacks.Stop.poll`, which charges the
+        budget); a run without a token never stops."""
+        return self.stop is not None and self.stop.poll(self.total, rows, partials)
 
     def _run_cores(self, starts: np.ndarray) -> None:
         """Run every ordered core over one slice of start vertices."""
         for rank, oc in enumerate(self.plan.ordered_cores):
-            if self._stopped():
-                return
             self._cur_oc = oc
             self._cur_rank = rank
             top_label = oc.labels[oc.size - 1]
@@ -652,20 +641,18 @@ class FrontierBatchedEngine:
     def _process_core(
         self, block: np.ndarray, origin: np.ndarray, level: int
     ) -> None:
-        oc = self._cur_oc
-        if block.shape[0] == 0 or self._stopped():
-            return
-        if level == oc.size:
-            self._core_complete(block, origin)
-            return
-        if block.shape[0] > self.chunk:
+        complete = level == self._cur_oc.size
+        if not complete and block.shape[0] > self.chunk:
             for lo in range(0, block.shape[0], self.chunk):
                 hi = lo + self.chunk
                 self._process_core(block[lo:hi], origin[lo:hi], level)
             return
-        if self.budget is not None:
-            self.budget.charge_partials(block.shape[0])
-            self.budget.check(self.total)
+        # A block about to expand is charged; a finished one only asks.
+        if block.shape[0] == 0 or self._poll(partials=0 if complete else block.shape[0]):
+            return
+        if complete:
+            self._core_complete(block, origin)
+            return
         cset = self._cores[self._cur_rank][level - 1]
         for nxt, nxt_origin in self._expand(block, origin, cset):
             self._process_core(nxt, nxt_origin, level + 1)
@@ -703,20 +690,17 @@ class FrontierBatchedEngine:
     def _process_steps(
         self, block: np.ndarray, origin: np.ndarray, step_index: int
     ) -> None:
-        if block.shape[0] == 0 or self._stopped():
-            return
-        steps = self.steps
-        if step_index == len(steps):
-            self._finalize(block, origin)
-            return
-        if block.shape[0] > self.chunk:
+        final = step_index == len(self.steps)
+        if not final and block.shape[0] > self.chunk:
             for lo in range(0, block.shape[0], self.chunk):
                 hi = lo + self.chunk
                 self._process_steps(block[lo:hi], origin[lo:hi], step_index)
             return
-        if self.budget is not None:
-            self.budget.charge_partials(block.shape[0])
-            self.budget.check(self.total)
+        if block.shape[0] == 0 or self._poll(partials=0 if final else block.shape[0]):
+            return
+        if final:
+            self._finalize(block, origin)
+            return
         if self.can_count_tail and step_index == self._tail.start:
             self.total += self._count_tail(block)
             return
@@ -1025,14 +1009,14 @@ class FrontierBatchedEngine:
         """
         pattern = self.plan.pattern
         on_match = self.on_match
-        control = self.control
-        if control is None:
+        if self.stop is None:
             self.total += len(rows)
             for row in rows:
                 on_match(Match(pattern, tuple(row)))
             return
+        poll = self.stop.poll
         for row in rows:
-            if control.stopped:
+            if poll(self.total):
                 break
             self.total += 1
             on_match(Match(pattern, tuple(row)))
@@ -1096,8 +1080,7 @@ def fused_run(
     members: list[tuple[ExplorationPlan, Callable | None, Callable | None]],
     starts: np.ndarray,
     chunk: int | None = None,
-    control: ExplorationControl | None = None,
-    budget=None,
+    stop: Stop | None = None,
 ) -> list[int]:
     """Run several plans over one shared frontier; return per-member counts.
 
@@ -1120,26 +1103,26 @@ def fused_run(
     engine's own DFS), which ``tests/test_multipattern.py``
     fuzz-enforces.
 
-    ``control`` is polled between frontier slices and by each member
-    engine (between blocks and per emitted match), so a stop lands
-    within one slice of one member's work.  ``budget`` is one armed
-    :class:`~repro.core.callbacks.BudgetMeter` shared by every member —
-    the deadline and row caps bound the whole fused call, and the match
-    cap binds each member's count over every slice.  On exhaustion the
-    raised :class:`~repro.errors.BudgetExceededError` carries the
-    *summed* partial with per-member counts in
+    ``stop`` is the run's one :class:`~repro.core.callbacks.Stop`
+    token (``None``: nothing can stop the run), polled between slices
+    and shared by every member engine, which polls it between blocks and
+    per emitted match — so a stop lands within one block of one member's
+    work, the budget's deadline and row caps bound the whole fused call,
+    and its match cap binds each member's count over every slice.  On
+    exhaustion the raised :class:`~repro.errors.BudgetExceededError`
+    carries the *summed* partial with per-member counts in
     ``partial.detail["totals"]``.
     """
     cap = ACCEL_FRONTIER_CHUNK if chunk is None else max(1, int(chunk))
     engines = [
-        FrontierBatchedEngine(graph, plan, on_match, on_batch, cap, control, budget)
+        FrontierBatchedEngine(graph, plan, on_match, on_batch, cap, stop)
         for plan, on_match, on_batch in members
     ]
     # degree + 1 keeps zero-degree starts advancing and bounds slice rows.
     weights = graph.degrees()[starts] + 1
     try:
         for sl in bounded_slices(weights, cap):
-            if control is not None and control.stopped:
+            if stop is not None and stop.stopped:
                 break
             shared = SharedFrontierGathers(starts[sl])
             for engine in engines:

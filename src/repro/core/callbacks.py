@@ -98,12 +98,12 @@ class ExplorationControl:
 class Budget:
     """Declarative work budget for one query (all limits optional).
 
-    A budget is a frozen spec; each run arms it into a private
-    :class:`BudgetMeter` (so a session-default deadline restarts per
-    call).  Engines poll the meter cooperatively — once per frontier
-    block in the batched engine, once per start task in the interpreter
-    — so an armed deadline costs one ``perf_counter`` comparison
-    per poll and a disarmed budget costs one ``is None`` check.
+    A budget is a frozen spec; each run arms it into its one
+    :class:`Stop` token (:meth:`meter`, so a session-default deadline
+    restarts per call).  Engines poll the token cooperatively — once per
+    frontier block in the batched engine, once per start task in the
+    interpreter — so an armed deadline costs one ``perf_counter``
+    comparison per poll, and a run nothing can stop arms no token.
 
     Limits are *cooperative*: a run stops at the first poll after a
     limit trips, so counts may overshoot by up to one chunk.  For an
@@ -139,32 +139,90 @@ class Budget:
         return BudgetMeter(self)
 
 
-class BudgetMeter:
-    """Mutable per-run state for an armed :class:`Budget`.
+class Stop(ExplorationControl):
+    """The one stop token of a run: everything that may end it early.
 
-    One meter spans one logical query — a fused multi-pattern walk
-    shares a single meter across all member engines, so the deadline and
-    row caps bound the whole call, not each member.
+    :meth:`~repro.core.session.MiningSession._execute` arms at most one
+    per run, and engines ask nothing but its :meth:`poll`.
+    It stops on ``control`` — the caller's token, *linked*: :meth:`stop`
+    never fires it, so ``exists`` ending itself spares a control other
+    runs share; on ``flag`` — a process-shared ``multiprocessing.Value``
+    :meth:`stop` also raises, so a parent-side stop lands inside every
+    worker's engine; and ``deadline`` seconds after it was made
+    (:class:`~repro.runtime.termination.DeadlineControl`).  An armed
+    ``budget``'s deadline and caps raise
+    :class:`~repro.errors.BudgetExceededError` instead.  ``seen``
+    latches once a reader saw the token stopped, so a driver can tell a
+    run that wound down from one that finished first.
     """
 
     __slots__ = (
+        "control",
         "budget",
+        "flag",
         "deadline_at",
         "frontier_rows",
         "expanded_partials",
         "levels_completed",
+        "seen",
     )
 
-    def __init__(self, budget: Budget):
+    def __init__(self, control=None, budget=None, flag=None, deadline=None):
+        super().__init__()
+        self.control = control
         self.budget = budget
+        self.flag = flag
+        if budget is not None:
+            deadline = budget.deadline
         self.deadline_at = (
-            None
-            if budget.deadline is None
-            else time.perf_counter() + budget.deadline
+            None if deadline is None else time.perf_counter() + deadline
         )
         self.frontier_rows = 0
         self.expanded_partials = 0
         self.levels_completed = 0
+        self.seen = False
+
+    def stop(self) -> None:
+        """Stop this run — and, through ``flag``, every worker's."""
+        if self.flag is not None:
+            self.flag.value = 1
+        super().stop()
+
+    def _expired(self) -> bool:
+        """Whether the deadline passed: the one read of the clock."""
+        return self.deadline_at is not None and time.perf_counter() >= self.deadline_at
+
+    @property
+    def stopped(self) -> bool:
+        """A bare :meth:`poll`."""
+        return self.poll(0)
+
+    def poll(self, total: int, rows: int = 0, partials: int = 0) -> bool:
+        """Whether the run should stop — the one question engines ask.
+
+        A poll that admits work charges it to the budget — ``rows``
+        level-0 frontier rows or ``partials`` materialised partial
+        matches — and checks every limit against ``total``, the polling
+        engine's match count (:meth:`check`); a bare poll only asks whether
+        the token stopped, and a stopped token charges nothing.
+        """
+        if (
+            self._event.is_set()
+            or (self.control is not None and self.control.stopped)
+            or (self.flag is not None and self.flag.value)
+            or (self.budget is None and self._expired())
+        ):
+            self.seen = True
+            return True
+        if self.budget is not None and (rows or partials):
+            if rows and self.frontier_rows:
+                # A level-0 charge opens a unit (a slice or a start
+                # task), so the unit the previous one opened finished.
+                self.levels_completed += 1
+            self.charge_rows(rows)
+            self.charge_partials(partials)
+            self.check(total)
+        return False
 
     def charge_rows(self, n: int) -> None:
         """Account ``n`` level-0 frontier rows entering exploration."""
@@ -174,30 +232,8 @@ class BudgetMeter:
         """Account ``n`` materialised partial matches (frontier block rows)."""
         self.expanded_partials += n
 
-    def exhausted_reason(self) -> str | None:
-        """The first tripped limit among the non-match limits, if any."""
-        b = self.budget
-        if self.deadline_at is not None and time.perf_counter() >= self.deadline_at:
-            return f"deadline of {b.deadline}s elapsed"
-        if (
-            b.max_frontier_rows is not None
-            and self.frontier_rows >= b.max_frontier_rows
-        ):
-            return (
-                f"frontier rows {self.frontier_rows} >= cap {b.max_frontier_rows}"
-            )
-        if (
-            b.max_expanded_partials is not None
-            and self.expanded_partials >= b.max_expanded_partials
-        ):
-            return (
-                f"expanded partials {self.expanded_partials}"
-                f" >= cap {b.max_expanded_partials}"
-            )
-        return None
-
     def check(self, matches: int) -> None:
-        """Poll every limit; raise with the partial-so-far on a trip.
+        """Check every budget limit; raise with the partial-so-far on a trip.
 
         ``matches`` is the polling engine's count over the whole query;
         the match cap compares it and the raised partial carries it.
@@ -205,18 +241,44 @@ class BudgetMeter:
         b = self.budget
         if b.max_matches is not None and matches >= b.max_matches:
             reason = f"matches {matches} >= cap {b.max_matches}"
-        else:
-            reason = self.exhausted_reason()
-        if reason is not None:
-            raise BudgetExceededError(
-                f"budget exceeded: {reason}",
-                PartialResult(
-                    matches,
-                    levels_completed=self.levels_completed,
-                    truncated=True,
-                    reason=reason,
-                ),
+        elif self._expired():
+            reason = f"deadline of {b.deadline}s elapsed"
+        elif (
+            b.max_frontier_rows is not None
+            and self.frontier_rows >= b.max_frontier_rows
+        ):
+            reason = f"frontier rows {self.frontier_rows} >= cap {b.max_frontier_rows}"
+        elif (
+            b.max_expanded_partials is not None
+            and self.expanded_partials >= b.max_expanded_partials
+        ):
+            reason = (
+                f"expanded partials {self.expanded_partials}"
+                f" >= cap {b.max_expanded_partials}"
             )
+        else:
+            return
+        raise BudgetExceededError(
+            f"budget exceeded: {reason}",
+            PartialResult(
+                matches,
+                levels_completed=self.levels_completed,
+                truncated=True,
+                reason=reason,
+            ),
+        )
+
+
+class BudgetMeter(Stop):
+    """An armed :class:`Budget` on its own: the :class:`Stop` token
+    :meth:`Budget.meter` returns.  One meter spans one logical query — a
+    fused multi-pattern walk shares it across all member engines, so the
+    deadline and row caps bound the whole call, not each member."""
+
+    __slots__ = ()
+
+    def __init__(self, budget: Budget):
+        super().__init__(budget=budget)
 
 
 class Aggregator:

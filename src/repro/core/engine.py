@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..errors import MatchingError
 from ..graph.graph import DataGraph
-from .callbacks import ExplorationControl, Match
+from .callbacks import Match, Stop
 from .candidates import bounded, contains, difference, intersect_many
 from .matching_order import OrderedCore
 from .plan import ExplorationPlan
@@ -100,7 +100,7 @@ class _Run:
     __slots__ = (
         "plan",
         "on_match",
-        "control",
+        "stop",
         "stats",
         "timer",
         "count_only",
@@ -118,14 +118,14 @@ class _Run:
         graph: DataGraph,
         plan: ExplorationPlan,
         on_match: Callable[[Match], None] | None,
-        control: ExplorationControl | None,
+        stop: Stop | None,
         stats: EngineStats | None,
         timer,
         count_only: bool,
     ):
         self.plan = plan
         self.on_match = on_match
-        self.control = control
+        self.stop = stop
         self.stats = stats
         self.timer = timer
         self.count_only = count_only and on_match is None
@@ -226,7 +226,7 @@ class _Run:
 
     def _core_matched(self, oc: OrderedCore, pos_map: list[int]) -> None:
         """Remap a fully-assigned ordered core through each of its sequences."""
-        if self.control is not None and self.control.stopped:
+        if self.stop is not None and self.stop.poll(self.matches):
             return
         if self.stats is not None:
             self.stats.core_matches += len(oc.sequences)
@@ -342,11 +342,10 @@ def run_tasks(
     plan: ExplorationPlan,
     start_vertices: Iterable[int] | None = None,
     on_match: Callable[[Match], None] | None = None,
-    control: ExplorationControl | None = None,
+    stop: Stop | None = None,
     stats: EngineStats | None = None,
     timer=None,
     count_only: bool = False,
-    budget=None,
 ) -> int:
     """Run matching tasks over ``start_vertices``; return the match count.
 
@@ -355,26 +354,21 @@ def run_tasks(
     that graph's numbering.  ``start_vertices`` defaults to all vertices,
     highest degree first.  With ``count_only`` (and no callback, no
     anti-vertices) the engine counts final-step candidates without
-    enumerating them.  ``budget`` is an armed
-    :class:`~repro.core.callbacks.BudgetMeter`, polled once per start
-    task; exhaustion raises
-    :class:`~repro.errors.BudgetExceededError` with the count so far.
+    enumerating them.  ``stop`` is the run's
+    :class:`~repro.core.callbacks.Stop` token (``None``: nothing can
+    stop it), polled per core match and per start task, which it
+    charges to the budget.
     """
-    run = _Run(graph, plan, on_match, control, stats, timer, count_only)
+    run = _Run(graph, plan, on_match, stop, stats, timer, count_only)
     if start_vertices is None:
         start_vertices = default_task_order(graph)
     if timer is not None:
         timer.start("other")
     try:
         for start in start_vertices:
-            if control is not None and control.stopped:
+            if stop is not None and stop.poll(run.matches, rows=1):
                 break
-            if budget is not None:
-                budget.charge_rows(1)
-                budget.check(run.matches)
             run.run_task(start)
-            if budget is not None:
-                budget.levels_completed += 1
     finally:
         if timer is not None:
             timer.stop("other")

@@ -48,7 +48,7 @@ from ..graph.binary_io import GraphStore, open_graph
 from ..graph.graph import DataGraph
 from ..pattern.pattern import Pattern
 from . import accel as _accel
-from .callbacks import Aggregator, Budget, ExplorationControl, Match
+from .callbacks import Aggregator, Budget, ExplorationControl, Match, Stop
 from .engine import EngineStats, run_tasks
 from .multipattern import CensusTransform, census_eligible, census_transform
 from .plan import ExplorationPlan, generate_plan
@@ -151,10 +151,11 @@ class MultiPatternPlan:
         unpinned, at least two members qualify (below that the basis
         cannot amortize), every member runs its own plan over its whole
         frontier (no ``plan``/``start_vertices`` override) and nothing
-        can stop the run early — a ``control``-stopped,
-        ``budget``-tripped or cancelled run's basis counts would invert
-        into garbage, so such runs count every member directly (still
-        one shared frontier walk).
+        can stop the run early (no ``control`` or ``budget`` to arm its
+        :class:`~repro.core.callbacks.Stop` token from) — a stopped,
+        tripped or cancelled run's basis counts would invert into
+        garbage, so such runs count every member directly (still one
+        shared frontier walk).
         """
         from ..pattern.canonical import canonical_permutation
 
@@ -207,7 +208,7 @@ class MultiPatternPlan:
 
     def run_group(
         self, g: int, graph: DataGraph, starts, consumers: Mapping[int, tuple] | None = None,
-        chunk: int | None = None, control=None, budget=None,
+        chunk: int | None = None, stop: Stop | None = None,
     ) -> list[int]:
         """The batched executor: group ``g`` over ``starts``.
 
@@ -218,13 +219,14 @@ class MultiPatternPlan:
         their sums over every chunk of a frontier, go to :meth:`demux`.
         ``consumers[i]`` is member ``i``'s ``(on_match, on_batch)`` pair
         (engine ids); members without one are counted, not enumerated.
+        ``stop`` is the run's :class:`~repro.core.callbacks.Stop` token.
         """
         direct, consumers = self.direct[g], consumers or {}
         fused = [
             (plan, *consumers.get(idx, (None, None)))
             for plan, idx in zip(self.members[g], direct)
         ] + [(plan, None, None) for plan in self.members[g][len(direct):]]
-        return _accel.fused_run(graph, fused, starts, chunk, control, budget)
+        return _accel.fused_run(graph, fused, starts, chunk, stop)
 
     def demux(self, g: int, counts: Sequence[int]) -> dict[int, int]:
         """Group ``g``'s raw member counts as ``{member index: total}``.
@@ -439,25 +441,6 @@ class StagedQuery(NamedTuple):
     opts: "ExecOptions"
     query_plan: Any
     samplable: bool
-
-
-class _LinkedControl(ExplorationControl):
-    """A control that also observes an external cancel token.
-
-    :meth:`stop` sets only the *internal* flag, so a query using this as
-    its private stop signal never cancels the caller's shared token;
-    :attr:`stopped` reports either side.
-    """
-
-    __slots__ = ("_external",)
-
-    def __init__(self, external: ExplorationControl):
-        super().__init__()
-        self._external = external
-
-    @property
-    def stopped(self) -> bool:
-        return self._event.is_set() or self._external.stopped
 
 
 class MiningSession:
@@ -900,16 +883,13 @@ class MiningSession:
         match, so this qualifies for vectorized dispatch.  A ``control``
         override is honored as an external cancel: the probe stops when
         either the first match lands or the caller's control fires (a
-        cancelled probe reports ``False``).  The probe's own stop never
-        propagates to the caller's token — a successful ``exists`` won't
-        cancel other runs sharing that control.
+        cancelled probe reports ``False``).  The probe stops its own
+        :class:`~repro.core.callbacks.Stop` linked to the caller's
+        token, never the token — a successful ``exists`` won't cancel
+        other runs sharing that control.  A ``budget`` binds as usual.
         """
         options = dict(options)
-        external = options.get("control", self.defaults.control)
-        control = (
-            _LinkedControl(external) if external is not None
-            else ExplorationControl()
-        )
+        control = Stop(options.get("control", self.defaults.control))
         options["control"] = control
         found: list[Match] = []
 
@@ -1168,10 +1148,14 @@ class MiningSession:
             from ..mining.sampling import approx_count_many_session
 
             return approx_count_many_session(self, staged)
-        # A control never pins the interpreter: fused_run polls it
-        # between frontier slices and threads it into every member
-        # engine, so deadline/stop tokens ride the batched walk too.
-        meter = opts.budget.meter() if opts.budget is not None else None
+        # The run's one stop token, armed from the caller's control and
+        # budget (a service timeout is the budget's deadline); None when
+        # nothing can stop the run.  It never pins the interpreter.
+        if opts.budget is not None:
+            stop = opts.budget.meter()  # a Budget subclass may shape it
+            stop.control = opts.control
+        else:
+            stop = None if opts.control is None else Stop(opts.control)
         totals: list = [None] * n
         running: Sequence[int] = ()
         try:
@@ -1179,7 +1163,7 @@ class MiningSession:
                 for idx in range(n):
                     running = (idx,)
                     totals[idx] = self._run_reference(
-                        plans[idx], callbacks[idx], opts, meter, on_batches[idx]
+                        plans[idx], callbacks[idx], opts, stop, on_batches[idx]
                     )
             else:
                 consumers = {
@@ -1199,7 +1183,7 @@ class MiningSession:
                         g, self.ordered,
                         self._frontier(multi.group_keys[g])
                         if starts is None else starts,
-                        consumers, opts.frontier_chunk, opts.control, meter,
+                        consumers, opts.frontier_chunk, stop,
                     )
                     for idx, total in multi.demux(g, counts).items():
                         totals[idx] = total
@@ -1230,7 +1214,7 @@ class MiningSession:
         plan: ExplorationPlan,
         callback: Callable[[Match], None] | None,
         opts: ExecOptions,
-        meter,
+        stop: Stop | None,
         on_batch=None,
     ) -> int:
         """The interpreter's per-pattern executor.
@@ -1267,11 +1251,10 @@ class MiningSession:
                 starts.tolist() if isinstance(starts, np.ndarray) else starts
             ),
             on_match=on_match,
-            control=opts.control,
+            stop=stop,
             stats=opts.stats,
             timer=opts.timer,
             count_only=on_match is None,
-            budget=meter,
         )
         flush()
         return total

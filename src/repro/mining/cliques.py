@@ -11,11 +11,11 @@ Every entry point accepts a :class:`~repro.graph.graph.DataGraph` or a
 
 from __future__ import annotations
 
-from ..core.callbacks import ExplorationControl, Match
 from ..core.session import MiningSession, as_session
 from ..graph.graph import DataGraph
 from ..pattern.generators import generate_clique
 from ..pattern.pattern import Pattern
+from .matching import _match_limited
 
 __all__ = [
     "clique_count",
@@ -58,14 +58,10 @@ def list_cliques(
 ) -> list[tuple[int, ...]]:
     """Enumerate k-cliques as sorted vertex tuples (optionally capped)."""
     found: list[tuple[int, ...]] = []
-    control = ExplorationControl()
-
-    def on_match(m: Match) -> None:
-        found.append(tuple(sorted(m.vertices())))
-        if limit is not None and len(found) >= limit:
-            control.stop()
-
-    as_session(graph).match(generate_clique(k), on_match, control=control)
+    _match_limited(
+        as_session(graph), generate_clique(k),
+        lambda m: found.append(tuple(sorted(m.vertices()))), limit,
+    )
     return found
 
 

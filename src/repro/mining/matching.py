@@ -12,6 +12,7 @@ from ..core.callbacks import ExplorationControl, Match
 from ..core.session import MiningSession, as_session
 from ..graph.graph import DataGraph
 from ..pattern.pattern import Pattern
+from ..runtime.termination import stop_after_n_matches
 
 __all__ = [
     "count_pattern",
@@ -41,17 +42,26 @@ def enumerate_matches(
 ) -> list[Match]:
     """Materialize matches as a list (optionally capped at ``limit``)."""
     out: list[Match] = []
-    control = ExplorationControl()
-
-    def collect(m: Match) -> None:
-        out.append(m)
-        if limit is not None and len(out) >= limit:
-            control.stop()
-
-    as_session(graph).match(
-        pattern, collect, edge_induced=edge_induced, control=control
+    _match_limited(
+        as_session(graph), pattern, out.append, limit, edge_induced=edge_induced
     )
     return out
+
+
+def _match_limited(session, pattern, on_match, limit, **options) -> None:
+    """``session.match`` stopped after ``limit`` matches (``None``: all).
+
+    ``limit=0`` walks nothing; a negative limit raises ``ValueError``.
+    """
+    if limit is None:
+        session.match(pattern, on_match, **options)
+        return
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit!r}")
+    if limit:
+        control = ExplorationControl()
+        capped = stop_after_n_matches(control, limit, on_match)
+        session.match(pattern, capped, control=control, **options)
 
 
 def match_and_write(

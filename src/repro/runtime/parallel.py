@@ -58,7 +58,7 @@ from ..errors import (
     QueryCancelledError,
     WorkerCrashError,
 )
-from ..core.callbacks import Aggregator, ExplorationControl, Match
+from ..core.callbacks import Aggregator, ExplorationControl, Match, Stop
 from ..core.engine import EngineStats
 from ..core.session import MiningSession, MultiPatternPlan, as_session
 from ..graph.binary_io import GraphStore, save_mmap
@@ -338,9 +338,9 @@ def _thread_match(
 # because a chunk's count lands exactly once.
 #
 # Cancellation rides the same machinery: a shared one-way flag that
-# workers poll between chunks and engines poll inside a chunk (via
-# :class:`_SharedCancel`), bridged from the caller's
-# ``ExplorationControl`` by a parent-side thread.
+# workers poll between chunks and engines poll inside a chunk (each
+# worker's :class:`~repro.core.callbacks.Stop` token reads it), raised
+# from the caller's ``ExplorationControl`` by a parent-side thread.
 # ----------------------------------------------------------------------
 
 _SHARE_MODES = ("fork", "mmap")
@@ -373,7 +373,7 @@ class _Job:
         return bisect_right(self.offsets, index) - 1
 
 
-def _chunk_runner(handle, job: _Job, control):
+def _chunk_runner(handle, job: _Job, stop: Stop | None):
     """The one worker initializer: open the graph handle, bind the job.
 
     ``handle`` is the fork-inherited degree-ordered graph or the path of
@@ -382,10 +382,9 @@ def _chunk_runner(handle, job: _Job, control):
     ``run_chunk(index) -> counts``: the chunk's group executed over the
     chunk's starts, one raw count per group member (census-tier basis
     plans included — the parent inverts, once, over the sums of every
-    chunk).  ``control`` reaches the engine of
-    every chunk run, so a shared cancellation token stops workers
-    *inside* a chunk — between frontier blocks or start tasks — not just
-    between chunks.
+    chunk).  ``stop`` reaches the engine of
+    every chunk run, so a shared cancel flag stops workers *inside* a
+    chunk — between frontier blocks — not just between chunks.
     """
     graph = handle if isinstance(handle, DataGraph) else GraphStore(handle).graph()
 
@@ -396,7 +395,7 @@ def _chunk_runner(handle, job: _Job, control):
             graph,
             job.ledgers[gi].chunk(index - job.offsets[gi]),
             chunk=job.frontier_chunk,
-            control=control,
+            stop=stop,
         )
 
     return run_chunk
@@ -432,48 +431,6 @@ def _fault(worker_id: int, chunk_index: int, spec) -> None:
         os._exit(1)
 
 
-class _SharedCancel:
-    """ExplorationControl facade over a shared one-way cancel flag.
-
-    Engines only read ``.stopped``; backing it with a
-    ``multiprocessing.Value`` makes one parent-side ``stop()`` visible
-    inside every worker's engine loop, so cancellation lands mid-chunk.
-    """
-
-    __slots__ = ("_flag",)
-
-    def __init__(self, flag):
-        self._flag = flag
-
-    @property
-    def stopped(self) -> bool:
-        return bool(self._flag.value)
-
-    def stop(self) -> None:
-        self._flag.value = 1
-
-
-class _CancelLatch:
-    """ExplorationControl facade recording whether a stop was *observed*.
-
-    The in-process path must raise only when an engine actually read
-    ``stopped`` as true and wound down — a deadline that elapses after a
-    fully completed run leaves an exact result, not a partial.
-    """
-
-    __slots__ = ("_control", "seen")
-
-    def __init__(self, control):
-        self._control = control
-        self.seen = False
-
-    @property
-    def stopped(self) -> bool:
-        if self._control.stopped:
-            self.seen = True
-        return self.seen
-
-
 def _tolerant_worker(
     worker_id, board, cursor, active, cancel_flag, fault_spec, handle, job
 ):
@@ -481,13 +438,16 @@ def _tolerant_worker(
 
     ``active`` is this round's list of still-pending chunk indices; the
     cursor claims positions into it, so requeued rounds reuse the same
-    protocol over a shrinking list.  A chunk interrupted by cancellation
-    is deliberately *not* completed — its count is partial — so the
-    parent's partial total only ever sums fully-counted chunks.
+    protocol over a shrinking list.  ``cancel_flag`` (``None`` when
+    nothing can cancel the run) arms the worker's stop token.  A chunk
+    interrupted by cancellation is deliberately *not* completed — its
+    count is partial — so the parent's partial total only ever sums
+    fully-counted chunks.
     """
-    run_chunk = _chunk_runner(handle, job, _SharedCancel(cancel_flag))
+    stop = None if cancel_flag is None else Stop(flag=cancel_flag)
+    run_chunk = _chunk_runner(handle, job, stop)
     while True:
-        if cancel_flag.value:
+        if stop is not None and stop.stopped:
             return
         pos = cursor.claim()
         if pos >= len(active):
@@ -496,7 +456,7 @@ def _tolerant_worker(
         board.lease(index, worker_id)
         _fault(worker_id, index, fault_spec)
         counts = run_chunk(index)
-        if cancel_flag.value:
+        if stop is not None and stop.stopped:
             return
         board.complete(index, counts)
 
@@ -530,14 +490,15 @@ def _cancelled(totals, pending_chunks: int, num_chunks: int):
     )
 
 
-def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
+def _tolerant_count(ctx, num_workers, handle, job: _Job, stop: Stop | None) -> list[int]:
     """The one lease drain: exact per-plan totals over ``job``'s chunks.
 
     Drives lease/requeue rounds of :func:`_tolerant_worker` processes
     until every chunk's counts have landed.  Raises
     :class:`~repro.errors.WorkerCrashError` when a chunk exhausts its
-    retries and :class:`~repro.errors.QueryCancelledError` when
-    ``cancel`` fires with chunks outstanding — both carrying the exact
+    retries and :class:`~repro.errors.QueryCancelledError` when the
+    parent's ``stop`` token (linked to the caller's cancel, ``None``
+    without one) stops with chunks outstanding — both carrying the exact
     totals of the fully-counted chunks as the structured partial
     (per-plan in ``partial.detail["totals"]``).
     """
@@ -568,20 +529,19 @@ def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
                 totals[idx] = total
         return totals
 
-    cancel_flag = ctx.Value("b", 0)
+    cancel_flag = None if stop is None else stop.flag
     pending = list(range(num_chunks))
     retries = [0] * num_chunks
     next_worker = 0
     bridge_stop = threading.Event()
     bridge = None
-    if cancel is not None:
-        # Callers hand in plain ExplorationControl/DeadlineControl
-        # objects, which workers cannot see — this thread bridges the
-        # caller-side token into the shared flag the workers poll.
+    if stop is not None:
+        # Workers cannot see the caller's token — this thread raises the
+        # shared flag they poll (Stop.stop sets it) once the token fires.
         def poll_cancel():
             while not bridge_stop.is_set():
-                if cancel.stopped:
-                    cancel_flag.value = 1
+                if stop.stopped:
+                    stop.stop()
                     return
                 bridge_stop.wait(0.002)
 
@@ -591,9 +551,7 @@ def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
         bridge.start()
     try:
         while pending:
-            if cancel is not None and cancel.stopped:
-                cancel_flag.value = 1
-            if cancel_flag.value:
+            if stop is not None and stop.stopped:
                 break
             active = pending
             cursor = ProcessCursor(ctx)
@@ -626,7 +584,7 @@ def _tolerant_count(ctx, num_workers, handle, job: _Job, cancel) -> list[int]:
                 for proc in procs:
                     proc.join()
             pending = board.pending(active)
-            if cancel_flag.value:
+            if stop is not None and stop.stopped:
                 break
             failed = []
             for index in pending:
@@ -816,8 +774,9 @@ def _process_drive(
     num_processes = staged.query_plan.num_workers
     if num_processes <= 1 or not patterns:
         # A pool of one is the in-process driver: it executes the stage
-        # it already holds (admitted and planned once).
-        latch = None if cancel is None else _CancelLatch(cancel)
+        # it already holds (admitted and planned once), under a token
+        # that latches whether an engine saw the cancel.
+        latch = None if cancel is None else Stop(cancel)
         if latch is not None:
             staged = staged._replace(opts=replace(opts, control=latch))
         counts = dict(zip(patterns, session._execute(staged)))
@@ -847,8 +806,11 @@ def _process_drive(
         ctx = multiprocessing.get_context("fork" if has_fork else "spawn")
         handle, is_temp = _mmap_store(session)
         spill = handle if is_temp else None
+    # The parent's token: linked to ``cancel``, it raises a flag that
+    # every worker's engine reads.
+    stop = None if cancel is None else Stop(cancel, flag=ctx.Value("b", 0))
     try:
-        totals = _tolerant_count(ctx, num_processes, handle, job, cancel)
+        totals = _tolerant_count(ctx, num_processes, handle, job, stop)
     finally:
         # The spill file is parent-owned: unlink it no matter how the
         # drain exits — including crash/cancel errors propagating out.

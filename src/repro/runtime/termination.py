@@ -1,14 +1,15 @@
 """Early-termination helpers (§5.3) layered on ExplorationControl.
 
-The core :class:`~repro.core.callbacks.ExplorationControl` is a bare stop
-token; this module adds the common monitoring patterns: stop after N
-matches, stop when an aggregate crosses a threshold, stop on a deadline.
+Every way a run can end early — the caller's
+:class:`~repro.core.callbacks.ExplorationControl`, a
+:class:`~repro.core.callbacks.Budget` (re-exported here), the service's
+``timeout_ms`` (folded into the budget's deadline) and a process pool's
+cancel flag — arms one stop token per run, which the engines poll in one
+place (:meth:`repro.core.callbacks.Stop.poll`).  This module adds the
+common ways to fire it: stop after N matches, stop when an aggregate
+crosses a threshold, stop on a deadline.
 
-:class:`~repro.core.callbacks.Budget` (re-exported here) is the
-declarative face of the same family: instead of wiring a control +
-callback by hand, a budget on
-:class:`~repro.core.session.ExecOptions` has the engines themselves
-poll deadlines and work caps between frontier chunks, raising
+A control stops a run and keeps what it found; a budget trip raises
 :class:`~repro.errors.BudgetExceededError` with a structured partial.
 Use a control for *exact* thresholds observed per match; use a budget
 for cooperative chunk-granular limits that work on every engine tier.
@@ -16,10 +17,9 @@ for cooperative chunk-granular limits that work on every engine tier.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Callable
 
-from ..core.callbacks import Aggregator, Budget, BudgetMeter, ExplorationControl, Match
+from ..core.callbacks import Aggregator, Budget, BudgetMeter, ExplorationControl, Match, Stop
 
 __all__ = [
     "stop_after_n_matches",
@@ -62,21 +62,15 @@ def stop_when_aggregate(
     return on_update
 
 
-class DeadlineControl(ExplorationControl):
-    """Control that also reports stopped once a wall-clock deadline passes.
+class DeadlineControl(Stop):
+    """A stop token that reports stopped once ``seconds`` have passed.
 
     Models the paper's five-hour execution cap for long-running baseline
-    comparisons without needing signal handling.
+    comparisons without needing signal handling.  ``DeadlineControl(0.0)``
+    is stopped from the start.
     """
 
-    __slots__ = ("_deadline",)
+    __slots__ = ()
 
     def __init__(self, seconds: float):
-        super().__init__()
-        self._deadline = time.perf_counter() + seconds
-
-    @property
-    def stopped(self) -> bool:  # type: ignore[override]
-        if time.perf_counter() >= self._deadline:
-            return True
-        return super().stopped
+        super().__init__(deadline=seconds)

@@ -19,10 +19,13 @@ Execution options are whitelisted (:data:`ALLOWED_OPTIONS`) to the
 scalar knobs whose values are hashable — the batching queue keys its
 buckets on them — and anything else in ``options`` is an
 ``invalid_request``, not a silent drop.  Per-request deadlines ride the
-PR-7 guardrail bridge: ``timeout_ms`` tightens the request's
-:class:`~repro.core.callbacks.Budget` deadline for ``count``/``match``
-(forcing the solo path — a deadline is a per-request contract) and arms
-a :class:`~repro.runtime.termination.DeadlineControl` for ``exists``.
+budget: ``timeout_ms`` tightens the request's
+:class:`~repro.core.callbacks.Budget` deadline on ``count``, ``match``
+and ``exists`` (forcing the solo path — a deadline is a per-request
+contract), and the run's one stop token polls it with every other limit,
+so a trip answers ``budget_exceeded`` with the partial and a run that
+finished answers in full however late.  ``approx_count`` and ``motifs``
+cannot honour a budget and refuse one as ``invalid_request``.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from ..errors import (
 from ..cli.parsing import parse_pattern_spec
 from ..mining.motifs import motif_counts
 from ..pattern.pattern import Pattern
-from ..runtime.termination import DeadlineControl
 from .batching import QueryJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -167,12 +169,16 @@ def _parse_budget(payload: dict) -> Budget | None:
                     f"budget field {name!r} must be a number, got {value!r}"
                 )
             fields[name] = value
-    timeout_s = _parse_timeout(payload)
-    if timeout_s is not None:
-        deadline = fields.get("deadline")
-        fields["deadline"] = (
-            timeout_s if deadline is None else min(deadline, timeout_s)
-        )
+    timeout_ms = payload.get("timeout_ms")
+    if timeout_ms is not None:
+        if not isinstance(timeout_ms, (int, float)) or isinstance(
+            timeout_ms, bool
+        ) or timeout_ms <= 0:
+            raise InvalidRequestError(
+                f"'timeout_ms' must be a positive number, got {timeout_ms!r}"
+            )
+        seconds = timeout_ms / 1e3
+        fields["deadline"] = min(fields.get("deadline", seconds), seconds)
     if not fields:
         return None
     try:
@@ -181,17 +187,11 @@ def _parse_budget(payload: dict) -> Budget | None:
         raise InvalidRequestError(str(exc)) from exc
 
 
-def _parse_timeout(payload: dict) -> float | None:
-    timeout_ms = payload.get("timeout_ms")
-    if timeout_ms is None:
-        return None
-    if not isinstance(timeout_ms, (int, float)) or isinstance(
-        timeout_ms, bool
-    ) or timeout_ms <= 0:
-        raise InvalidRequestError(
-            f"'timeout_ms' must be a positive number, got {timeout_ms!r}"
-        )
-    return timeout_ms / 1e3
+def _refuse_budget(payload: dict, verb: str) -> None:
+    """A verb that cannot honour a budget refuses one instead of dropping it."""
+    for name in ("budget", "timeout_ms"):
+        if name in payload:
+            raise InvalidRequestError(f"{name!r} is not supported by the {verb} verb")
 
 
 def _parse_pattern(payload: dict) -> Pattern:
@@ -319,6 +319,7 @@ async def _handle_approx_count(service: "MiningService", payload: dict) -> dict:
     key = _parse_graph_key(payload)
     pattern = _parse_pattern(payload)
     options = _parse_options(payload)
+    _refuse_budget(payload, "approx_count")
     for name in ("approx", "latency_budget", "max_samples", "confidence", "seed"):
         if name in options:
             raise InvalidRequestError(
@@ -355,21 +356,12 @@ async def _handle_exists(service: "MiningService", payload: dict) -> dict:
     key = _parse_graph_key(payload)
     pattern = _parse_pattern(payload)
     options = _parse_options(payload)
-    timeout_s = _parse_timeout(payload)
+    budget = _parse_budget(payload)
     resolved = service.registry.resolve_key(key)
     session = service.registry.get(resolved)
 
     def probe() -> dict:
-        overrides = dict(options)
-        control = None
-        if timeout_s is not None:
-            control = DeadlineControl(timeout_s)
-            overrides["control"] = control
-        found = session.exists(pattern, **overrides)
-        if not found and control is not None and control.stopped:
-            raise BudgetExceededError(
-                f"exists probe deadline of {timeout_s}s elapsed"
-            )
+        found = session.exists(pattern, budget=budget, **options)
         return {
             "graph": key,
             "pattern": payload["pattern"],
@@ -387,6 +379,7 @@ async def _handle_motifs(service: "MiningService", payload: dict) -> dict:
             f"'size' must be one of {MOTIF_SIZES}, got {size!r}"
         )
     options = _parse_options(payload)
+    _refuse_budget(payload, "motifs")
     for name in options:
         if name not in ("symmetry_breaking", "engine"):
             raise InvalidRequestError(

@@ -162,6 +162,16 @@ class TestSubcommands:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["match", "--pattern", "clique:3"], ["cliques", "-k", "3", "--list"]],
+    )
+    def test_negative_limit_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([*argv, *MICO, "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
     def test_cliques_existence_negative(self):
         code, _ = run_cli(["cliques", *MICO, "-k", "12", "--existence"])
         assert code == 1

@@ -1,6 +1,7 @@
 """Tests for clique workloads."""
 
 import networkx as nx
+import pytest
 
 from repro.graph import complete_graph, erdos_renyi, from_edges
 from repro.mining import (
@@ -69,6 +70,13 @@ class TestListCliques:
     def test_limit_stops_early(self, denser_graph):
         capped = list_cliques(denser_graph, 3, limit=2)
         assert len(capped) <= 3  # the stopping match batch may add a couple
+
+    def test_limit_zero_lists_nothing(self):
+        assert list_cliques(complete_graph(6), 3, limit=0) == []
+
+    def test_negative_limit_rejected(self):
+        with pytest.raises(ValueError, match="limit"):
+            list_cliques(complete_graph(6), 3, limit=-1)
 
 
 class TestMaximalCliques:

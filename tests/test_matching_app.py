@@ -1,5 +1,7 @@
 """Tests for the pattern-matching application wrappers."""
 
+import pytest
+
 from repro.core import count
 from repro.mining import (
     count_pattern,
@@ -25,6 +27,19 @@ class TestWrappers:
         p = generate_clique(3)
         capped = enumerate_matches(denser_graph, p, limit=3)
         assert 3 <= len(capped) <= 6  # stop is cooperative, slight overshoot ok
+
+    def test_enumerate_limit_zero_walks_nothing(self, denser_graph, monkeypatch):
+        from repro.core.session import MiningSession
+
+        monkeypatch.setattr(
+            MiningSession, "_execute",
+            lambda *a, **k: pytest.fail("limit=0 ran a walk"),
+        )
+        assert enumerate_matches(denser_graph, generate_clique(3), limit=0) == []
+
+    def test_enumerate_negative_limit_rejected(self, denser_graph):
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_matches(denser_graph, generate_clique(3), limit=-1)
 
     def test_match_and_write_streams_all(self, random_graph):
         out = []

@@ -697,6 +697,62 @@ class TestDispatch:
             generate_clique(3)
         )
 
+    def test_exists_honours_its_budget(self, service):
+        # No 5-clique here: an unbudgeted probe walks every start and
+        # answers false; a budget binds it as it binds count and match.
+        request = {"verb": "exists", "graph": "g", "pattern": "clique:5"}
+        full = run(service.handle(request))
+        assert full["ok"] and full["result"]["exists"] is False
+        for field in (
+            {"budget": {"max_frontier_rows": 1}},
+            {"timeout_ms": 1e-6},
+        ):
+            response = run(service.handle({**request, **field}))
+            assert response["error"]["code"] == "budget_exceeded", field
+            assert response["error"]["status"] == 504
+            assert response["error"]["partial"]["truncated"] is True
+        roomy = run(service.handle(
+            {**request, "pattern": "clique:3", "budget": {"deadline": 60.0}}
+        ))
+        assert roomy["ok"] and roomy["result"]["exists"] is True
+
+    def test_finished_exists_stays_false_past_its_deadline(
+        self, service, monkeypatch
+    ):
+        """The deadline is polled during the walk, not read after it: a
+        probe that completed with false answers false even when its
+        deadline passes on the way out."""
+        import time
+
+        real = MiningSession._execute
+
+        def then_fire(self, *args, **kwargs):
+            result = real(self, *args, **kwargs)
+            time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(MiningSession, "_execute", then_fire)
+        response = run(service.handle(
+            {"verb": "exists", "graph": "g", "pattern": "clique:5",
+             "timeout_ms": 200}
+        ))
+        assert response["ok"] and response["result"]["exists"] is False
+
+    @pytest.mark.parametrize("verb", ["approx_count", "motifs"])
+    @pytest.mark.parametrize(
+        "field", [{"budget": {"deadline": 1.0}}, {"timeout_ms": 500}], ids=str
+    )
+    def test_verbs_that_cannot_honour_a_budget_refuse_one(
+        self, service, verb, field
+    ):
+        response = run(service.handle(
+            {"verb": verb, "graph": "g", "pattern": "clique:3", "size": 3,
+             **field}
+        ))
+        assert response["error"]["code"] == "invalid_request"
+        (name,) = field
+        assert name in response["error"]["message"]
+
     def test_motifs_verb(self, service, graph):
         from repro.mining.motifs import motif_counts
 

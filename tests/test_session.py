@@ -635,6 +635,107 @@ class TestSessionEarlyTermination:
         assert 0 < agg["triangles"] <= full
 
 
+class TestOneStopToken:
+    """Every source that can end a run early arms the run's one stop
+    token; each ends the run as it always has, on both engines and at
+    every frontier chunk (1, 2 and the whole frontier)."""
+
+    @pytest.mark.parametrize("engine", ["accel-batch", "reference"])
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 20])
+    def test_stop_sources_end_the_run_alike(self, engine, chunk):
+        from repro.core.callbacks import Budget
+        from repro.errors import PartialResult, QueryCancelledError
+        from repro.runtime import process_count_many
+        from repro.runtime.termination import (
+            DeadlineControl,
+            stop_after_n_matches,
+        )
+
+        session = MiningSession(
+            erdos_renyi(40, 0.3, seed=18),
+            engine=engine, frontier_chunk=chunk, edge_induced=False,
+        )
+        # Vertex-induced 4-chains: three ordered cores, the order-merged
+        # emission path, over a frontier of 40 starts.
+        p = generate_chain(4)
+        reference: list[tuple[int, ...]] = []
+        session.match(p, lambda m: reference.append(m.mapping), engine="reference")
+        assert len(reference) == 9708
+
+        # A control stopped by a callback: the batched engine polls per
+        # emitted match, the interpreter per core match.
+        control, seen = ExplorationControl(), []
+        total = session.match(
+            p, stop_after_n_matches(control, 3, lambda m: seen.append(m.mapping)),
+            control=control,
+        )
+        assert total == (3 if engine == "accel-batch" else 7)
+        assert seen == reference[:total] and control.stopped
+
+        # A match cap: count-only runs trip at a block boundary.
+        partial_budget = {"budget": Budget(max_matches=3), "on_budget": "partial"}
+        cut = session.count(p, **partial_budget)
+        expected = (
+            {1: 7, 2: 7, 1 << 20: 1862}[chunk] if engine == "accel-batch" else 848
+        )
+        assert isinstance(cut, PartialResult) and cut.truncated
+        assert (int(cut), cut.reason, cut.levels_completed) == (
+            expected, f"matches {expected} >= cap 3",
+            0 if engine == "accel-batch" else 1,
+        )
+        # A budgeted callback run walks one start at a time, as every run
+        # that can stop does, so the cap binds after the first start on
+        # both engines at every chunk.
+        seen = []
+        cut = session.match(p, lambda m: seen.append(m.mapping), **partial_budget)
+        assert (int(cut), cut.levels_completed) == (848, 1)
+        assert seen == reference[:848]
+
+        # An external control already stopped: exists reports False, and
+        # a live one is never fired by the probe's own stop.
+        stopped = ExplorationControl()
+        stopped.stop()
+        assert not session.exists(p, control=stopped)
+        live = ExplorationControl()
+        assert session.exists(p, control=live) and not live.stopped
+
+        # A deadline already passed, as a process cancel token: pooled or
+        # a pool of one, nothing runs and every chunk stays pending.
+        for num_processes in (1, 2):
+            with pytest.raises(QueryCancelledError) as info:
+                process_count_many(
+                    session, [p], num_processes=num_processes,
+                    cancel=DeadlineControl(0.0),
+                )
+            partial = info.value.partial
+            assert (int(partial), partial.detail["totals"]) == (0, [0])
+            assert partial.detail["pending_chunks"] == partial.detail["num_chunks"]
+
+    def test_a_run_nothing_can_stop_arms_no_token(self, monkeypatch):
+        from repro.core import accel
+        from repro.core.callbacks import Budget, Stop
+
+        tokens = []
+        real = accel.fused_run
+
+        def spy(graph, members, starts, chunk=None, stop=None):
+            tokens.append(stop)
+            return real(graph, members, starts, chunk, stop)
+
+        monkeypatch.setattr(accel, "fused_run", spy)
+        session = MiningSession(erdos_renyi(40, 0.3, seed=18))
+        p, q = generate_clique(3), generate_chain(3)
+        session.count(p)
+        session.match_batches(p, lambda rows: None)
+        session.count_many([p, q])
+        assert tokens and all(stop is None for stop in tokens)
+        del tokens[:]
+        session.count(p, control=ExplorationControl())
+        session.count(p, budget=Budget(deadline=60.0))
+        session.exists(p)
+        assert len(tokens) == 3 and all(isinstance(t, Stop) for t in tokens)
+
+
 # ----------------------------------------------------------------------
 # Deprecation-shim stability: the legacy surface must not drift
 # ----------------------------------------------------------------------
