@@ -467,6 +467,7 @@ class FrontierBatchedEngine:
         "_cur_rank",
         "_pending",
         "_ordered_emit",
+        "_watched",
         "_cores",
         "_sets",
         "_checks",
@@ -513,6 +514,12 @@ class FrontierBatchedEngine:
         # by each match's level-0 origin, buffered for one slice at most.
         self._ordered_emit = on_match is not None and len(plan.ordered_cores) > 1
         self._pending = []
+        # A token something besides its budget can fire — a callback,
+        # another thread, a deadline control — is polled per emitted
+        # match; a bare budget binds at block boundaries only.
+        self._watched = stop is not None and (
+            stop.budget is None or stop.control is not None
+        )
 
     # ------------------------------------------------------------------
     # Batched kernels over concatenated candidate segments
@@ -586,29 +593,32 @@ class FrontierBatchedEngine:
 
         ``stop`` (:class:`~repro.core.callbacks.Stop`, ``None`` for a run
         nothing can stop) enables cooperative early termination (§5.3):
-        it is polled (:meth:`_poll`) before every frontier block and
-        before each ``on_match`` callback, so a stop lands within one
-        block's worth of work — or one *task's* worth when several
-        ordered cores require order-merged emission (the slice is walked
-        one start vertex at a time so buffered matches can't defer the
-        stopping callback).  With ``on_match``, :attr:`total` equals the
+        it is polled (:meth:`_poll`) before every frontier block and —
+        unless it is a bare budget, which no callback can fire — before
+        each ``on_match`` callback, so a stop lands within one block's
+        worth of work — or one *task's* worth when several ordered cores
+        require order-merged emission (the slice is walked one start
+        vertex at a time so buffered matches can't defer the stopping
+        callback).  With ``on_match``, :attr:`total` equals the
         callbacks actually fired; batch/count-only runs wind down at
         block granularity and may include the stopping block in full.
-        The same polls charge the token's budget, if any; exhaustion
+        The block polls charge the token's budget, if any; exhaustion
         raises :class:`~repro.errors.BudgetExceededError`, and the match
         cap reads :attr:`total`, the member's count over every slice.
         """
         self.shared = shared
         # Ordered emission defers callbacks until a slice is fully
-        # explored, so a run that can stop walks one start vertex at a
-        # time: a stop then lands within one task's work, mirroring the
-        # reference engine's per-task polls.
-        step = 1 if self._ordered_emit and self.stop is not None else starts.size
+        # explored, and a watched token may fire from a callback — so
+        # walk one start vertex at a time: a stop then lands within one
+        # task's work, mirroring the reference engine's per-task polls.
+        step = 1 if self._ordered_emit and self._watched else starts.size
         for lo in range(0, starts.size, step):
             sl = starts[lo: lo + step]
             if self._poll(rows=int(sl.size)):
                 break
             self._run_cores(sl)
+            if self.stop is not None:
+                self.stop.levels_completed += 1
             if self._ordered_emit:
                 self._emit_pending()
                 self._pending = []
@@ -1009,7 +1019,7 @@ class FrontierBatchedEngine:
         """
         pattern = self.plan.pattern
         on_match = self.on_match
-        if self.stop is None:
+        if not self._watched:
             self.total += len(rows)
             for row in rows:
                 on_match(Match(pattern, tuple(row)))
@@ -1105,13 +1115,13 @@ def fused_run(
 
     ``stop`` is the run's one :class:`~repro.core.callbacks.Stop`
     token (``None``: nothing can stop the run), polled between slices
-    and shared by every member engine, which polls it between blocks and
-    per emitted match — so a stop lands within one block of one member's
-    work, the budget's deadline and row caps bound the whole fused call,
-    and its match cap binds each member's count over every slice.  On
-    exhaustion the raised :class:`~repro.errors.BudgetExceededError`
-    carries the *summed* partial with per-member counts in
-    ``partial.detail["totals"]``.
+    and shared by every member engine, which polls it between blocks
+    and (unless it is a bare budget) per emitted match — so a stop lands
+    within one block of one member's work, the budget's deadline and row
+    caps bound the whole fused call, and its match cap binds each
+    member's count over every slice.  On exhaustion the raised
+    :class:`~repro.errors.BudgetExceededError` carries the *summed*
+    partial with per-member counts in ``partial.detail["totals"]``.
     """
     cap = ACCEL_FRONTIER_CHUNK if chunk is None else max(1, int(chunk))
     engines = [

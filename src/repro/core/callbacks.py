@@ -215,10 +215,6 @@ class Stop(ExplorationControl):
             self.seen = True
             return True
         if self.budget is not None and (rows or partials):
-            if rows and self.frontier_rows:
-                # A level-0 charge opens a unit (a slice or a start
-                # task), so the unit the previous one opened finished.
-                self.levels_completed += 1
             self.charge_rows(rows)
             self.charge_partials(partials)
             self.check(total)

@@ -369,6 +369,8 @@ def run_tasks(
             if stop is not None and stop.poll(run.matches, rows=1):
                 break
             run.run_task(start)
+            if stop is not None:
+                stop.levels_completed += 1
     finally:
         if timer is not None:
             timer.stop("other")

@@ -1154,8 +1154,10 @@ class MiningSession:
         if opts.budget is not None:
             stop = opts.budget.meter()  # a Budget subclass may shape it
             stop.control = opts.control
+        elif opts.control is None or isinstance(opts.control, Stop):
+            stop = opts.control  # already a token: run under it as is
         else:
-            stop = None if opts.control is None else Stop(opts.control)
+            stop = Stop(opts.control)
         totals: list = [None] * n
         running: Sequence[int] = ()
         try:

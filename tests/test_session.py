@@ -683,13 +683,18 @@ class TestOneStopToken:
             expected, f"matches {expected} >= cap 3",
             0 if engine == "accel-batch" else 1,
         )
-        # A budgeted callback run walks one start at a time, as every run
-        # that can stop does, so the cap binds after the first start on
-        # both engines at every chunk.
+        # A match cap on a callback run binds at the next start slice: a
+        # bare budget is polled at block boundaries only, so a frontier
+        # the batched engine walks as one slice runs to completion.
         seen = []
         cut = session.match(p, lambda m: seen.append(m.mapping), **partial_budget)
-        assert (int(cut), cut.levels_completed) == (848, 1)
-        assert seen == reference[:848]
+        if engine == "accel-batch" and chunk == 1 << 20:
+            assert not isinstance(cut, PartialResult) and cut == 9708
+        else:
+            assert (int(cut), cut.reason, cut.levels_completed) == (
+                848, "matches 848 >= cap 3", 1,
+            )
+        assert seen == reference[:int(cut)]
 
         # An external control already stopped: exists reports False, and
         # a live one is never fired by the probe's own stop.
