@@ -1,7 +1,7 @@
 """Design-choice ablations beyond the paper's figures.
 
 DESIGN.md calls out several load-bearing choices in the engine and the
-FSM substrate; each gets an A/B bench here:
+planner; each gets an A/B bench here:
 
 * **high-to-low matching order traversal + degree ordering** (§5.2) —
   compared against starting tasks from low-degree vertices (the paper's
@@ -10,8 +10,6 @@ FSM substrate; each gets an A/B bench here:
 * **tail counting** — the engine's final completion step can count the
   last candidate set instead of enumerating it; compared by forcing
   enumeration with a callback;
-* **FSM domain backend** — dense int-backed bitsets vs roaring-like
-  compressed bitmaps (§5.5): bytes and wall time on the same workload;
 * **stabilizer-chain planning** — plan-generation latency across pattern
   families, including the 14-clique whose group is 14! (the case that
   makes materializing automorphisms unusable);
@@ -25,10 +23,8 @@ import pytest
 from benchmarks.common import run_once, timed
 
 from repro.baselines import automine_count, prgu_count_raw
-from repro.bitmap import RoaringBitmap
 from repro.core import EngineStats, count, generate_plan, match
 from repro.core.engine import run_tasks
-from repro.mining import fsm
 from repro.pattern import generate_clique
 from repro.pattern.evaluation import pattern_p1
 from repro.profiling import ExplorationCounters
@@ -79,36 +75,6 @@ def test_tail_counting(benchmark, patents, mode):
 
         n = run_once(benchmark, enumerate_all)
     benchmark.extra_info["matches"] = n
-
-
-# ----------------------------------------------------------------------
-# FSM domain backend (§5.5)
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.paper_artifact("ablation")
-@pytest.mark.parametrize("backend", ["dense-int", "roaring"])
-def test_fsm_domain_backend(benchmark, mico_small, backend):
-    factory = None if backend == "dense-int" else RoaringBitmap
-
-    def run():
-        return fsm(mico_small, 2, 3, bitset_factory=factory)
-
-    result = run_once(benchmark, run)
-    benchmark.extra_info["frequent"] = len(result.frequent)
-    benchmark.extra_info["domain_bytes"] = result.domain_bytes
-
-
-@pytest.mark.paper_artifact("ablation")
-def test_print_domain_backend_shape(mico_small, capsys):
-    """Same supports from both backends; report the byte trade-off."""
-    dense = fsm(mico_small, 2, 3)
-    roaring = fsm(mico_small, 2, 3, bitset_factory=RoaringBitmap)
-    assert sorted(dense.frequent.values()) == sorted(roaring.frequent.values())
-    with capsys.disabled():
-        print("\n=== FSM domain backend ===")
-        print(f"dense-int bytes:  {dense.domain_bytes:>10,}")
-        print(f"roaring bytes:    {roaring.domain_bytes:>10,}")
 
 
 # ----------------------------------------------------------------------

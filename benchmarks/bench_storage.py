@@ -19,12 +19,14 @@ measures what our storage tiers buy on the same axes:
   the parent reports the bytes each mode keeps resident.  Both modes
   *share* pages across workers — the measured story is the parent-side
   heap copy mmap does without.
-* **membership** — the roaring hub kernels vs the searchsorted adjacency
-  keys on power-law hub queries: the
-  :class:`~repro.bitmap.roaring.HubMembershipIndex` compiles each hub row
-  into packed bits (via :class:`~repro.bitmap.roaring.RoaringBitmap`),
-  so a batched anti-edge/injectivity probe against hubs is two array
-  lookups instead of an O(log E) search per element.
+* **membership** — the hub bit rows vs the searchsorted adjacency keys
+  on power-law hub queries: the
+  :class:`~repro.graph.graph.HubMembershipIndex` packs each hub's CSR
+  row into one bit row, so a batched anti-edge/injectivity probe against
+  hubs is two array lookups instead of an O(log E) search per element.
+  The bit-row timings keep their ``roaring_*`` keys in
+  ``BENCH_storage.json``, named for the roaring bitmaps the rows were
+  once compiled through.
 
 Run the full measurement (writes ``BENCH_storage.json``)::
 
@@ -173,7 +175,7 @@ def _fanout_probe(graph, rgx_path: str, workers: int) -> dict:
 
 
 def _membership_round(graph, queries: int, seed: int) -> dict:
-    """Roaring hub rows vs searchsorted keys on hub-heavy query batches."""
+    """Hub bit rows vs searchsorted keys on hub-heavy query batches."""
     from repro.core import accel
 
     # A fresh wrapper over the ordered arrays, so the timed hub_index()
@@ -298,7 +300,7 @@ def test_storage_emits_json(tmp_path, capsys):
             "share clean, evictable page-cache pages (zero parent-side "
             "copy).  "
             "membership compares the searchsorted adjacency-key kernel "
-            "against the roaring-compiled HubMembershipIndex bit rows on "
+            "against the packed HubMembershipIndex bit rows (roaring_* keys) on "
             "hub-owner query batches (the anti-edge / injectivity probe "
             "shape); index_build_seconds is the one-time index-build cost."
         ),
@@ -329,7 +331,7 @@ def test_storage_emits_json(tmp_path, capsys):
         for row in membership:
             print(
                 f"{row['queries']:>7} queries: searchsorted "
-                f"{row['searchsorted_seconds']:.5f}s, roaring "
+                f"{row['searchsorted_seconds']:.5f}s, hub rows "
                 f"{row['roaring_seconds']:.5f}s "
                 f"({row['roaring_speedup']:.1f}x)"
             )

@@ -27,7 +27,6 @@ Packages
 ``repro.service``   async query service (sessions, fused batching, HTTP)
 ``repro.baselines`` pattern-unaware systems used in the evaluation
 ``repro.profiling`` counters, memory accounting, stage timers
-``repro.bitmap``    roaring-like compressed bitmaps (FSM domains, §5.5)
 ``repro.reporting`` ASCII tables / bar charts used by benches and the CLI
 """
 
@@ -35,7 +34,7 @@ Packages
 # pattern-spec grammar, and repro.cli reads the version back from here.
 __version__ = "1.0.0"
 
-from . import graph, pattern, core, mining, runtime, baselines, profiling, bitmap, reporting
+from . import graph, pattern, core, mining, runtime, baselines, profiling, reporting
 from . import service
 from .errors import (
     ReproError,
@@ -57,7 +56,6 @@ from .core import Budget
 
 __all__ = [
     "graph",
-    "bitmap",
     "reporting",
     "pattern",
     "core",

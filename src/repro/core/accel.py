@@ -529,7 +529,7 @@ class FrontierBatchedEngine:
         """Elementwise ``values[k] in neighbors(owners[k])``.
 
         Queries whose owner is a hub route through the graph's packed
-        roaring rows (two array lookups); the rest binary-search the
+        hub bit rows (two array lookups); the rest binary-search the
         global adjacency keys.  Anti-edge checks and injectivity masks
         — the dense-row-heavy membership consumers — all flow through
         here.

@@ -111,6 +111,7 @@ class _Run:
         "matches",
         "num_vertices",
         "can_count_tail",
+        "watched",
     )
 
     def __init__(
@@ -145,6 +146,13 @@ class _Run:
         # instead of enumerated when nothing after it inspects the match.
         self.can_count_tail = (
             self.count_only and not plan.anti_vertex_checks
+        )
+        # The batched engine's rule: a token something besides its
+        # budget can fire — a callback, another thread, a deadline
+        # control — is polled per emitted match; a bare budget binds at
+        # core matches and start tasks only.
+        self.watched = stop is not None and (
+            stop.budget is None or stop.control is not None
         )
 
     # ------------------------------------------------------------------
@@ -307,6 +315,8 @@ class _Run:
             self._complete(step_index + 1)
             used.discard(v)
             mapping[u] = -1
+            if self.watched and self.stop.seen:
+                return
 
     def _report(self) -> None:
         """A full regular-vertex assignment: verify anti-vertices, emit."""
@@ -330,6 +340,8 @@ class _Run:
             finally:
                 if timer is not None:
                     timer.stop("noncore")
+        if self.watched and self.stop.poll(self.matches):
+            return
         self.matches += 1
         if self.stats is not None:
             self.stats.complete_matches += 1

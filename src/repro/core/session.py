@@ -796,9 +796,10 @@ class MiningSession:
         group's frontier into degree-weighted chunks that worker
         processes pull from a shared queue, census tier included — true
         parallel speedup for motif censuses; it counts exactly and only
-        on the batched engine (``engine="reference"``, hook and sampling
-        options raise).  The stage is built here, once, with
-        ``workers=num_processes`` and handed to the process runtime.
+        on the batched engine (``engine="reference"``, hooks and
+        ``approx`` raise; a ``latency_budget`` is ignored).  The stage
+        is built here, once, with ``workers=num_processes`` and handed
+        to the process runtime.
         ``approx=rel_err`` — or a ``latency_budget`` /
         ``guard="downgrade"`` escalation — *estimates* every pattern
         instead (:class:`~repro.mining.sampling.ApproxCount` values)
@@ -809,21 +810,6 @@ class MiningSession:
         if num_processes > 1:
             from ..runtime.parallel import _process_drive
 
-            unsupported = opts.hooks(
-                "stats", "timer", "control", "plan", "start_vertices",
-                "budget", "approx", "latency_budget",
-            )
-            if unsupported:
-                raise MatchingError(
-                    f"count_many(num_processes={num_processes}) does not "
-                    f"support the {sorted(unsupported)} option(s); drop "
-                    "them or use num_processes=1"
-                )
-            if opts.engine == "reference":
-                raise MatchingError(
-                    "engine='reference' is not available under processes; "
-                    "use 'auto' or 'accel-batch'"
-                )
             return _process_drive(
                 self, self._stage(patterns, opts, workers=num_processes)
             )

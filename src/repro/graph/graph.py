@@ -30,14 +30,28 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..bitmap.roaring import HubMembershipIndex, hub_degree_threshold
 from ..errors import GraphError
 
 __all__ = ["DataGraph"]
+
+# Hub membership: a vertex earns a packed dense bit row when its degree
+# reaches both this floor and n / 64.  The floor keeps tiny graphs on
+# pure searchsorted (row builds are not free); the density cut bounds
+# the index at 8x the hubs' own adjacency bytes (a row costs n/8 bytes
+# vs >= 8 * n/64 adjacency).  ``benchmarks/bench_storage.py`` measures
+# the membership crossover.  Read at call time, so tests force hubs on
+# small graphs by patching this value before a graph's first
+# ``hub_index()``.
+HUB_MIN_DEGREE = 128
+
+
+def hub_degree_threshold(num_vertices: int) -> int:
+    """Minimum degree for a vertex to earn a dense membership row."""
+    return max(HUB_MIN_DEGREE, num_vertices >> 6)
 
 
 def _frozen(values) -> np.ndarray:
@@ -301,7 +315,7 @@ class DataGraph:
 
         Built at first request (the first batched engine over this
         graph) for every vertex whose degree reaches
-        :func:`~repro.bitmap.roaring.hub_degree_threshold`, and cached —
+        :func:`hub_degree_threshold`, and cached —
         the miss too, so a graph without hubs pays one ``max`` over
         :meth:`degrees` and nothing else.
         """
@@ -477,3 +491,82 @@ class DataGraph:
             return {}
         values, counts = np.unique(self._labels, return_counts=True)
         return dict(zip(values.tolist(), counts.tolist()))
+
+
+class HubMembershipIndex:
+    """Dense membership bit rows for hub neighborhoods.
+
+    ``searchsorted`` over the global adjacency keys answers a membership
+    query in O(log E) — unbeatable for sparse rows, but on power-law
+    hubs the same dense row is probed over and over and every probe
+    repays the full binary search.  This index gives each vertex whose
+    degree clears the threshold a packed bit row in one
+    ``(num_hubs, ceil(n / 8))`` uint8 matrix, filled by one scatter over
+    the hubs' CSR rows, so a batched query against hub owners is two
+    vectorized lookups — ``bits[row, v >> 3] >> (v & 7)`` — with no
+    search at all.  Non-hub owners fall through to the caller's
+    searchsorted kernel; the split is decided per *vertex* at build
+    time, per *query element* at run time.
+    """
+
+    __slots__ = ("num_vertices", "hubs", "row_of", "bits")
+
+    def __init__(self, graph: DataGraph, threshold: int):
+        n = graph.num_vertices
+        offsets, flat, _ = graph.csr_arrays()
+        degrees = graph.degrees()
+        self.num_vertices = n
+        self.hubs = np.flatnonzero(degrees >= threshold).astype(np.int64)
+        self.row_of = np.full(n, -1, dtype=np.int64)
+        self.row_of[self.hubs] = np.arange(self.hubs.size, dtype=np.int64)
+        # Gather every hub's CSR row back to back, then set bit v & 7 of
+        # byte v >> 3 in the row's line of the matrix.
+        hub_degrees = degrees[self.hubs]
+        rows = np.repeat(np.arange(self.hubs.size), hub_degrees)
+        row_starts = np.cumsum(hub_degrees) - hub_degrees
+        values = flat[
+            np.arange(rows.size)
+            + np.repeat(offsets[self.hubs] - row_starts, hub_degrees)
+        ]
+        self.bits = np.zeros((self.hubs.size, (n + 7) >> 3), dtype=np.uint8)
+        np.bitwise_or.at(
+            self.bits,
+            (rows, values >> 3),
+            np.left_shift(1, values & 7).astype(np.uint8),
+        )
+        for arr in (self.hubs, self.row_of, self.bits):
+            arr.flags.writeable = False
+
+    def member(
+        self,
+        owners: np.ndarray,
+        values: np.ndarray,
+        fallback: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> np.ndarray:
+        """Elementwise membership, hub rows via bits, the rest via ``fallback``."""
+        rows = self.row_of[owners]
+        on_hub = rows >= 0
+        if not on_hub.any():
+            return fallback(owners, values)
+        if on_hub.all():
+            return (
+                self.bits[rows, values >> 3] >> (values & 7) & 1
+            ).astype(bool)
+        out = np.empty(owners.size, dtype=bool)
+        hub_values = values[on_hub]
+        out[on_hub] = (
+            self.bits[rows[on_hub], hub_values >> 3] >> (hub_values & 7) & 1
+        ).astype(bool)
+        rest = ~on_hub
+        out[rest] = fallback(owners[rest], values[rest])
+        return out
+
+    def memory_bytes(self) -> int:
+        """The packed matrix + the row map."""
+        return self.bits.nbytes + self.row_of.nbytes
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"HubMembershipIndex({self.hubs.size} hubs, "
+            f"{self.memory_bytes()} bytes)"
+        )

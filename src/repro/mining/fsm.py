@@ -115,7 +115,6 @@ def _batch_discoverer(
     space: _LabelSpace,
     structural: Pattern,
     symmetry_breaking: bool,
-    bitset_factory=None,
 ):
     """``(tables, on_batch)`` for one structural pattern.
 
@@ -153,11 +152,7 @@ def _batch_discoverer(
         if code not in tables:
             tables[code] = (
                 pattern_from_code(code),
-                Domain(
-                    n,
-                    orbits if symmetry_breaking else None,
-                    bitset_factory=bitset_factory,
-                ),
+                Domain(n, orbits if symmetry_breaking else None),
             )
         return tables[code][1], list(order)
 
@@ -199,7 +194,6 @@ def fsm(
     num_edges: int,
     threshold: int,
     symmetry_breaking: bool = True,
-    bitset_factory=None,
     engine: str | None = None,
 ) -> FSMResult:
     """Mine all frequent labeled patterns with up to ``num_edges`` edges.
@@ -213,10 +207,6 @@ def fsm(
     threshold: MNI support threshold tau.
     symmetry_breaking: disable for the PRG-U ablation — every automorphic
         match then updates domains redundantly (Fig 10's FSM comparison).
-    bitset_factory: backing store for domain bitmaps; defaults to the
-        dense int-backed :class:`~repro.mining.support.Bitset`, and
-        :class:`~repro.bitmap.RoaringBitmap` gives the paper's compressed
-        behaviour (the two are compared in ``bench_ablations.py``).
     """
     session = as_session(graph)
     space = _LabelSpace(session.graph, threshold)
@@ -229,8 +219,7 @@ def fsm(
         # One walk per round: the structural patterns that share a level-0
         # frontier fuse, and every pattern's matches arrive as arrays.
         sinks = [
-            _batch_discoverer(space, s, symmetry_breaking, bitset_factory)
-            for s in frontier
+            _batch_discoverer(space, s, symmetry_breaking) for s in frontier
         ]
         session.match_batches_many(
             frontier,

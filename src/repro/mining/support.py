@@ -6,10 +6,10 @@ appear at that vertex across all matches.  MNI is anti-monotonic, which is
 what lets FSM prune extension candidates (§2.1).
 
 Peregrine implements domains as vectors of compressed (Roaring) bitmaps.
-Our :class:`Bitset` wraps an arbitrary-precision integer — CPython's
-fastest exact-set union primitive — with the same logical interface:
-set bit, or-merge, popcount.  Domains are engine-agnostic sinks: FSM
-feeds them whole match arrays from
+Our one domain set, :class:`Bitset`, wraps an arbitrary-precision
+integer — CPython's fastest exact-set union primitive — with the same
+logical interface: set bit, or-merge, popcount.  Domains are
+engine-agnostic sinks: FSM feeds them whole match arrays from
 :meth:`repro.core.session.MiningSession.match_batches` (vectorized
 :meth:`Domain.update_batch`); :meth:`Domain.update` is the per-match
 sink for user callbacks.
@@ -25,7 +25,7 @@ matching, exactly the property Figure 10 credits for FSM's 3x win.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -110,21 +110,15 @@ class Domain:
     ``orbits`` partitions the pattern's vertices into automorphism orbits
     (see :func:`repro.core.symmetry.orbit_partition`); pass the trivial
     partition (singletons) when matches already include all automorphic
-    copies (the PRG-U mode).  ``bitset_factory`` is a bitset class with
-    ``add``, ``|=``, ``len``, ``memory_bytes`` and ``from_mask``.
+    copies (the PRG-U mode).
     """
 
-    __slots__ = ("_domains", "_orbits", "_factory", "writes")
+    __slots__ = ("_domains", "_orbits", "writes")
 
     def __init__(
-        self,
-        num_vertices: int,
-        orbits: Sequence[Sequence[int]] | None = None,
-        bitset_factory: Callable[[], "Bitset"] = None,
+        self, num_vertices: int, orbits: Sequence[Sequence[int]] | None = None
     ):
-        factory = bitset_factory if bitset_factory is not None else Bitset
-        self._factory = factory
-        self._domains = [factory() for _ in range(num_vertices)]
+        self._domains = [Bitset() for _ in range(num_vertices)]
         if orbits is None:
             orbits = [[u] for u in range(num_vertices)]
         self._orbits = [list(orbit) for orbit in orbits]
@@ -144,7 +138,7 @@ class Domain:
         The batched counterpart of :meth:`update` for the frontier
         engine's match arrays: each column is scattered into a boolean
         mask whose packed bits are or-ed into the column's bitset in one
-        step (the bitset class's ``from_mask``), so no Python runs per
+        step (:meth:`Bitset.from_mask`), so no Python runs per
         vertex.  Negative entries (anti-vertex columns) are skipped.
         ``writes`` advances by ``rows * vertices`` — the same logical
         insertion count the per-match path records — keeping the Figure
@@ -158,14 +152,14 @@ class Domain:
             column = mappings[:, u]
             mask = np.zeros(size, dtype=bool)
             mask[column[column >= 0]] = True
-            domain |= type(domain).from_mask(mask)
+            domain |= Bitset.from_mask(mask)
         self.writes += rows * width
 
     def vertex_domain(self, u: int) -> Bitset:
         """Full domain of vertex ``u``: orbit-merged raw domains."""
         for orbit in self._orbits:
             if u in orbit:
-                merged = self._factory()
+                merged = Bitset()
                 for w in orbit:
                     merged |= self._domains[w]
                 return merged
@@ -177,7 +171,7 @@ class Domain:
             return 0
         sizes = []
         for orbit in self._orbits:
-            merged = self._factory()
+            merged = Bitset()
             for w in orbit:
                 merged |= self._domains[w]
             size = len(merged)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from ..bitmap import hub_degree_threshold
+from ..graph.graph import hub_degree_threshold
 from ..errors import QueryRefusedError
 from ..pattern.pattern import Pattern
 

@@ -725,8 +725,10 @@ def process_count_many(
     from the in-process path too.  ``guard`` ("refuse" or "downgrade")
     applies the :mod:`~repro.runtime.guards` admission decision first —
     refusing predicted-explosive pattern sets or capping the worker
-    count.  This driver counts exactly, whatever size its pool ends up:
-    a session whose defaults carry ``approx`` raises
+    count.  This driver counts exactly on the batched engine, whatever
+    size its pool ends up: a session whose defaults carry a hook it
+    cannot honour (``approx``, ``budget``, ``control``, ``stats``, ...)
+    or pin ``engine="reference"`` raises
     :class:`~repro.errors.MatchingError`.
     """
     session = as_session(graph)
@@ -738,13 +740,6 @@ def process_count_many(
         frontier_chunk=frontier_chunk,
         guard=guard,
     )
-    if opts.approx is not None:
-        # Only a session default can carry it here.  Rejected up front
-        # so a pool of one and a real pool behave alike.
-        raise MatchingError(
-            "['approx'] not available under processes: drop the option or "
-            "use count_many(approx=...) in process"
-        )
     staged = session._stage(patterns, opts, workers=num_processes)
     return _process_drive(session, staged, share_mode, cancel)
 
@@ -762,7 +757,29 @@ def _process_drive(
     :func:`process_count_many` builds from its keywords and what
     :meth:`~repro.core.session.MiningSession.count_many` hands over
     whole.  Returns ``{pattern: exact count}``.
+
+    Workers count exactly on the batched engine and honour no hook, so
+    a stage carrying one — the caller's or a session default's — or a
+    pinned interpreter raises :class:`~repro.errors.MatchingError`,
+    whatever size the pool ends up: a pool of one and a real pool
+    behave alike.  A ``latency_budget`` is a hint an exact count
+    ignores.
     """
+    patterns, plans, opts = staged.patterns, staged.plans, staged.opts
+    unsupported = opts.hooks(
+        "stats", "timer", "control", "plan", "start_vertices", "budget",
+        "approx",
+    )
+    if unsupported:
+        raise MatchingError(
+            f"{sorted(unsupported)} not available under processes: drop "
+            "the option(s) or count in process"
+        )
+    if opts.engine == "reference":
+        raise MatchingError(
+            "engine='reference' is not available under processes; "
+            "use 'auto' or 'accel-batch'"
+        )
     has_fork = "fork" in multiprocessing.get_all_start_methods()
     if share_mode is None:
         share_mode = "fork" if has_fork else "mmap"
@@ -770,7 +787,6 @@ def _process_drive(
         raise ValueError(
             f"share_mode must be one of {_SHARE_MODES}, got {share_mode!r}"
         )
-    patterns, plans, opts = staged.patterns, staged.plans, staged.opts
     num_processes = staged.query_plan.num_workers
     if num_processes <= 1 or not patterns:
         # A pool of one is the in-process driver: it executes the stage

@@ -5,7 +5,6 @@ from itertools import permutations
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.bitmap import RoaringBitmap
 from repro.graph import DataGraph, from_edges, mico_like, with_random_labels, erdos_renyi
 from repro.mining import fsm
 from repro.pattern import Pattern, canonical_code
@@ -179,14 +178,13 @@ class TestCompletenessOracle:
         seed=st.integers(min_value=0, max_value=10_000),
         alphabet=st.sampled_from(_ALPHABETS),
         threshold=st.sampled_from([2, 3]),
-        factory=st.sampled_from([None, RoaringBitmap]),
         engine=st.sampled_from(["auto", "reference"]),
     )
-    @example(seed=1, alphabet=None, threshold=2, factory=None, engine="auto")
-    @example(seed=2, alphabet=_ALPHABETS[1], threshold=2, factory=RoaringBitmap, engine="reference")
+    @example(seed=1, alphabet=None, threshold=2, engine="auto")
+    @example(seed=2, alphabet=_ALPHABETS[1], threshold=2, engine="reference")
     @settings(max_examples=20, deadline=None)
     def test_frequent_sets_match_brute_force(
-        self, seed, alphabet, threshold, factory, engine
+        self, seed, alphabet, threshold, engine
     ):
         g = _fuzz_graph(seed, alphabet)
         want = brute_force_fsm(g, 3, threshold)
@@ -196,7 +194,6 @@ class TestCompletenessOracle:
                 3,
                 threshold,
                 symmetry_breaking=symmetry_breaking,
-                bitset_factory=factory,
                 engine=engine,
             )
             for size in (1, 2, 3):

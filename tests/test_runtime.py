@@ -314,7 +314,7 @@ class TestProcessCount:
 
     @pytest.mark.parametrize("share_mode", SHARE_MODES)
     def test_dense_graph_workers_agree(self, share_mode):
-        """Dense regime: hub vertices clear the roaring threshold, so
+        """Dense regime: hub vertices clear the hub-row threshold, so
         workers probe membership through the packed bit rows."""
         _skip_unless_fork_available(share_mode)
         g = erdos_renyi(200, 0.7, seed=13)
@@ -610,6 +610,34 @@ class TestProcessCountMany:
         with pytest.raises(MatchingError):
             session.count_many(
                 [generate_clique(3)], num_processes=2, engine="reference"
+            )
+
+    @pytest.mark.parametrize("num_processes", [1, 2])
+    @pytest.mark.parametrize(
+        "default", ["budget", "control", "stats", "engine"]
+    )
+    def test_pool_rejects_session_defaults_at_any_size(
+        self, default, num_processes
+    ):
+        """Regression: a real pool dropped the session defaults a pool
+        of one honoured — a frontier-row budget raised at one process
+        and counted everything at two, and a stopped control, stats or
+        a pinned interpreter were ignored by the pool."""
+        from repro.core import Budget, EngineStats
+        from repro.errors import MatchingError
+
+        stopped = ExplorationControl()
+        stopped.stop()
+        value = {
+            "budget": Budget(max_frontier_rows=1),
+            "control": stopped,
+            "stats": EngineStats(),
+            "engine": "reference",
+        }[default]
+        session = MiningSession(erdos_renyi(30, 0.2, seed=12), **{default: value})
+        with pytest.raises(MatchingError, match="under processes"):
+            process_count_many(
+                session, [generate_clique(3)], num_processes=num_processes
             )
 
     def test_single_process_falls_back_to_sequential(self):

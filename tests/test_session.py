@@ -662,14 +662,14 @@ class TestOneStopToken:
         session.match(p, lambda m: reference.append(m.mapping), engine="reference")
         assert len(reference) == 9708
 
-        # A control stopped by a callback: the batched engine polls per
-        # emitted match, the interpreter per core match.
+        # A control stopped by a callback: both engines poll per emitted
+        # match, so the run ends at the stopping match.
         control, seen = ExplorationControl(), []
         total = session.match(
             p, stop_after_n_matches(control, 3, lambda m: seen.append(m.mapping)),
             control=control,
         )
-        assert total == (3 if engine == "accel-batch" else 7)
+        assert total == 3
         assert seen == reference[:total] and control.stopped
 
         # A match cap: count-only runs trip at a block boundary.
@@ -705,8 +705,17 @@ class TestOneStopToken:
         assert session.exists(p, control=live) and not live.stopped
 
         # A deadline already passed, as a process cancel token: pooled or
-        # a pool of one, nothing runs and every chunk stays pending.
+        # a pool of one, nothing runs and every chunk stays pending.  The
+        # pool counts on the batched engine only, so it refuses a session
+        # that pins the interpreter, at either size.
         for num_processes in (1, 2):
+            if engine == "reference":
+                with pytest.raises(MatchingError, match="under processes"):
+                    process_count_many(
+                        session, [p], num_processes=num_processes,
+                        cancel=DeadlineControl(0.0),
+                    )
+                continue
             with pytest.raises(QueryCancelledError) as info:
                 process_count_many(
                     session, [p], num_processes=num_processes,

@@ -8,8 +8,8 @@ full adjacency materialization).  This suite pins the storage contract,
 fuzz-pins the round trip over the graph feature matrix, rejects
 malformed files loudly, guards the lazy-open property, checks
 in-memory-vs-mmap engine parity, and unit-tests the graph's cached
-derived arrays and the roaring hub-membership kernels it compiles for
-power-law hubs.
+derived arrays and the hub-membership bit rows it packs for power-law
+hubs.
 """
 
 from __future__ import annotations
@@ -19,17 +19,17 @@ import struct
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
 from repro.core import MiningSession, as_session, count, generate_plan  # noqa: E402
 from repro.core.accel import FrontierBatchedEngine  # noqa: E402
-from repro.bitmap import HubMembershipIndex, RoaringBitmap  # noqa: E402
-from repro.bitmap import roaring  # noqa: E402
-from repro.bitmap.roaring import (  # noqa: E402
-    ROARING_HUB_MIN_DEGREE,
+from repro.graph import graph as graph_module  # noqa: E402
+from repro.graph.graph import (  # noqa: E402
+    HUB_MIN_DEGREE,
+    HubMembershipIndex,
     hub_degree_threshold,
 )
 from repro.errors import GraphError, GraphFormatError  # noqa: E402
@@ -319,7 +319,7 @@ class TestColdStartIsLazy:
 
     @pytest.mark.parametrize("member", ["degrees", "adjacency_keys", "hub_index"])
     def test_derived_members_cached_and_read_only(self, monkeypatch, member):
-        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 4)
         g = power_law(300, gamma=1.6, seed=9)
         first = getattr(g, member)()
         assert first is not None
@@ -335,7 +335,7 @@ class TestColdStartIsLazy:
     ):
         """A degree-sorted store's graph is its own ordered graph, so
         dropping the ordering cache alone would keep its derived arrays."""
-        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 4)
         ordered, _ = power_law(300, gamma=1.6, seed=9).degree_ordered()
         p = Pattern.from_edges([(0, 1), (1, 2)], anti_edges=[(0, 2)])
         with tempfile.TemporaryDirectory() as tmp:
@@ -444,45 +444,39 @@ class TestPathAcceptance:
             )
 
 
-class TestRoaringBulkKernels:
+class TestHubRowsPackCsr:
     @given(
-        st.lists(
-            st.integers(min_value=0, max_value=200_000),
-            max_size=300,
-            unique=True,
-        )
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=0.05, max_value=0.9),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=10_000),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_from_sorted_matches_incremental(self, values):
-        values = sorted(values)
-        assert RoaringBitmap.from_sorted(values) == RoaringBitmap(values)
-
-    def test_from_sorted_rejects_negatives(self):
-        with pytest.raises(ValueError):
-            RoaringBitmap.from_sorted([-1, 0, 1])
-
-    @given(
-        st.lists(
-            st.integers(min_value=0, max_value=5000),
-            max_size=200,
-            unique=True,
-        ),
-        st.integers(min_value=0, max_value=5000),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_to_dense_bytes_matches_packbits(self, values, num_bits):
-        bm = RoaringBitmap.from_sorted(sorted(values))
-        dense = np.zeros(num_bits, dtype=np.uint8)
-        keep = [v for v in values if v < num_bits]
-        if keep:
-            dense[keep] = 1
-        expected = np.packbits(dense, bitorder="little").tobytes()
-        assert bm.to_dense_bytes(num_bits) == expected
+    @example(n=5, p=0.8, floor=2, seed=1)
+    @example(n=13, p=0.5, floor=3, seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_each_packed_row_equals_its_csr_row(self, n, p, floor, seed):
+        # n runs below 8 and off multiples of 8, so rows end mid-byte.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "HUB_MIN_DEGREE", floor)
+            g = erdos_renyi(n, p, seed=seed)
+            hub = g.hub_index()
+        degrees = g.degrees()
+        if not degrees.size or int(degrees.max()) < floor:
+            assert hub is None
+            return
+        assert hub.hubs.tolist() == np.flatnonzero(degrees >= floor).tolist()
+        assert hub.bits.shape == (hub.hubs.size, (n + 7) >> 3)
+        for row, h in enumerate(hub.hubs.tolist()):
+            assert hub.row_of[h] == row
+            bits = np.unpackbits(hub.bits[row], bitorder="little")
+            assert not bits[n:].any()  # padding past n stays clear
+            assert np.flatnonzero(bits).tolist() == g.neighbors(h).tolist()
+        assert hub.memory_bytes() == hub.bits.nbytes + hub.row_of.nbytes
 
 
 class TestHubMembership:
     def test_threshold_scales_with_graph_size(self):
-        assert hub_degree_threshold(100) == ROARING_HUB_MIN_DEGREE
+        assert hub_degree_threshold(100) == HUB_MIN_DEGREE
         assert hub_degree_threshold(1 << 20) == (1 << 20) >> 6
 
     def test_no_hubs_below_threshold(self):
@@ -493,7 +487,7 @@ class TestHubMembership:
 
     def test_index_structure_and_lookup(self, monkeypatch):
         # Force hubs before the fresh graph's first (cached) hub_index().
-        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 12)
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 12)
         g = barabasi_albert(300, 6, seed=5)
         hub = g.hub_index()
         assert isinstance(hub, HubMembershipIndex)
@@ -515,7 +509,7 @@ class TestHubMembership:
         # (hypothesis reruns the body, so patch inside it, not via the
         # function-scoped monkeypatch fixture).
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
+            mp.setattr(graph_module, "HUB_MIN_DEGREE", 4)
             g = power_law(120 + seed, gamma=1.7, seed=seed)
             engine = FrontierBatchedEngine(g, generate_plan(generate_clique(3)))
         hubs = g.hub_index()
@@ -530,7 +524,7 @@ class TestHubMembership:
         assert np.array_equal(got, want)
 
     def test_engine_counts_unchanged_when_hubs_engage(self, monkeypatch):
-        monkeypatch.setattr(roaring, "ROARING_HUB_MIN_DEGREE", 4)
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 4)
         g = power_law(300, gamma=1.6, seed=9)
         p = Pattern.from_edges([(0, 1), (1, 2)], anti_edges=[(0, 2)])
         expected = count(g, p, engine="reference")

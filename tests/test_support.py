@@ -1,11 +1,9 @@
 """Tests for Bitset and MNI Domain (support computation)."""
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.baselines import bfs_fsm
-from repro.bitmap import RoaringBitmap
 from repro.graph import DataGraph, mico_like
 from repro.mining import Bitset, Domain, fsm
 from repro.pattern import canonical_code
@@ -126,7 +124,6 @@ class TestDomain:
 
 
 class TestUpdateBatch:
-    @pytest.mark.parametrize("factory", [Bitset, RoaringBitmap])
     @given(
         st.lists(
             st.tuples(
@@ -137,9 +134,9 @@ class TestUpdateBatch:
             max_size=40,  # covers fewer than and at least 16 rows
         )
     )
-    def test_matches_per_row_update(self, factory, rows):
-        batched = Domain(3, bitset_factory=factory)
-        per_row = Domain(3, bitset_factory=factory)
+    def test_matches_per_row_update(self, rows):
+        batched = Domain(3)
+        per_row = Domain(3)
         batched.update_batch(np.array(rows, dtype=np.int64).reshape(-1, 3))
         for row in rows:
             per_row.update(row)
