@@ -85,16 +85,10 @@ class Bitset:
         return hash(self._bits)
 
     def to_list(self) -> list[int]:
-        """Sorted member list (tests / small domains only)."""
-        out = []
-        bits = self._bits
-        v = 0
-        while bits:
-            if bits & 1:
-                out.append(v)
-            bits >>= 1
-            v += 1
-        return out
+        """Sorted member list: the inverse of :meth:`from_mask`."""
+        raw = self._bits.to_bytes((self._bits.bit_length() + 7) >> 3, "little")
+        mask = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        return np.flatnonzero(mask).tolist()
 
     def memory_bytes(self) -> int:
         """Logical footprint: one bit per position up to the highest set."""

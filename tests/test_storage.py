@@ -479,6 +479,49 @@ class TestHubMembership:
         assert hub_degree_threshold(100) == HUB_MIN_DEGREE
         assert hub_degree_threshold(1 << 20) == (1 << 20) >> 6
 
+    def test_threshold_floor_hands_over_at_64_times_the_floor(self):
+        edge = HUB_MIN_DEGREE << 6
+        assert hub_degree_threshold(0) == HUB_MIN_DEGREE
+        assert hub_degree_threshold(edge) == HUB_MIN_DEGREE
+        assert hub_degree_threshold(edge + 64) == HUB_MIN_DEGREE + 1
+
+    def test_threshold_constant_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 3)
+        assert hub_degree_threshold(100) == 3
+
+    def test_edgeless_and_empty_graphs_build_no_index(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 1)
+        assert from_edges([], num_vertices=0).hub_index() is None
+        assert from_edges([], num_vertices=5).hub_index() is None
+
+    def test_star_center_row_pins_the_bit_order(self, monkeypatch):
+        # Star: centre 0, leaves 1..10, so n = 11 spans two bytes and
+        # bit v & 7 of byte v >> 3 is set for each leaf.
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 5)
+        g = from_edges([(0, leaf) for leaf in range(1, 11)])
+        hub = g.hub_index()
+        assert hub.hubs.tolist() == [0]
+        assert hub.row_of.tolist() == [0] + [-1] * 10
+        assert hub.bits.tolist() == [[0b11111110, 0b00000111]]
+        assert hub.memory_bytes() == 2 + 11 * 8
+
+    def test_index_arrays_are_read_only(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 12)
+        hub = barabasi_albert(300, 6, seed=5).hub_index()
+        for arr in (hub.hubs, hub.row_of, hub.bits):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_row_map_inverts_hubs(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 12)
+        g = barabasi_albert(300, 6, seed=5)
+        hub = g.hub_index()
+        assert hub.hubs.size > 0
+        assert np.all(np.diff(hub.hubs) > 0)
+        assert hub.row_of[hub.hubs].tolist() == list(range(hub.hubs.size))
+        assert int((hub.row_of < 0).sum()) == g.num_vertices - hub.hubs.size
+
     def test_no_hubs_below_threshold(self):
         g = erdos_renyi(50, 0.1, seed=3)  # max degree far below 128
         assert g.hub_index() is None
@@ -534,3 +577,66 @@ class TestHubMembership:
         assert engine.hubs is h.hub_index()
         got = count(g, p, engine="accel-batch")
         assert got == expected
+
+
+class TestHubMemberRouting:
+    """``member`` answers hub owners from bits and defers the rest."""
+
+    @staticmethod
+    def _index(monkeypatch):
+        monkeypatch.setattr(graph_module, "HUB_MIN_DEGREE", 12)
+        g = barabasi_albert(300, 6, seed=5)
+        return g, g.hub_index()
+
+    @staticmethod
+    def _truth(g, owners, values):
+        return np.array(
+            [v in set(g.neighbors(int(o)).tolist()) for o, v in zip(owners, values)],
+            dtype=bool,
+        )
+
+    def test_all_hub_owners_never_call_the_fallback(self, monkeypatch):
+        g, hub = self._index(monkeypatch)
+
+        def fallback(owners, values):
+            raise AssertionError("hub owners must be answered from bits")
+
+        rng = np.random.default_rng(0)
+        owners = rng.choice(hub.hubs, 200)
+        values = rng.integers(0, g.num_vertices, 200)
+        got = hub.member(owners, values, fallback)
+        assert got.dtype == bool
+        assert np.array_equal(got, self._truth(g, owners, values))
+
+    def test_no_hub_owners_defer_the_whole_query(self, monkeypatch):
+        g, hub = self._index(monkeypatch)
+        owners = np.flatnonzero(hub.row_of < 0)[:50]
+        values = np.arange(50, dtype=np.int64)
+        sentinel = np.zeros(50, dtype=bool)
+        calls = []
+
+        def fallback(o, v):
+            calls.append((o, v))
+            return sentinel
+
+        assert hub.member(owners, values, fallback) is sentinel
+        assert len(calls) == 1
+        assert calls[0][0] is owners and calls[0][1] is values
+
+    def test_mixed_owners_defer_only_the_non_hub_elements(self, monkeypatch):
+        g, hub = self._index(monkeypatch)
+        rng = np.random.default_rng(1)
+        owners = rng.integers(0, g.num_vertices, 300)
+        values = rng.integers(0, g.num_vertices, 300)
+        on_hub = hub.row_of[owners] >= 0
+        assert on_hub.any() and not on_hub.all()
+        seen = []
+
+        def fallback(o, v):
+            seen.append(o.copy())
+            return self._truth(g, o, v)
+
+        got = hub.member(owners, values, fallback)
+        assert np.array_equal(got, self._truth(g, owners, values))
+        assert len(seen) == 1
+        assert seen[0].tolist() == owners[~on_hub].tolist()
